@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (AngleMissing, CircuitSyntaxError, InvalidSpec,
                      MeasurementInUnitary, QubitOutOfRange, TooWide)
+from .linalg import canonical_key
 
 GATE_ARITY = {
     "h": 1, "x": 1, "y": 1, "z": 1, "s": 1, "sdg": 1, "t": 1, "tdg": 1,
@@ -197,6 +198,24 @@ def embed_gate(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     out[np.ix_(perm, perm)] = full0
     return out
+
+
+def gate_generators(gates, support: tuple[int, ...]) -> tuple[list[np.ndarray], list[int]]:
+    """Distinct unitaries of `gates` embedded over `support` (local qubit i
+    is support[i]), deduplicated by canonical key in first-seen order, and
+    the position in that list of each gate's unitary."""
+    pos = {q: i for i, q in enumerate(support)}
+    mats: list[np.ndarray] = []
+    slot_of_gate: dict[tuple, int] = {}
+    slot_of_mat: dict[bytes, int] = {}
+    for g in gates:
+        if g.key() not in slot_of_gate:
+            mat = embed_gate(gate_matrix(g.kind, g.angle),
+                             tuple(pos[q] for q in g.qubits), len(support))
+            slot_of_gate[g.key()] = slot_of_mat.setdefault(canonical_key(mat), len(mats))
+            if slot_of_gate[g.key()] == len(mats):
+                mats.append(mat)
+    return mats, [slot_of_gate[g.key()] for g in gates]
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

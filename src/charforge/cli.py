@@ -18,8 +18,8 @@ from .algebra import decomposition_report_json, delta
 from .bench import BenchConfig, emit_outputs, run_bench
 from .characters import (central_idempotents, character_table,
                          character_table_csv, isotypic_projectors)
-from .circuits import (Circuit, GateInstance, circuit_unitary, embed_gate,
-                       gate_matrix, parse_circuit, serialize_circuit)
+from .circuits import (Circuit, GateInstance, circuit_unitary, gate_generators,
+                       parse_circuit, serialize_circuit)
 from .claims import run_claims
 from .complexity import CostParams, estimate_cost
 from .errors import CharforgeError
@@ -27,7 +27,6 @@ from .fixtures import FIXTURE_NAMES, fixture_group
 from .groups import (ClosureConfig, FiniteMatrixGroup, close_group,
                      element_of, group_to_json)
 from .histogram import histogram_csv
-from .linalg import canonical_key
 from .optimize import OptimizeConfig, equivalence_check, optimize
 from .statevector import sv_run
 from .tableau import tableau_run
@@ -49,16 +48,7 @@ def circuit_gate_group(c: Circuit, cfg: ClosureConfig) -> tuple[FiniteMatrixGrou
         len(support),
         tuple(GateInstance(g.kind, tuple(pos[q] for q in g.qubits), g.angle) for g in body),
         name=c.name)
-    mats = []
-    seen = set()
-    for g in compact.gates:
-        m = embed_gate(gate_matrix(g.kind, g.angle), g.qubits, compact.n_qubits)
-        key = canonical_key(m)
-        if key not in seen:
-            seen.add(key)
-            mats.append(m)
-    if not mats:
-        mats = [np.eye(1 << compact.n_qubits, dtype=complex)]
+    mats = gate_generators(body, support)[0] or [np.eye(1 << len(support), dtype=complex)]
     return close_group(mats, cfg), support, compact
 
 

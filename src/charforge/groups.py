@@ -2,10 +2,17 @@
 
 Element identity uses a canonical key: entries rounded to a fixed number of
 decimal places, hashed row-major, with every key hit confirmed by a max-abs
-tolerance check. Element indices are assigned in breadth-first discovery
-order starting from {identity} + generators, multiplying on the right by
-generators, so closing the same generator list twice yields identical
-tables.
+tolerance check. A key miss (a new element, or drift across a rounding step)
+falls back to locality buckets on a fixed random projection. Key index,
+buckets and element store form one ElementLookup, which close_group builds
+and keeps on the group and element_of queries.
+
+Element indices are assigned in breadth-first discovery order starting from
+{identity} + generators, multiplying on the right by generators, so closing
+the same generator list twice yields identical tables. Each BFS level times
+one generator is keyed, bucketed and its key hits confirmed as one numpy
+batch; products are still resolved in order, each seeing the elements the
+ones before it added.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, KeyCollision, OrderCapExceeded
-from .linalg import canonical_key, check_unitary, max_abs
+from .linalg import canonical_keys, check_unitary
 
 
 @dataclass(frozen=True)
@@ -29,6 +36,84 @@ class ClosureConfig:
             raise ValueError("max_order must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+
+
+class ElementLookup:
+    """Key index and projection buckets over a growing element store,
+    mats[:count] in index order. A bucket is floor(<P, m> / w) for a fixed
+    random P and w = |P|_1 * 8 * tol, so matrices within 8*tol of each other
+    share a bucket or sit in adjacent ones."""
+
+    def __init__(self, dim: int, tol: float, round_digits: int):
+        rng = np.random.default_rng(0x5EED)
+        self._proj = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        proj_l1 = float(np.sum(np.abs(self._proj.real)) + np.sum(np.abs(self._proj.imag)))
+        self._bucket_w = proj_l1 * 8.0 * tol
+        self.tol, self.round_digits = tol, round_digits
+        self.mats = np.empty((16, dim, dim), dtype=complex)
+        self.count = 0
+        self._index: dict[bytes, int] = {}
+        self._buckets: dict[int, list[int]] = {}
+
+    def _near(self, batch: np.ndarray, idx: list[int]) -> np.ndarray:
+        return np.max(np.abs(batch - self.mats[idx]), axis=(1, 2)) <= self.tol
+
+    def find(self, batch: np.ndarray, max_order: int | None = None) -> list[int]:
+        """Element index of each matrix of `batch`, resolved in order. A pure
+        query (max_order None) gives -1 for an absent matrix; otherwise it is
+        added, raising KeyCollision when it is between tol and 8*tol of an
+        element and OrderCapExceeded past max_order."""
+        keys = canonical_keys(batch, self.round_digits)
+        # these per-matrix sums equal np.sum over one matrix bit for bit; a
+        # matmul's would not
+        proj = (np.sum(self._proj.real * batch.real, axis=(1, 2))
+                + np.sum(self._proj.imag * batch.imag, axis=(1, 2)))
+        buckets = np.floor_divide(proj, self._bucket_w).astype(np.int64).tolist()
+        get = self._index.get
+        hits = [get(k) for k in keys]
+        known = [p for p, h in enumerate(hits) if h is not None]
+        ok = [False] * len(keys)
+        for p, near in zip(known, self._near(batch[known], [hits[p] for p in known]).tolist()):
+            ok[p] = near
+        # Elements added in this batch only take keys that missed or failed
+        # their check at the start, so confirmed hits on other keys stand and
+        # only the remaining positions are walked, in order.
+        work = [p for p in range(len(keys)) if not ok[p]]
+        straddled = {keys[p] for p in work if hits[p] is not None}
+        if straddled:
+            work = [p for p in range(len(keys)) if not ok[p] or keys[p] in straddled]
+        for p in work:
+            hit = get(keys[p])
+            if hit is not None and (ok[p] if hit == hits[p] else self._near(batch[p:p + 1], [hit])[0]):
+                hits[p] = hit
+            else:
+                hits[p] = self._resolve_miss(batch[p], keys[p], buckets[p], max_order)
+        return hits
+
+    def _resolve_miss(self, m: np.ndarray, key: bytes, bucket: int,
+                      max_order: int | None) -> int:
+        cands = [c for b in (bucket - 1, bucket, bucket + 1) for c in self._buckets.get(b, ())]
+        best, best_d = -1, np.inf
+        if cands:
+            dists = np.max(np.abs(self.mats[cands] - m), axis=(1, 2))
+            best, best_d = cands[int(np.argmin(dists))], float(np.min(dists))
+        if best_d <= self.tol or max_order is None:
+            return best if best_d <= self.tol else -1
+        if best_d <= 8 * self.tol:
+            raise KeyCollision(
+                f"two products are {best_d:.2e} apart, between tol and 8*tol; "
+                f"the generated set is not tolerance-separated")
+        if self.count >= max_order:
+            raise OrderCapExceeded(
+                f"closure passed max_order={max_order}; generated group "
+                f"is not finite or exceeds the cap")
+        if self.count == len(self.mats):
+            self.mats = np.concatenate([self.mats, np.empty_like(self.mats)])
+        self.mats[self.count] = m
+        self._index[key] = self.count
+        self._buckets.setdefault(bucket, []).append(self.count)
+        self.count += 1
+        return self.count - 1
 
 
 @dataclass
@@ -57,7 +142,7 @@ class FiniteMatrixGroup:
     generators: list[int]
     tol: float = 1e-9
     round_digits: int = 9
-    _index: dict[bytes, int] = field(default_factory=dict, repr=False)
+    _lookup: ElementLookup | None = field(default=None, repr=False, compare=False)
 
     identity: int = 0
 
@@ -69,16 +154,13 @@ class FiniteMatrixGroup:
         return f"FiniteMatrixGroup(dim={self.dim}, order={self.order}, k={len(self.classes)})"
 
 
-def _confirm(candidate: np.ndarray, stored: np.ndarray, tol: float) -> bool:
-    return max_abs(candidate - stored) <= tol
-
-
 def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) -> FiniteMatrixGroup:
     """Close a generator list under matrix multiplication.
 
     Raises OrderCapExceeded if more than cfg.max_order elements are
-    discovered, DimensionMismatch on inconsistent generator shapes and
-    NotUnitary when a generator fails the unitarity check.
+    discovered, KeyCollision when two products are between tol and 8*tol
+    apart, DimensionMismatch on inconsistent generator shapes and NotUnitary
+    when a generator fails the unitarity check.
     """
     cfg = cfg or ClosureConfig()
     if not generators:
@@ -89,84 +171,34 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
         if g.shape[0] != dim:
             raise DimensionMismatch(f"generator dims differ: {g.shape[0]} vs {dim}")
 
-    mats: list[np.ndarray] = [np.eye(dim, dtype=complex)]
-    index: dict[bytes, int] = {canonical_key(mats[0], cfg.round_digits): 0}
-    parents: list[tuple[int, int]] = [(-1, -1)]  # (parent element, generator slot)
-
-    # locality buckets on a fixed random projection back the rounded-key fast
-    # path: any two matrices within 8*tol project into adjacent buckets, so a
-    # key miss only ever scans a handful of true neighbor candidates
-    proj_rng = np.random.default_rng(0x5EED)
-    proj_mat = proj_rng.standard_normal((dim, dim)) + 1j * proj_rng.standard_normal((dim, dim))
-    proj_l1 = float(np.sum(np.abs(proj_mat.real)) + np.sum(np.abs(proj_mat.imag)))
-    bucket_w = proj_l1 * 8.0 * cfg.tol
-    buckets: dict[int, list[int]] = {}
-
-    def _proj_bucket(m: np.ndarray) -> int:
-        p = float(np.sum(proj_mat.real * m.real) + np.sum(proj_mat.imag * m.imag))
-        return int(p // bucket_w)
-
-    buckets[_proj_bucket(mats[0])] = [0]
-
-    def lookup_or_add(m: np.ndarray, parent: int, slot: int) -> int:
-        key = canonical_key(m, cfg.round_digits)
-        hit = index.get(key)
-        if hit is not None and _confirm(m, mats[hit], cfg.tol):
-            return hit
-        b = _proj_bucket(m)
-        best, best_d = -1, np.inf
-        for nb in (b - 1, b, b + 1):
-            for cand in buckets.get(nb, ()):
-                d = max_abs(m - mats[cand])
-                if d < best_d:
-                    best, best_d = cand, d
-        if best_d <= cfg.tol:
-            return best
-        if best_d <= 8 * cfg.tol:
-            raise KeyCollision(
-                f"two products are {best_d:.2e} apart, between tol and 8*tol; "
-                f"the generated set is not tolerance-separated")
-        count = len(mats)
-        if count >= cfg.max_order:
-            raise OrderCapExceeded(
-                f"closure passed max_order={cfg.max_order}; generated group "
-                f"is not finite or exceeds the cap")
-        mats.append(m)
-        index[key] = count
-        buckets.setdefault(b, []).append(count)
-        parents.append((parent, slot))
-        return count
-
-    gen_idx: list[int] = []
-    for slot, g in enumerate(gens):
-        i = lookup_or_add(g, 0, slot)
-        if i not in gen_idx:
-            gen_idx.append(i)
+    lookup = ElementLookup(dim, cfg.tol, cfg.round_digits)
+    lookup.find(np.eye(dim, dtype=complex)[None], cfg.max_order)
+    gen_found = lookup.find(np.stack(gens), cfg.max_order)
+    gen_idx = list(dict.fromkeys(gen_found))
+    # (parent element, generator slot) per element; a batch numbers its new
+    # elements from len(parents) up, in the order it first meets them
+    parents = [(-1, -1)]
+    for slot, i in enumerate(gen_found):
+        if i == len(parents):
+            parents.append((0, slot))
 
     n_slots = len(gens)
-    # right_by[a][j] = index of mats[a] @ gens[j]; every element is expanded once
-    right_rows: dict[int, list[int]] = {}
-    frontier = list(range(len(mats)))
-    while frontier:
-        batch = np.stack([mats[i] for i in frontier])
-        next_frontier: list[int] = []
-        rows = [[0] * n_slots for _ in frontier]
+    # right[a, j] = index of mats[a] @ gens[j]; a BFS level is the index range
+    # the level before it found, and every element is expanded once
+    right = np.zeros((0, n_slots), dtype=np.int64)
+    lo = 0
+    while lo < lookup.count:
+        frontier = lookup.mats[lo:lookup.count]
+        rows = np.zeros((len(frontier), n_slots), dtype=np.int64)
         for j, g in enumerate(gens):
-            prods = batch @ g
-            for pos, src in enumerate(frontier):
-                before = len(mats)
-                idx = lookup_or_add(prods[pos], src, j)
-                rows[pos][j] = idx
-                if len(mats) > before:
-                    next_frontier.append(idx)
-        for pos, src in enumerate(frontier):
-            right_rows[src] = rows[pos]
-        frontier = next_frontier
-
-    n = len(mats)
-    right = np.zeros((n, n_slots), dtype=np.int64)
-    for a in range(n):
-        right[a] = right_rows[a]
+            rows[:, j] = found = lookup.find(frontier @ g, cfg.max_order)
+            for pos, i in enumerate(found):
+                if i == len(parents):
+                    parents.append((lo + pos, j))
+        right = np.concatenate([right, rows])
+        lo += len(frontier)
+    n = lookup.count
+    mats = lookup.mats = lookup.mats[:n].copy()
 
     # cayley[:, b] by composing right-multiplication permutations along the
     # BFS tree: b = parent @ gens[j] gives col(b) = right[col(parent), j].
@@ -182,7 +214,7 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
 
     return FiniteMatrixGroup(
         dim=dim,
-        mats=np.stack(mats),
+        mats=mats,
         cayley=cayley,
         inverses=inverses,
         classes=classes,
@@ -190,7 +222,7 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
         generators=gen_idx,
         tol=cfg.tol,
         round_digits=cfg.round_digits,
-        _index=index,
+        _lookup=lookup,
     )
 
 
@@ -200,15 +232,8 @@ def element_of(group: FiniteMatrixGroup, m: np.ndarray) -> int | None:
     m = np.asarray(m, dtype=complex)
     if m.shape != (group.dim, group.dim):
         raise DimensionMismatch(f"expected shape {(group.dim, group.dim)}, got {m.shape}")
-    hit = group._index.get(canonical_key(m, group.round_digits))
-    if hit is not None and _confirm(m, group.mats[hit], group.tol):
-        return hit
-    # rounding can straddle a key boundary; fall back to a scan
-    defects = np.max(np.abs(group.mats - m[None, :, :]), axis=(1, 2))
-    best = int(np.argmin(defects))
-    if defects[best] <= group.tol:
-        return best
-    return None
+    found = group._lookup.find(m[None])[0]
+    return None if found < 0 else found
 
 
 def conjugacy_classes_from_cayley(

@@ -31,24 +31,43 @@ def check_unitary(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return m
 
 
-def canonical_key(m: np.ndarray, round_digits: int = 9) -> bytes:
-    """Canonical hash key: entries rounded to `round_digits` decimals, row-major.
+def canonical_keys(mats: np.ndarray, round_digits: int = 9) -> list[bytes]:
+    """Canonical hash key of each matrix in a (k, d, d) stack: entries
+    rounded to `round_digits` decimals, row-major.
 
     Adding complex zero after rounding collapses -0.0 into +0.0 so that the
     byte representation is canonical.
     """
-    r = np.round(np.ascontiguousarray(m, dtype=complex), round_digits) + (0.0 + 0.0j)
-    return r.tobytes()
+    r = np.array(mats, dtype=complex, order="C")
+    if 0 <= round_digits <= 22:  # np.round's steps, in place: same bits, half the time
+        f = r.view(np.float64)
+        f *= 10.0 ** round_digits
+        np.rint(f, out=f)
+        f /= 10.0 ** round_digits
+    else:
+        r = np.round(r, round_digits)
+    r += 0.0
+    rows = r.reshape(r.shape[0], -1)
+    return rows.view(np.dtype((np.void, rows.shape[1] * r.itemsize))).ravel().tolist()
+
+
+def canonical_key(m: np.ndarray, round_digits: int = 9) -> bytes:
+    """Canonical hash key of one matrix; see canonical_keys."""
+    return canonical_keys(np.asarray(m)[None], round_digits)[0]
 
 
 def phase_canonical(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Rescale by a global phase so the first entry with magnitude > tol is
-    positive real. Zero matrices are returned unchanged."""
-    flat = m.ravel()
-    for v in flat:
-        if abs(v) > tol:
-            return m * (abs(v) / v)
-    return m
+    positive real. Zero matrices are returned unchanged. A (..., d, d) stack
+    is rescaled matrix by matrix."""
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    # np.hypot is what abs() of one complex scalar computes; np.abs of an
+    # array can differ from it in the last bit
+    big = np.hypot(flat.real, flat.imag) > tol
+    found = big.any(axis=-1, keepdims=True)
+    v = np.take_along_axis(flat, np.argmax(big, axis=-1)[..., None], axis=-1)
+    v = np.where(found, v, 1.0)
+    return np.where(found[..., None], m * (np.hypot(v.real, v.imag) / v)[..., None], m)
 
 
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:

@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .characters import central_idempotents, character_table
-from .circuits import Circuit, GateInstance, embed_gate, gate_matrix
+from .circuits import Circuit, GateInstance, gate_generators
 from .errors import KeyCollision, OrderCapExceeded, TooWide
 from .groups import ClosureConfig, FiniteMatrixGroup, close_group
 from .histogram import tv_distance
-from .linalg import canonical_key, phase_canonical
+from .linalg import phase_canonical
 from .observables import Observable, random_pauli
 from .statevector import (SV_MAX_QUBITS, expectation_of_state,
                           marginal_probabilities, run_gates, sample_histogram)
@@ -115,11 +116,32 @@ def build_word_table(group: FiniteMatrixGroup, generators: list[int] | None = No
 
 @dataclass
 class _Closure:
+    """A closed segment group. The analyses below depend only on it and the
+    optimizer config, so the segments sharing a closure compute them once."""
+
     group: FiniteMatrixGroup
     support: tuple[int, ...]
     templates: list[GateInstance]   # one per unique generator matrix
     gen_elements: list[int]         # element index per template
     template_of_key: dict[tuple, int]
+    table_seed: int
+
+    @cached_property
+    def words(self) -> WordTable:
+        return build_word_table(self.group, self.gen_elements)
+
+    @cached_property
+    def phase_canon(self) -> np.ndarray:
+        return phase_canonical(self.group.mats)
+
+    @cached_property
+    def analysis(self) -> tuple[int, list[int], list[float]]:
+        """k, irrep degrees and the norms of the central idempotents."""
+        table = character_table(self.group, seed=self.table_seed)
+        # components of the product's delta element are permuted idempotents,
+        # so their norms certify the isotypic content directly
+        return table.k, table.degrees.tolist(), [
+            float(np.linalg.norm(e.coeffs)) for e in central_idempotents(self.group, table)]
 
 
 @dataclass
@@ -225,35 +247,19 @@ def _try_close(gates: list[GateInstance], cfg: OptimizeConfig,
     if cache_key in cache:
         return cache[cache_key]
 
-    pos = {q: i for i, q in enumerate(support)}
-    dim = 1 << len(support)
-    templates: list[GateInstance] = []
-    gen_mats: list[np.ndarray] = []
-    template_of_key: dict[tuple, int] = {}
-    seen_mats: dict[bytes, int] = {}
-    for g in gates:
-        if g.key() in template_of_key:
-            continue
-        local = tuple(pos[q] for q in g.qubits)
-        mat = embed_gate(gate_matrix(g.kind, g.angle), local, len(support))
-        mkey = canonical_key(mat)
-        if mkey in seen_mats:
-            template_of_key[g.key()] = seen_mats[mkey]
-            continue
-        seen_mats[mkey] = len(templates)
-        template_of_key[g.key()] = len(templates)
-        templates.append(g)
-        gen_mats.append(mat)
+    gen_mats, slots = gate_generators(gates, support)
+    template_of_key = {g.key(): slot for g, slot in zip(gates, slots)}
+    templates = [gates[slots.index(slot)] for slot in range(len(gen_mats))]
 
-    cap = _effective_cap(dim, len(gen_mats), cfg)
+    cap = _effective_cap(1 << len(support), len(gen_mats), cfg)
     result: _Closure | None = None
     if cap >= 2:
         try:
             group = close_group(gen_mats, ClosureConfig(
                 max_order=cap, tol=cfg.closure_tol,
                 round_digits=cfg.closure_round_digits))
-            gen_elements = list(group.generators)
-            result = _Closure(group, support, templates, gen_elements, template_of_key)
+            result = _Closure(group, support, templates, list(group.generators),
+                              template_of_key, cfg.table_seed)
         except (OrderCapExceeded, KeyCollision):
             # a key collision means the products are not tolerance-separated,
             # which only happens for dense (non-finite) generated sets
@@ -292,14 +298,6 @@ def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig,
     return out
 
 
-def _phase_class(group: FiniteMatrixGroup, element: int) -> list[int]:
-    """Indices of all elements equal to `element` up to a global phase."""
-    target = phase_canonical(group.mats[element])
-    canon = np.stack([phase_canonical(group.mats[i]) for i in range(group.order)])
-    dists = np.max(np.abs(canon - target[None, :, :]), axis=(1, 2))
-    return [int(i) for i in np.nonzero(dists <= 4 * group.tol)[0]]
-
-
 def _rewrite_segment(gates: list[GateInstance], closure: _Closure,
                      cfg: OptimizeConfig, record: SegmentRecord) -> list[GateInstance]:
     group = closure.group
@@ -310,23 +308,18 @@ def _rewrite_segment(gates: list[GateInstance], closure: _Closure,
         e = closure.gen_elements[closure.template_of_key[g.key()]]
         product = int(group.cayley[e, product])
 
-    wt = build_word_table(group, closure.gen_elements)
-    if cfg.phase_insensitive:
-        candidates = _phase_class(group, product)
-    else:
-        candidates = [product]
+    wt = closure.words
+    candidates = [product]
+    if cfg.phase_insensitive:  # every element equal to the product up to a global phase
+        canon = closure.phase_canon
+        dists = np.max(np.abs(canon - canon[product][None, :, :]), axis=(1, 2))
+        candidates = [int(i) for i in np.nonzero(dists <= 4 * group.tol)[0]]
     best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
     word = wt.word(best)
 
     if len(group.classes) <= cfg.analysis_max_classes:
-        table = character_table(group, seed=cfg.table_seed)
-        record.k = table.k
-        record.degrees = table.degrees.tolist()
-        # components of the product's delta element are permuted idempotents,
-        # so their norms certify the isotypic content directly
-        record.component_norms = [
-            float(np.linalg.norm(e.coeffs)) for e in central_idempotents(group, table)
-        ]
+        k, degrees, norms = closure.analysis
+        record.k, record.degrees, record.component_norms = k, list(degrees), list(norms)
     else:
         record.detail = f"analysis skipped: {len(group.classes)} classes"
 

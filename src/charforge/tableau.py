@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CLIFFORD_KINDS, Circuit
-from .errors import NonCliffordGate
+from .errors import NonCliffordGate, TooWide
 from .histogram import MeasurementHistogram
 
 
@@ -101,11 +101,13 @@ def measure_symbolic(tab: StabilizerTableau, q: int, next_coin: int) -> tuple[in
     """Collapse qubit q; outcome = const XOR parity(coins AND mask).
 
     Returns (const, mask, next_coin). Spends one fresh coin when the outcome
-    is random.
+    is random; raises TooWide past 64 random outcomes.
     """
     n = tab.n
     anticommuting = np.nonzero(tab.x[n:, q])[0]
     if anticommuting.size > 0:
+        if next_coin >= 64:
+            raise TooWide("more than 64 random measurement outcomes; coin masks are 64-bit")
         p = n + int(anticommuting[0])
         for i in range(2 * n):
             if i != p and tab.x[i, q]:

@@ -6,7 +6,7 @@ import pytest
 from charforge.circuits import (BenchmarkSpec, Circuit, build_benchmark,
                                 build_bv, build_grover, build_qft, build_vqe,
                                 circuit_depth, circuit_unitary, embed_gate,
-                                gate, gate_matrix, parse_circuit,
+                                gate, gate_generators, gate_matrix, parse_circuit,
                                 random_clifford_circuit, serialize_circuit)
 from charforge.errors import (AngleMissing, CircuitSyntaxError, InvalidSpec,
                               MeasurementInUnitary, QubitOutOfRange, TooWide)
@@ -206,3 +206,13 @@ def test_depth():
     c = parse_circuit("qubits 3\nh 0\nh 1\ncx 0 1\nh 2\n")
     assert circuit_depth(c) == 2
     assert circuit_depth(parse_circuit("qubits 1\n")) == 0
+
+
+def test_gate_generators_dedupe_by_gate_and_by_matrix():
+    # cz is symmetric, so cz 1 0 embeds to the same matrix as cz 0 1
+    gates = [gate("cz", 2, 5), gate("h", 2), gate("cz", 5, 2), gate("h", 2), gate("h", 5)]
+    mats, slots = gate_generators(gates, (2, 5))
+    assert slots == [0, 1, 0, 1, 2]
+    assert len(mats) == 3
+    assert np.array_equal(mats[0], np.diag([1, 1, 1, -1]).astype(complex))
+    assert np.array_equal(mats[2], embed_gate(gate_matrix("h"), (1,), 2))

@@ -132,3 +132,13 @@ def test_group_cap_exceeded_is_data_error(tmp_path):
     p.write_text("qubits 1\nh 0\nt 0\n")
     r = charforge("group", "--in", str(p), "--max-order", "500")
     assert r.returncode == 2
+
+
+def test_tableau_past_64_random_outcomes_is_a_data_error(tmp_path):
+    p = tmp_path / "h65.circ"
+    p.write_text("qubits 65\n" + "".join(f"h {q}\n" for q in range(65))
+                 + "".join(f"measure {q}\n" for q in range(65)))
+    r = charforge("simulate", "--in", str(p), "--engine", "tableau", "--shots", "10")
+    assert r.returncode == 2
+    assert "64 random measurement outcomes" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -1,10 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charforge.errors import DimensionMismatch, NotUnitary, OrderCapExceeded
-from charforge.fixtures import H, I2, S, X, Y, Z
+from charforge.circuits import embed_gate, gate_matrix
+from charforge.errors import (DimensionMismatch, KeyCollision, NotUnitary,
+                              OrderCapExceeded)
+from charforge.fixtures import H, I2, S, X, Y, Z, fixture_generators
 from charforge.groups import (ClosureConfig, center_and_abelian, close_group,
                               conjugacy_classes, element_of, group_to_json)
+from charforge.linalg import canonical_key
 
 T = np.diag([1, np.exp(1j * np.pi / 4)])
 
@@ -186,3 +193,97 @@ def test_group_json_dump_shape(groups):
     assert d["dim"] == 2 and d["order"] == 8
     assert len(d["elements"]) == 8 and len(d["elements"][0]) == 4
     assert sum(len(c) for c in d["classes"]) == 8
+
+
+# -- closure pins ------------------------------------------------------------
+
+def _gate_set(n, gates):
+    return [embed_gate(gate_matrix(kind), tuple(qs), n) for kind, *qs in gates]
+
+
+CLOSURE_INPUTS = dict(fixture_generators())
+CLOSURE_INPUTS["h0-cx01-cx12"] = _gate_set(3, [("h", 0), ("cx", 0, 1), ("cx", 1, 2)])
+CLOSURE_INPUTS["h0-h1-s1-swap"] = _gate_set(2, [("h", 0), ("h", 1), ("s", 1), ("swap", 0, 1)])
+
+# sha256 prefixes of (mats, cayley, inverses, classes, generators), recorded
+# from the one-product-at-a-time closure the batched engine replaced
+GOLDEN_CLOSURES = {
+    "trivial": (1, "7114828fb3e59a9f"),
+    "c2": (2, "92f7363c4723851a"),
+    "c2xc2": (4, "ac00b5832ef1e8cb"),
+    "s3": (6, "f22d6c313623f027"),
+    "d4": (8, "4bd09c3448bb8e1d"),
+    "q8": (8, "967f8431e9c51759"),
+    "pauli1": (16, "bc407c176346161c"),
+    "clifford1": (192, "368e3fd7c0556c06"),
+    "h0-cx01-cx12": (512, "68a4c9eb81979727"),
+    "h0-h1-s1-swap": (9216, "480226484976e9e0"),
+}
+
+
+def closure_digest(g):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(g.mats).tobytes())
+    h.update(np.ascontiguousarray(g.cayley, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(g.inverses, dtype=np.int64).tobytes())
+    h.update(repr([list(map(int, c)) for c in g.classes]).encode())
+    h.update(repr([int(i) for i in g.generators]).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLOSURES))
+def test_closure_is_byte_identical_to_golden(name):
+    g = close_group(CLOSURE_INPUTS[name])
+    assert (g.order, closure_digest(g)) == GOLDEN_CLOSURES[name]
+
+
+def test_key_collision_mid_closure():
+    # the generators are tolerance-separated; only the product X @ Z lands
+    # 3e-9 from the third generator, between tol and 8*tol
+    nudged_xz = np.exp(3e-9j) * (X @ Z)
+    gens = [X, Z, nudged_xz]
+    for a in range(3):
+        for b in range(a + 1, 3):
+            assert np.max(np.abs(gens[a] - gens[b])) > 8e-9
+    with pytest.raises(KeyCollision):
+        close_group(gens)
+
+
+@pytest.mark.parametrize("name", ["c2", "s3", "d4", "q8", "pauli1", "clifford1", "h0-cx01-cx12"])
+def test_order_cap_is_exact(name):
+    order = GOLDEN_CLOSURES[name][0]
+    assert close_group(CLOSURE_INPUTS[name], ClosureConfig(max_order=order)).order == order
+    with pytest.raises(OrderCapExceeded):
+        close_group(CLOSURE_INPUTS[name], ClosureConfig(max_order=order - 1))
+
+
+def test_element_of_across_a_rounding_boundary(groups):
+    g = groups["clifford1"]
+    h = element_of(g, H)
+    # 1/sqrt(2) = 0.70710678118...: half a tolerance up crosses the 9-digit
+    # rounding boundary at ...1815, so the key misses and the buckets must hit
+    nudged = g.mats[h] + g.tol / 2
+    assert canonical_key(nudged, g.round_digits) != canonical_key(g.mats[h], g.round_digits)
+    assert element_of(g, nudged) == h
+    assert element_of(g, g.mats[h] + 2 * g.tol) is None
+
+
+_POOLS = {
+    2: [I2, X, Z, 1j * X, 1j * Y, 1j * I2, H, S],
+    3: fixture_generators()["s3"],
+    4: fixture_generators()["c2xc2"],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_POOLS)).flatmap(
+    lambda dim: st.lists(st.sampled_from(range(len(_POOLS[dim]))), min_size=1,
+                         max_size=4, unique=True).map(lambda picks: (dim, picks))))
+def test_random_generator_subsets_match_oracle(case):
+    dim, picks = case
+    gens = [_POOLS[dim][i] for i in picks]
+    g = close_group(gens)
+    oracle = brute_force_closure(gens)
+    assert g.order == len(oracle)
+    found = {element_of(g, m) for m in oracle}
+    assert None not in found and len(found) == g.order
