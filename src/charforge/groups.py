@@ -97,8 +97,10 @@ class ElementLookup:
         if cands:
             dists = np.max(np.abs(self.mats[cands] - m), axis=(1, 2))
             best, best_d = cands[int(np.argmin(dists))], float(np.min(dists))
-        if best_d <= self.tol or max_order is None:
-            return best if best_d <= self.tol else -1
+        if best_d <= self.tol:
+            return best
+        if max_order is None:
+            return -1
         if best_d <= 8 * self.tol:
             raise KeyCollision(
                 f"two products are {best_d:.2e} apart, between tol and 8*tol; "
@@ -232,6 +234,8 @@ def element_of(group: FiniteMatrixGroup, m: np.ndarray) -> int | None:
     m = np.asarray(m, dtype=complex)
     if m.shape != (group.dim, group.dim):
         raise DimensionMismatch(f"expected shape {(group.dim, group.dim)}, got {m.shape}")
+    if not np.isfinite(m).all():
+        return None
     found = group._lookup.find(m[None])[0]
     return None if found < 0 else found
 

@@ -26,7 +26,7 @@ def check_unitary(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise NotUnitary(f"expected a square matrix, got shape {m.shape}")
     defect = unitarity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # also rejects NaN entries
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds tol {tol:.3e}")
     return m
 

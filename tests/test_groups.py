@@ -76,6 +76,7 @@ def test_element_of_product_is_minus_i_y():
 def test_element_of_not_found_and_dim_mismatch():
     g = close_group([X])
     assert element_of(g, H) is None
+    assert element_of(g, np.full((2, 2), np.nan)) is None
     with pytest.raises(DimensionMismatch):
         element_of(g, np.eye(4))
 
@@ -185,6 +186,8 @@ def test_generator_validation():
         close_group([X, np.eye(4, dtype=complex)])
     with pytest.raises(DimensionMismatch):
         close_group([])
+    with pytest.raises(NotUnitary):
+        close_group([np.diag([1, np.nan]).astype(complex)])
 
 
 def test_group_json_dump_shape(groups):
