@@ -42,7 +42,10 @@ class ElementLookup:
     """Key index and projection buckets over a growing element store,
     mats[:count] in index order. A bucket is floor(<P, m> / w) for a fixed
     random P and w = |P|_1 * 8 * tol, so matrices within 8*tol of each other
-    share a bucket or sit in adjacent ones."""
+    share a bucket or sit in adjacent ones. The index keeps only the hash of
+    each canonical key: a hit is checked against tol anyway, and the buckets
+    find any element within tol, so a hash collision costs time, not a
+    different answer."""
 
     def __init__(self, dim: int, tol: float, round_digits: int):
         rng = np.random.default_rng(0x5EED)
@@ -52,7 +55,7 @@ class ElementLookup:
         self.tol, self.round_digits = tol, round_digits
         self.mats = np.empty((16, dim, dim), dtype=complex)
         self.count = 0
-        self._index: dict[bytes, int] = {}
+        self._index: dict[int, int] = {}  # hash of canonical key -> element
         self._buckets: dict[int, list[int]] = {}
 
     def _near(self, batch: np.ndarray, idx: list[int]) -> np.ndarray:
@@ -63,12 +66,7 @@ class ElementLookup:
         query (max_order None) gives -1 for an absent matrix; otherwise it is
         added, raising KeyCollision when it is between tol and 8*tol of an
         element and OrderCapExceeded past max_order."""
-        keys = canonical_keys(batch, self.round_digits)
-        # these per-matrix sums equal np.sum over one matrix bit for bit; a
-        # matmul's would not
-        proj = (np.sum(self._proj.real * batch.real, axis=(1, 2))
-                + np.sum(self._proj.imag * batch.imag, axis=(1, 2)))
-        buckets = np.floor_divide(proj, self._bucket_w).astype(np.int64).tolist()
+        keys = [hash(k) for k in canonical_keys(batch, self.round_digits)]
         get = self._index.get
         hits = [get(k) for k in keys]
         known = [p for p, h in enumerate(hits) if h is not None]
@@ -82,15 +80,23 @@ class ElementLookup:
         straddled = {keys[p] for p in work if hits[p] is not None}
         if straddled:
             work = [p for p in range(len(keys)) if not ok[p] or keys[p] in straddled]
-        for p in work:
+        if not work:
+            return hits
+        # these per-matrix sums equal np.sum over one matrix bit for bit; a
+        # matmul's would not
+        walked = batch[work]
+        proj = (np.sum(self._proj.real * walked.real, axis=(1, 2))
+                + np.sum(self._proj.imag * walked.imag, axis=(1, 2)))
+        buckets = np.floor_divide(proj, self._bucket_w).astype(np.int64).tolist()
+        for p, bucket in zip(work, buckets):
             hit = get(keys[p])
             if hit is not None and (ok[p] if hit == hits[p] else self._near(batch[p:p + 1], [hit])[0]):
                 hits[p] = hit
             else:
-                hits[p] = self._resolve_miss(batch[p], keys[p], buckets[p], max_order)
+                hits[p] = self._resolve_miss(batch[p], keys[p], bucket, max_order)
         return hits
 
-    def _resolve_miss(self, m: np.ndarray, key: bytes, bucket: int,
+    def _resolve_miss(self, m: np.ndarray, key: int, bucket: int,
                       max_order: int | None) -> int:
         cands = [c for b in (bucket - 1, bucket, bucket + 1) for c in self._buckets.get(b, ())]
         best, best_d = -1, np.inf
