@@ -229,19 +229,10 @@ def results_svg(r: BenchResults, width: int = 720, height: int = 420) -> str:
 def emit_outputs(r: BenchResults, csv_path: Path, svg_path: Path, hist_dir: Path) -> list[Path]:
     if not r.rows:
         raise CharforgeError("no bench rows to emit")
-    written = []
-    csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(results_csv(r))
-    written.append(csv_path)
-    svg_path = Path(svg_path)
-    svg_path.parent.mkdir(parents=True, exist_ok=True)
-    svg_path.write_text(results_svg(r))
-    written.append(svg_path)
-    hist_dir = Path(hist_dir)
-    hist_dir.mkdir(parents=True, exist_ok=True)
-    for name, hist in r.histograms.items():
-        p = hist_dir / f"{name}.csv"
-        p.write_text(histogram_csv(hist))
-        written.append(p)
-    return written
+    files = [(Path(csv_path), results_csv(r)), (Path(svg_path), results_svg(r))]
+    files += [(Path(hist_dir) / f"{name}.csv", histogram_csv(hist))
+              for name, hist in r.histograms.items()]
+    for path, text in files:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return [path for path, _ in files]

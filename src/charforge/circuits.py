@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (AngleMissing, CircuitSyntaxError, InvalidSpec,
                      MeasurementInUnitary, QubitOutOfRange, TooWide)
-from .linalg import canonical_key
+from .linalg import canonical_keys
 
 GATE_ARITY = {
     "h": 1, "x": 1, "y": 1, "z": 1, "s": 1, "sdg": 1, "t": 1, "tdg": 1,
@@ -205,17 +205,15 @@ def gate_generators(gates, support: tuple[int, ...]) -> tuple[list[np.ndarray], 
     is support[i]), deduplicated by canonical key in first-seen order, and
     the position in that list of each gate's unitary."""
     pos = {q: i for i, q in enumerate(support)}
-    mats: list[np.ndarray] = []
-    slot_of_gate: dict[tuple, int] = {}
-    slot_of_mat: dict[bytes, int] = {}
-    for g in gates:
-        if g.key() not in slot_of_gate:
-            mat = embed_gate(gate_matrix(g.kind, g.angle),
-                             tuple(pos[q] for q in g.qubits), len(support))
-            slot_of_gate[g.key()] = slot_of_mat.setdefault(canonical_key(mat), len(mats))
-            if slot_of_gate[g.key()] == len(mats):
-                mats.append(mat)
-    return mats, [slot_of_gate[g.key()] for g in gates]
+    distinct = list({g.key(): g for g in gates}.values())
+    if not distinct:
+        return [], []
+    mats = np.stack([embed_gate(gate_matrix(g.kind, g.angle), tuple(pos[q] for q in g.qubits),
+                                len(support)) for g in distinct])
+    first: dict[bytes, int] = {}
+    slots = [first.setdefault(k, len(first)) for k in canonical_keys(mats)]
+    slot_of_gate = {g.key(): slot for g, slot in zip(distinct, slots)}
+    return [mats[slots.index(s)] for s in range(len(first))], [slot_of_gate[g.key()] for g in gates]
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

@@ -177,8 +177,7 @@ def _cmd_optimize(args) -> None:
     optimized, report = optimize(circuit, cfg)
     _write_or_print(serialize_circuit(optimized), args.out)
     if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.report).write_text(json.dumps(report.to_json(), indent=2) + "\n")
+        _write_or_print(json.dumps(report.to_json(), indent=2) + "\n", args.report)
 
 
 def _cmd_equiv(args) -> None:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IoError
-
 
 @dataclass
 class MeasurementHistogram:
@@ -36,13 +34,3 @@ def histogram_csv(h: MeasurementHistogram) -> str:
         lines.append(f"{key},{h.counts[key]}")
     return "\n".join(lines) + "\n"
 
-
-def parse_histogram_csv(text: str) -> MeasurementHistogram:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "outcome,count":
-        raise IoError("histogram CSV must start with 'outcome,count'")
-    counts: dict[str, int] = {}
-    for ln in lines[1:]:
-        key, _, val = ln.partition(",")
-        counts[key] = int(val)
-    return MeasurementHistogram(shots=sum(counts.values()), counts=counts)

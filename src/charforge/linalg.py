@@ -39,21 +39,10 @@ def canonical_keys(mats: np.ndarray, round_digits: int = 9) -> list[bytes]:
     byte representation is canonical.
     """
     r = np.array(mats, dtype=complex, order="C")
-    if 0 <= round_digits <= 22:  # np.round's steps, in place: same bits, half the time
-        f = r.view(np.float64)
-        f *= 10.0 ** round_digits
-        np.rint(f, out=f)
-        f /= 10.0 ** round_digits
-    else:
-        r = np.round(r, round_digits)
+    np.round(r, round_digits, out=r)
     r += 0.0
     rows = r.reshape(r.shape[0], -1)
     return rows.view(np.dtype((np.void, rows.shape[1] * r.itemsize))).ravel().tolist()
-
-
-def canonical_key(m: np.ndarray, round_digits: int = 9) -> bytes:
-    """Canonical hash key of one matrix; see canonical_keys."""
-    return canonical_keys(np.asarray(m)[None], round_digits)[0]
 
 
 def phase_canonical(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:

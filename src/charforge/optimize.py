@@ -22,13 +22,13 @@ kept verbatim and logged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .characters import central_idempotents, character_table
-from .circuits import Circuit, GateInstance, gate_generators
+from .circuits import Circuit, GateInstance, circuit_depth, gate_generators
 from .errors import KeyCollision, OrderCapExceeded, TooWide
 from .groups import ClosureConfig, FiniteMatrixGroup, close_group
 from .histogram import tv_distance
@@ -161,9 +161,9 @@ class SegmentRecord:
 
 @dataclass
 class EquivalenceVerdict:
+    verdict: bool
     max_tv: float
     max_obs_deviation: float
-    verdict: bool
     tv_tol: float
     obs_tol: float
     shots: int
@@ -171,16 +171,7 @@ class EquivalenceVerdict:
     isometry: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "max_tv": self.max_tv,
-            "max_obs_deviation": self.max_obs_deviation,
-            "tv_tol": self.tv_tol,
-            "obs_tol": self.obs_tol,
-            "shots": self.shots,
-            "seed": self.seed,
-            "isometry": self.isometry,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -212,17 +203,7 @@ class OptimizationReport:
             "depth_before": self.depth_before,
             "depth_after": self.depth_after,
             "iterations": self.iterations,
-            "segments": [
-                {
-                    "start": s.start, "end": s.end,
-                    "support": list(s.support), "status": s.status,
-                    "gates_before": s.gates_before, "gates_after": s.gates_after,
-                    "group_order": s.group_order, "k": s.k,
-                    "degrees": s.degrees, "component_norms": s.component_norms,
-                    "detail": s.detail,
-                }
-                for s in self.segments
-            ],
+            "segments": [{**asdict(s), "support": list(s.support)} for s in self.segments],
             "equivalence": self.equivalence.to_json() if self.equivalence else None,
         }
 
@@ -367,8 +348,6 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
     result is idempotent by construction. Segment records in the report
     describe the first sweep (the analysis of the input circuit).
     """
-    from .circuits import circuit_depth
-
     cfg = cfg or OptimizeConfig()
     body, suffix = c.body_and_suffix()
     report = OptimizationReport(

@@ -2,12 +2,12 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_2.json
 
-For every workload in BENCHMARK.json, pair i runs perfbench/run.py once in
-each checkout with seed `--seed + i`: the parent first on even pairs, the
-change first on odd ones. Each end-to-end metric is summarised per side
-(median and quartiles of all runs), with the number of pairs the change wins
-and whether the medians differ by more than the parent's interquartile
-range. One traced run per side and workload (seed `--seed`) adds the
+For every workload in BENCHMARK.json, pair i of 10 runs perfbench/run.py
+once in each checkout with seed `--seed + i` and the benchmark's own
+run_seconds: the parent first on even pairs, the change first on odd ones.
+Each end-to-end metric is summarised per side (median and quartiles of all
+runs), with the number of pairs the change wins and whether the medians
+differ by more than the parent's interquartile range. One traced run per side and workload (seed `--seed`) adds the
 per-layer metrics. Runs are sequential; each prints its workload, side and
 wall time to stderr.
 """
@@ -22,6 +22,8 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+PAIRS = 10
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -65,24 +67,21 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=7001)
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--workloads", help="comma-separated subset (default: all)")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    report = {"command": "perfbench/run.py", "seconds": args.seconds, "pairs": args.pairs,
-              "seeds": [args.seed + i for i in range(args.pairs)], "workloads": {}}
-    for name in names:
+    report = {"command": "perfbench/run.py", "seconds": seconds, "pairs": PAIRS,
+              "seeds": [args.seed + i for i in range(PAIRS)], "workloads": {}}
+    for name in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run(sides[side], name, args.seed + i, args.seconds, 0))
-        traced = {side: run(path, name, args.seed, args.seconds, 1) for side, path in sides.items()}
+                runs[side].append(run(sides[side], name, args.seed + i, seconds, 0))
+        traced = {side: run(path, name, args.seed, seconds, 1) for side, path in sides.items()}
         report["workloads"][name] = {
             "end_to_end": {m["name"]: summarise(m, runs["parent"], runs["change"])
                            for m in spec["end_to_end"]},
