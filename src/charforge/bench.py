@@ -34,7 +34,6 @@ class BenchConfig:
     repeats: int = 100
     shots: int = 100_000
     seed: int = 42
-    vqe_layers: int = 2
 
     def __post_init__(self):
         if self.repeats < 1:

@@ -152,8 +152,6 @@ class FiniteMatrixGroup:
     round_digits: int = 9
     _lookup: ElementLookup | None = field(default=None, repr=False, compare=False)
 
-    identity: int = 0
-
     @property
     def order(self) -> int:
         return self.mats.shape[0]
@@ -220,8 +218,18 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
     inverses = np.argmin(cayley, axis=1).astype(np.int64)
     classes, class_of = conjugacy_classes_from_cayley(cayley, inverses)
 
-    return FiniteMatrixGroup(dim, mats, cayley, inverses, classes, class_of, gen_idx,
-                             cfg.tol, cfg.round_digits, lookup)
+    return FiniteMatrixGroup(
+        dim=dim,
+        mats=mats,
+        cayley=cayley,
+        inverses=inverses,
+        classes=classes,
+        class_of=class_of,
+        generators=gen_idx,
+        tol=cfg.tol,
+        round_digits=cfg.round_digits,
+        _lookup=lookup,
+    )
 
 
 def element_of(group: FiniteMatrixGroup, m: np.ndarray) -> int | None:

@@ -120,7 +120,6 @@ class _Closure:
     optimizer config, so the segments sharing a closure compute them once."""
 
     group: FiniteMatrixGroup
-    support: tuple[int, ...]
     templates: list[GateInstance]   # one per unique generator matrix
     gen_elements: list[int]         # element index per template
     template_of_key: dict[tuple, int]
@@ -239,7 +238,7 @@ def _try_close(gates: list[GateInstance], cfg: OptimizeConfig,
             group = close_group(gen_mats, ClosureConfig(
                 max_order=cap, tol=cfg.closure_tol,
                 round_digits=cfg.closure_round_digits))
-            result = _Closure(group, support, templates, list(group.generators),
+            result = _Closure(group, templates, list(group.generators),
                               template_of_key, cfg.table_seed)
         except (OrderCapExceeded, KeyCollision):
             # a key collision means the products are not tolerance-separated,
