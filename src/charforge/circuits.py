@@ -7,6 +7,11 @@ Conventions, fixed globally:
   * gates apply left to right, so the circuit unitary is U = U_m ... U_1
     acting on column state vectors;
   * measure lines form a trailing suffix.
+
+`apply_matrix` is the one gate-application kernel. It works on a (2^n, B)
+block of column states; the state-vector engine calls it with B = 1 or 8,
+and `circuit_unitary` applies it to the 2^n identity columns. `embed_gate`
+builds full-space generator matrices for the group closure only.
 """
 
 from __future__ import annotations
@@ -183,6 +188,20 @@ def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     raise ValueError(f"no matrix for gate kind {kind!r}")
 
 
+def apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """The one gate kernel: apply a local matrix (local bit j = qubits[j]) to
+    a (2^n, B) block of column states, or to one (2^n,) state; returns a new
+    array. The column axis moves to the front and the gate's axes to the
+    back, so matmul runs once per column on the same (2^(n-k), 2^k) operand
+    as a run of that column alone, and gives it the same bits."""
+    k = len(qubits)
+    src = (n,) + tuple(n - 1 - q for q in reversed(qubits))  # (column, bit_{k-1}, ..., bit_0)
+    dst = (0,) + tuple(range(n + 1 - k, n + 1))
+    t = np.moveaxis(psi.reshape([2] * n + [-1]), src, dst)
+    out = (t.reshape(t.shape[0], -1, 1 << k) @ mat.T).reshape(t.shape)
+    return np.moveaxis(out, dst, src).reshape(psi.shape)
+
+
 def embed_gate(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Embed a gate matrix (local bit j = qubits[j]) into the full 2^n space."""
     k = len(qubits)
@@ -224,14 +243,8 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     if suffix:
         raise MeasurementInUnitary("circuit contains measure gates")
     u = np.eye(1 << c.n_qubits, dtype=complex)
-    cache: dict[tuple, np.ndarray] = {}
     for g in body:
-        key = g.key()
-        e = cache.get(key)
-        if e is None:
-            e = embed_gate(gate_matrix(g.kind, g.angle), g.qubits, c.n_qubits)
-            cache[key] = e
-        u = e @ u
+        u = apply_matrix(u, gate_matrix(g.kind, g.angle), g.qubits, c.n_qubits)
     return u
 
 

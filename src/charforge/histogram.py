@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -20,10 +21,11 @@ class MeasurementHistogram:
 
 
 def tv_distance(a: MeasurementHistogram, b: MeasurementHistogram) -> float:
-    """Total variation distance: half the L1 gap between outcome frequencies."""
+    """Total variation distance: half the L1 gap between outcome frequencies,
+    summed by fsum, so the result does not depend on the order of the set."""
     pa, pb = a.probabilities(), b.probabilities()
     keys = set(pa) | set(pb)
-    return 0.5 * sum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in keys)
+    return 0.5 * math.fsum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in keys)
 
 
 def histogram_csv(h: MeasurementHistogram) -> str:

@@ -59,10 +59,6 @@ class Observable:
         return m
 
 
-def pauli_matrix(letter: str) -> np.ndarray:
-    return _PAULI_1Q[letter]
-
-
 def z_on_qubit(qubit: int, n: int) -> Observable:
     letters = ["I"] * n
     letters[n - 1 - qubit] = "Z"

@@ -38,25 +38,25 @@ from .statevector import (SV_MAX_QUBITS, expectation_of_state,
                           marginal_probabilities, run_gates, sample_histogram)
 
 
+# builder cp angles are quantized to 10 significant digits for the text
+# format, which drifts products by a few 1e-10 per multiplication; a
+# 1e-8 closure tolerance keeps those drifts inside the merge zone
+CLOSURE_TOL = 1e-8
+CLOSURE_ROUND_DIGITS = 8
+# deterministic per-attempt bounds: flop proxy for the closure matmuls
+# and byte proxies for element storage and the quadratic cayley table
+CLOSURE_BUDGET_FLOPS = 2e10
+CLOSURE_BUDGET_BYTES = float(2 ** 24)
+ANALYSIS_MAX_CLASSES = 64
+EQUIV_SHOTS = 100_000
+
+
 @dataclass(frozen=True)
 class OptimizeConfig:
     max_order: int = 20000
     phase_insensitive: bool = True
     table_seed: int = 0
-    # builder cp angles are quantized to 10 significant digits for the text
-    # format, which drifts products by a few 1e-10 per multiplication; a
-    # 1e-8 closure tolerance keeps those drifts inside the merge zone
-    closure_tol: float = 1e-8
-    closure_round_digits: int = 8
-    # deterministic per-attempt bounds: flop proxy for the closure matmuls
-    # and byte proxies for element storage and the quadratic cayley table
-    closure_budget_flops: float = 2e10
-    closure_budget_bytes: float = float(2 ** 24)
-    analysis_max_classes: int = 64
-    equiv_shots: int = 100_000
     equiv_seed: int = 97
-    tv_tol: float = 0.02
-    obs_tol: float = 1e-7
     run_equivalence: bool = True
 
 
@@ -212,9 +212,9 @@ def _effective_cap(dim: int, n_gens: int, cfg: OptimizeConfig) -> int:
     bytes_per_element = 16.0 * dim * dim
     cap = min(
         float(cfg.max_order),
-        cfg.closure_budget_flops / flops_per_element,
-        cfg.closure_budget_bytes / bytes_per_element,
-        math.sqrt(cfg.closure_budget_bytes / 2.0),  # cayley is order^2 int16
+        CLOSURE_BUDGET_FLOPS / flops_per_element,
+        CLOSURE_BUDGET_BYTES / bytes_per_element,
+        math.sqrt(CLOSURE_BUDGET_BYTES / 2.0),  # cayley is order^2 int16
     )
     return int(cap)
 
@@ -236,8 +236,7 @@ def _try_close(gates: list[GateInstance], cfg: OptimizeConfig,
     if cap >= 2:
         try:
             group = close_group(gen_mats, ClosureConfig(
-                max_order=cap, tol=cfg.closure_tol,
-                round_digits=cfg.closure_round_digits))
+                max_order=cap, tol=CLOSURE_TOL, round_digits=CLOSURE_ROUND_DIGITS))
             result = _Closure(group, templates, list(group.generators),
                               template_of_key, cfg.table_seed)
         except (OrderCapExceeded, KeyCollision):
@@ -297,7 +296,7 @@ def _rewrite_segment(gates: list[GateInstance], closure: _Closure,
     best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
     word = wt.word(best)
 
-    if len(group.classes) <= cfg.analysis_max_classes:
+    if len(group.classes) <= ANALYSIS_MAX_CLASSES:
         k, degrees, norms = closure.analysis
         record.k, record.degrees, record.component_norms = k, list(degrees), list(norms)
     else:
@@ -385,10 +384,8 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
         # widen sampling for large outcome spaces so the sampled TV of equal
         # distributions stays under tv_tol
         narrow = min(c.n_qubits, out.n_qubits)
-        shots = max(cfg.equiv_shots, min(3200 * (1 << narrow), 4_000_000))
-        report.equivalence = equivalence_check(
-            c, out, shots=shots, seed=cfg.equiv_seed,
-            tv_tol=cfg.tv_tol, obs_tol=cfg.obs_tol)
+        shots = max(EQUIV_SHOTS, min(3200 * (1 << narrow), 4_000_000))
+        report.equivalence = equivalence_check(c, out, shots=shots, seed=cfg.equiv_seed)
     return out, report
 
 
@@ -450,21 +447,22 @@ def equivalence_check(
 
     max_tv = 0.0
     max_dev = 0.0
-    for idx, psi0 in enumerate(states):
-        fa = run_gates(pa, psi0)
-        fb = run_gates(pb, psi0)
-        probs_a = marginal_probabilities(fa, measured, n)
-        probs_b = marginal_probabilities(fb, measured, n)
+    block = np.stack(states, axis=1)
+    fa = run_gates(pa, block)
+    fb = run_gates(pb, block)
+    for idx in range(len(states)):
+        probs_a = marginal_probabilities(fa[:, idx], measured, n)
+        probs_b = marginal_probabilities(fb[:, idx], measured, n)
         ha = sample_histogram(probs_a, len(measured), shots,
                               np.random.default_rng([seed, idx, 0]))
         hb = sample_histogram(probs_b, len(measured), shots,
                               np.random.default_rng([seed, idx, 1]))
         max_tv = max(max_tv, tv_distance(ha, hb))
-        for obs in observables:
-            padded = Observable.from_pauli("I" * (n - narrow) + obs.pauli)
-            dev = abs(expectation_of_state(fa, padded, n)
-                      - expectation_of_state(fb, padded, n))
-            max_dev = max(max_dev, dev)
+    for obs in observables:
+        padded = Observable.from_pauli("I" * (n - narrow) + obs.pauli)
+        dev = np.abs(expectation_of_state(fa, padded, n)
+                     - expectation_of_state(fb, padded, n))
+        max_dev = max(max_dev, float(dev.max()))
 
     return EquivalenceVerdict(
         max_tv=max_tv,

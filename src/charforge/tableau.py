@@ -163,22 +163,22 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
 
     order = sorted(measured)  # histogram bit j = j-th smallest measured qubit
     k = len(order)
-    consts = np.array([exprs[q][0] for q in order], dtype=np.uint8)
-    masks = [exprs[q][1] for q in order]
-    a = np.zeros((k, coins), dtype=np.uint8)
-    for j, mask in enumerate(masks):
-        for b in range(coins):
-            a[j, b] = (mask >> b) & 1
+    consts = np.array([exprs[q][0] for q in order], dtype=np.int64)
+    coin_bits = np.arange(coins, dtype=np.uint64)
+    masks = np.array([exprs[q][1] for q in order], dtype=np.uint64)
+    a = ((masks[:, None] >> coin_bits) & np.uint64(1)).astype(np.int64)
 
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 2, size=(shots, coins), dtype=np.uint8)
-    bits = (draws @ a.T.astype(np.int64) + consts) % 2
-    weights = (1 << np.arange(k, dtype=np.int64))
-    out_idx = bits @ weights
-    values, counts = np.unique(out_idx, return_counts=True)
+    # at most 64 coins, so one uint64 holds a shot's draw; each random
+    # outcome is its own coin, so distinct draws give distinct outcomes
+    keys, counts = np.unique(draws @ (np.uint64(1) << coin_bits), return_counts=True)
+    bits = (((keys[:, None] >> coin_bits) & np.uint64(1)).astype(np.int64) @ a.T + consts) % 2
+    # outcome strings put bit k-1 first; they sort in the order of their values
+    strings = (bits[:, ::-1] + ord("0")).astype(np.uint8).view(f"S{k}").ravel()
     return MeasurementHistogram(
         shots=shots,
-        counts={format(int(v), f"0{k}b"): int(cnt) for v, cnt in zip(values, counts)},
+        counts={strings[i].decode(): int(counts[i]) for i in np.argsort(strings)},
     )
 
 

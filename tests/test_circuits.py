@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charforge.circuits import (BenchmarkSpec, Circuit, build_benchmark,
+from charforge.circuits import (GATE_ARITY, BenchmarkSpec, Circuit, build_benchmark,
                                 build_bv, build_grover, build_qft, build_vqe,
                                 circuit_depth, circuit_unitary, embed_gate,
                                 gate, gate_generators, gate_matrix, parse_circuit,
                                 random_clifford_circuit, serialize_circuit)
 from charforge.errors import (AngleMissing, CircuitSyntaxError, InvalidSpec,
                               MeasurementInUnitary, QubitOutOfRange, TooWide)
+from charforge.statevector import run_gates
 
 
 def kron_oracle(gates, n):
@@ -155,7 +158,7 @@ def test_qft_width_one_is_single_h():
     assert c.gates == (gate("h", 0),)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
 def test_qft_matches_dft_matrix(n):
     assert np.max(np.abs(circuit_unitary(build_qft(n)) - dft_matrix(n))) <= 1e-8
 
@@ -216,3 +219,28 @@ def test_gate_generators_dedupe_by_gate_and_by_matrix():
     assert len(mats) == 3
     assert np.array_equal(mats[0], np.diag([1, 1, 1, -1]).astype(complex))
     assert np.array_equal(mats[2], embed_gate(gate_matrix("h"), (1,), 2))
+
+
+@st.composite
+def _random_circuits(draw):
+    n = draw(st.integers(1, 6))
+    kinds = sorted(k for k, arity in GATE_ARITY.items() if k != "measure" and arity <= n)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=25)):
+        qubits = draw(st.permutations(range(n)))[:GATE_ARITY[kind]]
+        angle = draw(st.floats(-4.0, 4.0)) if kind == "cp" else None
+        gates.append(gate(kind, *qubits, angle=angle))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_circuits(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_gate_kernel_block_matches_columns_and_oracle(c, b, seed):
+    n = c.n_qubits
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(1 << n, b)) + 1j * rng.normal(size=(1 << n, b))
+    out = run_gates(c, block)
+    for j in range(b):
+        assert np.ascontiguousarray(out[:, j]).tobytes() == run_gates(c, block[:, j]).tobytes()
+    oracle = kron_oracle([(g.kind, g.qubits, g.angle) for g in c.gates], n)
+    assert np.max(np.abs(circuit_unitary(c) - oracle)) <= 1e-12

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,9 +8,9 @@ import pytest
 BELL = "qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n"
 
 
-def charforge(*argv, cwd=None):
+def charforge(*argv, cwd=None, env=None):
     return subprocess.run([sys.executable, "-m", "charforge.cli", *argv],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 @pytest.fixture
@@ -142,3 +143,17 @@ def test_tableau_past_64_random_outcomes_is_a_data_error(tmp_path):
     assert r.returncode == 2
     assert "64 random measurement outcomes" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_optimize_report_does_not_depend_on_hash_seed(tmp_path):
+    # max_tv sums over a set of outcome strings, whose order follows the hash seed
+    p = tmp_path / "mix.circ"
+    p.write_text("qubits 3\ns 0\nt 1\nh 2\ncx 0 1\ncx 1 2\ns 0\nt 1\ns 2\ncx 0 1\ncx 1 2\n")
+    reports = []
+    for hash_seed in ("0", "5"):
+        rep = tmp_path / f"rep{hash_seed}.json"
+        r = charforge("optimize", "--in", str(p), "--out", str(tmp_path / "out.circ"),
+                      "--report", str(rep), env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert r.returncode == 0, r.stderr
+        reports.append(rep.read_bytes())
+    assert reports[0] == reports[1]

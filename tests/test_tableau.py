@@ -44,6 +44,18 @@ def test_matches_statevector_at_1e5_shots(seed):
     assert tv_distance(a, b) <= 0.02
 
 
+def test_64_measured_qubits_give_64_bit_outcomes():
+    n, shots = 64, 2000
+    text = f"qubits {n}\n" + "".join(f"h {q}\n" for q in range(n)) \
+        + "".join(f"measure {q}\n" for q in range(n))
+    h = tableau_run(parse_circuit(text), shots=shots, seed=2)
+    assert all(len(k) == n and set(k) <= {"0", "1"} for k in h.counts)
+    ones = np.zeros(n)
+    for k, cnt in h.counts.items():
+        ones += cnt * (np.frombuffer(k.encode(), dtype=np.uint8) == ord("1"))
+    assert np.all(np.abs(ones - shots / 2) <= 6 * np.sqrt(shots / 4))
+
+
 def test_unmeasured_circuit_samples_all_qubits():
     h = tableau_run(parse_circuit("qubits 2\nh 0\ncz 0 1\n"), shots=1000, seed=4)
     assert all(len(k) == 2 for k in h.counts)
