@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InvalidSpec
+
 
 @dataclass
 class MeasurementHistogram:
@@ -18,6 +20,12 @@ class MeasurementHistogram:
 
     def probabilities(self) -> dict[str, float]:
         return {k: v / self.shots for k, v in self.counts.items()}
+
+
+def check_shots(shots: int) -> None:
+    """Reject a shot count below one: a histogram of no samples is no evidence."""
+    if shots < 1:
+        raise InvalidSpec(f"shots must be at least 1, got {shots}")
 
 
 def tv_distance(a: MeasurementHistogram, b: MeasurementHistogram) -> float:

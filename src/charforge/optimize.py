@@ -31,7 +31,7 @@ from .characters import central_idempotents, character_table
 from .circuits import Circuit, GateInstance, circuit_depth, gate_generators
 from .errors import KeyCollision, OrderCapExceeded, TooWide
 from .groups import ClosureConfig, FiniteMatrixGroup, close_group
-from .histogram import tv_distance
+from .histogram import check_shots, tv_distance
 from .linalg import phase_canonical
 from .observables import Observable, random_pauli
 from .statevector import (SV_MAX_QUBITS, expectation_of_state,
@@ -421,6 +421,7 @@ def equivalence_check(
     When widths differ the narrower circuit is padded with |0> ancillas and
     all comparisons run on the narrow register.
     """
+    check_shots(shots)
     n = max(a.n_qubits, b.n_qubits)
     if n > SV_MAX_QUBITS:
         raise TooWide(f"{n} qubits exceed the state-vector limit")

@@ -14,8 +14,8 @@ import time
 import numpy as np
 
 from .circuits import Circuit, apply_matrix, gate_matrix
-from .errors import TooWide
-from .histogram import MeasurementHistogram
+from .errors import DimensionMismatch, TooWide
+from .histogram import MeasurementHistogram, check_shots
 from .observables import Observable
 
 SV_MAX_QUBITS = 22
@@ -34,6 +34,9 @@ def run_gates(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
         raise TooWide(f"{c.n_qubits} qubits exceed the state-vector limit {SV_MAX_QUBITS}")
     body, _ = c.body_and_suffix()
     psi = zero_state(c.n_qubits) if initial is None else np.asarray(initial, dtype=complex).copy()
+    if psi.ndim not in (1, 2) or psi.shape[0] != 1 << c.n_qubits:
+        raise DimensionMismatch(f"initial state of shape {psi.shape} is not (2^{c.n_qubits},) "
+                                f"or (2^{c.n_qubits}, B)")
     for g in body:
         psi = apply_matrix(psi, gate_matrix(g.kind, g.angle), g.qubits, c.n_qubits)
     return psi
@@ -68,6 +71,7 @@ def sv_run(
 ) -> MeasurementHistogram:
     """Evolve, then sample the measured qubits (all qubits when the circuit
     has no measure suffix)."""
+    check_shots(shots)
     psi = run_gates(c, initial)
     measured = c.measured_qubits()
     probs = marginal_probabilities(psi, measured, c.n_qubits)

@@ -8,8 +8,12 @@ Because measure gates form a trailing suffix, the whole measurement layer is
 resolved symbolically in one pass: which rows anticommute and which row
 multiplications happen depend only on the X/Z bits, never on outcomes, so
 each outcome bit is an affine function over GF(2) of the fair coins spent on
-random-outcome measurements. Each row carries a coin bitmask alongside its
-phase; sampling any number of shots is then a single bit-matrix product.
+random-outcome measurements. Row signs' dependence on the coins is a (2n, n)
+bit matrix `lin` beside `x` and `z`: a random measurement of qubit q spends
+one coin and leaves +/-Z_q a stabilizer, so q's later measurements are
+deterministic and there are at most n coins. A measurement multiplies rows
+a whole column at a time, and sampling any number of shots is a bit-matrix
+product over the distinct coin draws.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CLIFFORD_KINDS, Circuit
-from .errors import NonCliffordGate, TooWide
-from .histogram import MeasurementHistogram
+from .errors import NonCliffordGate
+from .histogram import MeasurementHistogram, check_shots
 
 
 @dataclass
@@ -29,35 +33,24 @@ class StabilizerTableau:
     x: np.ndarray    # (2n, n) uint8
     z: np.ndarray    # (2n, n) uint8
     r: np.ndarray    # (2n,) uint8, phase exponent of i, mod 4
-    lin: np.ndarray  # (2n,) uint64 coin bitmask: sign flips per set coin
+    lin: np.ndarray  # (2n, n) uint8: row sign flips with each set coin
 
     @staticmethod
     def zeros(n: int) -> "StabilizerTableau":
-        x = np.zeros((2 * n, n), dtype=np.uint8)
-        z = np.zeros((2 * n, n), dtype=np.uint8)
-        for i in range(n):
-            x[i, i] = 1
-            z[n + i, i] = 1
+        x = np.eye(2 * n, n, dtype=np.uint8)        # destabilizer i is X_i
+        z = np.eye(2 * n, n, k=-n, dtype=np.uint8)  # stabilizer i is Z_i
         return StabilizerTableau(n, x, z, np.zeros(2 * n, dtype=np.uint8),
-                                 np.zeros(2 * n, dtype=np.uint64))
+                                 np.zeros((2 * n, n), dtype=np.uint8))
 
 
 def _g_exponents(x1, z1, x2, z2):
-    """Per-qubit exponent of i when multiplying Pauli (x1,z1) by (x2,z2)."""
-    x1 = x1.astype(np.int64); z1 = z1.astype(np.int64)
-    x2 = x2.astype(np.int64); z2 = z2.astype(np.int64)
+    """Per-qubit exponent of i, in {-1, 0, 1}, when multiplying Pauli
+    (x1,z1) by (x2,z2)."""
+    x1 = x1.astype(np.int8); z1 = z1.astype(np.int8)
+    x2 = x2.astype(np.int8); z2 = z2.astype(np.int8)
     return (x1 * z1 * (z2 - x2)
             + x1 * (1 - z1) * z2 * (2 * x2 - 1)
             + (1 - x1) * z1 * x2 * (1 - 2 * z2))
-
-
-def _rowsum(tab: StabilizerTableau, h: int, i: int) -> None:
-    """row h := row i times row h, with exact phase and coin tracking."""
-    total = int(np.sum(_g_exponents(tab.x[i], tab.z[i], tab.x[h], tab.z[h])))
-    tab.r[h] = (int(tab.r[h]) + int(tab.r[i]) + total) % 4
-    tab.lin[h] ^= tab.lin[i]
-    tab.x[h] ^= tab.x[i]
-    tab.z[h] ^= tab.z[i]
 
 
 def apply_gate(tab: StabilizerTableau, kind: str, qubits: tuple[int, ...]) -> None:
@@ -97,48 +90,42 @@ def apply_gate(tab: StabilizerTableau, kind: str, qubits: tuple[int, ...]) -> No
         raise NonCliffordGate(f"gate {kind!r} is not in the Clifford subset")
 
 
-def measure_symbolic(tab: StabilizerTableau, q: int, next_coin: int) -> tuple[int, int, int]:
+def measure_symbolic(tab: StabilizerTableau, q: int, next_coin: int) -> tuple[int, np.ndarray, int]:
     """Collapse qubit q; outcome = const XOR parity(coins AND mask).
 
-    Returns (const, mask, next_coin). Spends one fresh coin when the outcome
-    is random; raises TooWide past 64 random outcomes.
+    Returns (const, mask, next_coin), mask an (n,) 0/1 row over the coins.
+    Spends one fresh coin when the outcome is random.
     """
     n = tab.n
-    anticommuting = np.nonzero(tab.x[n:, q])[0]
+    x, z, r, lin = tab.x, tab.z, tab.r, tab.lin
+    anticommuting = np.nonzero(x[n:, q])[0]
     if anticommuting.size > 0:
-        if next_coin >= 64:
-            raise TooWide("more than 64 random measurement outcomes; coin masks are 64-bit")
         p = n + int(anticommuting[0])
-        for i in range(2 * n):
-            if i != p and tab.x[i, q]:
-                _rowsum(tab, i, p)
-        tab.x[p - n] = tab.x[p]
-        tab.z[p - n] = tab.z[p]
-        tab.r[p - n] = tab.r[p]
-        tab.lin[p - n] = tab.lin[p]
-        tab.x[p] = 0
-        tab.z[p] = 0
-        tab.z[p, q] = 1
-        tab.r[p] = 0
-        tab.lin[p] = np.uint64(1 << next_coin)
-        return 0, 1 << next_coin, next_coin + 1
+        # every other row with X on q becomes row p times itself; row p is
+        # not among them, so it stays fixed while they change
+        rows = np.nonzero(x[:, q])[0]
+        rows = rows[rows != p]
+        r[rows] = (r[rows] + r[p] + _g_exponents(x[p], z[p], x[rows], z[rows]).sum(axis=1)) % 4
+        lin[rows] ^= lin[p]
+        x[rows] ^= x[p]
+        z[rows] ^= z[p]
+        for a in (x, z, r, lin):
+            a[p - n] = a[p]
+            a[p] = 0
+        z[p, q] = 1
+        lin[p, next_coin] = 1
+        return 0, lin[p].copy(), next_coin + 1
 
-    # deterministic: multiply the stabilizers flagged by the destabilizers
-    r_acc = 0
-    lin_acc = 0
-    x_acc = np.zeros(n, dtype=np.uint8)
-    z_acc = np.zeros(n, dtype=np.uint8)
-    for i in range(n):
-        if tab.x[i, q]:
-            srow = n + i
-            r_acc = (r_acc + int(tab.r[srow])
-                     + int(np.sum(_g_exponents(tab.x[srow], tab.z[srow], x_acc, z_acc)))) % 4
-            lin_acc ^= int(tab.lin[srow])
-            x_acc ^= tab.x[srow]
-            z_acc ^= tab.z[srow]
+    # deterministic: multiply the stabilizers flagged by the destabilizers;
+    # before each product the accumulator is the XOR of the rows before it
+    rows = n + np.nonzero(x[:n, q])[0]
+    xs, zs = x[rows], z[rows]
+    x_acc = np.bitwise_xor.accumulate(xs, axis=0) ^ xs
+    z_acc = np.bitwise_xor.accumulate(zs, axis=0) ^ zs
+    r_acc = int(r[rows].sum(dtype=np.int64) + _g_exponents(xs, zs, x_acc, z_acc).sum()) % 4
     if r_acc not in (0, 2):
         raise AssertionError(f"deterministic measurement phase {r_acc} is not +/-1")
-    return (1 if r_acc == 2 else 0, lin_acc, next_coin)
+    return (1 if r_acc == 2 else 0, np.bitwise_xor.reduce(lin[rows], axis=0), next_coin)
 
 
 def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
@@ -146,6 +133,7 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
 
     Raises NonCliffordGate naming the offending gate and its position.
     """
+    check_shots(shots)
     body, suffix = c.body_and_suffix()
     for pos, g in enumerate(body):
         if g.kind not in CLIFFORD_KINDS:
@@ -155,7 +143,7 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
         apply_gate(tab, g.kind, g.qubits)
 
     measured = [g.qubits[0] for g in suffix] if suffix else list(range(c.n_qubits))
-    exprs: dict[int, tuple[int, int]] = {}
+    exprs: dict[int, tuple[int, np.ndarray]] = {}
     coins = 0
     for q in measured:
         const, mask, coins = measure_symbolic(tab, q, coins)
@@ -163,17 +151,23 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
 
     order = sorted(measured)  # histogram bit j = j-th smallest measured qubit
     k = len(order)
-    consts = np.array([exprs[q][0] for q in order], dtype=np.int64)
-    coin_bits = np.arange(coins, dtype=np.uint64)
-    masks = np.array([exprs[q][1] for q in order], dtype=np.uint64)
-    a = ((masks[:, None] >> coin_bits) & np.uint64(1)).astype(np.int64)
+    consts = np.array([exprs[q][0] for q in order])
+    # float64 puts the product below in BLAS; its sums are small integers, so exact
+    a = np.array([exprs[q][1][:coins] for q in order], dtype=np.float64)
 
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 2, size=(shots, coins), dtype=np.uint8)
-    # at most 64 coins, so one uint64 holds a shot's draw; each random
-    # outcome is its own coin, so distinct draws give distinct outcomes
-    keys, counts = np.unique(draws @ (np.uint64(1) << coin_bits), return_counts=True)
-    bits = (((keys[:, None] >> coin_bits) & np.uint64(1)).astype(np.int64) @ a.T + consts) % 2
+    # key each draw by one uint16 word per 16 coins, which lexsort sorts by
+    # radix; each random outcome is its own coin, so distinct draws give
+    # distinct outcomes
+    weights = np.uint16(1) << np.arange(16, dtype=np.uint16)
+    words = np.stack([d @ weights[:d.shape[1]]
+                      for d in np.split(draws, range(16, coins, 16), axis=1)])
+    by_key = np.lexsort(words)
+    words = words[:, by_key]
+    starts = np.flatnonzero(np.concatenate([[True], np.any(words[:, 1:] != words[:, :-1], axis=0)]))
+    counts = np.diff(np.append(starts, shots))
+    bits = (draws[by_key[starts]] @ a.T + consts) % 2
     # outcome strings put bit k-1 first; they sort in the order of their values
     strings = (bits[:, ::-1] + ord("0")).astype(np.uint8).view(f"S{k}").ravel()
     return MeasurementHistogram(
@@ -182,35 +176,12 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     )
 
 
-def gf2_rank(rows: np.ndarray) -> int:
-    m = rows.copy().astype(np.uint8)
-    rank = 0
-    n_cols = m.shape[1]
-    for col in range(n_cols):
-        pivot = None
-        for row in range(rank, m.shape[0]):
-            if m[row, col]:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for row in range(m.shape[0]):
-            if row != rank and m[row, col]:
-                m[row] ^= m[rank]
-        rank += 1
-    return rank
-
-
 def validate_tableau(tab: StabilizerTableau) -> None:
-    """Check the symplectic invariants: full rank 2n over GF(2) and pairwise
-    commuting stabilizer rows."""
+    """Check the symplectic invariants: destabilizer i anticommutes with
+    stabilizer i, and every other pair of rows commutes. Rows with that
+    commutation matrix form a symplectic basis, so their rank over GF(2) is 2n
+    and the stabilizers pairwise commute."""
     n = tab.n
-    full = np.concatenate([tab.x, tab.z], axis=1)
-    rank = gf2_rank(full)
-    if rank != 2 * n:
-        raise AssertionError(f"tableau rank {rank} != {2 * n}")
-    sx, sz = tab.x[n:], tab.z[n:]
-    sym = (sx @ sz.T + sz @ sx.T) % 2
-    if np.any(sym):
-        raise AssertionError("stabilizer rows do not pairwise commute")
+    anti = (tab.x @ tab.z.T + tab.z @ tab.x.T) % 2  # uint8 sums wrap mod 256, keeping parity
+    if not np.array_equal(anti, np.roll(np.eye(2 * n, dtype=np.uint8), n, axis=1)):
+        raise AssertionError("tableau rows are not a symplectic basis")

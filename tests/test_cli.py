@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 BELL = "qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n"
@@ -135,13 +136,28 @@ def test_group_cap_exceeded_is_data_error(tmp_path):
     assert r.returncode == 2
 
 
-def test_tableau_past_64_random_outcomes_is_a_data_error(tmp_path):
-    p = tmp_path / "h65.circ"
-    p.write_text("qubits 65\n" + "".join(f"h {q}\n" for q in range(65))
-                 + "".join(f"measure {q}\n" for q in range(65)))
-    r = charforge("simulate", "--in", str(p), "--engine", "tableau", "--shots", "10")
+@pytest.mark.parametrize("n", [65, 256])
+def test_tableau_samples_past_64_random_outcomes(tmp_path, n):
+    shots = 2000
+    p = tmp_path / f"h{n}.circ"
+    p.write_text(f"qubits {n}\n" + "".join(f"h {q}\n" for q in range(n))
+                 + "".join(f"measure {q}\n" for q in range(n)))
+    r = charforge("simulate", "--in", str(p), "--engine", "tableau",
+                  "--shots", str(shots), "--seed", "6")
+    assert r.returncode == 0, r.stderr
+    rows = [ln.split(",") for ln in r.stdout.strip().splitlines()[1:]]
+    assert all(len(k) == n and set(k) <= {"0", "1"} for k, _ in rows)
+    ones = np.zeros(n)
+    for k, cnt in rows:
+        ones += int(cnt) * (np.frombuffer(k.encode(), dtype=np.uint8) == ord("1"))
+    assert sum(int(cnt) for _, cnt in rows) == shots
+    assert np.all(np.abs(ones - shots / 2) <= 6 * np.sqrt(shots / 4))
+
+
+def test_equiv_zero_shots_is_a_data_error(bell_path):
+    r = charforge("equiv", "--a", str(bell_path), "--b", str(bell_path), "--shots", "0")
     assert r.returncode == 2
-    assert "64 random measurement outcomes" in r.stderr
+    assert "shots must be at least 1" in r.stderr
     assert "Traceback" not in r.stderr
 
 

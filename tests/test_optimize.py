@@ -5,6 +5,7 @@ import pytest
 
 from charforge.circuits import (Circuit, build_bv, build_grover, build_qft,
                                 circuit_unitary, parse_circuit)
+from charforge.errors import InvalidSpec
 from charforge.fixtures import X, Z
 from charforge.linalg import equal_up_to_phase
 from charforge.optimize import (OptimizeConfig, build_word_table,
@@ -205,3 +206,11 @@ def test_equivalence_respects_global_phase():
     a = parse_circuit("qubits 1\nx 0\nz 0\n")
     b = parse_circuit("qubits 1\nz 0\nx 0\n")  # differs by -1 global phase
     assert equivalence_check(a, b, shots=20000, seed=3).verdict
+
+
+@pytest.mark.parametrize("shots", [0, -1])
+def test_equivalence_rejects_shots_below_one(shots):
+    # with no samples both histograms are empty and max_tv would read 0.0
+    c = build_qft(2)
+    with pytest.raises(InvalidSpec, match="shots"):
+        equivalence_check(c, c, shots=shots)

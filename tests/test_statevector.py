@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from charforge.circuits import (Circuit, build_bv, circuit_unitary,
+from charforge.circuits import (Circuit, build_bv, circuit_unitary, gate,
                                 parse_circuit, random_clifford_circuit)
-from charforge.errors import NotHermitian, TooWide
+from charforge.errors import (DimensionMismatch, InvalidSpec, NotHermitian,
+                              TooWide)
 from charforge.observables import Observable, random_pauli, z_on_qubit
 from charforge.statevector import (marginal_probabilities, run_gates,
                                    sv_expectation, sv_run, time_gate_loop)
@@ -74,6 +75,22 @@ def test_norm_preserved_along_evolution():
 def test_too_wide_rejected():
     with pytest.raises(TooWide):
         sv_run(Circuit(23, ()), shots=1, seed=0)
+
+
+@pytest.mark.parametrize("shots", [0, -1])
+def test_sv_run_rejects_shots_below_one(shots):
+    with pytest.raises(InvalidSpec, match="shots"):
+        sv_run(parse_circuit("qubits 1\nh 0\n"), shots=shots, seed=0)
+
+
+@pytest.mark.parametrize("initial", [np.ones(3), np.ones((8, 2)), np.ones((4, 2, 1)),
+                                     np.ones(())])
+def test_initial_state_of_wrong_shape_rejected(initial):
+    c = Circuit(2, (gate("h", 0),))
+    with pytest.raises(DimensionMismatch):
+        run_gates(c, initial)
+    with pytest.raises(DimensionMismatch):
+        sv_run(c, shots=10, seed=0, initial=initial)
 
 
 def test_timing_excludes_sampling():
