@@ -152,8 +152,8 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     order = sorted(measured)  # histogram bit j = j-th smallest measured qubit
     k = len(order)
     consts = np.array([exprs[q][0] for q in order])
-    # float64 puts the product below in BLAS; its sums are small integers, so exact
-    a = np.array([exprs[q][1][:coins] for q in order], dtype=np.float64)
+    # float32 puts the product below in BLAS; its sums count at most n coins, so exact
+    a = np.array([exprs[q][1][:coins] for q in order], dtype=np.float32)
 
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 2, size=(shots, coins), dtype=np.uint8)
@@ -167,7 +167,7 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     words = words[:, by_key]
     starts = np.flatnonzero(np.concatenate([[True], np.any(words[:, 1:] != words[:, :-1], axis=0)]))
     counts = np.diff(np.append(starts, shots))
-    bits = (draws[by_key[starts]] @ a.T + consts) % 2
+    bits = ((draws[by_key[starts]] @ a.T).astype(np.int64) + consts) & 1
     # outcome strings put bit k-1 first; they sort in the order of their values
     strings = (bits[:, ::-1] + ord("0")).astype(np.uint8).view(f"S{k}").ravel()
     return MeasurementHistogram(
