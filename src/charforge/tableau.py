@@ -101,8 +101,8 @@ def measure_symbolic(tab: StabilizerTableau, q: int, next_coin: int) -> tuple[in
     anticommuting = np.nonzero(x[n:, q])[0]
     if anticommuting.size > 0:
         p = n + int(anticommuting[0])
-        # every other row with X on q becomes row p times itself; row p is
-        # not among them, so it stays fixed while they change
+        # multiply every other row with X on q by row p; row p is not among
+        # them, so it stays fixed while they change
         rows = np.nonzero(x[:, q])[0]
         rows = rows[rows != p]
         r[rows] = (r[rows] + r[p] + _g_exponents(x[p], z[p], x[rows], z[rows]).sum(axis=1)) % 4
