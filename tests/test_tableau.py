@@ -159,7 +159,7 @@ def test_samples_match_statevector_marginals(case):
     for k, cnt in h.counts.items():
         ones += cnt * (np.frombuffer(k[::-1].encode(), dtype=np.uint8) == ord("1"))
     idx = np.arange(probs.size)
-    exact = np.array([probs[(idx >> j) & 1 == 1].sum() for j in range(n_measured)])
+    exact = np.clip([probs[(idx >> j) & 1 == 1].sum() for j in range(n_measured)], 0.0, 1.0)
     sigma = np.sqrt(exact * (1 - exact) / shots)
     assert np.all(np.abs(ones / shots - exact) <= 6 * sigma + 1e-9)
 
