@@ -8,9 +8,9 @@ Conventions, fixed globally:
     acting on column state vectors;
   * measure lines form a trailing suffix.
 
-`apply_matrix` is the one gate-application kernel. It works on a (2^n, B)
-block of column states; the state-vector engine calls it with B = 1 or 8,
-and `circuit_unitary` applies it to the 2^n identity columns. `embed_gate`
+`apply_matrix` is the one gate-application kernel. It updates a (2^n, B)
+block of column states in place; the state-vector engine calls it with B = 1
+or 8, and `circuit_unitary` applies it to the 2^n identity columns. `embed_gate`
 builds full-space generator matrices for the group closure only.
 """
 
@@ -188,18 +188,22 @@ def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     raise ValueError(f"no matrix for gate kind {kind!r}")
 
 
-def apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """The one gate kernel: apply a local matrix (local bit j = qubits[j]) to
-    a (2^n, B) block of column states, or to one (2^n,) state; returns a new
-    array. The column axis moves to the front and the gate's axes to the
-    back, so matmul runs once per column on the same (2^(n-k), 2^k) operand
-    as a run of that column alone, and gives it the same bits."""
+def apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
+                 scratch: np.ndarray) -> None:
+    """The one gate kernel: apply a local matrix (local bit j = qubits[j]) in
+    place to a C-ordered (2^n, B) block of column states or one (2^n,) state,
+    through the caller's (2, psi.size) complex `scratch`, so no gate allocates.
+    The column axis moves to the front and the gate's axes to the back, so
+    matmul runs once per column on the same (2^(n-k), 2^k) operand as a run
+    of that column alone, and gives it the same bits."""
     k = len(qubits)
     src = (n,) + tuple(n - 1 - q for q in reversed(qubits))  # (column, bit_{k-1}, ..., bit_0)
     dst = (0,) + tuple(range(n + 1 - k, n + 1))
     t = np.moveaxis(psi.reshape([2] * n + [-1]), src, dst)
-    out = (t.reshape(t.shape[0], -1, 1 << k) @ mat.T).reshape(t.shape)
-    return np.moveaxis(out, dst, src).reshape(psi.shape)
+    gathered, product = scratch.reshape(2, t.shape[0], -1, 1 << k)
+    np.copyto(gathered.reshape(t.shape), t)
+    np.matmul(gathered, mat.T, out=product)
+    np.copyto(t, product.reshape(t.shape))
 
 
 def embed_gate(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -243,8 +247,9 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     if suffix:
         raise MeasurementInUnitary("circuit contains measure gates")
     u = np.eye(1 << c.n_qubits, dtype=complex)
+    scratch = np.empty((2, u.size), dtype=complex)
     for g in body:
-        u = apply_matrix(u, gate_matrix(g.kind, g.angle), g.qubits, c.n_qubits)
+        apply_matrix(u, gate_matrix(g.kind, g.angle), g.qubits, c.n_qubits, scratch)
     return u
 
 

@@ -416,7 +416,8 @@ def equivalence_check(
 ) -> EquivalenceVerdict:
     """Operational comparison over 8 seeded product input states: sampled
     computational-basis histograms (TV distance) and exact expectations of
-    20 seeded random Pauli observables.
+    20 seeded random Pauli observables. Each histogram is one multinomial draw
+    over the exact marginal, so `shots` sets the sampling noise, not the cost.
 
     When widths differ the narrower circuit is padded with |0> ancillas and
     all comparisons run on the narrow register.

@@ -103,6 +103,24 @@ def test_sdg_is_s_inverse():
     assert np.array_equal(tab.r, ref[2])
 
 
+def test_cz_equals_h_cx_h():
+    rng = np.random.default_rng(17)
+    for seed in range(60):
+        n = 2 + seed % 7
+        direct = StabilizerTableau.zeros(n)
+        for g in random_clifford_circuit(n, 30, seed=seed, measured=False).gates:
+            apply_gate(direct, g.kind, g.qubits)
+        direct.r[:] = rng.integers(0, 4, 2 * n)  # every phase exponent, not only 0 and 2
+        composed = StabilizerTableau(n, direct.x.copy(), direct.z.copy(), direct.r.copy(),
+                                     direct.lin.copy())
+        c, t = (int(q) for q in rng.choice(n, size=2, replace=False))
+        apply_gate(direct, "cz", (c, t))
+        for kind, qubits in (("h", (t,)), ("cx", (c, t)), ("h", (t,))):
+            apply_gate(composed, kind, qubits)
+        for a, b in ((direct.x, composed.x), (direct.z, composed.z), (direct.r, composed.r)):
+            assert np.array_equal(a, b)
+
+
 def _measured_circuit(body: Circuit, qubits) -> Circuit:
     return Circuit(body.n_qubits, body.gates + tuple(gate("measure", q) for q in qubits))
 
