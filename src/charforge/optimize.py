@@ -1,16 +1,15 @@
-"""Five-pass pipeline: translate circuit segments to group elements,
-decompose them, and rewrite them as shorter generator words.
+"""Four-pass pipeline: translate circuit segments to group elements and
+rewrite them as shorter generator words.
 
 Passes, in order:
   1. segment translation: greedy scan of maximal contiguous measure-free
      runs whose distinct gate unitaries (embedded over the segment's qubit
      support) close into a finite group within the configured caps;
-  2. character tables for the closed segments;
-  3. decomposition of each segment's product element (component norms
-     recorded as analysis metadata);
-  4. shortest-word rewrite from the Cayley-graph BFS table, phase
+  2. character tables for the closed segments (class count and irrep
+     degrees, which the bench cost model reads);
+  3. shortest-word rewrite from the Cayley-graph BFS table, phase
      insensitive by default;
-  5. identity elision: segments whose product is (a global phase of) the
+  4. identity elision: segments whose product is (a global phase of) the
      identity are dropped.
 
 Closure attempts are bounded by deterministic work and memory proxies in
@@ -27,12 +26,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import central_idempotents, character_table
+from .characters import character_table
 from .circuits import Circuit, GateInstance, circuit_depth, gate_generators
 from .errors import KeyCollision, OrderCapExceeded, TooWide
 from .groups import ClosureConfig, FiniteMatrixGroup, close_group
 from .histogram import check_shots, tv_distance
-from .linalg import phase_canonical
 from .observables import Observable, random_pauli
 from .statevector import (SV_MAX_QUBITS, expectation_of_state,
                           marginal_probabilities, run_gates, sample_histogram)
@@ -55,7 +53,6 @@ EQUIV_SHOTS = 100_000
 class OptimizeConfig:
     max_order: int = 20000
     phase_insensitive: bool = True
-    table_seed: int = 0
     equiv_seed: int = 97
     run_equivalence: bool = True
 
@@ -116,31 +113,31 @@ def build_word_table(group: FiniteMatrixGroup, generators: list[int] | None = No
 
 @dataclass
 class _Closure:
-    """A closed segment group. The analyses below depend only on it and the
-    optimizer config, so the segments sharing a closure compute them once."""
+    """A closed segment group. The analyses below depend only on it, so the
+    segments sharing a closure compute them once."""
 
     group: FiniteMatrixGroup
     templates: list[GateInstance]   # one per unique generator matrix
     gen_elements: list[int]         # element index per template
     template_of_key: dict[tuple, int]
-    table_seed: int
 
     @cached_property
     def words(self) -> WordTable:
         return build_word_table(self.group, self.gen_elements)
 
     @cached_property
-    def phase_canon(self) -> np.ndarray:
-        return phase_canonical(self.group.mats)
+    def scalars(self) -> np.ndarray:
+        """Indices of the scalar elements c*I: an element equals p up to a
+        global phase iff it is p*s for one of them."""
+        mats = self.group.mats
+        eye = np.eye(mats.shape[1])
+        dists = np.max(np.abs(mats - mats[:, :1, :1] * eye), axis=(1, 2))
+        return np.nonzero(dists <= self.group.tol)[0]
 
     @cached_property
-    def analysis(self) -> tuple[int, list[int], list[float]]:
-        """k, irrep degrees and the norms of the central idempotents."""
-        table = character_table(self.group, seed=self.table_seed)
-        # components of the product's delta element are permuted idempotents,
-        # so their norms certify the isotypic content directly
-        return table.k, table.degrees.tolist(), [
-            float(np.linalg.norm(e.coeffs)) for e in central_idempotents(self.group, table)]
+    def degrees(self) -> list[int]:
+        """Irrep degrees, ascending; they do not depend on the table seed."""
+        return character_table(self.group).degrees.tolist()
 
 
 @dataclass
@@ -154,7 +151,6 @@ class SegmentRecord:
     group_order: int | None = None
     k: int | None = None
     degrees: list[int] | None = None
-    component_norms: list[float] | None = None
     detail: str = ""
 
 
@@ -237,8 +233,7 @@ def _try_close(gates: list[GateInstance], cfg: OptimizeConfig,
         try:
             group = close_group(gen_mats, ClosureConfig(
                 max_order=cap, tol=CLOSURE_TOL, round_digits=CLOSURE_ROUND_DIGITS))
-            result = _Closure(group, templates, list(group.generators),
-                              template_of_key, cfg.table_seed)
+            result = _Closure(group, templates, list(group.generators), template_of_key)
         except (OrderCapExceeded, KeyCollision):
             # a key collision means the products are not tolerance-separated,
             # which only happens for dense (non-finite) generated sets
@@ -247,11 +242,9 @@ def _try_close(gates: list[GateInstance], cfg: OptimizeConfig,
     return result
 
 
-def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig,
-                   cache: dict | None = None):
+def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig, cache: dict):
     """Greedy maximal runs: extend while the distinct gate set still closes
     under the caps. Yields (start, end, gates, closure-or-None)."""
-    cache = {} if cache is None else cache
     out = []
     start = 0
     current: list[GateInstance] = []
@@ -290,15 +283,12 @@ def _rewrite_segment(gates: list[GateInstance], closure: _Closure,
     wt = closure.words
     candidates = [product]
     if cfg.phase_insensitive:  # every element equal to the product up to a global phase
-        canon = closure.phase_canon
-        dists = np.max(np.abs(canon - canon[product][None, :, :]), axis=(1, 2))
-        candidates = [int(i) for i in np.nonzero(dists <= 4 * group.tol)[0]]
+        candidates = group.cayley[product, closure.scalars].tolist()
     best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
     word = wt.word(best)
 
     if len(group.classes) <= ANALYSIS_MAX_CLASSES:
-        k, degrees, norms = closure.analysis
-        record.k, record.degrees, record.component_norms = k, list(degrees), list(norms)
+        record.k, record.degrees = len(group.classes), list(closure.degrees)
     else:
         record.detail = f"analysis skipped: {len(group.classes)} classes"
 
@@ -375,7 +365,6 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
          f"{report.segments_found} segment(s), {report.segments_skipped} past "
          f"the caps, {iterations} sweep(s) to fixed point"),
         ("character-tables", f"{totals['tables']} segment table(s) computed"),
-        ("decomposition", "component norms recorded per closed segment"),
         ("shortest-word-rewrite", f"{totals['rewritten']} segment(s) shortened"),
         ("identity-elision", f"{totals['dropped']} segment(s) elided"),
     ]

@@ -30,7 +30,8 @@ def zero_state(n: int) -> np.ndarray:
 
 def run_gates(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Evolve the measure-free body; the trailing measure suffix is ignored.
-    `initial`, one state or a (2^n, B) block of column states, is copied."""
+    `initial`, one state or a (2^n, B) block of column states, is copied; a
+    non-finite entry raises InvalidSpec."""
     if c.n_qubits > SV_MAX_QUBITS:
         raise TooWide(f"{c.n_qubits} qubits exceed the state-vector limit {SV_MAX_QUBITS}")
     body, _ = c.body_and_suffix()
@@ -38,6 +39,8 @@ def run_gates(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     if psi.ndim not in (1, 2) or psi.shape[0] != 1 << c.n_qubits:
         raise DimensionMismatch(f"initial state of shape {psi.shape} is not (2^{c.n_qubits},) "
                                 f"or (2^{c.n_qubits}, B)")
+    if initial is not None and not np.isfinite(psi).all():
+        raise InvalidSpec("initial state has a non-finite entry; its total probability is not finite")
     scratch = np.empty((2, psi.size), dtype=complex)
     for g in body:
         apply_matrix(psi, gate_matrix(g.kind, g.angle), g.qubits, c.n_qubits, scratch)
@@ -90,7 +93,7 @@ def expectation_of_state(psi: np.ndarray, obs: Observable, n: int) -> float | np
     column values. `psi` is not changed."""
     if obs.pauli is not None:
         if len(obs.pauli) != n:
-            raise ValueError(f"pauli string length {len(obs.pauli)} != {n} qubits")
+            raise DimensionMismatch(f"pauli string length {len(obs.pauli)} != {n} qubits")
         phi = np.array(psi, dtype=complex, order="C")
         scratch = np.empty((2, phi.size), dtype=complex)
         for q in range(n):
@@ -99,7 +102,7 @@ def expectation_of_state(psi: np.ndarray, obs: Observable, n: int) -> float | np
                 apply_matrix(phi, gate_matrix(letter.lower()), (q,), n, scratch)
     else:
         if obs.matrix.shape[0] != psi.shape[0]:
-            raise ValueError("observable dimension does not match the state")
+            raise DimensionMismatch("observable dimension does not match the state")
         phi = obs.matrix @ psi
     a, b = psi.reshape(psi.shape[0], -1), phi.reshape(phi.shape[0], -1)
     vals = obs.coeff * np.array([np.vdot(a[:, j], b[:, j]) for j in range(a.shape[1])])

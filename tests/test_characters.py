@@ -83,6 +83,16 @@ def test_idempotent_coeffs_constant_on_classes(groups, tables):
                 assert np.max(np.abs(vals - vals[0])) <= 1e-10
 
 
+@pytest.mark.parametrize("name", ["trivial", "c2", "c2xc2", "s3", "d4", "q8", "pauli1", "clifford1"])
+def test_idempotent_norm_is_degree_over_root_order(name, groups, tables):
+    # ||e_i||^2 = (d_i/|G|)^2 sum_j |C_j| |chi_i(C_j)|^2 = d_i^2/|G| by row
+    # orthogonality, so the norm carries nothing beyond the degree
+    g, t = groups[name], tables[name]
+    for e in central_idempotents(g, t):
+        expected = t.degrees[e.irrep] / np.sqrt(t.group_order)
+        assert abs(np.linalg.norm(e.coeffs) - expected) <= 1e-12
+
+
 def test_projector_examples(groups, tables):
     plus = np.array([[0.5, 0.5], [0.5, 0.5]])
     projs = isotypic_projectors(groups["c2"], tables["c2"])

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from charforge.circuits import (Circuit, build_bv, build_grover, build_qft,
-                                circuit_unitary, parse_circuit)
+                                circuit_unitary, gate_generators, parse_circuit)
 from charforge.errors import InvalidSpec
 from charforge.fixtures import X, Z
-from charforge.linalg import equal_up_to_phase
-from charforge.optimize import (OptimizeConfig, build_word_table,
+from charforge.groups import ClosureConfig, close_group
+from charforge.linalg import equal_up_to_phase, phase_canonical
+from charforge.optimize import (CLOSURE_ROUND_DIGITS, CLOSURE_TOL,
+                                OptimizeConfig, _Closure, build_word_table,
                                 equivalence_check, optimize)
 
 FAST = OptimizeConfig(run_equivalence=False)
@@ -94,6 +96,44 @@ def test_clifford1_eccentricity_matches_matrix_bfs(groups):
     assert wt.eccentricity() == depth
 
 
+# -- phase-equal candidates ------------------------------------------------------
+
+def brute_force_phase_classes(group):
+    """For every element p, {e : max|phase_canonical(e) - phase_canonical(p)| <= 4 tol}.
+    A chunked Gram matrix gives each pair's squared Frobenius distance; a pair
+    inside the bound has it below 16 (4 tol)^2, far under the 1e-6 prefilter,
+    so the exact max-abs test on the prefiltered pairs loses no member."""
+    canon = phase_canonical(group.mats).reshape(group.order, -1)
+    sq = np.sum(np.abs(canon) ** 2, axis=1)
+    out = []
+    for lo in range(0, group.order, 1024):
+        block = canon[lo:lo + 1024]
+        fro2 = sq[lo:lo + 1024, None] + sq[None, :] - 2 * (block.conj() @ canon.T).real
+        for p, row in zip(range(lo, lo + len(block)), fro2):
+            near = np.flatnonzero(row <= 1e-6)
+            dists = np.max(np.abs(canon[near] - canon[p]), axis=1)
+            out.append(set(near[dists <= 4 * group.tol].tolist()))
+    return out
+
+
+def _h0_cx01_s1_group():
+    gates = list(parse_circuit("qubits 2\nh 0\ncx 0 1\ns 1\n").gates)
+    mats, _ = gate_generators(gates, (0, 1))
+    return close_group(mats, ClosureConfig(
+        max_order=10000, tol=CLOSURE_TOL, round_digits=CLOSURE_ROUND_DIGITS))
+
+
+@pytest.mark.parametrize("make", [lambda groups: groups["clifford1"],
+                                  lambda groups: _h0_cx01_s1_group()],
+                         ids=["clifford1", "h0_cx01_s1"])
+def test_scalar_translates_are_the_phase_equal_elements(make, groups):
+    group = make(groups)
+    scalars = _Closure(group, [], [], {}).scalars
+    assert 0 in scalars.tolist()
+    for p, expected in enumerate(brute_force_phase_classes(group)):
+        assert set(group.cayley[p, scalars].tolist()) == expected
+
+
 # -- pipeline ------------------------------------------------------------------
 
 def test_double_h_elided():
@@ -153,11 +193,10 @@ def test_idempotence_gate_counts():
         assert len(twice.gates) == len(once.gates)
 
 
-def test_pass_log_has_five_named_passes():
+def test_pass_log_has_four_named_passes():
     _, rep = optimize(parse_circuit("qubits 1\nh 0\nh 0\n"), FAST)
-    assert len(rep.passes) == 5
     names = [n for n, _ in rep.passes]
-    assert names == ["segment-translation", "character-tables", "decomposition",
+    assert names == ["segment-translation", "character-tables",
                      "shortest-word-rewrite", "identity-elision"]
 
 
@@ -167,7 +206,7 @@ def test_segment_records_carry_analysis():
     assert seg.group_order == 8
     assert seg.k == 5
     assert seg.degrees == [1, 1, 1, 1, 2]
-    assert len(seg.component_norms) == 5
+    assert "component_norms" not in rep.to_json()["segments"][0]
 
 
 def test_report_json_shape():

@@ -119,6 +119,21 @@ def test_sv_run_rejects_a_non_finite_state(initial):
         sv_run(Circuit(2, (gate("x", 1),)), shots=10, seed=0, initial=initial)
 
 
+def test_sv_expectation_rejects_a_non_finite_state_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match="total probability"):
+            sv_expectation(parse_circuit("qubits 1\nh 0\n"), z_on_qubit(0, 1),
+                           initial=np.array([np.nan, 0]))
+
+
+@pytest.mark.parametrize("obs", [Observable.from_pauli("X"), Observable.from_matrix(np.eye(2))],
+                         ids=["pauli", "matrix"])
+def test_sv_expectation_rejects_an_observable_of_the_wrong_width(obs):
+    with pytest.raises(DimensionMismatch):
+        sv_expectation(parse_circuit("qubits 2\n"), obs)
+
+
 def _block(n, b, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(1 << n, b)) + 1j * rng.normal(size=(1 << n, b))
