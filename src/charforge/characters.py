@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NonIntegralDegree
+from .errors import DegenerateSpectrum, InvalidSpec, NonIntegralDegree
 from .groups import FiniteMatrixGroup
 
 
@@ -90,6 +90,8 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
     collisions, NonIntegralDegree when a recovered degree is off an integer
     by more than 1e-4.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidSpec(f"seed must be an integer >= 0, got {seed!r}")
     k = len(group.classes)
     order = group.order
     sizes = np.array([len(c) for c in group.classes], dtype=np.float64)

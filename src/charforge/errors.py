@@ -19,7 +19,8 @@ class OrderCapExceeded(CharforgeError):
 
 
 class KeyCollision(CharforgeError):
-    """Two distinct matrices produced the same canonical key."""
+    """A product lies between tol and 8*tol of an element or of another
+    product: the generated set is not tolerance-separated."""
 
 
 class DegenerateSpectrum(CharforgeError):

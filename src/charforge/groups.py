@@ -1,127 +1,115 @@
 """Finite matrix groups built by closure from generator unitaries.
 
-Element identity uses a canonical key: entries rounded to a fixed number of
-decimal places, hashed row-major, with every key hit confirmed by a max-abs
-tolerance check. A key miss (a new element, or drift across a rounding step)
-falls back to locality buckets on a fixed random projection. Key index,
-buckets and element store form one ElementLookup, which close_group builds
-and keeps on the group and element_of queries.
+Two matrices are the same element when their entries agree within a max-abs
+tolerance. Elements are found through one index, ElementLookup: the
+elements' random projections in a sorted array, so the elements within 8*tol
+of a product lie in a window of that array, found with searchsorted. Each
+candidate is then checked by max-abs distance. close_group builds the
+lookup and keeps it on the group for element_of.
 
 Element indices are assigned in breadth-first discovery order starting from
 {identity} + generators, multiplying on the right by generators, so closing
 the same generator list twice yields identical tables. Each BFS level times
-one generator is keyed, bucketed and its key hits confirmed as one numpy
-batch; products are still resolved in order, each seeing the elements the
-ones before it added.
+one generator is one batch; the new elements of a batch are numbered in the
+order the batch first meets them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, KeyCollision, OrderCapExceeded
-from .linalg import canonical_keys, check_unitary
+from .errors import DimensionMismatch, InvalidSpec, KeyCollision, OrderCapExceeded
+from .linalg import check_unitary
+
+_CAYLEY_CHUNK = 128  # rows per gather, so the (rows, order) index temporaries stay small
 
 
 @dataclass(frozen=True)
 class ClosureConfig:
     max_order: int = 20000
     tol: float = 1e-9
-    round_digits: int = 9
 
     def __post_init__(self):
-        if self.max_order < 1:
-            raise ValueError("max_order must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not isinstance(self.max_order, (int, np.integer)) or self.max_order < 1:
+            raise InvalidSpec(f"max_order must be an integer >= 1, got {self.max_order!r}")
+        if not isinstance(self.tol, (int, float)) or not 0 < self.tol < math.inf:
+            raise InvalidSpec(f"tol must be finite and positive, got {self.tol!r}")
 
 
 class ElementLookup:
-    """Key index and projection buckets over a growing element store,
-    mats[:count] in index order. A bucket is floor(<P, m> / w) for a fixed
-    random P and w = |P|_1 * 8 * tol, so matrices within 8*tol of each other
-    share a bucket or sit in adjacent ones. The index keeps only the hash of
-    each canonical key: a hit is checked against tol anyway, and the buckets
-    find any element within tol, so a hash collision costs time, not a
-    different answer."""
+    """Growing element store, mats[:count] in index order, indexed by the
+    projections <P, m> for a fixed random P, kept sorted. With
+    w = |P|_1 * 8 * tol, every element within 8*tol of a matrix has its
+    projection within w of the matrix's. At most one element is within tol
+    of any matrix, because stored elements are more than 8*tol apart, so the
+    answer does not depend on how the index is laid out."""
 
-    def __init__(self, dim: int, tol: float, round_digits: int):
+    def __init__(self, dim: int, tol: float):
         rng = np.random.default_rng(0x5EED)
-        self._proj = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        proj_l1 = float(np.sum(np.abs(self._proj.real)) + np.sum(np.abs(self._proj.imag)))
-        self._bucket_w = proj_l1 * 8.0 * tol
-        self.tol, self.round_digits = tol, round_digits
+        proj = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        self._proj = proj.view(np.float64).ravel()  # (re, im) per entry, as a complex row reads as floats
+        self._w = float(np.sum(np.abs(self._proj))) * 8.0 * tol
+        self.tol = tol
         self.mats = np.empty((16, dim, dim), dtype=complex)
         self.count = 0
-        self._index: dict[int, int] = {}  # hash of canonical key -> element
-        self._buckets: dict[int, list[int]] = {}
+        self._keys = np.empty(0)                     # sorted projections
+        self._ids = np.empty(0, dtype=np.int64)      # element of each key
 
-    def _near(self, batch: np.ndarray, idx: list[int]) -> np.ndarray:
-        return np.max(np.abs(batch - self.mats[idx]), axis=(1, 2)) <= self.tol
+    def _pairs(self, proj: np.ndarray, keys: np.ndarray, ids: np.ndarray):
+        """(position in proj, id) for every key within w of a projection."""
+        lo = np.searchsorted(keys, proj - self._w, "left")
+        n = np.searchsorted(keys, proj + self._w, "right") - lo
+        q = np.repeat(np.arange(len(proj)), n)
+        return q, ids[np.arange(len(q)) + np.repeat(lo - np.cumsum(n) + n, n)]
 
-    def find(self, batch: np.ndarray, max_order: int | None = None) -> list[int]:
-        """Element index of each matrix of `batch`, resolved in order. A pure
-        query (max_order None) gives -1 for an absent matrix; otherwise it is
-        added, raising KeyCollision when it is between tol and 8*tol of an
-        element and OrderCapExceeded past max_order."""
-        keys = [hash(k) for k in canonical_keys(batch, self.round_digits)]
-        get = self._index.get
-        hits = [get(k) for k in keys]
-        known = [p for p, h in enumerate(hits) if h is not None]
-        ok = [False] * len(keys)
-        for p, near in zip(known, self._near(batch[known], [hits[p] for p in known]).tolist()):
-            ok[p] = near
-        # Elements added in this batch only take keys that missed or failed
-        # their check at the start, so confirmed hits on other keys stand and
-        # only the remaining positions are walked, in order.
-        work = [p for p in range(len(keys)) if not ok[p]]
-        straddled = {keys[p] for p in work if hits[p] is not None}
-        if straddled:
-            work = [p for p in range(len(keys)) if not ok[p] or keys[p] in straddled]
-        if not work:
-            return hits
-        # these per-matrix sums equal np.sum over one matrix bit for bit; a
-        # matmul's would not
-        walked = batch[work]
-        proj = (np.sum(self._proj.real * walked.real, axis=(1, 2))
-                + np.sum(self._proj.imag * walked.imag, axis=(1, 2)))
-        buckets = np.floor_divide(proj, self._bucket_w).astype(np.int64).tolist()
-        for p, bucket in zip(work, buckets):
-            hit = get(keys[p])
-            if hit is not None and (ok[p] if hit == hits[p] else self._near(batch[p:p + 1], [hit])[0]):
-                hits[p] = hit
-            else:
-                hits[p] = self._resolve_miss(batch[p], keys[p], bucket, max_order)
-        return hits
-
-    def _resolve_miss(self, m: np.ndarray, key: int, bucket: int,
-                      max_order: int | None) -> int:
-        cands = [c for b in (bucket - 1, bucket, bucket + 1) for c in self._buckets.get(b, ())]
-        best, best_d = -1, np.inf
-        if cands:
-            dists = np.max(np.abs(self.mats[cands] - m), axis=(1, 2))
-            best, best_d = cands[int(np.argmin(dists))], float(np.min(dists))
-        if best_d <= self.tol:
-            return best
-        if max_order is None:
-            return -1
-        if best_d <= 8 * self.tol:
-            raise KeyCollision(
-                f"two products are {best_d:.2e} apart, between tol and 8*tol; "
-                f"the generated set is not tolerance-separated")
-        if self.count >= max_order:
-            raise OrderCapExceeded(
-                f"closure passed max_order={max_order}; generated group "
-                f"is not finite or exceeds the cap")
-        if self.count == len(self.mats):
+    def find(self, batch: np.ndarray, max_order: int | None = None) -> np.ndarray:
+        """Element index of each matrix of `batch`. A pure query (max_order
+        None) gives -1 for an absent matrix; otherwise the absent ones are
+        added, those within tol of each other as one element stored as their
+        first. Raises KeyCollision at a product between tol and 8*tol of an
+        element or of another product, and OrderCapExceeded at the first new
+        element past max_order, whichever comes first in the batch."""
+        proj = np.ascontiguousarray(batch).reshape(len(batch), -1).view(np.float64) @ self._proj
+        q, c = self._pairs(proj, self._keys, self._ids)
+        d = np.max(np.abs(batch[q] - self.mats[c]), axis=(1, 2))
+        found = np.full(len(batch), -1, dtype=np.int64)
+        found[q[d <= self.tol]] = c[d <= self.tol]
+        miss = np.flatnonzero(found < 0)
+        if max_order is None or not len(miss):
+            return found
+        near = q[(d <= 8 * self.tol) & (found[q] < 0)]
+        # misses within w of each other, if any; i, j index `miss`, which is in batch order
+        first = np.arange(len(miss))
+        by_proj = np.argsort(proj[miss], kind="stable")
+        if np.any(np.diff(proj[miss][by_proj]) <= self._w):
+            i, j = self._pairs(proj[miss], proj[miss][by_proj], by_proj)
+            i, j = i[i != j], j[i != j]
+            dd = np.max(np.abs(batch[miss[i]] - batch[miss[j]]), axis=(1, 2))
+            np.minimum.at(first, i[dd <= self.tol], j[dd <= self.tol])
+            near = np.concatenate([near, miss[np.maximum(i, j)[(dd > self.tol) & (dd <= 8 * self.tol)]]])
+        new = miss[first == np.arange(len(miss))]
+        at_cap = new[max_order - self.count] if len(new) > max_order - self.count else len(batch)
+        if len(near) and near.min() <= at_cap:
+            raise KeyCollision(f"product {near.min()} of the batch is between tol and 8*tol of another "
+                               f"matrix; the generated set is not tolerance-separated")
+        if at_cap < len(batch):
+            raise OrderCapExceeded(f"closure passed max_order={max_order}; generated group "
+                                   f"is not finite or exceeds the cap")
+        ids = self.count + np.arange(len(new))
+        found[new] = ids
+        found[miss] = found[miss[first]]
+        while self.count + len(new) > len(self.mats):
             self.mats = np.concatenate([self.mats, np.empty_like(self.mats)])
-        self.mats[self.count] = m
-        self._index[key] = self.count
-        self._buckets.setdefault(bucket, []).append(self.count)
-        self.count += 1
-        return self.count - 1
+        self.mats[ids] = batch[new]
+        self.count += len(new)
+        # a sorted run and a short one: the stable sort (a timsort) merges them
+        keys = np.concatenate([self._keys, proj[new]])
+        by_proj = np.argsort(keys, kind="stable")
+        self._keys, self._ids = keys[by_proj], np.concatenate([self._ids, ids])[by_proj]
+        return found
 
 
 @dataclass
@@ -149,7 +137,6 @@ class FiniteMatrixGroup:
     class_of: np.ndarray
     generators: list[int]
     tol: float = 1e-9
-    round_digits: int = 9
     _lookup: ElementLookup | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -173,47 +160,57 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
         raise DimensionMismatch("need at least one generator to fix the dimension")
     gens = [check_unitary(g) for g in generators]
     dim = gens[0].shape[0]
-    for g in gens[1:]:
-        if g.shape[0] != dim:
-            raise DimensionMismatch(f"generator dims differ: {g.shape[0]} vs {dim}")
+    if any(g.shape[0] != dim for g in gens):
+        raise DimensionMismatch(f"generator dims differ: {[g.shape[0] for g in gens]}")
 
-    lookup = ElementLookup(dim, cfg.tol, cfg.round_digits)
-    lookup.find(np.eye(dim, dtype=complex)[None], cfg.max_order)
-    gen_found = lookup.find(np.stack(gens), cfg.max_order)
-    gen_idx = list(dict.fromkeys(gen_found))
-    # (parent element, generator slot) per element; a batch numbers its new
-    # elements from len(parents) up, in the order it first meets them
-    parents = [(-1, -1)]
-    for slot, i in enumerate(gen_found):
-        if i == len(parents):
-            parents.append((0, slot))
+    lookup = ElementLookup(dim, cfg.tol)
+    gen_found = lookup.find(np.stack([np.eye(dim, dtype=complex), *gens]), cfg.max_order)[1:]
+    gen_idx = list(dict.fromkeys(gen_found.tolist()))
+    # element b = mats[parent[b]] @ gens[slot[b]]. find numbers a batch's new
+    # elements in the order it first meets them, from `start` up, so those
+    # first meetings are where the running maximum of `found` rises.
+    parent, slot = [np.array([-1])], [np.array([-1])]
 
-    n_slots = len(gens)
+    def record(found: np.ndarray, start: int, parents: np.ndarray, slots: np.ndarray):
+        rising = np.diff(np.maximum.accumulate(np.maximum(found, start - 1)), prepend=start - 1)
+        parent.append(parents[rising > 0])
+        slot.append(slots[rising > 0])
+
+    record(gen_found, 1, np.zeros(len(gens), dtype=np.int64), np.arange(len(gens)))
     # right[a, j] = index of mats[a] @ gens[j]; a BFS level is the index range
     # the level before it found, and every element is expanded once
-    right = np.zeros((0, n_slots), dtype=np.int64)
-    lo = 0
-    while lo < lookup.count:
-        frontier = lookup.mats[lo:lookup.count]
-        rows = np.zeros((len(frontier), n_slots), dtype=np.int64)
+    bounds, right = [0], []
+    while bounds[-1] < lookup.count:
+        lo, hi = bounds[-1], lookup.count
+        frontier = lookup.mats[lo:hi]
+        rows = np.empty((hi - lo, len(gens)), dtype=np.int64)
         for j, g in enumerate(gens):
-            rows[:, j] = found = lookup.find(frontier @ g, cfg.max_order)
-            for pos, i in enumerate(found):
-                if i == len(parents):
-                    parents.append((lo + pos, j))
-        right = np.concatenate([right, rows])
-        lo += len(frontier)
+            start = lookup.count
+            rows[:, j] = lookup.find(frontier @ g, cfg.max_order)
+            record(rows[:, j], start, np.arange(lo, hi), np.full(hi - lo, j))
+        right.append(rows)
+        bounds.append(hi)
     n = lookup.count
     mats = lookup.mats = lookup.mats[:n].copy()
+    right = np.concatenate(right)
+    parent, slot = np.concatenate(parent), np.concatenate(slot)
 
-    # cayley[:, b] by composing right-multiplication permutations along the
-    # BFS tree: b = parent @ gens[j] gives col(b) = right[col(parent), j].
+    # a = p @ g_s gives a @ b = p @ (g_s @ b): row a of the table is row p
+    # read through grow[s], where grow[s, b] = index of gens[s] @ mats[b].
+    # Both are filled level by level (the generators, then what each level
+    # found), since every parent is a level earlier.
     dtype = np.int16 if n < 2 ** 15 else np.int32
-    cayley = np.zeros((n, n), dtype=dtype)
-    cayley[:, 0] = np.arange(n)
-    for b in range(1, n):
-        p, j = parents[b]
-        cayley[:, b] = right[cayley[:, p], j]
+    grow = np.empty((len(gens), n), dtype=np.int64)
+    grow[:, 0] = gen_found
+    cayley = np.empty((n, n), dtype=dtype)
+    cayley[0] = np.arange(n)
+    levels = list(zip([1] + bounds[1:-1], bounds[1:]))
+    for lo, hi in levels:
+        grow[:, lo:hi] = right[grow[:, parent[lo:hi]], slot[lo:hi]]
+    for lo, hi in levels:
+        for c in range(lo, hi, _CAYLEY_CHUNK):
+            r = slice(c, min(c + _CAYLEY_CHUNK, hi))
+            cayley[r] = cayley[parent[r, None], grow[slot[r]]]
 
     inverses = np.argmin(cayley, axis=1).astype(np.int64)
     classes, class_of = conjugacy_classes_from_cayley(cayley, inverses)
@@ -227,7 +224,6 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
         class_of=class_of,
         generators=gen_idx,
         tol=cfg.tol,
-        round_digits=cfg.round_digits,
         _lookup=lookup,
     )
 
@@ -235,12 +231,15 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
 def element_of(group: FiniteMatrixGroup, m: np.ndarray) -> int | None:
     """Index of the unique element matching m within the group tolerance,
     or None when absent."""
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"expected a {group.dim}x{group.dim} matrix: {exc}") from exc
     if m.shape != (group.dim, group.dim):
         raise DimensionMismatch(f"expected shape {(group.dim, group.dim)}, got {m.shape}")
     if not np.isfinite(m).all():
         return None
-    found = group._lookup.find(m[None])[0]
+    found = int(group._lookup.find(m[None])[0])
     return None if found < 0 else found
 
 
@@ -259,11 +258,9 @@ def conjugacy_classes_from_cayley(
     for a in range(n):
         if class_of[a] >= 0:
             continue
-        ag_inv = cayley[a, inverses[all_g]]
-        orbit = np.unique(cayley[all_g, ag_inv])
-        ci = len(classes)
-        classes.append(tuple(int(x) for x in orbit))
-        class_of[orbit] = ci
+        orbit = np.unique(cayley[all_g, cayley[a, inverses]])  # g a g^-1 for every g
+        class_of[orbit] = len(classes)
+        classes.append(tuple(orbit.tolist()))
     return classes, class_of
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .characters import character_table
 from .circuits import Circuit, GateInstance, circuit_depth, gate_generators
-from .errors import KeyCollision, OrderCapExceeded, TooWide
+from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .groups import ClosureConfig, FiniteMatrixGroup, close_group
 from .histogram import check_shots, tv_distance
 from .observables import Observable, random_pauli
@@ -40,7 +40,6 @@ from .statevector import (SV_MAX_QUBITS, expectation_of_state,
 # format, which drifts products by a few 1e-10 per multiplication; a
 # 1e-8 closure tolerance keeps those drifts inside the merge zone
 CLOSURE_TOL = 1e-8
-CLOSURE_ROUND_DIGITS = 8
 # deterministic per-attempt bounds: flop proxy for the closure matmuls
 # and byte proxies for element storage and the quadratic cayley table
 CLOSURE_BUDGET_FLOPS = 2e10
@@ -88,6 +87,8 @@ class WordTable:
 def build_word_table(group: FiniteMatrixGroup, generators: list[int] | None = None) -> WordTable:
     gens = list(group.generators) if generators is None else list(generators)
     n = group.order
+    if not all(isinstance(g, (int, np.integer)) and 0 <= g < n for g in gens):
+        raise InvalidSpec(f"generators must be element indices in [0, {n}), got {gens}")
     parent = np.full(n, -1, dtype=np.int64)
     parent_slot = np.full(n, -1, dtype=np.int64)
     dist = np.full(n, -1, dtype=np.int64)
@@ -105,7 +106,7 @@ def build_word_table(group: FiniteMatrixGroup, generators: list[int] | None = No
                 parent_slot[nxt] = slot
                 queue.append(nxt)
     if np.any(dist < 0):
-        raise ValueError("generators do not generate the group")
+        raise InvalidSpec("generators do not generate the group")
     return WordTable(group, gens, parent, parent_slot, dist)
 
 
@@ -231,8 +232,7 @@ def _try_close(gates: list[GateInstance], cfg: OptimizeConfig,
     result: _Closure | None = None
     if cap >= 2:
         try:
-            group = close_group(gen_mats, ClosureConfig(
-                max_order=cap, tol=CLOSURE_TOL, round_digits=CLOSURE_ROUND_DIGITS))
+            group = close_group(gen_mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL))
             result = _Closure(group, templates, list(group.generators), template_of_key)
         except (OrderCapExceeded, KeyCollision):
             # a key collision means the products are not tolerance-separated,

@@ -5,6 +5,7 @@ from charforge.characters import (CharacterTable, central_idempotents,
                                   character_table, character_table_csv,
                                   class_matrices, isotypic_projectors,
                                   verify_orthogonality)
+from charforge.errors import InvalidSpec
 from charforge.fixtures import fixture_group
 
 
@@ -154,3 +155,9 @@ def test_trivial_group_table():
     t = character_table(fixture_group("trivial"), seed=0)
     assert t.k == 1 and t.degrees.tolist() == [1]
     assert np.allclose(t.values, [[1.0]])
+
+
+@pytest.mark.parametrize("seed", [-1, 0.5])
+def test_character_table_rejects_a_bad_seed(groups, seed):
+    with pytest.raises(InvalidSpec, match="seed"):
+        character_table(groups["c2"], seed=seed)

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charforge.circuits import embed_gate, gate_matrix
-from charforge.errors import (DimensionMismatch, KeyCollision, NotUnitary,
-                              OrderCapExceeded)
+from charforge.errors import (DimensionMismatch, InvalidSpec, KeyCollision,
+                              NotUnitary, OrderCapExceeded)
 from charforge.fixtures import H, I2, S, X, Y, Z, fixture_generators
-from charforge.groups import (ClosureConfig, center_and_abelian, close_group,
-                              conjugacy_classes, element_of, group_to_json)
+from charforge.groups import (ClosureConfig, ElementLookup, center_and_abelian,
+                              close_group, conjugacy_classes, element_of,
+                              group_to_json)
 from charforge.linalg import canonical_keys
 
 T = np.diag([1, np.exp(1j * np.pi / 4)])
@@ -79,6 +80,17 @@ def test_element_of_not_found_and_dim_mismatch():
     assert element_of(g, np.full((2, 2), np.nan)) is None
     with pytest.raises(DimensionMismatch):
         element_of(g, np.eye(4))
+    with pytest.raises(InvalidSpec):
+        element_of(g, "abc")
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(max_order=0), dict(max_order=-5), dict(max_order=2.5), dict(max_order="10"),
+    dict(tol=float("nan")), dict(tol=float("inf")), dict(tol=0.0), dict(tol=-1e-9),
+    dict(tol="1e-9")])
+def test_closure_config_rejects_bad_values(kwargs):
+    with pytest.raises(InvalidSpec):
+        ClosureConfig(**kwargs)
 
 
 def test_conjugacy_classes_against_matrix_oracle(groups):
@@ -264,11 +276,32 @@ def test_element_of_across_a_rounding_boundary(groups):
     g = groups["clifford1"]
     h = element_of(g, H)
     # 1/sqrt(2) = 0.70710678118...: half a tolerance up crosses the 9-digit
-    # rounding boundary at ...1815, so the key misses and the buckets must hit
+    # rounding boundary at ...1815, so a lookup by rounded key would miss
     nudged = g.mats[h] + g.tol / 2
-    assert len(set(canonical_keys(np.stack([nudged, g.mats[h]]), g.round_digits))) == 2
+    assert len(set(canonical_keys(np.stack([nudged, g.mats[h]]), 9))) == 2
     assert element_of(g, nudged) == h
     assert element_of(g, g.mats[h] + 2 * g.tol) is None
+
+
+@pytest.mark.parametrize("first", ["exact", "nudged"])
+def test_one_batch_merges_copies_within_tol_into_its_first(first):
+    tol = 1e-9
+    lookup = ElementLookup(2, tol)
+    lookup.find(I2[None], max_order=10)
+    copies = {"exact": X.astype(complex), "nudged": X + tol / 2}
+    batch = np.stack([copies[first], X, X, X + tol / 2, Z])
+    assert lookup.find(batch, max_order=10).tolist() == [1, 1, 1, 1, 2]
+    assert lookup.count == 3
+    assert np.array_equal(lookup.mats[1], copies[first])
+    # a later query of either copy finds the merged element
+    assert lookup.find(np.stack([X, X + tol / 2, H])).tolist() == [1, 1, -1]
+
+
+def test_one_batch_rejects_a_pair_between_tol_and_8_tol():
+    tol = 1e-9
+    lookup = ElementLookup(2, tol)
+    with pytest.raises(KeyCollision):
+        lookup.find(np.stack([Z, X, X + 3 * tol]), max_order=10)
 
 
 _POOLS = {
@@ -290,3 +323,8 @@ def test_random_generator_subsets_match_oracle(case):
     assert g.order == len(oracle)
     found = {element_of(g, m) for m in oracle}
     assert None not in found and len(found) == g.order
+    products = g.mats[:, None] @ g.mats[None, :]
+    assert np.max(np.abs(products - g.mats[g.cayley.astype(int)])) <= g.tol
+    identity = np.eye(dim)
+    assert np.max(np.abs(g.mats @ g.mats[g.inverses] - identity)) <= g.tol
+    assert np.max(np.abs(g.mats[g.inverses] @ g.mats - identity)) <= g.tol

@@ -9,9 +9,8 @@ from charforge.errors import InvalidSpec
 from charforge.fixtures import X, Z
 from charforge.groups import ClosureConfig, close_group
 from charforge.linalg import equal_up_to_phase, phase_canonical
-from charforge.optimize import (CLOSURE_ROUND_DIGITS, CLOSURE_TOL,
-                                OptimizeConfig, _Closure, build_word_table,
-                                equivalence_check, optimize)
+from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, _Closure,
+                                build_word_table, equivalence_check, optimize)
 
 FAST = OptimizeConfig(run_equivalence=False)
 
@@ -42,6 +41,14 @@ def test_word_table_c2(groups):
     wt = build_word_table(groups["c2"])
     assert wt.word(0) == ()
     assert wt.word(1) == (0,)
+
+
+@pytest.mark.parametrize("gens", [[99], [0], [-1], [1.5]])
+def test_word_table_rejects_generators_that_are_not_generating_elements(groups, gens):
+    # 99 and -1 are out of range, 1.5 is not an index, and the identity alone
+    # does not generate d4
+    with pytest.raises(InvalidSpec):
+        build_word_table(groups["d4"], gens)
 
 
 def test_word_of_minus_identity_in_d4_is_four(groups):
@@ -119,8 +126,7 @@ def brute_force_phase_classes(group):
 def _h0_cx01_s1_group():
     gates = list(parse_circuit("qubits 2\nh 0\ncx 0 1\ns 1\n").gates)
     mats, _ = gate_generators(gates, (0, 1))
-    return close_group(mats, ClosureConfig(
-        max_order=10000, tol=CLOSURE_TOL, round_digits=CLOSURE_ROUND_DIGITS))
+    return close_group(mats, ClosureConfig(max_order=10000, tol=CLOSURE_TOL))
 
 
 @pytest.mark.parametrize("make", [lambda groups: groups["clifford1"],
