@@ -65,13 +65,14 @@ class ElementLookup:
         q = np.repeat(np.arange(len(proj)), n)
         return q, ids[np.arange(len(q)) + np.repeat(lo - np.cumsum(n) + n, n)]
 
-    def find(self, batch: np.ndarray, max_order: int | None = None) -> np.ndarray:
-        """Element index of each matrix of `batch`. A pure query (max_order
-        None) gives -1 for an absent matrix; otherwise the absent ones are
-        added, those within tol of each other as one element stored as their
-        first. Raises KeyCollision at a product between tol and 8*tol of an
-        element or of another product, and OrderCapExceeded at the first new
-        element past max_order, whichever comes first in the batch."""
+    def find(self, batch: np.ndarray, max_order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Element index of each matrix of `batch`, and the batch positions
+        of the elements added, in index order. A pure query (max_order None)
+        gives -1 for an absent matrix; otherwise the absent ones are added,
+        those within tol of each other as one element stored as their first.
+        Raises KeyCollision at a product between tol and 8*tol of an element
+        or of another product, and OrderCapExceeded at the first new element
+        past max_order, whichever comes first in the batch."""
         proj = np.ascontiguousarray(batch).reshape(len(batch), -1).view(np.float64) @ self._proj
         q, c = self._pairs(proj, self._keys, self._ids)
         d = np.max(np.abs(batch[q] - self.mats[c]), axis=(1, 2))
@@ -79,7 +80,7 @@ class ElementLookup:
         found[q[d <= self.tol]] = c[d <= self.tol]
         miss = np.flatnonzero(found < 0)
         if max_order is None or not len(miss):
-            return found
+            return found, miss[:0]
         near = q[(d <= 8 * self.tol) & (found[q] < 0)]
         # misses within w of each other, if any; i, j index `miss`, which is in batch order
         first = np.arange(len(miss))
@@ -109,7 +110,7 @@ class ElementLookup:
         keys = np.concatenate([self._keys, proj[new]])
         by_proj = np.argsort(keys, kind="stable")
         self._keys, self._ids = keys[by_proj], np.concatenate([self._ids, ids])[by_proj]
-        return found
+        return found, new
 
 
 @dataclass
@@ -160,23 +161,17 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
         raise DimensionMismatch("need at least one generator to fix the dimension")
     gens = [check_unitary(g) for g in generators]
     dim = gens[0].shape[0]
-    if any(g.shape[0] != dim for g in gens):
-        raise DimensionMismatch(f"generator dims differ: {[g.shape[0] for g in gens]}")
+    for g in gens[1:]:
+        if g.shape[0] != dim:
+            raise DimensionMismatch(f"generator dims differ: {g.shape[0]} vs {dim}")
 
     lookup = ElementLookup(dim, cfg.tol)
-    gen_found = lookup.find(np.stack([np.eye(dim, dtype=complex), *gens]), cfg.max_order)[1:]
+    found, new = lookup.find(np.stack([np.eye(dim, dtype=complex), *gens]), cfg.max_order)
+    gen_found = found[1:]
     gen_idx = list(dict.fromkeys(gen_found.tolist()))
-    # element b = mats[parent[b]] @ gens[slot[b]]. find numbers a batch's new
-    # elements in the order it first meets them, from `start` up, so those
-    # first meetings are where the running maximum of `found` rises.
-    parent, slot = [np.array([-1])], [np.array([-1])]
-
-    def record(found: np.ndarray, start: int, parents: np.ndarray, slots: np.ndarray):
-        rising = np.diff(np.maximum.accumulate(np.maximum(found, start - 1)), prepend=start - 1)
-        parent.append(parents[rising > 0])
-        slot.append(slots[rising > 0])
-
-    record(gen_found, 1, np.zeros(len(gens), dtype=np.int64), np.arange(len(gens)))
+    # element b = mats[parent[b]] @ gens[slot[b]]; the identity, first in the
+    # batch above, has neither
+    parent, slot = [np.where(new > 0, 0, -1)], [new - 1]
     # right[a, j] = index of mats[a] @ gens[j]; a BFS level is the index range
     # the level before it found, and every element is expanded once
     bounds, right = [0], []
@@ -185,9 +180,9 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
         frontier = lookup.mats[lo:hi]
         rows = np.empty((hi - lo, len(gens)), dtype=np.int64)
         for j, g in enumerate(gens):
-            start = lookup.count
-            rows[:, j] = lookup.find(frontier @ g, cfg.max_order)
-            record(rows[:, j], start, np.arange(lo, hi), np.full(hi - lo, j))
+            rows[:, j], new = lookup.find(frontier @ g, cfg.max_order)
+            parent.append(lo + new)
+            slot.append(np.full(len(new), j))
         right.append(rows)
         bounds.append(hi)
     n = lookup.count
@@ -198,7 +193,8 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
     # a = p @ g_s gives a @ b = p @ (g_s @ b): row a of the table is row p
     # read through grow[s], where grow[s, b] = index of gens[s] @ mats[b].
     # Both are filled level by level (the generators, then what each level
-    # found), since every parent is a level earlier.
+    # found), since every parent is a level earlier; grow comes first, as a
+    # row reads all of grow[s].
     dtype = np.int16 if n < 2 ** 15 else np.int32
     grow = np.empty((len(gens), n), dtype=np.int64)
     grow[:, 0] = gen_found
@@ -239,7 +235,7 @@ def element_of(group: FiniteMatrixGroup, m: np.ndarray) -> int | None:
         raise DimensionMismatch(f"expected shape {(group.dim, group.dim)}, got {m.shape}")
     if not np.isfinite(m).all():
         return None
-    found = int(group._lookup.find(m[None])[0])
+    found = int(group._lookup.find(m[None])[0][0])
     return None if found < 0 else found
 
 
@@ -258,9 +254,11 @@ def conjugacy_classes_from_cayley(
     for a in range(n):
         if class_of[a] >= 0:
             continue
-        orbit = np.unique(cayley[all_g, cayley[a, inverses]])  # g a g^-1 for every g
-        class_of[orbit] = len(classes)
-        classes.append(tuple(orbit.tolist()))
+        ag_inv = cayley[a, inverses[all_g]]
+        orbit = np.unique(cayley[all_g, ag_inv])
+        ci = len(classes)
+        classes.append(tuple(int(x) for x in orbit))
+        class_of[orbit] = ci
     return classes, class_of
 
 

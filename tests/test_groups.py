@@ -290,11 +290,12 @@ def test_one_batch_merges_copies_within_tol_into_its_first(first):
     lookup.find(I2[None], max_order=10)
     copies = {"exact": X.astype(complex), "nudged": X + tol / 2}
     batch = np.stack([copies[first], X, X, X + tol / 2, Z])
-    assert lookup.find(batch, max_order=10).tolist() == [1, 1, 1, 1, 2]
+    found, new = lookup.find(batch, max_order=10)
+    assert found.tolist() == [1, 1, 1, 1, 2] and new.tolist() == [0, 4]
     assert lookup.count == 3
     assert np.array_equal(lookup.mats[1], copies[first])
     # a later query of either copy finds the merged element
-    assert lookup.find(np.stack([X, X + tol / 2, H])).tolist() == [1, 1, -1]
+    assert lookup.find(np.stack([X, X + tol / 2, H]))[0].tolist() == [1, 1, -1]
 
 
 def test_one_batch_rejects_a_pair_between_tol_and_8_tol():
