@@ -44,7 +44,7 @@ def test_word_table_c2(groups):
 
 
 @pytest.mark.parametrize("gens", [[99], [0], [-1], [1.5]])
-def test_word_table_rejects_generators_that_are_not_generating_elements(groups, gens):
+def test_word_table_rejects_bad_generators(groups, gens):
     # 99 and -1 are out of range, 1.5 is not an index, and the identity alone
     # does not generate d4
     with pytest.raises(InvalidSpec):
