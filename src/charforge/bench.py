@@ -14,14 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
+from .characters import character_table
 from .circuits import BenchmarkSpec, Circuit, build_benchmark, circuit_depth
 from .complexity import CostParams, estimate_cost
-from .errors import CharforgeError
+from .errors import CharforgeError, InvalidSpec
 from .histogram import MeasurementHistogram, histogram_csv, tv_distance
-from .optimize import OptimizeConfig, optimize
+from .optimize import OptimizeConfig, _try_close, optimize
 from .statevector import sv_run, time_gate_loop
 
 SUITES = ("bv", "qft", "grover", "vqe")
+# the cost model reads a character table of one segment group; groups with
+# more classes than this are passed over
+COST_MAX_CLASSES = 64
 
 CSV_HEADER = "suite,n_qubits,variant,mean_ms,median_ms,stddev_ms,gates,depth,tv_distance,cost_model"
 
@@ -37,10 +41,10 @@ class BenchConfig:
 
     def __post_init__(self):
         if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+            raise InvalidSpec(f"repeats must be >= 1, got {self.repeats}")
         for s in self.suites:
             if s not in SUITES:
-                raise ValueError(f"unknown suite {s!r}")
+                raise InvalidSpec(f"unknown suite {s!r}; choose from {SUITES}")
 
 
 @dataclass
@@ -76,16 +80,21 @@ def _spec_for(suite: str, n: int, seed: int) -> BenchmarkSpec:
     return BenchmarkSpec(kind="vqe", width=n, layers=2, seed=int(rng.integers(2 ** 31)))
 
 
-def _cost_for(report, circuit: Circuit) -> float | None:
-    """Cost-model value from the largest analyzed segment group, taking the
-    character-value cost g as 1 (a table lookup) for non-abelian cases."""
+def _cost_for(report, circuit: Circuit, opt_cfg: OptimizeConfig) -> float | None:
+    """Cost-model value from the largest closed segment group with at most
+    COST_MAX_CLASSES classes (the first such on ties), taking the
+    character-value cost g as 1 (a table lookup) for non-abelian cases. The
+    segment is closed again with the optimizer's caps and tolerance, which
+    gives the same group, and its character table supplies the degrees."""
     best = None
     for seg in report.segments:
-        if seg.k is not None and (best is None or seg.group_order > best.group_order):
+        if seg.k is not None and seg.k <= COST_MAX_CLASSES and (
+                best is None or seg.group_order > best.group_order):
             best = seg
     if best is None:
         return None
-    degrees = best.degrees or [1]
+    closure = _try_close(list(circuit.body_and_suffix()[0][best.start:best.end]), opt_cfg, {})
+    degrees = character_table(closure.group).degrees.tolist()
     case = "abelian" if all(d == 1 for d in degrees) else "general"
     params = CostParams(
         case=case, k=best.k, m=len(circuit.gates), n=circuit.n_qubits,
@@ -109,7 +118,7 @@ def run_bench(cfg: BenchConfig) -> BenchResults:
             try:
                 circuit = build_benchmark(_spec_for(suite, n, cfg.seed))
                 optimized, report = optimize(circuit, opt_cfg)
-                cost = _cost_for(report, circuit)
+                cost = _cost_for(report, circuit, opt_cfg)
                 hist_orig = sv_run(circuit, cfg.shots, seed=_row_seed(cfg.seed, suite, n, 0))
                 hist_opt = sv_run(optimized, cfg.shots, seed=_row_seed(cfg.seed, suite, n, 1))
                 tv = round(tv_distance(hist_orig, hist_opt), 6)

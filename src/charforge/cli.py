@@ -96,7 +96,7 @@ def build_parser() -> _Parser:
     p = add("decompose", "character decomposition report for a circuit's unitary")
     _add_group_source(p)
 
-    p = add("optimize", "run the four-pass optimization pipeline")
+    p = add("optimize", "run the three-pass optimization pipeline")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--max-order", type=int, default=20000)
     p.add_argument("--report", help="write the pass report JSON here")

@@ -8,9 +8,11 @@ instantiated formula text records this choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
-from .errors import ConflictingDeclaration, MissingGCost
+from .errors import ConflictingDeclaration, InvalidSpec, MissingGCost
 from .groups import FiniteMatrixGroup, center_and_abelian
 
 CASES = ("abelian", "symmetric", "general")
@@ -28,10 +30,13 @@ class CostParams:
 
     def __post_init__(self):
         if self.case not in CASES:
-            raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
+            raise InvalidSpec(f"case must be one of {CASES}, got {self.case!r}")
         for name in ("k", "m", "n", "order", "dmax"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise InvalidSpec(f"{name} must be a positive integer, got {value!r}")
+        if self.g_cost is not None and not (isinstance(self.g_cost, Real) and 0 < self.g_cost < math.inf):
+            raise InvalidSpec(f"g_cost must be finite and positive, got {self.g_cost!r}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ def classify_group(group: FiniteMatrixGroup, declared: str | None = None) -> str
     if declared is None:
         return "abelian" if is_abelian else "general"
     if declared not in CASES:
-        raise ValueError(f"declared case must be one of {CASES}")
+        raise InvalidSpec(f"declared case must be one of {CASES}, got {declared!r}")
     if declared == "abelian" and not is_abelian:
         raise ConflictingDeclaration("declared abelian but the group is not")
     return declared

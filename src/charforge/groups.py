@@ -263,17 +263,13 @@ def conjugacy_classes_from_cayley(
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> list[tuple[int, ...]]:
-    classes, _ = conjugacy_classes_from_cayley(group.cayley, group.inverses)
-    return classes
+    return group.classes
 
 
 def center_and_abelian(group: FiniteMatrixGroup) -> tuple[list[int], bool]:
-    """Center as element indices plus an is-abelian flag, both from the
-    cayley table."""
-    center = [
-        z for z in range(group.order)
-        if np.array_equal(group.cayley[z, :], group.cayley[:, z])
-    ]
+    """Center as element indices plus an is-abelian flag: z is central iff
+    its conjugacy class is {z}."""
+    center = [c[0] for c in group.classes if len(c) == 1]
     return center, len(center) == group.order
 
 

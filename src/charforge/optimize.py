@@ -1,15 +1,13 @@
-"""Four-pass pipeline: translate circuit segments to group elements and
+"""Three-pass pipeline: translate circuit segments to group elements and
 rewrite them as shorter generator words.
 
 Passes, in order:
   1. segment translation: greedy scan of maximal contiguous measure-free
      runs whose distinct gate unitaries (embedded over the segment's qubit
      support) close into a finite group within the configured caps;
-  2. character tables for the closed segments (class count and irrep
-     degrees, which the bench cost model reads);
-  3. shortest-word rewrite from the Cayley-graph BFS table, phase
+  2. shortest-word rewrite from the Cayley-graph BFS table, phase
      insensitive by default;
-  4. identity elision: segments whose product is (a global phase of) the
+  3. identity elision: segments whose product is (a global phase of) the
      identity are dropped.
 
 Closure attempts are bounded by deterministic work and memory proxies in
@@ -26,7 +24,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import character_table
 from .circuits import Circuit, GateInstance, circuit_depth, gate_generators
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .groups import ClosureConfig, FiniteMatrixGroup, close_group
@@ -44,7 +41,6 @@ CLOSURE_TOL = 1e-8
 # and byte proxies for element storage and the quadratic cayley table
 CLOSURE_BUDGET_FLOPS = 2e10
 CLOSURE_BUDGET_BYTES = float(2 ** 24)
-ANALYSIS_MAX_CLASSES = 64
 EQUIV_SHOTS = 100_000
 
 
@@ -135,11 +131,6 @@ class _Closure:
         dists = np.max(np.abs(mats - mats[:, :1, :1] * eye), axis=(1, 2))
         return np.nonzero(dists <= self.group.tol)[0]
 
-    @cached_property
-    def degrees(self) -> list[int]:
-        """Irrep degrees, ascending; they do not depend on the table seed."""
-        return character_table(self.group).degrees.tolist()
-
 
 @dataclass
 class SegmentRecord:
@@ -150,8 +141,7 @@ class SegmentRecord:
     gates_before: int
     gates_after: int
     group_order: int | None = None
-    k: int | None = None
-    degrees: list[int] | None = None
+    k: int | None = None            # class count of the closed group
     detail: str = ""
 
 
@@ -273,7 +263,7 @@ def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig, cache: d
 def _rewrite_segment(gates: list[GateInstance], closure: _Closure,
                      cfg: OptimizeConfig, record: SegmentRecord) -> list[GateInstance]:
     group = closure.group
-    record.group_order = group.order
+    record.group_order, record.k = group.order, len(group.classes)
 
     product = 0  # identity; gates apply left to right, so multiply on the left
     for g in gates:
@@ -287,11 +277,6 @@ def _rewrite_segment(gates: list[GateInstance], closure: _Closure,
     best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
     word = wt.word(best)
 
-    if len(group.classes) <= ANALYSIS_MAX_CLASSES:
-        record.k, record.degrees = len(group.classes), list(closure.degrees)
-    else:
-        record.detail = f"analysis skipped: {len(group.classes)} classes"
-
     if len(word) < len(gates):
         record.status = "rewritten"
         # circuit gates compose right to left, so emit the word reversed
@@ -304,7 +289,7 @@ def _run_passes(body: tuple[GateInstance, ...], cfg: OptimizeConfig,
                 cache: dict) -> tuple[list[GateInstance], list[SegmentRecord], dict]:
     new_body: list[GateInstance] = []
     records: list[SegmentRecord] = []
-    stats = {"rewritten": 0, "dropped": 0, "tables": 0}
+    stats = {"rewritten": 0, "dropped": 0}
     for start, end, gates, closure in _scan_segments(body, cfg, cache):
         record = SegmentRecord(
             start=start, end=end,
@@ -315,8 +300,6 @@ def _run_passes(body: tuple[GateInstance, ...], cfg: OptimizeConfig,
             new_gates = list(gates)
         else:
             new_gates = _rewrite_segment(gates, closure, cfg, record)
-            if record.k is not None:
-                stats["tables"] += 1
             if record.status == "rewritten":
                 stats["rewritten"] += 1
                 if not new_gates:
@@ -343,7 +326,7 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
 
     cache: dict = {}
     current = body
-    totals = {"rewritten": 0, "dropped": 0, "tables": 0}
+    totals = {"rewritten": 0, "dropped": 0}
     iterations = 0
     while True:
         iterations += 1
@@ -364,7 +347,6 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
         ("segment-translation",
          f"{report.segments_found} segment(s), {report.segments_skipped} past "
          f"the caps, {iterations} sweep(s) to fixed point"),
-        ("character-tables", f"{totals['tables']} segment table(s) computed"),
         ("shortest-word-rewrite", f"{totals['rewritten']} segment(s) shortened"),
         ("identity-elision", f"{totals['dropped']} segment(s) elided"),
     ]

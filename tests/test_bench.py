@@ -3,7 +3,7 @@ import pytest
 from charforge.bench import (CSV_HEADER, BenchConfig, emit_outputs,
                              parse_results_csv, results_csv, results_svg,
                              run_bench)
-from charforge.errors import CharforgeError
+from charforge.errors import CharforgeError, InvalidSpec
 
 SMALL = BenchConfig(suites=("bv", "qft"), n_min=2, n_max=3, repeats=2,
                     shots=4000, seed=42)
@@ -24,6 +24,18 @@ def test_rows_and_variants(small_results):
         assert opt.gates <= orig.gates
         assert orig.tv_distance is None and opt.tv_distance is not None
         assert orig.mean_ms >= 0.0 and orig.stddev_ms >= 0.0
+
+
+def test_cost_model_column_is_pinned(small_results):
+    # one value per (suite, n), the same on both variants
+    expected = [93658255.0, 2946988236.0, 207624832.0, 207624928.0]
+    assert [row.cost_model for row in small_results.rows] == [c for c in expected for _ in range(2)]
+
+
+@pytest.mark.parametrize("bad", [dict(repeats=0), dict(repeats=-3), dict(suites=("bv", "shor"))])
+def test_bench_config_rejects_bad_values(bad):
+    with pytest.raises(InvalidSpec):
+        BenchConfig(**bad)
 
 
 def test_single_repeat_has_zero_stddev():

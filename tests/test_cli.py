@@ -129,6 +129,13 @@ def test_data_error_exits_two(tmp_path):
     assert charforge("simulate", "--in", str(bad)).returncode == 2
 
 
+def test_invalid_bench_and_cost_arguments_exit_two(tmp_path):
+    assert charforge("bench", "--suites", "shor", "--out-dir", str(tmp_path)).returncode == 2
+    assert charforge("bench", "--repeats", "0", "--out-dir", str(tmp_path)).returncode == 2
+    assert charforge("cost", "--case", "abelian", "--k", "0", "--m", "1", "--n", "1",
+                     "--order", "1", "--dmax", "1").returncode == 2
+
+
 def test_group_cap_exceeded_is_data_error(tmp_path):
     p = tmp_path / "ht.circ"
     p.write_text("qubits 1\nh 0\nt 0\n")

@@ -2,7 +2,7 @@ import pytest
 
 from charforge.complexity import (CostParams, classify_group, estimate_cost,
                                   kd2_bound_holds)
-from charforge.errors import ConflictingDeclaration, MissingGCost
+from charforge.errors import ConflictingDeclaration, InvalidSpec, MissingGCost
 
 
 def test_abelian_reference_value():
@@ -57,6 +57,11 @@ def test_classify(groups):
         classify_group(groups["d4"], declared="abelian")
 
 
+def test_classify_rejects_unknown_case(groups):
+    with pytest.raises(InvalidSpec):
+        classify_group(groups["c2"], declared="cyclic")
+
+
 def test_kd2_bound_on_every_fixture(tables):
     for t in tables.values():
         dmax = int(t.degrees.max())
@@ -64,7 +69,14 @@ def test_kd2_bound_on_every_fixture(tables):
 
 
 def test_invalid_params():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         CostParams(case="weird", k=1, m=1, n=1, order=1, dmax=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         CostParams(case="abelian", k=0, m=1, n=1, order=1, dmax=1)
+
+
+@pytest.mark.parametrize("bad", [dict(k=1.5), dict(order="8"), dict(dmax=None),
+                                 dict(g_cost=float("nan")), dict(g_cost=-5.0), dict(g_cost=0.0)])
+def test_non_integer_or_non_positive_params_are_invalid(bad):
+    with pytest.raises(InvalidSpec):
+        CostParams(**{**dict(case="general", k=1, m=1, n=1, order=1, dmax=1), **bad})

@@ -272,6 +272,16 @@ def test_order_cap_is_exact(name):
         close_group(CLOSURE_INPUTS[name], ClosureConfig(max_order=order - 1))
 
 
+@pytest.mark.parametrize("name", [*fixture_generators(), "h0-cx01-cx12"])
+def test_center_matches_commuting_cayley_rows(name):
+    # definition oracle: z is central iff its Cayley row equals its column
+    g = close_group(CLOSURE_INPUTS[name])
+    center, abelian = center_and_abelian(g)
+    expected = [z for z in range(g.order) if np.array_equal(g.cayley[z, :], g.cayley[:, z])]
+    assert center == expected
+    assert abelian == (len(expected) == g.order)
+
+
 def test_element_of_across_a_rounding_boundary(groups):
     g = groups["clifford1"]
     h = element_of(g, H)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from charforge import characters
 from charforge.circuits import (Circuit, build_bv, build_grover, build_qft,
                                 circuit_unitary, gate_generators, parse_circuit)
 from charforge.errors import InvalidSpec
@@ -202,8 +203,7 @@ def test_idempotence_gate_counts():
 def test_pass_log_has_four_named_passes():
     _, rep = optimize(parse_circuit("qubits 1\nh 0\nh 0\n"), FAST)
     names = [n for n, _ in rep.passes]
-    assert names == ["segment-translation", "character-tables",
-                     "shortest-word-rewrite", "identity-elision"]
+    assert names == ["segment-translation", "shortest-word-rewrite", "identity-elision"]
 
 
 def test_segment_records_carry_analysis():
@@ -211,8 +211,17 @@ def test_segment_records_carry_analysis():
     seg = rep.segments[0]
     assert seg.group_order == 8
     assert seg.k == 5
-    assert seg.degrees == [1, 1, 1, 1, 2]
-    assert "component_norms" not in rep.to_json()["segments"][0]
+    assert not {"degrees", "component_norms"} & set(rep.to_json()["segments"][0])
+
+
+@pytest.mark.parametrize("n, marked", [(3, 5), (4, 6)])
+def test_optimize_computes_no_character_table(monkeypatch, n, marked):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimize built a character table")
+
+    monkeypatch.setattr(characters, "class_matrices", forbidden)
+    _, rep = optimize(build_grover(n, marked=marked), FAST)
+    assert any(s.k is not None for s in rep.segments)
 
 
 def test_report_json_shape():
