@@ -81,10 +81,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="charforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> _Parser:
-        p = sub.add_parser(name, help=help_text)
+    def add(name: str, help_text: str, out: bool = True) -> _Parser:
+        # a command without --out must not read it as an abbreviation
+        p = sub.add_parser(name, help=help_text, allow_abbrev=out)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--out", help="output path (default: stdout)")
+        if out:
+            p.add_argument("--out", help="output path (default: stdout)")
         return p
 
     p = add("group", "close a gate set and dump the group as JSON")
@@ -126,7 +128,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--g-cost", type=float)
 
-    p = add("bench", "benchmark original vs optimized circuits")
+    p = add("bench", "benchmark original vs optimized circuits", out=False)
     p.add_argument("--suites", default="bv,qft,grover,vqe")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=6)

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,14 @@ from charforge.characters import (CharacterTable, central_idempotents,
                                   character_table, character_table_csv,
                                   class_matrices, isotypic_projectors,
                                   verify_orthogonality)
-from charforge.errors import InvalidSpec
-from charforge.fixtures import fixture_group
+from charforge.circuits import embed_gate, gate_matrix
+from charforge.errors import GroupMismatch, InvalidSpec
+from charforge.fixtures import FIXTURE_NAMES, fixture_group
+from charforge.groups import close_group
+
+
+def _gate_set_group(n, gates):
+    return close_group([embed_gate(gate_matrix(kind), tuple(qs), n) for kind, *qs in gates])
 
 
 def test_order_two_table_is_canonical(groups):
@@ -161,3 +170,77 @@ def test_trivial_group_table():
 def test_character_table_rejects_a_bad_seed(groups, seed):
     with pytest.raises(InvalidSpec, match="seed"):
         character_table(groups["c2"], seed=seed)
+
+
+# -- class matrices against the per-element definition ------------------------
+
+def _class_matrices_by_element(g):
+    """a_jlm from every product: #{(x, y) in C_j x C_l : xy = z}, summed over
+    all z in C_m, is a_jlm |C_m|. O(|G|^2); the oracle for class_matrices."""
+    k = len(g.classes)
+    sizes = np.array([len(c) for c in g.classes], dtype=np.int64)
+    counts = np.zeros((k, k, k), dtype=np.int64)
+    for x in range(g.order):
+        flat = np.bincount(g.class_of * k + g.class_of[g.cayley[x]], minlength=k * k)
+        counts[g.class_of[x]] += flat.reshape(k, k)
+    assert np.all(counts % sizes == 0)
+    return counts // sizes
+
+
+@pytest.fixture(scope="module")
+def h0_cx01_cx12():
+    return _gate_set_group(3, [("h", 0), ("cx", 0, 1), ("cx", 1, 2)])
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "h0-cx01-cx12"])
+def test_class_matrices_match_the_per_element_count(name, groups, h0_cx01_cx12):
+    g = groups.get(name, h0_cx01_cx12)
+    a = np.stack([cm.entries for cm in class_matrices(g)])
+    assert a.dtype.kind == "i"
+    assert np.array_equal(a, _class_matrices_by_element(g))
+
+
+# (fixture, cayley row, two columns): swaps the recount at a second class
+# member catches
+@pytest.mark.parametrize("name, row, a, b", [("d4", 6, 7, 4), ("clifford1", 163, 98, 121)])
+def test_swapped_cayley_entries_are_detected(groups, name, row, a, b):
+    g = groups[name]
+    cayley = g.cayley.copy()
+    cayley[row, [a, b]] = cayley[row, [b, a]]
+    with pytest.raises(AssertionError, match="cayley table is corrupt"):
+        class_matrices(dataclasses.replace(g, cayley=cayley))
+
+
+def test_order_3072_table_is_pinned():
+    g = _gate_set_group(2, [("h", 0), ("s", 0), ("cx", 0, 1)])
+    t = character_table(g, seed=0)
+    assert (g.order, t.k) == (3072, 184)
+    assert int(np.sum(t.degrees ** 2)) == 3072
+    assert verify_orthogonality(t).max_residual() <= 1e-8
+    # recorded from the per-element class matrices and per-irrep Rayleigh loop
+    assert hashlib.sha256(character_table_csv(t).encode()).hexdigest() == \
+        "b6cb95baba7df4026afd994671afa36e4d4596902f41906188187ef5c1c0e20b"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_central_characters_satisfy_the_class_algebra(name, groups, tables):
+    # omega_ij = |C_j| chi_i(C_j) / d_i is a character of the class-sum
+    # algebra: omega_ij omega_il = sum_m a_jlm omega_im
+    t = tables[name]
+    a = np.stack([cm.entries for cm in class_matrices(groups[name])]).astype(np.float64)
+    omega = t.class_sizes[None, :] * t.values / t.degrees[:, None]
+    for w in omega:
+        assert np.max(np.abs(np.outer(w, w) - a @ w)) <= 1e-9
+
+
+# -- tables of another group --------------------------------------------------
+
+@pytest.mark.parametrize("group_name, table_name", [
+    ("s3", "c2"), ("c2", "s3"),
+    ("d4", "q8"),  # same order and k, class sizes in another order
+])
+def test_a_table_of_another_group_is_rejected(groups, tables, group_name, table_name):
+    with pytest.raises(GroupMismatch):
+        central_idempotents(groups[group_name], tables[table_name])
+    with pytest.raises(GroupMismatch):
+        isotypic_projectors(groups[group_name], tables[table_name])

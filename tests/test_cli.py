@@ -122,6 +122,16 @@ def test_usage_error_exits_one():
     assert charforge("group").returncode == 1
 
 
+def test_bench_rejects_out_as_a_usage_error(tmp_path):
+    # bench writes only under --out-dir; --out is not one of its options
+    r = charforge("bench", "--suites", "qft", "--n-min", "2", "--n-max", "2",
+                  "--repeats", "1", "--shots", "100", "--out", str(tmp_path / "x.csv"),
+                  "--out-dir", str(tmp_path / "bx"))
+    assert r.returncode == 1
+    assert "unrecognized arguments: --out" in r.stderr
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "bx").exists()
+
+
 def test_data_error_exits_two(tmp_path):
     assert charforge("simulate", "--in", str(tmp_path / "missing.circ")).returncode == 2
     bad = tmp_path / "bad.circ"
