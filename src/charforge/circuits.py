@@ -31,6 +31,8 @@ GATE_ARITY = {
     "measure": 1,
 }
 
+_BODY_ARITY = {kind: arity for kind, arity in GATE_ARITY.items() if kind != "measure"}
+
 CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cx", "cz"})
 
 MAX_DENSE_QUBITS = 12
@@ -70,6 +72,35 @@ class Circuit:
         if not suffix:
             return list(range(self.n_qubits))
         return sorted(g.qubits[0] for g in suffix)
+
+
+def check_gates(c: Circuit) -> None:
+    """Reject a hand-built gate list that `parse_circuit` would refuse: fewer
+    than one qubit, an unknown gate, a wrong qubit count, a repeated qubit in a
+    gate, a measure before a gate or measured twice (InvalidSpec), or a qubit
+    outside [0, n) (QubitOutOfRange). One pass over the gates and one min/max
+    over their qubits, so each simulator run can afford it."""
+    if c.n_qubits < 1:
+        raise InvalidSpec(f"a circuit needs at least one qubit, got {c.n_qubits}")
+    body, suffix = c.body_and_suffix()
+    for g in body:
+        arity, q = _BODY_ARITY.get(g.kind), g.qubits
+        if len(q) != arity or (arity == 2 and q[0] == q[1]):
+            pos = body.index(g)
+            if g.kind == "measure":
+                raise InvalidSpec(f"measure at position {pos} precedes a gate; "
+                                  "measures must be a trailing suffix")
+            if arity is None:
+                raise InvalidSpec(f"unknown gate {g.kind!r} at position {pos}")
+            raise InvalidSpec(f"gate {g.kind} {list(q)} at position {pos} needs {arity} distinct qubit(s)")
+    measured = [q for g in suffix for q in g.qubits]
+    if len(measured) != len(suffix) or len(set(measured)) != len(measured):
+        raise InvalidSpec(f"measure lines {measured} must each name one qubit, none twice")
+    qubits = [q for g in body for q in g.qubits] + measured
+    if qubits and (min(qubits) < 0 or max(qubits) >= c.n_qubits):
+        pos = next(i for i, g in enumerate(c.gates) if not all(0 <= q < c.n_qubits for q in g.qubits))
+        raise QubitOutOfRange(f"gate {c.gates[pos].kind} {list(c.gates[pos].qubits)} at position "
+                              f"{pos}: qubit outside [0, {c.n_qubits})")
 
 
 def gate(kind: str, *qubits: int, angle: float | None = None) -> GateInstance:

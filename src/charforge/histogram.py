@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidSpec
@@ -23,9 +24,19 @@ class MeasurementHistogram:
 
 
 def check_shots(shots: int) -> None:
-    """Reject a shot count below one: a histogram of no samples is no evidence."""
+    """Reject a shot count that is not an integer or is below one: a histogram
+    of no samples is no evidence."""
+    if not isinstance(shots, numbers.Integral):
+        raise InvalidSpec(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise InvalidSpec(f"shots must be at least 1, got {shots}")
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed that is not a non-negative Python or numpy integer, which
+    numpy's generators refuse with a raw error or take for a different seed."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidSpec(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def tv_distance(a: MeasurementHistogram, b: MeasurementHistogram) -> float:

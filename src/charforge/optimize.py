@@ -24,10 +24,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, circuit_depth, gate_generators
+from .circuits import Circuit, GateInstance, check_gates, circuit_depth, gate_generators
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .groups import ClosureConfig, FiniteMatrixGroup, close_group
-from .histogram import check_shots, tv_distance
+from .histogram import check_seed, check_shots, tv_distance
 from .observables import Observable, random_pauli
 from .statevector import (SV_MAX_QUBITS, expectation_of_state,
                           marginal_probabilities, run_gates, sample_histogram)
@@ -394,6 +394,9 @@ def equivalence_check(
     all comparisons run on the narrow register.
     """
     check_shots(shots)
+    check_seed(seed)
+    check_gates(a)
+    check_gates(b)
     n = max(a.n_qubits, b.n_qubits)
     if n > SV_MAX_QUBITS:
         raise TooWide(f"{n} qubits exceed the state-vector limit")

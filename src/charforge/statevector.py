@@ -14,9 +14,9 @@ import time
 
 import numpy as np
 
-from .circuits import Circuit, apply_matrix, gate_matrix
+from .circuits import Circuit, apply_matrix, check_gates, gate_matrix
 from .errors import DimensionMismatch, InvalidSpec, TooWide
-from .histogram import MeasurementHistogram, check_shots
+from .histogram import MeasurementHistogram, check_seed, check_shots
 from .observables import Observable
 
 SV_MAX_QUBITS = 22
@@ -31,7 +31,8 @@ def zero_state(n: int) -> np.ndarray:
 def run_gates(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Evolve the measure-free body; the trailing measure suffix is ignored.
     `initial`, one state or a (2^n, B) block of column states, is copied; a
-    non-finite entry raises InvalidSpec."""
+    non-finite entry raises InvalidSpec, and so does a malformed gate list."""
+    check_gates(c)
     if c.n_qubits > SV_MAX_QUBITS:
         raise TooWide(f"{c.n_qubits} qubits exceed the state-vector limit {SV_MAX_QUBITS}")
     body, _ = c.body_and_suffix()
@@ -80,6 +81,7 @@ def sv_run(
     """Evolve one state, then sample the measured qubits (all qubits when the
     circuit has no measure suffix)."""
     check_shots(shots)
+    check_seed(seed)
     if initial is not None and np.shape(initial) != (1 << c.n_qubits,):
         raise DimensionMismatch(f"sv_run needs one (2^{c.n_qubits},) state, got {np.shape(initial)}")
     psi = run_gates(c, initial)

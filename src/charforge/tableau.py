@@ -1,8 +1,11 @@
 """Stabilizer tableau simulator for Clifford circuits.
 
 The tableau keeps 2n generators (n destabilizers, then n stabilizers) as
-X/Z bit rows plus a phase exponent r in {0,1,2,3} (power of i; generator
-rows always hold 0 or 2, i.e. +/-1).
+X/Z bit rows plus a phase exponent r in {0,1,2,3} (power of i). Gates act on
+`PackedTableau`, qubit-major Python-int bitsets of the rows with X and with Z
+on each qubit and of the rows with r = 2 (before measurement r is 0 or 2), as
+in Stim (Gidney, arXiv:2103.02202): each update is a few int operations. One
+unpack after the last gate gives the uint8 rows that measurement works on.
 
 Because measure gates form a trailing suffix, the whole measurement layer is
 resolved symbolically in one pass: which rows anticommute and which row
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CLIFFORD_KINDS, Circuit
+from .circuits import CLIFFORD_KINDS, Circuit, check_gates
 from .errors import NonCliffordGate
-from .histogram import MeasurementHistogram, check_shots
+from .histogram import MeasurementHistogram, check_seed, check_shots
 
 
 @dataclass
@@ -35,12 +38,25 @@ class StabilizerTableau:
     r: np.ndarray    # (2n,) uint8, phase exponent of i, mod 4
     lin: np.ndarray  # (2n, n) uint8: row sign flips with each set coin
 
+
+@dataclass
+class PackedTableau:
+    n: int
+    xs: list[int]  # per qubit, bit i set when row i has an X on it
+    zs: list[int]  # per qubit, bit i set when row i has a Z on it
+    signs: int     # bit i set when row i has r = 2
+
     @staticmethod
-    def zeros(n: int) -> "StabilizerTableau":
-        x = np.eye(2 * n, n, dtype=np.uint8)        # destabilizer i is X_i
-        z = np.eye(2 * n, n, k=-n, dtype=np.uint8)  # stabilizer i is Z_i
-        return StabilizerTableau(n, x, z, np.zeros(2 * n, dtype=np.uint8),
-                                 np.zeros((2 * n, n), dtype=np.uint8))
+    def zeros(n: int) -> "PackedTableau":  # |0...0>: destabilizer i is X_i, stabilizer i is Z_i
+        return PackedTableau(n, [1 << q for q in range(n)], [1 << (n + q) for q in range(n)], 0)
+
+    def unpack(self) -> StabilizerTableau:
+        n, size = self.n, (2 * self.n + 7) // 8
+        raw = b"".join(v.to_bytes(size, "little") for v in (*self.xs, *self.zs, self.signs))
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(2 * n + 1, size),
+                             axis=1, bitorder="little")[:, :2 * n]  # row j: bitset j's 2n bits
+        return StabilizerTableau(n, bits[:n].T.copy(), bits[n:-1].T.copy(),
+                                 2 * bits[-1], np.zeros((2 * n, n), dtype=np.uint8))
 
 
 def _g_exponents(x1, z1, x2, z2):
@@ -53,39 +69,32 @@ def _g_exponents(x1, z1, x2, z2):
             + (1 - x1) * z1 * x2 * (1 - 2 * z2))
 
 
-def apply_gate(tab: StabilizerTableau, kind: str, qubits: tuple[int, ...]) -> None:
-    x, z, r = tab.x, tab.z, tab.r
+def apply_gate(tab: PackedTableau, kind: str, qubits: tuple[int, ...]) -> None:
+    """One gate's Aaronson-Gottesman update; `signs ^= rows` adds 2 to their r."""
+    xs, zs, q, t = tab.xs, tab.zs, qubits[0], qubits[-1]
     if kind == "h":
-        q = qubits[0]
-        r[:] = (r + 2 * (x[:, q] & z[:, q])) % 4
-        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+        tab.signs ^= xs[q] & zs[q]
+        xs[q], zs[q] = zs[q], xs[q]
     elif kind == "s":
-        q = qubits[0]
-        r[:] = (r + 2 * (x[:, q] & z[:, q])) % 4
-        z[:, q] ^= x[:, q]
+        tab.signs ^= xs[q] & zs[q]
+        zs[q] ^= xs[q]
     elif kind == "sdg":
-        q = qubits[0]
-        r[:] = (r + 2 * (x[:, q] & (1 ^ z[:, q]))) % 4
-        z[:, q] ^= x[:, q]
+        tab.signs ^= xs[q] & ~zs[q]
+        zs[q] ^= xs[q]
     elif kind == "x":
-        q = qubits[0]
-        r[:] = (r + 2 * z[:, q]) % 4
+        tab.signs ^= zs[q]
     elif kind == "z":
-        q = qubits[0]
-        r[:] = (r + 2 * x[:, q]) % 4
+        tab.signs ^= xs[q]
     elif kind == "y":
-        q = qubits[0]
-        r[:] = (r + 2 * (x[:, q] ^ z[:, q])) % 4
+        tab.signs ^= xs[q] ^ zs[q]
     elif kind == "cx":
-        c, t = qubits
-        r[:] = (r + 2 * (x[:, c] & z[:, t] & (x[:, t] ^ z[:, c] ^ 1))) % 4
-        x[:, t] ^= x[:, c]
-        z[:, c] ^= z[:, t]
-    elif kind == "cz":
-        c, t = qubits  # the h(t) cx(c, t) h(t) update, in one step
-        r[:] = (r + 2 * (x[:, c] & x[:, t] & (z[:, c] ^ z[:, t]))) % 4
-        z[:, c] ^= x[:, t]
-        z[:, t] ^= x[:, c]
+        tab.signs ^= xs[q] & zs[t] & ~(xs[t] ^ zs[q])
+        xs[t] ^= xs[q]
+        zs[q] ^= zs[t]
+    elif kind == "cz":  # the h(t) cx(q, t) h(t) update, in one step
+        tab.signs ^= xs[q] & xs[t] & (zs[q] ^ zs[t])
+        zs[q] ^= xs[t]
+        zs[t] ^= xs[q]
     else:
         raise NonCliffordGate(f"gate {kind!r} is not in the Clifford subset")
 
@@ -129,18 +138,19 @@ def measure_symbolic(tab: StabilizerTableau, q: int, next_coin: int) -> tuple[in
 
 
 def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
-    """Run a Clifford circuit and sample its measured qubits.
-
-    Raises NonCliffordGate naming the offending gate and its position.
-    """
+    """Run a Clifford circuit and sample its measured qubits. Raises NonCliffordGate
+    naming the offending gate and its position, InvalidSpec or QubitOutOfRange
+    for a malformed gate list."""
     check_shots(shots)
+    check_seed(seed)
+    check_gates(c)
     body, suffix = c.body_and_suffix()
+    packed = PackedTableau.zeros(c.n_qubits)
     for pos, g in enumerate(body):
         if g.kind not in CLIFFORD_KINDS:
             raise NonCliffordGate(f"gate {g.kind!r} at position {pos} is not Clifford")
-    tab = StabilizerTableau.zeros(c.n_qubits)
-    for g in body:
-        apply_gate(tab, g.kind, g.qubits)
+        apply_gate(packed, g.kind, g.qubits)
+    tab = packed.unpack()
 
     measured = [g.qubits[0] for g in suffix] if suffix else list(range(c.n_qubits))
     exprs: dict[int, tuple[int, np.ndarray]] = {}

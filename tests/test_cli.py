@@ -171,6 +171,14 @@ def test_tableau_samples_past_64_random_outcomes(tmp_path, n):
     assert np.all(np.abs(ones - shots / 2) <= 6 * np.sqrt(shots / 4))
 
 
+@pytest.mark.parametrize("engine", ["sv", "tableau"])
+def test_simulate_negative_seed_is_a_data_error(bell_path, engine):
+    r = charforge("simulate", "--in", str(bell_path), "--engine", engine, "--seed", "-1")
+    assert r.returncode == 2
+    assert "charforge simulate: seed must be a non-negative integer, got -1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_equiv_zero_shots_is_a_data_error(bell_path):
     r = charforge("equiv", "--a", str(bell_path), "--b", str(bell_path), "--shots", "0")
     assert r.returncode == 2

@@ -5,7 +5,7 @@ import pytest
 
 from charforge import characters
 from charforge.circuits import (Circuit, build_bv, build_grover, build_qft,
-                                circuit_unitary, gate_generators, parse_circuit)
+                                circuit_unitary, gate, gate_generators, parse_circuit)
 from charforge.errors import InvalidSpec
 from charforge.fixtures import X, Z
 from charforge.groups import ClosureConfig, close_group
@@ -268,3 +268,16 @@ def test_equivalence_rejects_shots_below_one(shots):
     c = build_qft(2)
     with pytest.raises(InvalidSpec, match="shots"):
         equivalence_check(c, c, shots=shots)
+
+
+@pytest.mark.parametrize("shots, seed", [(100, -1), (100, 0.5), (10.5, 0)])
+def test_equivalence_rejects_bad_seed_and_non_integer_shots(shots, seed):
+    c = build_qft(2)
+    with pytest.raises(InvalidSpec, match="seed" if shots == 100 else "shots"):
+        equivalence_check(c, c, shots=shots, seed=seed)
+
+
+def test_equivalence_rejects_a_repeated_measure():
+    a = Circuit(2, (gate("h", 0), gate("measure", 1), gate("measure", 1)))
+    with pytest.raises(InvalidSpec, match="measure"):
+        equivalence_check(a, build_qft(2), shots=100)

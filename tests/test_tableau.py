@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charforge.circuits import (Circuit, gate, parse_circuit,
-                                random_clifford_circuit)
-from charforge.errors import InvalidSpec, NonCliffordGate
+from charforge.circuits import (GATE_ARITY, Circuit, GateInstance, gate,
+                                parse_circuit, random_clifford_circuit)
+from charforge.errors import InvalidSpec, NonCliffordGate, QubitOutOfRange
 from charforge.histogram import tv_distance
 from charforge.statevector import marginal_probabilities, run_gates, sv_run
-from charforge.tableau import (StabilizerTableau, apply_gate, measure_symbolic,
+from charforge.tableau import (PackedTableau, apply_gate, measure_symbolic,
                                tableau_run, validate_tableau)
 
 
@@ -75,50 +75,111 @@ def test_seed_determinism():
 def test_tableau_stays_symplectic_under_random_gates():
     for seed in range(4):
         c = random_clifford_circuit(5, 80, seed=40 + seed, measured=False)
-        tab = StabilizerTableau.zeros(5)
+        tab = PackedTableau.zeros(5)
         for g in c.gates:
             apply_gate(tab, g.kind, g.qubits)
-        validate_tableau(tab)
+        validate_tableau(tab.unpack())
 
 
 def test_validate_tableau_rejects_broken_tableaux():
-    tab = StabilizerTableau.zeros(3)
+    tab = PackedTableau.zeros(3).unpack()
     tab.x[1] = tab.x[0]  # two equal destabilizers: rank 5
     with pytest.raises(AssertionError):
         validate_tableau(tab)
-    tab = StabilizerTableau.zeros(3)
+    tab = PackedTableau.zeros(3).unpack()
     tab.x[4, 0] = 1  # stabilizer X0 Z1 anticommutes with stabilizer Z0
     with pytest.raises(AssertionError):
         validate_tableau(tab)
 
 
 def test_sdg_is_s_inverse():
-    tab = StabilizerTableau.zeros(1)
+    tab = PackedTableau.zeros(1)
     apply_gate(tab, "h", (0,))
-    ref = (tab.x.copy(), tab.z.copy(), tab.r.copy())
+    ref = (list(tab.xs), list(tab.zs), tab.signs)
     apply_gate(tab, "s", (0,))
     apply_gate(tab, "sdg", (0,))
-    assert np.array_equal(tab.x, ref[0])
-    assert np.array_equal(tab.z, ref[1])
-    assert np.array_equal(tab.r, ref[2])
+    assert tab.xs == ref[0]
+    assert tab.zs == ref[1]
+    assert tab.signs == ref[2]
 
 
 def test_cz_equals_h_cx_h():
     rng = np.random.default_rng(17)
     for seed in range(60):
         n = 2 + seed % 7
-        direct = StabilizerTableau.zeros(n)
+        direct = PackedTableau.zeros(n)
         for g in random_clifford_circuit(n, 30, seed=seed, measured=False).gates:
             apply_gate(direct, g.kind, g.qubits)
-        direct.r[:] = rng.integers(0, 4, 2 * n)  # every phase exponent, not only 0 and 2
-        composed = StabilizerTableau(n, direct.x.copy(), direct.z.copy(), direct.r.copy(),
-                                     direct.lin.copy())
+        # every sign pattern over the 2n rows, not only the ones the gates reach
+        direct.signs = int(rng.integers(0, 1 << (2 * n)))
+        composed = PackedTableau(n, list(direct.xs), list(direct.zs), direct.signs)
         c, t = (int(q) for q in rng.choice(n, size=2, replace=False))
         apply_gate(direct, "cz", (c, t))
         for kind, qubits in (("h", (t,)), ("cx", (c, t)), ("h", (t,))):
             apply_gate(composed, kind, qubits)
-        for a, b in ((direct.x, composed.x), (direct.z, composed.z), (direct.r, composed.r)):
-            assert np.array_equal(a, b)
+        for a, b in ((direct.xs, composed.xs), (direct.zs, composed.zs),
+                     (direct.signs, composed.signs)):
+            assert a == b
+
+
+def _reference_apply(x, z, r, kind, qubits):
+    """The row-major uint8 update rules with r mod 4: the oracle for the packed form."""
+    if kind == "h":
+        q = qubits[0]
+        r[:] = (r + 2 * (x[:, q] & z[:, q])) % 4
+        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+    elif kind == "s":
+        q = qubits[0]
+        r[:] = (r + 2 * (x[:, q] & z[:, q])) % 4
+        z[:, q] ^= x[:, q]
+    elif kind == "sdg":
+        q = qubits[0]
+        r[:] = (r + 2 * (x[:, q] & (1 ^ z[:, q]))) % 4
+        z[:, q] ^= x[:, q]
+    elif kind == "x":
+        r[:] = (r + 2 * z[:, qubits[0]]) % 4
+    elif kind == "z":
+        r[:] = (r + 2 * x[:, qubits[0]]) % 4
+    elif kind == "y":
+        q = qubits[0]
+        r[:] = (r + 2 * (x[:, q] ^ z[:, q])) % 4
+    elif kind == "cx":
+        c, t = qubits
+        r[:] = (r + 2 * (x[:, c] & z[:, t] & (x[:, t] ^ z[:, c] ^ 1))) % 4
+        x[:, t] ^= x[:, c]
+        z[:, c] ^= z[:, t]
+    elif kind == "cz":
+        c, t = qubits
+        r[:] = (r + 2 * (x[:, c] & x[:, t] & (z[:, c] ^ z[:, t]))) % 4
+        z[:, c] ^= x[:, t]
+        z[:, t] ^= x[:, c]
+
+
+_KINDS = ("h", "s", "sdg", "x", "y", "z", "cx", "cz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 3, 4, 31, 32, 33, 64, 65, 130]).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n - 1),
+    st.lists(st.tuples(st.sampled_from(_KINDS if n > 1 else _KINDS[:6]),
+                       st.permutations(range(min(n, 4)))), max_size=80))))
+def test_packed_gates_match_row_major_reference(case):
+    # 2n crosses byte boundaries at 31-33 and 64-65; gates act on a window of
+    # at most 4 qubits from `start`, so that they entangle and reach every sign rule
+    n, start, gates = case
+    x = np.eye(2 * n, n, dtype=np.uint8)
+    z = np.eye(2 * n, n, k=-n, dtype=np.uint8)
+    r = np.zeros(2 * n, dtype=np.uint8)
+    packed = PackedTableau.zeros(n)
+    for kind, perm in gates:
+        qubits = tuple((start + j) % n for j in perm[:GATE_ARITY[kind]])
+        _reference_apply(x, z, r, kind, qubits)
+        apply_gate(packed, kind, qubits)
+    tab = packed.unpack()
+    assert tab.x.dtype == tab.z.dtype == tab.r.dtype == tab.lin.dtype == np.uint8
+    assert tab.x.flags.c_contiguous and tab.z.flags.c_contiguous
+    assert np.array_equal(tab.x, x) and np.array_equal(tab.z, z) and np.array_equal(tab.r, r)
+    assert not tab.lin.any() and tab.lin.shape == (2 * n, n)
 
 
 def _measured_circuit(body: Circuit, qubits) -> Circuit:
@@ -186,9 +247,10 @@ def test_tableau_stays_symplectic_after_measuring_every_qubit():
     for seed in range(6):
         n = 3 + seed
         c = random_clifford_circuit(n, 15 * n, seed=60 + seed, measured=False)
-        tab = StabilizerTableau.zeros(n)
+        packed = PackedTableau.zeros(n)
         for g in c.gates:
-            apply_gate(tab, g.kind, g.qubits)
+            apply_gate(packed, g.kind, g.qubits)
+        tab = packed.unpack()
         coins = 0
         for q in np.random.default_rng(seed).permutation(n).tolist():
             _, _, coins = measure_symbolic(tab, q, coins)
@@ -207,3 +269,42 @@ def test_256_qubit_clifford_circuit_runs():
 def test_rejects_shots_below_one(shots):
     with pytest.raises(InvalidSpec, match="shots"):
         tableau_run(parse_circuit("qubits 1\nh 0\n"), shots=shots, seed=0)
+
+
+def _hand_built(n: int, *gates: tuple) -> Circuit:
+    return Circuit(n, tuple(GateInstance(kind, tuple(qubits)) for kind, *qubits in gates))
+
+
+# each list is what a text circuit would be refused for; hand-built, it used to
+# run on the wrong qubit, give a wrong histogram or raise a raw Python error
+MALFORMED = [
+    (QubitOutOfRange, _hand_built(2, ("h", -1))),
+    (QubitOutOfRange, _hand_built(2, ("h", 2))),
+    (QubitOutOfRange, _hand_built(2, ("h", 0), ("measure", 5))),
+    (InvalidSpec, _hand_built(2, ("h", 1), ("cx", 1, 1))),
+    (InvalidSpec, _hand_built(2, ("cx", 1))),
+    (InvalidSpec, _hand_built(2, ("h", 0, 1))),
+    (InvalidSpec, Circuit(0, ())),
+    (InvalidSpec, _hand_built(2, ("h", 0), ("measure", 0), ("measure", 0))),
+    (InvalidSpec, _hand_built(2, ("measure", 0), ("h", 0))),
+    (InvalidSpec, _hand_built(2, ("frobnicate", 0))),
+]
+
+
+@pytest.mark.parametrize("run", [tableau_run, sv_run], ids=["tableau", "sv"])
+@pytest.mark.parametrize("error, c", MALFORMED)
+def test_malformed_gate_lists_are_rejected(run, error, c):
+    with pytest.raises(error):
+        run(c, 100, 0)
+
+
+@pytest.mark.parametrize("run", [tableau_run, sv_run], ids=["tableau", "sv"])
+@pytest.mark.parametrize("shots, seed", [(10.5, 1), (100, -1), (100, 1.0), (100, "1")])
+def test_rejects_non_integer_shots_and_bad_seeds(run, shots, seed):
+    with pytest.raises(InvalidSpec, match="shots" if shots == 10.5 else "seed"):
+        run(parse_circuit("qubits 1\nh 0\n"), shots=shots, seed=seed)
+
+
+def test_numpy_integer_shots_and_seed_are_accepted():
+    c = parse_circuit("qubits 1\nx 0\n")
+    assert tableau_run(c, np.int64(10), np.uint32(3)).counts == {"1": 10}
