@@ -9,9 +9,12 @@ Conventions, fixed globally:
   * measure lines form a trailing suffix.
 
 `apply_matrix` is the one gate-application kernel. It updates a (2^n, B)
-block of column states in place; the state-vector engine calls it with B = 1
-or 8, and `circuit_unitary` applies it to the 2^n identity columns. `embed_gate`
-builds full-space generator matrices for the group closure only.
+block of column states in place: B = 1 or 8 in the state-vector engine, the
+2^n identity columns in `circuit_unitary`. A gate with one entry +-1 or +-i
+per row and column updates only the slices it changes; any other gate takes
+gather, matmul and scatter. Both paths write every zero as +0.0, so a state
+never depends on which zeros a BLAS kernel signs. `embed_gate` builds
+full-space generator matrices for the group closure only.
 """
 
 from __future__ import annotations
@@ -75,13 +78,13 @@ class Circuit:
 
 
 def check_gates(c: Circuit) -> None:
-    """Reject a hand-built gate list that `parse_circuit` would refuse: fewer
-    than one qubit, an unknown gate, a wrong qubit count, a repeated qubit in a
-    gate, a measure before a gate or measured twice (InvalidSpec), or a qubit
-    outside [0, n) (QubitOutOfRange). One pass over the gates and one min/max
-    over their qubits, so each simulator run can afford it."""
-    if c.n_qubits < 1:
-        raise InvalidSpec(f"a circuit needs at least one qubit, got {c.n_qubits}")
+    """Reject a hand-built gate list that `parse_circuit` would refuse: a width
+    or qubit that is not an integer (a bool is not), fewer than one qubit, an
+    unknown gate, a wrong qubit count, a repeated qubit in a gate, a measure
+    before a gate or measured twice (InvalidSpec), or a qubit outside [0, n)
+    (QubitOutOfRange). A few passes over the gates, so each run can afford it."""
+    if type(c.n_qubits) is not int and not isinstance(c.n_qubits, np.integer) or c.n_qubits < 1:
+        raise InvalidSpec(f"a circuit needs an integer count of at least one qubit, got {c.n_qubits!r}")
     body, suffix = c.body_and_suffix()
     for g in body:
         arity, q = _BODY_ARITY.get(g.kind), g.qubits
@@ -97,6 +100,9 @@ def check_gates(c: Circuit) -> None:
     if len(measured) != len(suffix) or len(set(measured)) != len(measured):
         raise InvalidSpec(f"measure lines {measured} must each name one qubit, none twice")
     qubits = [q for g in body for q in g.qubits] + measured
+    bad = [q for q in qubits if type(q) is not int and not isinstance(q, np.integer)]
+    if bad:
+        raise InvalidSpec(f"qubit indices must be integers, got {bad[0]!r}")
     if qubits and (min(qubits) < 0 or max(qubits) >= c.n_qubits):
         pos = next(i for i, g in enumerate(c.gates) if not all(0 <= q < c.n_qubits for q in g.qubits))
         raise QubitOutOfRange(f"gate {c.gates[pos].kind} {list(c.gates[pos].qubits)} at position "
@@ -219,14 +225,21 @@ def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     raise ValueError(f"no matrix for gate kind {kind!r}")
 
 
-def apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
+def _monomial(mat: np.ndarray) -> list[tuple[int, complex]] | None:
+    """(source column, entry) per row when every row and column of `mat` has
+    one nonzero and it is exactly 1, -1, i or -i; else None."""
+    rows = [[(j, v) for j, v in enumerate(row) if v] for row in mat.tolist()]
+    if any(len(r) != 1 or r[0][1] not in (1, -1, 1j, -1j) for r in rows) \
+            or len({r[0][0] for r in rows}) < len(rows):
+        return None
+    return [r[0] for r in rows]
+
+
+def _apply_dense(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
                  scratch: np.ndarray) -> None:
-    """The one gate kernel: apply a local matrix (local bit j = qubits[j]) in
-    place to a C-ordered (2^n, B) block of column states or one (2^n,) state,
-    through the caller's (2, psi.size) complex `scratch`, so no gate allocates.
-    The column axis moves to the front and the gate's axes to the back, so
-    matmul runs once per column on the same (2^(n-k), 2^k) operand as a run
-    of that column alone, and gives it the same bits."""
+    """Gather, matmul, scatter. With the column axis first and the gate's axes
+    last, matmul runs per column on the operand of a run of that column alone,
+    so it gives the same bits; adding 0.0 turns a BLAS kernel's -0.0 to +0.0."""
     k = len(qubits)
     src = (n,) + tuple(n - 1 - q for q in reversed(qubits))  # (column, bit_{k-1}, ..., bit_0)
     dst = (0,) + tuple(range(n + 1 - k, n + 1))
@@ -234,7 +247,41 @@ def apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: i
     gathered, product = scratch.reshape(2, t.shape[0], -1, 1 << k)
     np.copyto(gathered.reshape(t.shape), t)
     np.matmul(gathered, mat.T, out=product)
+    np.add(product, 0.0, out=product)
     np.copyto(t, product.reshape(t.shape))
+
+
+def apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
+                 scratch: np.ndarray) -> None:
+    """The one gate kernel: apply a local matrix (local bit j = qubits[j]) in
+    place to a C-ordered (2^n, B) block of column states or one (2^n,) state,
+    through the caller's (2, psi.size) complex `scratch`, so no gate allocates.
+    A monomial of exact units (x, y, z, s, sdg, cx, cz, swap) takes the slice
+    path: only the (2,)*n sub-slices it changes are negated, turned by +-i or
+    moved along a permutation cycle (`scratch` holds the cycle's first slice).
+    Any other matrix takes `_apply_dense`. Both paths write each zero as +0.0,
+    so only a -0.0 in a slice the gate leaves alone tells them apart."""
+    rows = _monomial(mat)
+    if rows is None:
+        return _apply_dense(psi, mat, qubits, n, scratch)
+    t = np.moveaxis(psi.reshape([2] * n + [-1]), [n - 1 - q for q in qubits], range(len(qubits)))
+    parts = [t[tuple((i >> j) & 1 for j in range(len(qubits)))] for i in range(len(rows))]
+    pending = {i for i, row in enumerate(rows) if row != (i, 1)}
+    while pending:
+        i = start = min(pending)
+        saved = parts[start]
+        if rows[start][0] != start:  # keep the cycle's first slice before it is overwritten
+            saved = scratch.reshape(-1)[:saved.size].reshape(saved.shape)
+            np.copyto(saved, parts[start])
+        while i in pending:  # row i takes phase * row s; the last row takes the saved slice
+            pending.remove(i)
+            (s, phase), dst = rows[i], parts[i]
+            src = saved if s == start else parts[s]
+            if phase == -1:
+                np.subtract(0.0, src, out=dst)
+            else:  # exact, and adding 0.0 writes each zero as +0.0
+                np.add(src if phase == 1 else np.multiply(src, phase, out=dst), 0.0, out=dst)
+            i = s
 
 
 def embed_gate(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:

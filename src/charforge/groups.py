@@ -128,6 +128,7 @@ class FiniteMatrixGroup:
             smallest member, so the identity class comes first.
         class_of: (order,) int array mapping element -> class index.
         generators: indices of the (deduplicated) input generators.
+        input_elements: index of each input generator, duplicates included.
     """
 
     dim: int
@@ -137,6 +138,7 @@ class FiniteMatrixGroup:
     classes: list[tuple[int, ...]]
     class_of: np.ndarray
     generators: list[int]
+    input_elements: list[int]
     tol: float = 1e-9
     _lookup: ElementLookup | None = field(default=None, repr=False, compare=False)
 
@@ -219,6 +221,7 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
         classes=classes,
         class_of=class_of,
         generators=gen_idx,
+        input_elements=gen_found.tolist(),
         tol=cfg.tol,
         _lookup=lookup,
     )

@@ -223,7 +223,7 @@ def _try_close(gates: list[GateInstance], cfg: OptimizeConfig,
     if cap >= 2:
         try:
             group = close_group(gen_mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL))
-            result = _Closure(group, templates, list(group.generators), template_of_key)
+            result = _Closure(group, templates, group.input_elements, template_of_key)
         except (OrderCapExceeded, KeyCollision):
             # a key collision means the products are not tolerance-separated,
             # which only happens for dense (non-finite) generated sets

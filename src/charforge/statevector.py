@@ -1,11 +1,11 @@
 """Dense state-vector engine: the reference simulator and oracle.
 
 Every gate, and every Pauli letter of an observable, goes through the one
-kernel `circuits.apply_matrix`, which applies a local matrix in place to a
-(2^n, B) block of column states: B = 1 for `sv_run`, B = 8 for the input
-states of `equivalence_check`. The full 2^n x 2^n circuit matrix is never
-built here. A histogram is one multinomial draw over the exact marginal.
-Basis indices are little-endian: qubit q is bit q.
+kernel `circuits.apply_matrix` on a (2^n, B) block of column states: B = 1
+for `sv_run`, B = 8 for the input states of `equivalence_check`. It updates
+only the slices an x, y, z, s, sdg, cx, cz or swap changes, and multiplies
+for h, t, tdg and cp; no circuit matrix is built. A histogram is one
+multinomial draw over the exact marginal. Qubit q is bit q of an index.
 """
 
 from __future__ import annotations

@@ -145,7 +145,7 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     check_seed(seed)
     check_gates(c)
     body, suffix = c.body_and_suffix()
-    packed = PackedTableau.zeros(c.n_qubits)
+    packed = PackedTableau.zeros(int(c.n_qubits))
     for pos, g in enumerate(body):
         if g.kind not in CLIFFORD_KINDS:
             raise NonCliffordGate(f"gate {g.kind!r} at position {pos} is not Clifford")

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from charforge.circuits import circuit_unitary, parse_circuit
+
 BELL = "qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n"
 
 
@@ -61,6 +63,24 @@ def test_optimize_writes_circuit_and_report(tmp_path):
     assert out.read_text() == "qubits 1\nmeasure 0\n"
     d = json.loads(rep.read_text())
     assert d["gates_after"] == 1 and d["equivalence"]["verdict"] is True
+
+
+def test_optimize_survives_gates_within_the_closure_tolerance(tmp_path):
+    # distinct 9-decimal keys, one element of the closure: the segment's gate
+    # slots must map to elements through each input generator, not the
+    # deduplicated generator list
+    text = "qubits 2\ncp(1.570796327) 0 1\ncp(1.570796326) 0 1\n"
+    p = tmp_path / "near.qc"
+    p.write_text(text)
+    out = tmp_path / "o.qc"
+    r = charforge("optimize", "--in", str(p), "--out", str(out))
+    assert r.returncode in (0, 2), r.stderr
+    if r.returncode == 0:
+        u0 = circuit_unitary(parse_circuit(text))
+        u1 = circuit_unitary(parse_circuit(out.read_text()))
+        assert abs(abs(np.trace(u0.conj().T @ u1)) - 4) <= 1e-7
+    else:
+        assert "Traceback" not in r.stderr
 
 
 def test_equiv_verdicts(tmp_path, bell_path):

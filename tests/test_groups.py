@@ -42,6 +42,12 @@ def brute_force_closure(generators, cap=100000):
             raise OrderCapExceeded("oracle cap")
 
 
+def test_generators_within_tol_share_one_input_element():
+    a, b = (np.diag([1, 1, 1, np.exp(1j * t)]) for t in (1.570796327, 1.570796326))
+    g = close_group([a, b, a], ClosureConfig(tol=1e-8))
+    assert g.generators == [1] and g.input_elements == [1, 1, 1]
+
+
 def test_x_closure_is_order_two():
     g = close_group([X])
     assert g.order == 2

@@ -4,10 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charforge.circuits import (Circuit, build_bv, build_qft, build_vqe,
-                                circuit_unitary, gate, parse_circuit,
-                                random_clifford_circuit)
+from charforge import circuits
+from charforge.circuits import (Circuit, apply_matrix, build_bv, build_qft,
+                                build_vqe, circuit_unitary, gate, gate_matrix,
+                                parse_circuit, random_clifford_circuit)
 from charforge.errors import (DimensionMismatch, InvalidSpec, NotHermitian,
                               TooWide)
 from charforge.observables import Observable, random_pauli, z_on_qubit
@@ -218,3 +221,72 @@ def test_timing_excludes_sampling():
     samples = time_gate_loop(c, repeats=3)
     assert len(samples) == 3
     assert all(s >= 0.0 for s in samples)
+
+
+NAMED_MONOMIALS = ("x", "y", "z", "s", "sdg", "cx", "cz", "swap")
+
+
+@st.composite
+def monomial_gates(draw):
+    """A monomial matrix of entries +-1, +-i (a named gate or a random one),
+    a width, qubits in either order, a column count and a block seed."""
+    name = draw(st.sampled_from(NAMED_MONOMIALS + ("random",)))
+    if name == "random":
+        dim = 1 << draw(st.integers(1, 2))
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[np.arange(dim), draw(st.permutations(range(dim)))] = draw(
+            st.lists(st.sampled_from((1, -1, 1j, -1j)), min_size=dim, max_size=dim))
+    else:
+        mat = gate_matrix(name)
+    k = mat.shape[0].bit_length() - 1
+    n = draw(st.integers(k, 12))
+    qubits = tuple(draw(st.permutations(range(n)))[:k])
+    return mat, qubits, n, draw(st.sampled_from((1, 3, 8))), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _signed_zero_block(n, b, seed):
+    """Gaussian amplitudes with a third of the components +0.0 or -0.0; one
+    (2^n,) state when b is 1."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((1 << n, b, 2))
+    parts[rng.random(parts.shape) < 1 / 3] = 0.0
+    parts[rng.random(parts.shape) < 1 / 6] *= -1.0
+    block = parts.view(complex)[..., 0].copy()
+    return block[:, 0].copy() if b == 1 else block
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_gates())
+def test_slice_path_matches_the_matmul_path_byte_for_byte(case):
+    mat, qubits, n, b, seed = case
+    block = _signed_zero_block(n, b, seed)
+    got, want = block.copy(), block.copy()
+    apply_matrix(got, mat, qubits, n, np.empty((2, block.size), dtype=complex))
+    circuits._apply_dense(want, mat, qubits, n, np.empty((2, block.size), dtype=complex))
+    # the slice path leaves the rows with a diagonal 1 untouched, so a -0.0
+    # there stays; everything else, zeros included, has the matmul's bytes
+    idx = np.arange(1 << n)
+    local = sum(((idx >> q) & 1) << j for j, q in enumerate(qubits))
+    kept = np.isin(local, np.flatnonzero(np.diag(mat) == 1))
+    want[kept] = block[kept]
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[~kept].view(float)[got[~kept].view(float) == 0]).any()
+
+
+def test_only_non_monomial_gates_reach_the_matmul_path(monkeypatch):
+    dense = []
+    real = circuits._apply_dense
+
+    def spy(psi, mat, qubits, n, scratch):
+        dense.append(qubits)
+        real(psi, mat, qubits, n, scratch)
+
+    monkeypatch.setattr(circuits, "_apply_dense", spy)
+    clifford = random_clifford_circuit(10, 200, seed=11, measured=False)
+    run_gates(clifford)
+    assert len(dense) == sum(g.kind == "h" for g in clifford.gates) > 0
+    dense.clear()
+    qft = build_qft(6)
+    circuit_unitary(qft)
+    assert len(dense) == sum(g.kind in ("h", "cp") for g in qft.gates)
+    assert len(qft.gates) - len(dense) == 3  # the swaps

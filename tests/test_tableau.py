@@ -9,6 +9,7 @@ from charforge.circuits import (GATE_ARITY, Circuit, GateInstance, gate,
                                 parse_circuit, random_clifford_circuit)
 from charforge.errors import InvalidSpec, NonCliffordGate, QubitOutOfRange
 from charforge.histogram import tv_distance
+from charforge.optimize import equivalence_check
 from charforge.statevector import marginal_probabilities, run_gates, sv_run
 from charforge.tableau import (PackedTableau, apply_gate, measure_symbolic,
                                tableau_run, validate_tableau)
@@ -288,7 +289,14 @@ MALFORMED = [
     (InvalidSpec, _hand_built(2, ("h", 0), ("measure", 0), ("measure", 0))),
     (InvalidSpec, _hand_built(2, ("measure", 0), ("h", 0))),
     (InvalidSpec, _hand_built(2, ("frobnicate", 0))),
+    (InvalidSpec, _hand_built(2, ("h", 0.5))),
+    (InvalidSpec, _hand_built(2, ("cx", 0, True))),
+    (InvalidSpec, _hand_built(2, ("h", 0), ("measure", 1.0))),
+    (InvalidSpec, Circuit("2", ())),
+    (InvalidSpec, Circuit(2.0, ())),
+    (InvalidSpec, Circuit(True, ())),
 ]
+NON_INTEGER = MALFORMED[-6:]
 
 
 @pytest.mark.parametrize("run", [tableau_run, sv_run], ids=["tableau", "sv"])
@@ -296,6 +304,23 @@ MALFORMED = [
 def test_malformed_gate_lists_are_rejected(run, error, c):
     with pytest.raises(error):
         run(c, 100, 0)
+
+
+@pytest.mark.parametrize("error, c", NON_INTEGER)
+def test_equivalence_check_rejects_non_integer_widths_and_qubits(error, c):
+    with pytest.raises(error):
+        equivalence_check(c, c, shots=100, seed=0)
+
+
+@pytest.mark.parametrize("n", [3, 70])
+def test_numpy_integer_widths_and_qubits_are_accepted(n):
+    c = random_clifford_circuit(n, 40, seed=1)
+    np_c = Circuit(np.int64(n), tuple(GateInstance(g.kind, tuple(np.int64(q) for q in g.qubits))
+                                      for g in c.gates))
+    assert tableau_run(np_c, 50, 0).counts == tableau_run(c, 50, 0).counts
+    if n <= 12:
+        assert sv_run(np_c, 50, 0).counts == sv_run(c, 50, 0).counts
+        assert equivalence_check(np_c, c, shots=100_000, seed=0).verdict
 
 
 @pytest.mark.parametrize("run", [tableau_run, sv_run], ids=["tableau", "sv"])
