@@ -84,21 +84,23 @@ def _cost_for(report, circuit: Circuit, opt_cfg: OptimizeConfig) -> float | None
     """Cost-model value from the largest closed segment group with at most
     COST_MAX_CLASSES classes (the first such on ties), taking the
     character-value cost g as 1 (a table lookup) for non-abelian cases. The
-    segment is closed again with the optimizer's caps and tolerance, which
-    gives the same group, and its character table supplies the degrees."""
-    best = None
-    for seg in report.segments:
-        if seg.k is not None and seg.k <= COST_MAX_CLASSES and (
-                best is None or seg.group_order > best.group_order):
-            best = seg
-    if best is None:
+    closed segments are closed again, largest first, with the optimizer's caps
+    and tolerance, which gives the same groups, until one has few enough
+    classes; its character table supplies the degrees."""
+    body, cache = circuit.body_and_suffix()[0], {}
+    closed = [s for s in report.segments if s.group_order is not None]
+    for seg in sorted(closed, key=lambda s: -s.group_order):
+        group = _try_close(list(body[seg.start:seg.end]), opt_cfg, cache).group
+        k = len(group.classes)
+        if k <= COST_MAX_CLASSES:
+            break
+    else:
         return None
-    closure = _try_close(list(circuit.body_and_suffix()[0][best.start:best.end]), opt_cfg, {})
-    degrees = character_table(closure.group).degrees.tolist()
+    degrees = character_table(group).degrees.tolist()
     case = "abelian" if all(d == 1 for d in degrees) else "general"
     params = CostParams(
-        case=case, k=best.k, m=len(circuit.gates), n=circuit.n_qubits,
-        order=best.group_order, dmax=max(degrees), g_cost=1.0)
+        case=case, k=k, m=len(circuit.gates), n=circuit.n_qubits,
+        order=seg.group_order, dmax=max(degrees), g_cost=1.0)
     return round(estimate_cost(params).value, 6)
 
 

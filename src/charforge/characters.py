@@ -21,8 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, GroupMismatch, InvalidSpec, NonIntegralDegree
+from .errors import (DegenerateSpectrum, GroupMismatch, InvalidSpec, NonIntegralDegree,
+                     OrthogonalityViolation)
 from .groups import FiniteMatrixGroup
+
+# bound on verify_orthogonality's max residual for a table character_table
+# returns; the worst case traced over the benchmark workloads is 1.09e-11
+ORTH_RESIDUAL_MAX = 1e-8
 
 
 @dataclass
@@ -94,7 +99,8 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
 
     Raises DegenerateSpectrum when 21 seeded draws all produce eigenvalue
     collisions, NonIntegralDegree when a recovered degree is off an integer
-    by more than 1e-4.
+    by more than 1e-4, and OrthogonalityViolation when the table's
+    orthogonality residual exceeds ORTH_RESIDUAL_MAX.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidSpec(f"seed must be an integer >= 0, got {seed!r}")
@@ -148,9 +154,14 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
         row[0],
         tuple((-round(float(v.real), 8) - 0.0, -round(float(v.imag), 8) - 0.0) for v in row[1]),
     ))
-    return CharacterTable(k=k, degrees=np.array([d for d, _ in rows], dtype=np.int64),
-                          values=np.stack([chi for _, chi in rows]),
-                          class_sizes=sizes.astype(np.int64), group_order=order)
+    table = CharacterTable(k=k, degrees=np.array([d for d, _ in rows], dtype=np.int64),
+                           values=np.stack([chi for _, chi in rows]),
+                           class_sizes=sizes.astype(np.int64), group_order=order)
+    residual = verify_orthogonality(table).max_residual()
+    if not residual <= ORTH_RESIDUAL_MAX:
+        raise OrthogonalityViolation(
+            f"orthogonality residual {residual:.3g} exceeds {ORTH_RESIDUAL_MAX:g}")
+    return table
 
 
 def _min_gap(evals: np.ndarray) -> float:

@@ -31,6 +31,11 @@ class NonIntegralDegree(CharforgeError):
     """A recovered irrep degree was too far from an integer."""
 
 
+class OrthogonalityViolation(CharforgeError):
+    """A computed character table misses the orthogonality relations by
+    more than the pinned residual."""
+
+
 class GroupMismatch(CharforgeError):
     pass
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,30 +116,33 @@ class ElementLookup:
 
 @dataclass
 class FiniteMatrixGroup:
-    """Closure of a gate set, with Cayley and class structure.
+    """Closure of a gate set with its BFS tables. The Cayley table, the
+    inverses and the classes are functools.cached_property, built on first read.
 
     Fields:
         dim: matrix dimension.
         mats: (order, dim, dim) complex array; mats[i] is element i. The
             identity is always element 0.
-        cayley: (order, order) int array; cayley[a, b] = index of
-            mats[a] @ mats[b].
-        inverses: (order,) int array.
-        classes: conjugacy classes as tuples of indices, ordered by the
-            smallest member, so the identity class comes first.
-        class_of: (order,) int array mapping element -> class index.
         generators: indices of the (deduplicated) input generators.
         input_elements: index of each input generator, duplicates included.
+        right: (order, inputs) int array; right[a, j] = index of
+            mats[a] @ (input generator j).
+        parent, slot, bounds: element b = mats[parent[b]] @ (input generator
+            slot[b]), -1 for the identity; BFS level i is bounds[i]:bounds[i+1].
+
+    Lazy: cayley[a, b] = index of mats[a] @ mats[b]; inverses; classes, the
+    conjugacy classes as index tuples ordered by the smallest member, so the
+    identity class comes first; class_of maps element -> class index.
     """
 
     dim: int
     mats: np.ndarray
-    cayley: np.ndarray
-    inverses: np.ndarray
-    classes: list[tuple[int, ...]]
-    class_of: np.ndarray
     generators: list[int]
     input_elements: list[int]
+    right: np.ndarray
+    parent: np.ndarray
+    slot: np.ndarray
+    bounds: list[int]
     tol: float = 1e-9
     _lookup: ElementLookup | None = field(default=None, repr=False, compare=False)
 
@@ -147,7 +151,42 @@ class FiniteMatrixGroup:
         return self.mats.shape[0]
 
     def __repr__(self) -> str:
-        return f"FiniteMatrixGroup(dim={self.dim}, order={self.order}, k={len(self.classes)})"
+        k = f", k={len(self.classes)}" if "classes" in self.__dict__ else ""
+        return f"FiniteMatrixGroup(dim={self.dim}, order={self.order}{k})"
+
+    @cached_property
+    def cayley(self) -> np.ndarray:
+        # a = p @ g_s gives a @ b = p @ (g_s @ b): row a is row p read through
+        # grow[s, b] = index of gens[s] @ mats[b]. Both fill level by level, as
+        # every parent is a level earlier; grow first, as a row reads all of it.
+        n, parent, slot, right = self.order, self.parent, self.slot, self.right
+        grow = np.empty((right.shape[1], n), dtype=np.int64)
+        grow[:, 0] = self.input_elements
+        cayley = np.empty((n, n), dtype=np.int16 if n < 2 ** 15 else np.int32)
+        cayley[0] = np.arange(n)
+        levels = list(zip([1] + self.bounds[1:-1], self.bounds[1:]))
+        for lo, hi in levels:
+            grow[:, lo:hi] = right[grow[:, parent[lo:hi]], slot[lo:hi]]
+        for lo, hi in levels:
+            for c in range(lo, hi, _CAYLEY_CHUNK):
+                r = slice(c, min(c + _CAYLEY_CHUNK, hi))
+                cayley[r] = cayley[parent[r, None], grow[slot[r]]]
+        return cayley
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        return np.argmin(self.cayley, axis=1).astype(np.int64)
+
+    @cached_property
+    def classes(self) -> list[tuple[int, ...]]:
+        # class_of comes with the classes; set here, it shadows its own getter
+        classes, self.class_of = conjugacy_classes_from_cayley(self.cayley, self.inverses)
+        return classes
+
+    @cached_property
+    def class_of(self) -> np.ndarray:
+        self.classes
+        return self.__dict__["class_of"]
 
 
 def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) -> FiniteMatrixGroup:
@@ -170,7 +209,6 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
     lookup = ElementLookup(dim, cfg.tol)
     found, new = lookup.find(np.stack([np.eye(dim, dtype=complex), *gens]), cfg.max_order)
     gen_found = found[1:]
-    gen_idx = list(dict.fromkeys(gen_found.tolist()))
     # element b = mats[parent[b]] @ gens[slot[b]]; the identity, first in the
     # batch above, has neither
     parent, slot = [np.where(new > 0, 0, -1)], [new - 1]
@@ -187,44 +225,12 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
             slot.append(np.full(len(new), j))
         right.append(rows)
         bounds.append(hi)
-    n = lookup.count
-    mats = lookup.mats = lookup.mats[:n].copy()
-    right = np.concatenate(right)
-    parent, slot = np.concatenate(parent), np.concatenate(slot)
-
-    # a = p @ g_s gives a @ b = p @ (g_s @ b): row a of the table is row p
-    # read through grow[s], where grow[s, b] = index of gens[s] @ mats[b].
-    # Both are filled level by level (the generators, then what each level
-    # found), since every parent is a level earlier; grow comes first, as a
-    # row reads all of grow[s].
-    dtype = np.int16 if n < 2 ** 15 else np.int32
-    grow = np.empty((len(gens), n), dtype=np.int64)
-    grow[:, 0] = gen_found
-    cayley = np.empty((n, n), dtype=dtype)
-    cayley[0] = np.arange(n)
-    levels = list(zip([1] + bounds[1:-1], bounds[1:]))
-    for lo, hi in levels:
-        grow[:, lo:hi] = right[grow[:, parent[lo:hi]], slot[lo:hi]]
-    for lo, hi in levels:
-        for c in range(lo, hi, _CAYLEY_CHUNK):
-            r = slice(c, min(c + _CAYLEY_CHUNK, hi))
-            cayley[r] = cayley[parent[r, None], grow[slot[r]]]
-
-    inverses = np.argmin(cayley, axis=1).astype(np.int64)
-    classes, class_of = conjugacy_classes_from_cayley(cayley, inverses)
-
+    lookup.mats = lookup.mats[:lookup.count].copy()
     return FiniteMatrixGroup(
-        dim=dim,
-        mats=mats,
-        cayley=cayley,
-        inverses=inverses,
-        classes=classes,
-        class_of=class_of,
-        generators=gen_idx,
-        input_elements=gen_found.tolist(),
-        tol=cfg.tol,
-        _lookup=lookup,
-    )
+        dim=dim, mats=lookup.mats, generators=list(dict.fromkeys(gen_found.tolist())),
+        input_elements=gen_found.tolist(), right=np.concatenate(right),
+        parent=np.concatenate(parent), slot=np.concatenate(slot), bounds=bounds,
+        tol=cfg.tol, _lookup=lookup)
 
 
 def element_of(group: FiniteMatrixGroup, m: np.ndarray) -> int | None:

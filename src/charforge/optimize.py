@@ -5,28 +5,33 @@ Passes, in order:
   1. segment translation: greedy scan of maximal contiguous measure-free
      runs whose distinct gate unitaries (embedded over the segment's qubit
      support) close into a finite group within the configured caps;
-  2. shortest-word rewrite from the Cayley-graph BFS table, phase
-     insensitive by default;
+  2. shortest-word rewrite from a BFS of the Cayley graph over the
+     generator columns, phase insensitive by default;
   3. identity elision: segments whose product is (a global phase of) the
      identity are dropped.
 
 Closure attempts are bounded by deterministic work and memory proxies in
 addition to max_order, so the pipeline degrades to a no-op on segments
 whose groups are too large to analyze at desk scale; such segments are
-kept verbatim and logged.
+kept verbatim and logged; Lagrange's theorem refutes some before any BFS.
+Only the closures' generator tables (FiniteMatrixGroup.right) are read:
+no Cayley table, inverses or conjugacy classes are built.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, check_gates, circuit_depth, gate_generators
+from .circuits import (Circuit, GateInstance, check_gates, circuit_depth, embed_gate,
+                       gate_generators, gate_matrix)
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
-from .groups import ClosureConfig, FiniteMatrixGroup, close_group
+from .fixtures import X, Z
+from .groups import ClosureConfig, FiniteMatrixGroup, close_group, element_of
 from .histogram import check_seed, check_shots, tv_distance
 from .observables import Observable, random_pauli
 from .statevector import (SV_MAX_QUBITS, expectation_of_state,
@@ -38,7 +43,8 @@ from .statevector import (SV_MAX_QUBITS, expectation_of_state,
 # 1e-8 closure tolerance keeps those drifts inside the merge zone
 CLOSURE_TOL = 1e-8
 # deterministic per-attempt bounds: flop proxy for the closure matmuls
-# and byte proxies for element storage and the quadratic cayley table
+# and byte proxies for element storage and the quadratic cayley table (which
+# the optimizer does not build; that cap only keeps its segments fixed)
 CLOSURE_BUDGET_FLOPS = 2e10
 CLOSURE_BUDGET_BYTES = float(2 ** 24)
 EQUIV_SHOTS = 100_000
@@ -54,7 +60,8 @@ class OptimizeConfig:
 
 @dataclass
 class WordTable:
-    """Shortest generator words from a BFS of the Cayley graph.
+    """Shortest generator words from a BFS of the Cayley graph, which reads
+    one column per generator: `right` for an input generator, else `cayley`.
 
     Words are sequences of slots into `generators`; the element equals the
     left-to-right matrix product of the slot matrices. Ties break toward the
@@ -85,22 +92,22 @@ def build_word_table(group: FiniteMatrixGroup, generators: list[int] | None = No
     n = group.order
     if not all(isinstance(g, (int, np.integer)) and 0 <= g < n for g in gens):
         raise InvalidSpec(f"generators must be element indices in [0, {n}), got {gens}")
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_slot = np.full(n, -1, dtype=np.int64)
-    dist = np.full(n, -1, dtype=np.int64)
+    inputs = {int(e): j for j, e in reversed(list(enumerate(group.input_elements)))}
+    # step[a, s] = index of mats[a] @ mats[gens[s]]
+    step = np.array([group.right[:, inputs[g]] if g in inputs else group.cayley[:, g]
+                     for g in gens], dtype=np.int64).reshape(len(gens), n).T
+    parent, parent_slot, dist = (np.full(n, -1, dtype=np.int64) for _ in range(3))
     dist[0] = 0
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        for slot, g in enumerate(gens):
-            nxt = int(group.cayley[cur, g])
-            if dist[nxt] < 0:
-                dist[nxt] = dist[cur] + 1
-                parent[nxt] = cur
-                parent_slot[nxt] = slot
-                queue.append(nxt)
+    # BFS by levels; a level's queue order is the (element, slot) order of first meeting
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        nxt = step[frontier].ravel()
+        fresh = np.flatnonzero(dist[nxt] < 0)
+        first = fresh[np.sort(np.unique(nxt[fresh], return_index=True)[1])]
+        dist[nxt[first]] = dist[frontier[0]] + 1
+        parent[nxt[first]] = frontier[first // len(gens)]
+        parent_slot[nxt[first]] = first % len(gens)
+        frontier = nxt[first]
     if np.any(dist < 0):
         raise InvalidSpec("generators do not generate the group")
     return WordTable(group, gens, parent, parent_slot, dist)
@@ -110,17 +117,15 @@ def build_word_table(group: FiniteMatrixGroup, generators: list[int] | None = No
 
 @dataclass
 class _Closure:
-    """A closed segment group. The analyses below depend only on it, so the
-    segments sharing a closure compute them once."""
+    """A closed segment group, shared with its tables by segments of one gate set."""
 
     group: FiniteMatrixGroup
-    templates: list[GateInstance]   # one per unique generator matrix
-    gen_elements: list[int]         # element index per template
+    templates: list[GateInstance]   # one per input generator of the group
     template_of_key: dict[tuple, int]
 
     @cached_property
     def words(self) -> WordTable:
-        return build_word_table(self.group, self.gen_elements)
+        return build_word_table(self.group, self.group.input_elements)
 
     @cached_property
     def scalars(self) -> np.ndarray:
@@ -130,6 +135,12 @@ class _Closure:
         eye = np.eye(mats.shape[1])
         dists = np.max(np.abs(mats - mats[:, :1, :1] * eye), axis=(1, 2))
         return np.nonzero(dists <= self.group.tol)[0]
+
+    def phase_equal(self, product: int) -> np.ndarray:
+        """The elements c*mats[product] for the scalars c*I, found by lookup."""
+        mats = self.group.mats
+        found = self.group._lookup.find(mats[self.scalars, :1, :1] * mats[product])[0]
+        return found[found >= 0]
 
 
 @dataclass
@@ -141,7 +152,6 @@ class SegmentRecord:
     gates_before: int
     gates_after: int
     group_order: int | None = None
-    k: int | None = None            # class count of the closed group
     detail: str = ""
 
 
@@ -201,13 +211,28 @@ def _effective_cap(dim: int, n_gens: int, cfg: OptimizeConfig) -> int:
         float(cfg.max_order),
         CLOSURE_BUDGET_FLOPS / flops_per_element,
         CLOSURE_BUDGET_BYTES / bytes_per_element,
-        math.sqrt(CLOSURE_BUDGET_BYTES / 2.0),  # cayley is order^2 int16
+        math.sqrt(CLOSURE_BUDGET_BYTES / 2.0),  # an order^2 int16 cayley, not built
     )
     return int(cap)
 
 
-def _try_close(gates: list[GateInstance], cfg: OptimizeConfig,
-               cache: dict) -> _Closure | None:
+def _outside(h: _Closure, gates: list[GateInstance], mat: np.ndarray) -> bool:
+    """True when gates[-1], `mat` over the support of `gates`, is surely not in h,
+    the closure of gates[:-1], or on new qubits fails to commute with X or Z there."""
+    g, old = gates[-1], {q for x in gates[:-1] for q in x.qubits}
+    new = [i for i, q in enumerate(g.qubits) if q not in old]
+    if not new:
+        return element_of(h.group, mat) is None
+    local = gate_matrix(g.kind, g.angle)
+    paulis = [embed_gate(p, (i,), len(g.qubits)) for i in new for p in (X, Z)]
+    return any(np.max(np.abs(local @ p - p @ local)) > 2 * CLOSURE_TOL for p in paulis)
+
+
+def _try_close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
+               base: _Closure | None = None) -> _Closure | None:
+    """The closure of `gates`, or None past the caps. If gates[-1] is outside
+    `base`, the closure H of gates[:-1], the order is a multiple of |H| above
+    |H| (Lagrange): past the cap if 2|H| is, so that BFS is not run."""
     support = tuple(sorted({q for g in gates for q in g.qubits}))
     keys = tuple(sorted(set(g.key() for g in gates), key=repr))
     cache_key = (support, keys)
@@ -220,10 +245,11 @@ def _try_close(gates: list[GateInstance], cfg: OptimizeConfig,
 
     cap = _effective_cap(1 << len(support), len(gen_mats), cfg)
     result: _Closure | None = None
-    if cap >= 2:
+    if cap >= 2 and not (base is not None and 2 * base.group.order > cap
+                         and _outside(base, gates, gen_mats[slots[-1]])):
         try:
             group = close_group(gen_mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL))
-            result = _Closure(group, templates, group.input_elements, template_of_key)
+            result = _Closure(group, templates, template_of_key)
         except (OrderCapExceeded, KeyCollision):
             # a key collision means the products are not tolerance-separated,
             # which only happens for dense (non-finite) generated sets
@@ -241,7 +267,7 @@ def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig, cache: d
     closure: _Closure | None = None
     for i, g in enumerate(body):
         candidate = current + [g]
-        cand_closure = _try_close(candidate, cfg, cache)
+        cand_closure = _try_close(candidate, cfg, cache, closure)
         if cand_closure is None:
             if current:
                 out.append((start, i, current, closure))
@@ -262,18 +288,17 @@ def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig, cache: d
 
 def _rewrite_segment(gates: list[GateInstance], closure: _Closure,
                      cfg: OptimizeConfig, record: SegmentRecord) -> list[GateInstance]:
-    group = closure.group
-    record.group_order, record.k = group.order, len(group.classes)
-
-    product = 0  # identity; gates apply left to right, so multiply on the left
-    for g in gates:
-        e = closure.gen_elements[closure.template_of_key[g.key()]]
-        product = int(group.cayley[e, product])
+    record.group_order = closure.group.order
+    # gates apply left to right: the product g_m ... g_1 is a right walk in reverse
+    right = closure.group.right
+    product = 0
+    for g in reversed(gates):
+        product = int(right[product, closure.template_of_key[g.key()]])
 
     wt = closure.words
     candidates = [product]
     if cfg.phase_insensitive:  # every element equal to the product up to a global phase
-        candidates = group.cayley[product, closure.scalars].tolist()
+        candidates = closure.phase_equal(product).tolist()
     best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
     word = wt.word(best)
 
@@ -326,15 +351,14 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
 
     cache: dict = {}
     current = body
-    totals = {"rewritten": 0, "dropped": 0}
+    totals: Counter = Counter()
     iterations = 0
     while True:
         iterations += 1
         new_body, records, stats = _run_passes(current, cfg, cache)
         if iterations == 1:
             report.segments = records
-        for key in totals:
-            totals[key] += stats[key]
+        totals.update(stats)
         if len(new_body) == len(current):
             break
         current = tuple(new_body)

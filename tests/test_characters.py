@@ -1,15 +1,16 @@
-import dataclasses
+import copy
 import hashlib
 
 import numpy as np
 import pytest
 
-from charforge.characters import (CharacterTable, central_idempotents,
+from charforge import characters
+from charforge.characters import (ORTH_RESIDUAL_MAX, CharacterTable, central_idempotents,
                                   character_table, character_table_csv,
                                   class_matrices, isotypic_projectors,
                                   verify_orthogonality)
 from charforge.circuits import embed_gate, gate_matrix
-from charforge.errors import GroupMismatch, InvalidSpec
+from charforge.errors import GroupMismatch, InvalidSpec, OrthogonalityViolation
 from charforge.fixtures import FIXTURE_NAMES, fixture_group
 from charforge.groups import close_group
 
@@ -52,6 +53,27 @@ def test_corrupted_table_detected(tables):
     bad = CharacterTable(t.k, t.degrees, t.values.copy(), t.class_sizes, t.group_order)
     bad.values[1, 1] += 0.1
     assert verify_orthogonality(bad).row_residual >= 0.01
+
+
+def perturbed_class_matrices(monkeypatch, eps=1e-6):
+    """Make character_table read structure constants off by eps on one
+    diagonal: the degrees still round to integers that sum to |G| in
+    squares, and only the orthogonality residual (about 4 eps) shows it."""
+    def perturbed(group):
+        cms = class_matrices(group)
+        cms[1].entries = cms[1].entries + eps * np.eye(len(cms))
+        return cms
+
+    monkeypatch.setattr(characters, "class_matrices", perturbed)
+
+
+def test_character_table_checks_its_own_orthogonality(monkeypatch, groups):
+    perturbed_class_matrices(monkeypatch)
+    with pytest.raises(OrthogonalityViolation, match="orthogonality residual"):
+        character_table(groups["d4"])
+    # below the pin the same perturbation passes
+    perturbed_class_matrices(monkeypatch, eps=ORTH_RESIDUAL_MAX / 100)
+    assert verify_orthogonality(character_table(groups["d4"])).max_residual() > 1e-12
 
 
 def test_class_matrix_counting_identity(groups):
@@ -205,10 +227,15 @@ def test_class_matrices_match_the_per_element_count(name, groups, h0_cx01_cx12):
 @pytest.mark.parametrize("name, row, a, b", [("d4", 6, 7, 4), ("clifford1", 163, 98, 121)])
 def test_swapped_cayley_entries_are_detected(groups, name, row, a, b):
     g = groups[name]
-    cayley = g.cayley.copy()
-    cayley[row, [a, b]] = cayley[row, [b, a]]
+    # the classes and inverses come from the intact table; a shallow copy
+    # keeps them and takes a corrupted cayley in place of the cached one
+    g.classes, g.inverses
+    bad = copy.copy(g)
+    bad.cayley = g.cayley.copy()
+    bad.cayley[row, [a, b]] = bad.cayley[row, [b, a]]
+    assert bad.classes is g.classes and bad.inverses is g.inverses
     with pytest.raises(AssertionError, match="cayley table is corrupt"):
-        class_matrices(dataclasses.replace(g, cayley=cayley))
+        class_matrices(bad)
 
 
 def test_order_3072_table_is_pinned():

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from charforge import characters
 from charforge.circuits import circuit_unitary, parse_circuit
+from charforge.cli import main
 
 BELL = "qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n"
 
@@ -218,3 +220,18 @@ def test_optimize_report_does_not_depend_on_hash_seed(tmp_path):
         assert r.returncode == 0, r.stderr
         reports.append(rep.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_chartab_with_a_failing_self_check_exits_2(monkeypatch, capsys):
+    exact = characters.class_matrices
+
+    def perturbed(group):  # structure constants off by 1e-6 on one diagonal
+        cms = exact(group)
+        cms[1].entries = cms[1].entries + 1e-6 * np.eye(len(cms))
+        return cms
+
+    monkeypatch.setattr(characters, "class_matrices", perturbed)
+    assert main(["chartab", "--fixture", "d4"]) == 2
+    err = capsys.readouterr().err
+    assert "charforge chartab: orthogonality residual" in err
+    assert "Traceback" not in err

@@ -345,3 +345,36 @@ def test_random_generator_subsets_match_oracle(case):
     identity = np.eye(dim)
     assert np.max(np.abs(g.mats @ g.mats[g.inverses] - identity)) <= g.tol
     assert np.max(np.abs(g.mats[g.inverses] @ g.mats - identity)) <= g.tol
+
+
+def test_repr_does_not_build_the_lazy_tables():
+    g = close_group([X, Z])
+    assert repr(g) == "FiniteMatrixGroup(dim=2, order=8)"
+    assert not {"cayley", "inverses", "classes", "class_of"} & set(g.__dict__)
+    assert len(g.classes) == 5 and repr(g) == "FiniteMatrixGroup(dim=2, order=8, k=5)"
+
+
+def test_class_of_read_first_matches_classes():
+    g, h = close_group([X, Z]), close_group([X, Z])
+    class_of = g.class_of
+    assert g.classes == h.classes and np.array_equal(class_of, h.class_of)
+
+
+_FIXTURES = fixture_generators()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_FIXTURES)).flatmap(
+    lambda name: st.lists(st.sampled_from(range(len(_FIXTURES[name]))), min_size=1,
+                          unique=True).flatmap(
+        lambda picks: st.tuples(st.just([_FIXTURES[name][i] for i in picks]),
+                                st.lists(st.sampled_from(range(len(picks))), max_size=12)))))
+def test_right_walk_matches_cayley_walk_and_dense_product(case):
+    gens, word = case
+    g = close_group(gens)
+    by_right, by_cayley, dense = 0, 0, np.eye(g.dim, dtype=complex)
+    for j in word:
+        by_right = int(g.right[by_right, j])
+        by_cayley = int(g.cayley[by_cayley, g.input_elements[j]])
+        dense = dense @ gens[j]
+    assert by_right == by_cayley == element_of(g, dense)

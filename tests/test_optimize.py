@@ -1,17 +1,22 @@
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
-from charforge import characters
-from charforge.circuits import (Circuit, build_bv, build_grover, build_qft,
+from charforge import characters, groups as groups_module
+from charforge.bench import _spec_for
+from charforge.circuits import (Circuit, build_benchmark, build_bv, build_grover, build_qft,
                                 circuit_unitary, gate, gate_generators, parse_circuit)
-from charforge.errors import InvalidSpec
+from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.groups import ClosureConfig, close_group
 from charforge.linalg import equal_up_to_phase, phase_canonical
-from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, _Closure,
+from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, _Closure, _effective_cap,
                                 build_word_table, equivalence_check, optimize)
+
+# the package exports the optimize function under the module's name
+optimize_module = importlib.import_module("charforge.optimize")
 
 FAST = OptimizeConfig(run_equivalence=False)
 
@@ -135,10 +140,13 @@ def _h0_cx01_s1_group():
                          ids=["clifford1", "h0_cx01_s1"])
 def test_scalar_translates_are_the_phase_equal_elements(make, groups):
     group = make(groups)
-    scalars = _Closure(group, [], [], {}).scalars
+    closure = _Closure(group, [], {})
+    scalars = closure.scalars
     assert 0 in scalars.tolist()
     for p, expected in enumerate(brute_force_phase_classes(group)):
         assert set(group.cayley[p, scalars].tolist()) == expected
+        # the optimizer's lookup of c * mats[p] over the scalars c * I
+        assert set(closure.phase_equal(p).tolist()) == expected
 
 
 # -- pipeline ------------------------------------------------------------------
@@ -159,10 +167,13 @@ def test_xzxz_elided_phase_insensitive_only():
 
 
 def test_redundant_clifford_word_shrinks():
-    c = parse_circuit("qubits 1\ns 0\ns 0\ns 0\ns 0\nh 0\n")
-    out, rep = optimize(c, FAST)
-    assert rep.gates_after < rep.gates_before
-    assert equal_up_to_phase(body_unitary(c), body_unitary(out))
+    # the second run is no palindrome and h s != s h, so it pins the order of
+    # the segment product
+    for text in ("qubits 1\ns 0\ns 0\ns 0\ns 0\nh 0\n", "qubits 1\nh 0\ns 0\ns 0\ns 0\ns 0\ns 0\n"):
+        c = parse_circuit(text)
+        out, rep = optimize(c, FAST)
+        assert rep.gates_after < rep.gates_before
+        assert equal_up_to_phase(body_unitary(c), body_unitary(out))
 
 
 def test_bv_pipeline_properties():
@@ -210,18 +221,68 @@ def test_segment_records_carry_analysis():
     _, rep = optimize(parse_circuit("qubits 1\nx 0\nz 0\n"), FAST)
     seg = rep.segments[0]
     assert seg.group_order == 8
-    assert seg.k == 5
-    assert not {"degrees", "component_norms"} & set(rep.to_json()["segments"][0])
+    assert not {"k", "degrees", "component_norms"} & set(rep.to_json()["segments"][0])
+
+
+def _recording_close_group(monkeypatch):
+    """Patch the optimizer's close_group to count attempts and failures and
+    keep every group it closes."""
+    log = {"calls": 0, "failures": 0, "groups": []}
+
+    def recording(*args, **kwargs):
+        log["calls"] += 1
+        try:
+            log["groups"].append(close_group(*args, **kwargs))
+        except (OrderCapExceeded, KeyCollision):
+            log["failures"] += 1
+            raise
+        return log["groups"][-1]
+
+    monkeypatch.setattr(optimize_module, "close_group", recording)
+    return log
 
 
 @pytest.mark.parametrize("n, marked", [(3, 5), (4, 6)])
 def test_optimize_computes_no_character_table(monkeypatch, n, marked):
     def forbidden(*args, **kwargs):
-        raise AssertionError("optimize built a character table")
+        raise AssertionError("optimize built a class structure")
 
     monkeypatch.setattr(characters, "class_matrices", forbidden)
+    monkeypatch.setattr(groups_module, "conjugacy_classes_from_cayley", forbidden)
+    log = _recording_close_group(monkeypatch)
     _, rep = optimize(build_grover(n, marked=marked), FAST)
-    assert any(s.k is not None for s in rep.segments)
+    assert any(s.group_order is not None for s in rep.segments)
+    assert log["groups"]
+    for g in log["groups"]:
+        assert not {"cayley", "inverses", "classes", "class_of"} & set(g.__dict__)
+
+
+# (suite, width, close_group calls, failures, Lagrange refutations) on the
+# bench rows at seed 0; without the refutations the calls were 18 and 26
+# and the failures 2 and 4
+@pytest.mark.parametrize("suite, n, calls, failures, refuted",
+                         [("bv", 5, 16, 0, 2), ("vqe", 6, 23, 1, 3)])
+def test_lagrange_refutations_are_exact(monkeypatch, suite, n, calls, failures, refuted):
+    log = _recording_close_group(monkeypatch)
+    seen = []
+    outside = optimize_module._outside
+
+    def recording_outside(h, gates, mat):
+        result = outside(h, gates, mat)
+        if result:  # only asked when 2|H| exceeds the cap: a refutation
+            seen.append(list(gates))
+        return result
+
+    monkeypatch.setattr(optimize_module, "_outside", recording_outside)
+    optimize(build_benchmark(_spec_for(suite, n, 0)), FAST)
+    assert (log["calls"], log["failures"], len(seen)) == (calls, failures, refuted)
+    # oracle: closing each refuted candidate at its cap fails
+    for gates in seen:
+        support = tuple(sorted({q for g in gates for q in g.qubits}))
+        mats, _ = gate_generators(gates, support)
+        cap = _effective_cap(1 << len(support), len(mats), FAST)
+        with pytest.raises((OrderCapExceeded, KeyCollision)):
+            close_group(mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL))
 
 
 def test_report_json_shape():
