@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (AngleMissing, CircuitSyntaxError, InvalidSpec,
                      MeasurementInUnitary, QubitOutOfRange, TooWide)
+from .histogram import check_seed
 from .linalg import canonical_keys
 
 GATE_ARITY = {
@@ -77,13 +78,17 @@ class Circuit:
         return sorted(g.qubits[0] for g in suffix)
 
 
+def _is_int(v) -> bool:  # a Python or numpy integer; a bool is not
+    return type(v) is int or isinstance(v, np.integer)
+
+
 def check_gates(c: Circuit) -> None:
     """Reject a hand-built gate list that `parse_circuit` would refuse: a width
     or qubit that is not an integer (a bool is not), fewer than one qubit, an
     unknown gate, a wrong qubit count, a repeated qubit in a gate, a measure
     before a gate or measured twice (InvalidSpec), or a qubit outside [0, n)
     (QubitOutOfRange). A few passes over the gates, so each run can afford it."""
-    if type(c.n_qubits) is not int and not isinstance(c.n_qubits, np.integer) or c.n_qubits < 1:
+    if not _is_int(c.n_qubits) or c.n_qubits < 1:
         raise InvalidSpec(f"a circuit needs an integer count of at least one qubit, got {c.n_qubits!r}")
     body, suffix = c.body_and_suffix()
     for g in body:
@@ -100,7 +105,7 @@ def check_gates(c: Circuit) -> None:
     if len(measured) != len(suffix) or len(set(measured)) != len(measured):
         raise InvalidSpec(f"measure lines {measured} must each name one qubit, none twice")
     qubits = [q for g in body for q in g.qubits] + measured
-    bad = [q for q in qubits if type(q) is not int and not isinstance(q, np.integer)]
+    bad = [q for q in qubits if type(q) is not int and not _is_int(q)]
     if bad:
         raise InvalidSpec(f"qubit indices must be integers, got {bad[0]!r}")
     if qubits and (min(qubits) < 0 or max(qubits) >= c.n_qubits):
@@ -473,7 +478,13 @@ def build_benchmark(spec: BenchmarkSpec) -> Circuit:
 
 def random_clifford_circuit(n: int, depth: int, seed: int, measured: bool = True) -> Circuit:
     """Seeded random circuit over the Clifford gate kinds, used for the
-    stabilizer-vs-statevector cross checks."""
+    stabilizer-vs-statevector cross checks. Raises InvalidSpec unless n is an
+    integer of at least 1, depth one of at least 0 and seed a valid seed."""
+    if not _is_int(n) or n < 1:
+        raise InvalidSpec(f"n must be an integer of at least 1, got {n!r}")
+    if not _is_int(depth) or depth < 0:
+        raise InvalidSpec(f"depth must be a non-negative integer, got {depth!r}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     one_q = ("h", "s", "sdg", "x", "y", "z")
     gates = []

@@ -1,22 +1,21 @@
 """Stabilizer tableau simulator for Clifford circuits.
 
 The tableau keeps 2n generators (n destabilizers, then n stabilizers) as
-X/Z bit rows plus a phase exponent r in {0,1,2,3} (power of i). Gates act on
+X/Z bits plus a phase exponent r in {0,1,2,3} (power of i). Gates act on
 `PackedTableau`, qubit-major Python-int bitsets of the rows with X and with Z
 on each qubit and of the rows with r = 2 (before measurement r is 0 or 2), as
-in Stim (Gidney, arXiv:2103.02202): each update is a few int operations. One
-unpack after the last gate gives the uint8 rows that measurement works on.
+in Stim (Gidney, arXiv:2103.02202): each update is a few int operations.
 
-Because measure gates form a trailing suffix, the whole measurement layer is
-resolved symbolically in one pass: which rows anticommute and which row
-multiplications happen depend only on the X/Z bits, never on outcomes, so
-each outcome bit is an affine function over GF(2) of the fair coins spent on
-random-outcome measurements. Row signs' dependence on the coins is a (2n, n)
-bit matrix `lin` beside `x` and `z`: a random measurement of qubit q spends
-one coin and leaves +/-Z_q a stabilizer, so q's later measurements are
-deterministic and there are at most n coins. A measurement multiplies rows
-a whole column at a time, and sampling any number of shots is a bit-matrix
-product over the distinct coin draws.
+Measure gates form a trailing suffix, which `measure_layer` resolves in one
+GF(2) elimination of the stabilizer rows (Aaronson-Gottesman, quant-ph/0406196;
+Garcia, Markov & Cross, arXiv:1210.6646). With Z on the measured qubits as the
+lowest bits, in measurement order, a basis row whose top bit is measured
+position j is +/-Z_{q_j} times Z on earlier measured qubits, which fixes that
+outcome; every other measured position spends a fresh fair coin. Each outcome
+is thus an affine function over GF(2) of at most n coins, fixed by the state
+and the measurement order alone, and sampling is a bit-matrix product over the
+distinct coin draws. `measure_symbolic`, the per-qubit update on unpacked
+uint8 rows, is kept as the oracle.
 """
 
 from __future__ import annotations
@@ -39,6 +38,14 @@ class StabilizerTableau:
     lin: np.ndarray  # (2n, n) uint8: row sign flips with each set coin
 
 
+def _to_bits(values: list[int], width: int) -> np.ndarray:
+    """(len(values), width) uint8 0/1 array whose row j holds bits 0..width-1 of values[j]."""
+    size = (width + 7) // 8
+    raw = b"".join(v.to_bytes(size, "little") for v in values)
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(values), size),
+                         axis=1, count=width, bitorder="little")
+
+
 @dataclass
 class PackedTableau:
     n: int
@@ -51,10 +58,8 @@ class PackedTableau:
         return PackedTableau(n, [1 << q for q in range(n)], [1 << (n + q) for q in range(n)], 0)
 
     def unpack(self) -> StabilizerTableau:
-        n, size = self.n, (2 * self.n + 7) // 8
-        raw = b"".join(v.to_bytes(size, "little") for v in (*self.xs, *self.zs, self.signs))
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(2 * n + 1, size),
-                             axis=1, bitorder="little")[:, :2 * n]  # row j: bitset j's 2n bits
+        n = self.n
+        bits = _to_bits([*self.xs, *self.zs, self.signs], 2 * n)  # row j: bitset j's 2n bits
         return StabilizerTableau(n, bits[:n].T.copy(), bits[n:-1].T.copy(),
                                  2 * bits[-1], np.zeros((2 * n, n), dtype=np.uint8))
 
@@ -137,6 +142,47 @@ def measure_symbolic(tab: StabilizerTableau, q: int, next_coin: int) -> tuple[in
     return (1 if r_acc == 2 else 0, np.bitwise_xor.reduce(lin[rows], axis=0), next_coin)
 
 
+def _bits(v: int):  # indices of the set bits of v, lowest first
+    while v:
+        yield (v & -v).bit_length() - 1
+        v &= v - 1
+
+
+def measure_layer(tab: PackedTableau, measured: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """Measure `measured` in order: (const, mask) per qubit, outcome = const XOR
+    parity(coins AND mask) with mask a bitset over the coins, and the coin count."""
+    n, k = tab.n, len(measured)
+    perm = measured + sorted(set(range(n)) - set(measured))
+    cols = _to_bits([tab.zs[q] >> n for q in perm] + [tab.xs[q] >> n for q in perm], n)
+    rows = [int.from_bytes(r.tobytes(), "little") for r in np.packbits(cols.T, axis=1, bitorder="little")]
+    body, basis = (1 << 2 * n) - 1, {}
+    for i, row in enumerate(rows):  # the rows are independent, so none vanishes
+        v = row | 1 << (2 * n + i)
+        while (top := (v & body).bit_length() - 1) in basis:
+            v ^= basis[top]
+        basis[top] = v
+    signs, low = tab.signs >> n, (1 << n) - 1
+    exprs, coins = [], 0
+    for j in range(k):
+        if j not in basis:  # Z on measured position j is independent of the earlier ones
+            exprs.append((0, 1 << coins))
+            coins += 1
+            continue
+        x = z = e = 0  # +/-Z_{q_j} Z_v: multiply out its original rows for the sign
+        for i in _bits(basis[j] >> 2 * n):
+            x2, z2 = rows[i] >> n, rows[i] & low
+            e += (2 * (signs >> i & 1) + (x & z).bit_count() + (x2 & z2).bit_count()
+                  + 2 * (z & x2).bit_count() - ((x ^ x2) & (z ^ z2)).bit_count())
+            x, z = x ^ x2, z ^ z2
+        if e % 4 not in (0, 2):
+            raise AssertionError(f"deterministic measurement phase {e % 4} is not +/-1")
+        const, mask = e % 4 // 2, 0
+        for i in _bits(basis[j] & ((1 << j) - 1)):
+            const, mask = const ^ exprs[i][0], mask ^ exprs[i][1]
+        exprs.append((const, mask))
+    return exprs, coins
+
+
 def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     """Run a Clifford circuit and sample its measured qubits. Raises NonCliffordGate
     naming the offending gate and its position, InvalidSpec or QubitOutOfRange
@@ -150,20 +196,13 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
         if g.kind not in CLIFFORD_KINDS:
             raise NonCliffordGate(f"gate {g.kind!r} at position {pos} is not Clifford")
         apply_gate(packed, g.kind, g.qubits)
-    tab = packed.unpack()
-
-    measured = [g.qubits[0] for g in suffix] if suffix else list(range(c.n_qubits))
-    exprs: dict[int, tuple[int, np.ndarray]] = {}
-    coins = 0
-    for q in measured:
-        const, mask, coins = measure_symbolic(tab, q, coins)
-        exprs[q] = (const, mask)
-
-    order = sorted(measured)  # histogram bit j = j-th smallest measured qubit
+    measured = [g.qubits[0] for g in suffix] if suffix else list(range(packed.n))
+    exprs, coins = measure_layer(packed, measured)
+    order = np.argsort(measured)  # histogram bit j = j-th smallest measured qubit
     k = len(order)
-    consts = np.array([exprs[q][0] for q in order])
+    consts = np.array([exprs[i][0] for i in order])
     # float32 puts the product below in BLAS; its sums count at most n coins, so exact
-    a = np.array([exprs[q][1][:coins] for q in order], dtype=np.float32)
+    a = _to_bits([exprs[i][1] for i in order], coins).astype(np.float32)
 
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 2, size=(shots, coins), dtype=np.uint8)
@@ -180,10 +219,9 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     bits = ((draws[by_key[starts]] @ a.T).astype(np.int64) + consts) & 1
     # outcome strings put bit k-1 first; they sort in the order of their values
     strings = (bits[:, ::-1] + ord("0")).astype(np.uint8).view(f"S{k}").ravel()
+    idx = np.argsort(strings)
     return MeasurementHistogram(
-        shots=shots,
-        counts={strings[i].decode(): int(counts[i]) for i in np.argsort(strings)},
-    )
+        shots=shots, counts=dict(zip(strings[idx].astype(f"U{k}").tolist(), counts[idx].tolist())))
 
 
 def validate_tableau(tab: StabilizerTableau) -> None:

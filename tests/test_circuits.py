@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -203,6 +204,31 @@ def test_build_benchmark_dispatch_and_validation():
         build_benchmark(BenchmarkSpec(kind="nope"))
     with pytest.raises(InvalidSpec):
         build_bv("10a")
+
+
+@pytest.mark.parametrize("n, depth, seed, word", [
+    (0, 5, 1, "n"), (-2, 5, 1, "n"), (2.5, 5, 1, "n"), (3.0, 5, 1, "n"), (True, 5, 1, "n"),
+    ("3", 5, 1, "n"), (3, -1, 1, "depth"), (3, 2.0, 1, "depth"), (3, 5, -1, "seed"),
+    (3, 5, 1.5, "seed"), (3, 5, "1", "seed"),
+])
+def test_random_clifford_circuit_rejects_bad_inputs(n, depth, seed, word):
+    with pytest.raises(InvalidSpec, match=word):
+        random_clifford_circuit(n, depth, seed)
+
+
+# sha256 prefixes of serialize_circuit, pinned before the input checks existed
+RANDOM_CLIFFORD_DIGESTS = {
+    (1, 0, 0): "dc2d0aaff38e345d", (1, 7, 3): "e20f9ccc1ce404b0",
+    (2, 40, 5): "b1e53815d74a14df", (9, 200, 2 ** 40): "39fe55281f888d87",
+    (70, 300, 12): "1b5a5b924cc786b3",
+}
+
+
+def test_random_clifford_circuit_valid_calls_are_unchanged():
+    for (n, depth, seed), want in RANDOM_CLIFFORD_DIGESTS.items():
+        for args in ((n, depth, seed), (np.int64(n), np.int64(depth), np.uint64(seed))):
+            text = serialize_circuit(random_clifford_circuit(*args))
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
 
 
 def test_depth():

@@ -11,7 +11,8 @@ from charforge.errors import InvalidSpec, NonCliffordGate, QubitOutOfRange
 from charforge.histogram import tv_distance
 from charforge.optimize import equivalence_check
 from charforge.statevector import marginal_probabilities, run_gates, sv_run
-from charforge.tableau import (PackedTableau, apply_gate, measure_symbolic,
+from charforge import tableau
+from charforge.tableau import (PackedTableau, apply_gate, measure_layer, measure_symbolic,
                                tableau_run, validate_tableau)
 
 
@@ -222,6 +223,33 @@ def test_golden_histograms():
     assert got == GOLDEN_HISTOGRAMS
 
 
+def _all_h(n: int) -> Circuit:
+    return _measured_circuit(_hand_built(n, *(("h", q) for q in range(n))), range(n))
+
+
+# the same digest over circuits with 100 and 247 random outcomes, pinned from
+# the per-qubit measurement before the one-elimination layer replaced it
+GOLDEN_PAST_64_COINS = {
+    "all-h-100": (lambda: _all_h(100), 2000, 100, 100, "662ca6e24f0717c9"),
+    "clifford-256": (lambda: random_clifford_circuit(256, 20 * 256, seed=9), 500, 3, 247,
+                     "22b8fcfb8cb7014c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PAST_64_COINS))
+def test_golden_histograms_past_64_coins(name):
+    build, shots, seed, coins, want = GOLDEN_PAST_64_COINS[name]
+    c = build()
+    body, suffix = c.body_and_suffix()
+    packed = PackedTableau.zeros(c.n_qubits)
+    for g in body:
+        apply_gate(packed, g.kind, g.qubits)
+    assert measure_layer(packed, [g.qubits[0] for g in suffix])[1] == coins
+    h = tableau_run(c, shots, seed=seed)
+    text = "".join(f"{k}:{v};" for k, v in h.counts.items())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(0, 12 * n), st.integers(0, 2 ** 32 - 1),
@@ -257,6 +285,52 @@ def test_tableau_stays_symplectic_after_measuring_every_qubit():
             _, _, coins = measure_symbolic(tab, q, coins)
         validate_tableau(tab)
         assert coins <= n
+
+
+def _layer_and_oracle(n: int, depth: int, seed: int, measured: list[int]):
+    """measure_layer's result and measure_symbolic's, its masks as bitsets, on one state."""
+    packed = PackedTableau.zeros(n)
+    for g in random_clifford_circuit(n, depth, seed=seed, measured=False).gates:
+        apply_gate(packed, g.kind, g.qubits)
+    before = (list(packed.xs), list(packed.zs), packed.signs)
+    got = measure_layer(packed, measured)
+    assert (packed.xs, packed.zs, packed.signs) == before
+    tab, coins, want = packed.unpack(), 0, []
+    for q in measured:
+        const, mask, coins = measure_symbolic(tab, q, coins)
+        want.append((const, int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")))
+    return got, (want, coins)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 13).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 15 * n), st.integers(0, 2 ** 32 - 1),
+    st.permutations(range(n)), st.integers(1, n))))
+def test_measure_layer_matches_per_qubit_oracle(case):
+    # shallow bodies leave Z-type stabilizers, so deterministic outcomes and
+    # substitutions show up beside the coins
+    n, depth, seed, perm, n_measured = case
+    got, want = _layer_and_oracle(n, depth, seed, perm[:n_measured])
+    assert got == want
+
+
+@pytest.mark.parametrize("n, depth, seed", [(65, 40, 1), (97, 2000, 2), (140, 300, 3)])
+def test_measure_layer_matches_per_qubit_oracle_past_64_qubits(n, depth, seed):
+    perm = np.random.default_rng(seed).permutation(n).tolist()
+    for measured in (perm, perm[:n // 3]):
+        got, want = _layer_and_oracle(n, depth, seed, measured)
+        assert got == want
+
+
+def test_run_path_uses_neither_the_oracle_nor_unpack(monkeypatch):
+    c = random_clifford_circuit(70, 700, seed=4)
+    want = tableau_run(c, 300, seed=1).counts
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the run path")
+    monkeypatch.setattr(tableau, "measure_symbolic", refuse)
+    monkeypatch.setattr(PackedTableau, "unpack", refuse)
+    assert tableau_run(c, 300, seed=1).counts == want
 
 
 def test_256_qubit_clifford_circuit_runs():
