@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSpectrum, GroupMismatch, InvalidSpec, NonIntegralDegree,
+from .errors import (DegenerateSpectrum, GroupMismatch, NonIntegralDegree,
                      OrthogonalityViolation)
 from .groups import FiniteMatrixGroup
+from .histogram import check_seed
 
 # bound on verify_orthogonality's max residual for a table character_table
 # returns; the worst case traced over the benchmark workloads is 1.09e-11
@@ -102,8 +103,7 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
     by more than 1e-4, and OrthogonalityViolation when the table's
     orthogonality residual exceeds ORTH_RESIDUAL_MAX.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidSpec(f"seed must be an integer >= 0, got {seed!r}")
+    check_seed(seed)
     k = len(group.classes)
     order = group.order
     sizes = np.array([len(c) for c in group.classes], dtype=np.float64)

@@ -88,7 +88,3 @@ class ConflictingDeclaration(CharforgeError):
 
 class InsufficientFixtures(CharforgeError):
     pass
-
-
-class IoError(CharforgeError):
-    pass

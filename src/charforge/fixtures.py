@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .circuits import gate_matrix
 from .groups import ClosureConfig, FiniteMatrixGroup, close_group
 
 I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-S = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
+X, Y, Z, H, S = (gate_matrix(k) for k in "xyzhs")
 
 
 def _perm_matrix(perm: tuple[int, ...]) -> np.ndarray:

@@ -25,8 +25,6 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidSpec, KeyCollision, OrderCapExceeded
 from .linalg import check_unitary
 
-_CAYLEY_CHUNK = 128  # rows per gather, so the (rows, order) index temporaries stay small
-
 
 @dataclass(frozen=True)
 class ClosureConfig:
@@ -157,20 +155,18 @@ class FiniteMatrixGroup:
     @cached_property
     def cayley(self) -> np.ndarray:
         # a = p @ g_s gives a @ b = p @ (g_s @ b): row a is row p read through
-        # grow[s, b] = index of gens[s] @ mats[b]. Both fill level by level, as
-        # every parent is a level earlier; grow first, as a row reads all of it.
+        # grow[s, b] = index of gens[s] @ mats[b]. grow fills level by level,
+        # as every parent is a level earlier, and first, as a row reads all of
+        # it; the rows fill in index order, as every parent has a smaller index.
         n, parent, slot, right = self.order, self.parent, self.slot, self.right
         grow = np.empty((right.shape[1], n), dtype=np.int64)
         grow[:, 0] = self.input_elements
+        for lo, hi in zip([1] + self.bounds[1:-1], self.bounds[1:]):
+            grow[:, lo:hi] = right[grow[:, parent[lo:hi]], slot[lo:hi]]
         cayley = np.empty((n, n), dtype=np.int16 if n < 2 ** 15 else np.int32)
         cayley[0] = np.arange(n)
-        levels = list(zip([1] + self.bounds[1:-1], self.bounds[1:]))
-        for lo, hi in levels:
-            grow[:, lo:hi] = right[grow[:, parent[lo:hi]], slot[lo:hi]]
-        for lo, hi in levels:
-            for c in range(lo, hi, _CAYLEY_CHUNK):
-                r = slice(c, min(c + _CAYLEY_CHUNK, hi))
-                cayley[r] = cayley[parent[r, None], grow[slot[r]]]
+        for a in range(1, n):
+            np.take(cayley[parent[a]], grow[slot[a]], out=cayley[a])
         return cayley
 
     @cached_property

@@ -10,15 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import gate_matrix
 from .errors import NotHermitian
 from .linalg import max_abs
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI_1Q = {"I": np.eye(2, dtype=complex), **{k.upper(): gate_matrix(k) for k in "xyz"}}
 
 
 @dataclass(frozen=True)
@@ -41,11 +37,6 @@ class Observable:
         if not letters or any(ch not in _PAULI_1Q for ch in letters):
             raise ValueError(f"pauli string must use I/X/Y/Z, got {letters!r}")
         return Observable(pauli=letters, coeff=float(coeff))
-
-    def n_qubits(self) -> int:
-        if self.pauli is not None:
-            return len(self.pauli)
-        return int(np.log2(self.matrix.shape[0]))
 
     def letter_for(self, qubit: int) -> str:
         return self.pauli[len(self.pauli) - 1 - qubit]

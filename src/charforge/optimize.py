@@ -57,60 +57,52 @@ class OptimizeConfig:
     equiv_seed: int = 97
     run_equivalence: bool = True
 
+    def __post_init__(self):
+        ClosureConfig(max_order=self.max_order)  # the closure's rule for max_order
+
 
 @dataclass
 class WordTable:
-    """Shortest generator words from a BFS of the Cayley graph, which reads
-    one column per generator: `right` for an input generator, else `cayley`.
+    """Shortest words over the input generators from a BFS of the Cayley
+    graph along the columns of `right`.
 
-    Words are sequences of slots into `generators`; the element equals the
-    left-to-right matrix product of the slot matrices. Ties break toward the
-    lowest generator slot, so among equal-length words the stored one is
+    Words are sequences of slots into group.input_elements; the element equals
+    the left-to-right matrix product of the slot matrices. Ties break toward
+    the lowest slot, so among equal-length words the stored one is
     lexicographically smallest.
     """
 
-    group: FiniteMatrixGroup
-    generators: list[int]
     parent: np.ndarray
     parent_slot: np.ndarray
     word_length: np.ndarray
 
     def word(self, element: int) -> tuple[int, ...]:
         out = []
-        cur = element
-        while self.parent[cur] >= 0:
-            out.append(int(self.parent_slot[cur]))
-            cur = int(self.parent[cur])
+        while self.parent[element] >= 0:
+            out.append(int(self.parent_slot[element]))
+            element = int(self.parent[element])
         return tuple(reversed(out))
 
     def eccentricity(self) -> int:
         return int(self.word_length.max())
 
 
-def build_word_table(group: FiniteMatrixGroup, generators: list[int] | None = None) -> WordTable:
-    gens = list(group.generators) if generators is None else list(generators)
-    n = group.order
-    if not all(isinstance(g, (int, np.integer)) and 0 <= g < n for g in gens):
-        raise InvalidSpec(f"generators must be element indices in [0, {n}), got {gens}")
-    inputs = {int(e): j for j, e in reversed(list(enumerate(group.input_elements)))}
-    # step[a, s] = index of mats[a] @ mats[gens[s]]
-    step = np.array([group.right[:, inputs[g]] if g in inputs else group.cayley[:, g]
-                     for g in gens], dtype=np.int64).reshape(len(gens), n).T
+def build_word_table(group: FiniteMatrixGroup) -> WordTable:
+    # close_group found every element along `right`, so the BFS reaches them all
+    n, k = group.right.shape
     parent, parent_slot, dist = (np.full(n, -1, dtype=np.int64) for _ in range(3))
     dist[0] = 0
     # BFS by levels; a level's queue order is the (element, slot) order of first meeting
     frontier = np.zeros(1, dtype=np.int64)
     while len(frontier):
-        nxt = step[frontier].ravel()
+        nxt = group.right[frontier].ravel()
         fresh = np.flatnonzero(dist[nxt] < 0)
         first = fresh[np.sort(np.unique(nxt[fresh], return_index=True)[1])]
         dist[nxt[first]] = dist[frontier[0]] + 1
-        parent[nxt[first]] = frontier[first // len(gens)]
-        parent_slot[nxt[first]] = first % len(gens)
+        parent[nxt[first]] = frontier[first // k]
+        parent_slot[nxt[first]] = first % k
         frontier = nxt[first]
-    if np.any(dist < 0):
-        raise InvalidSpec("generators do not generate the group")
-    return WordTable(group, gens, parent, parent_slot, dist)
+    return WordTable(parent, parent_slot, dist)
 
 
 # -- segment scan ------------------------------------------------------------
@@ -125,7 +117,7 @@ class _Closure:
 
     @cached_property
     def words(self) -> WordTable:
-        return build_word_table(self.group, self.group.input_elements)
+        return build_word_table(self.group)
 
     @cached_property
     def scalars(self) -> np.ndarray:
@@ -419,6 +411,9 @@ def equivalence_check(
     """
     check_shots(shots)
     check_seed(seed)
+    for name, tol in (("tv_tol", tv_tol), ("obs_tol", obs_tol)):
+        if not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+            raise InvalidSpec(f"{name} must be finite and >= 0, got {tol!r}")
     check_gates(a)
     check_gates(b)
     n = max(a.n_qubits, b.n_qubits)
@@ -445,8 +440,7 @@ def equivalence_check(
     obs_rng = np.random.default_rng(seed + 1)
     observables = [random_pauli(narrow, obs_rng) for _ in range(20)]
 
-    max_tv = 0.0
-    max_dev = 0.0
+    max_tv = max_dev = 0.0
     block = np.stack(states, axis=1)
     fa = run_gates(pa, block)
     fb = run_gates(pb, block)
@@ -465,12 +459,5 @@ def equivalence_check(
         max_dev = max(max_dev, float(dev.max()))
 
     return EquivalenceVerdict(
-        max_tv=max_tv,
-        max_obs_deviation=max_dev,
-        verdict=(max_tv <= tv_tol and max_dev <= obs_tol),
-        tv_tol=tv_tol,
-        obs_tol=obs_tol,
-        shots=shots,
-        seed=seed,
-        isometry=isometry,
-    )
+        verdict=(max_tv <= tv_tol and max_dev <= obs_tol), max_tv=max_tv, max_obs_deviation=max_dev,
+        tv_tol=tv_tol, obs_tol=obs_tol, shots=shots, seed=seed, isometry=isometry)

@@ -260,6 +260,17 @@ def _random_circuits(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(_random_circuits(), st.data())
+def test_parse_inverts_serialize(c, data):
+    measured = data.draw(st.permutations(range(c.n_qubits)))
+    c = Circuit(c.n_qubits, c.gates + tuple(gate("measure", q) for q in
+                                            measured[:data.draw(st.integers(0, c.n_qubits))]))
+    text = serialize_circuit(c)
+    assert parse_circuit(text) == c
+    assert serialize_circuit(parse_circuit(text)) == text
+
+
+@settings(max_examples=60, deadline=None)
 @given(_random_circuits(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
 def test_gate_kernel_block_matches_columns_and_oracle(c, b, seed):
     n = c.n_qubits

@@ -208,6 +208,22 @@ def test_equiv_zero_shots_is_a_data_error(bell_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("max_order", ["0", "-3"])
+def test_optimize_bad_max_order_is_a_data_error(bell_path, max_order):
+    r = charforge("optimize", "--in", str(bell_path), "--max-order", max_order)
+    assert r.returncode == 2
+    assert "max_order must be an integer >= 1" in r.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--obs-tol", "nan"), ("--tv-tol", "-0.5"),
+                                         ("--tv-tol", "inf")])
+def test_equiv_bad_tolerance_is_a_data_error(bell_path, flag, value):
+    r = charforge("equiv", "--a", str(bell_path), "--b", str(bell_path), flag, value)
+    assert r.returncode == 2
+    assert f"{flag[2:].replace('-', '_')} must be finite and >= 0" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_optimize_report_does_not_depend_on_hash_seed(tmp_path):
     # max_tv sums over a set of outcome strings, whose order follows the hash seed
     p = tmp_path / "mix.circ"

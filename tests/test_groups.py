@@ -335,7 +335,9 @@ _POOLS = {
 def test_random_generator_subsets_match_oracle(case):
     dim, picks = case
     gens = [_POOLS[dim][i] for i in picks]
-    g = close_group(gens)
+    g, again = close_group(gens), close_group(gens)
+    for table in ("mats", "right", "cayley"):
+        assert getattr(g, table).tobytes() == getattr(again, table).tobytes()
     oracle = brute_force_closure(gens)
     assert g.order == len(oracle)
     found = {element_of(g, m) for m in oracle}

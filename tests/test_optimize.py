@@ -1,16 +1,19 @@
 import importlib
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charforge import characters, groups as groups_module
 from charforge.bench import _spec_for
-from charforge.circuits import (Circuit, build_benchmark, build_bv, build_grover, build_qft,
-                                circuit_unitary, gate, gate_generators, parse_circuit)
+from charforge.circuits import (GATE_ARITY, Circuit, build_benchmark, build_bv, build_grover,
+                                build_qft, circuit_unitary, gate, gate_generators, parse_circuit)
 from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
-from charforge.groups import ClosureConfig, close_group
+from charforge.groups import ClosureConfig, close_group, element_of
 from charforge.linalg import equal_up_to_phase, phase_canonical
 from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, _Closure, _effective_cap,
                                 build_word_table, equivalence_check, optimize)
@@ -49,12 +52,24 @@ def test_word_table_c2(groups):
     assert wt.word(1) == (0,)
 
 
-@pytest.mark.parametrize("gens", [[99], [0], [-1], [1.5]])
-def test_word_table_rejects_bad_generators(groups, gens):
-    # 99 and -1 are out of range, 1.5 is not an index, and the identity alone
-    # does not generate d4
-    with pytest.raises(InvalidSpec):
-        build_word_table(groups["d4"], gens)
+@pytest.mark.parametrize("gens, tol, reference", [
+    ([X, X, Z], 1e-9, [X, Z]),
+    # two generators within tol of each other share one input element
+    ([np.diag([1, 1, 1, np.exp(1.570796327j)]), np.diag([1, 1, 1, np.exp(1.570796326j)]),
+      np.diag([1, 1, 1, np.exp(1.570796327j)])], 1e-8,
+     [np.diag([1, 1, 1, np.exp(1.570796327j)])]),
+])
+def test_word_slots_index_the_input_generators(gens, tol, reference):
+    g = close_group(gens, ClosureConfig(tol=tol))
+    h = close_group(reference, ClosureConfig(tol=tol))
+    wt, ref = build_word_table(g), build_word_table(h)
+    assert len(set(g.input_elements)) < len(g.input_elements) and g.order == h.order
+    for e in range(g.order):
+        m = np.eye(g.dim, dtype=complex)
+        for slot in wt.word(e):
+            m = m @ gens[slot]
+        assert np.max(np.abs(m - g.mats[e])) <= 4 * tol
+        assert wt.word_length[e] == ref.word_length[element_of(h, g.mats[e])]
 
 
 def test_word_of_minus_identity_in_d4_is_four(groups):
@@ -211,6 +226,26 @@ def test_idempotence_gate_counts():
         assert len(twice.gates) == len(once.gates)
 
 
+@st.composite
+def _small_circuits(draw):
+    n = draw(st.integers(1, 3))
+    kinds = sorted(k for k, arity in GATE_ARITY.items() if k != "measure" and arity <= n)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        qubits = draw(st.permutations(range(n)))[:GATE_ARITY[kind]]
+        angle = draw(st.floats(-4.0, 4.0)) if kind == "cp" else None
+        gates.append(gate(kind, *qubits, angle=angle))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_circuits())
+def test_optimize_is_idempotent_and_verified(c):
+    once, rep = optimize(c)
+    assert rep.equivalence.verdict
+    assert optimize(once, FAST)[0].gates == once.gates
+
+
 def test_pass_log_has_four_named_passes():
     _, rep = optimize(parse_circuit("qubits 1\nh 0\nh 0\n"), FAST)
     names = [n for n, _ in rep.passes]
@@ -336,6 +371,20 @@ def test_equivalence_rejects_bad_seed_and_non_integer_shots(shots, seed):
     c = build_qft(2)
     with pytest.raises(InvalidSpec, match="seed" if shots == 100 else "shots"):
         equivalence_check(c, c, shots=shots, seed=seed)
+
+
+@pytest.mark.parametrize("max_order", [0, -3, 1.5])
+def test_optimize_config_rejects_a_bad_max_order(max_order):
+    with pytest.raises(InvalidSpec, match="max_order"):
+        OptimizeConfig(max_order=max_order)
+
+
+@pytest.mark.parametrize("tols", [{"tv_tol": -0.01}, {"tv_tol": math.inf}, {"obs_tol": math.nan},
+                                  {"obs_tol": -1e-9}, {"obs_tol": "1e-7"}])
+def test_equivalence_rejects_bad_tolerances(tols):
+    c = build_qft(2)
+    with pytest.raises(InvalidSpec, match=next(iter(tols))):
+        equivalence_check(c, c, shots=100, **tols)
 
 
 def test_equivalence_rejects_a_repeated_measure():
