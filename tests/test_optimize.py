@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from charforge import characters, groups as groups_module
 from charforge.bench import _spec_for
 from charforge.circuits import (GATE_ARITY, Circuit, build_benchmark, build_bv, build_grover,
-                                build_qft, circuit_unitary, gate, gate_generators, parse_circuit)
+                                build_qft, circuit_unitary, gate, gate_generators, parse_circuit,
+                                serialize_circuit)
 from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.groups import ClosureConfig, close_group, element_of
@@ -257,6 +260,23 @@ def test_segment_records_carry_analysis():
     seg = rep.segments[0]
     assert seg.group_order == 8
     assert not {"k", "degrees", "component_norms"} & set(rep.to_json()["segments"][0])
+
+
+# sha256 prefix of the optimized circuit text and the report segments of the
+# bench rows bv/qft/grover/vqe at n = 2..4, seed 0, phase insensitive and not;
+# recorded before closures were seeded with the closure of the segment prefix
+OPTIMIZED_ROWS_DIGEST = "16df3fcc4121405e"
+
+
+def test_optimized_bench_rows_are_pinned():
+    h = hashlib.sha256()
+    for phase_insensitive in (True, False):
+        cfg = OptimizeConfig(phase_insensitive=phase_insensitive, run_equivalence=False)
+        for suite, n in itertools.product(("bv", "qft", "grover", "vqe"), range(2, 5)):
+            out, rep = optimize(build_benchmark(_spec_for(suite, n, 0)), cfg)
+            h.update(serialize_circuit(out).encode())
+            h.update(json.dumps(rep.to_json()["segments"]).encode())
+    assert h.hexdigest()[:16] == OPTIMIZED_ROWS_DIGEST
 
 
 def _recording_close_group(monkeypatch):
