@@ -290,7 +290,7 @@ def apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: i
 
 
 def embed_gate(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Embed a gate matrix (local bit j = qubits[j]) into the full 2^n space."""
+    """Embed a gate matrix or a (..., d, d) stack (local bit j = qubits[j]) into the 2^n space."""
     k = len(qubits)
     dim = 1 << n
     if k == n and tuple(qubits) == tuple(range(n)):
@@ -301,8 +301,8 @@ def embed_gate(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     perm = np.zeros(dim, dtype=np.int64)
     for pos, q in enumerate(src_bits):
         perm |= ((idx >> pos) & 1) << q
-    out = np.zeros((dim, dim), dtype=complex)
-    out[np.ix_(perm, perm)] = full0
+    out = np.zeros(full0.shape, dtype=complex)
+    out[..., perm[:, None], perm] = full0
     return out
 
 

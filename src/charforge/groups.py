@@ -11,11 +11,14 @@ Element indices are assigned in breadth-first discovery order starting from
 {identity} + generators, multiplying on the right by generators, so closing
 the same generator list twice yields identical tables. Each BFS level times
 one generator is one batch; the new elements of a batch are numbered in the
-order the batch first meets them.
+order the batch first meets them. A closure seeded with `base`, the closure
+of the first k generators, keeps base's numbering and numbers the rest in
+discovery order from base (Dimino's method): the same group, renumbered.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -119,8 +122,8 @@ class FiniteMatrixGroup:
 
     Fields:
         dim: matrix dimension.
-        mats: (order, dim, dim) complex array; mats[i] is element i. The
-            identity is always element 0.
+        mats: (order, dim, dim) complex array; mats[i] is element i, numbered
+            as the module docstring says. The identity is always element 0.
         generators: indices of the (deduplicated) input generators.
         input_elements: index of each input generator, duplicates included.
         right: (order, inputs) int array; right[a, j] = index of
@@ -185,13 +188,18 @@ class FiniteMatrixGroup:
         return self.__dict__["class_of"]
 
 
-def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) -> FiniteMatrixGroup:
+def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
+                base: FiniteMatrixGroup | None = None) -> FiniteMatrixGroup:
     """Close a generator list under matrix multiplication.
+
+    With `base`, the closure of generators[:k] at the same tol, the BFS
+    starts from base's elements and tables and expands only what is new.
 
     Raises OrderCapExceeded if more than cfg.max_order elements are
     discovered, KeyCollision when two products are between tol and 8*tol
-    apart, DimensionMismatch on inconsistent generator shapes and NotUnitary
-    when a generator fails the unitarity check.
+    apart, DimensionMismatch on inconsistent generator or base shapes,
+    InvalidSpec when base's generators are not generators[:k] within tol, and
+    NotUnitary when a generator fails the unitarity check.
     """
     cfg = cfg or ClosureConfig()
     if not generators:
@@ -202,21 +210,38 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None) 
         if g.shape[0] != dim:
             raise DimensionMismatch(f"generator dims differ: {g.shape[0]} vs {dim}")
 
-    lookup = ElementLookup(dim, cfg.tol)
-    found, new = lookup.find(np.stack([np.eye(dim, dtype=complex), *gens]), cfg.max_order)
-    gen_found = found[1:]
-    # element b = mats[parent[b]] @ gens[slot[b]]; the identity, first in the
-    # batch above, has neither
-    parent, slot = [np.where(new > 0, 0, -1)], [new - 1]
+    if base is None:
+        lookup = ElementLookup(dim, cfg.tol)
+        found, new = lookup.find(np.stack([np.eye(dim, dtype=complex), *gens]), cfg.max_order)
+        gen_found = found[1:]
+        # element b = mats[parent[b]] @ gens[slot[b]]; the identity, first in the
+        # batch above, has neither
+        parent, slot, bounds, right = [np.where(new > 0, 0, -1)], [new - 1], [0], []
+    else:
+        n, k = base.right.shape
+        if base.dim != dim:
+            raise DimensionMismatch(f"base dim {base.dim} differs from generator dim {dim}")
+        if (k > len(gens) or base.tol != cfg.tol
+                or np.max(np.abs(base.mats[base.input_elements] - gens[:k])) > cfg.tol):
+            raise InvalidSpec("base is not the closure of the first generators at this tol")
+        if n > cfg.max_order:
+            raise OrderCapExceeded(f"base order {n} passes max_order={cfg.max_order}")
+        lookup = copy.copy(base._lookup)  # find replaces its key arrays but writes into mats
+        lookup.mats = lookup.mats[:n].copy()
+        parent, slot, bounds = [base.parent], [base.slot], list(base.bounds)
+        rows = np.hstack([base.right, np.empty((n, len(gens) - k), dtype=np.int64)])
+        for j in range(k, len(gens)):  # base's elements times each new generator
+            rows[:, j], new = lookup.find(lookup.mats[:n] @ gens[j], cfg.max_order)
+            parent.append(new)
+            slot.append(np.full(len(new), j))
+        gen_found, right = np.array(base.input_elements + rows[0, k:].tolist()), [rows]
     # right[a, j] = index of mats[a] @ gens[j]; a BFS level is the index range
     # the level before it found, and every element is expanded once
-    bounds, right = [0], []
     while bounds[-1] < lookup.count:
         lo, hi = bounds[-1], lookup.count
-        frontier = lookup.mats[lo:hi]
         rows = np.empty((hi - lo, len(gens)), dtype=np.int64)
         for j, g in enumerate(gens):
-            rows[:, j], new = lookup.find(frontier @ g, cfg.max_order)
+            rows[:, j], new = lookup.find(lookup.mats[lo:hi] @ g, cfg.max_order)
             parent.append(lo + new)
             slot.append(np.full(len(new), j))
         right.append(rows)

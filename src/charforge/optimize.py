@@ -15,14 +15,17 @@ addition to max_order, so the pipeline degrades to a no-op on segments
 whose groups are too large to analyze at desk scale; such segments are
 kept verbatim and logged; Lagrange's theorem refutes some before any BFS.
 Only the closures' generator tables (FiniteMatrixGroup.right) are read:
-no Cayley table, inverses or conjugacy classes are built.
+no Cayley table, inverses or conjugacy classes are built. A segment grown
+by one gate is closed from the closure of the segment without it when that
+closure's generators lead the new list: the elements are numbered anew, but
+the group, and so the caps, the segments and the words, are the same.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +34,7 @@ from .circuits import (Circuit, GateInstance, check_gates, circuit_depth, embed_
                        gate_generators, gate_matrix)
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .fixtures import X, Z
-from .groups import ClosureConfig, FiniteMatrixGroup, close_group, element_of
+from .groups import ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group, element_of
 from .histogram import check_seed, check_shots, tv_distance
 from .observables import Observable, random_pauli
 from .statevector import (SV_MAX_QUBITS, expectation_of_state,
@@ -220,6 +223,16 @@ def _outside(h: _Closure, gates: list[GateInstance], mat: np.ndarray) -> bool:
     return any(np.max(np.abs(local @ p - p @ local)) > 2 * CLOSURE_TOL for p in paulis)
 
 
+def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -> FiniteMatrixGroup:
+    """base.group, the closure of gates[:-1], embedded over `support` with one find."""
+    h, old = base.group, sorted({q for g in gates[:-1] for q in g.qubits})
+    if len(old) == len(support):
+        return h
+    lookup = ElementLookup(1 << len(support), h.tol)
+    lookup.find(embed_gate(h.mats, tuple(map(support.index, old)), len(support)), h.order)
+    return replace(h, dim=1 << len(support), mats=lookup.mats[:h.order], _lookup=lookup)
+
+
 def _try_close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
                base: _Closure | None = None) -> _Closure | None:
     """The closure of `gates`, or None past the caps. If gates[-1] is outside
@@ -239,8 +252,10 @@ def _try_close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
     result: _Closure | None = None
     if cap >= 2 and not (base is not None and 2 * base.group.order > cap
                          and _outside(base, gates, gen_mats[slots[-1]])):
+        leads = base is not None and templates[:len(base.templates)] == base.templates
+        seed = _seed(base, gates, support) if leads else None
         try:
-            group = close_group(gen_mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL))
+            group = close_group(gen_mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL), seed)
             result = _Closure(group, templates, template_of_key)
         except (OrderCapExceeded, KeyCollision):
             # a key collision means the products are not tolerance-separated,

@@ -247,6 +247,21 @@ def test_gate_generators_dedupe_by_gate_and_by_matrix():
     assert np.array_equal(mats[2], embed_gate(gate_matrix("h"), (1,), 2))
 
 
+@pytest.mark.parametrize("qubits, n", [((0,), 1), ((1,), 3), ((2, 0), 3), ((1, 3), 4), ((0, 1), 2)])
+def test_embed_gate_embeds_each_matrix_of_a_stack(qubits, n):
+    rng = np.random.default_rng(3)
+    d = 1 << len(qubits)
+    stack = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+    out = embed_gate(stack, qubits, n)
+    assert out.shape == (2, 3, 1 << n, 1 << n)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(out[i, j], embed_gate(stack[i, j], qubits, n))
+    # oracle: the stack's matrix acts on `qubits`, the identity on the others
+    psi = rng.standard_normal(1 << n) + 0j
+    u = circuit_unitary(Circuit(n, tuple(gate("x", q) for q in range(n) if q not in qubits)))
+    assert np.allclose(out[1, 2] @ u @ psi, u @ out[1, 2] @ psi)
+
+
 @st.composite
 def _random_circuits(draw):
     n = draw(st.integers(1, 6))

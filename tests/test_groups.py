@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charforge.circuits import embed_gate, gate_matrix
+from charforge.circuits import GATE_ARITY, embed_gate, gate, gate_generators, gate_matrix
 from charforge.errors import (DimensionMismatch, InvalidSpec, KeyCollision,
                               NotUnitary, OrderCapExceeded)
 from charforge.fixtures import H, I2, S, X, Y, Z, fixture_generators
@@ -13,6 +13,7 @@ from charforge.groups import (ClosureConfig, ElementLookup, center_and_abelian,
                               close_group, conjugacy_classes, element_of,
                               group_to_json)
 from charforge.linalg import canonical_keys
+from charforge.optimize import _Closure, _seed
 
 T = np.diag([1, np.exp(1j * np.pi / 4)])
 
@@ -380,3 +381,128 @@ def test_right_walk_matches_cayley_walk_and_dense_product(case):
         by_cayley = int(g.cayley[by_cayley, g.input_elements[j]])
         dense = dense @ gens[j]
     assert by_right == by_cayley == element_of(g, dense)
+
+
+# -- closures seeded with the closure of a generator prefix ---------------------
+
+def assert_seeded_matches_fresh(seeded, fresh):
+    """Same group, elements renumbered: element_of maps seeded onto fresh and
+    carries right, sampled cayley rows and inverses along; classes agree in size."""
+    assert seeded.order == fresh.order
+    phi = np.array([element_of(fresh, m) for m in seeded.mats])
+    assert sorted(phi.tolist()) == list(range(fresh.order))
+    assert np.array_equal(phi[seeded.input_elements], fresh.input_elements)
+    assert np.array_equal(fresh.right[phi], phi[seeded.right])
+    rows = np.unique(np.linspace(0, seeded.order - 1, 12).astype(int))
+    cayley = seeded.cayley[rows].astype(int)
+    assert np.array_equal(fresh.cayley[phi[rows]][:, phi], phi[cayley])
+    products = seeded.mats[rows][:, None] @ seeded.mats[None, :]
+    assert np.max(np.abs(products - seeded.mats[cayley])) <= seeded.tol
+    assert np.array_equal(fresh.inverses[phi], phi[seeded.inverses])
+    assert sorted(map(len, seeded.classes)) == sorted(map(len, fresh.classes))
+
+
+_SEED_POOLS = {name: gens for name, gens in CLOSURE_INPUTS.items() if name != "h0-h1-s1-swap"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_SEED_POOLS)).flatmap(
+    lambda name: st.lists(st.sampled_from(_SEED_POOLS[name]), min_size=1, max_size=5).flatmap(
+        lambda gens: st.tuples(st.just(gens), st.integers(1, len(gens))))))
+def test_seeded_closure_matches_fresh(case):
+    gens, k = case
+    assert_seeded_matches_fresh(close_group(gens, base=close_group(gens[:k])), close_group(gens))
+
+
+_CLIFFORD_KINDS = ("h", "s", "x", "z", "cx", "cz", "swap")
+
+
+@st.composite
+def _grown_gate_lists(draw):
+    """A gate list on at most two of the qubits 0..2 and a gate that adds a qubit."""
+    def draw_gate(qubits):
+        kind = draw(st.sampled_from([k for k in _CLIFFORD_KINDS if GATE_ARITY[k] <= len(qubits)]))
+        return gate(kind, *qubits[:GATE_ARITY[kind]])
+
+    old_qubits = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True))
+    old = [draw_gate(draw(st.permutations(old_qubits))) for _ in range(draw(st.integers(1, 4)))]
+    used = sorted({q for g in old for q in g.qubits})
+    added = draw(st.sampled_from([q for q in range(3) if q not in used]))
+    kind = draw(st.sampled_from(_CLIFFORD_KINDS))
+    if GATE_ARITY[kind] == 1:
+        return old, gate(kind, added)
+    return old, gate(kind, *draw(st.permutations([added, draw(st.sampled_from(used))])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_grown_gate_lists())
+def test_seeded_closure_on_a_grown_support_matches_fresh(case):
+    old, last = case
+    cfg = ClosureConfig(max_order=1200)
+    mats, slots = gate_generators(old, tuple(sorted({q for g in old for q in g.qubits})))
+    try:
+        h = close_group(mats, cfg)
+    except OrderCapExceeded:
+        return
+    support = tuple(sorted({q for g in old + [last] for q in g.qubits}))
+    grown, grown_slots = gate_generators(old + [last], support)
+    templates = [(old + [last])[grown_slots.index(s)] for s in range(len(grown))]
+    seed = _seed(_Closure(h, templates[:len(mats)], {}), old + [last], support)
+    assert seed.dim == 1 << len(support) > h.dim
+    try:
+        fresh = close_group(grown, cfg)
+    except OrderCapExceeded:
+        with pytest.raises(OrderCapExceeded):
+            close_group(grown, cfg, seed)
+        return
+    assert_seeded_matches_fresh(close_group(grown, cfg, seed), fresh)
+
+
+def _count_finds(monkeypatch):
+    counted = [0]
+    find = ElementLookup.find
+
+    def counting(self, batch, max_order=None):
+        counted[0] += len(batch)
+        return find(self, batch, max_order)
+
+    monkeypatch.setattr(ElementLookup, "find", counting)
+    return counted
+
+
+@pytest.mark.parametrize("name, k", [("d4", 1), ("pauli1", 1), ("pauli1", 2), ("clifford1", 1),
+                                     ("h0-cx01-cx12", 2), ("c2", 1)])
+def test_seeded_closure_finds_only_the_new_products(monkeypatch, name, k):
+    gens = CLOSURE_INPUTS[name]
+    h = close_group(gens[:k])
+    counted = _count_finds(monkeypatch)
+    g = close_group(gens, base=h)
+    m = len(gens)
+    assert counted[0] == h.order * (m - k) + (g.order - h.order) * m
+    counted[0] = 0
+    close_group(gens)
+    assert counted[0] == (1 + m) + g.order * m
+
+
+def test_seeded_closure_rejects_a_base_of_another_dimension():
+    with pytest.raises(DimensionMismatch):
+        close_group(CLOSURE_INPUTS["c2xc2"], base=close_group([X]))
+
+
+@pytest.mark.parametrize("base_gens, gens, tol", [
+    ([Z], [X, Z], 1e-9),             # not the first generator
+    ([X, Z], [X], 1e-9),             # more generators than the list
+    ([X, Z], [Z, X], 1e-9),          # another order
+    ([X], [X, Z], 1e-8),             # another tolerance
+])
+def test_seeded_closure_rejects_a_base_of_other_generators(base_gens, gens, tol):
+    with pytest.raises(InvalidSpec):
+        close_group(gens, ClosureConfig(tol=tol), base=close_group(base_gens))
+
+
+def test_seeded_closure_rejects_a_base_past_max_order():
+    base = close_group([X, Z])
+    with pytest.raises(OrderCapExceeded):
+        close_group([X, Z, H], ClosureConfig(max_order=7), base=base)
+    with pytest.raises(OrderCapExceeded):
+        close_group([X, Z, H], ClosureConfig(max_order=7))
