@@ -25,7 +25,7 @@ from .expectation import (decomp_expectation, degree_square_sum,
                           paper_expectation_formula)
 from .fixtures import FIXTURE_NAMES, all_fixture_groups, fixture_group
 from .groups import (ClosureConfig, FiniteMatrixGroup, center_and_abelian,
-                     close_group, conjugacy_classes, element_of, group_to_json)
+                     close_group, element_of, group_to_json)
 from .histogram import MeasurementHistogram, histogram_csv, tv_distance
 from .observables import Observable, random_pauli, z_on_qubit
 from .optimize import (EquivalenceVerdict, OptimizationReport, OptimizeConfig,

@@ -14,6 +14,7 @@ one generator is one batch; the new elements of a batch are numbered in the
 order the batch first meets them. A closure seeded with `base`, the closure
 of the first k generators, keeps base's numbering and numbers the rest in
 discovery order from base (Dimino's method): the same group, renumbered.
+Before that BFS, counting base's right cosets can show the group is past the cap.
 """
 
 from __future__ import annotations
@@ -192,14 +193,15 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
                 base: FiniteMatrixGroup | None = None) -> FiniteMatrixGroup:
     """Close a generator list under matrix multiplication.
 
-    With `base`, the closure of generators[:k] at the same tol, the BFS
-    starts from base's elements and tables and expands only what is new.
+    With `base`, H = the closure of generators[:k] at the same tol, it counts
+    H's right cosets first, where (max_order // |H|)² <= max_order; the BFS
+    then starts from base's elements and tables and expands only what is new.
 
-    Raises OrderCapExceeded if more than cfg.max_order elements are
-    discovered, KeyCollision when two products are between tol and 8*tol
-    apart, DimensionMismatch on inconsistent generator or base shapes,
-    InvalidSpec when base's generators are not generators[:k] within tol, and
-    NotUnitary when a generator fails the unitarity check.
+    Raises OrderCapExceeded if more than cfg.max_order elements are found or
+    H's cosets show there are, KeyCollision when two products are between tol
+    and 8*tol apart, DimensionMismatch on inconsistent generator or base
+    shapes, InvalidSpec when base's generators are not generators[:k] within
+    tol, and NotUnitary when a generator fails the unitarity check.
     """
     cfg = cfg or ClosureConfig()
     if not generators:
@@ -224,8 +226,19 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
         if (k > len(gens) or base.tol != cfg.tol
                 or np.max(np.abs(base.mats[base.input_elements] - gens[:k])) > cfg.tol):
             raise InvalidSpec("base is not the closure of the first generators at this tol")
-        if n > cfg.max_order:
-            raise OrderCapExceeded(f"base order {n} passes max_order={cfg.max_order}")
+
+        # Dimino's coset step, by levels of products r·g: x is in H·r iff x·r† is in H.
+        # It takes about (max_order // |H|)² finds, so it runs where that is within the cap
+        index_cap, reps, lo = cfg.max_order // n, np.eye(dim, dtype=complex)[None], 0
+        while lo < len(reps) and index_cap ** 2 <= cfg.max_order:
+            frontier, lo = reps[lo:], len(reps)
+            for g in gens:
+                if len(reps) > index_cap:
+                    raise OrderCapExceeded(f"over {index_cap} cosets of the base group of order {n}: "
+                                           f"the closure passes max_order={cfg.max_order}")
+                x = frontier @ g  # in distinct cosets, as H·r -> H·r·g is one-to-one
+                found = base._lookup.find((x[:, None] @ reps.conj().swapaxes(1, 2)).reshape(-1, dim, dim))[0]
+                reps = np.concatenate([reps, x[(found.reshape(len(x), -1) < 0).all(1)]])
         lookup = copy.copy(base._lookup)  # find replaces its key arrays but writes into mats
         lookup.mats = lookup.mats[:n].copy()
         parent, slot, bounds = [base.parent], [base.slot], list(base.bounds)
@@ -290,10 +303,6 @@ def conjugacy_classes_from_cayley(
         classes.append(tuple(int(x) for x in orbit))
         class_of[orbit] = ci
     return classes, class_of
-
-
-def conjugacy_classes(group: FiniteMatrixGroup) -> list[tuple[int, ...]]:
-    return group.classes
 
 
 def center_and_abelian(group: FiniteMatrixGroup) -> tuple[list[int], bool]:

@@ -13,12 +13,12 @@ Passes, in order:
 Closure attempts are bounded by deterministic work and memory proxies in
 addition to max_order, so the pipeline degrades to a no-op on segments
 whose groups are too large to analyze at desk scale; such segments are
-kept verbatim and logged; Lagrange's theorem refutes some before any BFS.
-Only the closures' generator tables (FiniteMatrixGroup.right) are read:
-no Cayley table, inverses or conjugacy classes are built. A segment grown
-by one gate is closed from the closure of the segment without it when that
-closure's generators lead the new list: the elements are numbered anew, but
-the group, and so the caps, the segments and the words, are the same.
+kept verbatim and logged. Only the generator tables (FiniteMatrixGroup.right)
+are read: no Cayley table, inverses or classes are built. A segment grown by
+one gate extends the closure H of the segment without it when H's generators
+lead the new list, embedding only the new gate; close_group's count of H's
+cosets, or Lagrange when the gate adds qubits, refutes most over-cap groups
+before any BFS. Elements are renumbered; the groups, segments and words are not.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import (Circuit, GateInstance, check_gates, circuit_depth, embed_gate,
-                       gate_generators, gate_matrix)
+from .circuits import Circuit, GateInstance, check_gates, circuit_depth, embed_gate, gate_matrix
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .fixtures import X, Z
-from .groups import ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group, element_of
+from .groups import ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group
 from .histogram import check_seed, check_shots, tv_distance
+from .linalg import canonical_keys
 from .observables import Observable, random_pauli
 from .statevector import (SV_MAX_QUBITS, expectation_of_state,
                           marginal_probabilities, run_gates, sample_histogram)
@@ -117,6 +117,7 @@ class _Closure:
     group: FiniteMatrixGroup
     templates: list[GateInstance]   # one per input generator of the group
     template_of_key: dict[tuple, int]
+    gens: np.ndarray                # the input generators over the segment's support
 
     @cached_property
     def words(self) -> WordTable:
@@ -211,13 +212,11 @@ def _effective_cap(dim: int, n_gens: int, cfg: OptimizeConfig) -> int:
     return int(cap)
 
 
-def _outside(h: _Closure, gates: list[GateInstance], mat: np.ndarray) -> bool:
-    """True when gates[-1], `mat` over the support of `gates`, is surely not in h,
-    the closure of gates[:-1], or on new qubits fails to commute with X or Z there."""
+def _outside(gates: list[GateInstance]) -> bool:
+    """True when gates[-1] fails to commute with X or Z on a qubit that gates[:-1]
+    do not touch, so that it is not in their closure embedded over the new support."""
     g, old = gates[-1], {q for x in gates[:-1] for q in x.qubits}
     new = [i for i, q in enumerate(g.qubits) if q not in old]
-    if not new:
-        return element_of(h.group, mat) is None
     local = gate_matrix(g.kind, g.angle)
     paulis = [embed_gate(p, (i,), len(g.qubits)) for i in new for p in (X, Z)]
     return any(np.max(np.abs(local @ p - p @ local)) > 2 * CLOSURE_TOL for p in paulis)
@@ -235,28 +234,41 @@ def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -
 
 def _try_close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
                base: _Closure | None = None) -> _Closure | None:
-    """The closure of `gates`, or None past the caps. If gates[-1] is outside
-    `base`, the closure H of gates[:-1], the order is a multiple of |H| above
-    |H| (Lagrange): past the cap if 2|H| is, so that BFS is not run."""
+    """The closure of `gates`, or None past the caps. When the templates of
+    `base`, the closure H of gates[:-1], lead those of `gates`, only gates[-1]
+    is embedded and close_group extends H, counting its cosets first. A gate on
+    new qubits outside H gives 2|H| or more elements (Lagrange): past the cap
+    if 2|H| is, so H is not embedded for it."""
     support = tuple(sorted({q for g in gates for q in g.qubits}))
     keys = tuple(sorted(set(g.key() for g in gates), key=repr))
     cache_key = (support, keys)
     if cache_key in cache:
         return cache[cache_key]
 
-    gen_mats, slots = gate_generators(gates, support)
-    template_of_key = {g.key(): slot for g, slot in zip(gates, slots)}
-    templates = [gates[slots.index(slot)] for slot in range(len(gen_mats))]
+    slots = [base.template_of_key[g.key()] for g in gates[:-1]] if base is not None else []
+    # the first gate of each of base's slots, in the order gates[:-1] meets them
+    leads = base is not None and [gates[slots.index(s)] for s in dict.fromkeys(slots)] == base.templates
+    if leads:  # base's generators, embedded over the support
+        old = tuple(map(support.index, sorted({q for g in gates[:-1] for q in g.qubits})))
+        gen_mats, templates = embed_gate(base.gens, old, len(support)), base.templates
+        template_of_key = dict(base.template_of_key)
+    else:
+        gen_mats, templates, template_of_key = np.empty((0,) + (1 << len(support),) * 2, complex), [], {}
+    # a gate adds a generator unless its embedding's canonical key is an earlier one's
+    for g in [gates[-1]] if leads else dict.fromkeys(gates):
+        mat = embed_gate(gate_matrix(g.kind, g.angle), tuple(map(support.index, g.qubits)), len(support))
+        known = canonical_keys(np.concatenate([gen_mats, mat[None]]))
+        template_of_key[g.key()] = slot = known.index(known[-1])
+        if slot == len(gen_mats):
+            gen_mats, templates = np.concatenate([gen_mats, mat[None]]), templates + [g]
 
     cap = _effective_cap(1 << len(support), len(gen_mats), cfg)
     result: _Closure | None = None
-    if cap >= 2 and not (base is not None and 2 * base.group.order > cap
-                         and _outside(base, gates, gen_mats[slots[-1]])):
-        leads = base is not None and templates[:len(base.templates)] == base.templates
+    if cap >= 2 and not (base is not None and 2 * base.group.order > cap and _outside(gates)):
         seed = _seed(base, gates, support) if leads else None
         try:
-            group = close_group(gen_mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL), seed)
-            result = _Closure(group, templates, template_of_key)
+            group = close_group(list(gen_mats), ClosureConfig(max_order=cap, tol=CLOSURE_TOL), seed)
+            result = _Closure(group, templates, template_of_key, gen_mats)
         except (OrderCapExceeded, KeyCollision):
             # a key collision means the products are not tolerance-separated,
             # which only happens for dense (non-finite) generated sets

@@ -10,8 +10,7 @@ from charforge.errors import (DimensionMismatch, InvalidSpec, KeyCollision,
                               NotUnitary, OrderCapExceeded)
 from charforge.fixtures import H, I2, S, X, Y, Z, fixture_generators
 from charforge.groups import (ClosureConfig, ElementLookup, center_and_abelian,
-                              close_group, conjugacy_classes, element_of,
-                              group_to_json)
+                              close_group, element_of, group_to_json)
 from charforge.linalg import canonical_keys
 from charforge.optimize import _Closure, _seed
 
@@ -102,7 +101,7 @@ def test_closure_config_rejects_bad_values(kwargs):
 
 def test_conjugacy_classes_against_matrix_oracle(groups):
     g = groups["d4"]
-    classes = conjugacy_classes(g)
+    classes = g.classes
     assert sorted(len(c) for c in classes) == [1, 1, 2, 2, 2]
     # oracle: conjugate via explicit matrices
     for c in classes:
@@ -447,7 +446,7 @@ def test_seeded_closure_on_a_grown_support_matches_fresh(case):
     support = tuple(sorted({q for g in old + [last] for q in g.qubits}))
     grown, grown_slots = gate_generators(old + [last], support)
     templates = [(old + [last])[grown_slots.index(s)] for s in range(len(grown))]
-    seed = _seed(_Closure(h, templates[:len(mats)], {}), old + [last], support)
+    seed = _seed(_Closure(h, templates[:len(mats)], {}, np.stack(mats)), old + [last], support)
     assert seed.dim == 1 << len(support) > h.dim
     try:
         fresh = close_group(grown, cfg)
@@ -506,3 +505,61 @@ def test_seeded_closure_rejects_a_base_past_max_order():
         close_group([X, Z, H], ClosureConfig(max_order=7), base=base)
     with pytest.raises(OrderCapExceeded):
         close_group([X, Z, H], ClosureConfig(max_order=7))
+
+
+# -- coset counts of seeded closures ------------------------------------------
+
+# (generators, k, |G|) with (|G| // |H|)² <= |G| for H the closure of the first
+# k generators, so the count of the right cosets of H runs at caps near |G|
+COSET_CASES = {
+    "c2xc2-1": (CLOSURE_INPUTS["c2xc2"], 1, 4),
+    "q8-1": (CLOSURE_INPUTS["q8"], 1, 8),
+    "pauli1-2": (CLOSURE_INPUTS["pauli1"], 2, 16),
+    "s0-h0-cx01-2": (_gate_set(2, [("s", 0), ("h", 0), ("cx", 0, 1)]), 2, 3072),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COSET_CASES))
+def test_coset_count_refutes_exactly_past_the_cap(name):
+    gens, k, order = COSET_CASES[name]
+    h = close_group(gens[:k])
+    assert (order // h.order) ** 2 <= order
+    assert close_group(gens, ClosureConfig(max_order=order), base=h).order == order
+    with pytest.raises(OrderCapExceeded, match="cosets of the base group"):
+        close_group(gens, ClosureConfig(max_order=order - 1), base=h)
+    with pytest.raises(OrderCapExceeded):
+        close_group(gens, ClosureConfig(max_order=order - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_SEED_POOLS)).flatmap(
+    lambda name: st.lists(st.sampled_from(_SEED_POOLS[name]), min_size=2, max_size=5).flatmap(
+        lambda gens: st.tuples(st.just(gens), st.integers(1, len(gens) - 1)))))
+def test_seeded_closure_fails_exactly_below_the_order(case):
+    gens, k = case
+    h, order = close_group(gens[:k]), close_group(gens).order
+    assert close_group(gens, ClosureConfig(max_order=order), base=h).order == order
+    if order > 1:
+        with pytest.raises(OrderCapExceeded):
+            close_group(gens, ClosureConfig(max_order=order - 1), base=h)
+
+
+def test_coset_count_of_a_generator_already_in_the_base_closes_normally(monkeypatch):
+    h = close_group([X, Z])
+    counted = _count_finds(monkeypatch)
+    g = close_group([X, Z, X @ Z], ClosureConfig(max_order=8), base=h)
+    # the count finds each generator (times the identity) in H, one coset in
+    # all; the BFS then finds H times the new generator
+    assert counted[0] == 3 + 8
+    assert g.order == 8 and g.input_elements[2] == element_of(h, X @ Z)
+
+
+@pytest.mark.parametrize("name", ["q8", "pauli1", "clifford1"])
+def test_base_past_the_cap_raises_before_any_find(monkeypatch, name):
+    gens = CLOSURE_INPUTS[name]
+    h = close_group(gens)
+    counted = _count_finds(monkeypatch)
+    for cap in (1, h.order - 1):
+        with pytest.raises(OrderCapExceeded, match=f"base group of order {h.order}"):
+            close_group(gens + [gens[0]], ClosureConfig(max_order=cap), base=h)
+    assert counted[0] == 0

@@ -16,7 +16,7 @@ from charforge.circuits import (GATE_ARITY, Circuit, build_benchmark, build_bv, 
                                 serialize_circuit)
 from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
-from charforge.groups import ClosureConfig, close_group, element_of
+from charforge.groups import ClosureConfig, ElementLookup, close_group, element_of
 from charforge.linalg import equal_up_to_phase, phase_canonical
 from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, _Closure, _effective_cap,
                                 build_word_table, equivalence_check, optimize)
@@ -158,7 +158,7 @@ def _h0_cx01_s1_group():
                          ids=["clifford1", "h0_cx01_s1"])
 def test_scalar_translates_are_the_phase_equal_elements(make, groups):
     group = make(groups)
-    closure = _Closure(group, [], {})
+    closure = _Closure(group, [], {}, group.mats[group.input_elements])
     scalars = closure.scalars
     assert 0 in scalars.tolist()
     for p, expected in enumerate(brute_force_phase_classes(group)):
@@ -280,19 +280,31 @@ def test_optimized_bench_rows_are_pinned():
 
 
 def _recording_close_group(monkeypatch):
-    """Patch the optimizer's close_group to count attempts and failures and
-    keep every group it closes."""
-    log = {"calls": 0, "failures": 0, "groups": []}
+    """Patch the optimizer's close_group to count attempts and the failures
+    of those that reach the BFS (the first find that may add an element), and
+    keep every group it closes and the arguments of every call that raises
+    before its BFS: a refutation by the coset count or by the base's order."""
+    log = {"calls": 0, "failures": 0, "groups": [], "refuted": []}
+    find, adds = ElementLookup.find, [False]
+
+    def recording_find(self, batch, max_order=None):
+        adds[0] |= max_order is not None
+        return find(self, batch, max_order)
 
     def recording(*args, **kwargs):
         log["calls"] += 1
+        adds[0] = False
         try:
             log["groups"].append(close_group(*args, **kwargs))
         except (OrderCapExceeded, KeyCollision):
-            log["failures"] += 1
+            if adds[0]:
+                log["failures"] += 1
+            else:
+                log["refuted"].append(args)
             raise
         return log["groups"][-1]
 
+    monkeypatch.setattr(ElementLookup, "find", recording_find)
     monkeypatch.setattr(optimize_module, "close_group", recording)
     return log
 
@@ -312,32 +324,43 @@ def test_optimize_computes_no_character_table(monkeypatch, n, marked):
         assert not {"cayley", "inverses", "classes", "class_of"} & set(g.__dict__)
 
 
-# (suite, width, close_group calls, failures, Lagrange refutations) on the
-# bench rows at seed 0; without the refutations the calls were 18 and 26
-# and the failures 2 and 4
-@pytest.mark.parametrize("suite, n, calls, failures, refuted",
-                         [("bv", 5, 16, 0, 2), ("vqe", 6, 23, 1, 3)])
-def test_lagrange_refutations_are_exact(monkeypatch, suite, n, calls, failures, refuted):
+# (rows, close_group calls, closures that reach the BFS and fail, refutations
+# before any BFS: (by the coset count, by Lagrange on new qubits)) on the
+# bench rows at seed 0. Before the coset count the bv-5 and vqe-6 triples
+# (calls, failures, Lagrange refutations) were (16, 0, 2) and (23, 1, 3), and
+# without any refutation the calls were 18 and 26 and the failures 2 and 4
+@pytest.mark.parametrize("rows, calls, failures, refuted", [
+    pytest.param([("bv", 5)], 16, 0, (0, 2), id="bv-5"),
+    pytest.param([("vqe", 6)], 25, 0, (3, 1), id="vqe-6"),
+    pytest.param(list(itertools.product(("bv", "qft", "grover", "vqe"), range(2, 5))),
+                 190, 3, (33, 0), id="n2-4"),
+])
+def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
     log = _recording_close_group(monkeypatch)
-    seen = []
+    outside_refuted = []
     outside = optimize_module._outside
 
-    def recording_outside(h, gates, mat):
-        result = outside(h, gates, mat)
+    def recording_outside(gates):
+        result = outside(gates)
         if result:  # only asked when 2|H| exceeds the cap: a refutation
-            seen.append(list(gates))
+            outside_refuted.append(list(gates))
         return result
 
     monkeypatch.setattr(optimize_module, "_outside", recording_outside)
-    optimize(build_benchmark(_spec_for(suite, n, 0)), FAST)
-    assert (log["calls"], log["failures"], len(seen)) == (calls, failures, refuted)
-    # oracle: closing each refuted candidate at its cap fails
-    for gates in seen:
+    for suite, n in rows:
+        optimize(build_benchmark(_spec_for(suite, n, 0)), FAST)
+    assert (log["calls"], log["failures"], (len(log["refuted"]), len(outside_refuted))) == (
+        calls, failures, refuted)
+    # oracle: closing each refuted candidate from the identity at its cap fails
+    cases = [args[:2] for args in log["refuted"]]
+    for gates in outside_refuted:
         support = tuple(sorted({q for g in gates for q in g.qubits}))
         mats, _ = gate_generators(gates, support)
         cap = _effective_cap(1 << len(support), len(mats), FAST)
+        cases.append((mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL)))
+    for mats, cfg in cases:
         with pytest.raises((OrderCapExceeded, KeyCollision)):
-            close_group(mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL))
+            close_group(mats, cfg)
 
 
 def test_report_json_shape():
