@@ -54,29 +54,37 @@ def _same_group(a: AlgebraElement, b: AlgebraElement) -> None:
 
 
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """(a * b)[h] = sum over g1 g2 = h of a[g1] b[g2], exact via the cayley
-    table (up to float accumulation).
+    """(a * b)[h] = sum over g1 g2 = h of a[g1] b[g2], exact via the group
+    tables (up to float accumulation).
 
-    Single-support operands convolve by a cayley permutation; the dense case
-    gathers in bounded chunks so memory stays O(|G|) per step.
+    A single-support operand takes one column of the group, walked along
+    `right`, with x^-1 h = (h^-1 x)^-1; the dense case reads the Cayley table.
     """
     _same_group(a, b)
     g = a.group
     nz_a = np.flatnonzero(a.coeffs)
     if nz_a.size == 1:  # (delta_x * b)[h] = b[x^-1 h]
         x = int(nz_a[0])
-        return AlgebraElement(g, a.coeffs[x] * b.coeffs[g.cayley[g.inverses[x], :]])
+        return AlgebraElement(g, a.coeffs[x] * b.coeffs[g.inverses[g.columns([x])[0, g.inverses]]])
+    return AlgebraElement(g, _convolve_rows(a.coeffs[None], b)[0])
+
+
+def _convolve_rows(rows: np.ndarray, b: AlgebraElement) -> np.ndarray:
+    """Each row of coefficients a convolved with b. A single-support b = c delta_x
+    takes one column: (a * b)[h] = c a[h x^-1]. A dense b gathers Cayley rows
+    in bounded chunks, so memory stays O(|G|) per step beside the table."""
+    g = b.group
     nz_b = np.flatnonzero(b.coeffs)
-    if nz_b.size == 1:  # (a * delta_x)[h] = a[h x^-1]
-        x = int(nz_b[0])
-        return AlgebraElement(g, b.coeffs[x] * a.coeffs[g.cayley[:, g.inverses[x]]])
-    out = np.zeros(g.order, dtype=complex)
+    if nz_b.size == 1:
+        return b.coeffs[nz_b[0]] * rows[:, g.columns([g.inverses[nz_b[0]]])[0]]
+    out = np.zeros(rows.shape, dtype=complex)
     chunk = max(1, (1 << 22) // g.order)
     for start in range(0, g.order, chunk):
         stop = min(start + chunk, g.order)
-        idx = g.cayley[g.inverses[start:stop], :]  # idx[g1, h] = g1^-1 h
-        out += np.einsum("g,gh->h", a.coeffs[start:stop], b.coeffs[idx])
-    return AlgebraElement(g, out)
+        b_idx = b.coeffs[g.cayley[g.inverses[start:stop], :]]  # [g1, h] = b[g1^-1 h]
+        for a, row in zip(rows, out):
+            row += np.einsum("g,gh->h", a[start:stop], b_idx)
+    return out
 
 
 def to_matrix(u: AlgebraElement) -> np.ndarray:
@@ -121,11 +129,10 @@ def decompose_element(
     for e in idempotents:
         if e.coeffs.shape != (u.group.order,):
             raise GroupMismatch("idempotents belong to a different group")
-    components = [convolve(AlgebraElement(u.group, e.coeffs), u) for e in idempotents]
-    total = np.sum([c.coeffs for c in components], axis=0)
-    recon = max_abs(total - u.coeffs)
-    matrix_components = None
-    matrix_residual = None
+    rows = np.array([e.coeffs for e in idempotents]).reshape(-1, u.group.order)
+    components = [AlgebraElement(u.group, c) for c in _convolve_rows(rows, u)]
+    recon = max_abs(np.sum([c.coeffs for c in components], axis=0) - u.coeffs)
+    matrix_components = matrix_residual = None
     if projectors is not None:
         m = to_matrix(u)
         matrix_components = [p.matrix @ m for p in projectors]
@@ -177,34 +184,18 @@ def check_decomposability(
         detail = (f"cap exceeded at max_order={cfg.max_order}"
                   if isinstance(exc, OrderCapExceeded)
                   else "products not tolerance-separated (dense closure)")
-        return DecomposabilityReport(
-            condition1_finite_group=False,
-            condition1_detail=detail,
-            condition2_orthogonality_residual=None,
-            condition3_reconstruction_residual=None,
-            verdict=False,
-        )
+        return DecomposabilityReport(condition1_finite_group=False, condition1_detail=detail,
+                                     condition2_orthogonality_residual=None,
+                                     condition3_reconstruction_residual=None, verdict=False)
     table = character_table(group, seed=seed)
     orth = verify_orthogonality(table).max_residual()
     g = element_of(group, circuit_unitary)
-    if g is None:
-        return DecomposabilityReport(
-            condition1_finite_group=True,
-            condition1_detail=f"order {group.order}",
-            condition2_orthogonality_residual=orth,
-            condition3_reconstruction_residual=None,
-            verdict=False,
-        )
-    idem = central_idempotents(group, table)
-    dec = decompose_element(delta(group, g), idem)
-    verdict = orth <= 1e-8 and dec.reconstruction_residual <= 1e-8
+    recon = None if g is None else decompose_element(
+        delta(group, g), central_idempotents(group, table)).reconstruction_residual
     return DecomposabilityReport(
-        condition1_finite_group=True,
-        condition1_detail=f"order {group.order}",
-        condition2_orthogonality_residual=orth,
-        condition3_reconstruction_residual=dec.reconstruction_residual,
-        verdict=verdict,
-    )
+        condition1_finite_group=True, condition1_detail=f"order {group.order}",
+        condition2_orthogonality_residual=orth, condition3_reconstruction_residual=recon,
+        verdict=recon is not None and orth <= 1e-8 and recon <= 1e-8)
 
 
 def decomposition_report_json(

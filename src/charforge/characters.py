@@ -9,10 +9,10 @@ generically has simple spectrum; its eigenvectors, normalized to 1 on the
 identity class, recover the w_ij and from them the degrees and characters.
 
 Following Dixon (1967) and Schneider (1990), a_jlm is counted at one
-representative z_m per class, a_jlm = #{x in C_j : x^-1 z_m in C_l}, in
-O(|G| k) instead of O(|G|^2), and recounted at a second member as a check
-on the cayley table. The two-sided Rayleigh quotients that refine the w_ij
-take one matrix product per M_j.
+representative z_m per class, from one group column walked along the
+generator table, in O(|G| k) instead of O(|G|^2), and recounted at a second
+member as a check on that table. The two-sided Rayleigh quotients that
+refine the w_ij take one matrix product per M_j.
 """
 
 from __future__ import annotations
@@ -73,23 +73,28 @@ class OrthogonalityReport:
 
 def class_matrices(group: FiniteMatrixGroup) -> list[ClassMatrix]:
     """Exact integer structure constants a_jlm of the class-sum algebra, in
-    O(|G| k): a_jlm = #{x in C_j : x^-1 z_m in C_l} for any z_m in C_m, so one
-    (|G|, k) gather and one bincount count it at the first member of each class.
-    A recount at the last member raises AssertionError if the two differ: the
-    class sums are then not central, so the cayley table is corrupt."""
+    O(|G| k): a_jlm = #{y in C_l : z_m y^-1 in C_j} for any z_m in C_m, and
+    z_m y^-1 is the inverse of y z_m^-1, so k columns y -> y z_m^-1, walked
+    along `right`, and one bincount count it. No Cayley table is built. The
+    count takes z_m^-1 as the first member of its class, and a recount as the
+    last; the two differ only if the class sums are not central, so the
+    generator tables are corrupt, and then it raises AssertionError."""
     k = len(group.classes)
     class_of = group.class_of
-    # flat index j k^2 + l k + m, with j = class of x and l = class of x^-1 z_m
-    jm = class_of[:, None] * (k * k) + np.arange(k)[None, :]
+    inv_class = class_of[group.inverses]
+    # flat index j k^2 + l k + m, with j = class of z_m y^-1 and l = class of y
+    lm = class_of[None, :] * k + np.arange(k)[:, None]
+    star = inv_class[[c[0] for c in group.classes]]  # the class of C_m's inverses
 
-    def count(reps: list[int]) -> np.ndarray:
-        flat = class_of[group.cayley[group.inverses[:, None], np.array(reps)[None, :]]] * k
-        flat += jm
+    def count(walks: list[int]) -> np.ndarray:
+        flat = inv_class[group.columns(walks)] * (k * k)
+        flat += lm
         return np.bincount(flat.ravel(), minlength=k ** 3).reshape(k, k, k)
 
-    a = count([c[0] for c in group.classes])
-    if not np.array_equal(a, count([c[-1] for c in group.classes])):
-        raise AssertionError("class sums are not constant on classes; cayley table is corrupt")
+    a = count([group.classes[m][0] for m in star])
+    if not np.array_equal(a, count([group.classes[m][-1] for m in star])):
+        raise AssertionError("class sums are not constant on classes; the generator table "
+                             "`right` is corrupt")
     return [ClassMatrix(j=j, entries=a[j]) for j in range(k)]
 
 
@@ -115,8 +120,8 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
         r = rng.uniform(0.5, 1.5, size=k)
         m = sum(rj * mj for rj, mj in zip(r, mats))
         evals, right = np.linalg.eig(m)
-        if _min_gap(evals) < 1e-6:
-            continue
+        if np.min(np.abs(evals[:, None] - evals) + np.diag(np.full(k, np.inf))) < 1e-6:
+            continue  # two eigenvalues (nearly) collide
         evals_l, left = np.linalg.eig(m.T)
         # pair left eigenvectors with right ones by eigenvalue, then refine
         # each omega_ij with the two-sided Rayleigh quotient, which is
@@ -131,45 +136,27 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
         raise DegenerateSpectrum(
             f"eigenvalue collisions persisted over 21 draws (seed={seed})")
 
-    rows = []
-    for i in range(k):
-        w = omega[:, i]
-        s = float(np.sum(np.abs(w) ** 2 / sizes))
-        d_raw = np.sqrt(order / s)
-        d = int(round(d_raw))
-        if abs(d_raw - d) > 1e-4 or d < 1:
-            raise NonIntegralDegree(
-                f"raw degree {d_raw!r} is not within 1e-4 of a positive integer")
-        chi = d * w / sizes
-        rows.append((d, chi))
+    d_raw = np.sqrt(order / np.array([np.sum(np.abs(w) ** 2 / sizes) for w in omega.T]))
+    bad = d_raw[~((np.abs(d_raw - np.rint(d_raw)) <= 1e-4) & (d_raw > 0.5))]
+    if len(bad):
+        raise NonIntegralDegree(f"raw degree {float(bad[0])!r} is not within 1e-4 of a positive integer")
+    degrees = np.rint(d_raw).astype(np.int64)
+    if int(np.sum(degrees ** 2)) != order:
+        raise NonIntegralDegree(f"sum of squared degrees {int(np.sum(degrees ** 2))} != group order {order}")
+    chi = degrees[:, None] * omega.T / sizes
 
-    total = sum(d * d for d, _ in rows)
-    if total != order:
-        raise NonIntegralDegree(
-            f"sum of squared degrees {total} != group order {order}")
-
-    # Degree ascending, then descending lexicographic on rounded values so
-    # the all-ones trivial character always lands in row 0.
-    rows.sort(key=lambda row: (
-        row[0],
-        tuple((-round(float(v.real), 8) - 0.0, -round(float(v.imag), 8) - 0.0) for v in row[1]),
-    ))
-    table = CharacterTable(k=k, degrees=np.array([d for d, _ in rows], dtype=np.int64),
-                           values=np.stack([chi for _, chi in rows]),
+    # Degree ascending, then descending lexicographic on rounded values
+    # (re before im, class by class) so the all-ones trivial character
+    # always lands in row 0; lexsort's last key is its primary one.
+    keys = -np.round(np.stack([chi.real, chi.imag], axis=2), 8).reshape(k, 2 * k)
+    rows = np.lexsort(np.vstack([keys.T[::-1], degrees]))
+    table = CharacterTable(k=k, degrees=degrees[rows], values=chi[rows],
                            class_sizes=sizes.astype(np.int64), group_order=order)
     residual = verify_orthogonality(table).max_residual()
     if not residual <= ORTH_RESIDUAL_MAX:
         raise OrthogonalityViolation(
             f"orthogonality residual {residual:.3g} exceeds {ORTH_RESIDUAL_MAX:g}")
     return table
-
-
-def _min_gap(evals: np.ndarray) -> float:
-    if len(evals) < 2:
-        return np.inf
-    diff = np.abs(evals[:, None] - evals[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min())
 
 
 def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
@@ -180,49 +167,43 @@ def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
     n = float(table.group_order)
     gram = (chi * sizes[None, :]) @ chi.conj().T
     row_res = float(np.max(np.abs(gram - n * np.eye(table.k))))
-    col = chi.conj().T @ chi
-    col_target = np.diag(n / sizes)
-    col_res = float(np.max(np.abs(col.T - col_target)))
+    col_res = float(np.max(np.abs((chi.conj().T @ chi).T - np.diag(n / sizes))))
     deg_res = float(abs(np.sum(table.degrees.astype(np.float64) ** 2) - n))
     return OrthogonalityReport(row_res, col_res, deg_res)
+
+
+def _idempotent_coeffs(group: FiniteMatrixGroup, table: CharacterTable) -> np.ndarray:
+    """(k, |G|) coefficients (d_i/|G|) chi_i(g^-1). Raises GroupMismatch if the
+    table's order, k or class sizes are not the group's."""
+    sizes = [len(c) for c in group.classes]
+    if (table.group_order, table.k, table.class_sizes.tolist()) != (group.order, len(sizes), sizes):
+        raise GroupMismatch(f"{table!r} is not the table of this group of order {group.order}")
+    inv_class = group.class_of[group.inverses]
+    return (table.degrees / table.group_order)[:, None] * table.values[:, inv_class]
 
 
 def central_idempotents(group: FiniteMatrixGroup, table: CharacterTable) -> list[CentralIdempotent]:
     """e_i with coefficient (d_i/|G|) chi_i(g^-1) on each element g. Raises
     GroupMismatch if the table's order, k or class sizes are not the group's."""
-    sizes = [len(c) for c in group.classes]
-    if (table.group_order, table.k, table.class_sizes.tolist()) != (group.order, len(sizes), sizes):
-        raise GroupMismatch(f"{table!r} is not the table of this group of order {group.order}")
-    inv_class = group.class_of[group.inverses]
-    out = []
-    for i in range(table.k):
-        coeffs = (table.degrees[i] / table.group_order) * table.values[i, inv_class]
-        out.append(CentralIdempotent(irrep=i, coeffs=coeffs))
-    return out
+    return [CentralIdempotent(irrep=i, coeffs=c) for i, c in enumerate(_idempotent_coeffs(group, table))]
 
 
 def isotypic_projectors(group: FiniteMatrixGroup, table: CharacterTable) -> list[IsotypicProjector]:
-    """P_i = (d_i/|G|) sum_g chi_i(g^-1) U(g) in the defining representation.
+    """P_i = (d_i/|G|) sum_g chi_i(g^-1) U(g) in the defining representation,
+    all k of them as one (k, |G|) @ (|G|, dim²) product.
 
     Projectors of irreps absent from the defining representation come out as
     (numerically) zero matrices.
     """
-    out = []
-    for e in central_idempotents(group, table):
-        p = np.einsum("g,gab->ab", e.coeffs, group.mats)
-        out.append(IsotypicProjector(irrep=e.irrep, matrix=p))
-    return out
+    p = _idempotent_coeffs(group, table) @ group.mats.reshape(group.order, -1)
+    return [IsotypicProjector(irrep=i, matrix=m) for i, m in enumerate(p.reshape(-1, group.dim, group.dim))]
 
 
 def character_table_csv(table: CharacterTable) -> str:
     """CSV form: header `class_size,<size_1>,...,<size_k>`, then one row per
     irrep: the degree followed by the values as a+/-bi with 9 decimals."""
     lines = ["class_size," + ",".join(str(int(s)) for s in table.class_sizes)]
-    for i in range(table.k):
-        cells = [str(int(table.degrees[i]))]
-        for v in table.values[i]:
-            re = round(float(v.real), 9) + 0.0
-            im = round(float(v.imag), 9) + 0.0
-            cells.append(f"{re:.9f}{im:+.9f}i")
-        lines.append(",".join(cells))
+    for d, row in zip(table.degrees, table.values):
+        lines.append(",".join([str(int(d))] + [
+            f"{round(float(v.real), 9) + 0.0:.9f}{round(float(v.imag), 9) + 0.0:+.9f}i" for v in row]))
     return "\n".join(lines) + "\n"

@@ -118,8 +118,7 @@ class ElementLookup:
 
 @dataclass
 class FiniteMatrixGroup:
-    """Closure of a gate set with its BFS tables. The Cayley table, the
-    inverses and the classes are functools.cached_property, built on first read.
+    """Closure of a gate set with its BFS tables.
 
     Fields:
         dim: matrix dimension.
@@ -132,9 +131,14 @@ class FiniteMatrixGroup:
         parent, slot, bounds: element b = mats[parent[b]] @ (input generator
             slot[b]), -1 for the identity; BFS level i is bounds[i]:bounds[i+1].
 
-    Lazy: cayley[a, b] = index of mats[a] @ mats[b]; inverses; classes, the
-    conjugacy classes as index tuples ordered by the smallest member, so the
-    identity class comes first; class_of maps element -> class index.
+    Lazy (functools.cached_property), each O(|G| m) for m inputs from `right`
+    and the BFS tree: left[j, b] = index of (input generator j) @ mats[b];
+    inverses; classes, the conjugacy classes as sorted index tuples ordered by
+    the smallest member, so the identity class comes first; class_of maps
+    element -> class index. Only cayley[a, b] = index of mats[a] @ mats[b] is
+    O(|G|²): n² × 2 bytes below 2¹⁵ elements (170 MB at order 9216). Dense
+    `convolve` and the claims' exhaustive C3 check read it; columns() walks
+    single columns without it.
     """
 
     dim: int
@@ -156,37 +160,86 @@ class FiniteMatrixGroup:
         k = f", k={len(self.classes)}" if "classes" in self.__dict__ else ""
         return f"FiniteMatrixGroup(dim={self.dim}, order={self.order}{k})"
 
+    def _levels(self):
+        """(lo, hi) of each BFS level after the identity; parents lie in earlier levels."""
+        return zip([1] + self.bounds[1:-1], self.bounds[1:])
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        # b = p @ g_s gives g_j @ b = (g_j @ p) @ g_s: a level reads the one before
+        left = np.empty((self.right.shape[1], self.order), dtype=np.int64)
+        left[:, 0] = self.input_elements
+        for lo, hi in self._levels():
+            left[:, lo:hi] = self.right[left[:, self.parent[lo:hi]], self.slot[lo:hi]]
+        return left
+
+    @cached_property
+    def _left_inverse(self) -> np.ndarray:
+        """[j, b] = index of (input generator j)⁻¹ @ mats[b]: left's rows inverted."""
+        return np.argsort(self.left, axis=1)
+
     @cached_property
     def cayley(self) -> np.ndarray:
         # a = p @ g_s gives a @ b = p @ (g_s @ b): row a is row p read through
-        # grow[s, b] = index of gens[s] @ mats[b]. grow fills level by level,
-        # as every parent is a level earlier, and first, as a row reads all of
-        # it; the rows fill in index order, as every parent has a smaller index.
-        n, parent, slot, right = self.order, self.parent, self.slot, self.right
-        grow = np.empty((right.shape[1], n), dtype=np.int64)
-        grow[:, 0] = self.input_elements
-        for lo, hi in zip([1] + self.bounds[1:-1], self.bounds[1:]):
-            grow[:, lo:hi] = right[grow[:, parent[lo:hi]], slot[lo:hi]]
+        # left[s]; the rows fill in index order, as every parent has a smaller index
+        n, parent, slot, left = self.order, self.parent, self.slot, self.left
         cayley = np.empty((n, n), dtype=np.int16 if n < 2 ** 15 else np.int32)
         cayley[0] = np.arange(n)
         for a in range(1, n):
-            np.take(cayley[parent[a]], grow[slot[a]], out=cayley[a])
+            np.take(cayley[parent[a]], left[slot[a]], out=cayley[a])
         return cayley
 
     @cached_property
     def inverses(self) -> np.ndarray:
-        return np.argmin(self.cayley, axis=1).astype(np.int64)
+        # (p @ g_s)⁻¹ = g_s⁻¹ @ p⁻¹, level by level
+        inv = np.zeros(self.order, dtype=np.int64)
+        for lo, hi in self._levels():
+            inv[lo:hi] = self._left_inverse[self.slot[lo:hi], inv[self.parent[lo:hi]]]
+        return inv
 
     @cached_property
     def classes(self) -> list[tuple[int, ...]]:
-        # class_of comes with the classes; set here, it shadows its own getter
-        classes, self.class_of = conjugacy_classes_from_cayley(self.cayley, self.inverses)
-        return classes
+        # orbits of x -> g_s⁻¹ x g_s over the generators s, each labelled by its
+        # smallest member: pull and push the least label along every edge, then
+        # jump label -> label[label], until nothing changes
+        conj = self.right[self._left_inverse, np.arange(self.right.shape[1])[:, None]]
+        label, prev = np.arange(self.order), None
+        while prev is None or not np.array_equal(label, prev):
+            prev = label
+            for c in conj:
+                label = np.minimum(label, label[c])
+                label[c] = np.minimum(label[c], label)
+            label = label[label]
+        members = np.argsort(label, kind="stable")
+        smallest, starts = np.unique(label[members], return_index=True)
+        self.class_of = np.searchsorted(smallest, label)  # shadows its own getter
+        return [tuple(c.tolist()) for c in np.split(members, starts[1:])]
 
     @cached_property
     def class_of(self) -> np.ndarray:
         self.classes
         return self.__dict__["class_of"]
+
+    def columns(self, zs) -> np.ndarray:
+        """(len(zs), order) array; [i, y] = index of mats[y] @ mats[zs[i]], the
+        Cayley column of zs[i]: a walk of `right` along the BFS word of zs[i].
+        The words are walked in sorted order, so a shared prefix is walked once."""
+        steps, words = self.right.T.copy(), []
+        for z in zs:
+            words.append([])
+            while z > 0:
+                words[-1].insert(0, int(self.slot[z]))
+                z = self.parent[z]
+        out, path, prev = np.empty((len(zs), self.order), dtype=np.int64), [np.arange(self.order)], []
+        for i in sorted(range(len(zs)), key=words.__getitem__):  # path[t]: column of prev[:t]
+            t = 0
+            while t < min(len(prev), len(words[i])) and prev[t] == words[i][t]:
+                t += 1
+            del path[t + 1:]
+            for s in words[i][t:]:
+                path.append(steps[s][path[-1]])
+            out[i], prev = path[-1], words[i]
+        return out
 
 
 def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
@@ -282,29 +335,6 @@ def element_of(group: FiniteMatrixGroup, m: np.ndarray) -> int | None:
     return None if found < 0 else found
 
 
-def conjugacy_classes_from_cayley(
-    cayley: np.ndarray, inverses: np.ndarray
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Partition indices into conjugacy classes using only the cayley table.
-
-    a and b share a class iff g a g^-1 = b for some g. Classes are ordered by
-    their smallest member, so the identity's singleton class is first.
-    """
-    n = cayley.shape[0]
-    all_g = np.arange(n)
-    class_of = np.full(n, -1, dtype=np.int64)
-    classes: list[tuple[int, ...]] = []
-    for a in range(n):
-        if class_of[a] >= 0:
-            continue
-        ag_inv = cayley[a, inverses[all_g]]
-        orbit = np.unique(cayley[all_g, ag_inv])
-        ci = len(classes)
-        classes.append(tuple(int(x) for x in orbit))
-        class_of[orbit] = ci
-    return classes, class_of
-
-
 def center_and_abelian(group: FiniteMatrixGroup) -> tuple[list[int], bool]:
     """Center as element indices plus an is-abelian flag: z is central iff
     its conjugacy class is {z}."""
@@ -315,14 +345,10 @@ def center_and_abelian(group: FiniteMatrixGroup) -> tuple[list[int], bool]:
 def group_to_json(group: FiniteMatrixGroup) -> dict:
     """Dump format used by the CLI: dim, order, elements as row-major
     [re, im] pair arrays, generator indices, classes."""
-    elements = [
-        [[float(v.real), float(v.imag)] for v in mat.ravel()]
-        for mat in group.mats
-    ]
     return {
         "dim": group.dim,
         "order": group.order,
-        "elements": elements,
+        "elements": np.stack([group.mats.real, group.mats.imag], -1).reshape(group.order, -1, 2).tolist(),
         "generators": list(group.generators),
         "classes": [list(c) for c in group.classes],
     }

@@ -127,10 +127,13 @@ class _Closure:
     def scalars(self) -> np.ndarray:
         """Indices of the scalar elements c*I: an element equals p up to a
         global phase iff it is p*s for one of them."""
-        mats = self.group.mats
-        eye = np.eye(mats.shape[1])
-        dists = np.max(np.abs(mats - mats[:, :1, :1] * eye), axis=(1, 2))
-        return np.nonzero(dists <= self.group.tol)[0]
+        mats, tol = self.group.mats, self.group.tol
+        # a scalar's first row and column are zero off the diagonal: only the
+        # few elements that pass that take the full distance
+        edge = np.concatenate([mats[:, 0, 1:], mats[:, 1:, 0]], axis=1)
+        cand = np.flatnonzero(np.all(np.abs(edge) <= tol, axis=1))
+        dists = np.max(np.abs(mats[cand] - mats[cand, :1, :1] * np.eye(mats.shape[1])), axis=(1, 2))
+        return cand[dists <= tol]
 
     def phase_equal(self, product: int) -> np.ndarray:
         """The elements c*mats[product] for the scalars c*I, found by lookup."""

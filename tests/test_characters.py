@@ -9,10 +9,15 @@ from charforge.characters import (ORTH_RESIDUAL_MAX, CharacterTable, central_ide
                                   character_table, character_table_csv,
                                   class_matrices, isotypic_projectors,
                                   verify_orthogonality)
-from charforge.circuits import embed_gate, gate_matrix
-from charforge.errors import GroupMismatch, InvalidSpec, OrthogonalityViolation
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cayley_oracle import conjugacy_classes_from_cayley, inverses_from_cayley
+from charforge.algebra import decomposition_report_json, delta
+from charforge.circuits import GATE_ARITY, embed_gate, gate_matrix
+from charforge.errors import GroupMismatch, InvalidSpec, OrderCapExceeded, OrthogonalityViolation
 from charforge.fixtures import FIXTURE_NAMES, fixture_group
-from charforge.groups import close_group
+from charforge.groups import ClosureConfig, FiniteMatrixGroup, close_group
 
 
 def _gate_set_group(n, gates):
@@ -222,20 +227,81 @@ def test_class_matrices_match_the_per_element_count(name, groups, h0_cx01_cx12):
     assert np.array_equal(a, _class_matrices_by_element(g))
 
 
-# (fixture, cayley row, two columns): swaps the recount at a second class
-# member catches
-@pytest.mark.parametrize("name, row, a, b", [("d4", 6, 7, 4), ("clifford1", 163, 98, 121)])
-def test_swapped_cayley_entries_are_detected(groups, name, row, a, b):
+# (fixture, generator slot, two rows): swapping two entries of one column of
+# `right` leaves it a permutation; the recount at a second class member catches it
+@pytest.mark.parametrize("name, slot, a, b", [("d4", 1, 7, 4), ("clifford1", 1, 98, 121)])
+def test_swapped_right_entries_are_detected(groups, name, slot, a, b):
     g = groups[name]
-    # the classes and inverses come from the intact table; a shallow copy
-    # keeps them and takes a corrupted cayley in place of the cached one
+    # the classes and inverses come from the intact tables; a shallow copy
+    # keeps them and walks its columns along a corrupted right
     g.classes, g.inverses
     bad = copy.copy(g)
-    bad.cayley = g.cayley.copy()
-    bad.cayley[row, [a, b]] = bad.cayley[row, [b, a]]
+    bad.right = g.right.copy()
+    bad.right[[a, b], slot] = bad.right[[b, a], slot]
     assert bad.classes is g.classes and bad.inverses is g.inverses
-    with pytest.raises(AssertionError, match="cayley table is corrupt"):
+    with pytest.raises(AssertionError, match="generator table `right` is corrupt"):
         class_matrices(bad)
+
+
+def test_recount_catches_seeded_right_swaps(groups):
+    """Over 50 seeded swaps within a column of clifford1's `right`, the recount
+    raises on every one."""
+    g, rng, caught = groups["clifford1"], np.random.default_rng(0), 0
+    g.classes, g.inverses
+    for _ in range(50):
+        slot, (a, b) = int(rng.integers(g.right.shape[1])), rng.choice(g.order, 2, replace=False)
+        bad = copy.copy(g)
+        bad.right = g.right.copy()
+        bad.right[[a, b], slot] = bad.right[[b, a], slot]
+        try:
+            class_matrices(bad)
+        except AssertionError:
+            caught += 1
+    assert caught == 50
+
+
+@st.composite
+def _clifford_pauli_gate_sets(draw):
+    """(n, [(kind, qubits), ...]): 1 to 4 Clifford or Pauli gates on n <= 3 qubits."""
+    n = draw(st.integers(1, 3))
+    kinds = [k for k in ("x", "y", "z", "h", "s", "sdg", "cx", "cz", "swap") if GATE_ARITY[k] <= n]
+    return n, [(kind, tuple(draw(st.permutations(range(n)))[:GATE_ARITY[kind]]))
+               for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_clifford_pauli_gate_sets())
+def test_tables_from_generators_match_the_cayley_oracle(case):
+    """On random Clifford and Pauli gate sets of up to 3 qubits, the classes,
+    inverses and class matrices built from `right` equal those read off the
+    full Cayley table."""
+    n, gates = case
+    try:
+        g = close_group([embed_gate(gate_matrix(kind), qs, n) for kind, qs in gates],
+                        ClosureConfig(max_order=1536))
+    except OrderCapExceeded:
+        return
+    inverses = inverses_from_cayley(g.cayley)
+    classes, class_of = conjugacy_classes_from_cayley(g.cayley, inverses)
+    assert np.array_equal(g.inverses, inverses)
+    assert g.classes == classes and np.array_equal(g.class_of, class_of)
+    assert np.array_equal(np.stack([cm.entries for cm in class_matrices(g)]),
+                          _class_matrices_by_element(g))
+
+
+def test_decomposition_builds_no_cayley_table(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("the Cayley table was built")
+
+    monkeypatch.setattr(FiniteMatrixGroup, "cayley", property(forbidden))
+    g = _gate_set_group(3, [("h", 0), ("cx", 0, 1), ("cx", 1, 2)])
+    t = character_table(g, seed=0)
+    idem = central_idempotents(g, t)
+    projs = isotypic_projectors(g, t)
+    report = decomposition_report_json(delta(g, 77), t, idem, projs)
+    assert g.order == 512 and report["k"] == t.k == len(idem) == len(projs)
+    assert report["reconstruction_residual"] <= 1e-12 and report["matrix_residual"] <= 1e-12
+    assert "cayley" not in g.__dict__
 
 
 def test_order_3072_table_is_pinned():

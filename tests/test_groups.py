@@ -352,7 +352,7 @@ def test_random_generator_subsets_match_oracle(case):
 def test_repr_does_not_build_the_lazy_tables():
     g = close_group([X, Z])
     assert repr(g) == "FiniteMatrixGroup(dim=2, order=8)"
-    assert not {"cayley", "inverses", "classes", "class_of"} & set(g.__dict__)
+    assert not {"left", "cayley", "inverses", "classes", "class_of"} & set(g.__dict__)
     assert len(g.classes) == 5 and repr(g) == "FiniteMatrixGroup(dim=2, order=8, k=5)"
 
 

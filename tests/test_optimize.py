@@ -315,13 +315,14 @@ def test_optimize_computes_no_character_table(monkeypatch, n, marked):
         raise AssertionError("optimize built a class structure")
 
     monkeypatch.setattr(characters, "class_matrices", forbidden)
-    monkeypatch.setattr(groups_module, "conjugacy_classes_from_cayley", forbidden)
+    # classes, inverses and the Cayley table are all read off the left tables
+    monkeypatch.setattr(groups_module.FiniteMatrixGroup, "left", property(forbidden))
     log = _recording_close_group(monkeypatch)
     _, rep = optimize(build_grover(n, marked=marked), FAST)
     assert any(s.group_order is not None for s in rep.segments)
     assert log["groups"]
     for g in log["groups"]:
-        assert not {"cayley", "inverses", "classes", "class_of"} & set(g.__dict__)
+        assert not {"left", "cayley", "inverses", "classes", "class_of"} & set(g.__dict__)
 
 
 # (rows, close_group calls, closures that reach the BFS and fail, refutations

@@ -8,8 +8,10 @@ run_seconds: the parent first on even pairs, the change first on odd ones.
 Each end-to-end metric is summarised per side (median and quartiles of all
 runs), with the number of pairs the change wins and whether the medians
 differ by more than the parent's interquartile range. One traced run per side and workload (seed `--seed`) adds the
-per-layer metrics. Runs are sequential; each prints its workload, side and
-wall time to stderr.
+per-layer metrics. `counts_digests_equal` counts the pairs whose parent and
+change runs agree on the counts digest (the deterministic counts of every
+operation). Runs are sequential; each prints its workload, side and wall
+time to stderr.
 """
 
 from __future__ import annotations
@@ -82,14 +84,15 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(run(sides[side], name, args.seed + i, seconds, 0))
         traced = {side: run(path, name, args.seed, seconds, 1) for side, path in sides.items()}
+        digests = [{"seed": args.seed + i, "parent": p["record"]["counts_digest"],
+                    "change": c["record"]["counts_digest"]}
+                   for i, (p, c) in enumerate(zip(runs["parent"], runs["change"]))]
         report["workloads"][name] = {
             "end_to_end": {m["name"]: summarise(m, runs["parent"], runs["change"])
                            for m in spec["end_to_end"]},
             "all_correct": all(r["correct"] for rs in runs.values() for r in rs),
-            "counts_digests_per_pair": [
-                {"seed": args.seed + i, "parent": p["record"]["counts_digest"],
-                 "change": c["record"]["counts_digest"]}
-                for i, (p, c) in enumerate(zip(runs["parent"], runs["change"]))],
+            "counts_digests_equal": sum(d["parent"] == d["change"] for d in digests),
+            "counts_digests_per_pair": digests,
             "traced": {side: {"seed": args.seed, "metrics": t["metrics"],
                               "counts_digest": t["record"]["counts_digest"]}
                        for side, t in traced.items()},
