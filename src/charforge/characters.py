@@ -84,15 +84,15 @@ def class_matrices(group: FiniteMatrixGroup) -> list[ClassMatrix]:
     inv_class = class_of[group.inverses]
     # flat index j k^2 + l k + m, with j = class of z_m y^-1 and l = class of y
     lm = class_of[None, :] * k + np.arange(k)[:, None]
-    star = inv_class[[c[0] for c in group.classes]]  # the class of C_m's inverses
+    inverse_of = inv_class[[c[0] for c in group.classes]]  # m -> the class of C_m's inverses
 
     def count(walks: list[int]) -> np.ndarray:
         flat = inv_class[group.columns(walks)] * (k * k)
         flat += lm
         return np.bincount(flat.ravel(), minlength=k ** 3).reshape(k, k, k)
 
-    a = count([group.classes[m][0] for m in star])
-    if not np.array_equal(a, count([group.classes[m][-1] for m in star])):
+    a = count([group.classes[m][0] for m in inverse_of])
+    if not np.array_equal(a, count([group.classes[m][-1] for m in inverse_of])):
         raise AssertionError("class sums are not constant on classes; the generator table "
                              "`right` is corrupt")
     return [ClassMatrix(j=j, entries=a[j]) for j in range(k)]

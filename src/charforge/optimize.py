@@ -128,9 +128,10 @@ class _Closure:
         """Indices of the scalar elements c*I: an element equals p up to a
         global phase iff it is p*s for one of them."""
         mats, tol = self.group.mats, self.group.tol
-        # a scalar's first row and column are zero off the diagonal: only the
-        # few elements that pass that take the full distance
-        edge = np.concatenate([mats[:, 0, 1:], mats[:, 1:, 0]], axis=1)
+        # a scalar's first row and column are zero off the diagonal, real and
+        # imaginary parts alike: only the few elements that pass that take the
+        # full distance
+        edge = np.concatenate([mats[:, 0, 1:], mats[:, 1:, 0]], axis=1).view(np.float64)
         cand = np.flatnonzero(np.all(np.abs(edge) <= tol, axis=1))
         dists = np.max(np.abs(mats[cand] - mats[cand, :1, :1] * np.eye(mats.shape[1])), axis=(1, 2))
         return cand[dists <= tol]

@@ -48,6 +48,24 @@ def test_convolution_matches_brute_force_oracle(groups):
     assert np.max(np.abs(convolve(a, b).coeffs - brute_force_convolution(g, a.coeffs, b.coeffs))) <= 1e-12
 
 
+# (fixture, element, side): a scaled delta on either side takes one column
+@pytest.mark.parametrize("name, x, side", [("clifford1", 137, "a"), ("clifford1", 61, "b"),
+                                           ("q8", 5, "a"), ("q8", 6, "b")])
+def test_single_support_convolution_matches_brute_force_oracle(groups, name, x, side):
+    g = groups[name]
+    dense, single = random_element(g, np.random.default_rng(7)), AlgebraElement(g, (2.5 - 1j) * delta(g, x).coeffs)
+    a, b = (single, dense) if side == "a" else (dense, single)
+    assert np.max(np.abs(convolve(a, b).coeffs - brute_force_convolution(g, a.coeffs, b.coeffs))) <= 1e-12
+
+
+def test_decomposed_delta_components_match_brute_force(groups, tables):
+    g, t = groups["clifford1"], tables["clifford1"]
+    es = central_idempotents(g, t)
+    dec = decompose_element(delta(g, 150), es)
+    for e, c in zip(es, dec.components):
+        assert np.max(np.abs(c.coeffs - brute_force_convolution(g, e.coeffs, delta(g, 150).coeffs))) <= 1e-12
+
+
 def test_convolution_associative_on_random_triples(groups):
     for name in ("s3", "d4", "q8"):
         g = groups[name]

@@ -272,21 +272,23 @@ def _clifford_pauli_gate_sets(draw):
 @settings(max_examples=30, deadline=None)
 @given(_clifford_pauli_gate_sets())
 def test_tables_from_generators_match_the_cayley_oracle(case):
-    """On random Clifford and Pauli gate sets of up to 3 qubits, the classes,
+    """On random Clifford and Pauli gate sets of up to 3 qubits, closed from the
+    identity and seeded with the closure of the first gate, the classes,
     inverses and class matrices built from `right` equal those read off the
     full Cayley table."""
     n, gates = case
+    mats, cfg = [embed_gate(gate_matrix(kind), qs, n) for kind, qs in gates], ClosureConfig(max_order=1536)
     try:
-        g = close_group([embed_gate(gate_matrix(kind), qs, n) for kind, qs in gates],
-                        ClosureConfig(max_order=1536))
+        fresh = close_group(mats, cfg)
     except OrderCapExceeded:
         return
-    inverses = inverses_from_cayley(g.cayley)
-    classes, class_of = conjugacy_classes_from_cayley(g.cayley, inverses)
-    assert np.array_equal(g.inverses, inverses)
-    assert g.classes == classes and np.array_equal(g.class_of, class_of)
-    assert np.array_equal(np.stack([cm.entries for cm in class_matrices(g)]),
-                          _class_matrices_by_element(g))
+    for g in (fresh, close_group(mats, cfg, base=close_group(mats[:1], cfg))):
+        inverses = inverses_from_cayley(g.cayley)
+        classes, class_of = conjugacy_classes_from_cayley(g.cayley, inverses)
+        assert np.array_equal(g.inverses, inverses)
+        assert g.classes == classes and np.array_equal(g.class_of, class_of)
+        assert np.array_equal(np.stack([cm.entries for cm in class_matrices(g)]),
+                              _class_matrices_by_element(g))
 
 
 def test_decomposition_builds_no_cayley_table(monkeypatch):
