@@ -159,22 +159,6 @@ def results_csv(r: BenchResults) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_results_csv(text: str) -> list[BenchRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise CharforgeError("bench CSV header mismatch")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append(BenchRow(
-            suite=cells[0], n_qubits=int(cells[1]), variant=cells[2],
-            mean_ms=float(cells[3]), median_ms=float(cells[4]), stddev_ms=float(cells[5]),
-            gates=int(cells[6]), depth=int(cells[7]),
-            tv_distance=float(cells[8]) if cells[8] else None,
-            cost_model=float(cells[9]) if cells[9] else None))
-    return rows
-
-
 # -- SVG emitter --------------------------------------------------------------
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",

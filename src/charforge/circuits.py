@@ -14,7 +14,8 @@ block of column states in place: B = 1 or 8 in the state-vector engine, the
 per row and column updates only the slices it changes; any other gate takes
 gather, matmul and scatter. Both paths write every zero as +0.0, so a state
 never depends on which zeros a BLAS kernel signs. `embed_gate` builds
-full-space generator matrices for the group closure only.
+full-space generator matrices for the group closure only; `gate_generators`
+merges them within the closure's tolerance, as close_group merges elements.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 
 from .errors import (AngleMissing, CircuitSyntaxError, InvalidSpec,
                      MeasurementInUnitary, QubitOutOfRange, TooWide)
+from .groups import ElementLookup
 from .histogram import check_seed
-from .linalg import canonical_keys
 
 GATE_ARITY = {
     "h": 1, "x": 1, "y": 1, "z": 1, "s": 1, "sdg": 1, "t": 1, "tdg": 1,
@@ -306,20 +307,20 @@ def embed_gate(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     return out
 
 
-def gate_generators(gates, support: tuple[int, ...]) -> tuple[list[np.ndarray], list[int]]:
+def gate_generators(gates, support: tuple[int, ...], tol: float) -> tuple[list[np.ndarray], list[int]]:
     """Distinct unitaries of `gates` embedded over `support` (local qubit i
-    is support[i]), deduplicated by canonical key in first-seen order, and
-    the position in that list of each gate's unitary."""
+    is support[i]), merged within `tol` as close_group merges elements, in
+    first-seen order, and the position in that list of each gate's unitary.
+    Raises KeyCollision for two unitaries between tol and 8*tol apart."""
     pos = {q: i for i, q in enumerate(support)}
     distinct = list({g.key(): g for g in gates}.values())
     if not distinct:
         return [], []
     mats = np.stack([embed_gate(gate_matrix(g.kind, g.angle), tuple(pos[q] for q in g.qubits),
                                 len(support)) for g in distinct])
-    first: dict[bytes, int] = {}
-    slots = [first.setdefault(k, len(first)) for k in canonical_keys(mats)]
-    slot_of_gate = {g.key(): slot for g, slot in zip(distinct, slots)}
-    return [mats[slots.index(s)] for s in range(len(first))], [slot_of_gate[g.key()] for g in gates]
+    slots, new = ElementLookup(len(mats[0]), tol).find(mats, len(mats))
+    slot_of_gate = {g.key(): slot for g, slot in zip(distinct, slots.tolist())}
+    return list(mats[new]), [slot_of_gate[g.key()] for g in gates]
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

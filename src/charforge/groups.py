@@ -1,11 +1,11 @@
 """Finite matrix groups built by closure from generator unitaries.
 
 Two matrices are the same element when their entries agree within a max-abs
-tolerance. Elements are found through one index, ElementLookup: the
-elements' random projections in a sorted array, so the elements within 8*tol
-of a product lie in a window of that array, found with searchsorted. Each
-candidate is then checked by max-abs distance. close_group builds the
-lookup and keeps it on the group for element_of.
+tolerance, the package's only test of matrix equality. One index finds them,
+ElementLookup: the elements' random projections in a sorted array, so the
+elements within 8*tol of a product lie in a window of that array, found with
+searchsorted. Each candidate is then checked by max-abs distance. close_group
+builds the lookup and keeps it on the group for element_of.
 
 Element indices are assigned in breadth-first discovery order starting from
 {identity} + generators, multiplying on the right by generators, so closing

@@ -12,13 +12,14 @@ Passes, in order:
 
 Closure attempts are bounded by deterministic work and memory proxies in
 addition to max_order, so the pipeline degrades to a no-op on segments
-whose groups are too large to analyze at desk scale; such segments are
-kept verbatim and logged. Only the generator tables (FiniteMatrixGroup.right)
-are read: no Cayley table, inverses or classes are built. A segment grown by
-one gate extends the closure H of the segment without it when H's generators
-lead the new list, embedding only the new gate; close_group's count of H's
-cosets, or Lagrange when the gate adds qubits, refutes most over-cap groups
-before any BFS. Elements are renumbered; the groups, segments and words are not.
+whose groups are too large to analyze at desk scale; such segments are kept
+verbatim and logged, as are those whose gate unitaries collide within the
+closure tolerance. Only the generator tables (FiniteMatrixGroup.right) are read:
+no Cayley table, inverses or classes are built. A segment grown by one gate
+extends the closure H of the segment without it when H's generators lead the new
+list, embedding only the new gate; close_group's count of H's cosets, or
+Lagrange when the gate adds qubits, refutes most over-cap groups before any BFS.
+Elements are renumbered; the groups, segments and words are not.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, check_gates, circuit_depth, embed_gate, gate_matrix
+from .circuits import (Circuit, GateInstance, check_gates, circuit_depth, embed_gate, gate_generators,
+                       gate_matrix)
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .fixtures import X, Z
 from .groups import ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group
 from .histogram import check_seed, check_shots, tv_distance
-from .linalg import canonical_keys
 from .observables import Observable, random_pauli
 from .statevector import (SV_MAX_QUBITS, expectation_of_state,
                           marginal_probabilities, run_gates, sample_histogram)
@@ -238,11 +239,12 @@ def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -
 
 def _try_close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
                base: _Closure | None = None) -> _Closure | None:
-    """The closure of `gates`, or None past the caps. When the templates of
+    """The closure of `gates`, or None past the caps or at a key collision;
+    generators merge within CLOSURE_TOL as elements do. When the templates of
     `base`, the closure H of gates[:-1], lead those of `gates`, only gates[-1]
-    is embedded and close_group extends H, counting its cosets first. A gate on
-    new qubits outside H gives 2|H| or more elements (Lagrange): past the cap
-    if 2|H| is, so H is not embedded for it."""
+    is embedded and merged with base's generators, and close_group extends H,
+    counting its cosets first. A gate on new qubits outside H gives 2|H| or
+    more elements (Lagrange): past the cap if 2|H| is, so H is not embedded."""
     support = tuple(sorted({q for g in gates for q in g.qubits}))
     keys = tuple(sorted(set(g.key() for g in gates), key=repr))
     cache_key = (support, keys)
@@ -252,31 +254,29 @@ def _try_close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
     slots = [base.template_of_key[g.key()] for g in gates[:-1]] if base is not None else []
     # the first gate of each of base's slots, in the order gates[:-1] meets them
     leads = base is not None and [gates[slots.index(s)] for s in dict.fromkeys(slots)] == base.templates
-    if leads:  # base's generators, embedded over the support
-        old = tuple(map(support.index, sorted({q for g in gates[:-1] for q in g.qubits})))
-        gen_mats, templates = embed_gate(base.gens, old, len(support)), base.templates
-        template_of_key = dict(base.template_of_key)
-    else:
-        gen_mats, templates, template_of_key = np.empty((0,) + (1 << len(support),) * 2, complex), [], {}
-    # a gate adds a generator unless its embedding's canonical key is an earlier one's
-    for g in [gates[-1]] if leads else dict.fromkeys(gates):
-        mat = embed_gate(gate_matrix(g.kind, g.angle), tuple(map(support.index, g.qubits)), len(support))
-        known = canonical_keys(np.concatenate([gen_mats, mat[None]]))
-        template_of_key[g.key()] = slot = known.index(known[-1])
-        if slot == len(gen_mats):
-            gen_mats, templates = np.concatenate([gen_mats, mat[None]]), templates + [g]
-
-    cap = _effective_cap(1 << len(support), len(gen_mats), cfg)
     result: _Closure | None = None
-    if cap >= 2 and not (base is not None and 2 * base.group.order > cap and _outside(gates)):
-        seed = _seed(base, gates, support) if leads else None
-        try:
+    try:
+        if leads:  # base's generators, embedded over the support, then gates[-1]
+            g, n = gates[-1], len(support)
+            old = tuple(map(support.index, sorted({q for x in gates[:-1] for q in x.qubits})))
+            mat = embed_gate(gate_matrix(g.kind, g.angle), tuple(map(support.index, g.qubits)), n)
+            stack = np.concatenate([embed_gate(base.gens, old, n), mat[None]])
+            found, new = ElementLookup(1 << n, CLOSURE_TOL).find(stack, len(stack))
+            gen_mats, templates = stack[new], base.templates + [g] * (len(new) - len(base.templates))
+            template_of_key = {**base.template_of_key, g.key(): int(found[-1])}
+        else:
+            mats, slots = gate_generators(gates, support, CLOSURE_TOL)
+            gen_mats, templates = np.stack(mats), [gates[slots.index(s)] for s in range(len(mats))]
+            template_of_key = {g.key(): s for g, s in zip(gates, slots)}
+        cap = _effective_cap(1 << len(support), len(gen_mats), cfg)
+        if cap >= 2 and not (base is not None and 2 * base.group.order > cap and _outside(gates)):
+            seed = _seed(base, gates, support) if leads else None
             group = close_group(list(gen_mats), ClosureConfig(max_order=cap, tol=CLOSURE_TOL), seed)
             result = _Closure(group, templates, template_of_key, gen_mats)
-        except (OrderCapExceeded, KeyCollision):
-            # a key collision means the products are not tolerance-separated,
-            # which only happens for dense (non-finite) generated sets
-            result = None
+    except (OrderCapExceeded, KeyCollision):
+        # a key collision means the generators or their products are not
+        # tolerance-separated, which only happens for dense (non-finite) sets
+        result = None
     cache[cache_key] = result
     return result
 

@@ -23,10 +23,10 @@ from charforge.complexity import CostParams, estimate_cost
 from charforge.fixtures import all_fixture_groups, fixture_generators
 from charforge.groups import close_group
 from charforge.histogram import tv_distance
-from charforge.linalg import equal_up_to_phase
 from charforge.optimize import optimize
 from charforge.statevector import sv_run
 from charforge.tableau import tableau_run
+from phase_oracle import equal_up_to_phase
 
 AC1_FIXTURES = ("c2", "c2xc2", "s3", "d4", "q8", "pauli1", "clifford1")
 

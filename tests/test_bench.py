@@ -1,8 +1,7 @@
 import pytest
 
-from charforge.bench import (CSV_HEADER, BenchConfig, emit_outputs,
-                             parse_results_csv, results_csv, results_svg,
-                             run_bench)
+from charforge.bench import (CSV_HEADER, BenchConfig, BenchRow, emit_outputs,
+                             results_csv, results_svg, run_bench)
 from charforge.errors import CharforgeError, InvalidSpec
 
 SMALL = BenchConfig(suites=("bv", "qft"), n_min=2, n_max=3, repeats=2,
@@ -45,9 +44,13 @@ def test_single_repeat_has_zero_stddev():
 
 
 def test_csv_header_and_round_trip(small_results):
-    csv = results_csv(small_results)
-    assert csv.splitlines()[0] == CSV_HEADER
-    assert parse_results_csv(csv) == small_results.rows
+    lines = results_csv(small_results).splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == len(small_results.rows) + 1
+    # each line reads back as its row: the 6-decimal fields are rounded to 6 already
+    fields = (str, int, str, float, float, float, int, int, float, float)
+    for line, row in zip(lines[1:], small_results.rows):
+        assert BenchRow(*(f(c) if c else None for f, c in zip(fields, line.split(",")))) == row
 
 
 def test_single_row_csv_is_two_lines():

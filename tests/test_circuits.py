@@ -11,7 +11,7 @@ from charforge.circuits import (GATE_ARITY, BenchmarkSpec, Circuit, build_benchm
                                 circuit_depth, circuit_unitary, embed_gate,
                                 gate, gate_generators, gate_matrix, parse_circuit,
                                 random_clifford_circuit, serialize_circuit)
-from charforge.errors import (AngleMissing, CircuitSyntaxError, InvalidSpec,
+from charforge.errors import (AngleMissing, CircuitSyntaxError, InvalidSpec, KeyCollision,
                               MeasurementInUnitary, QubitOutOfRange, TooWide)
 from charforge.statevector import run_gates
 
@@ -240,11 +240,19 @@ def test_depth():
 def test_gate_generators_dedupe_by_gate_and_by_matrix():
     # cz is symmetric, so cz 1 0 embeds to the same matrix as cz 0 1
     gates = [gate("cz", 2, 5), gate("h", 2), gate("cz", 5, 2), gate("h", 2), gate("h", 5)]
-    mats, slots = gate_generators(gates, (2, 5))
+    mats, slots = gate_generators(gates, (2, 5), 1e-9)
     assert slots == [0, 1, 0, 1, 2]
     assert len(mats) == 3
     assert np.array_equal(mats[0], np.diag([1, 1, 1, -1]).astype(complex))
     assert np.array_equal(mats[2], embed_gate(gate_matrix("h"), (1,), 2))
+    # 1e-9 apart, so one matrix within 1e-8 as in a closure, although their
+    # entries round to different 9-digit keys; within 8*tol but past tol they collide
+    near = [gate("cp", 0, 1, angle=1.570796327), gate("cp", 0, 1, angle=1.570796326)]
+    mats, slots = gate_generators(near, (0, 1), 1e-8)
+    assert slots == [0, 0] and len(mats) == 1
+    assert np.array_equal(mats[0], gate_matrix("cp", 1.570796327))
+    with pytest.raises(KeyCollision):
+        gate_generators(near, (0, 1), 3e-10)
 
 
 @pytest.mark.parametrize("qubits, n", [((0,), 1), ((1,), 3), ((2, 0), 3), ((1, 3), 4), ((0, 1), 2)])

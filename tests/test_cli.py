@@ -85,6 +85,14 @@ def test_optimize_survives_gates_within_the_closure_tolerance(tmp_path):
         assert "Traceback" not in r.stderr
 
 
+def test_optimize_skips_gates_that_collide(tmp_path):
+    # 3.3e-8 apart: past the closure tolerance, within 8 times it
+    p = tmp_path / "collide.qc"
+    p.write_text("qubits 2\ncp(1.570796327) 0 1\ncp(1.57079636) 0 1\nh 0\n")
+    r = charforge("optimize", "--in", str(p), "--out", str(tmp_path / "o.qc"))
+    assert r.returncode == 0, r.stderr
+
+
 def test_equiv_verdicts(tmp_path, bell_path):
     other = tmp_path / "x.circ"
     other.write_text("qubits 2\nx 0\nmeasure 0\nmeasure 1\n")

@@ -17,9 +17,9 @@ from charforge.circuits import (GATE_ARITY, Circuit, build_benchmark, build_bv, 
 from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.groups import ClosureConfig, ElementLookup, close_group, element_of
-from charforge.linalg import equal_up_to_phase, phase_canonical
 from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, _Closure, _effective_cap,
                                 build_word_table, equivalence_check, optimize)
+from phase_oracle import equal_up_to_phase, phase_canonical
 
 # the package exports the optimize function under the module's name
 optimize_module = importlib.import_module("charforge.optimize")
@@ -149,7 +149,7 @@ def brute_force_phase_classes(group):
 
 def _h0_cx01_s1_group():
     gates = list(parse_circuit("qubits 2\nh 0\ncx 0 1\ns 1\n").gates)
-    mats, _ = gate_generators(gates, (0, 1))
+    mats, _ = gate_generators(gates, (0, 1), CLOSURE_TOL)
     return close_group(mats, ClosureConfig(max_order=10000, tol=CLOSURE_TOL))
 
 
@@ -356,12 +356,22 @@ def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
     cases = [args[:2] for args in log["refuted"]]
     for gates in outside_refuted:
         support = tuple(sorted({q for g in gates for q in g.qubits}))
-        mats, _ = gate_generators(gates, support)
+        mats, _ = gate_generators(gates, support, CLOSURE_TOL)
         cap = _effective_cap(1 << len(support), len(mats), FAST)
         cases.append((mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL)))
     for mats, cfg in cases:
         with pytest.raises((OrderCapExceeded, KeyCollision)):
             close_group(mats, cfg)
+
+
+def test_generators_that_collide_are_refused():
+    # the cp matrices are 3.3e-8 apart, between CLOSURE_TOL and 8 * CLOSURE_TOL:
+    # merging them raises KeyCollision, so the first segment ends before the
+    # second cp, whose powers alone pass the cap
+    c = parse_circuit("qubits 2\ncp(1.570796327) 0 1\ncp(1.57079636) 0 1\nh 0\n")
+    _, rep = optimize(c, FAST)
+    assert [(s.status, s.group_order) for s in rep.segments] == [
+        ("kept", 4), ("skipped-cap", None), ("kept", 2)]
 
 
 def test_report_json_shape():
