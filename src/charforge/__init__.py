@@ -10,9 +10,8 @@ from .algebra import (AlgebraElement, DecomposabilityReport, DecompositionResult
                       characters_of, check_decomposability, convolve,
                       decompose_element, delta, random_element,
                       statement_formula_residual, to_matrix)
-from .characters import (CentralIdempotent, CharacterTable, ClassMatrix,
-                         IsotypicProjector, central_idempotents,
-                         character_table, character_table_csv, class_matrices,
+from .characters import (CharacterTable, central_idempotents, character_table,
+                         character_table_csv, class_matrices,
                          isotypic_projectors, verify_orthogonality)
 from .circuits import (BenchmarkSpec, Circuit, GateInstance, build_benchmark,
                        build_bv, build_grover, build_qft, build_vqe,

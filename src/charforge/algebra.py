@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import (CentralIdempotent, CharacterTable, IsotypicProjector,
-                         central_idempotents, character_table,
+from .characters import (CharacterTable, central_idempotents, character_table,
                          verify_orthogonality)
 from .errors import GroupMismatch, KeyCollision, OrderCapExceeded
 from .groups import ClosureConfig, FiniteMatrixGroup, close_group, element_of
@@ -117,25 +116,28 @@ class DecompositionResult:
 
 def decompose_element(
     u: AlgebraElement,
-    idempotents: list[CentralIdempotent],
-    projectors: list[IsotypicProjector] | None = None,
+    idempotents: np.ndarray,
+    projectors: np.ndarray | None = None,
 ) -> DecompositionResult:
-    """Split u into its isotypic components u_i = e_i * u.
+    """Split u into its isotypic components u_i = e_i * u, one per row of the
+    (k, |G|) idempotents.
 
     The reconstruction residual max|sum_i u_i - u| is an identity of the
-    calculus and lands at float precision. When projectors are supplied the
-    matrix-side split P_i M(u) with sum_i P_i M(u) = M(u) is returned too.
+    calculus and lands at float precision. When the (k, dim, dim) projectors
+    are supplied the matrix-side split P_i M(u) with sum_i P_i M(u) = M(u) is
+    returned too. Raises GroupMismatch if either array is another group's.
     """
-    for e in idempotents:
-        if e.coeffs.shape != (u.group.order,):
-            raise GroupMismatch("idempotents belong to a different group")
-    rows = np.array([e.coeffs for e in idempotents]).reshape(-1, u.group.order)
-    components = [AlgebraElement(u.group, c) for c in _convolve_rows(rows, u)]
+    g = u.group
+    if idempotents.shape[1:] != (g.order,):
+        raise GroupMismatch("idempotents belong to a different group")
+    if projectors is not None and projectors.shape[1:] != (g.dim, g.dim):
+        raise GroupMismatch("projectors belong to a different group")
+    components = [AlgebraElement(g, c) for c in _convolve_rows(idempotents, u)]
     recon = max_abs(np.sum([c.coeffs for c in components], axis=0) - u.coeffs)
     matrix_components = matrix_residual = None
     if projectors is not None:
         m = to_matrix(u)
-        matrix_components = [p.matrix @ m for p in projectors]
+        matrix_components = [p @ m for p in projectors]
         matrix_residual = max_abs(np.sum(matrix_components, axis=0) - m)
     return DecompositionResult(components, float(recon), matrix_components, matrix_residual)
 
@@ -143,7 +145,7 @@ def decompose_element(
 def statement_formula_residual(
     u: AlgebraElement,
     table: CharacterTable,
-    idempotents: list[CentralIdempotent],
+    idempotents: np.ndarray,
 ) -> float:
     """Residual of the closed-form reconstruction
     u =? sum_i (chi_i(u)/d_i) (|G|/d_i) e_i.
@@ -155,7 +157,7 @@ def statement_formula_residual(
     rhs = np.zeros(u.group.order, dtype=complex)
     for i, e in enumerate(idempotents):
         d = float(table.degrees[i])
-        rhs += (chars[i] / d) * (table.group_order / d) * e.coeffs
+        rhs += (chars[i] / d) * (table.group_order / d) * e
     return float(max_abs(rhs - u.coeffs))
 
 
@@ -201,8 +203,8 @@ def check_decomposability(
 def decomposition_report_json(
     u: AlgebraElement,
     table: CharacterTable,
-    idempotents: list[CentralIdempotent],
-    projectors: list[IsotypicProjector],
+    idempotents: np.ndarray,
+    projectors: np.ndarray,
 ) -> dict:
     """Report shape used by the CLI decompose subcommand."""
     dec = decompose_element(u, idempotents, projectors)

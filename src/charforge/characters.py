@@ -32,33 +32,15 @@ ORTH_RESIDUAL_MAX = 1e-8
 
 
 @dataclass
-class ClassMatrix:
-    j: int
-    entries: np.ndarray  # (k, k) non-negative integers
-
-
-@dataclass
 class CharacterTable:
     k: int
     degrees: np.ndarray          # (k,) positive integers
-    values: np.ndarray           # (k, k) complex, values[i, j] = chi_i on class j
+    values: np.ndarray           # (k, k), values[i, j] = chi_i on class j; float64 if all real, else complex128
     class_sizes: np.ndarray      # (k,) positive integers
     group_order: int
 
     def __repr__(self) -> str:
         return f"CharacterTable(k={self.k}, degrees={self.degrees.tolist()}, |G|={self.group_order})"
-
-
-@dataclass
-class CentralIdempotent:
-    irrep: int
-    coeffs: np.ndarray  # (|G|,) complex
-
-
-@dataclass
-class IsotypicProjector:
-    irrep: int
-    matrix: np.ndarray
 
 
 @dataclass
@@ -71,31 +53,29 @@ class OrthogonalityReport:
         return max(self.row_residual, self.col_residual, self.degree_sum_residual)
 
 
-def class_matrices(group: FiniteMatrixGroup) -> list[ClassMatrix]:
-    """Exact integer structure constants a_jlm of the class-sum algebra, in
-    O(|G| k): a_jlm = #{y in C_l : z_m y^-1 in C_j} for any z_m in C_m, and
-    z_m y^-1 is the inverse of y z_m^-1, so k columns y -> y z_m^-1, walked
-    along `right`, and one bincount count it. No Cayley table is built. The
-    count takes z_m^-1 as the first member of its class, and a recount as the
-    last; the two differ only if the class sums are not central, so the
-    generator tables are corrupt, and then it raises AssertionError."""
+def class_matrices(group: FiniteMatrixGroup) -> np.ndarray:
+    """Exact integer structure constants as one (k, k, k) int64 array a[j, l, m],
+    C_j C_l = sum_m a[j, l, m] C_m, in O(|G| k): a_jlm = #{y in C_l : z_m y^-1
+    in C_j} for any z_m in C_m, and z_m y^-1 is the inverse of y z_m^-1, so k
+    columns y -> y z_m^-1, walked along `right`, and one bincount count it. No
+    Cayley table is built. The count takes z_m^-1 as the first member of its
+    class, and a recount, one contiguous a[:, :, m] at a time, as the last; the
+    two differ only if the class sums are not central, so the generator tables
+    are corrupt, and then it raises AssertionError."""
     k = len(group.classes)
     class_of = group.class_of
     inv_class = class_of[group.inverses]
-    # flat index j k^2 + l k + m, with j = class of z_m y^-1 and l = class of y
-    lm = class_of[None, :] * k + np.arange(k)[:, None]
     inverse_of = inv_class[[c[0] for c in group.classes]]  # m -> the class of C_m's inverses
-
-    def count(walks: list[int]) -> np.ndarray:
-        flat = inv_class[group.columns(walks)] * (k * k)
-        flat += lm
-        return np.bincount(flat.ravel(), minlength=k ** 3).reshape(k, k, k)
-
-    a = count([group.classes[m][0] for m in inverse_of])
-    if not np.array_equal(a, count([group.classes[m][-1] for m in inverse_of])):
-        raise AssertionError("class sums are not constant on classes; the generator table "
-                             "`right` is corrupt")
-    return [ClassMatrix(j=j, entries=a[j]) for j in range(k)]
+    # flat index m k^2 + j k + l, with j = class of z_m y^-1 and l = class of y
+    flat = inv_class[group.columns([group.classes[m][0] for m in inverse_of])] * k
+    flat += class_of + np.arange(0, k ** 3, k * k)[:, None]
+    a = np.bincount(flat.ravel(), minlength=k ** 3).reshape(k, k, k).transpose(1, 2, 0)
+    for m, col in enumerate(group.columns([group.classes[m][-1] for m in inverse_of])):
+        if not np.array_equal(np.bincount(inv_class[col] * k + class_of, minlength=k * k).reshape(k, k),
+                              a[:, :, m]):
+            raise AssertionError("class sums are not constant on classes; the generator table "
+                                 "`right` is corrupt")
+    return a
 
 
 def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
@@ -112,7 +92,7 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
     k = len(group.classes)
     order = group.order
     sizes = np.array([len(c) for c in group.classes], dtype=np.float64)
-    mats = np.array([cm.entries for cm in class_matrices(group)], dtype=np.float64)
+    mats = class_matrices(group)
 
     omega = None
     for attempt in range(21):
@@ -172,9 +152,10 @@ def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
     return OrthogonalityReport(row_res, col_res, deg_res)
 
 
-def _idempotent_coeffs(group: FiniteMatrixGroup, table: CharacterTable) -> np.ndarray:
-    """(k, |G|) coefficients (d_i/|G|) chi_i(g^-1). Raises GroupMismatch if the
-    table's order, k or class sizes are not the group's."""
+def central_idempotents(group: FiniteMatrixGroup, table: CharacterTable) -> np.ndarray:
+    """(k, |G|) array, of table.values' dtype, whose row i is e_i, with
+    coefficient (d_i/|G|) chi_i(g^-1) on each element g. Raises GroupMismatch
+    if the table's order, k or class sizes are not the group's."""
     sizes = [len(c) for c in group.classes]
     if (table.group_order, table.k, table.class_sizes.tolist()) != (group.order, len(sizes), sizes):
         raise GroupMismatch(f"{table!r} is not the table of this group of order {group.order}")
@@ -182,21 +163,13 @@ def _idempotent_coeffs(group: FiniteMatrixGroup, table: CharacterTable) -> np.nd
     return (table.degrees / table.group_order)[:, None] * table.values[:, inv_class]
 
 
-def central_idempotents(group: FiniteMatrixGroup, table: CharacterTable) -> list[CentralIdempotent]:
-    """e_i with coefficient (d_i/|G|) chi_i(g^-1) on each element g. Raises
-    GroupMismatch if the table's order, k or class sizes are not the group's."""
-    return [CentralIdempotent(irrep=i, coeffs=c) for i, c in enumerate(_idempotent_coeffs(group, table))]
-
-
-def isotypic_projectors(group: FiniteMatrixGroup, table: CharacterTable) -> list[IsotypicProjector]:
-    """P_i = (d_i/|G|) sum_g chi_i(g^-1) U(g) in the defining representation,
-    all k of them as one (k, |G|) @ (|G|, dim²) product.
-
-    Projectors of irreps absent from the defining representation come out as
-    (numerically) zero matrices.
-    """
-    p = _idempotent_coeffs(group, table) @ group.mats.reshape(group.order, -1)
-    return [IsotypicProjector(irrep=i, matrix=m) for i, m in enumerate(p.reshape(-1, group.dim, group.dim))]
+def isotypic_projectors(group: FiniteMatrixGroup, table: CharacterTable) -> np.ndarray:
+    """(k, dim, dim) complex128 array of P_i = (d_i/|G|) sum_g chi_i(g^-1) U(g)
+    in the defining representation, as one (k, |G|) @ (|G|, dim²) product.
+    Projectors of irreps absent from that representation come out as
+    (numerically) zero matrices."""
+    p = central_idempotents(group, table) @ group.mats.reshape(group.order, -1)
+    return p.reshape(-1, group.dim, group.dim)
 
 
 def character_table_csv(table: CharacterTable) -> str:

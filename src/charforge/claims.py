@@ -166,7 +166,7 @@ def run_claims(
         for i in range(table.k):
             s_i = np.einsum("g,gab->ab", table.values[i, inv_class], g.mats)
             scale = table.group_order / float(table.degrees[i])
-            worst = max(worst, float(np.max(np.abs(s_i - scale * projs[i].matrix))))
+            worst = max(worst, float(np.max(np.abs(s_i - scale * projs[i]))))
             worst = max(worst, float(np.max(np.abs(s_i @ s_i - scale * s_i))))
     results.append(ClaimResult(
         claim_id="C4",

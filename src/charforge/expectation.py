@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .characters import CharacterTable, IsotypicProjector
+from .characters import CharacterTable
 from .circuits import Circuit, circuit_unitary
-from .errors import ElementNotInGroup
+from .errors import ElementNotInGroup, GroupMismatch
 from .groups import FiniteMatrixGroup, element_of
 from .observables import Observable
 from .statevector import expectation_of_state, sv_expectation, zero_state
@@ -38,12 +38,15 @@ def decomp_expectation(
     c: Circuit,
     obs: Observable,
     group: FiniteMatrixGroup,
-    projectors: list[IsotypicProjector],
+    projectors: np.ndarray,
 ) -> float:
     """<psi0| U^dag O U |psi0> with U replaced by its isotypic resolution
-    sum_i P_i U."""
+    sum_i P_i U over the (k, dim, dim) projectors. Raises GroupMismatch if
+    they are another group's."""
+    if projectors.shape[1:] != (group.dim, group.dim):
+        raise GroupMismatch("projectors belong to a different group")
     u, _ = _group_element_for(c, group)
-    u_rec = np.sum([p.matrix @ u for p in projectors], axis=0)
+    u_rec = np.sum([p @ u for p in projectors], axis=0)
     psi = u_rec @ zero_state(c.n_qubits)
     return expectation_of_state(psi, obs, c.n_qubits)
 

@@ -72,12 +72,12 @@ def test_ac2_idempotent_algebra():
         table = character_table(group, seed=42)
         idem = central_idempotents(group, table)
         for i, ei in enumerate(idem):
-            a = AlgebraElement(group, ei.coeffs)
+            a = AlgebraElement(group, ei)
             for j, ej in enumerate(idem):
-                prod = convolve(a, AlgebraElement(group, ej.coeffs))
-                target = ei.coeffs if i == j else 0.0
+                prod = convolve(a, AlgebraElement(group, ej))
+                target = ei if i == j else 0.0
                 worst = max(worst, float(np.max(np.abs(prod.coeffs - target))))
-        total = np.sum([e.coeffs for e in idem], axis=0)
+        total = np.sum(idem, axis=0)
         worst = max(worst, float(np.max(np.abs(total - delta(group, 0).coeffs))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8, f"worst idempotent residual {worst:.2e}"
@@ -103,7 +103,7 @@ def test_ac3_decomposition_identity():
         group = groups[name]
         table = character_table(group, seed=42)
         projs = isotypic_projectors(group, table)
-        p_sum = np.sum([p.matrix for p in projs], axis=0)
+        p_sum = np.sum(projs, axis=0)
         for g in range(group.order):
             u = group.mats[g]
             matrix_worst = max(matrix_worst, float(np.max(np.abs(p_sum @ u - u))))

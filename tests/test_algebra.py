@@ -63,7 +63,7 @@ def test_decomposed_delta_components_match_brute_force(groups, tables):
     es = central_idempotents(g, t)
     dec = decompose_element(delta(g, 150), es)
     for e, c in zip(es, dec.components):
-        assert np.max(np.abs(c.coeffs - brute_force_convolution(g, e.coeffs, delta(g, 150).coeffs))) <= 1e-12
+        assert np.max(np.abs(c.coeffs - brute_force_convolution(g, e, delta(g, 150).coeffs))) <= 1e-12
 
 
 def test_convolution_associative_on_random_triples(groups):
@@ -81,6 +81,15 @@ def test_group_mismatch_raises(groups):
         convolve(delta(groups["c2"], 0), delta(groups["d4"], 0))
 
 
+def test_decompose_rejects_arrays_of_another_group(groups, tables):
+    g = groups["d4"]
+    es = central_idempotents(g, tables["d4"])
+    with pytest.raises(GroupMismatch, match="projectors belong to a different group"):
+        decompose_element(delta(g, 1), es, isotypic_projectors(groups["c2xc2"], tables["c2xc2"]))
+    with pytest.raises(GroupMismatch, match="idempotents belong to a different group"):
+        decompose_element(delta(g, 1), central_idempotents(groups["c2xc2"], tables["c2xc2"]))
+
+
 def test_matrix_map_intertwines_convolution(groups):
     # mapping u to sum_g u[g] U(g) turns convolution into matrix product
     for name in ("d4", "s3"):
@@ -95,9 +104,9 @@ def test_matrix_map_intertwines_convolution(groups):
 def test_decompose_idempotent_itself(groups, tables):
     g, t = groups["d4"], tables["d4"]
     es = central_idempotents(g, t)
-    dec = decompose_element(AlgebraElement(g, es[1].coeffs), es)
+    dec = decompose_element(AlgebraElement(g, es[1]), es)
     for i, comp in enumerate(dec.components):
-        target = es[1].coeffs if i == 1 else np.zeros(g.order)
+        target = es[1] if i == 1 else np.zeros(g.order)
         assert np.max(np.abs(comp.coeffs - target)) <= 1e-10
 
 
@@ -118,7 +127,7 @@ def test_decompose_components_are_eigen(groups, tables):
     for i, e in enumerate(es):
         for j, comp in enumerate(dec.components):
             target = comp.coeffs if i == j else 0.0
-            got = convolve(AlgebraElement(g, e.coeffs), comp).coeffs
+            got = convolve(AlgebraElement(g, e), comp).coeffs
             assert np.max(np.abs(got - target)) <= 1e-8
 
 
@@ -140,7 +149,7 @@ def test_characters_of_examples(groups, tables):
         assert np.allclose(characters_of(delta(g, idx), t), col)
     es = central_idempotents(g, t)
     for i, e in enumerate(es):
-        chars = characters_of(AlgebraElement(g, e.coeffs), t)
+        chars = characters_of(AlgebraElement(g, e), t)
         target = np.zeros(t.k)
         target[i] = t.degrees[i]
         assert np.max(np.abs(chars - target)) <= 1e-8

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -65,8 +66,8 @@ def perturbed_class_matrices(monkeypatch, eps=1e-6):
     diagonal: the degrees still round to integers that sum to |G| in
     squares, and only the orthogonality residual (about 4 eps) shows it."""
     def perturbed(group):
-        cms = class_matrices(group)
-        cms[1].entries = cms[1].entries + eps * np.eye(len(cms))
+        cms = class_matrices(group).astype(np.float64)
+        cms[1] += eps * np.eye(len(cms))
         return cms
 
     monkeypatch.setattr(characters, "class_matrices", perturbed)
@@ -90,7 +91,7 @@ def test_class_matrix_counting_identity(groups):
         k = len(sizes)
         for _ in range(5):
             j, l = rng.integers(k), rng.integers(k)
-            assert int(np.sum(cms[j].entries[l] * sizes)) == sizes[j] * sizes[l]
+            assert int(np.sum(cms[j, l] * sizes)) == sizes[j] * sizes[l]
 
 
 def test_d4_x_class_times_itself(groups):
@@ -100,15 +101,15 @@ def test_d4_x_class_times_itself(groups):
     id_cls = 0
     minus_id = [i for i in range(8) if np.allclose(g.mats[i], -np.eye(2))][0]
     minus_cls = int(g.class_of[minus_id])
-    a = class_matrices(g)[x_cls].entries
+    a = class_matrices(g)[x_cls]
     assert a[x_cls, id_cls] + a[x_cls, minus_cls] == 4
     assert a[x_cls, id_cls] == 2 and a[x_cls, minus_cls] == 2
 
 
 def test_order_two_idempotents_by_hand(groups, tables):
     es = central_idempotents(groups["c2"], tables["c2"])
-    assert np.allclose(es[0].coeffs, [0.5, 0.5])
-    assert np.allclose(es[1].coeffs, [0.5, -0.5])
+    assert np.allclose(es[0], [0.5, 0.5])
+    assert np.allclose(es[1], [0.5, -0.5])
 
 
 def test_idempotent_coeffs_constant_on_classes(groups, tables):
@@ -116,7 +117,7 @@ def test_idempotent_coeffs_constant_on_classes(groups, tables):
         g, t = groups[name], tables[name]
         for e in central_idempotents(g, t):
             for cls in g.classes:
-                vals = e.coeffs[list(cls)]
+                vals = e[list(cls)]
                 assert np.max(np.abs(vals - vals[0])) <= 1e-10
 
 
@@ -125,35 +126,35 @@ def test_idempotent_norm_is_degree_over_root_order(name, groups, tables):
     # ||e_i||^2 = (d_i/|G|)^2 sum_j |C_j| |chi_i(C_j)|^2 = d_i^2/|G| by row
     # orthogonality, so the norm carries nothing beyond the degree
     g, t = groups[name], tables[name]
-    for e in central_idempotents(g, t):
-        expected = t.degrees[e.irrep] / np.sqrt(t.group_order)
-        assert abs(np.linalg.norm(e.coeffs) - expected) <= 1e-12
+    for i, e in enumerate(central_idempotents(g, t)):
+        expected = t.degrees[i] / np.sqrt(t.group_order)
+        assert abs(np.linalg.norm(e) - expected) <= 1e-12
 
 
 def test_projector_examples(groups, tables):
     plus = np.array([[0.5, 0.5], [0.5, 0.5]])
     projs = isotypic_projectors(groups["c2"], tables["c2"])
-    assert np.allclose(projs[0].matrix, plus)
-    assert np.allclose(projs[1].matrix, np.eye(2) - plus)
+    assert np.allclose(projs[0], plus)
+    assert np.allclose(projs[1], np.eye(2) - plus)
 
     projs = isotypic_projectors(groups["d4"], tables["d4"])
-    nonzero = [p for p in projs if np.max(np.abs(p.matrix)) > 1e-8]
+    nonzero = [p for p in projs if np.max(np.abs(p)) > 1e-8]
     assert len(nonzero) == 1
-    assert np.allclose(nonzero[0].matrix, np.eye(2), atol=1e-10)
+    assert np.allclose(nonzero[0], np.eye(2), atol=1e-10)
 
 
 @pytest.mark.parametrize("name", ["c2", "s3", "d4", "q8", "pauli1", "clifford1"])
 def test_projector_invariants(name, groups, tables):
     g, t = groups[name], tables[name]
     projs = isotypic_projectors(g, t)
-    total = np.sum([p.matrix for p in projs], axis=0)
+    total = np.sum(projs, axis=0)
     assert np.max(np.abs(total - np.eye(g.dim))) <= 1e-8
     for i, p in enumerate(projs):
-        assert np.max(np.abs(p.matrix @ p.matrix - p.matrix)) <= 1e-8
+        assert np.max(np.abs(p @ p - p)) <= 1e-8
         for q in projs[i + 1:]:
-            assert np.max(np.abs(p.matrix @ q.matrix)) <= 1e-8
+            assert np.max(np.abs(p @ q)) <= 1e-8
         for a in range(g.order):
-            assert np.max(np.abs(p.matrix @ g.mats[a] - g.mats[a] @ p.matrix)) <= 1e-8
+            assert np.max(np.abs(p @ g.mats[a] - g.mats[a] @ p)) <= 1e-8
 
 
 def test_degree_bound_and_abelian_iff(groups, tables):
@@ -222,7 +223,7 @@ def h0_cx01_cx12():
 @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "h0-cx01-cx12"])
 def test_class_matrices_match_the_per_element_count(name, groups, h0_cx01_cx12):
     g = groups.get(name, h0_cx01_cx12)
-    a = np.stack([cm.entries for cm in class_matrices(g)])
+    a = class_matrices(g)
     assert a.dtype.kind == "i"
     assert np.array_equal(a, _class_matrices_by_element(g))
 
@@ -287,7 +288,7 @@ def test_tables_from_generators_match_the_cayley_oracle(case):
         classes, class_of = conjugacy_classes_from_cayley(g.cayley, inverses)
         assert np.array_equal(g.inverses, inverses)
         assert g.classes == classes and np.array_equal(g.class_of, class_of)
-        assert np.array_equal(np.stack([cm.entries for cm in class_matrices(g)]),
+        assert np.array_equal(class_matrices(g),
                               _class_matrices_by_element(g))
 
 
@@ -306,6 +307,28 @@ def test_decomposition_builds_no_cayley_table(monkeypatch):
     assert "cayley" not in g.__dict__
 
 
+# (element, then sha256 prefixes of the decompose report JSON and of the
+# idempotent and projector bytes) at table seed 0, recorded while the
+# idempotents and projectors were lists of per-irrep records
+DECOMPOSITION_PINS = {
+    "d4": (5, "f5bc9c246bb507bd", "b8d4a6e4ab72dc5d", "6432dde5eb5c10ae"),
+    "clifford1": (77, "0f13ee2155a8562d", "e6d5fcd439622b6c", "e553f841ae7bc14a"),
+    "h0-cx01-cx12": (77, "cd4c2eed3f89a0a2", "dc4cb3fc6cd9d030", "3883d70cc06fb1aa"),
+}
+
+
+@pytest.mark.parametrize("name", DECOMPOSITION_PINS)
+def test_decomposition_outputs_are_pinned(name, groups, h0_cx01_cx12):
+    g = groups.get(name, h0_cx01_cx12)
+    element, *pins = DECOMPOSITION_PINS[name]
+    t = character_table(g, seed=0)
+    idem, projs = central_idempotents(g, t), isotypic_projectors(g, t)
+    assert idem.shape == (t.k, g.order) and projs.shape == (t.k, g.dim, g.dim)
+    report = decomposition_report_json(delta(g, element), t, idem, projs)
+    got = [json.dumps(report, indent=2).encode(), idem.tobytes(), projs.tobytes()]
+    assert [hashlib.sha256(b).hexdigest()[:16] for b in got] == pins
+
+
 def test_order_3072_table_is_pinned():
     g = _gate_set_group(2, [("h", 0), ("s", 0), ("cx", 0, 1)])
     t = character_table(g, seed=0)
@@ -322,7 +345,7 @@ def test_central_characters_satisfy_the_class_algebra(name, groups, tables):
     # omega_ij = |C_j| chi_i(C_j) / d_i is a character of the class-sum
     # algebra: omega_ij omega_il = sum_m a_jlm omega_im
     t = tables[name]
-    a = np.stack([cm.entries for cm in class_matrices(groups[name])]).astype(np.float64)
+    a = class_matrices(groups[name]).astype(np.float64)
     omega = t.class_sizes[None, :] * t.values / t.degrees[:, None]
     for w in omega:
         assert np.max(np.abs(np.outer(w, w) - a @ w)) <= 1e-9

@@ -250,8 +250,8 @@ def test_chartab_with_a_failing_self_check_exits_2(monkeypatch, capsys):
     exact = characters.class_matrices
 
     def perturbed(group):  # structure constants off by 1e-6 on one diagonal
-        cms = exact(group)
-        cms[1].entries = cms[1].entries + 1e-6 * np.eye(len(cms))
+        cms = exact(group).astype(np.float64)
+        cms[1] += 1e-6 * np.eye(len(cms))
         return cms
 
     monkeypatch.setattr(characters, "class_matrices", perturbed)

@@ -3,7 +3,7 @@ import pytest
 
 from charforge.characters import character_table, isotypic_projectors
 from charforge.circuits import Circuit, gate, parse_circuit
-from charforge.errors import ElementNotInGroup
+from charforge.errors import ElementNotInGroup, GroupMismatch
 from charforge.expectation import (decomp_expectation, degree_square_sum,
                                    paper_expectation_formula)
 from charforge.fixtures import H
@@ -37,6 +37,12 @@ def test_element_not_in_group(groups, tables):
     projs = isotypic_projectors(g, t)
     with pytest.raises(ElementNotInGroup):
         decomp_expectation(parse_circuit("qubits 1\nh 0\n"), z_on_qubit(0, 1), g, projs)
+
+
+def test_projectors_of_another_group_are_rejected(groups, tables):
+    projs = isotypic_projectors(groups["c2xc2"], tables["c2xc2"])
+    with pytest.raises(GroupMismatch, match="projectors belong to a different group"):
+        decomp_expectation(parse_circuit("qubits 1\nx 0\n"), z_on_qubit(0, 1), groups["d4"], projs)
 
 
 def test_closed_form_trivial_group(groups, tables):
