@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,8 +46,12 @@ MAX_DENSE_QUBITS = 12
 
 def canonical_angle(a: float) -> float:
     """Quantize to the 10 significant digits the serializer emits, so every
-    builder circuit round-trips byte-exactly through the text format."""
-    return float(f"{float(a):.10g}")
+    builder circuit round-trips byte-exactly through the text format. Raises
+    InvalidSpec for a non-finite angle, whose gate matrix is not unitary."""
+    a = float(a)
+    if not math.isfinite(a):
+        raise InvalidSpec(f"angle must be finite, got {a!r}")
+    return float(f"{a:.10g}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,7 @@ def parse_circuit(text: str, name: str = "") -> Circuit:
                 raise CircuitSyntaxError(line_no, f"gate {kind!r} takes no angle")
             try:
                 angle = canonical_angle(float(rest[:-1]))
-            except ValueError:
+            except (ValueError, InvalidSpec):
                 raise CircuitSyntaxError(line_no, f"bad angle {rest[:-1]!r}") from None
         else:
             kind = head
@@ -290,19 +295,24 @@ def apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: i
             i = s
 
 
+@lru_cache(maxsize=1024)
+def _embed_perm(qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """perm[i]: the row of mat embedded on `qubits` of n that is row i of kron(I, mat)."""
+    bits = list(qubits) + [q for q in range(n) if q not in qubits]
+    return sum(((np.arange(1 << n) >> pos) & 1) << q for pos, q in enumerate(bits))
+
+
 def embed_gate(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Embed a gate matrix or a (..., d, d) stack (local bit j = qubits[j]) into the 2^n space."""
     k = len(qubits)
     dim = 1 << n
     if k == n and tuple(qubits) == tuple(range(n)):
         return mat.astype(complex)
-    full0 = np.kron(np.eye(1 << (n - k), dtype=complex), mat)
-    src_bits = list(qubits) + [q for q in range(n) if q not in qubits]
-    idx = np.arange(dim)
-    perm = np.zeros(dim, dtype=np.int64)
-    for pos, q in enumerate(src_bits):
-        perm |= ((idx >> pos) & 1) << q
-    out = np.zeros(full0.shape, dtype=complex)
+    # np.kron(I, mat): the same products, without kron's generic reshaping
+    eye = np.eye(1 << (n - k), dtype=complex)
+    full0 = (eye[:, None, :, None] * mat[..., None, :, None, :]).reshape(*mat.shape[:-2], dim, dim)
+    perm = _embed_perm(tuple(qubits), n)
+    out = np.empty(full0.shape, dtype=complex)  # perm is a permutation: every entry is written
     out[..., perm[:, None], perm] = full0
     return out
 
@@ -311,13 +321,18 @@ def gate_generators(gates, support: tuple[int, ...], tol: float) -> tuple[list[n
     """Distinct unitaries of `gates` embedded over `support` (local qubit i
     is support[i]), merged within `tol` as close_group merges elements, in
     first-seen order, and the position in that list of each gate's unitary.
-    Raises KeyCollision for two unitaries between tol and 8*tol apart."""
-    pos = {q: i for i, q in enumerate(support)}
+    The gates on one qubit tuple are embedded as one stack. Raises
+    KeyCollision for two unitaries between tol and 8*tol apart."""
     distinct = list({g.key(): g for g in gates}.values())
     if not distinct:
         return [], []
-    mats = np.stack([embed_gate(gate_matrix(g.kind, g.angle), tuple(pos[q] for q in g.qubits),
-                                len(support)) for g in distinct])
+    by_qubits: dict[tuple[int, ...], list[int]] = {}
+    for i, g in enumerate(distinct):
+        by_qubits.setdefault(g.qubits, []).append(i)
+    mats = np.empty((len(distinct), 1 << len(support), 1 << len(support)), dtype=complex)
+    for qubits, idx in by_qubits.items():
+        local = np.stack([gate_matrix(distinct[i].kind, distinct[i].angle) for i in idx])
+        mats[idx] = embed_gate(local, tuple(map(support.index, qubits)), len(support))
     slots, new = ElementLookup(len(mats[0]), tol).find(mats, len(mats))
     slot_of_gate = {g.key(): slot for g, slot in zip(distinct, slots.tolist())}
     return list(mats[new]), [slot_of_gate[g.key()] for g in gates]

@@ -198,7 +198,7 @@ class FiniteMatrixGroup:
         return inv
 
     @cached_property
-    def classes(self) -> list[tuple[int, ...]]:
+    def class_of(self) -> np.ndarray:
         # orbits of x -> g_s⁻¹ x g_s over the generators s, each labelled by its
         # smallest member: pull and push the least label along every edge, then
         # jump label -> label[label], until nothing changes
@@ -210,15 +210,12 @@ class FiniteMatrixGroup:
                 label = np.minimum(label, label[c])
                 label[c] = np.minimum(label[c], label)
             label = label[label]
-        members = np.argsort(label, kind="stable")
-        smallest, starts = np.unique(label[members], return_index=True)
-        self.class_of = np.searchsorted(smallest, label)  # shadows its own getter
-        return [tuple(c.tolist()) for c in np.split(members, starts[1:])]
+        return np.unique(label, return_inverse=True)[1]  # classes numbered by smallest member
 
     @cached_property
-    def class_of(self) -> np.ndarray:
-        self.classes
-        return self.__dict__["class_of"]
+    def classes(self) -> list[tuple[int, ...]]:
+        members = np.argsort(self.class_of, kind="stable")
+        return [tuple(c.tolist()) for c in np.split(members, np.cumsum(np.bincount(self.class_of))[:-1])]
 
     def columns(self, zs) -> np.ndarray:
         """(len(zs), order) array; [i, y] = index of mats[y] @ mats[zs[i]], the

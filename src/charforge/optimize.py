@@ -15,10 +15,11 @@ addition to max_order, so the pipeline degrades to a no-op on segments
 whose groups are too large to analyze at desk scale; such segments are kept
 verbatim and logged, as are those whose gate unitaries collide within the
 closure tolerance. Only the generator tables (FiniteMatrixGroup.right) are read:
-no Cayley table, inverses or classes are built. A segment grown by one gate
-extends the closure H of the segment without it when H's generators lead the new
-list, embedding only the new gate; close_group's count of H's cosets, or
-Lagrange when the gate adds qubits, refutes most over-cap groups before any BFS.
+no Cayley table, inverses or classes are built. Every closure takes its
+generators from circuits.gate_generators. A segment grown by one gate extends
+the closure H of the segment without it when H's templates lead the new ones;
+close_group's count of H's cosets, or Lagrange when the gate adds qubits,
+refutes most over-cap groups before any BFS.
 Elements are renumbered; the groups, segments and words are not.
 """
 
@@ -118,7 +119,6 @@ class _Closure:
     group: FiniteMatrixGroup
     templates: list[GateInstance]   # one per input generator of the group
     template_of_key: dict[tuple, int]
-    gens: np.ndarray                # the input generators over the segment's support
 
     @cached_property
     def words(self) -> WordTable:
@@ -240,39 +240,26 @@ def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -
 def _try_close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
                base: _Closure | None = None) -> _Closure | None:
     """The closure of `gates`, or None past the caps or at a key collision;
-    generators merge within CLOSURE_TOL as elements do. When the templates of
-    `base`, the closure H of gates[:-1], lead those of `gates`, only gates[-1]
-    is embedded and merged with base's generators, and close_group extends H,
-    counting its cosets first. A gate on new qubits outside H gives 2|H| or
-    more elements (Lagrange): past the cap if 2|H| is, so H is not embedded."""
+    the generators come from gate_generators, merged within CLOSURE_TOL as
+    elements are. When the templates of `base`, the closure H of gates[:-1],
+    lead those of `gates`, close_group extends H, counting its cosets first;
+    otherwise the closure starts fresh. A gate on new qubits outside H gives
+    2|H| or more elements (Lagrange): past the cap if 2|H| is, so H is not embedded."""
     support = tuple(sorted({q for g in gates for q in g.qubits}))
-    keys = tuple(sorted(set(g.key() for g in gates), key=repr))
-    cache_key = (support, keys)
+    cache_key = (support, tuple(sorted({g.key() for g in gates}, key=repr)))
     if cache_key in cache:
         return cache[cache_key]
 
-    slots = [base.template_of_key[g.key()] for g in gates[:-1]] if base is not None else []
-    # the first gate of each of base's slots, in the order gates[:-1] meets them
-    leads = base is not None and [gates[slots.index(s)] for s in dict.fromkeys(slots)] == base.templates
     result: _Closure | None = None
     try:
-        if leads:  # base's generators, embedded over the support, then gates[-1]
-            g, n = gates[-1], len(support)
-            old = tuple(map(support.index, sorted({q for x in gates[:-1] for q in x.qubits})))
-            mat = embed_gate(gate_matrix(g.kind, g.angle), tuple(map(support.index, g.qubits)), n)
-            stack = np.concatenate([embed_gate(base.gens, old, n), mat[None]])
-            found, new = ElementLookup(1 << n, CLOSURE_TOL).find(stack, len(stack))
-            gen_mats, templates = stack[new], base.templates + [g] * (len(new) - len(base.templates))
-            template_of_key = {**base.template_of_key, g.key(): int(found[-1])}
-        else:
-            mats, slots = gate_generators(gates, support, CLOSURE_TOL)
-            gen_mats, templates = np.stack(mats), [gates[slots.index(s)] for s in range(len(mats))]
-            template_of_key = {g.key(): s for g, s in zip(gates, slots)}
-        cap = _effective_cap(1 << len(support), len(gen_mats), cfg)
+        mats, slots = gate_generators(gates, support, CLOSURE_TOL)
+        templates = [gates[slots.index(s)] for s in range(len(mats))]
+        cap = _effective_cap(1 << len(support), len(mats), cfg)
         if cap >= 2 and not (base is not None and 2 * base.group.order > cap and _outside(gates)):
+            leads = base is not None and templates[:len(base.templates)] == base.templates
             seed = _seed(base, gates, support) if leads else None
-            group = close_group(list(gen_mats), ClosureConfig(max_order=cap, tol=CLOSURE_TOL), seed)
-            result = _Closure(group, templates, template_of_key, gen_mats)
+            group = close_group(mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL), seed)
+            result = _Closure(group, templates, {g.key(): s for g, s in zip(gates, slots)})
     except (OrderCapExceeded, KeyCollision):
         # a key collision means the generators or their products are not
         # tolerance-separated, which only happens for dense (non-finite) sets

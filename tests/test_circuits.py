@@ -55,6 +55,17 @@ def test_cp_arity_error_carries_line_number():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_non_finite_cp_angle_is_a_syntax_error_on_its_line(angle):
+    with pytest.raises(CircuitSyntaxError, match=f"line 3: bad angle '{angle}'"):
+        parse_circuit(f"qubits 2\nh 0\ncp({angle}) 0 1\n")
+
+
+def test_gate_rejects_a_non_finite_angle():
+    with pytest.raises(InvalidSpec, match="angle must be finite"):
+        gate("cp", 0, 1, angle=math.nan)
+
+
 def test_parse_errors():
     with pytest.raises(QubitOutOfRange):
         parse_circuit("qubits 2\nh 5\n")
@@ -264,6 +275,32 @@ def test_embed_gate_embeds_each_matrix_of_a_stack(qubits, n):
     assert out.shape == (2, 3, 1 << n, 1 << n)
     for i, j in np.ndindex(2, 3):
         assert np.array_equal(out[i, j], embed_gate(stack[i, j], qubits, n))
+
+
+def kron_embedding(mat, qubits, n):
+    """Reference embedding: np.kron(I, mat), whose row and column i move to the
+    index that has bit q set where i has the bit at q's position in
+    qubits + the remaining qubits."""
+    full = np.kron(np.eye(1 << (n - len(qubits)), dtype=complex), mat)
+    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    idx = np.arange(1 << n)
+    perm = np.zeros(1 << n, dtype=np.int64)
+    for pos, q in enumerate(order):
+        perm |= ((idx >> pos) & 1) << q
+    out = np.zeros(full.shape, dtype=complex)
+    out[..., perm[:, None], perm] = full
+    return out
+
+
+@pytest.mark.parametrize("qubits, n", [((1,), 3), ((2, 0), 3), ((1, 3), 4), ((4, 0, 2), 5)])
+def test_embed_gate_is_the_kron_embedding_byte_for_byte(qubits, n):
+    # signed zeros included: the entries are the same products as kron's
+    rng = np.random.default_rng(5)
+    d = 1 << len(qubits)
+    stack = (rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))) * rng.integers(-1, 2, (4, d, d))
+    named = {2: [gate_matrix("y")], 4: [gate_matrix("cp", -2.5)]}.get(d, [])
+    for mat in [stack, stack[0], -stack[1].real] + named:
+        assert embed_gate(mat, qubits, n).tobytes() == kron_embedding(mat, qubits, n).tobytes()
 
 
 @st.composite

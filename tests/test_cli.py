@@ -169,6 +169,15 @@ def test_data_error_exits_two(tmp_path):
     assert charforge("simulate", "--in", str(bad)).returncode == 2
 
 
+def test_non_finite_cp_angle_exits_two_with_its_line(tmp_path):
+    p = tmp_path / "inf.circ"
+    p.write_text("qubits 2\nh 0\ncp(inf) 0 1\n")
+    r = charforge("optimize", "--in", str(p))
+    assert r.returncode == 2
+    assert "line 3: bad angle 'inf'" in r.stderr
+    assert "Warning" not in r.stderr and "Traceback" not in r.stderr
+
+
 def test_invalid_bench_and_cost_arguments_exit_two(tmp_path):
     assert charforge("bench", "--suites", "shor", "--out-dir", str(tmp_path)).returncode == 2
     assert charforge("bench", "--repeats", "0", "--out-dir", str(tmp_path)).returncode == 2

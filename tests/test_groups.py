@@ -445,7 +445,7 @@ def test_seeded_closure_on_a_grown_support_matches_fresh(case):
     support = tuple(sorted({q for g in old + [last] for q in g.qubits}))
     grown, grown_slots = gate_generators(old + [last], support, cfg.tol)
     templates = [(old + [last])[grown_slots.index(s)] for s in range(len(grown))]
-    seed = _seed(_Closure(h, templates[:len(mats)], {}, np.stack(mats)), old + [last], support)
+    seed = _seed(_Closure(h, templates[:len(mats)], {}), old + [last], support)
     assert seed.dim == 1 << len(support) > h.dim
     try:
         fresh = close_group(grown, cfg)

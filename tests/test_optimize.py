@@ -18,7 +18,7 @@ from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.groups import ClosureConfig, ElementLookup, close_group, element_of
 from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, _Closure, _effective_cap,
-                                build_word_table, equivalence_check, optimize)
+                                _try_close, build_word_table, equivalence_check, optimize)
 from phase_oracle import equal_up_to_phase, phase_canonical
 
 # the package exports the optimize function under the module's name
@@ -158,7 +158,7 @@ def _h0_cx01_s1_group():
                          ids=["clifford1", "h0_cx01_s1"])
 def test_scalar_translates_are_the_phase_equal_elements(make, groups):
     group = make(groups)
-    closure = _Closure(group, [], {}, group.mats[group.input_elements])
+    closure = _Closure(group, [], {})
     scalars = closure.scalars
     assert 0 in scalars.tolist()
     for p, expected in enumerate(brute_force_phase_classes(group)):
@@ -372,6 +372,26 @@ def test_generators_that_collide_are_refused():
     _, rep = optimize(c, FAST)
     assert [(s.status, s.group_order) for s in rep.segments] == [
         ("kept", 4), ("skipped-cap", None), ("kept", 2)]
+
+
+def test_a_base_that_does_not_lead_closes_fresh():
+    h0, s0, x0 = gate("h", 0), gate("s", 0), gate("x", 0)
+    base = _try_close([s0, h0], FAST, {})
+    fresh = _try_close([h0, s0, x0], FAST, {})
+    grown = _try_close([h0, s0, x0], FAST, {}, base)
+    assert base.templates == [s0, h0] and fresh.templates == [h0, s0, x0]
+    assert np.array_equal(grown.group.mats, fresh.group.mats)
+    assert np.array_equal(grown.group.right, fresh.group.right)
+    assert grown.templates == fresh.templates
+
+
+def test_a_base_that_leads_keeps_the_fresh_templates():
+    h0, s0, x0 = gate("h", 0), gate("s", 0), gate("x", 0)
+    base = _try_close([h0, s0], FAST, {})
+    fresh = _try_close([h0, s0, x0], FAST, {})
+    grown = _try_close([h0, s0, x0], FAST, {}, base)
+    assert grown.templates == fresh.templates == [h0, s0, x0]
+    assert grown.template_of_key == fresh.template_of_key
 
 
 def test_report_json_shape():
