@@ -8,14 +8,14 @@ Conventions, fixed globally:
     acting on column state vectors;
   * measure lines form a trailing suffix.
 
-`apply_matrix` is the one gate-application kernel. It updates a (2^n, B)
-block of column states in place: B = 1 or 8 in the state-vector engine, the
-2^n identity columns in `circuit_unitary`. A gate with one entry +-1 or +-i
-per row and column updates only the slices it changes; any other gate takes
-gather, matmul and scatter. Both paths write every zero as +0.0, so a state
-never depends on which zeros a BLAS kernel signs. `embed_gate` builds
-full-space generator matrices for the group closure only; `gate_generators`
-merges them within the closure's tolerance, as close_group merges elements.
+`apply_gates` is the one gate loop, carrying x, y and z as a Pauli frame, and
+`apply_matrix` the one kernel that writes amplitudes, in place in a (2^n, B)
+block: B = 1 or 8 in the state-vector engine, 2^n in `circuit_unitary`. A gate
+with one entry +-1 or +-i per row and column updates only the slices it changes,
+h is a butterfly with no BLAS call, and t, tdg and cp take gather, matmul and
+scatter; zeros are +0.0 but the butterfly's, which follow IEEE. `embed_gate` and
+`gate_generators` build and merge the full-space generators of a closure, within
+its tolerance, as close_group merges elements.
 """
 
 from __future__ import annotations
@@ -91,9 +91,10 @@ def _is_int(v) -> bool:  # a Python or numpy integer; a bool is not
 def check_gates(c: Circuit) -> None:
     """Reject a hand-built gate list that `parse_circuit` would refuse: a width
     or qubit that is not an integer (a bool is not), fewer than one qubit, an
-    unknown gate, a wrong qubit count, a repeated qubit in a gate, a measure
-    before a gate or measured twice (InvalidSpec), or a qubit outside [0, n)
-    (QubitOutOfRange). A few passes over the gates, so each run can afford it."""
+    unknown gate, a wrong qubit count, a repeated qubit in a gate, an angle on a
+    gate but cp or a cp angle that is not a finite real, a measure before a gate
+    or measured twice (InvalidSpec), a cp without an angle (AngleMissing), or a
+    qubit outside [0, n) (QubitOutOfRange). A few passes over the gates."""
     if not _is_int(c.n_qubits) or c.n_qubits < 1:
         raise InvalidSpec(f"a circuit needs an integer count of at least one qubit, got {c.n_qubits!r}")
     body, suffix = c.body_and_suffix()
@@ -107,9 +108,14 @@ def check_gates(c: Circuit) -> None:
             if arity is None:
                 raise InvalidSpec(f"unknown gate {g.kind!r} at position {pos}")
             raise InvalidSpec(f"gate {g.kind} {list(q)} at position {pos} needs {arity} distinct qubit(s)")
+        if (g.angle is not None or g.kind == "cp") and not (g.kind == "cp" and isinstance(
+                g.angle, (int, float, np.integer, np.floating)) and math.isfinite(g.angle)):
+            raise (AngleMissing if g.angle is None else InvalidSpec)(
+                f"gate {g.kind} at position {body.index(g)} has angle {g.angle!r}; only cp takes one, finite")
     measured = [q for g in suffix for q in g.qubits]
-    if len(measured) != len(suffix) or len(set(measured)) != len(measured):
-        raise InvalidSpec(f"measure lines {measured} must each name one qubit, none twice")
+    if len(measured) != len(suffix) or len(set(measured)) != len(measured) \
+            or any(g.angle is not None for g in suffix):
+        raise InvalidSpec(f"measure lines {measured} must each name one qubit, none twice, and take no angle")
     qubits = [q for g in body for q in g.qubits] + measured
     bad = [q for q in qubits if type(q) is not int and not _is_int(q)]
     if bad:
@@ -215,6 +221,7 @@ _BASE_1Q = {
     "t": np.diag([1, np.exp(1j * math.pi / 4)]).astype(complex),
     "tdg": np.diag([1, np.exp(-1j * math.pi / 4)]).astype(complex),
 }
+_XZ = {(0, 0): np.eye(2), (1, 0): _BASE_1Q["x"], (0, 1): _BASE_1Q["z"], (1, 1): -1j * _BASE_1Q["y"]}  # X^i Z^j
 # local basis for 2-qubit gates: bit 0 = qubits[0], bit 1 = qubits[1]
 _BASE_2Q = {
     "cx": np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),
@@ -232,7 +239,7 @@ def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     if kind == "cp":
         if angle is None:
             raise AngleMissing("cp requires an angle")
-        return np.diag([1, 1, 1, np.exp(1j * angle)]).astype(complex)
+        return np.diag([1, 1, 1, np.exp(1j * float(angle))]).astype(complex)
     raise ValueError(f"no matrix for gate kind {kind!r}")
 
 
@@ -270,9 +277,17 @@ def apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: i
     A monomial of exact units (x, y, z, s, sdg, cx, cz, swap) takes the slice
     path: only the (2,)*n sub-slices it changes are negated, turned by +-i or
     moved along a permutation cycle (`scratch` holds the cycle's first slice).
-    Any other matrix takes `_apply_dense`. Both paths write each zero as +0.0,
-    so only a -0.0 in a slice the gate leaves alone tells them apart."""
-    rows = _monomial(mat)
+    A real r*[[1, 1], [1, -1]] (h) is a butterfly scaled by the real r only, as
+    a complex scalar's SIMD multiply rounds contiguous and strided views apart.
+    Any other matrix takes `_apply_dense`. Both other paths write zeros as +0.0."""
+    rows, r = _monomial(mat), mat[0, 0].real
+    if rows is None and mat.tolist() == [[r, r], [r, -r]]:
+        a, b = psi.reshape(1 << (n - 1 - qubits[0]), 2, -1).swapaxes(0, 1)
+        s0 = np.subtract(a, b, out=scratch[0, :a.size].reshape(a.shape))
+        np.add(a, b, out=a)
+        np.multiply(a, r, out=a)
+        np.multiply(s0, r, out=b)
+        return
     if rows is None:
         return _apply_dense(psi, mat, qubits, n, scratch)
     t = np.moveaxis(psi.reshape([2] * n + [-1]), [n - 1 - q for q in qubits], range(len(qubits)))
@@ -338,6 +353,41 @@ def gate_generators(gates, support: tuple[int, ...], tol: float) -> tuple[list[n
     return list(mats[new]), [slot_of_gate[g.key()] for g in gates]
 
 
+def apply_gates(psi: np.ndarray, gates, n: int) -> np.ndarray:
+    """Apply `gates` in order, in place, to a C-ordered (2^n, B) block or one
+    state, and return it. The true state is i^k X^x Z^z psi: x, y and z update
+    only this Pauli frame, other Cliffords update it by their conjugation rules
+    (Aaronson & Gottesman, quant-ph/0406196), and t, tdg and cp flush its X bits."""
+    scratch, x, z, k = np.empty((2, psi.size), dtype=complex), 0, 0, 0
+    for g in gates:
+        kind, qs, a, b = g.kind, g.qubits, 1 << g.qubits[0], 1 << g.qubits[-1]
+        xa, xb, za, zb = x & a != 0, x & b != 0, z & a != 0, z & b != 0
+        if kind in ("x", "y", "z"):  # Z X^x = (-1)^x_q X^x Z, and Y = i X Z
+            x, z, k = x ^ a * (kind != "z"), z ^ a * (kind != "x"), k + 2 * xa * (kind != "x") + (kind == "y")
+            continue
+        if kind == "h":  # X <-> Z, and Z X = -X Z
+            x, z, k = x ^ a * (xa != za), z ^ a * (xa != za), k + 2 * (xa and za)
+        elif kind in ("s", "sdg"):  # X -> +-i X Z
+            z, k = z ^ a * xa, k + xa * (1 if kind == "s" else 3)
+        elif kind == "cx":  # X_c -> X_c X_t, Z_t -> Z_c Z_t
+            x, z = x ^ b * xa, z ^ a * zb
+        elif kind == "cz":  # X_a -> X_a Z_b, X_b -> Z_a X_b, and Z X = -X Z
+            z, k = z ^ b * xa ^ a * xb, k + 2 * (xa and xb)
+        elif kind == "swap":
+            x, z = x ^ (a | b) * (xa != xb), z ^ (a | b) * (za != zb)
+        elif kind in ("t", "tdg", "cp"):  # X_q Z^z = (-1)^z_q Z^z X_q
+            for q in (q for q in qs if x >> q & 1):
+                apply_matrix(psi, _BASE_1Q["x"], (q,), n, scratch)
+                x, k = x ^ 1 << q, k + 2 * (z >> q & 1)
+        apply_matrix(psi, gate_matrix(kind, g.angle), qs, n, scratch)
+    phase = (1, 1j, -1, -1j)[k % 4]
+    for q in range(n):  # X^x_q Z^z_q on each qubit in the frame, the first times i^k
+        if (x | z) >> q & 1 or (q == n - 1 and phase != 1):
+            apply_matrix(psi, phase * _XZ[x >> q & 1, z >> q & 1], (q,), n, scratch)
+            phase = 1
+    return psi
+
+
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of a measure-free circuit; gates applied left to right."""
     if c.n_qubits > MAX_DENSE_QUBITS:
@@ -345,11 +395,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     body, suffix = c.body_and_suffix()
     if suffix:
         raise MeasurementInUnitary("circuit contains measure gates")
-    u = np.eye(1 << c.n_qubits, dtype=complex)
-    scratch = np.empty((2, u.size), dtype=complex)
-    for g in body:
-        apply_matrix(u, gate_matrix(g.kind, g.angle), g.qubits, c.n_qubits, scratch)
-    return u
+    return apply_gates(np.eye(1 << c.n_qubits, dtype=complex), body, c.n_qubits)
 
 
 def circuit_depth(c: Circuit) -> int:

@@ -354,6 +354,7 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
     result is idempotent by construction. Segment records in the report
     describe the first sweep (the analysis of the input circuit).
     """
+    check_gates(c)
     cfg = cfg or OptimizeConfig()
     body, suffix = c.body_and_suffix()
     report = OptimizationReport(

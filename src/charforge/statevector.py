@@ -1,10 +1,10 @@
 """Dense state-vector engine: the reference simulator and oracle.
 
-Every gate, and every Pauli letter of an observable, goes through the one
-kernel `circuits.apply_matrix` on a (2^n, B) block of column states: B = 1
-for `sv_run`, B = 8 for the input states of `equivalence_check`. It updates
-only the slices an x, y, z, s, sdg, cx, cz or swap changes, and multiplies
-for h, t, tdg and cp; no circuit matrix is built. A histogram is one
+Every gate, and every Pauli letter of an observable, goes through the gate
+loop `circuits.apply_gates` on a (2^n, B) block of column states: B = 1 for
+`sv_run`, 8 for `equivalence_check`. x, y and z only move its Pauli frame;
+the kernel `apply_matrix` updates the slices an s, sdg, cx, cz or swap changes,
+applies h as a butterfly and multiplies for t, tdg and cp. A histogram is one
 multinomial draw over the exact marginal. Qubit q is bit q of an index.
 """
 
@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .circuits import Circuit, apply_matrix, check_gates, gate_matrix
+from .circuits import Circuit, GateInstance, apply_gates, check_gates
 from .errors import DimensionMismatch, InvalidSpec, TooWide
 from .histogram import MeasurementHistogram, check_seed, check_shots
 from .observables import Observable
@@ -42,10 +42,7 @@ def run_gates(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
                                 f"or (2^{c.n_qubits}, B)")
     if initial is not None and not np.isfinite(psi).all():
         raise InvalidSpec("initial state has a non-finite entry; its total probability is not finite")
-    scratch = np.empty((2, psi.size), dtype=complex)
-    for g in body:
-        apply_matrix(psi, gate_matrix(g.kind, g.angle), g.qubits, c.n_qubits, scratch)
-    return psi
+    return apply_gates(psi, body, c.n_qubits)
 
 
 def marginal_probabilities(psi: np.ndarray, measured: list[int], n: int) -> np.ndarray:
@@ -96,12 +93,8 @@ def expectation_of_state(psi: np.ndarray, obs: Observable, n: int) -> float | np
     if obs.pauli is not None:
         if len(obs.pauli) != n:
             raise DimensionMismatch(f"pauli string length {len(obs.pauli)} != {n} qubits")
-        phi = np.array(psi, dtype=complex, order="C")
-        scratch = np.empty((2, phi.size), dtype=complex)
-        for q in range(n):
-            letter = obs.letter_for(q)
-            if letter != "I":
-                apply_matrix(phi, gate_matrix(letter.lower()), (q,), n, scratch)
+        phi = apply_gates(np.array(psi, dtype=complex, order="C"), [
+            GateInstance(obs.letter_for(q).lower(), (q,)) for q in range(n) if obs.letter_for(q) != "I"], n)
     else:
         if obs.matrix.shape[0] != psi.shape[0]:
             raise DimensionMismatch("observable dimension does not match the state")

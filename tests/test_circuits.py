@@ -337,3 +337,56 @@ def test_gate_kernel_block_matches_columns_and_oracle(c, b, seed):
         assert np.ascontiguousarray(out[:, j]).tobytes() == run_gates(c, block[:, j]).tobytes()
     oracle = kron_oracle([(g.kind, g.qubits, g.angle) for g in c.gates], n)
     assert np.max(np.abs(circuit_unitary(c) - oracle)) <= 1e-12
+
+
+PAULIS = ("x", "y", "z")
+FRAME_CLIFFORDS = ("h", "s", "sdg", "cx", "cz", "swap") + PAULIS
+
+
+@st.composite
+def _frame_circuits(draw):
+    """Circuits that run every path of the Pauli frame: Clifford runs that
+    carry it, a z and an x on each qubit of a t, tdg or cp (so the flush
+    meets both X and Z bits), swaps, and a tail of y gates, which move the
+    frame's power of i by one each."""
+    n = draw(st.integers(2, 5))
+    gates = []
+
+    def on(kind):
+        gates.append(gate(kind, *draw(st.permutations(range(n)))[:GATE_ARITY[kind]],
+                          angle=draw(st.floats(-4.0, 4.0)) if kind == "cp" else None))
+        return gates[-1]
+
+    for _ in range(draw(st.integers(0, 4))):
+        for kind in draw(st.lists(st.sampled_from(FRAME_CLIFFORDS), max_size=8)):
+            on(kind)
+        diagonal = on(draw(st.sampled_from(("t", "tdg", "cp"))))
+        gates[-1:] = [gate(p, q) for q in diagonal.qubits for p in ("z", "x")] + [diagonal]
+    for kind in draw(st.lists(st.sampled_from(("y", "y", "y", "swap", "x", "z")), max_size=9)):
+        on(kind)
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_frame_circuits(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_pauli_frame_matches_the_kron_oracle(c, b, seed):
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(1 << c.n_qubits, b)) + 1j * rng.normal(size=(1 << c.n_qubits, b))
+    block /= np.linalg.norm(block, axis=0)
+    oracle = kron_oracle([(g.kind, g.qubits, g.angle) for g in c.gates], c.n_qubits)
+    assert np.max(np.abs(run_gates(c, block) - oracle @ block)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_an_all_pauli_circuit_is_the_oracles_signed_permutation(n, data):
+    kinds = data.draw(st.lists(st.sampled_from(PAULIS), max_size=20))
+    c = Circuit(n, tuple(gate(k, data.draw(st.integers(0, n - 1))) for k in kinds))
+    oracle = kron_oracle([(g.kind, g.qubits, None) for g in c.gates], n)
+    src = np.argmax(np.abs(oracle), axis=1)
+    unit = oracle[np.arange(1 << n), src]
+    assert set(np.round(unit, 12).tolist()) <= {1, -1, 1j, -1j}
+    block = np.random.default_rng(n).normal(size=(1 << n, 2, 2)).view(complex)[..., 0]
+    # a product with an exact unit has no rounding; adding 0.0 writes zeros as +0.0
+    want = unit[:, None] * block[src] + 0.0
+    assert run_gates(c, block).tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from charforge.circuits import (GATE_ARITY, Circuit, GateInstance, gate,
                                 parse_circuit, random_clifford_circuit)
-from charforge.errors import InvalidSpec, NonCliffordGate, QubitOutOfRange
+from charforge.errors import AngleMissing, InvalidSpec, NonCliffordGate, QubitOutOfRange
 from charforge.histogram import tv_distance
-from charforge.optimize import equivalence_check
+from charforge.optimize import OptimizeConfig, equivalence_check, optimize
 from charforge.statevector import marginal_probabilities, run_gates, sv_run
 from charforge import tableau
 from charforge.tableau import (PackedTableau, apply_gate, measure_layer, measure_symbolic,
@@ -407,3 +408,43 @@ def test_rejects_non_integer_shots_and_bad_seeds(run, shots, seed):
 def test_numpy_integer_shots_and_seed_are_accepted():
     c = parse_circuit("qubits 1\nx 0\n")
     assert tableau_run(c, np.int64(10), np.uint32(3)).counts == {"1": 10}
+
+
+# a hand-built angle that `parse_circuit` would refuse: a cp angle that is not
+# finite or missing, or an angle that `serialize_circuit` would drop
+BAD_ANGLES = [
+    (InvalidSpec, "position 1", (GateInstance("h", (0,)), GateInstance("cp", (0, 1), float("nan")))),
+    (InvalidSpec, "position 0", (GateInstance("cp", (1, 0), float("-inf")), GateInstance("h", (0,)))),
+    (InvalidSpec, "position 2", (GateInstance("h", (0,)), GateInstance("x", (1,)),
+                                 GateInstance("cp", (0, 1), 1j))),
+    (InvalidSpec, "h at position 0 has angle 0.5", (GateInstance("h", (0,), 0.5),)),
+    (InvalidSpec, "y at position 1 has angle 0.0", (GateInstance("h", (0,)), GateInstance("y", (1,), 0.0))),
+    (InvalidSpec, "measure lines .* take no angle",
+     (GateInstance("h", (0,)), GateInstance("measure", (1,), 1.0))),
+    (AngleMissing, "position 1", (GateInstance("x", (0,)), GateInstance("cp", (0, 1)))),
+]
+
+RUNNERS = {
+    "sv": lambda c: sv_run(c, 100, 0),
+    "tableau": lambda c: tableau_run(c, 100, 0),
+    "equivalence": lambda c: equivalence_check(c, Circuit(2, ()), shots=100, seed=0),
+    "equivalence_b": lambda c: equivalence_check(Circuit(2, ()), c, shots=100, seed=0),
+    "optimize": lambda c: optimize(c, OptimizeConfig(run_equivalence=False)),
+}
+
+
+@pytest.mark.parametrize("run", RUNNERS.values(), ids=RUNNERS.keys())
+@pytest.mark.parametrize("error, where, gates", BAD_ANGLES)
+def test_hand_built_angles_are_checked_before_any_work(run, error, where, gates):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=where):
+            run(Circuit(2, gates))
+
+
+@pytest.mark.parametrize("angle", [np.float32(0.5), np.float64(0.5), 1, np.int64(-2)])
+def test_a_finite_cp_angle_of_any_real_type_is_accepted(angle):
+    gates = (GateInstance("h", (0,)), GateInstance("h", (1,)), GateInstance("cp", (0, 1), angle),
+             GateInstance("h", (0,)))
+    want = Circuit(2, gates[:2] + (gate("cp", 0, 1, angle=float(angle)),) + gates[3:])
+    assert sv_run(Circuit(2, gates), 1000, 0).counts == sv_run(want, 1000, 0).counts
