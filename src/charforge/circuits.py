@@ -10,10 +10,12 @@ Conventions, fixed globally:
 
 `apply_gates` is the one gate loop, carrying x, y and z as a Pauli frame, and
 `apply_matrix` the one kernel that writes amplitudes, in place in a (2^n, B)
-block: B = 1 or 8 in the state-vector engine, 2^n in `circuit_unitary`. A gate
-with one entry +-1 or +-i per row and column updates only the slices it changes,
-h is a butterfly with no BLAS call, and t, tdg and cp take gather, matmul and
-scatter; zeros are +0.0 but the butterfly's, which follow IEEE. `embed_gate` and
+block: B = 1 or 8 in the state-vector engine, 2^n in `circuit_unitary`. From
+|0...0> the loop instead grows a register of only the qubits a gate has taken
+out of |0>, and scatters it into a new state at the end. A gate with one entry
++-1 or +-i per row and column updates only the slices it changes, h is a
+butterfly with no BLAS call, and t, tdg and cp take gather, matmul and scatter;
+zeros are +0.0 but the butterfly's, which follow IEEE. `embed_gate` and
 `gate_generators` build and merge the full-space generators of a closure, within
 its tolerance, as close_group merges elements.
 """
@@ -353,14 +355,28 @@ def gate_generators(gates, support: tuple[int, ...], tol: float) -> tuple[list[n
     return list(mats[new]), [slot_of_gate[g.key()] for g in gates]
 
 
-def apply_gates(psi: np.ndarray, gates, n: int) -> np.ndarray:
+def apply_gates(psi: np.ndarray | None, gates, n: int) -> np.ndarray:
     """Apply `gates` in order, in place, to a C-ordered (2^n, B) block or one
     state, and return it. The true state is i^k X^x Z^z psi: x, y and z update
     only this Pauli frame, other Cliffords update it by their conjugation rules
-    (Aaronson & Gottesman, quant-ph/0406196), and t, tdg and cp flush its X bits."""
-    scratch, x, z, k = np.empty((2, psi.size), dtype=complex), 0, 0, 0
+    (Aaronson & Gottesman, quant-ph/0406196), and t, tdg and cp flush its X bits.
+    psi None is |0...0>: the gates then skip what leaves |0> alone and run on a
+    register of the qubits they took out of it, scattered into a new state."""
+    on = 0 if psi is None else (1 << int(n)) - 1  # the register's qubits
+    scratch = np.empty(2 << n if psi is None else 2 * psi.size, dtype=complex)
+    psi, x, z, k = np.ones(1, dtype=complex) if psi is None else psi, 0, 0, 0
+
+    def apply(mat, qs):  # qubit q is bit p of the register, p its qubits below q
+        nonlocal psi, on
+        for q in (q for q in qs if not on >> q & 1):  # it joins as a zero half, by one copy
+            old, p, on = psi, (on & (1 << q) - 1).bit_count(), on | 1 << q
+            psi = np.zeros(2 * old.size, dtype=complex)
+            psi.reshape(-1, 2, 1 << p)[:, 0] = old.reshape(-1, 1 << p)
+        bits = tuple((on & (1 << q) - 1).bit_count() for q in qs)
+        apply_matrix(psi, mat, bits, on.bit_count(), scratch[:2 * psi.size].reshape(2, -1))
+
     for g in gates:
-        kind, qs, a, b = g.kind, g.qubits, 1 << g.qubits[0], 1 << g.qubits[-1]
+        kind, qs, a, b = g.kind, tuple(map(int, g.qubits)), 1 << int(g.qubits[0]), 1 << int(g.qubits[-1])
         xa, xb, za, zb = x & a != 0, x & b != 0, z & a != 0, z & b != 0
         if kind in ("x", "y", "z"):  # Z X^x = (-1)^x_q X^x Z, and Y = i X Z
             x, z, k = x ^ a * (kind != "z"), z ^ a * (kind != "x"), k + 2 * xa * (kind != "x") + (kind == "y")
@@ -377,15 +393,22 @@ def apply_gates(psi: np.ndarray, gates, n: int) -> np.ndarray:
             x, z = x ^ (a | b) * (xa != xb), z ^ (a | b) * (za != zb)
         elif kind in ("t", "tdg", "cp"):  # X_q Z^z = (-1)^z_q Z^z X_q
             for q in (q for q in qs if x >> q & 1):
-                apply_matrix(psi, _BASE_1Q["x"], (q,), n, scratch)
+                apply(_BASE_1Q["x"], (q,))
                 x, k = x ^ 1 << q, k + 2 * (z >> q & 1)
-        apply_matrix(psi, gate_matrix(kind, g.angle), qs, n, scratch)
-    phase = (1, 1j, -1, -1j)[k % 4]
-    for q in range(n):  # X^x_q Z^z_q on each qubit in the frame, the first times i^k
-        if (x | z) >> q & 1 or (q == n - 1 and phase != 1):
-            apply_matrix(psi, phase * _XZ[x >> q & 1, z >> q & 1], (q,), n, scratch)
+        # on |0>, a diagonal gate, a cx's control and a swap of two |0>s change nothing
+        if kind == "h" or on & a and (on & b or kind == "cx") or on & (a | b) and kind == "swap":
+            apply(gate_matrix(kind, g.angle), qs)
+    phase, top = (1, 1j, -1, -1j)[k % 4], max((on | x).bit_length() - 1, 0)
+    for q in range(n):  # X^x_q Z^z_q on each qubit in the frame (Z fixes |0>), the first times i^k
+        if (x | z & on) >> q & 1 or q == top and phase != 1:
+            apply(phase * _XZ[x >> q & 1, z >> q & 1], (q,))
             phase = 1
-    return psi
+    if on == (1 << n) - 1:
+        return psi
+    full = np.zeros(1 << n, dtype=complex)
+    keep = tuple(slice(None) if on >> q & 1 else 0 for q in reversed(range(n)))  # qubit q is axis n-1-q
+    full.reshape((2,) * n)[keep] = psi.reshape((2,) * on.bit_count())
+    return full
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Dense state-vector engine: the reference simulator and oracle.
 
-Every gate, and every Pauli letter of an observable, goes through the gate
-loop `circuits.apply_gates` on a (2^n, B) block of column states: B = 1 for
-`sv_run`, 8 for `equivalence_check`. x, y and z only move its Pauli frame;
-the kernel `apply_matrix` updates the slices an s, sdg, cx, cz or swap changes,
-applies h as a butterfly and multiplies for t, tdg and cp. A histogram is one
-multinomial draw over the exact marginal. Qubit q is bit q of an index.
+Every gate, and every Pauli letter of an observable, goes through the gate loop
+`circuits.apply_gates`: on a (2^n, B) block, B = 8 for `equivalence_check`, or
+from |0...0> (`sv_run`) on a register of only the qubits a gate has taken out
+of |0>. x, y and z only move its Pauli frame; the kernel `apply_matrix` updates
+the slices an s, sdg, cx, cz or swap changes, applies h as a butterfly and
+multiplies for t, tdg and cp. A histogram is one multinomial draw over the
+exact marginal. Qubit q is bit q of an index.
 """
 
 from __future__ import annotations
@@ -29,18 +30,20 @@ def zero_state(n: int) -> np.ndarray:
 
 
 def run_gates(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Evolve the measure-free body; the trailing measure suffix is ignored.
-    `initial`, one state or a (2^n, B) block of column states, is copied; a
-    non-finite entry raises InvalidSpec, and so does a malformed gate list."""
+    """Evolve the measure-free body from |0...0> or a copy of `initial`, one state
+    or a (2^n, B) block of column states; the trailing measure suffix is ignored.
+    A non-finite entry raises InvalidSpec, and so does a malformed gate list."""
     check_gates(c)
     if c.n_qubits > SV_MAX_QUBITS:
         raise TooWide(f"{c.n_qubits} qubits exceed the state-vector limit {SV_MAX_QUBITS}")
     body, _ = c.body_and_suffix()
-    psi = zero_state(c.n_qubits) if initial is None else np.array(initial, dtype=complex, order="C")
+    if initial is None:
+        return apply_gates(None, body, c.n_qubits)
+    psi = np.array(initial, dtype=complex, order="C")
     if psi.ndim not in (1, 2) or psi.shape[0] != 1 << c.n_qubits:
         raise DimensionMismatch(f"initial state of shape {psi.shape} is not (2^{c.n_qubits},) "
                                 f"or (2^{c.n_qubits}, B)")
-    if initial is not None and not np.isfinite(psi).all():
+    if not np.isfinite(psi).all():
         raise InvalidSpec("initial state has a non-finite entry; its total probability is not finite")
     return apply_gates(psi, body, c.n_qubits)
 

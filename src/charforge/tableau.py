@@ -198,25 +198,29 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
         apply_gate(packed, g.kind, g.qubits)
     measured = [g.qubits[0] for g in suffix] if suffix else list(range(packed.n))
     exprs, coins = measure_layer(packed, measured)
-    order = np.argsort(measured)  # histogram bit j = j-th smallest measured qubit
-    k = len(order)
-    consts = np.array([exprs[i][0] for i in order])
-    # float32 puts the product below in BLAS; its sums count at most n coins, so exact
-    a = _to_bits([exprs[i][1] for i in order], coins).astype(np.float32)
+    exprs = [exprs[i] for i in np.argsort(measured)]  # histogram bit j = j-th smallest measured qubit
+    k = len(exprs)
 
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 2, size=(shots, coins), dtype=np.uint8)
     # key each draw by one uint16 word per 16 coins, which lexsort sorts by
     # radix; each random outcome is its own coin, so distinct draws give
     # distinct outcomes
-    weights = np.uint16(1) << np.arange(16, dtype=np.uint16)
-    words = np.stack([d @ weights[:d.shape[1]]
-                      for d in np.split(draws, range(16, coins, 16), axis=1)])
-    by_key = np.lexsort(words)
-    words = words[:, by_key]
-    starts = np.flatnonzero(np.concatenate([[True], np.any(words[:, 1:] != words[:, :-1], axis=0)]))
+    words = np.zeros((shots, (coins + 15) // 16 or 1), dtype="<u2")
+    words.view(np.uint8)[:, :(coins + 7) // 8] = np.packbits(draws, axis=1, bitorder="little")
+    by_key = np.lexsort(words.T)
+    words = words[by_key]
+    starts = np.flatnonzero(np.concatenate([[True], np.any(words[1:] != words[:-1], axis=1)]))
     counts = np.diff(np.append(starts, shots))
-    bits = ((draws[by_key[starts]] @ a.T).astype(np.int64) + consts) & 1
+    distinct = draws[by_key[starts]]
+    bits = np.tile(np.array([const for const, _ in exprs], dtype=np.uint8), (starts.size, 1))
+    # an outcome that is one coin copies its column; the rest take a float32
+    # product in BLAS, whose sums count at most n coins, so exact
+    one = [j for j, (const, mask) in enumerate(exprs) if not const and mask and not mask & mask - 1]
+    bits[:, one] = np.take(distinct, [exprs[j][1].bit_length() - 1 for j in one], axis=1)
+    rest = [j for j, (_, mask) in enumerate(exprs) if mask and j not in one]
+    a = _to_bits([exprs[j][1] for j in rest], coins).astype(np.float32)
+    bits[:, rest] = (distinct @ a.T).astype(np.int64) + bits[:, rest] & 1
     # outcome strings put bit k-1 first; they sort in the order of their values
     strings = (bits[:, ::-1] + ord("0")).astype(np.uint8).view(f"S{k}").ravel()
     idx = np.argsort(strings)

@@ -13,7 +13,8 @@ from charforge.circuits import (GATE_ARITY, BenchmarkSpec, Circuit, build_benchm
                                 random_clifford_circuit, serialize_circuit)
 from charforge.errors import (AngleMissing, CircuitSyntaxError, InvalidSpec, KeyCollision,
                               MeasurementInUnitary, QubitOutOfRange, TooWide)
-from charforge.statevector import run_gates
+from charforge import circuits
+from charforge.statevector import SV_MAX_QUBITS, run_gates, zero_state
 
 
 def kron_oracle(gates, n):
@@ -390,3 +391,139 @@ def test_an_all_pauli_circuit_is_the_oracles_signed_permutation(n, data):
     # a product with an exact unit has no rounding; adding 0.0 writes zeros as +0.0
     want = unit[:, None] * block[src] + 0.0
     assert run_gates(c, block).tobytes() == want.tobytes()
+
+
+# -- the register from |0...0> -------------------------------------------------
+
+EXACT_KINDS = ("h", "x", "y", "z", "s", "sdg", "cx", "cz", "swap")
+
+
+@st.composite
+def _register_circuits(draw):
+    """Up to 8 qubits and few gates, so that some qubits stay in |0>; the
+    gates that leave |0> alone are drawn more often than h."""
+    n = draw(st.integers(1, 8))
+    kinds = [k for k in GATE_ARITY if k != "measure" and GATE_ARITY[k] <= n]
+    if draw(st.booleans()):
+        kinds = [k for k in kinds if k in EXACT_KINDS]
+    kinds += [k for k in kinds if k in ("s", "t", "cx", "cz", "cp", "swap")]
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=16)):
+        qubits = draw(st.permutations(range(n)))[:GATE_ARITY[kind]]
+        gates.append(gate(kind, *qubits, angle=draw(st.floats(-4.0, 4.0)) if kind == "cp" else None))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_register_circuits())
+def test_the_register_from_zero_matches_the_full_state(c):
+    n = c.n_qubits
+    got, full = run_gates(c), run_gates(c, zero_state(n))
+    assert got.shape == (1 << n,) and got.flags.c_contiguous
+    if all(g.kind in EXACT_KINDS for g in c.gates):
+        assert got.tobytes() == full.tobytes()
+    else:  # t, tdg and cp run gather, matmul and scatter, whose BLAS kernel may change with the size
+        assert np.max(np.abs(got - full)) <= 1e-15
+    oracle = kron_oracle([(g.kind, g.qubits, g.angle) for g in c.gates], n)
+    assert np.max(np.abs(got - oracle[:, 0])) <= 1e-12
+
+
+def _kernel_calls(monkeypatch) -> list:
+    calls = []
+    real = circuits.apply_matrix
+
+    def spy(psi, mat, qubits, n, scratch):
+        calls.append((qubits, n))
+        real(psi, mat, qubits, n, scratch)
+
+    monkeypatch.setattr(circuits, "apply_matrix", spy)
+    return calls
+
+
+@pytest.mark.parametrize("text, calls", [
+    # gates that leave |0...0> alone: no amplitude moves
+    ("qubits 3\ns 0\nsdg 1\nt 2\ntdg 0\ncz 0 1\ncp(0.7) 1 2\ncx 0 2\nswap 1 2\n", []),
+    # h puts qubit 1 in the register; cx on an untouched control, and cz, cp and t
+    # on an untouched qubit, are skipped; the cx from qubit 1 adds qubit 3
+    ("qubits 4\nh 1\ncx 0 1\ncz 1 2\ncp(0.3) 2 1\nt 0\ncx 1 3\nt 3\n",
+     [((0,), 1), ((0, 1), 2), ((1,), 2)]),
+    # the frame alone: i X_2 Z_2 is one pass on a register of qubit 2 only
+    ("qubits 3\ny 2\n", [((0,), 1)]),
+])
+def test_gates_that_leave_zero_alone_are_skipped(monkeypatch, text, calls):
+    c = parse_circuit(text)
+    want = run_gates(c, zero_state(c.n_qubits))
+    seen = _kernel_calls(monkeypatch)
+    got = run_gates(c)
+    assert seen == calls
+    assert got.tobytes() == want.tobytes()
+    if not calls:
+        assert got.tobytes() == zero_state(c.n_qubits).tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "qubits 3\nx 0\ny 2\nz 1\n",
+    # the frame is i^3 Z_0 X_1 Z_1: the full state takes i^3 on qubit 0, still in |0>,
+    # and the register takes it on qubit 1
+    "qubits 3\nx 0\nz 0\nx 0\ny 1\n",
+    # Z_0 with i^2 and no X at all: the phase needs a qubit of its own
+    "qubits 2\nx 0\nz 0\nx 0\n",
+    "qubits 2\ny 1\ny 1\ny 1\nz 0\n",
+])
+def test_the_frame_alone_from_zero(text):
+    c = parse_circuit(text)
+    got = run_gates(c)
+    assert got.tobytes() == run_gates(c, zero_state(c.n_qubits)).tobytes()
+    assert np.array_equal(got, kron_oracle([(g.kind, g.qubits, None) for g in c.gates], c.n_qubits)[:, 0])
+
+
+@pytest.mark.parametrize("text", [
+    "qubits 3\nh 0\nswap 0 2\n",
+    "qubits 4\nh 2\ns 2\nswap 3 2\nswap 0 3\ncz 0 2\n",
+    "qubits 3\nh 1\nswap 0 2\nswap 0 1\nh 2\n",
+])
+def test_a_swap_of_a_touched_and_an_untouched_qubit(text):
+    c = parse_circuit(text)
+    got = run_gates(c)
+    assert got.tobytes() == run_gates(c, zero_state(c.n_qubits)).tobytes()
+    assert np.max(np.abs(got - kron_oracle([(g.kind, g.qubits, None) for g in c.gates],
+                                           c.n_qubits)[:, 0])) <= 1e-15
+
+
+@pytest.mark.parametrize("text, index, amplitude", [
+    ("qubits 3\nx 1\nt 1\n", 0b010, np.exp(1j * math.pi / 4)),
+    ("qubits 3\nx 1\ntdg 1\n", 0b010, np.exp(-1j * math.pi / 4)),
+    ("qubits 3\nx 0\nx 2\ncp(0.5) 0 2\n", 0b101, np.exp(0.5j)),
+    # the flush adds qubit 0, and the cp is then skipped as qubit 1 is untouched
+    ("qubits 3\nx 0\ncp(0.5) 0 1\n", 0b001, 1.0),
+    ("qubits 3\ny 2\nt 2\n", 0b100, 1j * np.exp(1j * math.pi / 4)),
+])
+def test_a_flushed_x_adds_its_qubit_before_t_and_cp(text, index, amplitude):
+    c = parse_circuit(text)
+    got = run_gates(c)
+    assert np.max(np.abs(got - run_gates(c, zero_state(c.n_qubits)))) <= 1e-15
+    want = np.zeros(1 << c.n_qubits, dtype=complex)
+    want[index] = amplitude
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("text", ["qubits 1\n", "qubits 1\ns 0\n", "qubits 1\nh 0\n",
+                                  "qubits 1\nx 0\nz 0\n", "qubits 1\nh 0\nt 0\nh 0\n"])
+def test_one_qubit_from_zero(text):
+    c = parse_circuit(text)
+    got = run_gates(c)
+    assert got.tobytes() == run_gates(c, zero_state(1)).tobytes()
+    assert np.max(np.abs(got - kron_oracle([(g.kind, g.qubits, g.angle) for g in c.gates], 1)[:, 0])) <= 1e-15
+
+
+def test_a_widest_circuit_that_touches_two_qubits(monkeypatch):
+    n, a, b = SV_MAX_QUBITS, 3, SV_MAX_QUBITS - 5
+    wide = Circuit(n, (gate("h", a), gate("s", 7), gate("cx", a, b), gate("t", b), gate("cz", a, 0),
+                       gate("cx", 9, a), gate("cp", b, a, angle=0.25)))
+    narrow = Circuit(2, (gate("h", 0), gate("cx", 0, 1), gate("t", 1), gate("cp", 1, 0, angle=0.25)))
+    seen = _kernel_calls(monkeypatch)
+    got = run_gates(wide)
+    assert all(width <= 2 for _, width in seen)
+    assert got.shape == (1 << n,)
+    assert np.flatnonzero(got).tolist() == [0, (1 << a) | (1 << b)]
+    assert got[[0, (1 << a) | (1 << b)]].tobytes() == run_gates(narrow)[[0, 3]].tobytes()

@@ -323,8 +323,12 @@ def test_gate_costs_tool_prints_a_row_per_kind_and_a_line_per_circuit(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "ms per gate at n=6, median of 1"
     assert lines[1].split() == ["kind"] + [f"q{q}" for q in range(6)]
-    rows = [line.split() for line in lines[2:-3]]
+    rows = [line.split() for line in lines[2:-6]]
     assert [r[0] for r in rows] == [k for k in GATE_ARITY if k != "measure"]
     assert all(len(r) == 7 and all(float(t) >= 0 for t in r[1:]) for r in rows)
-    for line, seed in zip(lines[-3:], (1, 2, 3)):
-        assert line.startswith(f"run_gates clifford n=6 depth=400 seed={seed}: ") and line.endswith(" us/gate")
+    starts = [(seed, start) for seed in (1, 2, 3) for start in ("zero", "initial")]
+    assert len(lines) == 2 + len(rows) + len(starts)
+    for line, (seed, start) in zip(lines[-6:], starts):
+        head = f"run_gates clifford n=6 depth=400 seed={seed} from={start}: "
+        assert line.startswith(head) and line.endswith(" us/gate")
+        assert float(line[len(head):-len(" us/gate")]) >= 0

@@ -7,8 +7,10 @@ once in each checkout with seed `--seed + i` and the benchmark's own
 run_seconds: the parent first on even pairs, the change first on odd ones.
 Each end-to-end metric is summarised per side (median and quartiles of all
 runs), with the number of pairs the change wins and whether the medians
-differ by more than the parent's interquartile range. One traced run per side and workload (seed `--seed`) adds the
-per-layer metrics. `counts_digests_equal` counts the pairs whose parent and
+differ by more than the parent's interquartile range. Then 3 alternating
+traced pairs per workload, at seeds `--seed` to `--seed + 2`, give the
+per-layer metrics: each metric's median and quartiles per side, with the
+runs kept. `counts_digests_equal` counts the pairs whose parent and
 change runs agree on the counts digest (the deterministic counts of every
 operation). Runs are sequential; each prints its workload, side and wall
 time to stderr.
@@ -26,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 PAIRS = 10
+TRACED_PAIRS = 3
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -65,6 +68,16 @@ def summarise(metric: dict, parent: list[dict], change: list[dict]) -> dict:
             "relative_worsening": worse, "within_bound": worse <= metric["bound"]}
 
 
+def alternating(sides: dict, workload: str, seed: int, pairs: int, seconds: float,
+                trace: int) -> dict[str, list[dict]]:
+    """side -> its runs at seeds seed..seed+pairs-1, the parent first on even pairs."""
+    runs = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(run(sides[side], workload, seed + i, seconds, trace))
+    return runs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -78,12 +91,8 @@ def main(argv=None) -> int:
     report = {"command": "perfbench/run.py", "seconds": seconds, "pairs": PAIRS,
               "seeds": [args.seed + i for i in range(PAIRS)], "workloads": {}}
     for name in (w["name"] for w in spec["workloads"]):
-        runs = {"parent": [], "change": []}
-        for i in range(PAIRS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run(sides[side], name, args.seed + i, seconds, 0))
-        traced = {side: run(path, name, args.seed, seconds, 1) for side, path in sides.items()}
+        runs = alternating(sides, name, args.seed, PAIRS, seconds, 0)
+        traced = alternating(sides, name, args.seed, TRACED_PAIRS, seconds, 1)
         digests = [{"seed": args.seed + i, "parent": p["record"]["counts_digest"],
                     "change": c["record"]["counts_digest"]}
                    for i, (p, c) in enumerate(zip(runs["parent"], runs["change"]))]
@@ -93,9 +102,13 @@ def main(argv=None) -> int:
             "all_correct": all(r["correct"] for rs in runs.values() for r in rs),
             "counts_digests_equal": sum(d["parent"] == d["change"] for d in digests),
             "counts_digests_per_pair": digests,
-            "traced": {side: {"seed": args.seed, "metrics": t["metrics"],
-                              "counts_digest": t["record"]["counts_digest"]}
-                       for side, t in traced.items()},
+            "traced": {
+                "seeds": [args.seed + i for i in range(TRACED_PAIRS)],
+                "metrics": {m: {side: quartiles([t["metrics"][m] for t in traced[side]]) for side in sides}
+                            for m in traced["parent"][0]["metrics"]},
+                "counts_digests": {side: [t["record"]["counts_digest"] for t in traced[side]]
+                                   for side in sides},
+            },
         }
         for side in sides:
             env = runs[side][0]["record"]["environment"]

@@ -6,9 +6,13 @@ The first table has one row per gate kind and one column per target qubit q:
 the median wall-clock ms of one `apply_matrix` call on a 2^n state. A
 two-qubit gate targets q from qubit (q + 1) mod n; cp takes the angle pi/4.
 This is the kernel alone: inside the gate loop x, y and z only update the
-Pauli frame. Then one line for each seeded random Clifford circuit of depth
+Pauli frame. Then two lines for each seeded random Clifford circuit of depth
 400 on n qubits (seeds 1, 2 and 3): the median µs per gate of `run_gates`,
-frame included. Timings are wall clock; compare them only within one run.
+frame included, from |0...0> and from an explicit `zero_state` initial. The
+first skips what leaves |0> alone on a register of the qubits the gates have
+taken out of it, the second runs every gate on the full state, so skipped
+work and kernel cost show apart. Timings are wall clock; compare them only
+within one run.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import time
 import numpy as np
 
 from charforge.circuits import GATE_ARITY, apply_matrix, gate_matrix, random_clifford_circuit
-from charforge.statevector import run_gates
+from charforge.statevector import run_gates, zero_state
 
 KINDS = [k for k in GATE_ARITY if k != "measure"]
 SEEDS = (1, 2, 3)
@@ -53,12 +57,14 @@ def gate_costs(n: int, repeats: int) -> dict[str, list[float]]:
     return out
 
 
-def circuit_costs(n: int, repeats: int) -> dict[int, float]:
-    """seed -> median µs per gate of run_gates on its depth-400 Clifford circuit."""
+def circuit_costs(n: int, repeats: int) -> dict[int, tuple[float, float]]:
+    """seed -> median µs per gate of run_gates on its depth-400 Clifford circuit,
+    from |0...0> and from an explicit zero_state initial."""
     out = {}
     for seed in SEEDS:
         c = random_clifford_circuit(n, DEPTH, seed, measured=False)
-        out[seed] = 1e6 * _median_s(lambda: run_gates(c), repeats) / DEPTH
+        out[seed] = tuple(1e6 * _median_s(lambda: run_gates(c, initial), repeats) / DEPTH
+                          for initial in (None, zero_state(n)))
     return out
 
 
@@ -72,7 +78,8 @@ def main(argv=None) -> int:
     for kind, ms in gate_costs(args.n, args.repeats).items():
         print(f"{kind:<5s} " + " ".join(f"{t:6.2f}" for t in ms))
     for seed, us in circuit_costs(args.n, args.repeats).items():
-        print(f"run_gates clifford n={args.n} depth={DEPTH} seed={seed}: {us:.1f} us/gate")
+        for start, t in zip(("zero", "initial"), us):
+            print(f"run_gates clifford n={args.n} depth={DEPTH} seed={seed} from={start}: {t:.1f} us/gate")
     return 0
 
 
