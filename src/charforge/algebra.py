@@ -15,7 +15,7 @@ import numpy as np
 
 from .characters import (CharacterTable, central_idempotents, character_table,
                          verify_orthogonality)
-from .errors import GroupMismatch, KeyCollision, OrderCapExceeded
+from .errors import GroupMismatch, InvalidSpec, KeyCollision, OrderCapExceeded
 from .groups import ClosureConfig, FiniteMatrixGroup, close_group, element_of
 from .linalg import max_abs
 
@@ -31,7 +31,7 @@ class AlgebraElement:
             raise GroupMismatch(
                 f"coefficient length {self.coeffs.shape} != group order {self.group.order}")
         if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("coefficients must be finite")
+            raise InvalidSpec("coefficients must be finite")
 
 
 def delta(group: FiniteMatrixGroup, g: int) -> AlgebraElement:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .characters import character_table
 from .circuits import BenchmarkSpec, Circuit, build_benchmark, circuit_depth
-from .complexity import CostParams, estimate_cost
+from .complexity import CostParams, classify_group, estimate_cost
 from .errors import CharforgeError, InvalidSpec
 from .histogram import MeasurementHistogram, histogram_csv, tv_distance
 from .optimize import OptimizeConfig, _try_close, optimize
@@ -97,9 +97,8 @@ def _cost_for(report, circuit: Circuit, opt_cfg: OptimizeConfig) -> float | None
     else:
         return None
     degrees = character_table(group).degrees.tolist()
-    case = "abelian" if all(d == 1 for d in degrees) else "general"
     params = CostParams(
-        case=case, k=k, m=len(circuit.gates), n=circuit.n_qubits,
+        case=classify_group(group), k=k, m=len(circuit.gates), n=circuit.n_qubits,
         order=seg.group_order, dmax=max(degrees), g_cost=1.0)
     return round(estimate_cost(params).value, 6)
 

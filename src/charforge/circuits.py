@@ -12,12 +12,12 @@ Conventions, fixed globally:
 `apply_matrix` the one kernel that writes amplitudes, in place in a (2^n, B)
 block: B = 1 or 8 in the state-vector engine, 2^n in `circuit_unitary`. From
 |0...0> the loop instead grows a register of only the qubits a gate has taken
-out of |0>, and scatters it into a new state at the end. A gate with one entry
-+-1 or +-i per row and column updates only the slices it changes, h is a
-butterfly with no BLAS call, and t, tdg and cp take gather, matmul and scatter;
-zeros are +0.0 but the butterfly's, which follow IEEE. `embed_gate` and
-`gate_generators` build and merge the full-space generators of a closure, within
-its tolerance, as close_group merges elements.
+out of |0>, and scatters it into a new state at the end. h is a butterfly, and
+every other gate updates only the slices it changes, with no BLAS call and
+the same bits in a block's column as alone; zeros are +0.0 but the butterfly's,
+which follow IEEE. `embed_gate` and `gate_generators` build and merge the
+full-space generators of a closure, within its tolerance, as close_group merges
+elements.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ def check_gates(c: Circuit) -> None:
             or any(g.angle is not None for g in suffix):
         raise InvalidSpec(f"measure lines {measured} must each name one qubit, none twice, and take no angle")
     qubits = [q for g in body for q in g.qubits] + measured
-    bad = [q for q in qubits if type(q) is not int and not _is_int(q)]
+    # _is_int inlined: a call per qubit doubles the cost of this pass
+    bad = [q for q in qubits if type(q) is not int and not isinstance(q, np.integer)]
     if bad:
         raise InvalidSpec(f"qubit indices must be integers, got {bad[0]!r}")
     if qubits and (min(qubits) < 0 or max(qubits) >= c.n_qubits):
@@ -245,61 +246,41 @@ def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     raise ValueError(f"no matrix for gate kind {kind!r}")
 
 
-def _monomial(mat: np.ndarray) -> list[tuple[int, complex]] | None:
-    """(source column, entry) per row when every row and column of `mat` has
-    one nonzero and it is exactly 1, -1, i or -i; else None."""
-    rows = [[(j, v) for j, v in enumerate(row) if v] for row in mat.tolist()]
-    if any(len(r) != 1 or r[0][1] not in (1, -1, 1j, -1j) for r in rows) \
-            or len({r[0][0] for r in rows}) < len(rows):
-        return None
-    return [r[0] for r in rows]
-
-
-def _apply_dense(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
-                 scratch: np.ndarray) -> None:
-    """Gather, matmul, scatter. With the column axis first and the gate's axes
-    last, matmul runs per column on the operand of a run of that column alone,
-    so it gives the same bits; adding 0.0 turns a BLAS kernel's -0.0 to +0.0."""
-    k = len(qubits)
-    src = (n,) + tuple(n - 1 - q for q in reversed(qubits))  # (column, bit_{k-1}, ..., bit_0)
-    dst = (0,) + tuple(range(n + 1 - k, n + 1))
-    t = np.moveaxis(psi.reshape([2] * n + [-1]), src, dst)
-    gathered, product = scratch.reshape(2, t.shape[0], -1, 1 << k)
-    np.copyto(gathered.reshape(t.shape), t)
-    np.matmul(gathered, mat.T, out=product)
-    np.add(product, 0.0, out=product)
-    np.copyto(t, product.reshape(t.shape))
-
-
 def apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int,
                  scratch: np.ndarray) -> None:
     """The one gate kernel: apply a local matrix (local bit j = qubits[j]) in
     place to a C-ordered (2^n, B) block of column states or one (2^n,) state,
-    through the caller's (2, psi.size) complex `scratch`, so no gate allocates.
-    A monomial of exact units (x, y, z, s, sdg, cx, cz, swap) takes the slice
-    path: only the (2,)*n sub-slices it changes are negated, turned by +-i or
-    moved along a permutation cycle (`scratch` holds the cycle's first slice).
-    A real r*[[1, 1], [1, -1]] (h) is a butterfly scaled by the real r only, as
-    a complex scalar's SIMD multiply rounds contiguous and strided views apart.
-    Any other matrix takes `_apply_dense`. Both other paths write zeros as +0.0."""
-    rows, r = _monomial(mat), mat[0, 0].real
-    if rows is None and mat.tolist() == [[r, r], [r, -r]]:
-        a, b = psi.reshape(1 << (n - 1 - qubits[0]), 2, -1).swapaxes(0, 1)
-        s0 = np.subtract(a, b, out=scratch[0, :a.size].reshape(a.shape))
+    through the caller's complex `scratch` of psi.size // 2, so no gate
+    allocates. A matrix with one nonzero per row and column (all gates but h)
+    writes only the (2,)*n sub-slices it changes, along permutation cycles
+    (`scratch` holds a cycle's first slice). An entry +-1 or +-i is exact; any
+    other w is src*Re w + src*(i Im w), each with one rounded real product per
+    part, so its bits do not depend on the strides, as those of src*w do.
+    A real r*[[1, 1], [1, -1]] (h) is a butterfly. Zeros are written as +0.0
+    but the butterfly's, which follow IEEE; any other matrix is a ValueError."""
+    nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in mat.tolist()]
+    rows = [row[0] for row in nonzero if len(row) == 1]  # (source column, entry) per row
+    monomial, r = len(rows) == len(mat) == len({s for s, _ in rows}), mat[0, 0].real
+    if not monomial and mat.tolist() != [[r, r], [r, -r]]:
+        raise ValueError("apply_matrix takes one nonzero per row and column, or r*[[1, 1], [1, -1]]")
+    view, idx, parts = psi.reshape([2] * n + [-1]), [slice(None)] * (n + 1), []
+    for i in range(len(mat)):  # part i: the rows whose gate qubits read i; qubit q is axis n-1-q
+        for j, q in enumerate(qubits):
+            idx[n - 1 - q] = i >> j & 1
+        parts.append(view[tuple(idx)])
+    if not monomial:  # the butterfly
+        a, b = parts
+        s0 = np.subtract(a, b, out=scratch[:a.size].reshape(a.shape))
         np.add(a, b, out=a)
         np.multiply(a, r, out=a)
         np.multiply(s0, r, out=b)
         return
-    if rows is None:
-        return _apply_dense(psi, mat, qubits, n, scratch)
-    t = np.moveaxis(psi.reshape([2] * n + [-1]), [n - 1 - q for q in qubits], range(len(qubits)))
-    parts = [t[tuple((i >> j) & 1 for j in range(len(qubits)))] for i in range(len(rows))]
     pending = {i for i, row in enumerate(rows) if row != (i, 1)}
     while pending:
         i = start = min(pending)
         saved = parts[start]
         if rows[start][0] != start:  # keep the cycle's first slice before it is overwritten
-            saved = scratch.reshape(-1)[:saved.size].reshape(saved.shape)
+            saved = scratch[:saved.size].reshape(saved.shape)
             np.copyto(saved, parts[start])
         while i in pending:  # row i takes phase * row s; the last row takes the saved slice
             pending.remove(i)
@@ -307,8 +288,13 @@ def apply_matrix(psi: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: i
             src = saved if s == start else parts[s]
             if phase == -1:
                 np.subtract(0.0, src, out=dst)
-            else:  # exact, and adding 0.0 writes each zero as +0.0
+            elif phase in (1, 1j, -1j):  # exact, and adding 0.0 writes each zero as +0.0
                 np.add(src if phase == 1 else np.multiply(src, phase, out=dst), 0.0, out=dst)
+            else:  # each product rounds one real product per part, the other is 0
+                tmp = dst if s != i else scratch[:dst.size].reshape(dst.shape)
+                np.multiply(src, 1j * phase.imag, out=tmp)
+                np.multiply(src, phase.real, out=src)  # src is not read again
+                np.add(np.add(src, tmp, out=dst), 0.0, out=dst)
             i = s
 
 
@@ -363,7 +349,7 @@ def apply_gates(psi: np.ndarray | None, gates, n: int) -> np.ndarray:
     psi None is |0...0>: the gates then skip what leaves |0> alone and run on a
     register of the qubits they took out of it, scattered into a new state."""
     on = 0 if psi is None else (1 << int(n)) - 1  # the register's qubits
-    scratch = np.empty(2 << n if psi is None else 2 * psi.size, dtype=complex)
+    scratch = np.empty((1 << n if psi is None else psi.size) // 2, dtype=complex)
     psi, x, z, k = np.ones(1, dtype=complex) if psi is None else psi, 0, 0, 0
 
     def apply(mat, qs):  # qubit q is bit p of the register, p its qubits below q
@@ -373,7 +359,7 @@ def apply_gates(psi: np.ndarray | None, gates, n: int) -> np.ndarray:
             psi = np.zeros(2 * old.size, dtype=complex)
             psi.reshape(-1, 2, 1 << p)[:, 0] = old.reshape(-1, 1 << p)
         bits = tuple((on & (1 << q) - 1).bit_count() for q in qs)
-        apply_matrix(psi, mat, bits, on.bit_count(), scratch[:2 * psi.size].reshape(2, -1))
+        apply_matrix(psi, mat, bits, on.bit_count(), scratch)
 
     for g in gates:
         kind, qs, a, b = g.kind, tuple(map(int, g.qubits)), 1 << int(g.qubits[0]), 1 << int(g.qubits[-1])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import gate_matrix
+from .errors import InvalidSpec
 from .groups import ClosureConfig, FiniteMatrixGroup, close_group
 
 I2 = np.eye(2, dtype=complex)
@@ -45,7 +46,7 @@ FIXTURE_NAMES = tuple(fixture_generators().keys())
 def fixture_group(name: str, cfg: ClosureConfig | None = None) -> FiniteMatrixGroup:
     gens = fixture_generators()
     if name not in gens:
-        raise KeyError(f"unknown fixture {name!r}; choose from {sorted(gens)}")
+        raise InvalidSpec(f"unknown fixture {name!r}; choose from {sorted(gens)}")
     return close_group(gens[name], cfg)
 
 

@@ -6,12 +6,13 @@ qubit 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import gate_matrix
-from .errors import NotHermitian
+from .errors import InvalidSpec, NotHermitian
 from .linalg import max_abs
 
 _PAULI_1Q = {"I": np.eye(2, dtype=complex), **{k.upper(): gate_matrix(k) for k in "xyz"}}
@@ -33,10 +34,11 @@ class Observable:
 
     @staticmethod
     def from_pauli(letters: str, coeff: float = 1.0) -> "Observable":
-        letters = letters.upper()
-        if not letters or any(ch not in _PAULI_1Q for ch in letters):
-            raise ValueError(f"pauli string must use I/X/Y/Z, got {letters!r}")
-        return Observable(pauli=letters, coeff=float(coeff))
+        if not isinstance(letters, str) or not letters or any(ch not in _PAULI_1Q for ch in letters.upper()):
+            raise InvalidSpec(f"pauli string must use I/X/Y/Z, got {letters!r}")
+        if not isinstance(coeff, (int, float, np.integer, np.floating)) or not math.isfinite(coeff):
+            raise InvalidSpec(f"pauli coefficient must be a finite real, got {coeff!r}")
+        return Observable(pauli=letters.upper(), coeff=float(coeff))
 
     def letter_for(self, qubit: int) -> str:
         return self.pauli[len(self.pauli) - 1 - qubit]

@@ -3,10 +3,11 @@
 Every gate, and every Pauli letter of an observable, goes through the gate loop
 `circuits.apply_gates`: on a (2^n, B) block, B = 8 for `equivalence_check`, or
 from |0...0> (`sv_run`) on a register of only the qubits a gate has taken out
-of |0>. x, y and z only move its Pauli frame; the kernel `apply_matrix` updates
-the slices an s, sdg, cx, cz or swap changes, applies h as a butterfly and
-multiplies for t, tdg and cp. A histogram is one multinomial draw over the
-exact marginal. Qubit q is bit q of an index.
+of |0>. x, y and z only move its Pauli frame; the kernel `apply_matrix` applies
+h as a butterfly and moves or scales only the slices any other gate changes (a
+t, tdg or cp: one half or one quarter of the amplitudes, by its phase). A
+histogram is one multinomial draw over the exact marginal. Qubit q is bit q of
+an index.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from charforge.algebra import (AlgebraElement, characters_of,
                                statement_formula_residual, to_matrix)
 from charforge.characters import central_idempotents, isotypic_projectors
 from charforge.circuits import embed_gate
-from charforge.errors import GroupMismatch
+from charforge.errors import GroupMismatch, InvalidSpec
 from charforge.fixtures import H, X, Z
 from charforge.groups import ClosureConfig, element_of
 
@@ -74,6 +74,12 @@ def test_convolution_associative_on_random_triples(groups):
         left = convolve(convolve(a, b), c).coeffs
         right = convolve(a, convolve(b, c)).coeffs
         assert np.max(np.abs(left - right)) <= 1e-10
+
+
+@pytest.mark.parametrize("coeffs", [[np.nan, 0], [0, np.inf]])
+def test_non_finite_coefficients_are_invalid(groups, coeffs):
+    with pytest.raises(InvalidSpec, match="coefficients must be finite"):
+        AlgebraElement(groups["c2"], coeffs)
 
 
 def test_group_mismatch_raises(groups):

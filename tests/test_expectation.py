@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from charforge.characters import character_table, isotypic_projectors
 from charforge.circuits import Circuit, gate, parse_circuit
-from charforge.errors import ElementNotInGroup, GroupMismatch
+from charforge.errors import ElementNotInGroup, GroupMismatch, InvalidSpec
 from charforge.expectation import (decomp_expectation, degree_square_sum,
                                    paper_expectation_formula)
 from charforge.fixtures import H
@@ -91,3 +93,23 @@ def test_character_multiplicativity_both_directions(groups, tables):
     violations = [abs(chi[g.cayley[a, b]] - chi[a] * chi[b])
                   for a in range(g.order) for b in range(g.order)]
     assert max(violations) > 0.1
+
+
+@pytest.mark.parametrize("letters, coeff, match", [
+    (5, 1.0, "pauli string must use I/X/Y/Z, got 5"),
+    ("XQ", 1.0, "pauli string must use I/X/Y/Z, got 'XQ'"),
+    ("", 1.0, "pauli string must use I/X/Y/Z, got ''"),
+    ("XZ", "a", "pauli coefficient must be a finite real, got 'a'"),
+    ("XZ", np.nan, "pauli coefficient must be a finite real, got nan"),
+    ("XZ", -np.inf, "pauli coefficient must be a finite real, got -inf"),
+    ("XZ", 1j, "pauli coefficient must be a finite real, got 1j"),
+])
+def test_from_pauli_rejects_bad_letters_and_coefficients(letters, coeff, match):
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(match)}$"):
+        Observable.from_pauli(letters, coeff=coeff)
+
+
+def test_from_pauli_takes_either_case_and_a_numpy_real():
+    obs = Observable.from_pauli("xZi", coeff=np.float32(0.5))
+    assert (obs.pauli, obs.coeff, type(obs.coeff)) == ("XZI", 0.5, float)
+    assert Observable.from_pauli("Y", coeff=np.int64(-2)).coeff == -2.0

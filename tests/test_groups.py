@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from charforge.circuits import GATE_ARITY, embed_gate, gate, gate_generators, gate_matrix
 from charforge.errors import (DimensionMismatch, InvalidSpec, KeyCollision,
                               NotUnitary, OrderCapExceeded)
-from charforge.fixtures import H, I2, S, X, Y, Z, fixture_generators
+from charforge.fixtures import H, I2, S, X, Y, Z, fixture_generators, fixture_group
 from charforge.groups import (ClosureConfig, ElementLookup, center_and_abelian,
                               close_group, element_of, group_to_json)
 from charforge.optimize import _Closure, _seed
@@ -45,6 +45,11 @@ def test_generators_within_tol_share_one_input_element():
     a, b = (np.diag([1, 1, 1, np.exp(1j * t)]) for t in (1.570796327, 1.570796326))
     g = close_group([a, b, a], ClosureConfig(tol=1e-8))
     assert g.generators == [1] and g.input_elements == [1, 1, 1]
+
+
+def test_an_unknown_fixture_is_invalid():
+    with pytest.raises(InvalidSpec, match="unknown fixture 'nope'; choose from "):
+        fixture_group("nope")
 
 
 def test_x_closure_is_order_two():

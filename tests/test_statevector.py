@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charforge import circuits
 from charforge.circuits import (GATE_ARITY, Circuit, apply_matrix, build_bv, build_qft,
                                 build_vqe, circuit_unitary, gate, gate_matrix,
                                 parse_circuit, random_clifford_circuit)
@@ -19,6 +18,7 @@ from charforge.observables import Observable, random_pauli, z_on_qubit
 from charforge.statevector import (expectation_of_state, marginal_probabilities,
                                    run_gates, sample_histogram, sv_expectation,
                                    sv_run, time_gate_loop)
+from kernel_oracle import apply_dense
 
 
 def test_h_measure_within_three_sigma():
@@ -155,9 +155,9 @@ def _digest(a):
 GOLDEN_STATES = {
     "qft8": "ee232ce48d5cc119",
     "clifford10": "8b6aabd486500bc5",
-    "block8": "4922b3ae74f3fbbe",
+    "block8": "8179976239a859be",
     "unitary_qft5": "2ca3a0ea7b204535",
-    "expectation": "159b006f1bcb5e7b",
+    "expectation": "5c006fbcbd8a885d",
 }
 
 
@@ -265,8 +265,8 @@ def test_slice_path_matches_the_matmul_path_byte_for_byte(case):
     mat, qubits, n, b, seed = case
     block = _signed_zero_block(n, b, seed)
     got, want = block.copy(), block.copy()
-    apply_matrix(got, mat, qubits, n, np.empty((2, block.size), dtype=complex))
-    circuits._apply_dense(want, mat, qubits, n, np.empty((2, block.size), dtype=complex))
+    apply_matrix(got, mat, qubits, n, np.empty(block.size // 2, dtype=complex))
+    apply_dense(want, mat, qubits, n)
     # the slice path leaves the rows with a diagonal 1 untouched, so a -0.0
     # there stays; everything else, zeros included, has the matmul's bytes
     idx = np.arange(1 << n)
@@ -277,23 +277,70 @@ def test_slice_path_matches_the_matmul_path_byte_for_byte(case):
     assert not np.signbit(got[~kept].view(float)[got[~kept].view(float) == 0]).any()
 
 
-def test_no_clifford_gate_reaches_the_matmul_path(monkeypatch):
-    dense = []
-    real = circuits._apply_dense
+@st.composite
+def diagonal_gates(draw):
+    """t, tdg, cp at a random angle or a diagonal of random unit phases on
+    one or two qubits, a width, qubits in either order, a column count and a
+    block seed."""
+    name = draw(st.sampled_from(("t", "tdg", "cp", "random")))
+    angles = st.floats(-4.0, 4.0)
+    if name == "random":
+        dim = 1 << draw(st.integers(1, 2))
+        mat = np.diag(np.exp(1j * np.array(draw(st.lists(angles, min_size=dim, max_size=dim)))))
+    else:
+        mat = gate_matrix(name, draw(angles) if name == "cp" else None)
+    k = mat.shape[0].bit_length() - 1
+    n = draw(st.integers(k, 10))
+    qubits = tuple(draw(st.permutations(range(n)))[:k])
+    return mat, qubits, n, draw(st.sampled_from((1, 3, 8))), draw(st.integers(0, 2 ** 32 - 1))
 
-    def spy(psi, mat, qubits, n, scratch):
-        dense.append(mat)
-        real(psi, mat, qubits, n, scratch)
 
-    monkeypatch.setattr(circuits, "_apply_dense", spy)
-    clifford = random_clifford_circuit(10, 200, seed=11, measured=False)
-    run_gates(clifford)
-    assert dense == [] and any(g.kind == "h" for g in clifford.gates)
-    qft = build_qft(6)
-    circuit_unitary(qft)
-    cps = [g for g in qft.gates if g.kind == "cp"]
-    assert len(dense) == len(cps) > 0
-    assert all(np.array_equal(m, gate_matrix("cp", g.angle)) for m, g in zip(dense, cps))
+@settings(max_examples=150, deadline=None)
+@given(diagonal_gates())
+def test_a_diagonal_gate_runs_each_column_alike_and_near_the_matmul_path(case):
+    mat, qubits, n, b, seed = case
+    block = _signed_zero_block(n, b, seed)
+    got, want = block.copy(), block.copy()
+    apply_matrix(got, mat, qubits, n, np.empty(block.size // 2, dtype=complex))
+    apply_dense(want, mat, qubits, n)
+    for j in range(b):
+        column = np.ascontiguousarray(block.reshape(1 << n, -1)[:, j])
+        apply_matrix(column, mat, qubits, n, np.empty(column.size // 2, dtype=complex))
+        assert column.tobytes() == np.ascontiguousarray(got.reshape(1 << n, -1)[:, j]).tobytes()
+    idx = np.arange(1 << n)
+    local = sum(((idx >> q) & 1) << j for j, q in enumerate(qubits))
+    kept = np.isin(local, np.flatnonzero(np.diag(mat) == 1))
+    assert got[kept].tobytes() == block[kept].tobytes()
+    written = got[~kept].view(float)
+    assert not np.signbit(written[written == 0]).any()
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(block))
+
+
+def test_every_gate_kind_takes_the_butterfly_or_the_slice_path(monkeypatch):
+    n, rng = 3, np.random.default_rng(4)
+    block = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+    cases = [(gate_matrix(kind, 0.7 if kind == "cp" else None), (2, 0)[:GATE_ARITY[kind]])
+             for kind in GATE_ARITY if kind != "measure"]
+    wants = []
+    for mat, qubits in cases:
+        wants.append(block.copy())
+        apply_dense(wants[-1], mat, qubits, n)
+    blas = []
+    for name in ("matmul", "dot", "vdot", "einsum", "tensordot"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _real=real, **k: blas.append(a) or _real(*a, **k))
+    for (mat, qubits), want in zip(cases, wants):
+        got = block.copy()
+        apply_matrix(got, mat, qubits, n, np.empty(block.size // 2, dtype=complex))
+        assert np.max(np.abs(got - want)) <= 1e-15
+    # the gate loop, the frame and a block of columns take the same two paths
+    run_gates(random_clifford_circuit(6, 200, seed=11, measured=False))
+    circuit_unitary(build_qft(6))
+    run_gates(build_vqe(n, 3, seed=1), block.copy())
+    assert blas == []
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    with pytest.raises(ValueError, match="one nonzero per row and column"):
+        apply_matrix(block.copy(), q, (1,), n, np.empty(block.size // 2, dtype=complex))
 
 
 def _unit_block(n, b, seed):
@@ -309,8 +356,8 @@ def test_the_butterfly_is_within_an_ulp_of_the_matmul_path(n, b, seed, r):
     block = _unit_block(n, b, seed)[:, 0] if b == 1 else _unit_block(n, b, seed)
     q = seed % n
     got, want = block.copy(), block.copy()
-    apply_matrix(got, mat, (q,), n, np.empty((2, block.size), dtype=complex))
-    circuits._apply_dense(want, mat, (q,), n, np.empty((2, block.size), dtype=complex))
+    apply_matrix(got, mat, (q,), n, np.empty(block.size // 2, dtype=complex))
+    apply_dense(want, mat, (q,), n)
     assert np.max(np.abs(got - want)) <= 4.5e-16 * max(1.0, abs(r))
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -385,6 +386,12 @@ def test_malformed_gate_lists_are_rejected(run, error, c):
 def test_equivalence_check_rejects_non_integer_widths_and_qubits(error, c):
     with pytest.raises(error):
         equivalence_check(c, c, shots=100, seed=0)
+
+
+@pytest.mark.parametrize("qubit", [0.5, True, np.float64(1.0)])
+def test_a_non_integer_qubit_is_named(qubit):
+    with pytest.raises(InvalidSpec, match=re.escape(f"qubit indices must be integers, got {qubit!r}")):
+        tableau_run(_hand_built(2, ("h", 0), ("cx", 0, qubit)), 100, 0)
 
 
 @pytest.mark.parametrize("n", [3, 70])

@@ -45,7 +45,7 @@ def gate_costs(n: int, repeats: int) -> dict[str, list[float]]:
     rng = np.random.default_rng(0)
     psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     psi /= np.linalg.norm(psi)
-    scratch = np.empty((2, psi.size), dtype=complex)
+    scratch = np.empty(psi.size // 2, dtype=complex)
     out = {}
     for kind in KINDS:
         if GATE_ARITY[kind] > n:
