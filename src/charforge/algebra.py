@@ -26,7 +26,10 @@ class AlgebraElement:
     coeffs: np.ndarray  # (|G|,) complex
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        try:
+            self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        except (TypeError, ValueError) as e:
+            raise InvalidSpec(f"coefficients must be numbers ({e})") from None
         if self.coeffs.shape != (self.group.order,):
             raise GroupMismatch(
                 f"coefficient length {self.coeffs.shape} != group order {self.group.order}")

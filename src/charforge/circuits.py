@@ -9,15 +9,15 @@ Conventions, fixed globally:
   * measure lines form a trailing suffix.
 
 `apply_gates` is the one gate loop, carrying x, y and z as a Pauli frame, and
-`apply_matrix` the one kernel that writes amplitudes, in place in a (2^n, B)
-block: B = 1 or 8 in the state-vector engine, 2^n in `circuit_unitary`. From
-|0...0> the loop instead grows a register of only the qubits a gate has taken
-out of |0>, and scatters it into a new state at the end. h is a butterfly, and
-every other gate updates only the slices it changes, with no BLAS call and
-the same bits in a block's column as alone; zeros are +0.0 but the butterfly's,
-which follow IEEE. `embed_gate` and `gate_generators` build and merge the
-full-space generators of a closure, within its tolerance, as close_group merges
-elements.
+`apply_matrix` the one gate kernel, in place in a (2^n, B) block: B = 1 or 8 in
+the state-vector engine, 2^n in `circuit_unitary`. From |0...0> the loop
+instead grows a register of only the qubits a gate has taken out of |0>. The
+frame is applied once, at the end, in one pass that writes a new state. h is a
+butterfly, and every other gate updates only the slices it changes, with no
+BLAS call and the same bits in a block's column as alone; zeros are +0.0 but
+the butterfly's, which follow IEEE. `embed_gate` and `gate_generators` build
+and merge the full-space generators of a closure, within its tolerance, as
+close_group merges elements.
 """
 
 from __future__ import annotations
@@ -224,7 +224,6 @@ _BASE_1Q = {
     "t": np.diag([1, np.exp(1j * math.pi / 4)]).astype(complex),
     "tdg": np.diag([1, np.exp(-1j * math.pi / 4)]).astype(complex),
 }
-_XZ = {(0, 0): np.eye(2), (1, 0): _BASE_1Q["x"], (0, 1): _BASE_1Q["z"], (1, 1): -1j * _BASE_1Q["y"]}  # X^i Z^j
 # local basis for 2-qubit gates: bit 0 = qubits[0], bit 1 = qubits[1]
 _BASE_2Q = {
     "cx": np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),
@@ -342,12 +341,13 @@ def gate_generators(gates, support: tuple[int, ...], tol: float) -> tuple[list[n
 
 
 def apply_gates(psi: np.ndarray | None, gates, n: int) -> np.ndarray:
-    """Apply `gates` in order, in place, to a C-ordered (2^n, B) block or one
-    state, and return it. The true state is i^k X^x Z^z psi: x, y and z update
-    only this Pauli frame, other Cliffords update it by their conjugation rules
-    (Aaronson & Gottesman, quant-ph/0406196), and t, tdg and cp flush its X bits.
+    """Apply `gates` in order to a C-ordered (2^n, B) block or one state, which
+    the kernel changes in place, and return the result. The true state is
+    i^k X^x Z^z psi: x, y and z update only this Pauli frame, other Cliffords by
+    their conjugation rules (Aaronson & Gottesman, quant-ph/0406196), t, tdg and
+    cp flush its X bits, and one pass applies it at the end (`_apply_frame`).
     psi None is |0...0>: the gates then skip what leaves |0> alone and run on a
-    register of the qubits they took out of it, scattered into a new state."""
+    register of the qubits they took out of it."""
     on = 0 if psi is None else (1 << int(n)) - 1  # the register's qubits
     scratch = np.empty((1 << n if psi is None else psi.size) // 2, dtype=complex)
     psi, x, z, k = np.ones(1, dtype=complex) if psi is None else psi, 0, 0, 0
@@ -384,17 +384,28 @@ def apply_gates(psi: np.ndarray | None, gates, n: int) -> np.ndarray:
         # on |0>, a diagonal gate, a cx's control and a swap of two |0>s change nothing
         if kind == "h" or on & a and (on & b or kind == "cx") or on & (a | b) and kind == "swap":
             apply(gate_matrix(kind, g.angle), qs)
-    phase, top = (1, 1j, -1, -1j)[k % 4], max((on | x).bit_length() - 1, 0)
-    for q in range(n):  # X^x_q Z^z_q on each qubit in the frame (Z fixes |0>), the first times i^k
-        if (x | z & on) >> q & 1 or q == top and phase != 1:
-            apply(phase * _XZ[x >> q & 1, z >> q & 1], (q,))
-            phase = 1
-    if on == (1 << n) - 1:
+    del scratch  # freed before the frame's pass allocates the state it writes
+    return _apply_frame(psi, on, x, z, k, n)
+
+
+def _apply_frame(psi: np.ndarray, on: int, x: int, z: int, k: int, n: int) -> np.ndarray:
+    """(i^k X^x Z^z psi)[j] = i^k (-1)^|(j^x)&z| psi[j^x] in one pass into a new 2^n state, zeros as +0.0,
+    or psi if that is the identity on all n qubits. psi holds the qubits in `on` (all n for a (2^n, B) block);
+    one off it reads 0, or 1 under an X. The pass goes per value of the top 3 bits: `unit` is <= 1/8 of psi."""
+    m, zr = on.bit_count(), sum((z >> q & 1) << p for p, q in enumerate(q for q in range(n) if on >> q & 1))
+    if m == n and not x | z | k % 4:
         return psi
-    full = np.zeros(1 << n, dtype=complex)
-    keep = tuple(slice(None) if on >> q & 1 else 0 for q in reversed(range(n)))  # qubit q is axis n-1-q
-    full.reshape((2,) * n)[keep] = psi.reshape((2,) * on.bit_count())
-    return full
+    out, t = np.empty(psi.shape, dtype=complex) if m == n else np.zeros(1 << n, dtype=complex), min(m, 3)
+    dst = out.reshape((2,) * n + (-1,))[tuple(  # qubit q is axis n-1-q, reversed by an X on it
+        slice(None, None, 1 - 2 * (x >> q & 1)) if on >> q & 1 else x >> q & 1 for q in reversed(range(n)))]
+    src, low = psi.reshape((2,) * m + (-1,)), m - t
+    unit = math.prod((np.array([1, -1]).reshape((2,) + (1,) * (p + 1)) for p in range(low) if zr >> p & 1),
+                     start=np.full((1,) * (low + 1), (1, 1j, -1, -1j)[k % 4]))
+    for h in range(1 << t):  # the top bits' Z give the sign; adding to 0.0 writes each zero as +0.0
+        top = tuple(h >> i & 1 for i in reversed(range(t)))
+        np.multiply(src[top], unit, out=dst[top])
+        (np.subtract if (h & zr >> low).bit_count() & 1 else np.add)(0.0, dst[top], out=dst[top])
+    return out
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

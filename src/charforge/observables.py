@@ -26,7 +26,12 @@ class Observable:
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "Observable":
-        m = np.asarray(m, dtype=complex)
+        try:
+            m = np.asarray(m, dtype=complex)
+        except (TypeError, ValueError) as e:
+            raise InvalidSpec(f"observable matrix must be numeric ({e})") from None
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not np.isfinite(m).all():
+            raise InvalidSpec(f"observable matrix must be square, nonempty and finite, got shape {m.shape}")
         defect = max_abs(m - m.conj().T)
         if defect > 1e-9:
             raise NotHermitian(f"hermiticity defect {defect:.3e}")
@@ -59,5 +64,5 @@ def z_on_qubit(qubit: int, n: int) -> Observable:
 
 
 def random_pauli(n: int, rng: np.random.Generator) -> Observable:
-    letters = "".join(rng.choice(list("IXYZ")) for _ in range(n))
+    letters = "".join("IXYZ"[i] for i in rng.integers(4, size=n))  # the draws of n rng.choice calls
     return Observable.from_pauli(letters)

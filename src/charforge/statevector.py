@@ -3,11 +3,11 @@
 Every gate, and every Pauli letter of an observable, goes through the gate loop
 `circuits.apply_gates`: on a (2^n, B) block, B = 8 for `equivalence_check`, or
 from |0...0> (`sv_run`) on a register of only the qubits a gate has taken out
-of |0>. x, y and z only move its Pauli frame; the kernel `apply_matrix` applies
-h as a butterfly and moves or scales only the slices any other gate changes (a
-t, tdg or cp: one half or one quarter of the amplitudes, by its phase). A
-histogram is one multinomial draw over the exact marginal. Qubit q is bit q of
-an index.
+of |0>. x, y and z only move its Pauli frame, applied in one pass at the end;
+the kernel `apply_matrix` applies h as a butterfly and moves or scales only the
+slices any other gate changes (a t, tdg or cp: one half or one quarter of the
+amplitudes, by its phase). A histogram is one multinomial draw over the exact
+marginal, its index broadcast on the (2,)*n grid. Qubit q is bit q of an index.
 """
 
 from __future__ import annotations
@@ -51,13 +51,11 @@ def run_gates(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
 
 def marginal_probabilities(psi: np.ndarray, measured: list[int], n: int) -> np.ndarray:
     """Probability vector over the measured qubits; outcome bit j of the
-    returned index is measured[j]. A zero or non-finite state raises InvalidSpec."""
+    returned index is measured[j], and the index is a broadcast sum on the (2,)*n
+    grid, where qubit q is axis n-1-q. A zero or non-finite state raises InvalidSpec."""
     probs = np.abs(psi) ** 2
-    idx = np.arange(probs.size)
-    out_idx = np.zeros(probs.size, dtype=np.int64)
-    for j, q in enumerate(measured):
-        out_idx |= ((idx >> q) & 1) << j
-    marg = np.bincount(out_idx, weights=probs, minlength=1 << len(measured))
+    out_idx = sum((np.arange(2) << j).reshape((2,) + (1,) * q) for j, q in enumerate(measured))
+    marg = np.bincount(np.broadcast_to(out_idx, (2,) * n).ravel(), weights=probs, minlength=1 << len(measured))
     total = marg.sum()  # a sum of |psi|^2 weights, never negative
     if not (np.isfinite(total) and total > 0):
         raise InvalidSpec(f"state has total probability {total}; it must be finite and positive")
@@ -97,7 +95,7 @@ def expectation_of_state(psi: np.ndarray, obs: Observable, n: int) -> float | np
     if obs.pauli is not None:
         if len(obs.pauli) != n:
             raise DimensionMismatch(f"pauli string length {len(obs.pauli)} != {n} qubits")
-        phi = apply_gates(np.array(psi, dtype=complex, order="C"), [
+        phi = apply_gates(np.ascontiguousarray(psi, dtype=complex), [  # x, y and z write only the frame
             GateInstance(obs.letter_for(q).lower(), (q,)) for q in range(n) if obs.letter_for(q) != "I"], n)
     else:
         if obs.matrix.shape[0] != psi.shape[0]:

@@ -82,6 +82,12 @@ def test_non_finite_coefficients_are_invalid(groups, coeffs):
         AlgebraElement(groups["c2"], coeffs)
 
 
+@pytest.mark.parametrize("coeffs", [["a", 0], [None, {}], "ab"])
+def test_non_numeric_coefficients_are_invalid(groups, coeffs):
+    with pytest.raises(InvalidSpec, match="coefficients must be numbers"):
+        AlgebraElement(groups["c2"], coeffs)
+
+
 def test_group_mismatch_raises(groups):
     with pytest.raises(GroupMismatch):
         convolve(delta(groups["c2"], 0), delta(groups["d4"], 0))

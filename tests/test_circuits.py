@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from charforge.errors import (AngleMissing, CircuitSyntaxError, InvalidSpec, Key
                               MeasurementInUnitary, QubitOutOfRange, TooWide)
 from charforge import circuits
 from charforge.statevector import SV_MAX_QUBITS, run_gates, zero_state
+from kernel_oracle import apply_frame_per_qubit, signed_zero_block
 
 
 def kron_oracle(gates, n):
@@ -439,8 +441,9 @@ def _kernel_calls(monkeypatch) -> list:
     # on an untouched qubit, are skipped; the cx from qubit 1 adds qubit 3
     ("qubits 4\nh 1\ncx 0 1\ncz 1 2\ncp(0.3) 2 1\nt 0\ncx 1 3\nt 3\n",
      [((0,), 1), ((0, 1), 2), ((1,), 2)]),
-    # the frame alone: i X_2 Z_2 is one pass on a register of qubit 2 only
-    ("qubits 3\ny 2\n", [((0,), 1)]),
+    # the frame alone: i X_2 Z_2 is the frame's pass, which writes qubit 2 as index 1 of
+    # the scatter and calls no kernel
+    ("qubits 3\ny 2\n", []),
 ])
 def test_gates_that_leave_zero_alone_are_skipped(monkeypatch, text, calls):
     c = parse_circuit(text)
@@ -450,7 +453,7 @@ def test_gates_that_leave_zero_alone_are_skipped(monkeypatch, text, calls):
     assert seen == calls
     assert got.tobytes() == want.tobytes()
     if not calls:
-        assert got.tobytes() == zero_state(c.n_qubits).tobytes()
+        assert np.array_equal(got, kron_oracle([(g.kind, g.qubits, g.angle) for g in c.gates], c.n_qubits)[:, 0])
 
 
 @pytest.mark.parametrize("text", [
@@ -519,3 +522,45 @@ def test_a_widest_circuit_that_touches_two_qubits(monkeypatch):
     assert got.shape == (1 << n,)
     assert np.flatnonzero(got).tolist() == [0, (1 << a) | (1 << b)]
     assert got[[0, (1 << a) | (1 << b)]].tobytes() == run_gates(narrow)[[0, 3]].tobytes()
+
+
+# -- the frame's one pass against the per-qubit loop -----------------------------
+
+@st.composite
+def _frame_cases(draw):
+    """A gate list ending in a Pauli tail, on a (2^n, B) block of signed zeros
+    (B in 1, 3, 8) or from |0...0>. From |0...0> an h puts a drawn subset of
+    qubits in the register, some Cliffords and t gates act on it, and the tail
+    reaches the qubits off it, so the frame has X bits there. The tail's y
+    gates give every power of i."""
+    n = draw(st.integers(1, 8))
+    from_zero = draw(st.booleans())
+    head = []
+    if from_zero:
+        head = [gate("h", q) for q in range(n) if draw(st.booleans())]
+        for kind in draw(st.lists(st.sampled_from(("s", "t", "cx", "cz", "swap")), max_size=6)):
+            head.append(gate(kind, *draw(st.permutations(range(n)))[:GATE_ARITY[kind]]))
+    tail = [gate(draw(st.sampled_from(PAULIS)), draw(st.integers(0, n - 1)))
+            for _ in range(draw(st.integers(0, 12)))]
+    psi = None if from_zero else signed_zero_block(n, draw(st.sampled_from((1, 3, 8))),
+                                                   draw(st.integers(0, 2 ** 32 - 1)))
+    return n, psi, head + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frame_cases())
+def test_the_frame_pass_matches_the_per_qubit_loop(case):
+    n, psi, gates = case
+    with mock.patch.object(circuits, "_apply_frame", wraps=circuits._apply_frame) as spy:
+        got = circuits.apply_gates(None if psi is None else psi.copy(), gates, n)
+    register, on, x, z, k, _ = spy.call_args.args
+    want = apply_frame_per_qubit(register.copy(), on, x, z, k, n)
+    if on == (1 << n) - 1 and not x | z | k % 4:
+        assert got is register and got.tobytes() == want.tobytes()
+        return
+    # the pass writes every amplitude, where the loop left alone those that
+    # no Z acted on, so a -0.0 of the input reads +0.0 there; all else is equal
+    assert got.tobytes() == (want + 0.0).tobytes()
+    written = got.view(float)
+    assert not np.signbit(written[written == 0]).any()
+    assert got.flags.c_contiguous and got.shape == ((1 << n,) if psi is None else psi.shape)

@@ -109,6 +109,22 @@ def test_from_pauli_rejects_bad_letters_and_coefficients(letters, coeff, match):
         Observable.from_pauli(letters, coeff=coeff)
 
 
+@pytest.mark.parametrize("m, match", [
+    (np.array([[np.nan, 0], [0, 1]]), "observable matrix must be square, nonempty and finite"),
+    ([[1, 0], [0, np.inf]], "observable matrix must be square, nonempty and finite"),
+    ([[None, 0], [0, 1]], "observable matrix must be square, nonempty and finite"),
+    (np.eye(2)[:, :1], "observable matrix must be square, nonempty and finite"),
+    ([1.0, 0.0], "observable matrix must be square, nonempty and finite"),
+    (np.zeros((0, 0)), "observable matrix must be square, nonempty and finite"),
+    ([["a", 0], [0, 1]], "observable matrix must be numeric"),
+    ([[1, 0], [0]], "observable matrix must be numeric"),
+    ({"a": 1}, "observable matrix must be numeric"),
+])
+def test_from_matrix_rejects_a_matrix_that_is_not_square_numeric_and_finite(m, match):
+    with pytest.raises(InvalidSpec, match=match):
+        Observable.from_matrix(m)
+
+
 def test_from_pauli_takes_either_case_and_a_numpy_real():
     obs = Observable.from_pauli("xZi", coeff=np.float32(0.5))
     assert (obs.pauli, obs.coeff, type(obs.coeff)) == ("XZI", 0.5, float)

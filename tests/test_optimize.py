@@ -3,22 +3,25 @@ import importlib
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charforge import characters, groups as groups_module
+from charforge import characters, groups as groups_module, optimize as optimize_module, statevector
 from charforge.bench import _spec_for
 from charforge.circuits import (GATE_ARITY, Circuit, build_benchmark, build_bv, build_grover,
                                 build_qft, circuit_unitary, gate, gate_generators, parse_circuit,
-                                serialize_circuit)
+                                random_clifford_circuit, serialize_circuit)
 from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.groups import ClosureConfig, ElementLookup, close_group, element_of
+from charforge.histogram import tv_distance
 from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, _Closure, _effective_cap,
                                 _try_close, build_word_table, equivalence_check, optimize)
+from charforge.statevector import sample_histogram
 from phase_oracle import equal_up_to_phase, phase_canonical
 
 # the package exports the optimize function under the module's name
@@ -124,7 +127,7 @@ def test_clifford1_eccentricity_matches_matrix_bfs(groups):
             depth += 1
         frontier = nxt
     assert len(seen) == 192
-    assert wt.eccentricity() == depth
+    assert int(wt.word_length.max()) == depth  # the eccentricity of the identity
 
 
 # -- phase-equal candidates ------------------------------------------------------
@@ -430,6 +433,29 @@ def test_equivalence_respects_global_phase():
     a = parse_circuit("qubits 1\nx 0\nz 0\n")
     b = parse_circuit("qubits 1\nz 0\nx 0\n")  # differs by -1 global phase
     assert equivalence_check(a, b, shots=20000, seed=3).verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5000), st.integers(0, 2 ** 31), st.data())
+def test_the_count_array_tv_is_tv_distance_of_the_histograms(n, shots, seed, data):
+    """max_tv, taken from the two multinomial count arrays, equals tv_distance
+    of the histograms sample_histogram draws from the same marginals and seeds."""
+    a = random_clifford_circuit(n, 12, seed=data.draw(st.integers(0, 999)), measured=data.draw(st.booleans()))
+    b = Circuit(n, a.body_and_suffix()[0] + (gate("h", data.draw(st.integers(0, n - 1))),)
+                + a.body_and_suffix()[1])
+    marginals, real = [], statevector.marginal_probabilities
+
+    def record(*args):
+        marginals.append(real(*args))
+        return marginals[-1]
+
+    with mock.patch.object(optimize_module, "marginal_probabilities", side_effect=record):
+        v = equivalence_check(a, b, shots=shots, seed=seed)
+    bits = len(marginals[0]).bit_length() - 1
+    hists = [sample_histogram(p, bits, shots, np.random.default_rng([seed, i // 2, i % 2]))
+             for i, p in enumerate(marginals)]
+    assert len(hists) == 16
+    assert v.max_tv == max(tv_distance(ha, hb) for ha, hb in zip(hists[::2], hists[1::2]))
 
 
 @pytest.mark.parametrize("shots", [0, -1])

@@ -18,7 +18,7 @@ from charforge.observables import Observable, random_pauli, z_on_qubit
 from charforge.statevector import (expectation_of_state, marginal_probabilities,
                                    run_gates, sample_histogram, sv_expectation,
                                    sv_run, time_gate_loop)
-from kernel_oracle import apply_dense
+from kernel_oracle import apply_dense, marginal_by_bits, signed_zero_block
 
 
 def test_h_measure_within_three_sigma():
@@ -209,6 +209,43 @@ def test_sample_histogram_on_fixed_distributions(probs, shots):
     assert h.counts == sample_histogram(probs, n_bits, shots, np.random.default_rng(3)).counts
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2 ** 32 - 1), st.data())
+def test_the_marginal_matches_the_bitwise_index(n, seed, data):
+    """Byte for byte, on a strided column of signed zeros as equivalence_check
+    passes, with the measured qubits in a random order."""
+    measured = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    column = signed_zero_block(n, 3, seed)[:, 1]
+    column[0] += 1.0  # never the zero state
+    assert marginal_probabilities(column, measured, n).tobytes() == marginal_by_bits(column, measured).tobytes()
+
+
+def _frame_circuit(n):
+    """h on every qubit, a cx ladder, then y and z, which leave a frame with
+    X, Z and i bits for the final pass."""
+    return Circuit(n, tuple(gate("h", q) for q in range(n)) + tuple(gate("cx", q, q + 1) for q in range(n - 1))
+                   + (gate("s", 2), gate("y", 3), gate("z", 7), gate("y", n - 1)))
+
+
+@pytest.mark.parametrize("columns", [None, 1, 2], ids=["zero", "state", "block2"])
+def test_the_frame_pass_keeps_the_peak_near_two_states(columns):
+    """The peak traced while `run_gates` runs a 16-qubit circuit whose frame
+    is not the identity stays within 2.5 times the returned state: the kernel's
+    scratch is freed before the pass allocates the new state, and the pass's
+    operand is built per block. A caller's initial state is not counted."""
+    n = 16
+    initial = None if columns is None else _block(n, columns, 1).reshape(-1 if columns == 1 else (1 << n, 2))
+    c = _frame_circuit(n)
+    tracemalloc.start()
+    try:
+        psi = run_gates(c, initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi.nbytes == (1 << n) * 16 * (columns or 1)
+    assert peak <= 2.5 * psi.nbytes, peak / psi.nbytes
+
+
 def test_sample_histogram_memory_does_not_grow_with_shots():
     probs = np.full(16, 1 / 16)
     tracemalloc.start()
@@ -248,22 +285,11 @@ def monomial_gates(draw):
     return mat, qubits, n, draw(st.sampled_from((1, 3, 8))), draw(st.integers(0, 2 ** 32 - 1))
 
 
-def _signed_zero_block(n, b, seed):
-    """Gaussian amplitudes with a third of the components +0.0 or -0.0; one
-    (2^n,) state when b is 1."""
-    rng = np.random.default_rng(seed)
-    parts = rng.standard_normal((1 << n, b, 2))
-    parts[rng.random(parts.shape) < 1 / 3] = 0.0
-    parts[rng.random(parts.shape) < 1 / 6] *= -1.0
-    block = parts.view(complex)[..., 0].copy()
-    return block[:, 0].copy() if b == 1 else block
-
-
 @settings(max_examples=150, deadline=None)
 @given(monomial_gates())
 def test_slice_path_matches_the_matmul_path_byte_for_byte(case):
     mat, qubits, n, b, seed = case
-    block = _signed_zero_block(n, b, seed)
+    block = signed_zero_block(n, b, seed)
     got, want = block.copy(), block.copy()
     apply_matrix(got, mat, qubits, n, np.empty(block.size // 2, dtype=complex))
     apply_dense(want, mat, qubits, n)
@@ -299,7 +325,7 @@ def diagonal_gates(draw):
 @given(diagonal_gates())
 def test_a_diagonal_gate_runs_each_column_alike_and_near_the_matmul_path(case):
     mat, qubits, n, b, seed = case
-    block = _signed_zero_block(n, b, seed)
+    block = signed_zero_block(n, b, seed)
     got, want = block.copy(), block.copy()
     apply_matrix(got, mat, qubits, n, np.empty(block.size // 2, dtype=complex))
     apply_dense(want, mat, qubits, n)
@@ -370,12 +396,16 @@ def test_gate_costs_tool_prints_a_row_per_kind_and_a_line_per_circuit(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "ms per gate at n=6, median of 1"
     assert lines[1].split() == ["kind"] + [f"q{q}" for q in range(6)]
-    rows = [line.split() for line in lines[2:-6]]
+    rows = [line.split() for line in lines[2:-8]]
     assert [r[0] for r in rows] == [k for k in GATE_ARITY if k != "measure"]
     assert all(len(r) == 7 and all(float(t) >= 0 for t in r[1:]) for r in rows)
     starts = [(seed, start) for seed in (1, 2, 3) for start in ("zero", "initial")]
-    assert len(lines) == 2 + len(rows) + len(starts)
-    for line, (seed, start) in zip(lines[-6:], starts):
+    assert len(lines) == 2 + len(rows) + len(starts) + 2
+    for line, (seed, start) in zip(lines[-8:-2], starts):
         head = f"run_gates clifford n=6 depth=400 seed={seed} from={start}: "
         assert line.startswith(head) and line.endswith(" us/gate")
         assert float(line[len(head):-len(" us/gate")]) >= 0
+    for line, head in zip(lines[-2:], ("marginal_probabilities n=6 measured=[1, 3, 5]: ",
+                                       "equivalence_check qft-10 pair shots=3276800: ")):
+        assert line.startswith(head) and line.endswith(" ms")
+        assert float(line[len(head):-len(" ms")]) >= 0

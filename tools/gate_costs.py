@@ -11,8 +11,11 @@ Pauli frame. Then two lines for each seeded random Clifford circuit of depth
 frame included, from |0...0> and from an explicit `zero_state` initial. The
 first skips what leaves |0> alone on a register of the qubits the gates have
 taken out of it, the second runs every gate on the full state, so skipped
-work and kernel cost show apart. Timings are wall clock; compare them only
-within one run.
+work and kernel cost show apart. Last, the readout beside the kernel: the
+median ms of `marginal_probabilities` of a 2^n state on 4 measured qubits
+(1, 5, 9 and 13, modulo n), and of `equivalence_check` on a 10-qubit QFT
+pair (the QFT against its text round trip, at the shots of verify-wide).
+Timings are wall clock; compare them only within one run.
 """
 
 from __future__ import annotations
@@ -23,12 +26,17 @@ import time
 
 import numpy as np
 
-from charforge.circuits import GATE_ARITY, apply_matrix, gate_matrix, random_clifford_circuit
-from charforge.statevector import run_gates, zero_state
+from charforge.circuits import (GATE_ARITY, apply_matrix, build_qft, gate_matrix, parse_circuit,
+                                random_clifford_circuit, serialize_circuit)
+from charforge.optimize import equivalence_check
+from charforge.statevector import marginal_probabilities, run_gates, zero_state
 
 KINDS = [k for k in GATE_ARITY if k != "measure"]
 SEEDS = (1, 2, 3)
 DEPTH = 400
+MEASURED = (1, 5, 9, 13)
+EQUIV_N = 10
+EQUIV_SHOTS = 3200 << EQUIV_N  # perfbench's verify-wide shots at n = 10
 
 
 def _median_s(fn, repeats: int) -> float:
@@ -68,6 +76,22 @@ def circuit_costs(n: int, repeats: int) -> dict[int, tuple[float, float]]:
     return out
 
 
+def _measured(n: int) -> list[int]:
+    return sorted({q % n for q in MEASURED})
+
+
+def readout_costs(n: int, repeats: int) -> tuple[float, float]:
+    """Median ms of marginal_probabilities on 4 measured qubits of a 2^n state,
+    and of equivalence_check on a 10-qubit QFT and its text round trip."""
+    rng = np.random.default_rng(0)
+    psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    measured = _measured(n)
+    qft = build_qft(EQUIV_N)
+    copy = parse_circuit(serialize_circuit(qft))
+    return (1e3 * _median_s(lambda: marginal_probabilities(psi, measured, n), repeats),
+            1e3 * _median_s(lambda: equivalence_check(qft, copy, shots=EQUIV_SHOTS, seed=0), repeats))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=20)
@@ -80,6 +104,9 @@ def main(argv=None) -> int:
     for seed, us in circuit_costs(args.n, args.repeats).items():
         for start, t in zip(("zero", "initial"), us):
             print(f"run_gates clifford n={args.n} depth={DEPTH} seed={seed} from={start}: {t:.1f} us/gate")
+    marginal_ms, equiv_ms = readout_costs(args.n, args.repeats)
+    print(f"marginal_probabilities n={args.n} measured={_measured(args.n)}: {marginal_ms:.2f} ms")
+    print(f"equivalence_check qft-{EQUIV_N} pair shots={EQUIV_SHOTS}: {equiv_ms:.2f} ms")
     return 0
 
 
