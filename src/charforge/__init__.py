@@ -6,9 +6,8 @@ circuit analysis, optimization, classical simulation, and mechanical
 verification of the underlying decomposition claims.
 """
 
-from .algebra import (AlgebraElement, DecomposabilityReport, DecompositionResult,
-                      characters_of, check_decomposability, convolve,
-                      decompose_element, delta, random_element,
+from .algebra import (AlgebraElement, DecompositionResult, characters_of,
+                      convolve, decompose_element, delta, random_element,
                       statement_formula_residual, to_matrix)
 from .characters import (CharacterTable, central_idempotents, character_table,
                          character_table_csv, class_matrices,
@@ -17,11 +16,10 @@ from .circuits import (BenchmarkSpec, Circuit, GateInstance, build_benchmark,
                        build_bv, build_grover, build_qft, build_vqe,
                        circuit_depth, circuit_unitary, gate, parse_circuit,
                        random_clifford_circuit, serialize_circuit)
-from .complexity import (CostEstimate, CostParams, classify_group,
-                         estimate_cost, kd2_bound_holds)
+from .complexity import CostEstimate, CostParams, classify_group, estimate_cost
 from .claims import ClaimResult, ClaimsReport, run_claims
-from .expectation import (decomp_expectation, degree_square_sum,
-                          paper_expectation_formula)
+from .expectation import (circuit_element, decomp_expectation,
+                          degree_square_sum, paper_expectation_formula)
 from .fixtures import FIXTURE_NAMES, all_fixture_groups, fixture_group
 from .groups import (ClosureConfig, FiniteMatrixGroup, center_and_abelian,
                      close_group, element_of, group_to_json)

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import (CharacterTable, central_idempotents, character_table,
-                         verify_orthogonality)
-from .errors import GroupMismatch, InvalidSpec, KeyCollision, OrderCapExceeded
-from .groups import ClosureConfig, FiniteMatrixGroup, close_group, element_of
+from .characters import CharacterTable
+from .errors import GroupMismatch, InvalidSpec
+from .groups import FiniteMatrixGroup
 from .linalg import max_abs
 
 
@@ -162,45 +161,6 @@ def statement_formula_residual(
         d = float(table.degrees[i])
         rhs += (chars[i] / d) * (table.group_order / d) * e
     return float(max_abs(rhs - u.coeffs))
-
-
-@dataclass
-class DecomposabilityReport:
-    condition1_finite_group: bool
-    condition1_detail: str
-    condition2_orthogonality_residual: float | None
-    condition3_reconstruction_residual: float | None
-    verdict: bool
-
-
-def check_decomposability(
-    circuit_unitary: np.ndarray,
-    gate_set: list[np.ndarray],
-    cfg: ClosureConfig | None = None,
-    seed: int = 0,
-) -> DecomposabilityReport:
-    """Run the three decomposability conditions for a circuit unitary over a
-    gate set: finite closure, character orthogonality, and reconstruction of
-    the circuit's delta element."""
-    cfg = cfg or ClosureConfig()
-    try:
-        group = close_group(gate_set, cfg)
-    except (OrderCapExceeded, KeyCollision) as exc:
-        detail = (f"cap exceeded at max_order={cfg.max_order}"
-                  if isinstance(exc, OrderCapExceeded)
-                  else "products not tolerance-separated (dense closure)")
-        return DecomposabilityReport(condition1_finite_group=False, condition1_detail=detail,
-                                     condition2_orthogonality_residual=None,
-                                     condition3_reconstruction_residual=None, verdict=False)
-    table = character_table(group, seed=seed)
-    orth = verify_orthogonality(table).max_residual()
-    g = element_of(group, circuit_unitary)
-    recon = None if g is None else decompose_element(
-        delta(group, g), central_idempotents(group, table)).reconstruction_residual
-    return DecomposabilityReport(
-        condition1_finite_group=True, condition1_detail=f"order {group.order}",
-        condition2_orthogonality_residual=orth, condition3_reconstruction_residual=recon,
-        verdict=recon is not None and orth <= 1e-8 and recon <= 1e-8)
 
 
 def decomposition_report_json(

@@ -18,14 +18,14 @@ from .algebra import decomposition_report_json, delta
 from .bench import BenchConfig, emit_outputs, run_bench
 from .characters import (central_idempotents, character_table,
                          character_table_csv, isotypic_projectors)
-from .circuits import (Circuit, GateInstance, circuit_unitary, gate_generators,
-                       parse_circuit, serialize_circuit)
+from .circuits import (Circuit, GateInstance, gate_generators, parse_circuit,
+                       serialize_circuit)
 from .claims import run_claims
 from .complexity import CostParams, estimate_cost
 from .errors import CharforgeError
+from .expectation import circuit_element
 from .fixtures import FIXTURE_NAMES, fixture_group
-from .groups import (ClosureConfig, FiniteMatrixGroup, close_group,
-                     element_of, group_to_json)
+from .groups import ClosureConfig, FiniteMatrixGroup, close_group, group_to_json
 from .histogram import histogram_csv
 from .optimize import OptimizeConfig, equivalence_check, optimize
 from .statevector import sv_run
@@ -156,11 +156,7 @@ def _cmd_decompose(args) -> None:
         element = 0
     else:
         group, _, compact = circuit_gate_group(_read_circuit(args.infile), cfg)
-        u = circuit_unitary(compact)
-        found = element_of(group, u)
-        if found is None:
-            raise CharforgeError("circuit unitary is not an element of its gate group")
-        element = found
+        element = circuit_element(compact, group)[1]
     table = character_table(group, seed=args.seed)
     idem = central_idempotents(group, table)
     projs = isotypic_projectors(group, table)

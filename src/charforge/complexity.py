@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
-from .errors import ConflictingDeclaration, InvalidSpec, MissingGCost
+from .errors import InvalidSpec, MissingGCost
 from .groups import FiniteMatrixGroup, center_and_abelian
 
 CASES = ("abelian", "symmetric", "general")
@@ -70,19 +70,8 @@ def estimate_cost(p: CostParams) -> CostEstimate:
     return CostEstimate(value=float(value), formula_text=f"{text} = {float(value):g}")
 
 
-def classify_group(group: FiniteMatrixGroup, declared: str | None = None) -> str:
+def classify_group(group: FiniteMatrixGroup) -> str:
     """abelian is detected from the center; symmetric cannot be detected
-    reliably and must be declared; everything else is general."""
-    _, is_abelian = center_and_abelian(group)
-    if declared is None:
-        return "abelian" if is_abelian else "general"
-    if declared not in CASES:
-        raise InvalidSpec(f"declared case must be one of {CASES}, got {declared!r}")
-    if declared == "abelian" and not is_abelian:
-        raise ConflictingDeclaration("declared abelian but the group is not")
-    return declared
-
-
-def kd2_bound_holds(k: int, dmax: int, order: int) -> bool:
-    """k*D^2 >= |G|; follows from sum d_i^2 = |G| with D the max degree."""
-    return k * dmax * dmax >= order
+    reliably, so a caller that knows it passes the case to `CostParams`
+    directly; everything else is general."""
+    return "abelian" if center_and_abelian(group)[1] else "general"

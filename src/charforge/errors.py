@@ -66,10 +66,6 @@ class MeasurementInUnitary(CharforgeError):
     pass
 
 
-class NotHermitian(CharforgeError):
-    pass
-
-
 class NonCliffordGate(CharforgeError):
     pass
 
@@ -79,10 +75,6 @@ class ElementNotInGroup(CharforgeError):
 
 
 class MissingGCost(CharforgeError):
-    pass
-
-
-class ConflictingDeclaration(CharforgeError):
     pass
 
 

@@ -24,7 +24,9 @@ from .observables import Observable
 from .statevector import expectation_of_state, sv_expectation, zero_state
 
 
-def _group_element_for(c: Circuit, group: FiniteMatrixGroup) -> tuple[np.ndarray, int]:
+def circuit_element(c: Circuit, group: FiniteMatrixGroup) -> tuple[np.ndarray, int]:
+    """The unitary of the circuit's measure-free body and its element index in
+    `group`. Raises ElementNotInGroup when the unitary is not an element."""
     body, _ = c.body_and_suffix()
     u = circuit_unitary(Circuit(c.n_qubits, body, name=c.name))
     g = element_of(group, u)
@@ -45,7 +47,7 @@ def decomp_expectation(
     they are another group's."""
     if projectors.shape[1:] != (group.dim, group.dim):
         raise GroupMismatch("projectors belong to a different group")
-    u, _ = _group_element_for(c, group)
+    u, _ = circuit_element(c, group)
     u_rec = np.sum([p @ u for p in projectors], axis=0)
     psi = u_rec @ zero_state(c.n_qubits)
     return expectation_of_state(psi, obs, c.n_qubits)
@@ -59,7 +61,7 @@ def paper_expectation_formula(
 ) -> tuple[float, float]:
     """Closed-form value |G|^2 <psi0|O|psi0> sum_i |chi_i(U)|^2 / d_i^2 and
     its absolute deviation from the state-vector oracle."""
-    _, g = _group_element_for(c, group)
+    _, g = circuit_element(c, group)
     chars = table.values[:, group.class_of[g]]
     degrees = table.degrees.astype(np.float64)
     total = float(np.sum(np.abs(chars) ** 2 / degrees ** 2))

@@ -17,7 +17,7 @@ class MeasurementHistogram:
     def __post_init__(self):
         total = sum(self.counts.values())
         if total != self.shots:
-            raise ValueError(f"counts sum {total} != shots {self.shots}")
+            raise InvalidSpec(f"counts sum {total} != shots {self.shots}")
 
     def probabilities(self) -> dict[str, float]:
         return {k: v / self.shots for k, v in self.counts.items()}

@@ -33,14 +33,18 @@ def zero_state(n: int) -> np.ndarray:
 def run_gates(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Evolve the measure-free body from |0...0> or a copy of `initial`, one state
     or a (2^n, B) block of column states; the trailing measure suffix is ignored.
-    A non-finite entry raises InvalidSpec, and so does a malformed gate list."""
+    A non-numeric, ragged or non-finite `initial` raises InvalidSpec, and so does
+    a malformed gate list."""
     check_gates(c)
     if c.n_qubits > SV_MAX_QUBITS:
         raise TooWide(f"{c.n_qubits} qubits exceed the state-vector limit {SV_MAX_QUBITS}")
     body, _ = c.body_and_suffix()
     if initial is None:
         return apply_gates(None, body, c.n_qubits)
-    psi = np.array(initial, dtype=complex, order="C")
+    try:
+        psi = np.array(initial, dtype=complex, order="C")
+    except (TypeError, ValueError) as e:
+        raise InvalidSpec(f"initial state must be an array of numbers ({e})") from None
     if psi.ndim not in (1, 2) or psi.shape[0] != 1 << c.n_qubits:
         raise DimensionMismatch(f"initial state of shape {psi.shape} is not (2^{c.n_qubits},) "
                                 f"or (2^{c.n_qubits}, B)")
@@ -81,9 +85,9 @@ def sv_run(
     circuit has no measure suffix)."""
     check_shots(shots)
     check_seed(seed)
-    if initial is not None and np.shape(initial) != (1 << c.n_qubits,):
-        raise DimensionMismatch(f"sv_run needs one (2^{c.n_qubits},) state, got {np.shape(initial)}")
     psi = run_gates(c, initial)
+    if psi.ndim != 1:
+        raise DimensionMismatch(f"sv_run needs one (2^{c.n_qubits},) state, got {psi.shape}")
     measured = c.measured_qubits()
     probs = marginal_probabilities(psi, measured, c.n_qubits)
     return sample_histogram(probs, len(measured), shots, np.random.default_rng(seed))
@@ -92,15 +96,10 @@ def sv_run(
 def expectation_of_state(psi: np.ndarray, obs: Observable, n: int) -> float | np.ndarray:
     """<psi|O|psi> of one state; of a (2^n, B) block, the array of the B
     column values. `psi` is not changed."""
-    if obs.pauli is not None:
-        if len(obs.pauli) != n:
-            raise DimensionMismatch(f"pauli string length {len(obs.pauli)} != {n} qubits")
-        phi = apply_gates(np.ascontiguousarray(psi, dtype=complex), [  # x, y and z write only the frame
-            GateInstance(obs.letter_for(q).lower(), (q,)) for q in range(n) if obs.letter_for(q) != "I"], n)
-    else:
-        if obs.matrix.shape[0] != psi.shape[0]:
-            raise DimensionMismatch("observable dimension does not match the state")
-        phi = obs.matrix @ psi
+    if len(obs.pauli) != n:
+        raise DimensionMismatch(f"pauli string length {len(obs.pauli)} != {n} qubits")
+    phi = apply_gates(np.ascontiguousarray(psi, dtype=complex), [  # x, y and z write only the frame
+        GateInstance(obs.letter_for(q).lower(), (q,)) for q in range(n) if obs.letter_for(q) != "I"], n)
     a, b = psi.reshape(psi.shape[0], -1), phi.reshape(phi.shape[0], -1)
     vals = obs.coeff * np.array([np.vdot(a[:, j], b[:, j]) for j in range(a.shape[1])])
     if np.max(np.abs(vals.imag)) > 1e-9:

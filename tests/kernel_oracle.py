@@ -4,8 +4,10 @@
 one BLAS call. The library's kernel (`circuits.apply_matrix`) moves slices and
 runs a butterfly instead. `apply_frame_per_qubit` applies the Pauli frame with
 one kernel call per qubit, where the library makes one pass
-(`circuits._apply_frame`), and `marginal_by_bits` builds the outcome index of a
-marginal bit by bit, where the library broadcasts it.
+(`circuits._apply_frame`), `marginal_by_bits` builds the outcome index of a
+marginal bit by bit, where the library broadcasts it, and `pauli_dense` builds
+an observable's matrix by Kronecker products, where the library applies its
+letters as gates.
 """
 
 import numpy as np
@@ -70,6 +72,15 @@ def marginal_by_bits(psi: np.ndarray, measured: list[int]) -> np.ndarray:
         out_idx |= ((idx >> q) & 1) << j
     marg = np.bincount(out_idx, weights=probs, minlength=1 << len(measured))
     return marg / marg.sum()
+
+
+def pauli_dense(obs) -> np.ndarray:
+    """The 2^n x 2^n matrix of a weighted Pauli string, leftmost letter first
+    in the Kronecker product, so the rightmost acts on qubit 0."""
+    m = np.array([[obs.coeff]], dtype=complex)
+    for ch in obs.pauli:
+        m = np.kron(m, np.eye(2) if ch == "I" else _BASE_1Q[ch.lower()])
+    return m
 
 
 def signed_zero_block(n: int, b: int, seed: int) -> np.ndarray:

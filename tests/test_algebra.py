@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from charforge.algebra import (AlgebraElement, characters_of,
-                               check_decomposability, convolve,
+from charforge.algebra import (AlgebraElement, characters_of, convolve,
                                decompose_element, delta, random_element,
                                statement_formula_residual, to_matrix)
 from charforge.characters import central_idempotents, isotypic_projectors
-from charforge.circuits import embed_gate
 from charforge.errors import GroupMismatch, InvalidSpec
-from charforge.fixtures import H, X, Z
-from charforge.groups import ClosureConfig, element_of
-
-CX = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
-T = np.diag([1, np.exp(1j * np.pi / 4)])
+from charforge.fixtures import X, Z
+from charforge.groups import element_of
 
 
 def brute_force_convolution(g, a, b):
@@ -182,30 +177,3 @@ def test_statement_residual_hand_values(groups, tables):
     x = element_of(g4, X)
     assert statement_formula_residual(delta(g4, x), t4, es4) > 0.1
 
-
-def test_check_decomposability_clifford_gate_set():
-    # two-qubit hidden-string gate set {h0, h1, x1, cx01}: finite closure
-    gens = [embed_gate(H, (0,), 2), embed_gate(H, (1,), 2),
-            embed_gate(X, (1,), 2), embed_gate(CX, (0, 1), 2)]
-    u = gens[0] @ gens[3] @ gens[0]
-    rep = check_decomposability(u, gens, ClosureConfig(max_order=5000))
-    assert rep.condition1_finite_group
-    assert rep.condition1_detail == "order 2304"
-    assert rep.verdict
-    assert rep.condition2_orthogonality_residual <= 1e-8
-    assert rep.condition3_reconstruction_residual <= 1e-8
-
-
-def test_check_decomposability_h_t_fails_condition_one():
-    rep = check_decomposability(np.eye(2, dtype=complex), [H, T],
-                                ClosureConfig(max_order=20000))
-    assert not rep.condition1_finite_group
-    assert not rep.verdict
-    assert rep.condition2_orthogonality_residual is None
-
-
-def test_check_decomposability_identity_over_x():
-    rep = check_decomposability(np.eye(2, dtype=complex), [X], ClosureConfig())
-    assert rep.verdict
-    assert rep.condition2_orthogonality_residual == 0.0
-    assert rep.condition3_reconstruction_residual == 0.0

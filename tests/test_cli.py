@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from charforge import characters
+from charforge import characters, expectation
 from charforge.circuits import circuit_unitary, parse_circuit
 from charforge.cli import main
 
@@ -42,17 +42,44 @@ def test_chartab_csv():
     assert len(lines) == 3
 
 
-def test_decompose_report_fields(tmp_path):
-    p = tmp_path / "xz.circ"
-    p.write_text("qubits 1\nx 0\nz 0\n")
+# (circuit, k, bound on both residuals): the closure of x and z; the
+# two-qubit hidden-string gate set {h0, h1, x1, cx01} of order 2304; the
+# identity over <X>, whose split is exact
+@pytest.mark.parametrize("text, k, bound", [
+    ("qubits 1\nx 0\nz 0\n", 5, 1e-8),
+    ("qubits 2\nh 0\ncx 0 1\nh 0\nh 1\nx 1\n", 29, 1e-8),
+    ("qubits 1\nx 0\nx 0\n", 2, 0.0),
+], ids=["xz", "h0-h1-x1-cx01", "identity-over-x"])
+def test_decompose_report_fields(tmp_path, text, k, bound):
+    p = tmp_path / "in.circ"
+    p.write_text(text)
     out = tmp_path / "rep.json"
     r = charforge("decompose", "--in", str(p), "--out", str(out))
     assert r.returncode == 0
     d = json.loads(out.read_text())
     assert set(d) == {"k", "reconstruction_residual", "matrix_residual",
                       "component_norms", "statement_formula_residual"}
-    assert d["k"] == 5
-    assert d["reconstruction_residual"] <= 1e-8
+    assert d["k"] == k
+    assert d["reconstruction_residual"] <= bound and d["matrix_residual"] <= bound
+
+
+def test_decompose_exits_2_when_the_unitary_is_not_in_its_group(monkeypatch, tmp_path, capsys):
+    p = tmp_path / "xz.circ"
+    p.write_text("qubits 1\nx 0\nz 0\n")
+    monkeypatch.setattr(expectation, "element_of", lambda group, u: None)
+    assert main(["decompose", "--in", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "charforge decompose: circuit unitary of xz is not an element of the group" in err
+
+
+def test_decompose_exits_2_when_the_gate_set_exceeds_the_order_cap(tmp_path, capsys):
+    # {h, t} generates an infinite group, so there is no finite group to decompose over
+    p = tmp_path / "ht.circ"
+    p.write_text("qubits 1\nh 0\nt 0\n")
+    out = tmp_path / "rep.json"
+    assert main(["decompose", "--in", str(p), "--max-order", "500", "--out", str(out)]) == 2
+    assert "charforge decompose: closure passed max_order=500" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_optimize_writes_circuit_and_report(tmp_path):
@@ -134,6 +161,20 @@ def test_cost_output():
                   "--order", "4", "--dmax", "1")
     assert r.returncode == 0
     assert r.stdout.splitlines()[0] == "1340"
+
+
+def test_cost_takes_the_symmetric_case_directly(capsys):
+    # symmetric is never detected from a group; the caller names it with --case
+    assert main(["cost", "--case", "symmetric", "--k", "2", "--m", "3", "--n", "2",
+                 "--order", "6", "--dmax", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "368"
+
+
+def test_cost_rejects_an_unknown_case_as_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cost", "--case", "cyclic", "--k", "1", "--m", "1", "--order", "1", "--dmax", "1"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'cyclic'" in capsys.readouterr().err
 
 
 def test_bench_emits_files(tmp_path):

@@ -6,10 +6,10 @@ import pytest
 from charforge.characters import character_table, isotypic_projectors
 from charforge.circuits import Circuit, gate, parse_circuit
 from charforge.errors import ElementNotInGroup, GroupMismatch, InvalidSpec
-from charforge.expectation import (decomp_expectation, degree_square_sum,
-                                   paper_expectation_formula)
-from charforge.fixtures import H
-from charforge.groups import close_group
+from charforge.expectation import (circuit_element, decomp_expectation,
+                                   degree_square_sum, paper_expectation_formula)
+from charforge.fixtures import H, X
+from charforge.groups import close_group, element_of
 from charforge.observables import Observable, random_pauli, z_on_qubit
 from charforge.statevector import sv_expectation
 
@@ -39,6 +39,10 @@ def test_element_not_in_group(groups, tables):
     projs = isotypic_projectors(g, t)
     with pytest.raises(ElementNotInGroup):
         decomp_expectation(parse_circuit("qubits 1\nh 0\n"), z_on_qubit(0, 1), g, projs)
+    with pytest.raises(ElementNotInGroup, match="circuit unitary of hx is not an element of the group"):
+        circuit_element(parse_circuit("qubits 1\nh 0\nmeasure 0\n", name="hx"), g)
+    u, x = circuit_element(parse_circuit("qubits 1\nx 0\nmeasure 0\n"), g)
+    assert x == element_of(g, X) and np.array_equal(u, X)
 
 
 def test_projectors_of_another_group_are_rejected(groups, tables):
@@ -107,22 +111,6 @@ def test_character_multiplicativity_both_directions(groups, tables):
 def test_from_pauli_rejects_bad_letters_and_coefficients(letters, coeff, match):
     with pytest.raises(InvalidSpec, match=f"^{re.escape(match)}$"):
         Observable.from_pauli(letters, coeff=coeff)
-
-
-@pytest.mark.parametrize("m, match", [
-    (np.array([[np.nan, 0], [0, 1]]), "observable matrix must be square, nonempty and finite"),
-    ([[1, 0], [0, np.inf]], "observable matrix must be square, nonempty and finite"),
-    ([[None, 0], [0, 1]], "observable matrix must be square, nonempty and finite"),
-    (np.eye(2)[:, :1], "observable matrix must be square, nonempty and finite"),
-    ([1.0, 0.0], "observable matrix must be square, nonempty and finite"),
-    (np.zeros((0, 0)), "observable matrix must be square, nonempty and finite"),
-    ([["a", 0], [0, 1]], "observable matrix must be numeric"),
-    ([[1, 0], [0]], "observable matrix must be numeric"),
-    ({"a": 1}, "observable matrix must be numeric"),
-])
-def test_from_matrix_rejects_a_matrix_that_is_not_square_numeric_and_finite(m, match):
-    with pytest.raises(InvalidSpec, match=match):
-        Observable.from_matrix(m)
 
 
 def test_from_pauli_takes_either_case_and_a_numpy_real():

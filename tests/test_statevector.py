@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from charforge.circuits import (GATE_ARITY, Circuit, apply_matrix, build_bv, build_qft,
                                 build_vqe, circuit_unitary, gate, gate_matrix,
                                 parse_circuit, random_clifford_circuit)
-from charforge.errors import (DimensionMismatch, InvalidSpec, NotHermitian,
-                              TooWide)
+from charforge.errors import DimensionMismatch, InvalidSpec, TooWide
+from charforge.histogram import MeasurementHistogram
 from charforge.observables import Observable, random_pauli, z_on_qubit
 from charforge.statevector import (expectation_of_state, marginal_probabilities,
                                    run_gates, sample_histogram, sv_expectation,
                                    sv_run, time_gate_loop)
-from kernel_oracle import apply_dense, marginal_by_bits, signed_zero_block
+from kernel_oracle import apply_dense, marginal_by_bits, pauli_dense, signed_zero_block
 
 
 def test_h_measure_within_three_sigma():
@@ -65,16 +65,8 @@ def test_expectation_matches_dense_oracle():
         obs = random_pauli(3, rng)
         u = circuit_unitary(c)
         psi = u[:, 0]
-        dense = obs.dense()
-        oracle = float(np.vdot(psi, dense @ psi).real)
+        oracle = float(np.vdot(psi, pauli_dense(obs) @ psi).real)
         assert abs(sv_expectation(c, obs) - oracle) <= 1e-9
-
-
-def test_matrix_observable_and_hermiticity():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert sv_expectation(parse_circuit("qubits 1\nh 0\n"), Observable.from_matrix(m)) == pytest.approx(1.0)
-    with pytest.raises(NotHermitian):
-        Observable.from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_norm_preserved_along_evolution():
@@ -132,11 +124,37 @@ def test_sv_expectation_rejects_a_non_finite_state_without_a_warning():
                            initial=np.array([np.nan, 0]))
 
 
-@pytest.mark.parametrize("obs", [Observable.from_pauli("X"), Observable.from_matrix(np.eye(2))],
-                         ids=["pauli", "matrix"])
-def test_sv_expectation_rejects_an_observable_of_the_wrong_width(obs):
-    with pytest.raises(DimensionMismatch):
-        sv_expectation(parse_circuit("qubits 2\n"), obs)
+@pytest.mark.parametrize("letters", ["X", "XZY"], ids=["pauli", "pauli-too-long"])
+def test_sv_expectation_rejects_an_observable_of_the_wrong_width(letters):
+    with pytest.raises(DimensionMismatch, match=f"pauli string length {len(letters)} != 2 qubits"):
+        sv_expectation(parse_circuit("qubits 2\n"), Observable.from_pauli(letters))
+
+
+NOT_NUMBERS = [["a", 0], [[1, 0], [0]], {"a": 1}]
+NOT_NUMBERS_IDS = ["non-numeric", "ragged", "dict"]
+
+
+@pytest.mark.parametrize("initial", NOT_NUMBERS, ids=NOT_NUMBERS_IDS)
+def test_run_gates_rejects_an_initial_that_is_not_numbers(initial):
+    with pytest.raises(InvalidSpec, match="initial state must be an array of numbers"):
+        run_gates(parse_circuit("qubits 1\nh 0\n"), initial)
+
+
+@pytest.mark.parametrize("initial", NOT_NUMBERS, ids=NOT_NUMBERS_IDS)
+def test_sv_run_rejects_an_initial_that_is_not_numbers(initial):
+    with pytest.raises(InvalidSpec, match="initial state must be an array of numbers"):
+        sv_run(parse_circuit("qubits 1\nh 0\n"), shots=10, seed=0, initial=initial)
+
+
+@pytest.mark.parametrize("initial", NOT_NUMBERS, ids=NOT_NUMBERS_IDS)
+def test_sv_expectation_rejects_an_initial_that_is_not_numbers(initial):
+    with pytest.raises(InvalidSpec, match="initial state must be an array of numbers"):
+        sv_expectation(parse_circuit("qubits 1\nh 0\n"), z_on_qubit(0, 1), initial=initial)
+
+
+def test_histogram_counts_must_sum_to_shots():
+    with pytest.raises(InvalidSpec, match="counts sum 2 != shots 3"):
+        MeasurementHistogram(shots=3, counts={"0": 2})
 
 
 def _block(n, b, seed):
