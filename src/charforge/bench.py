@@ -90,7 +90,7 @@ def _cost_for(report, circuit: Circuit, opt_cfg: OptimizeConfig) -> float | None
     body, cache = circuit.body_and_suffix()[0], {}
     closed = [s for s in report.segments if s.group_order is not None]
     for seg in sorted(closed, key=lambda s: -s.group_order):
-        group = _try_close(list(body[seg.start:seg.end]), opt_cfg, cache).group
+        group = _try_close(list(body[seg.start:seg.end]), opt_cfg, cache, whole=True).group
         k = len(group.classes)
         if k <= COST_MAX_CLASSES:
             break

@@ -19,12 +19,18 @@ no Cayley table, inverses or classes are built. Every closure takes its
 generators from circuits.gate_generators. A segment grown by one gate extends
 the closure H of the segment without it when H's templates lead the new ones;
 close_group's count of H's cosets, or Lagrange when the gate adds qubits,
-refutes most over-cap groups before any BFS.
+refutes most over-cap groups before any BFS. In phase-insensitive mode a
+segment whose gates fall into parts that share no qubit is closed part by
+part: its order, the product of the parts' orders over their scalars times
+the lcm of their scalar counts, is held to the whole segment's cap, and its
+word is merged from the parts' words. Phase-sensitive mode closes it whole,
+as each part would need a word for each scalar multiple.
 Elements are renumbered; the groups, segments and words are not.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -63,6 +69,10 @@ class OptimizeConfig:
 
     def __post_init__(self):
         ClosureConfig(max_order=self.max_order)  # the closure's rule for max_order
+        for name in ("phase_insensitive", "run_equivalence"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidSpec(f"{name} must be a bool, got {getattr(self, name)!r}")
+        check_seed(self.equiv_seed)
 
 
 @dataclass
@@ -88,15 +98,16 @@ class WordTable:
         return tuple(reversed(out))
 
 
-def build_word_table(group: FiniteMatrixGroup) -> WordTable:
-    # close_group found every element along `right`, so the BFS reaches them all
-    n, k = group.right.shape
+def build_word_table(group: FiniteMatrixGroup, order: list[int] | None = None) -> WordTable:
+    # close_group found every element along `right` (in any `order`), so the BFS reaches them all
+    right = group.right if order is None else group.right[:, order]
+    n, k = right.shape
     parent, parent_slot, dist = (np.full(n, -1, dtype=np.int64) for _ in range(3))
     dist[0] = 0
     # BFS by levels; a level's queue order is the (element, slot) order of first meeting
     frontier = np.zeros(1, dtype=np.int64)
     while len(frontier):
-        nxt = group.right[frontier].ravel()
+        nxt = right[frontier].ravel()
         fresh = np.flatnonzero(dist[nxt] < 0)
         first = fresh[np.sort(np.unique(nxt[fresh], return_index=True)[1])]
         dist[nxt[first]] = dist[frontier[0]] + 1
@@ -138,6 +149,16 @@ class _Closure:
         mats = self.group.mats
         found = self.group._lookup.find(mats[self.scalars, :1, :1] * mats[product])[0]
         return found[found >= 0]
+
+
+@dataclass
+class _Product:
+    """Gates in parts that share no qubit, as the parts' closures and the whole set's slots."""
+
+    order: int  # |G_1 ... G_m|: the parts commute, their common scalars counted once
+    templates: list[GateInstance]
+    template_of_key: dict[tuple, int]
+    parts: dict[tuple[int, ...], _Closure]  # by the part's qubit support
 
 
 @dataclass
@@ -225,7 +246,7 @@ def _outside(gates: list[GateInstance]) -> bool:
 
 def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -> FiniteMatrixGroup:
     """base.group, the closure of gates[:-1], embedded over `support` with one find."""
-    h, old = base.group, sorted({q for g in gates[:-1] for q in g.qubits})
+    h, old = base.group, _support(gates[:-1])
     if len(old) == len(support):
         return h
     lookup = ElementLookup(1 << len(support), h.tol)
@@ -233,29 +254,60 @@ def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -
     return replace(h, dim=1 << len(support), mats=lookup.mats[:h.order], _lookup=lookup)
 
 
+def _support(gates: list[GateInstance]) -> tuple[int, ...]:
+    return tuple(sorted({q for g in gates for q in g.qubits}))
+
+
+def _parts(gates: list[GateInstance]) -> list[list[GateInstance]]:
+    """`gates` split into parts that share no qubit, each in gate order."""
+    part_of: dict[int, set[int]] = {}  # qubit -> the qubits of its part
+    for g in gates:
+        joined = set(g.qubits).union(*(part_of.get(q, ()) for q in g.qubits))
+        part_of.update(dict.fromkeys(joined, joined))
+    parts = {min(p): p for p in part_of.values()}.values()
+    return [[g for g in gates if g.qubits[0] in p] for p in parts]
+
+
 def _try_close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
-               base: _Closure | None = None) -> _Closure | None:
+               base: _Closure | _Product | None = None, whole: bool = False) -> _Closure | _Product | None:
     """The closure of `gates`, or None past the caps or at a key collision;
     the generators come from gate_generators, merged within CLOSURE_TOL as
     elements are. When the templates of `base`, the closure H of gates[:-1],
     lead those of `gates`, close_group extends H, counting its cosets first;
     otherwise the closure starts fresh. A gate on new qubits outside H gives
-    2|H| or more elements (Lagrange): past the cap if 2|H| is, so H is not embedded."""
-    support = tuple(sorted({q for g in gates for q in g.qubits}))
-    cache_key = (support, tuple(sorted({g.key() for g in gates}, key=repr)))
+    2|H| or more elements (Lagrange): past the cap if 2|H| is, so H is not embedded.
+    Phase insensitive and not `whole`, parts that share no qubit give a _Product of their
+    closures, cached apart from segments' entries, whose templates set their words' ties."""
+    cache_key = (_support(gates), tuple(sorted({g.key() for g in gates}, key=repr)))
+    if whole and cache_key in cache and not isinstance(cache[cache_key], _Product):
+        return cache[cache_key]
+    support, cache_key = cache_key[0], cache_key + ("whole",) * whole
     if cache_key in cache:
         return cache[cache_key]
+    parts = [gates] if whole or not cfg.phase_insensitive else _parts(gates)
 
-    result: _Closure | None = None
+    result: _Closure | _Product | None = None
     try:
         mats, slots = gate_generators(gates, support, CLOSURE_TOL)
         templates = [gates[slots.index(s)] for s in range(len(mats))]
+        template_of_key = {g.key(): s for g, s in zip(gates, slots)}
         cap = _effective_cap(1 << len(support), len(mats), cfg)
-        if cap >= 2 and not (base is not None and 2 * base.group.order > cap and _outside(gates)):
-            leads = base is not None and templates[:len(base.templates)] == base.templates
-            seed = _seed(base, gates, support) if leads else None
-            group = close_group(mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL), seed)
-            result = _Closure(group, templates, {g.key(): s for g, s in zip(gates, slots)})
+        if cap >= 2 and len(parts) > 1:  # base, for gates[:-1], holds the new gate's part without it
+            closed = {_support(p): _try_close(p, cfg, cache, base if p[-1] is gates[-1] and len(p) > 1 else None,
+                                              whole=True) for p in parts}
+            if None not in closed.values():  # a part past its own cap, at least this one, puts the whole past it
+                # up to scalars the product is direct; its scalars, cyclic like the parts', number lcm(s_i)
+                sizes = [(c.group.order, len(c.scalars)) for c in closed.values()]
+                order = math.lcm(*(s for _, s in sizes)) * math.prod(n // s for n, s in sizes)
+                result = _Product(order, templates, template_of_key, closed) if order <= cap else None
+        elif cap >= 2:
+            if isinstance(base, _Product):  # extend the whole closure of gates[:-1]: a part or a join of parts
+                base = _try_close(gates[:-1], cfg, cache, whole=True)
+            if not (base is not None and 2 * base.group.order > cap and _outside(gates)):
+                leads = base is not None and templates[:len(base.templates)] == base.templates
+                seed = _seed(base, gates, support) if leads else None
+                group = close_group(mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL), seed)
+                result = _Closure(group, templates, template_of_key)
     except (OrderCapExceeded, KeyCollision):
         # a key collision means the generators or their products are not
         # tolerance-separated, which only happens for dense (non-finite) sets
@@ -292,21 +344,36 @@ def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig, cache: d
     return out
 
 
-def _rewrite_segment(gates: list[GateInstance], closure: _Closure,
-                     cfg: OptimizeConfig, record: SegmentRecord) -> list[GateInstance]:
-    record.group_order = closure.group.order
+def _shortest_word(gates: list[GateInstance], closure: _Closure, cfg: OptimizeConfig,
+                   wt: WordTable) -> tuple[int, ...]:
+    """The smallest of wt's shortest words for the product of `gates`, or in
+    phase-insensitive mode for any element equal to it up to a global phase."""
     # gates apply left to right: the product g_m ... g_1 is a right walk in reverse
-    right = closure.group.right
-    product = 0
+    right, product = closure.group.right, 0
     for g in reversed(gates):
         product = int(right[product, closure.template_of_key[g.key()]])
 
-    wt = closure.words
-    candidates = [product]
-    if cfg.phase_insensitive:  # every element equal to the product up to a global phase
-        candidates = closure.phase_equal(product).tolist()
+    candidates = closure.phase_equal(product).tolist() if cfg.phase_insensitive else [product]
     best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
-    word = wt.word(best)
+    return wt.word(best)
+
+
+def _rewrite_segment(gates: list[GateInstance], closure: _Closure | _Product,
+                     cfg: OptimizeConfig, record: SegmentRecord) -> list[GateInstance]:
+    if isinstance(closure, _Product):
+        record.group_order = closure.order
+        words = []
+        for part in _parts(gates):  # these gates: a cached product may come from another order
+            c = closure.parts[_support(part)]
+            slots = [closure.template_of_key[t.key()] for t in c.templates]  # the segment's
+            order = sorted(range(len(slots)), key=slots.__getitem__)
+            wt = c.words if order == sorted(order) else build_word_table(c.group, order)
+            words.append([slots[order[s]] for s in _shortest_word(part, c, cfg, wt)])
+        # the parts' slots are disjoint, so the smallest interleaving takes the smaller head
+        word = tuple(heapq.merge(*words))
+    else:
+        record.group_order = closure.group.order
+        word = _shortest_word(gates, closure, cfg, closure.words)
 
     if len(word) < len(gates):
         record.status = "rewritten"
@@ -322,10 +389,8 @@ def _run_passes(body: tuple[GateInstance, ...], cfg: OptimizeConfig,
     records: list[SegmentRecord] = []
     stats = {"rewritten": 0, "dropped": 0}
     for start, end, gates, closure in _scan_segments(body, cfg, cache):
-        record = SegmentRecord(
-            start=start, end=end,
-            support=tuple(sorted({q for g in gates for q in g.qubits})),
-            status="skipped-cap", gates_before=len(gates), gates_after=len(gates))
+        record = SegmentRecord(start=start, end=end, support=_support(gates), status="skipped-cap",
+                               gates_before=len(gates), gates_after=len(gates))
         if closure is None:
             record.detail = "closure exceeded the order/work caps"
             new_gates = list(gates)

@@ -19,8 +19,9 @@ from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.groups import ClosureConfig, ElementLookup, close_group, element_of
 from charforge.histogram import tv_distance
-from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, _Closure, _effective_cap,
-                                _try_close, build_word_table, equivalence_check, optimize)
+from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, SegmentRecord, _Closure, _effective_cap,
+                                _parts, _Product, _rewrite_segment, _try_close, build_word_table,
+                                equivalence_check, optimize)
 from charforge.statevector import sample_histogram
 from phase_oracle import equal_up_to_phase, phase_canonical
 
@@ -329,20 +330,23 @@ def test_optimize_computes_no_character_table(monkeypatch, n, marked):
 
 
 # (rows, close_group calls, closures that reach the BFS and fail, refutations
-# before any BFS: (by the coset count, by Lagrange on new qubits)) on the
-# bench rows at seed 0. Before the coset count the bv-5 and vqe-6 triples
-# (calls, failures, Lagrange refutations) were (16, 0, 2) and (23, 1, 3), and
-# without any refutation the calls were 18 and 26 and the failures 2 and 4
+# before any BFS: (by the coset count, by Lagrange on new qubits, split
+# segments refused by their parts or their product order)) on the bench rows at
+# seed 0. Before segments were closed part by part the three were (16, 0,
+# (0, 2)), (25, 0, (3, 1)) and (190, 3, (33, 0)); before the coset count the
+# bv-5 and vqe-6 triples (calls, failures, Lagrange refutations) were (16, 0, 2)
+# and (23, 1, 3), and without any refutation the calls were 18 and 26 and the
+# failures 2 and 4
 @pytest.mark.parametrize("rows, calls, failures, refuted", [
-    pytest.param([("bv", 5)], 16, 0, (0, 2), id="bv-5"),
-    pytest.param([("vqe", 6)], 25, 0, (3, 1), id="vqe-6"),
+    pytest.param([("bv", 5)], 15, 0, (0, 0, 2), id="bv-5"),
+    pytest.param([("vqe", 6)], 20, 0, (0, 1, 3), id="vqe-6"),
     pytest.param(list(itertools.product(("bv", "qft", "grover", "vqe"), range(2, 5))),
-                 190, 3, (33, 0), id="n2-4"),
+                 186, 4, (25, 0, 15), id="n2-4"),
 ])
 def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
     log = _recording_close_group(monkeypatch)
-    outside_refuted = []
-    outside = optimize_module._outside
+    outside_refuted, split_refused = [], {}
+    outside, try_close = optimize_module._outside, optimize_module._try_close
 
     def recording_outside(gates):
         result = outside(gates)
@@ -350,14 +354,21 @@ def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
             outside_refuted.append(list(gates))
         return result
 
+    def recording_try_close(gates, cfg, cache, base=None, whole=False):
+        result = try_close(gates, cfg, cache, base, whole)
+        if result is None and not whole and len(_parts(gates)) > 1:
+            split_refused.setdefault((frozenset(g.key() for g in gates), id(cache)), list(gates))
+        return result
+
     monkeypatch.setattr(optimize_module, "_outside", recording_outside)
+    monkeypatch.setattr(optimize_module, "_try_close", recording_try_close)
     for suite, n in rows:
         optimize(build_benchmark(_spec_for(suite, n, 0)), FAST)
-    assert (log["calls"], log["failures"], (len(log["refuted"]), len(outside_refuted))) == (
-        calls, failures, refuted)
+    assert (log["calls"], log["failures"],
+            (len(log["refuted"]), len(outside_refuted), len(split_refused))) == (calls, failures, refuted)
     # oracle: closing each refuted candidate from the identity at its cap fails
     cases = [args[:2] for args in log["refuted"]]
-    for gates in outside_refuted:
+    for gates in outside_refuted + list(split_refused.values()):
         support = tuple(sorted({q for g in gates for q in g.qubits}))
         mats, _ = gate_generators(gates, support, CLOSURE_TOL)
         cap = _effective_cap(1 << len(support), len(mats), FAST)
@@ -395,6 +406,97 @@ def test_a_base_that_leads_keeps_the_fresh_templates():
     grown = _try_close([h0, s0, x0], FAST, {}, base)
     assert grown.templates == fresh.templates == [h0, s0, x0]
     assert grown.template_of_key == fresh.template_of_key
+
+
+# -- qubit-disjoint parts ------------------------------------------------------
+
+def _rewritten_by_both(gates, product):
+    """The rewrite of `gates` by a product of parts and by the whole closure
+    with the product's templates, and the two records."""
+    whole = _try_close(product.templates + list(gates), FAST, {}, whole=True)
+    assert whole.templates == product.templates
+    out = []
+    for closure in (product, whole):
+        record = SegmentRecord(0, len(gates), (), "skipped-cap", len(gates), len(gates))
+        out.append((_rewrite_segment(list(gates), closure, FAST, record), record))
+    return out
+
+
+def test_split_bench_segments_match_their_whole_closures(monkeypatch):
+    seen = {}
+    rewrite = optimize_module._rewrite_segment
+
+    def recording(gates, closure, cfg, record):
+        if isinstance(closure, _Product):
+            seen.setdefault(tuple(gates), closure)
+        return rewrite(gates, closure, cfg, record)
+
+    monkeypatch.setattr(optimize_module, "_rewrite_segment", recording)
+    for suite, n in itertools.product(("bv", "qft", "grover", "vqe"), range(2, 7)):
+        optimize(build_benchmark(_spec_for(suite, n, 0)), FAST)
+    assert len(seen) > 20
+    for gates, product in seen.items():
+        (split, split_rec), (whole, whole_rec) = _rewritten_by_both(gates, product)
+        assert split == whole
+        assert (split_rec.status, split_rec.group_order) == (whole_rec.status, whole_rec.group_order)
+
+
+@st.composite
+def _disjoint_blocks(draw):
+    """Interleaved gates on two or three blocks of one or two qubits, which share no qubit."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3).filter(lambda s: sum(s) <= 4))
+    blocks = [list(range(sum(sizes[:i]), sum(sizes[:i + 1]))) for i in range(len(sizes))]
+    gates = []
+    for block in draw(st.lists(st.sampled_from(blocks), min_size=2, max_size=10)):
+        kind = draw(st.sampled_from(sorted(k for k, a in GATE_ARITY.items() if k != "measure" and a <= len(block))))
+        angle = draw(st.sampled_from([0.0, math.pi / 2, math.pi])) if kind == "cp" else None
+        gates.append(gate(kind, *draw(st.permutations(block))[:GATE_ARITY[kind]], angle=angle))
+    return gates
+
+
+@settings(max_examples=40, deadline=None)
+@given(_disjoint_blocks(), st.booleans())
+def test_split_closures_match_whole_closures(gates, parts_cached_reversed):
+    cache = {}
+    if parts_cached_reversed:  # part closures whose slots run against the segment's
+        for part in _parts(gates):
+            _try_close(part[::-1], FAST, cache, whole=True)
+    product = _try_close(gates, FAST, cache)
+    whole = _try_close(gates, FAST, {}, whole=True)
+    assert (product is None) == (whole is None)
+    if isinstance(product, _Product):
+        assert product.order == whole.group.order
+        (split, split_rec), (whole_gates, whole_rec) = _rewritten_by_both(gates, product)
+        assert split == whole_gates and split_rec.status == whole_rec.status
+
+
+def test_a_part_cached_with_its_slots_reversed_keeps_the_ties_of_the_segment():
+    # (x z)^3 = -x z: its shortest words up to phase are x z and z x, and the
+    # segment's first-seen order x0 < z0 picks x z though the part was cached as z0 < x0
+    x0, z0, h1 = gate("x", 0), gate("z", 0), gate("h", 1)
+    gates = [x0, z0, x0, z0, x0, z0, h1]
+    cache = {}
+    assert _try_close([z0, x0], FAST, cache, whole=True).templates == [z0, x0]
+    product = _try_close(gates, FAST, cache)
+    assert product.templates == [x0, z0, h1]
+    (split, _), (whole, _) = _rewritten_by_both(gates, product)
+    assert split == whole == [h1, z0, x0]
+
+
+@pytest.mark.parametrize("text, segments", [
+    # both cp(0) are the identity: one generator over the whole support, two in the parts
+    ("qubits 4\ncp(0) 0 1\ncp(0) 2 3\n", [("rewritten", 1)]),
+    # the embedded matrices are 4e-8 apart, between CLOSURE_TOL and 8 * CLOSURE_TOL
+    ("qubits 4\ncp(4e-8) 0 1\ncp(0) 2 3\n", [("skipped-cap", None), ("rewritten", 1)]),
+])
+def test_split_edge_cases_match_the_whole_path(monkeypatch, text, segments):
+    c = parse_circuit(text)
+    split_out, split = optimize(c, FAST)
+    monkeypatch.setattr(optimize_module, "_parts", lambda gates: [gates])
+    whole_out, whole = optimize(c, FAST)
+    assert split_out.gates == whole_out.gates
+    assert [(s.status, s.group_order) for s in split.segments] == [
+        (s.status, s.group_order) for s in whole.segments] == segments
 
 
 def test_report_json_shape():
@@ -477,6 +579,25 @@ def test_equivalence_rejects_bad_seed_and_non_integer_shots(shots, seed):
 def test_optimize_config_rejects_a_bad_max_order(max_order):
     with pytest.raises(InvalidSpec, match="max_order"):
         OptimizeConfig(max_order=max_order)
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_optimize_config_rejects_a_non_bool_phase_insensitive(value):
+    with pytest.raises(InvalidSpec, match="phase_insensitive"):
+        OptimizeConfig(phase_insensitive=value)
+
+
+@pytest.mark.parametrize("value", ["yes", 0, None])
+def test_optimize_config_rejects_a_non_bool_run_equivalence(value):
+    with pytest.raises(InvalidSpec, match="run_equivalence"):
+        OptimizeConfig(run_equivalence=value)
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, "97"])
+def test_optimize_config_rejects_a_bad_equiv_seed(value):
+    # before any closure, and also when no equivalence check would run
+    with pytest.raises(InvalidSpec, match="seed"):
+        OptimizeConfig(equiv_seed=value, run_equivalence=False)
 
 
 @pytest.mark.parametrize("tols", [{"tv_tol": -0.01}, {"tv_tol": math.inf}, {"obs_tol": math.nan},
