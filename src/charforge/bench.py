@@ -19,7 +19,7 @@ from .circuits import BenchmarkSpec, Circuit, build_benchmark, circuit_depth
 from .complexity import CostParams, classify_group, estimate_cost
 from .errors import CharforgeError, InvalidSpec
 from .histogram import MeasurementHistogram, histogram_csv, tv_distance
-from .optimize import OptimizeConfig, _try_close, optimize
+from .optimize import OptimizeConfig, _close, optimize
 from .statevector import sv_run, time_gate_loop
 
 SUITES = ("bv", "qft", "grover", "vqe")
@@ -90,7 +90,7 @@ def _cost_for(report, circuit: Circuit, opt_cfg: OptimizeConfig) -> float | None
     body, cache = circuit.body_and_suffix()[0], {}
     closed = [s for s in report.segments if s.group_order is not None]
     for seg in sorted(closed, key=lambda s: -s.group_order):
-        group = _try_close(list(body[seg.start:seg.end]), opt_cfg, cache, whole=True).group
+        group = _close(list(body[seg.start:seg.end]), opt_cfg, cache).group
         k = len(group.classes)
         if k <= COST_MAX_CLASSES:
             break

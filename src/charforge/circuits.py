@@ -49,11 +49,11 @@ MAX_DENSE_QUBITS = 12
 def canonical_angle(a: float) -> float:
     """Quantize to the 10 significant digits the serializer emits, so every
     builder circuit round-trips byte-exactly through the text format. Raises
-    InvalidSpec for a non-finite angle, whose gate matrix is not unitary."""
-    a = float(a)
-    if not math.isfinite(a):
-        raise InvalidSpec(f"angle must be finite, got {a!r}")
-    return float(f"{a:.10g}")
+    InvalidSpec for an angle that is not a finite real, as check_gates does:
+    a non-finite angle's gate matrix is not unitary."""
+    if not isinstance(a, (int, float, np.integer, np.floating)) or not math.isfinite(a):
+        raise InvalidSpec(f"angle must be finite and real, got {a!r}")
+    return float(f"{float(a):.10g}")
 
 
 @dataclass(frozen=True)
@@ -444,7 +444,7 @@ class BenchmarkSpec:
 def build_bv(secret: str) -> Circuit:
     """Hidden-string circuit on n+1 qubits; the rightmost secret character
     is qubit 0 and the ancilla is qubit n."""
-    if not secret or any(ch not in "01" for ch in secret):
+    if not isinstance(secret, str) or not secret or any(ch not in "01" for ch in secret):
         raise InvalidSpec(f"secret must be a nonempty 0/1 string, got {secret!r}")
     n = len(secret)
     anc = n
@@ -458,8 +458,8 @@ def build_bv(secret: str) -> Circuit:
 
 
 def build_qft(n: int) -> Circuit:
-    if n < 1:
-        raise InvalidSpec("qft width must be >= 1")
+    if not _is_int(n) or n < 1:
+        raise InvalidSpec(f"qft width must be an integer of at least 1, got {n!r}")
     gates = []
     for i in range(n - 1, -1, -1):
         gates.append(gate("h", i))
@@ -501,6 +501,8 @@ def default_grover_iterations(n: int) -> int:
 
 
 def build_grover(n: int, marked: int, iterations: int | None = None) -> Circuit:
+    if not (_is_int(n) and _is_int(marked) and (iterations is None or _is_int(iterations))):
+        raise InvalidSpec(f"grover needs integer n, marked and iterations, got {n!r}, {marked!r}, {iterations!r}")
     if n < 1 or not 0 <= marked < 2 ** n:
         raise InvalidSpec(f"marked item {marked} outside [0, 2^{n})")
     iters = default_grover_iterations(n) if iterations is None else iterations
@@ -525,8 +527,9 @@ def build_vqe(n: int, layers: int, seed: int) -> Circuit:
     """Fixed seeded ansatz over {h, s, t} single-qubit layers with a cx
     entangling ladder. A stand-in: unitary benchmark only, no variational
     loop or observable."""
-    if n < 1 or layers < 1:
-        raise InvalidSpec("vqe needs width >= 1 and layers >= 1")
+    if not (_is_int(n) and _is_int(layers)) or n < 1 or layers < 1:
+        raise InvalidSpec(f"vqe needs integer width and layers of at least 1, got {n!r} and {layers!r}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     choices = ("h", "s", "t")
     gates = []

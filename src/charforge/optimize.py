@@ -10,22 +10,17 @@ Passes, in order:
   3. identity elision: segments whose product is (a global phase of) the
      identity are dropped.
 
-Closure attempts are bounded by deterministic work and memory proxies in
-addition to max_order, so the pipeline degrades to a no-op on segments
-whose groups are too large to analyze at desk scale; such segments are kept
-verbatim and logged, as are those whose gate unitaries collide within the
-closure tolerance. Only the generator tables (FiniteMatrixGroup.right) are read:
-no Cayley table, inverses or classes are built. Every closure takes its
-generators from circuits.gate_generators. A segment grown by one gate extends
-the closure H of the segment without it when H's templates lead the new ones;
-close_group's count of H's cosets, or Lagrange when the gate adds qubits,
-refutes most over-cap groups before any BFS. In phase-insensitive mode a
-segment whose gates fall into parts that share no qubit is closed part by
-part: its order, the product of the parts' orders over their scalars times
-the lcm of their scalar counts, is held to the whole segment's cap, and its
-word is merged from the parts' words. Phase-sensitive mode closes it whole,
-as each part would need a word for each scalar multiple.
-Elements are renumbered; the groups, segments and words are not.
+The caps bound each closure's work and memory as well as its order; a segment
+past them, or whose gate unitaries collide within the closure tolerance, is
+kept verbatim and logged. Only the generator tables (FiniteMatrixGroup.right)
+are read. `_close` closes a gate list once per support and key set in an
+`optimize` call, extending the closure H of the list without its last gate
+when H's templates lead; a count of H's cosets, or Lagrange when the gate
+adds qubits, refutes most over-cap groups before any BFS. In phase-insensitive
+mode `_close_segment` takes a segment as the product of its qubit-disjoint
+parts' closures, held to the whole segment's cap; phase-sensitive mode closes
+it whole. A segment's word depends on its own gates only: ties break by the
+first position of each generator in the segment, whose gates are emitted.
 """
 
 from __future__ import annotations
@@ -151,14 +146,7 @@ class _Closure:
         return found[found >= 0]
 
 
-@dataclass
-class _Product:
-    """Gates in parts that share no qubit, as the parts' closures and the whole set's slots."""
-
-    order: int  # |G_1 ... G_m|: the parts commute, their common scalars counted once
-    templates: list[GateInstance]
-    template_of_key: dict[tuple, int]
-    parts: dict[tuple[int, ...], _Closure]  # by the part's qubit support
+_Segment = tuple[int, list[tuple[list[GateInstance], _Closure]]]  # group order, (part, closure) pairs
 
 
 @dataclass
@@ -258,6 +246,10 @@ def _support(gates: list[GateInstance]) -> tuple[int, ...]:
     return tuple(sorted({q for g in gates for q in g.qubits}))
 
 
+def _key(gates: list[GateInstance]) -> tuple:
+    return _support(gates), frozenset(g.key() for g in gates)
+
+
 def _parts(gates: list[GateInstance]) -> list[list[GateInstance]]:
     """`gates` split into parts that share no qubit, each in gate order."""
     part_of: dict[int, set[int]] = {}  # qubit -> the qubits of its part
@@ -268,117 +260,121 @@ def _parts(gates: list[GateInstance]) -> list[list[GateInstance]]:
     return [[g for g in gates if g.qubits[0] in p] for p in parts]
 
 
-def _try_close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
-               base: _Closure | _Product | None = None, whole: bool = False) -> _Closure | _Product | None:
-    """The closure of `gates`, or None past the caps or at a key collision;
-    the generators come from gate_generators, merged within CLOSURE_TOL as
-    elements are. When the templates of `base`, the closure H of gates[:-1],
-    lead those of `gates`, close_group extends H, counting its cosets first;
-    otherwise the closure starts fresh. A gate on new qubits outside H gives
-    2|H| or more elements (Lagrange): past the cap if 2|H| is, so H is not embedded.
-    Phase insensitive and not `whole`, parts that share no qubit give a _Product of their
-    closures, cached apart from segments' entries, whose templates set their words' ties."""
-    cache_key = (_support(gates), tuple(sorted({g.key() for g in gates}, key=repr)))
-    if whole and cache_key in cache and not isinstance(cache[cache_key], _Product):
-        return cache[cache_key]
-    support, cache_key = cache_key[0], cache_key + ("whole",) * whole
-    if cache_key in cache:
-        return cache[cache_key]
-    parts = [gates] if whole or not cfg.phase_insensitive else _parts(gates)
-
-    result: _Closure | _Product | None = None
+def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
+           base: _Closure | None = None) -> _Closure | None:
+    """The closure of `gates`, cached by support and key set, or None past the
+    caps or at a key collision; the generators come from gate_generators,
+    merged within CLOSURE_TOL as elements are. When the templates of `base`,
+    the closure H of gates[:-1], lead those of `gates`, close_group extends H,
+    counting its cosets first, which renumbers the elements only; otherwise the
+    closure starts fresh. A gate on new qubits outside H gives 2|H| or more
+    elements (Lagrange): past the cap if 2|H| is, so H is not embedded."""
+    key = _key(gates)
+    if key in cache:
+        return cache[key]
+    support, result = key[0], None
     try:
         mats, slots = gate_generators(gates, support, CLOSURE_TOL)
         templates = [gates[slots.index(s)] for s in range(len(mats))]
-        template_of_key = {g.key(): s for g, s in zip(gates, slots)}
         cap = _effective_cap(1 << len(support), len(mats), cfg)
-        if cap >= 2 and len(parts) > 1:  # base, for gates[:-1], holds the new gate's part without it
-            closed = {_support(p): _try_close(p, cfg, cache, base if p[-1] is gates[-1] and len(p) > 1 else None,
-                                              whole=True) for p in parts}
-            if None not in closed.values():  # a part past its own cap, at least this one, puts the whole past it
-                # up to scalars the product is direct; its scalars, cyclic like the parts', number lcm(s_i)
-                sizes = [(c.group.order, len(c.scalars)) for c in closed.values()]
-                order = math.lcm(*(s for _, s in sizes)) * math.prod(n // s for n, s in sizes)
-                result = _Product(order, templates, template_of_key, closed) if order <= cap else None
-        elif cap >= 2:
-            if isinstance(base, _Product):  # extend the whole closure of gates[:-1]: a part or a join of parts
-                base = _try_close(gates[:-1], cfg, cache, whole=True)
-            if not (base is not None and 2 * base.group.order > cap and _outside(gates)):
-                leads = base is not None and templates[:len(base.templates)] == base.templates
-                seed = _seed(base, gates, support) if leads else None
-                group = close_group(mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL), seed)
-                result = _Closure(group, templates, template_of_key)
+        if cap >= 2 and not (base is not None and 2 * base.group.order > cap and _outside(gates)):
+            leads = base is not None and templates[:len(base.templates)] == base.templates
+            seed = _seed(base, gates, support) if leads else None
+            group = close_group(mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL), seed)
+            result = _Closure(group, templates, {g.key(): s for g, s in zip(gates, slots)})
     except (OrderCapExceeded, KeyCollision):
         # a key collision means the generators or their products are not
         # tolerance-separated, which only happens for dense (non-finite) sets
         result = None
-    cache[cache_key] = result
+    cache[key] = result
     return result
+
+
+def _close_segment(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict) -> _Segment | None:
+    """The order of the group that `gates` generate and their parts, each with
+    its closure, or None past the caps or at a key collision. Phase
+    insensitive, the parts share no qubit; phase sensitive, the one part is
+    `gates`, since a part would need a word for each scalar multiple. The
+    order is cached under the set of the parts' keys; each closure, under its part's."""
+    parts = _parts(gates) if cfg.phase_insensitive else [gates]
+    keys = [_key(p) for p in parts]
+    key = frozenset(keys)
+    if key not in cache:
+        cache[key] = _product_order(gates, parts, cfg, cache)
+    return None if cache[key] is None else (cache[key], [(p, cache[k]) for p, k in zip(parts, keys)])
+
+
+def _product_order(gates: list[GateInstance], parts: list[list[GateInstance]], cfg: OptimizeConfig,
+                   cache: dict) -> int | None:
+    """|G_1 ... G_m| for the closures G_i of `parts`, the last gate's part grown
+    from its closure without that gate, or None past the cap of the whole
+    segment, whose generator count and key collisions come from gate_generators
+    over the whole support. Up to scalars the product is direct, and its
+    scalars, cyclic like the parts', number lcm(s_i)."""
+    support = _support(gates)
+    try:
+        cap = math.inf if len(parts) == 1 else _effective_cap(
+            1 << len(support), len(gate_generators(gates, support, CLOSURE_TOL)[0]), cfg)
+    except KeyCollision:
+        return None
+    if cap < 2:
+        return None
+    closures = [_close(p, cfg, cache, _close(p[:-1], cfg, cache) if p[-1] is gates[-1] and len(p) > 1 else None)
+                for p in parts]
+    if None in closures:  # a part's cap is at least the whole's
+        return None
+    scalars = [len(c.scalars) for c in closures] if len(parts) > 1 else [1]
+    order = math.lcm(*scalars) * math.prod(c.group.order // s for c, s in zip(closures, scalars))
+    return order if order <= cap else None
 
 
 def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig, cache: dict):
     """Greedy maximal runs: extend while the distinct gate set still closes
-    under the caps. Yields (start, end, gates, closure-or-None)."""
-    out = []
-    start = 0
-    current: list[GateInstance] = []
-    closure: _Closure | None = None
+    under the caps. Yields (start, end, gates, _close_segment's result)."""
+    out, start, current, closed = [], 0, [], None
     for i, g in enumerate(body):
-        candidate = current + [g]
-        cand_closure = _try_close(candidate, cfg, cache, closure)
-        if cand_closure is None:
-            if current:
-                out.append((start, i, current, closure))
-            start = i
-            current = [g]
-            closure = _try_close(current, cfg, cache)
-            if closure is None:
-                out.append((start, i + 1, current, None))
-                start = i + 1
-                current = []
+        grown = _close_segment(current + [g], cfg, cache)
+        if grown is None and current:  # end the segment and start the next at g
+            out.append((start, i, current, closed))
+            start, current = i, []
+            grown = _close_segment([g], cfg, cache)
+        if grown is None:  # g alone is past the caps
+            out.append((i, i + 1, [g], None))
+            start = i + 1
         else:
-            current = candidate
-            closure = cand_closure
+            current, closed = current + [g], grown
     if current:
-        out.append((start, len(body), current, closure))
+        out.append((start, len(body), current, closed))
     return out
 
 
-def _shortest_word(gates: list[GateInstance], closure: _Closure, cfg: OptimizeConfig,
-                   wt: WordTable) -> tuple[int, ...]:
-    """The smallest of wt's shortest words for the product of `gates`, or in
-    phase-insensitive mode for any element equal to it up to a global phase."""
-    # gates apply left to right: the product g_m ... g_1 is a right walk in reverse
-    right, product = closure.group.right, 0
-    for g in reversed(gates):
-        product = int(right[product, closure.template_of_key[g.key()]])
-
-    candidates = closure.phase_equal(product).tolist() if cfg.phase_insensitive else [product]
-    best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
-    return wt.word(best)
-
-
-def _rewrite_segment(gates: list[GateInstance], closure: _Closure | _Product,
-                     cfg: OptimizeConfig, record: SegmentRecord) -> list[GateInstance]:
-    if isinstance(closure, _Product):
-        record.group_order = closure.order
-        words = []
-        for part in _parts(gates):  # these gates: a cached product may come from another order
-            c = closure.parts[_support(part)]
-            slots = [closure.template_of_key[t.key()] for t in c.templates]  # the segment's
-            order = sorted(range(len(slots)), key=slots.__getitem__)
-            wt = c.words if order == sorted(order) else build_word_table(c.group, order)
-            words.append([slots[order[s]] for s in _shortest_word(part, c, cfg, wt)])
-        # the parts' slots are disjoint, so the smallest interleaving takes the smaller head
-        word = tuple(heapq.merge(*words))
-    else:
-        record.group_order = closure.group.order
-        word = _shortest_word(gates, closure, cfg, closure.words)
+def _rewrite_segment(gates: list[GateInstance], closed: _Segment, cfg: OptimizeConfig,
+                     record: SegmentRecord) -> list[GateInstance]:
+    """Each part's shortest word for its product, or in phase-insensitive mode
+    for any element equal to it up to a global phase, merged. Among words of one
+    length the smallest wins, each slot ranked by the position of its first
+    gate in `gates`, whatever gate list the closures were cached from."""
+    record.group_order, words = closed[0], []
+    for part, c in closed[1]:
+        first: dict[int, int] = {}  # c's slots -> the position of their first gate, in that order
+        for i, g in enumerate(gates):
+            if g.key() in c.template_of_key:
+                first.setdefault(c.template_of_key[g.key()], i)
+        ranked, at = list(first), list(first.values())
+        wt = c.words if ranked == sorted(ranked) else build_word_table(c.group, ranked)
+        product = 0  # gates apply left to right: g_m ... g_1 is a right walk in reverse
+        for g in reversed(part):
+            product = int(c.group.right[product, c.template_of_key[g.key()]])
+        candidates = c.phase_equal(product).tolist() if cfg.phase_insensitive else [product]
+        best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
+        words.append([at[s] for s in wt.word(best)])
+    # the parts' positions are disjoint, so the smallest interleaving takes the smaller head
+    word = list(heapq.merge(*words))
 
     if len(word) < len(gates):
         record.status = "rewritten"
         # circuit gates compose right to left, so emit the word reversed
-        return [closure.templates[slot] for slot in reversed(word)]
+        return [gates[i] for i in reversed(word)]
     record.status = "kept"
     return list(gates)
 
@@ -388,14 +384,14 @@ def _run_passes(body: tuple[GateInstance, ...], cfg: OptimizeConfig,
     new_body: list[GateInstance] = []
     records: list[SegmentRecord] = []
     stats = {"rewritten": 0, "dropped": 0}
-    for start, end, gates, closure in _scan_segments(body, cfg, cache):
+    for start, end, gates, closed in _scan_segments(body, cfg, cache):
         record = SegmentRecord(start=start, end=end, support=_support(gates), status="skipped-cap",
                                gates_before=len(gates), gates_after=len(gates))
-        if closure is None:
+        if closed is None:
             record.detail = "closure exceeded the order/work caps"
             new_gates = list(gates)
         else:
-            new_gates = _rewrite_segment(gates, closure, cfg, record)
+            new_gates = _rewrite_segment(gates, closed, cfg, record)
             if record.status == "rewritten":
                 stats["rewritten"] += 1
                 if not new_gates:

@@ -220,6 +220,21 @@ def test_build_benchmark_dispatch_and_validation():
         build_bv("10a")
 
 
+@pytest.mark.parametrize("build, word", [
+    (lambda: build_vqe(3, 2, -1), "seed"), (lambda: build_vqe(3, 2, 1.5), "seed"),
+    (lambda: build_vqe(2.5, 2, 1), "vqe"), (lambda: build_vqe(3, "2", 1), "vqe"),
+    (lambda: build_qft(2.5), "qft"), (lambda: build_qft("3"), "qft"),
+    (lambda: build_grover(2.0, 1), "grover"), (lambda: build_grover(2, 1.0), "grover"),
+    (lambda: build_grover(2, 1, 1.5), "grover"), (lambda: build_bv(101), "secret"),
+    (lambda: build_bv(None), "secret"), (lambda: gate("cp", 0, 1, angle="x"), "angle"),
+    (lambda: gate("cp", 0, 1, angle=[1.0]), "angle"),
+])
+def test_builders_reject_bad_inputs(build, word):
+    # each of these raised a raw TypeError or ValueError from inside the builder
+    with pytest.raises(InvalidSpec, match=word):
+        build()
+
+
 @pytest.mark.parametrize("n, depth, seed, word", [
     (0, 5, 1, "n"), (-2, 5, 1, "n"), (2.5, 5, 1, "n"), (3.0, 5, 1, "n"), (True, 5, 1, "n"),
     ("3", 5, 1, "n"), (3, -1, 1, "depth"), (3, 2.0, 1, "depth"), (3, 5, -1, "seed"),

@@ -19,8 +19,8 @@ from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.groups import ClosureConfig, ElementLookup, close_group, element_of
 from charforge.histogram import tv_distance
-from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, SegmentRecord, _Closure, _effective_cap,
-                                _parts, _Product, _rewrite_segment, _try_close, build_word_table,
+from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, SegmentRecord, _close, _close_segment, _Closure,
+                                _effective_cap, _key, _parts, _rewrite_segment, build_word_table,
                                 equivalence_check, optimize)
 from charforge.statevector import sample_histogram
 from phase_oracle import equal_up_to_phase, phase_canonical
@@ -332,21 +332,24 @@ def test_optimize_computes_no_character_table(monkeypatch, n, marked):
 # (rows, close_group calls, closures that reach the BFS and fail, refutations
 # before any BFS: (by the coset count, by Lagrange on new qubits, split
 # segments refused by their parts or their product order)) on the bench rows at
-# seed 0. Before segments were closed part by part the three were (16, 0,
-# (0, 2)), (25, 0, (3, 1)) and (190, 3, (33, 0)); before the coset count the
-# bv-5 and vqe-6 triples (calls, failures, Lagrange refutations) were (16, 0, 2)
-# and (23, 1, 3), and without any refutation the calls were 18 and 26 and the
+# seed 0. With a second cache entry for a gate set closed as a part and as a
+# segment, the calls were 15, 20 and 186 and the n2-4 coset refutations 25.
+# Before segments were closed part by part the three were (16, 0, (0, 2)),
+# (25, 0, (3, 1)) and (190, 3, (33, 0)); before the coset count the bv-5 and
+# vqe-6 triples (calls, failures, Lagrange refutations) were (16, 0, 2) and
+# (23, 1, 3), and without any refutation the calls were 18 and 26 and the
 # failures 2 and 4
 @pytest.mark.parametrize("rows, calls, failures, refuted", [
-    pytest.param([("bv", 5)], 15, 0, (0, 0, 2), id="bv-5"),
-    pytest.param([("vqe", 6)], 20, 0, (0, 1, 3), id="vqe-6"),
+    pytest.param([("bv", 5)], 13, 0, (0, 0, 2), id="bv-5"),
+    pytest.param([("vqe", 6)], 19, 0, (0, 1, 3), id="vqe-6"),
     pytest.param(list(itertools.product(("bv", "qft", "grover", "vqe"), range(2, 5))),
-                 186, 4, (25, 0, 15), id="n2-4"),
+                 181, 4, (24, 0, 15), id="n2-4"),
 ])
 def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
     log = _recording_close_group(monkeypatch)
-    outside_refuted, split_refused = [], {}
-    outside, try_close = optimize_module._outside, optimize_module._try_close
+    outside_refuted, split_refused, refused, closing, closed_keys = [], [], {}, [None], []
+    outside, close, close_segment = optimize_module._outside, optimize_module._close, optimize_module._close_segment
+    counted = optimize_module.close_group
 
     def recording_outside(gates):
         result = outside(gates)
@@ -354,21 +357,36 @@ def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
             outside_refuted.append(list(gates))
         return result
 
-    def recording_try_close(gates, cfg, cache, base=None, whole=False):
-        result = try_close(gates, cfg, cache, base, whole)
-        if result is None and not whole and len(_parts(gates)) > 1:
-            split_refused.setdefault((frozenset(g.key() for g in gates), id(cache)), list(gates))
+    def recording_close(gates, cfg, cache, base=None):
+        closing[0] = _key(gates)
+        return close(gates, cfg, cache, base)
+
+    def recording_close_group(*args, **kwargs):
+        closed_keys.append(closing[0])
+        return counted(*args, **kwargs)
+
+    def recording_close_segment(gates, cfg, cache):
+        result = close_segment(gates, cfg, cache)
+        if result is None and len(_parts(gates)) > 1:
+            refused.setdefault(frozenset(g.key() for g in gates), list(gates))  # once per optimize call
         return result
 
     monkeypatch.setattr(optimize_module, "_outside", recording_outside)
-    monkeypatch.setattr(optimize_module, "_try_close", recording_try_close)
+    monkeypatch.setattr(optimize_module, "_close", recording_close)
+    monkeypatch.setattr(optimize_module, "close_group", recording_close_group)
+    monkeypatch.setattr(optimize_module, "_close_segment", recording_close_segment)
     for suite, n in rows:
+        closed_keys.clear()
+        refused.clear()
         optimize(build_benchmark(_spec_for(suite, n, 0)), FAST)
+        # no (support, key set) reaches close_group twice in one optimize call
+        assert len(closed_keys) == len(set(closed_keys))
+        split_refused += refused.values()
     assert (log["calls"], log["failures"],
             (len(log["refuted"]), len(outside_refuted), len(split_refused))) == (calls, failures, refuted)
     # oracle: closing each refuted candidate from the identity at its cap fails
     cases = [args[:2] for args in log["refuted"]]
-    for gates in outside_refuted + list(split_refused.values()):
+    for gates in outside_refuted + split_refused:
         support = tuple(sorted({q for g in gates for q in g.qubits}))
         mats, _ = gate_generators(gates, support, CLOSURE_TOL)
         cap = _effective_cap(1 << len(support), len(mats), FAST)
@@ -390,9 +408,9 @@ def test_generators_that_collide_are_refused():
 
 def test_a_base_that_does_not_lead_closes_fresh():
     h0, s0, x0 = gate("h", 0), gate("s", 0), gate("x", 0)
-    base = _try_close([s0, h0], FAST, {})
-    fresh = _try_close([h0, s0, x0], FAST, {})
-    grown = _try_close([h0, s0, x0], FAST, {}, base)
+    base = _close([s0, h0], FAST, {})
+    fresh = _close([h0, s0, x0], FAST, {})
+    grown = _close([h0, s0, x0], FAST, {}, base)
     assert base.templates == [s0, h0] and fresh.templates == [h0, s0, x0]
     assert np.array_equal(grown.group.mats, fresh.group.mats)
     assert np.array_equal(grown.group.right, fresh.group.right)
@@ -401,24 +419,23 @@ def test_a_base_that_does_not_lead_closes_fresh():
 
 def test_a_base_that_leads_keeps_the_fresh_templates():
     h0, s0, x0 = gate("h", 0), gate("s", 0), gate("x", 0)
-    base = _try_close([h0, s0], FAST, {})
-    fresh = _try_close([h0, s0, x0], FAST, {})
-    grown = _try_close([h0, s0, x0], FAST, {}, base)
+    base = _close([h0, s0], FAST, {})
+    fresh = _close([h0, s0, x0], FAST, {})
+    grown = _close([h0, s0, x0], FAST, {}, base)
     assert grown.templates == fresh.templates == [h0, s0, x0]
     assert grown.template_of_key == fresh.template_of_key
 
 
 # -- qubit-disjoint parts ------------------------------------------------------
 
-def _rewritten_by_both(gates, product):
-    """The rewrite of `gates` by a product of parts and by the whole closure
-    with the product's templates, and the two records."""
-    whole = _try_close(product.templates + list(gates), FAST, {}, whole=True)
-    assert whole.templates == product.templates
+def _rewritten_by_both(gates, closed):
+    """The rewrite of `gates` by _close_segment's result `closed` and by their
+    whole closure from a fresh cache, and the two records."""
+    whole = _close(list(gates), FAST, {})
     out = []
-    for closure in (product, whole):
+    for segment in (closed, (whole.group.order, [(list(gates), whole)])):
         record = SegmentRecord(0, len(gates), (), "skipped-cap", len(gates), len(gates))
-        out.append((_rewrite_segment(list(gates), closure, FAST, record), record))
+        out.append((_rewrite_segment(list(gates), segment, FAST, record), record))
     return out
 
 
@@ -426,17 +443,17 @@ def test_split_bench_segments_match_their_whole_closures(monkeypatch):
     seen = {}
     rewrite = optimize_module._rewrite_segment
 
-    def recording(gates, closure, cfg, record):
-        if isinstance(closure, _Product):
-            seen.setdefault(tuple(gates), closure)
-        return rewrite(gates, closure, cfg, record)
+    def recording(gates, closed, cfg, record):
+        if len(closed[1]) > 1:
+            seen.setdefault(tuple(gates), closed)
+        return rewrite(gates, closed, cfg, record)
 
     monkeypatch.setattr(optimize_module, "_rewrite_segment", recording)
     for suite, n in itertools.product(("bv", "qft", "grover", "vqe"), range(2, 7)):
         optimize(build_benchmark(_spec_for(suite, n, 0)), FAST)
     assert len(seen) > 20
-    for gates, product in seen.items():
-        (split, split_rec), (whole, whole_rec) = _rewritten_by_both(gates, product)
+    for gates, closed in seen.items():
+        (split, split_rec), (whole, whole_rec) = _rewritten_by_both(gates, closed)
         assert split == whole
         assert (split_rec.status, split_rec.group_order) == (whole_rec.status, whole_rec.group_order)
 
@@ -455,18 +472,20 @@ def _disjoint_blocks(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_disjoint_blocks(), st.booleans())
-def test_split_closures_match_whole_closures(gates, parts_cached_reversed):
+@given(_disjoint_blocks(), st.booleans(), st.booleans())
+def test_split_closures_match_whole_closures(gates, one_part, parts_cached_reversed):
+    if one_part:
+        gates = _parts(gates)[0]
     cache = {}
     if parts_cached_reversed:  # part closures whose slots run against the segment's
         for part in _parts(gates):
-            _try_close(part[::-1], FAST, cache, whole=True)
-    product = _try_close(gates, FAST, cache)
-    whole = _try_close(gates, FAST, {}, whole=True)
-    assert (product is None) == (whole is None)
-    if isinstance(product, _Product):
-        assert product.order == whole.group.order
-        (split, split_rec), (whole_gates, whole_rec) = _rewritten_by_both(gates, product)
+            _close(part[::-1], FAST, cache)
+    closed = _close_segment(gates, FAST, cache)
+    whole = _close(gates, FAST, {})
+    assert (closed is None) == (whole is None)
+    if closed is not None:
+        assert closed[0] == whole.group.order
+        (split, split_rec), (whole_gates, whole_rec) = _rewritten_by_both(gates, closed)
         assert split == whole_gates and split_rec.status == whole_rec.status
 
 
@@ -476,11 +495,17 @@ def test_a_part_cached_with_its_slots_reversed_keeps_the_ties_of_the_segment():
     x0, z0, h1 = gate("x", 0), gate("z", 0), gate("h", 1)
     gates = [x0, z0, x0, z0, x0, z0, h1]
     cache = {}
-    assert _try_close([z0, x0], FAST, cache, whole=True).templates == [z0, x0]
-    product = _try_close(gates, FAST, cache)
-    assert product.templates == [x0, z0, h1]
-    (split, _), (whole, _) = _rewritten_by_both(gates, product)
+    assert _close([z0, x0], FAST, cache).templates == [z0, x0]
+    (split, _), (whole, _) = _rewritten_by_both(gates, _close_segment(gates, FAST, cache))
     assert split == whole == [h1, z0, x0]
+
+
+def test_a_segment_rewrite_depends_on_its_own_gates_only():
+    # the prefix closes {x0, z0} with x0 first; the later segment meets z0 first
+    six = "z 0\nx 0\n" * 3
+    alone, _ = optimize(parse_circuit("qubits 2\n" + six), FAST)
+    after, _ = optimize(parse_circuit("qubits 2\nx 0\nz 0\ncp(1) 0 1\n" + six), FAST)
+    assert alone.gates == after.gates[3:] == (gate("x", 0), gate("z", 0))
 
 
 @pytest.mark.parametrize("text, segments", [
