@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (AngleMissing, CircuitSyntaxError, InvalidSpec,
                      MeasurementInUnitary, QubitOutOfRange, TooWide)
 from .groups import ElementLookup
-from .histogram import check_seed
+from .histogram import _is_int, check_seed
 
 GATE_ARITY = {
     "h": 1, "x": 1, "y": 1, "z": 1, "s": 1, "sdg": 1, "t": 1, "tdg": 1,
@@ -84,10 +84,6 @@ class Circuit:
         if not suffix:
             return list(range(self.n_qubits))
         return sorted(g.qubits[0] for g in suffix)
-
-
-def _is_int(v) -> bool:  # a Python or numpy integer; a bool is not
-    return type(v) is int or isinstance(v, np.integer)
 
 
 def check_gates(c: Circuit) -> None:

@@ -108,7 +108,8 @@ def build_parser() -> _Parser:
     p = add("equiv", "operational equivalence of two circuits")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--shots", type=int, default=100_000)
+    p.add_argument("--shots", type=int, default=100_000,
+                   help="reported in the verdict only: the TV is that of the exact marginals")
     p.add_argument("--tv-tol", type=float, default=0.02)
     p.add_argument("--obs-tol", type=float, default=1e-7)
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 from .errors import InvalidSpec, MissingGCost
 from .groups import FiniteMatrixGroup, center_and_abelian
+from .histogram import _is_int
 
 CASES = ("abelian", "symmetric", "general")
 
@@ -33,7 +34,7 @@ class CostParams:
             raise InvalidSpec(f"case must be one of {CASES}, got {self.case!r}")
         for name in ("k", "m", "n", "order", "dmax"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise InvalidSpec(f"{name} must be a positive integer, got {value!r}")
         if self.g_cost is not None and not (isinstance(self.g_cost, Real) and 0 < self.g_cost < math.inf):
             raise InvalidSpec(f"g_cost must be finite and positive, got {self.g_cost!r}")

@@ -22,11 +22,12 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, KeyCollision, OrderCapExceeded
+from .histogram import _is_int
 from .linalg import check_unitary
 
 
@@ -36,10 +37,19 @@ class ClosureConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not isinstance(self.max_order, (int, np.integer)) or self.max_order < 1:
+        if not _is_int(self.max_order) or self.max_order < 1:
             raise InvalidSpec(f"max_order must be an integer >= 1, got {self.max_order!r}")
         if not isinstance(self.tol, (int, float)) or not 0 < self.tol < math.inf:
             raise InvalidSpec(f"tol must be finite and positive, got {self.tol!r}")
+
+
+@lru_cache(maxsize=None)
+def _projection(dim: int) -> np.ndarray:  # ElementLookup's fixed random projection
+    rng = np.random.default_rng(0x5EED)
+    proj = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    proj = proj.view(np.float64).ravel()  # (re, im) per entry, as a complex row reads as floats
+    proj.flags.writeable = False  # every lookup of this dim shares it
+    return proj
 
 
 class ElementLookup:
@@ -51,9 +61,7 @@ class ElementLookup:
     answer does not depend on how the index is laid out."""
 
     def __init__(self, dim: int, tol: float):
-        rng = np.random.default_rng(0x5EED)
-        proj = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        self._proj = proj.view(np.float64).ravel()  # (re, im) per entry, as a complex row reads as floats
+        self._proj = _projection(dim)
         self._w = float(np.sum(np.abs(self._proj))) * 8.0 * tol
         self.tol = tol
         self.mats = np.empty((16, dim, dim), dtype=complex)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidSpec
 
@@ -23,19 +24,23 @@ class MeasurementHistogram:
         return {k: v / self.shots for k, v in self.counts.items()}
 
 
+def _is_int(v) -> bool:  # a Python or numpy integer; a bool is not
+    return type(v) is int or isinstance(v, np.integer)
+
+
 def check_shots(shots: int) -> None:
     """Reject a shot count that is not an integer or is below one: a histogram
     of no samples is no evidence."""
-    if not isinstance(shots, numbers.Integral):
+    if not _is_int(shots):
         raise InvalidSpec(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise InvalidSpec(f"shots must be at least 1, got {shots}")
 
 
 def check_seed(seed: int) -> None:
-    """Reject a seed that is not a non-negative Python or numpy integer, which
-    numpy's generators refuse with a raw error or take for a different seed."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    """Reject a seed that is not a non-negative Python or numpy integer (a bool is
+    not), which numpy's generators refuse with a raw error or take for another."""
+    if not _is_int(seed) or seed < 0:
         raise InvalidSpec(f"seed must be a non-negative integer, got {seed!r}")
 
 

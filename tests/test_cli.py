@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from charforge import characters, expectation
-from charforge.circuits import circuit_unitary, parse_circuit
+from charforge.circuits import build_qft, circuit_unitary, parse_circuit, serialize_circuit
 from charforge.cli import main
 
 BELL = "qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n"
@@ -129,6 +129,15 @@ def test_equiv_verdicts(tmp_path, bell_path):
     r = charforge("equiv", "--a", str(bell_path), "--b", str(other),
                   "--shots", "20000", "--seed", "4")
     assert json.loads(r.stdout)["verdict"] is False
+
+
+def test_equiv_of_a_circuit_with_itself_holds_at_few_shots(tmp_path):
+    # tv_tol 0.02 is below the noise of a TV sampled at 1,000 shots, so this needs the exact TV
+    p = tmp_path / "q.qc"
+    p.write_text(serialize_circuit(build_qft(3)))
+    r = charforge("equiv", "--a", str(p), "--b", str(p), "--shots", "1000")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["verdict"] is True
 
 
 @pytest.mark.parametrize("engine", ["sv", "tableau"])

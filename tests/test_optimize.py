@@ -15,14 +15,14 @@ from charforge.bench import _spec_for
 from charforge.circuits import (GATE_ARITY, Circuit, build_benchmark, build_bv, build_grover,
                                 build_qft, circuit_unitary, gate, gate_generators, parse_circuit,
                                 random_clifford_circuit, serialize_circuit)
+from charforge.complexity import CostParams
 from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.groups import ClosureConfig, ElementLookup, close_group, element_of
-from charforge.histogram import tv_distance
 from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, SegmentRecord, _close, _close_segment, _Closure,
                                 _effective_cap, _key, _parts, _rewrite_segment, build_word_table,
                                 equivalence_check, optimize)
-from charforge.statevector import sample_histogram
+from charforge.tableau import tableau_run
 from phase_oracle import equal_up_to_phase, phase_canonical
 
 # the package exports the optimize function under the module's name
@@ -564,9 +564,9 @@ def test_equivalence_respects_global_phase():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5000), st.integers(0, 2 ** 31), st.data())
-def test_the_count_array_tv_is_tv_distance_of_the_histograms(n, shots, seed, data):
-    """max_tv, taken from the two multinomial count arrays, equals tv_distance
-    of the histograms sample_histogram draws from the same marginals and seeds."""
+def test_max_tv_is_the_tv_of_the_exact_marginals(n, shots, seed, data):
+    """max_tv is the largest half fsum of |pa - pb| over the 8 pairs of exact
+    marginals, and shots changes nothing in the verdict but its own field."""
     a = random_clifford_circuit(n, 12, seed=data.draw(st.integers(0, 999)), measured=data.draw(st.booleans()))
     b = Circuit(n, a.body_and_suffix()[0] + (gate("h", data.draw(st.integers(0, n - 1))),)
                 + a.body_and_suffix()[1])
@@ -578,16 +578,34 @@ def test_the_count_array_tv_is_tv_distance_of_the_histograms(n, shots, seed, dat
 
     with mock.patch.object(optimize_module, "marginal_probabilities", side_effect=record):
         v = equivalence_check(a, b, shots=shots, seed=seed)
-    bits = len(marginals[0]).bit_length() - 1
-    hists = [sample_histogram(p, bits, shots, np.random.default_rng([seed, i // 2, i % 2]))
-             for i, p in enumerate(marginals)]
-    assert len(hists) == 16
-    assert v.max_tv == max(tv_distance(ha, hb) for ha, hb in zip(hists[::2], hists[1::2]))
+    assert len(marginals) == 16
+    assert v.max_tv == max(0.5 * math.fsum(np.abs(pa - pb).tolist())
+                           for pa, pb in zip(marginals[::2], marginals[1::2]))
+    other = equivalence_check(a, b, shots=shots % 4999 + 1, seed=seed).to_json()
+    assert {k for k in other if other[k] != v.to_json()[k]} == {"shots"}
+
+
+@pytest.mark.parametrize("c", [Circuit(8, tuple(gate("h", q) for q in range(8))), build_qft(3)],
+                         ids=["h8", "qft3"])
+@pytest.mark.parametrize("shots", [1, 1_000, 100_000])
+def test_identical_circuits_read_zero_tv_at_any_shots(c, shots):
+    # sampled at 100,000 shots, two equal distributions over 2^8 outcomes lie about 0.03 apart, over tv_tol
+    v = equivalence_check(c, c, shots=shots, seed=0)
+    assert v.verdict
+    assert v.max_tv == 0.0
+
+
+def test_optimize_of_an_unchanged_wide_circuit_reports_equivalence():
+    c = Circuit(14, tuple(gate("h", q) for q in range(14)))
+    out, rep = optimize(c)
+    assert out.gates == c.gates
+    assert rep.equivalence.verdict
+    assert rep.equivalence.max_tv == 0.0
 
 
 @pytest.mark.parametrize("shots", [0, -1])
 def test_equivalence_rejects_shots_below_one(shots):
-    # with no samples both histograms are empty and max_tv would read 0.0
+    # shots does not change the verdict, but it is reported, and a count below one is refused everywhere
     c = build_qft(2)
     with pytest.raises(InvalidSpec, match="shots"):
         equivalence_check(c, c, shots=shots)
@@ -631,6 +649,26 @@ def test_equivalence_rejects_bad_tolerances(tols):
     c = build_qft(2)
     with pytest.raises(InvalidSpec, match=next(iter(tols))):
         equivalence_check(c, c, shots=100, **tols)
+
+
+BELL = parse_circuit("qubits 2\nh 0\ncx 0 1\n")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: tableau_run(BELL, shots=True, seed=0), "shots must be an integer"),
+    (lambda: tableau_run(BELL, shots=10, seed=True), "seed must be a non-negative integer"),
+    (lambda: statevector.sv_run(BELL, shots=True, seed=0), "shots must be an integer"),
+    (lambda: statevector.sv_run(BELL, shots=10, seed=False), "seed must be a non-negative integer"),
+    (lambda: ClosureConfig(max_order=True), "max_order must be an integer"),
+    (lambda: CostParams("abelian", k=True, m=1, n=1, order=2, dmax=1), "k must be a positive integer"),
+    (lambda: characters.character_table(close_group([X]), seed=True), "seed must be a non-negative integer"),
+    (lambda: equivalence_check(BELL, BELL, tv_tol=True), "tv_tol must be finite"),
+    (lambda: equivalence_check(BELL, BELL, obs_tol=False), "obs_tol must be finite"),
+], ids=["tableau-shots", "tableau-seed", "sv-shots", "sv-seed", "max_order", "cost-k", "chartab-seed",
+        "tv_tol", "obs_tol"])
+def test_a_bool_is_not_a_count_a_seed_or_a_tolerance(call, match):
+    with pytest.raises(InvalidSpec, match=match):
+        call()
 
 
 def test_equivalence_rejects_a_repeated_measure():

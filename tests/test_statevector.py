@@ -424,6 +424,6 @@ def test_gate_costs_tool_prints_a_row_per_kind_and_a_line_per_circuit(capsys):
         assert line.startswith(head) and line.endswith(" us/gate")
         assert float(line[len(head):-len(" us/gate")]) >= 0
     for line, head in zip(lines[-2:], ("marginal_probabilities n=6 measured=[1, 3, 5]: ",
-                                       "equivalence_check qft-10 pair shots=3276800: ")):
+                                       "equivalence_check qft-10 pair (exact marginals): ")):
         assert line.startswith(head) and line.endswith(" ms")
         assert float(line[len(head):-len(" ms")]) >= 0
