@@ -18,7 +18,7 @@ from .characters import character_table
 from .circuits import BenchmarkSpec, Circuit, build_benchmark, circuit_depth
 from .complexity import CostParams, classify_group, estimate_cost
 from .errors import CharforgeError, InvalidSpec
-from .histogram import MeasurementHistogram, histogram_csv, tv_distance
+from .histogram import MeasurementHistogram, _is_int, check_seed, check_shots, histogram_csv, tv_distance
 from .optimize import OptimizeConfig, _close, optimize
 from .statevector import sv_run, time_gate_loop
 
@@ -40,8 +40,14 @@ class BenchConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise InvalidSpec(f"repeats must be >= 1, got {self.repeats}")
+        for name in ("repeats", "n_min", "n_max"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise InvalidSpec(f"{name} must be an integer >= 1, got {value!r}")
+        if self.n_max < self.n_min:
+            raise InvalidSpec(f"n_max {self.n_max} is below n_min {self.n_min}")
+        check_shots(self.shots)
+        check_seed(self.seed)
         for s in self.suites:
             if s not in SUITES:
                 raise InvalidSpec(f"unknown suite {s!r}; choose from {SUITES}")
@@ -84,9 +90,9 @@ def _cost_for(report, circuit: Circuit, opt_cfg: OptimizeConfig) -> float | None
     """Cost-model value from the largest closed segment group with at most
     COST_MAX_CLASSES classes (the first such on ties), taking the
     character-value cost g as 1 (a table lookup) for non-abelian cases. The
-    closed segments are closed again, largest first, with the optimizer's caps
-    and tolerance, which gives the same groups, until one has few enough
-    classes; its character table supplies the degrees."""
+    closed segments are closed again, largest first, with the optimizer's caps,
+    which gives the same groups, until one has few enough classes; its
+    character table supplies the degrees."""
     body, cache = circuit.body_and_suffix()[0], {}
     closed = [s for s in report.segments if s.group_order is not None]
     for seg in sorted(closed, key=lambda s: -s.group_order):

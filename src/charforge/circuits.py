@@ -16,7 +16,7 @@ frame is applied once, at the end, in one pass that writes a new state. h is a
 butterfly, and every other gate updates only the slices it changes, with no
 BLAS call and the same bits in a block's column as alone; zeros are +0.0 but
 the butterfly's, which follow IEEE. `embed_gate` and `gate_generators` build
-and merge the full-space generators of a closure, within its tolerance, as
+and merge the full-space generators of a closure, within groups.TOL, as
 close_group merges elements.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (AngleMissing, CircuitSyntaxError, InvalidSpec,
                      MeasurementInUnitary, QubitOutOfRange, TooWide)
 from .groups import ElementLookup
-from .histogram import _is_int, check_seed
+from .histogram import _is_int, _is_real, check_seed
 
 GATE_ARITY = {
     "h": 1, "x": 1, "y": 1, "z": 1, "s": 1, "sdg": 1, "t": 1, "tdg": 1,
@@ -51,7 +51,7 @@ def canonical_angle(a: float) -> float:
     builder circuit round-trips byte-exactly through the text format. Raises
     InvalidSpec for an angle that is not a finite real, as check_gates does:
     a non-finite angle's gate matrix is not unitary."""
-    if not isinstance(a, (int, float, np.integer, np.floating)) or not math.isfinite(a):
+    if not _is_real(a):
         raise InvalidSpec(f"angle must be finite and real, got {a!r}")
     return float(f"{float(a):.10g}")
 
@@ -106,8 +106,7 @@ def check_gates(c: Circuit) -> None:
             if arity is None:
                 raise InvalidSpec(f"unknown gate {g.kind!r} at position {pos}")
             raise InvalidSpec(f"gate {g.kind} {list(q)} at position {pos} needs {arity} distinct qubit(s)")
-        if (g.angle is not None or g.kind == "cp") and not (g.kind == "cp" and isinstance(
-                g.angle, (int, float, np.integer, np.floating)) and math.isfinite(g.angle)):
+        if (g.angle is not None or g.kind == "cp") and not (g.kind == "cp" and _is_real(g.angle)):
             raise (AngleMissing if g.angle is None else InvalidSpec)(
                 f"gate {g.kind} at position {body.index(g)} has angle {g.angle!r}; only cp takes one, finite")
     measured = [q for g in suffix for q in g.qubits]
@@ -315,12 +314,12 @@ def embed_gate(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     return out
 
 
-def gate_generators(gates, support: tuple[int, ...], tol: float) -> tuple[list[np.ndarray], list[int]]:
+def gate_generators(gates, support: tuple[int, ...]) -> tuple[list[np.ndarray], list[int]]:
     """Distinct unitaries of `gates` embedded over `support` (local qubit i
-    is support[i]), merged within `tol` as close_group merges elements, in
+    is support[i]), merged within TOL as close_group merges elements, in
     first-seen order, and the position in that list of each gate's unitary.
     The gates on one qubit tuple are embedded as one stack. Raises
-    KeyCollision for two unitaries between tol and 8*tol apart."""
+    KeyCollision for two unitaries between TOL and 8*TOL apart."""
     distinct = list({g.key(): g for g in gates}.values())
     if not distinct:
         return [], []
@@ -331,7 +330,7 @@ def gate_generators(gates, support: tuple[int, ...], tol: float) -> tuple[list[n
     for qubits, idx in by_qubits.items():
         local = np.stack([gate_matrix(distinct[i].kind, distinct[i].angle) for i in idx])
         mats[idx] = embed_gate(local, tuple(map(support.index, qubits)), len(support))
-    slots, new = ElementLookup(len(mats[0]), tol).find(mats, len(mats))
+    slots, new = ElementLookup(len(mats[0])).find(mats, len(mats))
     slot_of_gate = {g.key(): slot for g, slot in zip(distinct, slots.tolist())}
     return list(mats[new]), [slot_of_gate[g.key()] for g in gates]
 

@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 def circuit_gate_group(c: Circuit, cfg: ClosureConfig) -> tuple[FiniteMatrixGroup, tuple[int, ...], Circuit]:
     """Close the circuit's distinct gate unitaries, embedded over its qubit
-    support and merged within cfg.tol. Returns (group, support, compacted circuit)."""
+    support and merged within groups.TOL. Returns (group, support, compacted circuit)."""
     body, _ = c.body_and_suffix()
     support = tuple(sorted({q for g in body for q in g.qubits})) or (0,)
     pos = {q: i for i, q in enumerate(support)}
@@ -48,7 +48,7 @@ def circuit_gate_group(c: Circuit, cfg: ClosureConfig) -> tuple[FiniteMatrixGrou
         len(support),
         tuple(GateInstance(g.kind, tuple(pos[q] for q in g.qubits), g.angle) for g in body),
         name=c.name)
-    mats = gate_generators(body, support, cfg.tol)[0] or [np.eye(1 << len(support), dtype=complex)]
+    mats = gate_generators(body, support)[0] or [np.eye(1 << len(support), dtype=complex)]
     return close_group(mats, cfg), support, compact
 
 

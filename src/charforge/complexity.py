@@ -8,13 +8,11 @@ instantiated formula text records this choice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 from .errors import InvalidSpec, MissingGCost
 from .groups import FiniteMatrixGroup, center_and_abelian
-from .histogram import _is_int
+from .histogram import _is_int, _is_real
 
 CASES = ("abelian", "symmetric", "general")
 
@@ -36,7 +34,7 @@ class CostParams:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise InvalidSpec(f"{name} must be a positive integer, got {value!r}")
-        if self.g_cost is not None and not (isinstance(self.g_cost, Real) and 0 < self.g_cost < math.inf):
+        if self.g_cost is not None and not (_is_real(self.g_cost) and self.g_cost > 0):
             raise InvalidSpec(f"g_cost must be finite and positive, got {self.g_cost!r}")
 
 

@@ -19,7 +19,7 @@ class OrderCapExceeded(CharforgeError):
 
 
 class KeyCollision(CharforgeError):
-    """A product lies between tol and 8*tol of an element or of another
+    """A product lies between groups.TOL and 8*TOL of an element or of another
     product: the generated set is not tolerance-separated."""
 
 

@@ -1,9 +1,9 @@
 """Finite matrix groups built by closure from generator unitaries.
 
-Two matrices are the same element when their entries agree within a max-abs
-tolerance, the package's only test of matrix equality. One index finds them,
+Two matrices are the same element when their entries agree within TOL in
+max-abs, the package's only test of matrix equality. One index finds them,
 ElementLookup: the elements' random projections in a sorted array, so the
-elements within 8*tol of a product lie in a window of that array, found with
+elements within 8*TOL of a product lie in a window of that array, found with
 searchsorted. Each candidate is then checked by max-abs distance. close_group
 builds the lookup and keeps it on the group for element_of.
 
@@ -20,7 +20,6 @@ Before that BFS, counting base's right cosets can show the group is past the cap
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -30,17 +29,21 @@ from .errors import DimensionMismatch, InvalidSpec, KeyCollision, OrderCapExceed
 from .histogram import _is_int
 from .linalg import check_unitary
 
+# builder cp angles are quantized to 10 significant digits for the text
+# format, which drifts products by a few 1e-10 per multiplication; a 1e-8
+# tolerance keeps those drifts inside the merge zone. It costs no finite group:
+# elements g != h with g h^-1 of order m are at least 2 sin(pi/m)/d apart in
+# max-abs, over 3e-7 > 8*TOL for m <= 20000 and d <= 1024
+TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ClosureConfig:
     max_order: int = 20000
-    tol: float = 1e-9
 
     def __post_init__(self):
         if not _is_int(self.max_order) or self.max_order < 1:
             raise InvalidSpec(f"max_order must be an integer >= 1, got {self.max_order!r}")
-        if not isinstance(self.tol, (int, float)) or not 0 < self.tol < math.inf:
-            raise InvalidSpec(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @lru_cache(maxsize=None)
@@ -55,15 +58,14 @@ def _projection(dim: int) -> np.ndarray:  # ElementLookup's fixed random project
 class ElementLookup:
     """Growing element store, mats[:count] in index order, indexed by the
     projections <P, m> for a fixed random P, kept sorted. With
-    w = |P|_1 * 8 * tol, every element within 8*tol of a matrix has its
-    projection within w of the matrix's. At most one element is within tol
-    of any matrix, because stored elements are more than 8*tol apart, so the
+    w = |P|_1 * 8 * TOL, every element within 8*TOL of a matrix has its
+    projection within w of the matrix's. At most one element is within TOL
+    of any matrix, because stored elements are more than 8*TOL apart, so the
     answer does not depend on how the index is laid out."""
 
-    def __init__(self, dim: int, tol: float):
+    def __init__(self, dim: int):
         self._proj = _projection(dim)
-        self._w = float(np.sum(np.abs(self._proj))) * 8.0 * tol
-        self.tol = tol
+        self._w = float(np.sum(np.abs(self._proj))) * 8.0 * TOL
         self.mats = np.empty((16, dim, dim), dtype=complex)
         self.count = 0
         self._keys = np.empty(0)                     # sorted projections
@@ -80,19 +82,19 @@ class ElementLookup:
         """Element index of each matrix of `batch`, and the batch positions
         of the elements added, in index order. A pure query (max_order None)
         gives -1 for an absent matrix; otherwise the absent ones are added,
-        those within tol of each other as one element stored as their first.
-        Raises KeyCollision at a product between tol and 8*tol of an element
+        those within TOL of each other as one element stored as their first.
+        Raises KeyCollision at a product between TOL and 8*TOL of an element
         or of another product, and OrderCapExceeded at the first new element
         past max_order, whichever comes first in the batch."""
         proj = np.ascontiguousarray(batch).reshape(len(batch), -1).view(np.float64) @ self._proj
         q, c = self._pairs(proj, self._keys, self._ids)
         d = np.max(np.abs(batch[q] - self.mats[c]), axis=(1, 2))
         found = np.full(len(batch), -1, dtype=np.int64)
-        found[q[d <= self.tol]] = c[d <= self.tol]
+        found[q[d <= TOL]] = c[d <= TOL]
         miss = np.flatnonzero(found < 0)
         if max_order is None or not len(miss):
             return found, miss[:0]
-        near = q[(d <= 8 * self.tol) & (found[q] < 0)]
+        near = q[(d <= 8 * TOL) & (found[q] < 0)]
         # misses within w of each other, if any; i, j index `miss`, which is in batch order
         first = np.arange(len(miss))
         by_proj = np.argsort(proj[miss], kind="stable")
@@ -100,12 +102,12 @@ class ElementLookup:
             i, j = self._pairs(proj[miss], proj[miss][by_proj], by_proj)
             i, j = i[i != j], j[i != j]
             dd = np.max(np.abs(batch[miss[i]] - batch[miss[j]]), axis=(1, 2))
-            np.minimum.at(first, i[dd <= self.tol], j[dd <= self.tol])
-            near = np.concatenate([near, miss[np.maximum(i, j)[(dd > self.tol) & (dd <= 8 * self.tol)]]])
+            np.minimum.at(first, i[dd <= TOL], j[dd <= TOL])
+            near = np.concatenate([near, miss[np.maximum(i, j)[(dd > TOL) & (dd <= 8 * TOL)]]])
         new = miss[first == np.arange(len(miss))]
         at_cap = new[max_order - self.count] if len(new) > max_order - self.count else len(batch)
         if len(near) and near.min() <= at_cap:
-            raise KeyCollision(f"product {near.min()} of the batch is between tol and 8*tol of another "
+            raise KeyCollision(f"product {near.min()} of the batch is between TOL and 8*TOL of another "
                                f"matrix; the generated set is not tolerance-separated")
         if at_cap < len(batch):
             raise OrderCapExceeded(f"closure passed max_order={max_order}; generated group "
@@ -157,7 +159,6 @@ class FiniteMatrixGroup:
     parent: np.ndarray
     slot: np.ndarray
     bounds: list[int]
-    tol: float = 1e-9
     _lookup: ElementLookup | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -251,15 +252,15 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
                 base: FiniteMatrixGroup | None = None) -> FiniteMatrixGroup:
     """Close a generator list under matrix multiplication.
 
-    With `base`, H = the closure of generators[:k] at the same tol, it counts
+    With `base`, H = the closure of generators[:k], it counts
     H's right cosets first, where (max_order // |H|)² <= max_order; the BFS
     then starts from base's elements and tables and expands only what is new.
 
     Raises OrderCapExceeded if more than cfg.max_order elements are found or
-    H's cosets show there are, KeyCollision when two products are between tol
-    and 8*tol apart, DimensionMismatch on inconsistent generator or base
+    H's cosets show there are, KeyCollision when two products are between TOL
+    and 8*TOL apart, DimensionMismatch on inconsistent generator or base
     shapes, InvalidSpec when base's generators are not generators[:k] within
-    tol, and NotUnitary when a generator fails the unitarity check.
+    TOL, and NotUnitary when a generator fails the unitarity check.
     """
     cfg = cfg or ClosureConfig()
     if not generators:
@@ -271,7 +272,7 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
             raise DimensionMismatch(f"generator dims differ: {g.shape[0]} vs {dim}")
 
     if base is None:
-        lookup = ElementLookup(dim, cfg.tol)
+        lookup = ElementLookup(dim)
         found, new = lookup.find(np.stack([np.eye(dim, dtype=complex), *gens]), cfg.max_order)
         gen_found = found[1:]
         # element b = mats[parent[b]] @ gens[slot[b]]; the identity, first in the
@@ -281,9 +282,8 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
         n, k = base.right.shape
         if base.dim != dim:
             raise DimensionMismatch(f"base dim {base.dim} differs from generator dim {dim}")
-        if (k > len(gens) or base.tol != cfg.tol
-                or np.max(np.abs(base.mats[base.input_elements] - gens[:k])) > cfg.tol):
-            raise InvalidSpec("base is not the closure of the first generators at this tol")
+        if k > len(gens) or np.max(np.abs(base.mats[base.input_elements] - gens[:k])) > TOL:
+            raise InvalidSpec("base is not the closure of the first generators")
 
         # Dimino's coset step, by levels of products r·g: x is in H·r iff x·r† is in H.
         # It takes about (max_order // |H|)² finds, so it runs where that is within the cap
@@ -321,12 +321,11 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
     return FiniteMatrixGroup(
         dim=dim, mats=lookup.mats, generators=list(dict.fromkeys(gen_found.tolist())),
         input_elements=gen_found.tolist(), right=np.concatenate(right),
-        parent=np.concatenate(parent), slot=np.concatenate(slot), bounds=bounds,
-        tol=cfg.tol, _lookup=lookup)
+        parent=np.concatenate(parent), slot=np.concatenate(slot), bounds=bounds, _lookup=lookup)
 
 
 def element_of(group: FiniteMatrixGroup, m: np.ndarray) -> int | None:
-    """Index of the unique element matching m within the group tolerance,
+    """Index of the unique element matching m within TOL,
     or None when absent."""
     try:
         m = np.asarray(m, dtype=complex)

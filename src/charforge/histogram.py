@@ -28,6 +28,10 @@ def _is_int(v) -> bool:  # a Python or numpy integer; a bool is not
     return type(v) is int or isinstance(v, np.integer)
 
 
+def _is_real(v) -> bool:  # a Python or numpy integer or a finite float; a bool is not
+    return _is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
+
+
 def check_shots(shots: int) -> None:
     """Reject a shot count that is not an integer or is below one: a histogram
     of no samples is no evidence."""

@@ -7,12 +7,12 @@ qubit 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSpec
+from .histogram import _is_real
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class Observable:
     def from_pauli(letters: str, coeff: float = 1.0) -> "Observable":
         if not isinstance(letters, str) or not letters or any(ch not in "IXYZ" for ch in letters.upper()):
             raise InvalidSpec(f"pauli string must use I/X/Y/Z, got {letters!r}")
-        if not isinstance(coeff, (int, float, np.integer, np.floating)) or not math.isfinite(coeff):
+        if not _is_real(coeff):
             raise InvalidSpec(f"pauli coefficient must be a finite real, got {coeff!r}")
         return Observable(pauli=letters.upper(), coeff=float(coeff))
 

@@ -11,7 +11,7 @@ Passes, in order:
      identity are dropped.
 
 The caps bound each closure's work and memory as well as its order; a segment
-past them, or whose gate unitaries collide within the closure tolerance, is
+past them, or whose gate unitaries collide within groups.TOL, is
 kept verbatim and logged. Only the generator tables (FiniteMatrixGroup.right)
 are read. `_close` closes a gate list once per support and key set in an
 `optimize` call, extending the closure H of the list without its last gate
@@ -37,16 +37,12 @@ from .circuits import (Circuit, GateInstance, check_gates, circuit_depth, embed_
                        gate_matrix)
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .fixtures import X, Z
-from .groups import ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group
-from .histogram import check_seed, check_shots
+from .groups import TOL, ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group
+from .histogram import _is_real, check_seed, check_shots
 from .observables import Observable, random_pauli
 from .statevector import SV_MAX_QUBITS, expectation_of_state, marginal_probabilities, run_gates
 
 
-# builder cp angles are quantized to 10 significant digits for the text
-# format, which drifts products by a few 1e-10 per multiplication; a
-# 1e-8 closure tolerance keeps those drifts inside the merge zone
-CLOSURE_TOL = 1e-8
 # deterministic per-attempt bounds: flop proxy for the closure matmuls
 # and byte proxies for element storage and the quadratic cayley table (which
 # the optimizer does not build; that cap only keeps its segments fixed)
@@ -129,14 +125,14 @@ class _Closure:
     def scalars(self) -> np.ndarray:
         """Indices of the scalar elements c*I: an element equals p up to a
         global phase iff it is p*s for one of them."""
-        mats, tol = self.group.mats, self.group.tol
+        mats = self.group.mats
         # a scalar's first row and column are zero off the diagonal, real and
         # imaginary parts alike: only the few elements that pass that take the
         # full distance
         edge = np.concatenate([mats[:, 0, 1:], mats[:, 1:, 0]], axis=1).view(np.float64)
-        cand = np.flatnonzero(np.all(np.abs(edge) <= tol, axis=1))
+        cand = np.flatnonzero(np.all(np.abs(edge) <= TOL, axis=1))
         dists = np.max(np.abs(mats[cand] - mats[cand, :1, :1] * np.eye(mats.shape[1])), axis=(1, 2))
-        return cand[dists <= tol]
+        return cand[dists <= TOL]
 
     def phase_equal(self, product: int) -> np.ndarray:
         """The elements c*mats[product] for the scalars c*I, found by lookup."""
@@ -228,7 +224,7 @@ def _outside(gates: list[GateInstance]) -> bool:
     new = [i for i, q in enumerate(g.qubits) if q not in old]
     local = gate_matrix(g.kind, g.angle)
     paulis = [embed_gate(p, (i,), len(g.qubits)) for i in new for p in (X, Z)]
-    return any(np.max(np.abs(local @ p - p @ local)) > 2 * CLOSURE_TOL for p in paulis)
+    return any(np.max(np.abs(local @ p - p @ local)) > 2 * TOL for p in paulis)
 
 
 def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -> FiniteMatrixGroup:
@@ -236,7 +232,7 @@ def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -
     h, old = base.group, _support(gates[:-1])
     if len(old) == len(support):
         return h
-    lookup = ElementLookup(1 << len(support), h.tol)
+    lookup = ElementLookup(1 << len(support))
     lookup.find(embed_gate(h.mats, tuple(map(support.index, old)), len(support)), h.order)
     return replace(h, dim=1 << len(support), mats=lookup.mats[:h.order], _lookup=lookup)
 
@@ -262,24 +258,24 @@ def _parts(gates: list[GateInstance]) -> list[list[GateInstance]]:
 def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
            base: _Closure | None = None) -> _Closure | None:
     """The closure of `gates`, cached by support and key set, or None past the
-    caps or at a key collision; the generators come from gate_generators,
-    merged within CLOSURE_TOL as elements are. When the templates of `base`,
-    the closure H of gates[:-1], lead those of `gates`, close_group extends H,
-    counting its cosets first, which renumbers the elements only; otherwise the
-    closure starts fresh. A gate on new qubits outside H gives 2|H| or more
-    elements (Lagrange): past the cap if 2|H| is, so H is not embedded."""
+    caps or at a key collision; the generators come from gate_generators.
+    When the templates of `base`, the closure H of gates[:-1], lead those of
+    `gates`, close_group extends H, counting its cosets first, which
+    renumbers the elements only; otherwise the closure starts fresh. A gate
+    on new qubits outside H gives 2|H| or more elements (Lagrange): past the
+    cap if 2|H| is, so H is not embedded."""
     key = _key(gates)
     if key in cache:
         return cache[key]
     support, result = key[0], None
     try:
-        mats, slots = gate_generators(gates, support, CLOSURE_TOL)
+        mats, slots = gate_generators(gates, support)
         templates = [gates[slots.index(s)] for s in range(len(mats))]
         cap = _effective_cap(1 << len(support), len(mats), cfg)
         if cap >= 2 and not (base is not None and 2 * base.group.order > cap and _outside(gates)):
             leads = base is not None and templates[:len(base.templates)] == base.templates
             seed = _seed(base, gates, support) if leads else None
-            group = close_group(mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL), seed)
+            group = close_group(mats, ClosureConfig(max_order=cap), seed)
             result = _Closure(group, templates, {g.key(): s for g, s in zip(gates, slots)})
     except (OrderCapExceeded, KeyCollision):
         # a key collision means the generators or their products are not
@@ -313,7 +309,7 @@ def _product_order(gates: list[GateInstance], parts: list[list[GateInstance]], c
     support = _support(gates)
     try:
         cap = math.inf if len(parts) == 1 else _effective_cap(
-            1 << len(support), len(gate_generators(gates, support, CLOSURE_TOL)[0]), cfg)
+            1 << len(support), len(gate_generators(gates, support)[0]), cfg)
     except KeyCollision:
         return None
     if cap < 2:
@@ -486,7 +482,7 @@ def equivalence_check(
     check_shots(shots)
     check_seed(seed)
     for name, tol in (("tv_tol", tv_tol), ("obs_tol", obs_tol)):
-        if type(tol) is bool or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+        if not _is_real(tol) or tol < 0:
             raise InvalidSpec(f"{name} must be finite and >= 0, got {tol!r}")
     check_gates(a)
     check_gates(b)

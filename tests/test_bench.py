@@ -31,7 +31,9 @@ def test_cost_model_column_is_pinned(small_results):
     assert [row.cost_model for row in small_results.rows] == [c for c in expected for _ in range(2)]
 
 
-@pytest.mark.parametrize("bad", [dict(repeats=0), dict(repeats=-3), dict(suites=("bv", "shor"))])
+@pytest.mark.parametrize("bad", [
+    dict(repeats=0), dict(repeats=-3), dict(suites=("bv", "shor")), dict(repeats=2.5), dict(repeats=True),
+    dict(seed=-1), dict(seed=True), dict(shots=0), dict(n_min=0), dict(n_max="6"), dict(n_min=3, n_max=2)])
 def test_bench_config_rejects_bad_values(bad):
     with pytest.raises(InvalidSpec):
         BenchConfig(**bad)

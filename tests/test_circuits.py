@@ -15,6 +15,7 @@ from charforge.circuits import (GATE_ARITY, BenchmarkSpec, Circuit, build_benchm
 from charforge.errors import (AngleMissing, CircuitSyntaxError, InvalidSpec, KeyCollision,
                               MeasurementInUnitary, QubitOutOfRange, TooWide)
 from charforge import circuits
+from charforge.groups import TOL
 from charforge.statevector import SV_MAX_QUBITS, run_gates, zero_state
 from kernel_oracle import apply_frame_per_qubit, signed_zero_block
 
@@ -269,19 +270,20 @@ def test_depth():
 def test_gate_generators_dedupe_by_gate_and_by_matrix():
     # cz is symmetric, so cz 1 0 embeds to the same matrix as cz 0 1
     gates = [gate("cz", 2, 5), gate("h", 2), gate("cz", 5, 2), gate("h", 2), gate("h", 5)]
-    mats, slots = gate_generators(gates, (2, 5), 1e-9)
+    mats, slots = gate_generators(gates, (2, 5))
     assert slots == [0, 1, 0, 1, 2]
     assert len(mats) == 3
     assert np.array_equal(mats[0], np.diag([1, 1, 1, -1]).astype(complex))
     assert np.array_equal(mats[2], embed_gate(gate_matrix("h"), (1,), 2))
-    # 1e-9 apart, so one matrix within 1e-8 as in a closure, although their
-    # entries round to different 9-digit keys; within 8*tol but past tol they collide
+    # 1e-9 apart, so one matrix within TOL as in a closure, although their
+    # entries round to different 9-digit keys
     near = [gate("cp", 0, 1, angle=1.570796327), gate("cp", 0, 1, angle=1.570796326)]
-    mats, slots = gate_generators(near, (0, 1), 1e-8)
+    mats, slots = gate_generators(near, (0, 1))
     assert slots == [0, 0] and len(mats) == 1
     assert np.array_equal(mats[0], gate_matrix("cp", 1.570796327))
+    # 3*TOL apart: within 8*TOL but past TOL, they collide
     with pytest.raises(KeyCollision):
-        gate_generators(near, (0, 1), 3e-10)
+        gate_generators([near[0], gate("cp", 0, 1, angle=1.570796327 + 3 * TOL)], (0, 1))
 
 
 @pytest.mark.parametrize("qubits, n", [((0,), 1), ((1,), 3), ((2, 0), 3), ((1, 3), 4), ((0, 1), 2)])

@@ -11,6 +11,8 @@ from charforge.circuits import build_qft, circuit_unitary, parse_circuit, serial
 from charforge.cli import main
 
 BELL = "qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n"
+# cp(2pi/3) to the format's 10 digits: its products drift past 1e-9
+CP_THIRD = "qubits 2\ncp(2.094395102) 0 1\nx 0\nx 1\n"
 
 
 def charforge(*argv, cwd=None, env=None):
@@ -118,6 +120,16 @@ def test_optimize_skips_gates_that_collide(tmp_path):
     p.write_text("qubits 2\ncp(1.570796327) 0 1\ncp(1.57079636) 0 1\nh 0\n")
     r = charforge("optimize", "--in", str(p), "--out", str(tmp_path / "o.qc"))
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("command", ["group", "chartab", "decompose"])
+def test_ten_digit_cp_angles_close_as_in_optimize(tmp_path, command):
+    p = tmp_path / "cp3.circ"
+    p.write_text(CP_THIRD)
+    r = charforge(command, "--in", str(p))
+    assert r.returncode == 0, r.stderr
+    if command == "group":
+        assert json.loads(r.stdout)["order"] == 324
 
 
 def test_equiv_verdicts(tmp_path, bell_path):

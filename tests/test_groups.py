@@ -9,7 +9,7 @@ from charforge.circuits import GATE_ARITY, embed_gate, gate, gate_generators, ga
 from charforge.errors import (DimensionMismatch, InvalidSpec, KeyCollision,
                               NotUnitary, OrderCapExceeded)
 from charforge.fixtures import H, I2, S, X, Y, Z, fixture_generators, fixture_group
-from charforge.groups import (ClosureConfig, ElementLookup, center_and_abelian,
+from charforge.groups import (TOL, ClosureConfig, ElementLookup, center_and_abelian,
                               close_group, element_of, group_to_json)
 from charforge.optimize import _Closure, _seed
 
@@ -43,7 +43,7 @@ def brute_force_closure(generators, cap=100000):
 
 def test_generators_within_tol_share_one_input_element():
     a, b = (np.diag([1, 1, 1, np.exp(1j * t)]) for t in (1.570796327, 1.570796326))
-    g = close_group([a, b, a], ClosureConfig(tol=1e-8))
+    g = close_group([a, b, a])
     assert g.generators == [1] and g.input_elements == [1, 1, 1]
 
 
@@ -95,9 +95,7 @@ def test_element_of_not_found_and_dim_mismatch():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(max_order=0), dict(max_order=-5), dict(max_order=2.5), dict(max_order="10"),
-    dict(tol=float("nan")), dict(tol=float("inf")), dict(tol=0.0), dict(tol=-1e-9),
-    dict(tol="1e-9")])
+    dict(max_order=0), dict(max_order=-5), dict(max_order=2.5), dict(max_order="10")])
 def test_closure_config_rejects_bad_values(kwargs):
     with pytest.raises(InvalidSpec):
         ClosureConfig(**kwargs)
@@ -195,8 +193,8 @@ def test_order_cap_exceeded_for_h_t():
 
 def test_tolerance_ambiguity_is_rejected():
     from charforge.errors import KeyCollision
-    # two generators 3e-9 apart land between tol and 8*tol: not resolvable
-    nudged = np.exp(3e-9j) * X
+    # two generators 3*TOL apart land between TOL and 8*TOL: not resolvable
+    nudged = np.exp(3j * TOL) * X
     with pytest.raises(KeyCollision):
         close_group([X, nudged])
 
@@ -262,14 +260,21 @@ def test_closure_is_byte_identical_to_golden(name):
     assert (g.order, closure_digest(g)) == GOLDEN_CLOSURES[name]
 
 
+def test_a_ten_digit_cp_angle_closes():
+    # cp(2pi/5) to the text format's 10 digits: its products drift past 1e-9,
+    # within TOL
+    gates = [gate("cp", 0, 1, angle=1.256637061), gate("x", 0), gate("swap", 0, 1)]
+    assert close_group(gate_generators(gates, (0, 1))[0]).order == 5000
+
+
 def test_key_collision_mid_closure():
     # the generators are tolerance-separated; only the product X @ Z lands
-    # 3e-9 from the third generator, between tol and 8*tol
-    nudged_xz = np.exp(3e-9j) * (X @ Z)
+    # 3*TOL from the third generator, between TOL and 8*TOL
+    nudged_xz = np.exp(3j * TOL) * (X @ Z)
     gens = [X, Z, nudged_xz]
     for a in range(3):
         for b in range(a + 1, 3):
-            assert np.max(np.abs(gens[a] - gens[b])) > 8e-9
+            assert np.max(np.abs(gens[a] - gens[b])) > 8 * TOL
     with pytest.raises(KeyCollision):
         close_group(gens)
 
@@ -297,32 +302,30 @@ def test_element_of_across_a_rounding_boundary(groups):
     h = element_of(g, H)
     # 1/sqrt(2) = 0.70710678118...: half a tolerance up crosses the 9-digit
     # rounding boundary at ...1815, so a lookup by rounded key would miss
-    nudged = g.mats[h] + g.tol / 2
+    nudged = g.mats[h] + TOL / 2
     assert not np.array_equal(np.round(nudged, 9), np.round(g.mats[h], 9))
     assert element_of(g, nudged) == h
-    assert element_of(g, g.mats[h] + 2 * g.tol) is None
+    assert element_of(g, g.mats[h] + 2 * TOL) is None
 
 
 @pytest.mark.parametrize("first", ["exact", "nudged"])
 def test_one_batch_merges_copies_within_tol_into_its_first(first):
-    tol = 1e-9
-    lookup = ElementLookup(2, tol)
+    lookup = ElementLookup(2)
     lookup.find(I2[None], max_order=10)
-    copies = {"exact": X.astype(complex), "nudged": X + tol / 2}
-    batch = np.stack([copies[first], X, X, X + tol / 2, Z])
+    copies = {"exact": X.astype(complex), "nudged": X + TOL / 2}
+    batch = np.stack([copies[first], X, X, X + TOL / 2, Z])
     found, new = lookup.find(batch, max_order=10)
     assert found.tolist() == [1, 1, 1, 1, 2] and new.tolist() == [0, 4]
     assert lookup.count == 3
     assert np.array_equal(lookup.mats[1], copies[first])
     # a later query of either copy finds the merged element
-    assert lookup.find(np.stack([X, X + tol / 2, H]))[0].tolist() == [1, 1, -1]
+    assert lookup.find(np.stack([X, X + TOL / 2, H]))[0].tolist() == [1, 1, -1]
 
 
 def test_one_batch_rejects_a_pair_between_tol_and_8_tol():
-    tol = 1e-9
-    lookup = ElementLookup(2, tol)
+    lookup = ElementLookup(2)
     with pytest.raises(KeyCollision):
-        lookup.find(np.stack([Z, X, X + 3 * tol]), max_order=10)
+        lookup.find(np.stack([Z, X, X + 3 * TOL]), max_order=10)
 
 
 _POOLS = {
@@ -347,10 +350,10 @@ def test_random_generator_subsets_match_oracle(case):
     found = {element_of(g, m) for m in oracle}
     assert None not in found and len(found) == g.order
     products = g.mats[:, None] @ g.mats[None, :]
-    assert np.max(np.abs(products - g.mats[g.cayley.astype(int)])) <= g.tol
+    assert np.max(np.abs(products - g.mats[g.cayley.astype(int)])) <= TOL
     identity = np.eye(dim)
-    assert np.max(np.abs(g.mats @ g.mats[g.inverses] - identity)) <= g.tol
-    assert np.max(np.abs(g.mats[g.inverses] @ g.mats - identity)) <= g.tol
+    assert np.max(np.abs(g.mats @ g.mats[g.inverses] - identity)) <= TOL
+    assert np.max(np.abs(g.mats[g.inverses] @ g.mats - identity)) <= TOL
 
 
 def test_repr_does_not_build_the_lazy_tables():
@@ -400,7 +403,7 @@ def assert_seeded_matches_fresh(seeded, fresh):
     cayley = seeded.cayley[rows].astype(int)
     assert np.array_equal(fresh.cayley[phi[rows]][:, phi], phi[cayley])
     products = seeded.mats[rows][:, None] @ seeded.mats[None, :]
-    assert np.max(np.abs(products - seeded.mats[cayley])) <= seeded.tol
+    assert np.max(np.abs(products - seeded.mats[cayley])) <= TOL
     assert np.array_equal(fresh.inverses[phi], phi[seeded.inverses])
     assert sorted(map(len, seeded.classes)) == sorted(map(len, fresh.classes))
 
@@ -442,13 +445,13 @@ def _grown_gate_lists(draw):
 def test_seeded_closure_on_a_grown_support_matches_fresh(case):
     old, last = case
     cfg = ClosureConfig(max_order=1200)
-    mats, slots = gate_generators(old, tuple(sorted({q for g in old for q in g.qubits})), cfg.tol)
+    mats, slots = gate_generators(old, tuple(sorted({q for g in old for q in g.qubits})))
     try:
         h = close_group(mats, cfg)
     except OrderCapExceeded:
         return
     support = tuple(sorted({q for g in old + [last] for q in g.qubits}))
-    grown, grown_slots = gate_generators(old + [last], support, cfg.tol)
+    grown, grown_slots = gate_generators(old + [last], support)
     templates = [(old + [last])[grown_slots.index(s)] for s in range(len(grown))]
     seed = _seed(_Closure(h, templates[:len(mats)], {}), old + [last], support)
     assert seed.dim == 1 << len(support) > h.dim
@@ -492,15 +495,14 @@ def test_seeded_closure_rejects_a_base_of_another_dimension():
         close_group(CLOSURE_INPUTS["c2xc2"], base=close_group([X]))
 
 
-@pytest.mark.parametrize("base_gens, gens, tol", [
-    ([Z], [X, Z], 1e-9),             # not the first generator
-    ([X, Z], [X], 1e-9),             # more generators than the list
-    ([X, Z], [Z, X], 1e-9),          # another order
-    ([X], [X, Z], 1e-8),             # another tolerance
+@pytest.mark.parametrize("base_gens, gens", [
+    ([Z], [X, Z]),             # not the first generator
+    ([X, Z], [X]),             # more generators than the list
+    ([X, Z], [Z, X]),          # another order
 ])
-def test_seeded_closure_rejects_a_base_of_other_generators(base_gens, gens, tol):
+def test_seeded_closure_rejects_a_base_of_other_generators(base_gens, gens):
     with pytest.raises(InvalidSpec):
-        close_group(gens, ClosureConfig(tol=tol), base=close_group(base_gens))
+        close_group(gens, base=close_group(base_gens))
 
 
 def test_seeded_closure_rejects_a_base_past_max_order():

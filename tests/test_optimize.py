@@ -10,16 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charforge import characters, groups as groups_module, optimize as optimize_module, statevector
+from charforge import characters, cli, groups as groups_module, optimize as optimize_module, statevector
 from charforge.bench import _spec_for
-from charforge.circuits import (GATE_ARITY, Circuit, build_benchmark, build_bv, build_grover,
-                                build_qft, circuit_unitary, gate, gate_generators, parse_circuit,
+from charforge.circuits import (GATE_ARITY, Circuit, GateInstance, build_benchmark, build_bv, build_grover,
+                                build_qft, check_gates, circuit_unitary, gate, gate_generators, parse_circuit,
                                 random_clifford_circuit, serialize_circuit)
 from charforge.complexity import CostParams
 from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
-from charforge.groups import ClosureConfig, ElementLookup, close_group, element_of
-from charforge.optimize import (CLOSURE_TOL, OptimizeConfig, SegmentRecord, _close, _close_segment, _Closure,
+from charforge.observables import Observable
+from charforge.groups import TOL, ClosureConfig, ElementLookup, close_group, element_of
+from charforge.optimize import (OptimizeConfig, SegmentRecord, _close, _close_segment, _Closure,
                                 _effective_cap, _key, _parts, _rewrite_segment, build_word_table,
                                 equivalence_check, optimize)
 from charforge.tableau import tableau_run
@@ -62,20 +63,20 @@ def test_word_table_c2(groups):
 _A, _B = (np.diag([1, 1, 1, np.exp(1j * t)]) for t in (1.570796327, 1.570796326))
 
 
-@pytest.mark.parametrize("gens, tol, reference", [
-    ([X, X, Z], 1e-9, [X, Z]),
-    ([_A, _B, _A], 1e-8, [_A]),  # a and b are within tol, so they share one input element
+@pytest.mark.parametrize("gens, reference", [
+    ([X, X, Z], [X, Z]),
+    ([_A, _B, _A], [_A]),  # a and b are within TOL, so they share one input element
 ])
-def test_word_slots_index_the_input_generators(gens, tol, reference):
-    g = close_group(gens, ClosureConfig(tol=tol))
-    h = close_group(reference, ClosureConfig(tol=tol))
+def test_word_slots_index_the_input_generators(gens, reference):
+    g = close_group(gens)
+    h = close_group(reference)
     wt, ref = build_word_table(g), build_word_table(h)
     assert len(set(g.input_elements)) < len(g.input_elements) and g.order == h.order
     for e in range(g.order):
         m = np.eye(g.dim, dtype=complex)
         for slot in wt.word(e):
             m = m @ gens[slot]
-        assert np.max(np.abs(m - g.mats[e])) <= 4 * tol
+        assert np.max(np.abs(m - g.mats[e])) <= 4 * TOL
         assert wt.word_length[e] == ref.word_length[element_of(h, g.mats[e])]
 
 
@@ -134,9 +135,9 @@ def test_clifford1_eccentricity_matches_matrix_bfs(groups):
 # -- phase-equal candidates ------------------------------------------------------
 
 def brute_force_phase_classes(group):
-    """For every element p, {e : max|phase_canonical(e) - phase_canonical(p)| <= 4 tol}.
+    """For every element p, {e : max|phase_canonical(e) - phase_canonical(p)| <= 4 TOL}.
     A chunked Gram matrix gives each pair's squared Frobenius distance; a pair
-    inside the bound has it below 16 (4 tol)^2, far under the 1e-6 prefilter,
+    inside the bound has it below 16 (4 TOL)^2, far under the 1e-6 prefilter,
     so the exact max-abs test on the prefiltered pairs loses no member."""
     canon = phase_canonical(group.mats).reshape(group.order, -1)
     sq = np.sum(np.abs(canon) ** 2, axis=1)
@@ -147,14 +148,14 @@ def brute_force_phase_classes(group):
         for p, row in zip(range(lo, lo + len(block)), fro2):
             near = np.flatnonzero(row <= 1e-6)
             dists = np.max(np.abs(canon[near] - canon[p]), axis=1)
-            out.append(set(near[dists <= 4 * group.tol].tolist()))
+            out.append(set(near[dists <= 4 * TOL].tolist()))
     return out
 
 
 def _h0_cx01_s1_group():
     gates = list(parse_circuit("qubits 2\nh 0\ncx 0 1\ns 1\n").gates)
-    mats, _ = gate_generators(gates, (0, 1), CLOSURE_TOL)
-    return close_group(mats, ClosureConfig(max_order=10000, tol=CLOSURE_TOL))
+    mats, _ = gate_generators(gates, (0, 1))
+    return close_group(mats, ClosureConfig(max_order=10000))
 
 
 @pytest.mark.parametrize("make", [lambda groups: groups["clifford1"],
@@ -388,22 +389,29 @@ def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
     cases = [args[:2] for args in log["refuted"]]
     for gates in outside_refuted + split_refused:
         support = tuple(sorted({q for g in gates for q in g.qubits}))
-        mats, _ = gate_generators(gates, support, CLOSURE_TOL)
+        mats, _ = gate_generators(gates, support)
         cap = _effective_cap(1 << len(support), len(mats), FAST)
-        cases.append((mats, ClosureConfig(max_order=cap, tol=CLOSURE_TOL)))
+        cases.append((mats, ClosureConfig(max_order=cap)))
     for mats, cfg in cases:
         with pytest.raises((OrderCapExceeded, KeyCollision)):
             close_group(mats, cfg)
 
 
 def test_generators_that_collide_are_refused():
-    # the cp matrices are 3.3e-8 apart, between CLOSURE_TOL and 8 * CLOSURE_TOL:
+    # the cp matrices are 3.3e-8 apart, between TOL and 8 * TOL:
     # merging them raises KeyCollision, so the first segment ends before the
     # second cp, whose powers alone pass the cap
     c = parse_circuit("qubits 2\ncp(1.570796327) 0 1\ncp(1.57079636) 0 1\nh 0\n")
     _, rep = optimize(c, FAST)
     assert [(s.status, s.group_order) for s in rep.segments] == [
         ("kept", 4), ("skipped-cap", None), ("kept", 2)]
+
+
+def test_the_cli_closes_a_ten_digit_cp_angle_as_the_optimizer_does():
+    # cp(2pi/3) to the text format's 10 digits: its products drift past 1e-9
+    c = parse_circuit("qubits 2\ncp(2.094395102) 0 1\nx 0\nx 1\n")
+    group = cli.circuit_gate_group(c, ClosureConfig())[0]
+    assert group.order == _close(list(c.gates), FAST, {}).group.order == 324
 
 
 def test_a_base_that_does_not_lead_closes_fresh():
@@ -511,7 +519,7 @@ def test_a_segment_rewrite_depends_on_its_own_gates_only():
 @pytest.mark.parametrize("text, segments", [
     # both cp(0) are the identity: one generator over the whole support, two in the parts
     ("qubits 4\ncp(0) 0 1\ncp(0) 2 3\n", [("rewritten", 1)]),
-    # the embedded matrices are 4e-8 apart, between CLOSURE_TOL and 8 * CLOSURE_TOL
+    # the embedded matrices are 4e-8 apart, between TOL and 8 * TOL
     ("qubits 4\ncp(4e-8) 0 1\ncp(0) 2 3\n", [("skipped-cap", None), ("rewritten", 1)]),
 ])
 def test_split_edge_cases_match_the_whole_path(monkeypatch, text, segments):
@@ -664,8 +672,12 @@ BELL = parse_circuit("qubits 2\nh 0\ncx 0 1\n")
     (lambda: characters.character_table(close_group([X]), seed=True), "seed must be a non-negative integer"),
     (lambda: equivalence_check(BELL, BELL, tv_tol=True), "tv_tol must be finite"),
     (lambda: equivalence_check(BELL, BELL, obs_tol=False), "obs_tol must be finite"),
+    (lambda: gate("cp", 0, 1, angle=True), "angle must be finite and real"),
+    (lambda: check_gates(Circuit(2, (GateInstance("cp", (0, 1), True),))), "has angle True"),
+    (lambda: CostParams("general", k=1, m=1, n=1, order=2, dmax=1, g_cost=True), "g_cost must be finite"),
+    (lambda: Observable.from_pauli("Z", coeff=True), "pauli coefficient must be a finite real"),
 ], ids=["tableau-shots", "tableau-seed", "sv-shots", "sv-seed", "max_order", "cost-k", "chartab-seed",
-        "tv_tol", "obs_tol"])
+        "tv_tol", "obs_tol", "cp-angle", "cp-gate", "g_cost", "pauli-coeff"])
 def test_a_bool_is_not_a_count_a_seed_or_a_tolerance(call, match):
     with pytest.raises(InvalidSpec, match=match):
         call()

@@ -10,6 +10,12 @@ JSON of the report's segments and the repr of the `cost_model` value. The
 first 16 hex digits are printed; a refactor that keeps them keeps every
 rewrite, segment record and cost of the 20 rows in both modes. The next two
 lines count the closures the optimizer and `cost_model` build in each mode.
+
+The last line digests the closures the group commands build: for the gate
+sets of the analyze-groups workload in perfbench/workloads.py, each closed by
+`cli.circuit_gate_group` on its qubits as listed, then for every fixture, a
+sha256 is fed the group's `mats` and `right` and its seed-0 character table
+CSV, and its first 16 hex digits are printed.
 """
 
 from __future__ import annotations
@@ -17,10 +23,18 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import sys
+from pathlib import Path
 
+from charforge import cli
 from charforge.bench import SUITES, _cost_for, _spec_for
-from charforge.circuits import build_benchmark, serialize_circuit
+from charforge.characters import character_table, character_table_csv
+from charforge.circuits import Circuit, build_benchmark, gate, serialize_circuit
+from charforge.fixtures import FIXTURE_NAMES, fixture_group
+from charforge.groups import ClosureConfig
 from charforge.optimize import OptimizeConfig, optimize
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # the package exports the optimize function under the module's name
 optimize_module = importlib.import_module("charforge.optimize")
@@ -52,8 +66,25 @@ def rows_digest() -> tuple[str, dict[bool, int]]:
     return h.hexdigest()[:16], calls
 
 
+def closures_digest() -> str:
+    """The digest of the analyze-groups gate sets' and the fixtures' closures."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    groups = [cli.circuit_gate_group(Circuit(n, tuple(gate(kind, *qs) for kind, *qs in gates)),
+                                     ClosureConfig())[0] for n, gates, _, _ in workloads.GATE_SETS]
+    groups += [fixture_group(name) for name in FIXTURE_NAMES]
+    h = hashlib.sha256()
+    for group in groups:
+        h.update(group.mats.tobytes())
+        h.update(group.right.tobytes())
+        h.update(character_table_csv(character_table(group, seed=0)).encode())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     digest, calls = rows_digest()
     print(digest)
     for phase_insensitive, n in calls.items():
         print(f"close_group calls, {'phase-insensitive' if phase_insensitive else 'phase-sensitive'}: {n}")
+    print(f"group-command closures: {closures_digest()}")
