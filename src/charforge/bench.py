@@ -92,13 +92,15 @@ def _cost_for(report, circuit: Circuit, opt_cfg: OptimizeConfig) -> float | None
     character-value cost g as 1 (a table lookup) for non-abelian cases. The
     closed segments are closed again, largest first, with the optimizer's caps,
     which gives the same groups, until one has few enough classes; its
-    character table supplies the degrees."""
+    character table supplies the degrees. A segment closed part by part whose
+    whole closure fails (parts' gates that collide over the whole support) is
+    passed over."""
     body, cache = circuit.body_and_suffix()[0], {}
     closed = [s for s in report.segments if s.group_order is not None]
     for seg in sorted(closed, key=lambda s: -s.group_order):
-        group = _close(list(body[seg.start:seg.end]), opt_cfg, cache).group
-        k = len(group.classes)
-        if k <= COST_MAX_CLASSES:
+        whole = _close(list(body[seg.start:seg.end]), opt_cfg, cache)
+        if whole is not None and (k := len(whole.group.classes)) <= COST_MAX_CLASSES:
+            group = whole.group
             break
     else:
         return None

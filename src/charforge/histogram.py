@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,10 @@ def _is_int(v) -> bool:  # a Python or numpy integer; a bool is not
     return type(v) is int or isinstance(v, np.integer)
 
 
-def _is_real(v) -> bool:  # a Python or numpy integer or a finite float; a bool is not
-    return _is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
+def _is_real(v) -> bool:  # a Python or numpy integer or float, finite as a float; a bool is not
+    if _is_int(v):  # a Python int may lie past the float range
+        return -sys.float_info.max <= v <= sys.float_info.max
+    return isinstance(v, (float, np.floating)) and math.isfinite(v)
 
 
 def check_shots(shots: int) -> None:

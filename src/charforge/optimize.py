@@ -16,11 +16,13 @@ kept verbatim and logged. Only the generator tables (FiniteMatrixGroup.right)
 are read. `_close` closes a gate list once per support and key set in an
 `optimize` call, extending the closure H of the list without its last gate
 when H's templates lead; a count of H's cosets, or Lagrange when the gate
-adds qubits, refutes most over-cap groups before any BFS. In phase-insensitive
-mode `_close_segment` takes a segment as the product of its qubit-disjoint
-parts' closures, held to the whole segment's cap; phase-sensitive mode closes
-it whole. A segment's word depends on its own gates only: ties break by the
-first position of each generator in the segment, whose gates are emitted.
+adds qubits, refutes most over-cap groups before any BFS. The scan carries a
+segment as its parts, each with its closure, and `_grow` closes only the part
+a new gate joins: in phase-insensitive mode the parts share no qubit and the
+segment's order is their product's, held to the whole segment's cap, with no
+order cached; phase-sensitive mode keeps one part, the segment. A segment's
+word depends on its own gates only: ties break by the first position of each
+generator in the segment, whose gates are emitted.
 """
 
 from __future__ import annotations
@@ -141,7 +143,8 @@ class _Closure:
         return found[found >= 0]
 
 
-_Segment = tuple[int, list[tuple[list[GateInstance], _Closure]]]  # group order, (part, closure) pairs
+_Part = tuple[list[GateInstance], _Closure, frozenset[int]]  # gates, their closure, their qubits
+_Segment = tuple[int, list[_Part]]  # group order, parts
 
 
 @dataclass
@@ -245,16 +248,6 @@ def _key(gates: list[GateInstance]) -> tuple:
     return _support(gates), frozenset(g.key() for g in gates)
 
 
-def _parts(gates: list[GateInstance]) -> list[list[GateInstance]]:
-    """`gates` split into parts that share no qubit, each in gate order."""
-    part_of: dict[int, set[int]] = {}  # qubit -> the qubits of its part
-    for g in gates:
-        joined = set(g.qubits).union(*(part_of.get(q, ()) for q in g.qubits))
-        part_of.update(dict.fromkeys(joined, joined))
-    parts = {min(p): p for p in part_of.values()}.values()
-    return [[g for g in gates if g.qubits[0] in p] for p in parts]
-
-
 def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
            base: _Closure | None = None) -> _Closure | None:
     """The closure of `gates`, cached by support and key set, or None past the
@@ -285,54 +278,45 @@ def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
     return result
 
 
-def _close_segment(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict) -> _Segment | None:
-    """The order of the group that `gates` generate and their parts, each with
-    its closure, or None past the caps or at a key collision. Phase
-    insensitive, the parts share no qubit; phase sensitive, the one part is
-    `gates`, since a part would need a word for each scalar multiple. The
-    order is cached under the set of the parts' keys; each closure, under its part's."""
-    parts = _parts(gates) if cfg.phase_insensitive else [gates]
-    keys = [_key(p) for p in parts]
-    key = frozenset(keys)
-    if key not in cache:
-        cache[key] = _product_order(gates, parts, cfg, cache)
-    return None if cache[key] is None else (cache[key], [(p, cache[k]) for p, k in zip(parts, keys)])
-
-
-def _product_order(gates: list[GateInstance], parts: list[list[GateInstance]], cfg: OptimizeConfig,
-                   cache: dict) -> int | None:
-    """|G_1 ... G_m| for the closures G_i of `parts`, the last gate's part grown
-    from its closure without that gate, or None past the cap of the whole
-    segment, whose generator count and key collisions come from gate_generators
-    over the whole support. Up to scalars the product is direct, and its
-    scalars, cyclic like the parts', number lcm(s_i)."""
-    support = _support(gates)
-    try:
-        cap = math.inf if len(parts) == 1 else _effective_cap(
-            1 << len(support), len(gate_generators(gates, support)[0]), cfg)
-    except KeyCollision:
+def _grow(gates: list[GateInstance], parts: list[_Part], cfg: OptimizeConfig, cache: dict) -> _Segment | None:
+    """The order and parts of the segment `gates`, whose `parts` (each in gate
+    order, with its closure and qubits) cover gates[:-1], or None past the caps
+    or at a key collision. The last gate joins the parts it shares a qubit with,
+    phase sensitive every part, since a part would need a word for each scalar
+    multiple; only that joined part is closed, from the carried closure when it
+    joins one part and from its closure without the gate when it joins several.
+    Up to scalars the product is direct, and its scalars, cyclic like the
+    parts', number lcm(s_i); it is held to the whole segment's cap, with the
+    parts' templates as its generators."""
+    g = gates[-1]
+    hit = [i for i, (_, _, qs) in enumerate(parts) if not cfg.phase_insensitive or not qs.isdisjoint(g.qubits)]
+    qubits = frozenset(g.qubits).union(*(parts[i][2] for i in hit))
+    joined = parts[hit[0]][0] + [g] if len(hit) == 1 else [x for x in gates if x.qubits[0] in qubits]
+    base = parts[hit[0]][1] if len(hit) == 1 else _close(joined[:-1], cfg, cache) if hit else None
+    closure = _close(joined, cfg, cache, base)
+    if closure is None:
         return None
-    if cap < 2:
-        return None
-    closures = [_close(p, cfg, cache, _close(p[:-1], cfg, cache) if p[-1] is gates[-1] and len(p) > 1 else None)
-                for p in parts]
-    if None in closures:  # a part's cap is at least the whole's
-        return None
-    scalars = [len(c.scalars) for c in closures] if len(parts) > 1 else [1]
-    order = math.lcm(*scalars) * math.prod(c.group.order // s for c, s in zip(closures, scalars))
-    return order if order <= cap else None
+    parts = [p for i, p in enumerate(parts) if i not in hit]
+    parts.insert(hit[0] if hit else len(parts), (joined, closure, qubits))
+    if len(parts) == 1:
+        return closure.group.order, parts
+    cap = _effective_cap(1 << sum(len(qs) for _, _, qs in parts), sum(len(c.templates) for _, c, _ in parts), cfg)
+    scalars = [len(c.scalars) for _, c, _ in parts]
+    order = math.lcm(*scalars) * math.prod(c.group.order // s for (_, c, _), s in zip(parts, scalars))
+    return (order, parts) if 2 <= cap and order <= cap else None
 
 
 def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig, cache: dict):
     """Greedy maximal runs: extend while the distinct gate set still closes
-    under the caps. Yields (start, end, gates, _close_segment's result)."""
+    under the caps, carrying the segment's parts from gate to gate. Yields
+    (start, end, gates, _grow's result)."""
     out, start, current, closed = [], 0, [], None
     for i, g in enumerate(body):
-        grown = _close_segment(current + [g], cfg, cache)
+        grown = _grow(current + [g], closed[1] if current else [], cfg, cache)
         if grown is None and current:  # end the segment and start the next at g
             out.append((start, i, current, closed))
             start, current = i, []
-            grown = _close_segment([g], cfg, cache)
+            grown = _grow([g], [], cfg, cache)
         if grown is None:  # g alone is past the caps
             out.append((i, i + 1, [g], None))
             start = i + 1
@@ -350,7 +334,7 @@ def _rewrite_segment(gates: list[GateInstance], closed: _Segment, cfg: OptimizeC
     length the smallest wins, each slot ranked by the position of its first
     gate in `gates`, whatever gate list the closures were cached from."""
     record.group_order, words = closed[0], []
-    for part, c in closed[1]:
+    for part, c, _ in closed[1]:
         first: dict[int, int] = {}  # c's slots -> the position of their first gate, in that order
         for i, g in enumerate(gates):
             if g.key() in c.template_of_key:

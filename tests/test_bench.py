@@ -1,8 +1,10 @@
 import pytest
 
-from charforge.bench import (CSV_HEADER, BenchConfig, BenchRow, emit_outputs,
+from charforge.bench import (CSV_HEADER, BenchConfig, BenchRow, _cost_for, emit_outputs,
                              results_csv, results_svg, run_bench)
+from charforge.circuits import parse_circuit
 from charforge.errors import CharforgeError, InvalidSpec
+from charforge.optimize import OptimizeConfig, optimize
 
 SMALL = BenchConfig(suites=("bv", "qft"), n_min=2, n_max=3, repeats=2,
                     shots=4000, seed=42)
@@ -29,6 +31,22 @@ def test_cost_model_column_is_pinned(small_results):
     # one value per (suite, n), the same on both variants
     expected = [93658255.0, 2946988236.0, 207624832.0, 207624928.0]
     assert [row.cost_model for row in small_results.rows] == [c for c in expected for _ in range(2)]
+
+
+# each cp is the identity within TOL, but they lie 1.8e-8 apart: the first segment closes part
+# by part, while over its whole support the two collide, so it has no whole closure to cost
+NEAR_IDENTITIES = "qubits 4\ncp(9e-9) 0 1\ncp(-9e-9) 2 3\nh 0\n"
+
+
+@pytest.mark.parametrize("text, cost", [
+    (NEAR_IDENTITIES, None),
+    (NEAR_IDENTITIES + "cp(1) 0 1\nx 0\n", 64.0),  # the x segment's order 2 ties it, and is costed
+], ids=["alone", "then-x"])
+def test_cost_passes_over_a_segment_without_a_whole_closure(text, cost):
+    circuit, cfg = parse_circuit(text), OptimizeConfig(run_equivalence=False)
+    _, report = optimize(circuit, cfg)
+    assert report.segments[0].group_order == 2
+    assert _cost_for(report, circuit, cfg) == cost
 
 
 @pytest.mark.parametrize("bad", [

@@ -3,7 +3,9 @@
 perfbench traces the (module, function) pairs of spantrace.TRACED and builds
 its group workloads through cli.circuit_gate_group. A function that moves or
 is renamed would drop out of its traces silently, so the names are checked
-here. TRACED is read from the source text, without importing perfbench.
+here, as is every name that perfbench/workloads.py imports from the package,
+so that removing one fails here rather than in a benchmark run. TRACED and the
+imports are read from the source text, without importing perfbench.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SPANTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "spantrace.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANTRACE = PERFBENCH / "spantrace.py"
 
 
 def _traced() -> list[tuple[str, str]]:
@@ -23,9 +26,22 @@ def _traced() -> list[tuple[str, str]]:
     return list(ast.literal_eval(node.value))
 
 
+def _workload_imports() -> list[tuple[str, str]]:
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    return [(n.module, a.name) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            and (n.module or "").split(".")[0] == "charforge" for a in n.names]
+
+
 @pytest.mark.parametrize("module, function", _traced())
 def test_traced_function_exists(module, function):
     assert callable(getattr(importlib.import_module(f"charforge.{module}"), function, None))
+
+
+@pytest.mark.parametrize("module, name", _workload_imports())
+def test_workload_import_exists(module, name):
+    package = importlib.import_module(module)
+    if not hasattr(package, name):  # a submodule, as in `from charforge import cli`
+        importlib.import_module(f"{module}.{name}")
 
 
 def test_circuit_gate_group_keeps_its_signature():

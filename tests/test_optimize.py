@@ -20,9 +20,8 @@ from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.observables import Observable
 from charforge.groups import TOL, ClosureConfig, ElementLookup, close_group, element_of
-from charforge.optimize import (OptimizeConfig, SegmentRecord, _close, _close_segment, _Closure,
-                                _effective_cap, _key, _parts, _rewrite_segment, build_word_table,
-                                equivalence_check, optimize)
+from charforge.optimize import (OptimizeConfig, SegmentRecord, _close, _Closure, _effective_cap, _key,
+                                _rewrite_segment, build_word_table, equivalence_check, optimize)
 from charforge.tableau import tableau_run
 from phase_oracle import equal_up_to_phase, phase_canonical
 
@@ -332,7 +331,7 @@ def test_optimize_computes_no_character_table(monkeypatch, n, marked):
 
 # (rows, close_group calls, closures that reach the BFS and fail, refutations
 # before any BFS: (by the coset count, by Lagrange on new qubits, split
-# segments refused by their parts or their product order)) on the bench rows at
+# segments that _grow refuses by their parts or their product order)) on the bench rows at
 # seed 0. With a second cache entry for a gate set closed as a part and as a
 # segment, the calls were 15, 20 and 186 and the n2-4 coset refutations 25.
 # Before segments were closed part by part the three were (16, 0, (0, 2)),
@@ -349,7 +348,7 @@ def test_optimize_computes_no_character_table(monkeypatch, n, marked):
 def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
     log = _recording_close_group(monkeypatch)
     outside_refuted, split_refused, refused, closing, closed_keys = [], [], {}, [None], []
-    outside, close, close_segment = optimize_module._outside, optimize_module._close, optimize_module._close_segment
+    outside, close, grow = optimize_module._outside, optimize_module._close, optimize_module._grow
     counted = optimize_module.close_group
 
     def recording_outside(gates):
@@ -366,8 +365,8 @@ def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
         closed_keys.append(closing[0])
         return counted(*args, **kwargs)
 
-    def recording_close_segment(gates, cfg, cache):
-        result = close_segment(gates, cfg, cache)
+    def recording_grow(gates, parts, cfg, cache):
+        result = grow(gates, parts, cfg, cache)
         if result is None and len(_parts(gates)) > 1:
             refused.setdefault(frozenset(g.key() for g in gates), list(gates))  # once per optimize call
         return result
@@ -375,7 +374,7 @@ def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
     monkeypatch.setattr(optimize_module, "_outside", recording_outside)
     monkeypatch.setattr(optimize_module, "_close", recording_close)
     monkeypatch.setattr(optimize_module, "close_group", recording_close_group)
-    monkeypatch.setattr(optimize_module, "_close_segment", recording_close_segment)
+    monkeypatch.setattr(optimize_module, "_grow", recording_grow)
     for suite, n in rows:
         closed_keys.clear()
         refused.clear()
@@ -436,12 +435,37 @@ def test_a_base_that_leads_keeps_the_fresh_templates():
 
 # -- qubit-disjoint parts ------------------------------------------------------
 
+def _parts(gates):
+    """Oracle: `gates` split into parts that share no qubit, each in gate order."""
+    part_of: dict[int, set[int]] = {}  # qubit -> the qubits of its part
+    for g in gates:
+        joined = set(g.qubits).union(*(part_of.get(q, ()) for q in g.qubits))
+        part_of.update(dict.fromkeys(joined, joined))
+    parts = {min(p): p for p in part_of.values()}.values()
+    return [[g for g in gates if g.qubits[0] in p] for p in parts]
+
+
+def _qubits(gates):
+    return frozenset(q for g in gates for q in g.qubits)
+
+
+def _grown(gates, cache):
+    """_grow run over `gates` one gate at a time, as the scan runs it: the
+    segment's order and parts, or None once a step is refused."""
+    closed = (None, [])
+    for i in range(len(gates)):
+        closed = optimize_module._grow(list(gates[:i + 1]), closed[1], FAST, cache)
+        if closed is None:
+            return None
+    return closed
+
+
 def _rewritten_by_both(gates, closed):
-    """The rewrite of `gates` by _close_segment's result `closed` and by their
-    whole closure from a fresh cache, and the two records."""
+    """The rewrite of `gates` by _grow's result `closed` and by their whole
+    closure from a fresh cache, and the two records."""
     whole = _close(list(gates), FAST, {})
     out = []
-    for segment in (closed, (whole.group.order, [(list(gates), whole)])):
+    for segment in (closed, (whole.group.order, [(list(gates), whole, _qubits(gates))])):
         record = SegmentRecord(0, len(gates), (), "skipped-cap", len(gates), len(gates))
         out.append((_rewrite_segment(list(gates), segment, FAST, record), record))
     return out
@@ -488,10 +512,12 @@ def test_split_closures_match_whole_closures(gates, one_part, parts_cached_rever
     if parts_cached_reversed:  # part closures whose slots run against the segment's
         for part in _parts(gates):
             _close(part[::-1], FAST, cache)
-    closed = _close_segment(gates, FAST, cache)
+    closed = _grown(gates, cache)
     whole = _close(gates, FAST, {})
     assert (closed is None) == (whole is None)
     if closed is not None:
+        # the scan carries the oracle's parts, part for part and in gate order
+        assert [(p, qs) for p, _, qs in closed[1]] == [(p, _qubits(p)) for p in _parts(gates)]
         assert closed[0] == whole.group.order
         (split, split_rec), (whole_gates, whole_rec) = _rewritten_by_both(gates, closed)
         assert split == whole_gates and split_rec.status == whole_rec.status
@@ -504,7 +530,7 @@ def test_a_part_cached_with_its_slots_reversed_keeps_the_ties_of_the_segment():
     gates = [x0, z0, x0, z0, x0, z0, h1]
     cache = {}
     assert _close([z0, x0], FAST, cache).templates == [z0, x0]
-    (split, _), (whole, _) = _rewritten_by_both(gates, _close_segment(gates, FAST, cache))
+    (split, _), (whole, _) = _rewritten_by_both(gates, _grown(gates, cache))
     assert split == whole == [h1, z0, x0]
 
 
@@ -516,20 +542,28 @@ def test_a_segment_rewrite_depends_on_its_own_gates_only():
     assert alone.gates == after.gates[3:] == (gate("x", 0), gate("z", 0))
 
 
-@pytest.mark.parametrize("text, segments", [
+@pytest.mark.parametrize("text, segments, whole_orders, out", [
     # both cp(0) are the identity: one generator over the whole support, two in the parts
-    ("qubits 4\ncp(0) 0 1\ncp(0) 2 3\n", [("rewritten", 1)]),
-    # the embedded matrices are 4e-8 apart, between TOL and 8 * TOL
-    ("qubits 4\ncp(4e-8) 0 1\ncp(0) 2 3\n", [("skipped-cap", None), ("rewritten", 1)]),
-])
-def test_split_edge_cases_match_the_whole_path(monkeypatch, text, segments):
+    ("qubits 4\ncp(0) 0 1\ncp(0) 2 3\n", [("rewritten", 1)], [1], ""),
+    # cp(4e-8) is 4e-8 from the identity, between TOL and 8 * TOL: its powers collide
+    ("qubits 4\ncp(4e-8) 0 1\ncp(0) 2 3\n", [("skipped-cap", None), ("rewritten", 1)], [None, 1],
+     "cp(4e-08) 0 1\n"),
+    # each cp is the identity within TOL, but they lie 1.8e-8 apart: they collide in the whole
+    # closure, while the parts never compare them
+    ("qubits 4\ncp(9e-9) 0 1\ncp(-9e-9) 2 3\nh 0\n", [("rewritten", 2)], [None], "h 0\n"),
+], ids=["identities", "colliding-powers", "near-identities"])
+def test_split_edge_cases_match_the_whole_path(text, segments, whole_orders, out):
     c = parse_circuit(text)
-    split_out, split = optimize(c, FAST)
-    monkeypatch.setattr(optimize_module, "_parts", lambda gates: [gates])
-    whole_out, whole = optimize(c, FAST)
-    assert split_out.gates == whole_out.gates
-    assert [(s.status, s.group_order) for s in split.segments] == [
-        (s.status, s.group_order) for s in whole.segments] == segments
+    optimized, report = optimize(c, FAST)
+    assert serialize_circuit(optimized) == "qubits 4\n" + out
+    assert [(s.status, s.group_order) for s in report.segments] == segments
+    wholes = [_close(list(c.gates[s.start:s.end]), FAST, {}) for s in report.segments]
+    assert [w and w.group.order for w in wholes] == whole_orders
+    for s, w in zip(report.segments, wholes):
+        if w is not None:  # where the whole closure closes, the parts give its rewrite
+            gates = c.gates[s.start:s.end]
+            (split, _), (whole, _) = _rewritten_by_both(gates, _grown(gates, {}))
+            assert split == whole
 
 
 def test_report_json_shape():
@@ -679,6 +713,19 @@ BELL = parse_circuit("qubits 2\nh 0\ncx 0 1\n")
 ], ids=["tableau-shots", "tableau-seed", "sv-shots", "sv-seed", "max_order", "cost-k", "chartab-seed",
         "tv_tol", "obs_tol", "cp-angle", "cp-gate", "g_cost", "pauli-coeff"])
 def test_a_bool_is_not_a_count_a_seed_or_a_tolerance(call, match):
+    with pytest.raises(InvalidSpec, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: gate("cp", 0, 1, angle=10 ** 400), "angle must be finite and real"),
+    (lambda: check_gates(Circuit(2, (GateInstance("cp", (0, 1), -10 ** 400),))), "only cp takes one, finite"),
+    (lambda: Observable.from_pauli("Z", coeff=10 ** 400), "pauli coefficient must be a finite real"),
+    (lambda: CostParams("general", k=1, m=1, n=1, order=2, dmax=1, g_cost=10 ** 400), "g_cost must be finite"),
+    (lambda: equivalence_check(BELL, BELL, tv_tol=10 ** 400), "tv_tol must be finite"),
+], ids=["cp-angle", "cp-gate", "pauli-coeff", "g_cost", "tv_tol"])
+def test_an_int_past_the_float_range_is_not_a_real(call, match):
+    # float() of such an int raises OverflowError
     with pytest.raises(InvalidSpec, match=match):
         call()
 
