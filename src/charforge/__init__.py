@@ -18,8 +18,8 @@ from .circuits import (BenchmarkSpec, Circuit, GateInstance, build_benchmark,
                        random_clifford_circuit, serialize_circuit)
 from .complexity import CostEstimate, CostParams, classify_group, estimate_cost
 from .claims import ClaimResult, ClaimsReport, run_claims
-from .expectation import (circuit_element, decomp_expectation,
-                          degree_square_sum, paper_expectation_formula)
+from .expectation import (circuit_element, degree_square_sum,
+                          paper_expectation_formula)
 from .fixtures import FIXTURE_NAMES, all_fixture_groups, fixture_group
 from .groups import (ClosureConfig, FiniteMatrixGroup, center_and_abelian,
                      close_group, element_of, group_to_json)

@@ -8,11 +8,11 @@ C_j C_l = sum_m a_jlm C_m. A seeded random real combination of the M_j
 generically has simple spectrum; its eigenvectors, normalized to 1 on the
 identity class, recover the w_ij and from them the degrees and characters.
 
-Following Dixon (1967) and Schneider (1990), a_jlm is counted at one
-representative z_m per class, from one group column walked along the
-generator table, in O(|G| k) instead of O(|G|^2), and recounted at a second
-member as a check on that table. The two-sided Rayleigh quotients that
-refine the w_ij take one matrix product per M_j.
+Following Dixon (1967) and Schneider (1990), a_jlm is counted at one representative
+z_m per class, from one group column walked along the generator table, in O(|G| k)
+instead of O(|G|^2), and recounted at a second member as a check on that table.
+Dixon's rounding makes chi_i(g) exact: sum_t m_t e^(2 pi i t/o), g of order o, with
+integers m_t >= 0 from an FFT over the powers of g, listed by the count's column of g.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateSpectrum, GroupMismatch, NonIntegralDegree,
-                     OrthogonalityViolation)
+                     NonIntegralMultiplicity, OrthogonalityViolation)
 from .groups import FiniteMatrixGroup
 from .histogram import check_seed
 
 # bound on verify_orthogonality's max residual for a table character_table
-# returns; the worst case traced over the benchmark workloads is 1.09e-11
+# returns; the worst case over the benchmark workloads is 1.44e-11 (order 9216)
 ORTH_RESIDUAL_MAX = 1e-8
 
 
@@ -55,27 +55,33 @@ class OrthogonalityReport:
 
 def class_matrices(group: FiniteMatrixGroup) -> np.ndarray:
     """Exact integer structure constants as one (k, k, k) int64 array a[j, l, m],
-    C_j C_l = sum_m a[j, l, m] C_m, in O(|G| k): a_jlm = #{y in C_l : z_m y^-1
-    in C_j} for any z_m in C_m, and z_m y^-1 is the inverse of y z_m^-1, so k
-    columns y -> y z_m^-1, walked along `right`, and one bincount count it. No
-    Cayley table is built. The count takes z_m^-1 as the first member of its
-    class, and a recount, one contiguous a[:, :, m] at a time, as the last; the
-    two differ only if the class sums are not central, so the generator tables
-    are corrupt, and then it raises AssertionError."""
-    k = len(group.classes)
-    class_of = group.class_of
-    inv_class = class_of[group.inverses]
+    C_j C_l = sum_m a[j, l, m] C_m, in O(|G| k) with no Cayley table: a_jlm = #{y in C_l :
+    z_m y^-1 in C_j}, one bincount over the columns y -> y z_m^-1 walked along `right`,
+    z_m^-1 the first member of its class. It raises AssertionError, as the generator tables
+    are then corrupt, if a recount at the last member differs or a power walk misses 1."""
+    return _class_structure(group)[0]
+
+
+def _class_structure(group: FiniteMatrixGroup) -> tuple[np.ndarray, np.ndarray]:
+    """class_matrices(group), and powers[l, c] = u_c^l for u_c the first member of C_c,
+    walked along row c, y -> y u_c, of the count's columns until every u_c is back at 1."""
+    k, class_of, inv_class = len(group.classes), group.class_of, group.class_of[group.inverses]
     inverse_of = inv_class[[c[0] for c in group.classes]]  # m -> the class of C_m's inverses
-    # flat index m k^2 + j k + l, with j = class of z_m y^-1 and l = class of y
-    flat = inv_class[group.columns([group.classes[m][0] for m in inverse_of])] * k
-    flat += class_of + np.arange(0, k ** 3, k * k)[:, None]
+    cols, powers = group.columns([c[0] for c in group.classes]), [np.zeros(k, dtype=np.int64)]
+    while len(powers) == 1 or powers[-1].any():
+        if len(powers) > group.order:
+            raise AssertionError("a power walk misses the identity; the generator table `right` is corrupt")
+        powers.append(cols[np.arange(k), powers[-1]])
+    # row c counts m = inverse_of[c] at flat index m k^2 + j k + l, j = class of z_m y^-1, l = of y
+    flat = inv_class[cols] * k
+    del cols  # before the k^3 bincount, which sets the peak memory
+    flat += class_of + (inverse_of * k * k)[:, None]
     a = np.bincount(flat.ravel(), minlength=k ** 3).reshape(k, k, k).transpose(1, 2, 0)
     for m, col in enumerate(group.columns([group.classes[m][-1] for m in inverse_of])):
         if not np.array_equal(np.bincount(inv_class[col] * k + class_of, minlength=k * k).reshape(k, k),
                               a[:, :, m]):
-            raise AssertionError("class sums are not constant on classes; the generator table "
-                                 "`right` is corrupt")
-    return a
+            raise AssertionError("class sums are not constant on classes; the generator table `right` is corrupt")
+    return a, np.array(powers)
 
 
 def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
@@ -84,39 +90,26 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
     comparable across runs and seeds.
 
     Raises DegenerateSpectrum when 21 seeded draws all produce eigenvalue
-    collisions, NonIntegralDegree when a recovered degree is off an integer
-    by more than 1e-4, and OrthogonalityViolation when the table's
-    orthogonality residual exceeds ORTH_RESIDUAL_MAX.
-    """
+    collisions, NonIntegralDegree (NonIntegralMultiplicity) when a degree (an
+    m_t) is off a positive (non-negative) integer by more than 1e-4 or the m_t
+    do not sum to d_i, and, as a backstop, OrthogonalityViolation when the
+    orthogonality residual exceeds ORTH_RESIDUAL_MAX."""
     check_seed(seed)
-    k = len(group.classes)
-    order = group.order
+    k, order = len(group.classes), group.order
     sizes = np.array([len(c) for c in group.classes], dtype=np.float64)
-    mats = class_matrices(group)
+    mats, powers = _class_structure(group)
 
-    omega = None
     for attempt in range(21):
-        rng = np.random.default_rng(seed + attempt)
-        r = rng.uniform(0.5, 1.5, size=k)
-        m = sum(rj * mj for rj, mj in zip(r, mats))
-        evals, right = np.linalg.eig(m)
-        if np.min(np.abs(evals[:, None] - evals) + np.diag(np.full(k, np.inf))) < 1e-6:
-            continue  # two eigenvalues (nearly) collide
-        evals_l, left = np.linalg.eig(m.T)
-        # pair left eigenvectors with right ones by eigenvalue, then refine
-        # each omega_ij with the two-sided Rayleigh quotient, which is
-        # quadratically accurate even though the M_j are non-normal
-        w = left[:, np.argmin(np.abs(evals_l[None, :] - evals[:, None]), axis=1)]
-        denom = np.einsum("ai,ai->i", w, right)
-        if np.min(np.abs(denom)) < 1e-12:
-            continue
-        omega = np.array([np.sum(w * (mj @ right), axis=0) for mj in mats]) / denom
-        break
-    if omega is None:
-        raise DegenerateSpectrum(
-            f"eigenvalue collisions persisted over 21 draws (seed={seed})")
-
-    d_raw = np.sqrt(order / np.array([np.sum(np.abs(w) ** 2 / sizes) for w in omega.T]))
+        r = np.random.default_rng(seed + attempt).uniform(0.5, 1.5, size=k)
+        evals, right = np.linalg.eig(np.einsum("j,jlm->lm", r, mats))  # no float64 copy of mats
+        gap = np.min(np.abs(evals[:, None] - evals) + np.diag(np.full(k, np.inf)))
+        if gap >= 1e-6 and np.min(np.abs(right[0])) >= 1e-12:
+            break  # no two eigenvalues (nearly) collide, and omega below is finite
+    else:
+        raise DegenerateSpectrum(f"eigenvalue collisions persisted over 21 draws (seed={seed})")
+    del mats  # the k^3 counts are not needed past the draw
+    omega = right / right[0]  # omega[j, i] = w_ij
+    d_raw = np.sqrt(order / np.sum(np.abs(omega) ** 2 / sizes[:, None], axis=0))
     bad = d_raw[~((np.abs(d_raw - np.rint(d_raw)) <= 1e-4) & (d_raw > 0.5))]
     if len(bad):
         raise NonIntegralDegree(f"raw degree {float(bad[0])!r} is not within 1e-4 of a positive integer")
@@ -125,17 +118,24 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
         raise NonIntegralDegree(f"sum of squared degrees {int(np.sum(degrees ** 2))} != group order {order}")
     chi = degrees[:, None] * omega.T / sizes
 
-    # Degree ascending, then descending lexicographic on rounded values
-    # (re before im, class by class) so the all-ones trivial character
-    # always lands in row 0; lexsort's last key is its primary one.
+    orders, exact = np.argmax(powers[1:] == 0, axis=0) + 1, np.empty((k, k), dtype=complex)
+    for o in np.unique(orders):  # Dixon's rounding, one FFT per element order
+        m = np.fft.fft(chi[:, group.class_of[powers[:o, orders == o]]], axis=1) / o  # m[i, t, c]
+        mult = np.rint(m.real)
+        margin = float(np.max(np.abs(m - mult)))
+        if not margin <= 1e-4 or mult.min() < 0 or np.any(mult.sum(axis=1) != degrees[:, None]):
+            raise NonIntegralMultiplicity(f"multiplicities of order-{o} roots of unity are {margin:.3g} off "
+                                          "non-negative integers (bound 1e-4) or do not sum to the degree")
+        exact[:, orders == o] = np.einsum("itc,t->ic", mult, np.exp(2j * np.pi * np.arange(o) / o))
+    chi = exact if np.iscomplexobj(omega) else exact.real
+
+    # degree ascending (lexsort's last key is primary), then rounded values descending: trivial row first
     keys = -np.round(np.stack([chi.real, chi.imag], axis=2), 8).reshape(k, 2 * k)
     rows = np.lexsort(np.vstack([keys.T[::-1], degrees]))
-    table = CharacterTable(k=k, degrees=degrees[rows], values=chi[rows],
-                           class_sizes=sizes.astype(np.int64), group_order=order)
+    table = CharacterTable(k, degrees[rows], chi[rows], sizes.astype(np.int64), order)
     residual = verify_orthogonality(table).max_residual()
     if not residual <= ORTH_RESIDUAL_MAX:
-        raise OrthogonalityViolation(
-            f"orthogonality residual {residual:.3g} exceeds {ORTH_RESIDUAL_MAX:g}")
+        raise OrthogonalityViolation(f"orthogonality residual {residual:.3g} exceeds {ORTH_RESIDUAL_MAX:g}")
     return table
 
 

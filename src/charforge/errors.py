@@ -31,6 +31,11 @@ class NonIntegralDegree(CharforgeError):
     """A recovered irrep degree was too far from an integer."""
 
 
+class NonIntegralMultiplicity(CharforgeError):
+    """A character value's multiplicities of roots of unity were too far from
+    non-negative integers that sum to its degree."""
+
+
 class OrthogonalityViolation(CharforgeError):
     """A computed character table misses the orthogonality relations by
     more than the pinned residual."""

@@ -21,7 +21,12 @@ def unitarity_defect(m: np.ndarray) -> float:
 
 
 def check_unitary(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Validate and return a square complex matrix that is unitary within tol."""
+    """Validate and return a square complex matrix that is unitary within tol,
+    the max-abs entry of U U^dag - I. The default is ten times below
+    groups.TOL because the two bound different things: TOL is how far apart
+    two matrices may be and still be one element, while a defect d lets a
+    product of m generators drift by about m d from unitary, so 1e-9 keeps
+    words of up to 10 generators within TOL."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise NotUnitary(f"expected a square matrix, got shape {m.shape}")

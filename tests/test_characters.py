@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from charforge import characters
-from charforge.characters import (ORTH_RESIDUAL_MAX, CharacterTable, central_idempotents,
+from charforge.characters import (CharacterTable, central_idempotents,
                                   character_table, character_table_csv,
                                   class_matrices, isotypic_projectors,
                                   verify_orthogonality)
@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from cayley_oracle import conjugacy_classes_from_cayley, inverses_from_cayley
 from charforge.algebra import decomposition_report_json, delta
 from charforge.circuits import GATE_ARITY, embed_gate, gate_matrix
-from charforge.errors import GroupMismatch, InvalidSpec, OrderCapExceeded, OrthogonalityViolation
+from charforge.errors import (GroupMismatch, InvalidSpec, NonIntegralDegree, NonIntegralMultiplicity,
+                              OrderCapExceeded, OrthogonalityViolation)
 from charforge.fixtures import FIXTURE_NAMES, fixture_group
 from charforge.groups import ClosureConfig, FiniteMatrixGroup, close_group
 
@@ -61,25 +62,85 @@ def test_corrupted_table_detected(tables):
     assert verify_orthogonality(bad).row_residual >= 0.01
 
 
-def perturbed_class_matrices(monkeypatch, eps=1e-6):
-    """Make character_table read structure constants off by eps on one
-    diagonal: the degrees still round to integers that sum to |G| in
-    squares, and only the orthogonality residual (about 4 eps) shows it."""
-    def perturbed(group):
-        cms = class_matrices(group).astype(np.float64)
-        cms[1] += eps * np.eye(len(cms))
-        return cms
+def perturbed_class_matrices(monkeypatch, eps, j=2):
+    """Make character_table read structure constants plus eps times a seeded
+    dense matrix on M_j, which moves the eigenvectors and so every value."""
+    exact = characters._class_structure
 
-    monkeypatch.setattr(characters, "class_matrices", perturbed)
+    def perturbed(group):
+        a, powers = exact(group)
+        a = a.astype(np.float64)
+        a[j] += eps * np.random.default_rng(0).standard_normal(a[j].shape)
+        return a, powers
+
+    monkeypatch.setattr(characters, "_class_structure", perturbed)
+
+
+@pytest.mark.parametrize("name, eps, error", [
+    ("d4", 1e-8, None), ("d4", 1e-6, None), ("clifford1", 1e-8, None), ("clifford1", 1e-6, None),
+    # values off by about 1e-4 that still round to the right degrees
+    ("d4", 3e-5, NonIntegralMultiplicity),
+    ("d4", 1e-4, NonIntegralDegree),
+])
+def test_perturbed_class_matrices_snap_back_or_raise(monkeypatch, groups, name, eps, error):
+    """Within the rounding margin the snap to sums of roots of unity returns
+    the intact table; past it the multiplicity or degree check raises."""
+    intact = character_table_csv(character_table(groups[name]))
+    perturbed_class_matrices(monkeypatch, eps)
+    if error is None:
+        assert character_table_csv(character_table(groups[name])) == intact
+    else:
+        with pytest.raises(error, match="off non-negative integers|not within 1e-4"):
+            character_table(groups[name])
+
+
+def corrupted_powers(monkeypatch, corrupt):
+    """Make character_table read powers[l, c] = u_c^l that `corrupt(group,
+    powers)` has changed in place; the class matrices stay exact."""
+    exact = characters._class_structure
+
+    def corrupted(group):
+        a, powers = exact(group)
+        corrupt(group, powers)
+        return a, powers
+
+    monkeypatch.setattr(characters, "_class_structure", corrupted)
+
+
+def test_a_walk_that_is_no_power_map_fails_the_multiplicity_check(monkeypatch, groups):
+    def square_is_itself(group, powers):  # u_1 has order 4; read u_1^2 as u_1
+        powers[2, 1] = powers[1, 1]
+
+    corrupted_powers(monkeypatch, square_is_itself)
+    with pytest.raises(NonIntegralMultiplicity, match=r"order-4 roots of unity are 0\.5 off"):
+        character_table(groups["q8"])
+
+
+def test_a_power_walk_that_never_returns_is_bounded(groups):
+    g = groups["clifford1"]
+    bad, u = copy.copy(g), g.classes[1][0]
+
+    def columns(zs):  # the count's column of u_1 sends u_1 to itself, so its walk sticks there
+        cols = g.columns(zs)
+        if list(zs) == [c[0] for c in g.classes]:
+            cols[1, u] = u
+        return cols
+
+    bad.columns = columns
+    with pytest.raises(AssertionError, match="power walk misses the identity"):
+        class_matrices(bad)
 
 
 def test_character_table_checks_its_own_orthogonality(monkeypatch, groups):
-    perturbed_class_matrices(monkeypatch)
-    with pytest.raises(OrthogonalityViolation, match="orthogonality residual"):
-        character_table(groups["d4"])
-    # below the pin the same perturbation passes
-    perturbed_class_matrices(monkeypatch, eps=ORTH_RESIDUAL_MAX / 100)
-    assert verify_orthogonality(character_table(groups["d4"])).max_residual() > 1e-12
+    """Exact multiplicities leave the orthogonality check as a backstop. Two
+    classes that swap power walks give integral multiplicities but the wrong
+    values, and only it catches them."""
+    def swap(group, powers):
+        powers[:, [2, 3]] = powers[:, [3, 2]]
+
+    corrupted_powers(monkeypatch, swap)
+    with pytest.raises(OrthogonalityViolation, match="orthogonality residual 8 exceeds 1e-08"):
+        character_table(groups["clifford1"])
 
 
 def test_class_matrix_counting_identity(groups):
@@ -261,6 +322,26 @@ def test_recount_catches_seeded_right_swaps(groups):
     assert caught == 50
 
 
+def test_seeded_right_swaps_on_d4_never_give_a_wrong_table(groups):
+    """Over 50 seeded swaps within a column of d4's `right`, the recount misses
+    8; character_table then raises NonIntegralDegree on 4 and returns the
+    intact table on the other 4, and never a wrong table."""
+    g, rng, outcomes = groups["d4"], np.random.default_rng(0), []
+    intact = character_table_csv(character_table(g))
+    g.classes, g.inverses
+    for _ in range(50):
+        slot, (a, b) = int(rng.integers(g.right.shape[1])), rng.choice(g.order, 2, replace=False)
+        bad = copy.copy(g)
+        bad.right = g.right.copy()
+        bad.right[[a, b], slot] = bad.right[[b, a], slot]
+        try:
+            outcomes.append("intact" if character_table_csv(character_table(bad)) == intact else "wrong")
+        except (AssertionError, NonIntegralDegree) as exc:
+            outcomes.append(type(exc).__name__)
+    assert {o: outcomes.count(o) for o in set(outcomes)} == {
+        "AssertionError": 42, "NonIntegralDegree": 4, "intact": 4}
+
+
 @st.composite
 def _clifford_pauli_gate_sets(draw):
     """(n, [(kind, qubits), ...]): 1 to 4 Clifford or Pauli gates on n <= 3 qubits."""
@@ -308,12 +389,12 @@ def test_decomposition_builds_no_cayley_table(monkeypatch):
 
 
 # (element, then sha256 prefixes of the decompose report JSON and of the
-# idempotent and projector bytes) at table seed 0, recorded while the
-# idempotents and projectors were lists of per-irrep records
+# idempotent and projector bytes) at table seed 0, recorded once the values
+# were snapped to exact sums of roots of unity
 DECOMPOSITION_PINS = {
-    "d4": (5, "f5bc9c246bb507bd", "b8d4a6e4ab72dc5d", "6432dde5eb5c10ae"),
-    "clifford1": (77, "0f13ee2155a8562d", "e6d5fcd439622b6c", "e553f841ae7bc14a"),
-    "h0-cx01-cx12": (77, "cd4c2eed3f89a0a2", "dc4cb3fc6cd9d030", "3883d70cc06fb1aa"),
+    "d4": (5, "f1b5922cca5a0387", "39c0f6aec055c0ba", "37809f652b44d71a"),
+    "clifford1": (77, "fd51dbda41ab0775", "fd59b806cf73eb45", "cb34f8dc9ed32b59"),
+    "h0-cx01-cx12": (77, "051677950e2bd95c", "39110b60d399c2bd", "7960d724020cfc40"),
 }
 
 
@@ -338,6 +419,55 @@ def test_order_3072_table_is_pinned():
     # recorded from the per-element class matrices and per-irrep Rayleigh loop
     assert hashlib.sha256(character_table_csv(t).encode()).hexdigest() == \
         "b6cb95baba7df4026afd994671afa36e4d4596902f41906188187ef5c1c0e20b"
+
+
+# the analyze-groups gate sets of perfbench/workloads.py, orders 16 to 9216
+GATE_SETS = {
+    "h0-z0": (1, [("h", 0), ("z", 0)]),
+    "h0-s0": (1, [("h", 0), ("s", 0)]),
+    "x0-z1-cx01-h1": (2, [("x", 0), ("z", 1), ("cx", 0, 1), ("h", 1)]),
+    "h0-cx01-cx12": (3, [("h", 0), ("cx", 0, 1), ("cx", 1, 2)]),
+    "z0-x1-cx02-swap01": (3, [("z", 0), ("x", 1), ("cx", 0, 2), ("swap", 0, 1)]),
+    "h0-h1-cz01": (2, [("h", 0), ("h", 1), ("cz", 0, 1)]),
+    "h0-s0-cx01": (2, [("h", 0), ("s", 0), ("cx", 0, 1)]),
+    "h0-h1-s1-swap01": (2, [("h", 0), ("h", 1), ("s", 1), ("swap", 0, 1)]),
+}
+# sha256 of character_table_csv, recorded before the values were snapped to
+# exact sums of roots of unity (eigenvectors and two-sided Rayleigh quotients)
+CSV_PINS = {
+    "trivial": "bc79d1f4d920d7911eb013dc44ac5edd12af17b36e1ff0dba666a485b505b258",
+    "c2": "c953268108be60b15acdbafa7ca1c1e290fd82e6c8f3bc8a3abe8333f5c6e92c",
+    "c2xc2": "7a2a541e000e4bff27d215c13c5648b02c7146d728507224863f678ebea95c89",
+    "s3": "b3d4c8551c1a7fed4911c9b2ad734c4126151911c156cc74fb240cc65103b1e3",
+    "d4": "16d59c39417bc7d1a3fe25e392dc18264c44550351f1e89ec43ba8843f2c1839",
+    "q8": "8def67764aadacfb9e644b602cd7a2a7978a099812d279e003bbbdedac1c7ee2",
+    "pauli1": "c6e80c09c9e55e5526a01f004a01f1fb0a939c4c5c634b1b08baa58a8adba44b",
+    "clifford1": "0462667f81c63023b8cf3e02e6b3df573901296c840c69401ef808763715a8a4",
+    "h0-z0": "92691c295f40e86e659989826eaf7777a74251a865232b3c7530756281a13108",
+    "h0-s0": "0462667f81c63023b8cf3e02e6b3df573901296c840c69401ef808763715a8a4",
+    "x0-z1-cx01-h1": "61a9c9b8316e309a6db4d962b55240bd42ea668330712a55b704bf0412b7bd6a",
+    "h0-cx01-cx12": "3acc09a5cd165f6b1f4d3380b95b43ee512ea1c7ea5cbed12cfa06569f1a5ffb",
+    "z0-x1-cx02-swap01": "2c4e933c5d6606dfbd3cdf5fdc9262a88af8409923efd0aa38a618f5707320c1",
+    "h0-h1-cz01": "95368a444c27627c02ba3157ba5a2f2bcaf8f0fc6f5bdfe2fac4eb5335d22345",
+    "h0-s0-cx01": "b6cb95baba7df4026afd994671afa36e4d4596902f41906188187ef5c1c0e20b",
+    "h0-h1-s1-swap01": "96734d82f5aa4a88aa0d101de93f61743057645f60b2b894560b94bec1257267",
+}
+
+
+@pytest.fixture(scope="module")
+def gate_set_groups():
+    return {}
+
+
+# seed 0 on every group, and seed 7 too below order 3072
+@pytest.mark.parametrize("name, seed", [(name, seed) for name in CSV_PINS for seed in (
+    (0,) if name in ("h0-s0-cx01", "h0-h1-s1-swap01") else (0, 7))])
+def test_chartab_csv_is_pinned(groups, gate_set_groups, name, seed):
+    if name in GATE_SETS and name not in gate_set_groups:
+        gate_set_groups[name] = _gate_set_group(*GATE_SETS[name])
+    g = groups[name] if name in groups else gate_set_groups[name]
+    csv = character_table_csv(character_table(g, seed=seed))
+    assert hashlib.sha256(csv.encode()).hexdigest() == CSV_PINS[name]
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -318,15 +318,16 @@ def test_optimize_report_does_not_depend_on_hash_seed(tmp_path):
 
 
 def test_chartab_with_a_failing_self_check_exits_2(monkeypatch, capsys):
-    exact = characters.class_matrices
+    exact = characters._class_structure
 
-    def perturbed(group):  # structure constants off by 1e-6 on one diagonal
-        cms = exact(group).astype(np.float64)
-        cms[1] += 1e-6 * np.eye(len(cms))
-        return cms
+    def perturbed(group):  # a seeded dense 3e-5 on M_2: values off by about 1e-4
+        a, powers = exact(group)
+        a = a.astype(np.float64)
+        a[2] += 3e-5 * np.random.default_rng(0).standard_normal(a[2].shape)
+        return a, powers
 
-    monkeypatch.setattr(characters, "class_matrices", perturbed)
-    assert main(["chartab", "--fixture", "d4"]) == 2
+    monkeypatch.setattr(characters, "_class_structure", perturbed)
+    assert main(["chartab", "--fixture", "d4", "--seed", "0"]) == 2
     err = capsys.readouterr().err
-    assert "charforge chartab: orthogonality residual" in err
-    assert "Traceback" not in err
+    assert err.startswith("charforge chartab: multiplicities of order-2 roots of unity are 0.000109 off")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -5,21 +5,35 @@ import pytest
 
 from charforge.characters import character_table, isotypic_projectors
 from charforge.circuits import Circuit, gate, parse_circuit
-from charforge.errors import ElementNotInGroup, GroupMismatch, InvalidSpec
-from charforge.expectation import (circuit_element, decomp_expectation,
-                                   degree_square_sum, paper_expectation_formula)
+from charforge.errors import ElementNotInGroup, InvalidSpec
+from charforge.expectation import circuit_element, degree_square_sum, paper_expectation_formula
 from charforge.fixtures import H, X
 from charforge.groups import close_group, element_of
 from charforge.observables import Observable, random_pauli, z_on_qubit
-from charforge.statevector import sv_expectation
+from charforge.statevector import expectation_of_state, sv_expectation, zero_state
+
+
+def _resolved(c, group, projs):
+    """sum_i P_i U |0> for the circuit's unitary U, and U |0>."""
+    u, _ = circuit_element(c, group)
+    psi = zero_state(c.n_qubits)
+    return np.sum(projs @ u, axis=0) @ psi, u @ psi
+
+
+@pytest.mark.parametrize("name", ["c2", "clifford1"])
+def test_projectors_resolve_the_identity(groups, tables, name):
+    projs = isotypic_projectors(groups[name], tables[name])
+    assert np.max(np.abs(np.sum(projs, axis=0) - np.eye(groups[name].dim))) <= 1e-12
 
 
 def test_identity_and_x_in_c2(groups, tables):
     g, t = groups["c2"], tables["c2"]
     projs = isotypic_projectors(g, t)
     z = z_on_qubit(0, 1)
-    assert decomp_expectation(parse_circuit("qubits 1\n"), z, g, projs) == pytest.approx(1.0)
-    assert decomp_expectation(parse_circuit("qubits 1\nx 0\n"), z, g, projs) == pytest.approx(-1.0)
+    for text, value in (("qubits 1\n", 1.0), ("qubits 1\nx 0\n", -1.0)):
+        resolved, psi = _resolved(parse_circuit(text), g, projs)
+        assert np.allclose(resolved, psi, atol=1e-12)
+        assert expectation_of_state(resolved, z, 1) == pytest.approx(value)
 
 
 def test_decomposition_path_matches_oracle_on_clifford1(groups, tables):
@@ -31,24 +45,18 @@ def test_decomposition_path_matches_oracle_on_clifford1(groups, tables):
         word = [gate(kinds[rng.integers(len(kinds))], 0) for _ in range(8)]
         c = Circuit(1, tuple(word), name=f"w{trial}")
         obs = random_pauli(1, rng)
-        assert abs(decomp_expectation(c, obs, g, projs) - sv_expectation(c, obs)) <= 1e-8
+        resolved, _ = _resolved(c, g, projs)
+        assert abs(expectation_of_state(resolved, obs, 1) - sv_expectation(c, obs)) <= 1e-8
 
 
-def test_element_not_in_group(groups, tables):
-    g, t = groups["c2"], tables["c2"]
-    projs = isotypic_projectors(g, t)
+def test_element_not_in_group(groups):
+    g = groups["c2"]
     with pytest.raises(ElementNotInGroup):
-        decomp_expectation(parse_circuit("qubits 1\nh 0\n"), z_on_qubit(0, 1), g, projs)
+        circuit_element(parse_circuit("qubits 1\nh 0\n"), g)
     with pytest.raises(ElementNotInGroup, match="circuit unitary of hx is not an element of the group"):
         circuit_element(parse_circuit("qubits 1\nh 0\nmeasure 0\n", name="hx"), g)
     u, x = circuit_element(parse_circuit("qubits 1\nx 0\nmeasure 0\n"), g)
     assert x == element_of(g, X) and np.array_equal(u, X)
-
-
-def test_projectors_of_another_group_are_rejected(groups, tables):
-    projs = isotypic_projectors(groups["c2xc2"], tables["c2xc2"])
-    with pytest.raises(GroupMismatch, match="projectors belong to a different group"):
-        decomp_expectation(parse_circuit("qubits 1\nx 0\n"), z_on_qubit(0, 1), groups["d4"], projs)
 
 
 def test_closed_form_trivial_group(groups, tables):
