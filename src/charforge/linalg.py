@@ -27,7 +27,10 @@ def check_unitary(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     two matrices may be and still be one element, while a defect d lets a
     product of m generators drift by about m d from unitary, so 1e-9 keeps
     words of up to 10 generators within TOL."""
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise NotUnitary(f"expected a square complex matrix: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise NotUnitary(f"expected a square matrix, got shape {m.shape}")
     defect = unitarity_defect(m)

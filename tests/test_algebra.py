@@ -26,6 +26,16 @@ def test_delta_identity_is_unit(groups):
     assert np.allclose(convolve(u, delta(g, 0)).coeffs, u.coeffs)
 
 
+@pytest.mark.parametrize("g", [-1, 8, 10 ** 6, 1.5, True, "0", None, np.float64(1.0)])
+def test_delta_refuses_an_index_outside_the_group(groups, g):
+    with pytest.raises(InvalidSpec, match=r"element index must be an integer in 0\.\.7"):
+        delta(groups["d4"], g)
+
+
+def test_delta_takes_a_numpy_integer(groups):
+    assert delta(groups["d4"], np.int64(7)).coeffs.tolist() == [0] * 7 + [1]
+
+
 def test_delta_convolutions_match_group_product(groups):
     g2 = groups["c2"]
     assert np.allclose(convolve(delta(g2, 1), delta(g2, 1)).coeffs, delta(g2, 0).coeffs)

@@ -342,6 +342,33 @@ def test_seeded_right_swaps_on_d4_never_give_a_wrong_table(groups):
         "AssertionError": 42, "NonIntegralDegree": 4, "intact": 4}
 
 
+@pytest.mark.parametrize("row, value", [(0, 1e-11), (0, 1e-3), (3, 1e6), (4, -1e12)])
+def test_a_corrupt_eigenvector_fails_the_degree_rule_below_the_square_root_bound(monkeypatch, groups, row, value):
+    """omega = right / right[0] is 1 on the identity class, so each raw degree
+    sqrt(|G| / sum_j |omega_ji|^2 / s_j) is at most sqrt(|G|): a corrupt
+    eigenvector is named by its raw degree, and the sum of squared degrees
+    never sees a huge one."""
+    g, eig = groups["d4"], np.linalg.eig
+
+    def corrupt(m):
+        evals, right = eig(m)
+        right[row, 1] = value
+        return evals, right
+
+    monkeypatch.setattr(characters.np.linalg, "eig", corrupt)
+    with pytest.raises(NonIntegralDegree, match="raw degree") as info:
+        character_table(g)
+    raw = float(str(info.value).split()[2])
+    assert 0 < raw <= np.sqrt(g.order)
+
+
+def test_a_rescaled_eigenvector_gives_the_intact_table(monkeypatch, groups):
+    g, eig = groups["d4"], np.linalg.eig
+    intact = character_table_csv(character_table(g))
+    monkeypatch.setattr(characters.np.linalg, "eig", lambda m: (eig(m)[0], eig(m)[1] * 1e-9))
+    assert character_table_csv(character_table(g)) == intact
+
+
 @st.composite
 def _clifford_pauli_gate_sets(draw):
     """(n, [(kind, qubits), ...]): 1 to 4 Clifford or Pauli gates on n <= 3 qubits."""

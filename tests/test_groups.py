@@ -1,8 +1,11 @@
 import hashlib
+import importlib.util
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charforge.circuits import GATE_ARITY, embed_gate, gate, gate_generators, gate_matrix
@@ -210,6 +213,30 @@ def test_generator_validation():
         close_group([np.diag([1, np.nan]).astype(complex)])
 
 
+def test_a_stack_of_generators_closes_as_their_list():
+    stacked, listed = close_group(np.stack([X, Z])), close_group([X, Z])
+    for table in ("mats", "right", "parent", "slot"):
+        assert getattr(stacked, table).tobytes() == getattr(listed, table).tobytes()
+
+
+@pytest.mark.parametrize("generators", [["ab"], [X, [["a", "b"], ["c", "d"]]], [X, None]])
+def test_a_generator_that_is_not_a_matrix_of_numbers_is_not_unitary(generators):
+    with pytest.raises(NotUnitary):
+        close_group(generators)
+
+
+@pytest.mark.parametrize("generators", [None, X, "ab", 5, np.stack([X, Z])[None]])
+def test_generators_that_are_not_a_sequence_of_matrices_are_invalid(generators):
+    with pytest.raises(InvalidSpec, match="generators must be a list, tuple or"):
+        close_group(generators)
+
+
+@pytest.mark.parametrize("cfg", [5, {"max_order": 5}, "default"])
+def test_a_cfg_that_is_not_a_closure_config_is_invalid(cfg):
+    with pytest.raises(InvalidSpec, match="cfg must be a ClosureConfig"):
+        close_group([X], cfg)
+
+
 def test_group_json_dump_shape(groups):
     d = group_to_json(groups["d4"])
     assert set(d) == {"dim", "order", "elements", "generators", "classes"}
@@ -326,6 +353,114 @@ def test_one_batch_rejects_a_pair_between_tol_and_8_tol():
     lookup = ElementLookup(2)
     with pytest.raises(KeyCollision):
         lookup.find(np.stack([Z, X, X + 3 * TOL]), max_order=10)
+
+
+# -- ElementLookup.find against a one-matrix-at-a-time oracle -------------------
+
+def _max_abs(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+def sequential_find(stored, batch, max_order):
+    """Oracle for ElementLookup.find: the batch read one matrix at a time
+    against every matrix before it, by pairwise max-abs distances. Returns
+    (found, new, added) or (exception type, batch position)."""
+    if max_order is None:
+        return [next((j for j, s in enumerate(stored) if _max_abs(m, s) <= TOL), -1)
+                for m in batch], [], []
+    found, new, misses, collision, cap_at = [], [], [], None, None
+    for i, m in enumerate(batch):
+        hit = [j for j, s in enumerate(stored) if _max_abs(m, s) <= TOL]
+        if hit:
+            found.append(hit[0])
+            continue
+        near = [_max_abs(m, s) for s in stored] + [_max_abs(m, batch[p]) for p in misses]
+        if collision is None and any(TOL < d <= 8 * TOL for d in near):
+            collision = i
+        copies = [p for p in misses if _max_abs(m, batch[p]) <= TOL]
+        if copies:
+            found.append(found[copies[0]])
+        else:
+            if cap_at is None and len(stored) + len(new) >= max_order:
+                cap_at = i
+            found.append(len(stored) + len(new))
+            new.append(i)
+        misses.append(i)
+    if collision is not None and (cap_at is None or collision <= cap_at):
+        return KeyCollision, collision
+    if cap_at is not None:
+        return OrderCapExceeded, cap_at
+    return found, new, [batch[i] for i in new]
+
+
+_KINDS = ["fresh", "stored", "stored-copy", "stored-near", "batch-copy", "batch-near"]
+
+
+def _planted_case(dim, clusters, kinds, seed):
+    """Stored elements in clusters 9*TOL apart along one entry, so one
+    projection window holds several keys, and a batch of fresh matrices,
+    stored ones, and copies within TOL or near ones between TOL and 8*TOL
+    of a stored or an earlier batch matrix."""
+    rng = np.random.default_rng(seed)
+
+    def nudge(m, lo, hi):  # moves one entry by lo*TOL to hi*TOL in max-abs
+        out = m.copy()
+        step = rng.uniform(lo, hi) * TOL * np.exp(2j * np.pi * rng.random())
+        out[rng.integers(dim), rng.integers(dim)] += step
+        return out
+
+    def fresh():
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    stored = [c + 9 * TOL * k * np.eye(dim, dtype=complex) for size in clusters for c in [fresh()]
+              for k in range(size)]
+    batch = []
+    for kind in kinds:
+        source, _, how = kind.partition("-")
+        pool = {"stored": stored, "batch": batch}.get(source)
+        if not pool:
+            batch.append(fresh())
+            continue
+        anchor = pool[rng.integers(len(pool))]
+        batch.append(nudge(anchor, *{"copy": (0, 0.9), "near": (1.5, 7.5)}[how]) if how else anchor.copy())
+    return stored, np.array(batch).reshape(len(batch), dim, dim)
+
+
+def _lookup_of(dim, stored):
+    lookup = ElementLookup(dim)
+    if stored:
+        lookup.find(np.stack(stored), max_order=len(stored))
+    assert lookup.count == len(stored)
+    return lookup
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.lists(st.integers(1, 5), max_size=4),
+       st.lists(st.sampled_from(_KINDS), min_size=1, max_size=12), st.integers(0, 2 ** 32 - 1))
+@example(1, [], ["fresh", "batch-copy"], 0)  # a copy merged into its first
+@example(2, [3, 2], ["stored-copy", "fresh", "batch-copy", "fresh", "stored", "fresh"], 1)
+def test_find_matches_a_sequential_oracle(dim, clusters, kinds, seed):
+    stored, batch = _planted_case(dim, clusters, kinds, seed)
+    if max(clusters, default=0) > 1:  # a cluster's keys share one projection window
+        lookup = _lookup_of(dim, stored)
+        assert np.min(np.diff(lookup._keys)) <= lookup._w
+    for max_order in [None, *range(len(stored), len(stored) + len(batch) + 2)]:
+        lookup = _lookup_of(dim, stored)
+        want = sequential_find(stored, batch, max_order)
+        if isinstance(want[0], type):
+            error, at = want
+            with pytest.raises(error):
+                lookup.find(batch, max_order)
+            # the error is at position `at`: the batch up to it raises it, the batch before it does not
+            with pytest.raises(error):
+                _lookup_of(dim, stored).find(batch[:at + 1], max_order)
+            if at:
+                _lookup_of(dim, stored).find(batch[:at], max_order)
+            continue
+        found, new = lookup.find(batch, max_order)
+        assert found.tolist() == want[0] and new.tolist() == want[1]
+        assert lookup.count == len(stored) + len(want[2])
+        assert lookup.mats[:lookup.count].tobytes() == np.array(stored + want[2], dtype=complex).tobytes()
 
 
 _POOLS = {
@@ -569,3 +704,21 @@ def test_base_past_the_cap_raises_before_any_find(monkeypatch, name):
         with pytest.raises(OrderCapExceeded, match=f"base group of order {h.order}"):
             close_group(gens + [gens[0]], ClosureConfig(max_order=cap), base=h)
     assert counted[0] == 0
+
+
+def test_closure_costs_tool_prints_a_line_per_closure(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "closure_costs", Path(__file__).resolve().parents[1] / "tools" / "closure_costs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "close_group ms, median of 1"
+    row = re.compile(r"(.+?) +d=(\d+) +([\d.]+) ms  finds +(\d+)  elements (\d+)( \(passed the cap\))?")
+    rows = [row.fullmatch(line).groups() for line in lines[1:]]
+    assert [r[0] for r in rows] == [name for name, *_ in tool.CLOSURES]
+    assert all(float(r[2]) >= 0 for r in rows)
+    # the dimension, the find calls, the elements and the cap of each closure are deterministic
+    assert [(int(d), int(finds), int(n), bool(cap)) for _, d, _, finds, n, cap in rows] == [
+        (4, 61, 2304, False), (8, 55, 512, False), (4, 27, 2354, True), (2, 31, 2530, True),
+        (32, 49, 1024, False), (4, 46, 3072, False)]
