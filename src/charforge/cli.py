@@ -2,7 +2,8 @@
 reports, circuit optimization, equivalence checks, simulation, claims, cost
 estimates, and the benchmark harness.
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 an optimized circuit
+whose equivalence verdict is false (written all the same).
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _cmd_decompose(args) -> None:
         element = 0
     else:
         group, _, compact = circuit_gate_group(_read_circuit(args.infile), cfg)
-        element = circuit_element(compact, group)[1]
+        element = circuit_element(compact, group)
     table = character_table(group, seed=args.seed)
     idem = central_idempotents(group, table)
     projs = isotypic_projectors(group, table)
@@ -165,7 +166,7 @@ def _cmd_decompose(args) -> None:
     _write_or_print(json.dumps(report, indent=2) + "\n", args.out)
 
 
-def _cmd_optimize(args) -> None:
+def _cmd_optimize(args) -> int | None:
     circuit = _read_circuit(args.infile)
     cfg = OptimizeConfig(
         max_order=args.max_order,
@@ -176,6 +177,11 @@ def _cmd_optimize(args) -> None:
     _write_or_print(serialize_circuit(optimized), args.out)
     if args.report:
         _write_or_print(json.dumps(report.to_json(), indent=2) + "\n", args.report)
+    v = report.equivalence
+    if not v.verdict:
+        print(f"charforge optimize: equivalence verdict false (max_tv {v.max_tv:g} vs tv_tol {v.tv_tol:g}, "
+              f"max_obs_deviation {v.max_obs_deviation:g} vs obs_tol {v.obs_tol:g})", file=sys.stderr)
+        return 3
 
 
 def _cmd_equiv(args) -> None:
@@ -239,11 +245,11 @@ def main(argv: list[str] | None = None) -> int:
             and args.command in ("group", "chartab", "decompose"):
         parser.error(f"{args.command} needs --in or --fixture")
     try:
-        _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
     except (CharforgeError, OSError, ValueError) as exc:
         print(f"charforge {args.command}: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return code or 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Expectation values through the group-decomposition route.
 
-circuit_element finds a circuit's unitary in its group. The closed-form
-value |G|^2 <psi|O|psi> sum_i |chi_i(U)|^2 / d_i^2 is computed verbatim and
-returned together with its deviation from the state-vector oracle. No
-agreement is asserted; the deviation feeds the claims report.
+circuit_element walks a circuit's gates through its group's tables, exact in
+the closed group: a circuit is an element when each of its gates is. The
+closed-form value |G|^2 <psi|O|psi> sum_i |chi_i(U)|^2 / d_i^2 is computed
+verbatim and returned together with its deviation from the state-vector
+oracle. No agreement is asserted; the deviation feeds the claims report.
 """
 
 from __future__ import annotations
@@ -11,23 +12,25 @@ from __future__ import annotations
 import numpy as np
 
 from .characters import CharacterTable
-from .circuits import Circuit, circuit_unitary
-from .errors import ElementNotInGroup
-from .groups import FiniteMatrixGroup, element_of
+from .circuits import Circuit, check_gates, gate_generators
+from .errors import DimensionMismatch, ElementNotInGroup
+from .groups import FiniteMatrixGroup, element_of, walk
 from .observables import Observable
 from .statevector import expectation_of_state, sv_expectation, zero_state
 
 
-def circuit_element(c: Circuit, group: FiniteMatrixGroup) -> tuple[np.ndarray, int]:
-    """The unitary of the circuit's measure-free body and its element index in
-    `group`. Raises ElementNotInGroup when the unitary is not an element."""
-    body, _ = c.body_and_suffix()
-    u = circuit_unitary(Circuit(c.n_qubits, body, name=c.name))
-    g = element_of(group, u)
-    if g is None:
-        raise ElementNotInGroup(
-            f"circuit unitary of {c.name or '<circuit>'} is not an element of the group")
-    return u, g
+def circuit_element(c: Circuit, group: FiniteMatrixGroup) -> int:
+    """Element index in `group` of the circuit's measure-free body. Raises DimensionMismatch
+    unless group.dim is 2**n, and ElementNotInGroup when a gate is not an element."""
+    check_gates(c)
+    if group.dim != 1 << c.n_qubits:
+        raise DimensionMismatch(f"a {c.n_qubits}-qubit circuit in a group of dimension {group.dim}")
+    body = c.body_and_suffix()[0]
+    mats, slots = gate_generators(body, tuple(range(c.n_qubits)))
+    if None in (elements := [element_of(group, m) for m in mats]):
+        g = body[slots.index(elements.index(None))]
+        raise ElementNotInGroup(f"{c.name or '<circuit>'}: gate {g.kind} {list(g.qubits)} is not in the group")
+    return walk(group.columns(elements).T, slots)
 
 
 def paper_expectation_formula(
@@ -38,7 +41,7 @@ def paper_expectation_formula(
 ) -> tuple[float, float]:
     """Closed-form value |G|^2 <psi0|O|psi0> sum_i |chi_i(U)|^2 / d_i^2 and
     its absolute deviation from the state-vector oracle."""
-    _, g = circuit_element(c, group)
+    g = circuit_element(c, group)
     chars = table.values[:, group.class_of[g]]
     degrees = table.degrees.astype(np.float64)
     total = float(np.sum(np.abs(chars) ** 2 / degrees ** 2))

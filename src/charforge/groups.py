@@ -92,6 +92,8 @@ class ElementLookup:
         Raises KeyCollision at a product between TOL and 8*TOL of an element
         or of another product, and OrderCapExceeded at the first new element
         past max_order, whichever comes first in the batch."""
+        if not len(batch):
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         proj = np.ascontiguousarray(batch).reshape(len(batch), -1).view(np.float64) @ self._proj
         q, c = self._pairs(proj, self._keys, self._ids)
         d = np.abs(batch.take(q, 0) - self.mats.take(c, 0)).max((1, 2))
@@ -357,6 +359,15 @@ def element_of(group: FiniteMatrixGroup, m: np.ndarray) -> int | None:
         return None
     found = int(group._lookup.find(m[None])[0][0])
     return None if found < 0 else found
+
+
+def walk(steps: np.ndarray, slots) -> int:
+    """Index of the product of gates given by their slots, applied left to right:
+    steps[a, s] is element a times slot s, so the walk takes the last gate first."""
+    a = 0
+    for s in reversed(slots):
+        a = int(steps[a, s])
+    return a
 
 
 def center_and_abelian(group: FiniteMatrixGroup) -> tuple[list[int], bool]:

@@ -39,7 +39,7 @@ from .circuits import (Circuit, GateInstance, check_gates, circuit_depth, embed_
                        gate_matrix)
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .fixtures import X, Z
-from .groups import TOL, ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group
+from .groups import TOL, ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group, walk
 from .histogram import _is_real, check_seed, check_shots
 from .observables import Observable, random_pauli
 from .statevector import SV_MAX_QUBITS, expectation_of_state, marginal_probabilities, run_gates
@@ -341,9 +341,7 @@ def _rewrite_segment(gates: list[GateInstance], closed: _Segment, cfg: OptimizeC
                 first.setdefault(c.template_of_key[g.key()], i)
         ranked, at = list(first), list(first.values())
         wt = c.words if ranked == sorted(ranked) else build_word_table(c.group, ranked)
-        product = 0  # gates apply left to right: g_m ... g_1 is a right walk in reverse
-        for g in reversed(part):
-            product = int(c.group.right[product, c.template_of_key[g.key()]])
+        product = walk(c.group.right, [c.template_of_key[g.key()] for g in part])
         candidates = c.phase_equal(product).tolist() if cfg.phase_insensitive else [product]
         best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
         words.append([at[s] for s in wt.word(best)])

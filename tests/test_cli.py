@@ -1,18 +1,25 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from charforge import characters, expectation
+from charforge import characters
 from charforge.circuits import build_qft, circuit_unitary, parse_circuit, serialize_circuit
 from charforge.cli import main
 
 BELL = "qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n"
 # cp(2pi/3) to the format's 10 digits: its products drift past 1e-9
 CP_THIRD = "qubits 2\ncp(2.094395102) 0 1\nx 0\nx 1\n"
+
+
+def cp_third_repeated(r):
+    """The same order-324 gate set, (cp, x 0, x 1) r times and one more cp:
+    3r + 1 gates whose dense product drifts further with r."""
+    return "qubits 2\n" + "cp(2.094395102) 0 1\nx 0\nx 1\n" * r + "cp(2.094395102) 0 1\n"
 
 
 def charforge(*argv, cwd=None, env=None):
@@ -63,15 +70,6 @@ def test_decompose_report_fields(tmp_path, text, k, bound):
                       "component_norms", "statement_formula_residual"}
     assert d["k"] == k
     assert d["reconstruction_residual"] <= bound and d["matrix_residual"] <= bound
-
-
-def test_decompose_exits_2_when_the_unitary_is_not_in_its_group(monkeypatch, tmp_path, capsys):
-    p = tmp_path / "xz.circ"
-    p.write_text("qubits 1\nx 0\nz 0\n")
-    monkeypatch.setattr(expectation, "element_of", lambda group, u: None)
-    assert main(["decompose", "--in", str(p)]) == 2
-    err = capsys.readouterr().err
-    assert "charforge decompose: circuit unitary of xz is not an element of the group" in err
 
 
 def test_decompose_exits_2_when_the_gate_set_exceeds_the_order_cap(tmp_path, capsys):
@@ -130,6 +128,32 @@ def test_ten_digit_cp_angles_close_as_in_optimize(tmp_path, command):
     assert r.returncode == 0, r.stderr
     if command == "group":
         assert json.loads(r.stdout)["order"] == 324
+    if command == "decompose":
+        # the element is walked gate by gate, so no length of the word drifts it out of the group
+        reports = []
+        for reps in (10, 100, 1000):
+            p, out = tmp_path / f"cp{reps}.circ", tmp_path / f"cp{reps}.json"
+            p.write_text(cp_third_repeated(reps))
+            assert main(["decompose", "--in", str(p), "--out", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[1] == reports[2] == reports[0]
+
+
+def test_optimize_exits_3_when_its_equivalence_verdict_is_false(tmp_path, capsys):
+    # both shrink to 6 gates; the 1000-fold input's 10-digit angles drift its
+    # state by more than obs_tol from the output's, the 100-fold one's do not
+    for r, code in ((100, 0), (1000, 3)):
+        p, out, rep = tmp_path / f"cp{r}.circ", tmp_path / f"o{r}.circ", tmp_path / f"r{r}.json"
+        p.write_text(cp_third_repeated(r))
+        assert main(["optimize", "--in", str(p), "--out", str(out), "--report", str(rep)]) == code
+        d = json.loads(rep.read_text())
+        assert (d["gates_before"], d["gates_after"]) == (3 * r + 1, 6)
+        assert d["equivalence"]["verdict"] is (code == 0)
+        assert len(parse_circuit(out.read_text()).gates) == 6
+    err = capsys.readouterr().err  # one line, from r = 1000
+    m = re.fullmatch(r"charforge optimize: equivalence verdict false \(max_tv \S+ vs tv_tol 0.02, "
+                     r"max_obs_deviation (\S+) vs obs_tol 1e-07\)\n", err)
+    assert m and float(m[1]) > 1e-7
 
 
 def test_equiv_verdicts(tmp_path, bell_path):

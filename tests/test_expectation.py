@@ -2,20 +2,24 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from charforge import cli
 from charforge.characters import character_table, isotypic_projectors
-from charforge.circuits import Circuit, gate, parse_circuit
-from charforge.errors import ElementNotInGroup, InvalidSpec
+from charforge.circuits import GATE_ARITY, Circuit, GateInstance, circuit_unitary, gate, parse_circuit
+from charforge.errors import (DimensionMismatch, ElementNotInGroup, InvalidSpec, OrderCapExceeded,
+                              QubitOutOfRange)
 from charforge.expectation import circuit_element, degree_square_sum, paper_expectation_formula
-from charforge.fixtures import H, X
-from charforge.groups import close_group, element_of
+from charforge.fixtures import H, X, all_fixture_groups
+from charforge.groups import ClosureConfig, close_group, element_of
 from charforge.observables import Observable, random_pauli, z_on_qubit
 from charforge.statevector import expectation_of_state, sv_expectation, zero_state
 
 
 def _resolved(c, group, projs):
     """sum_i P_i U |0> for the circuit's unitary U, and U |0>."""
-    u, _ = circuit_element(c, group)
+    u = circuit_unitary(Circuit(c.n_qubits, c.body_and_suffix()[0]))
     psi = zero_state(c.n_qubits)
     return np.sum(projs @ u, axis=0) @ psi, u @ psi
 
@@ -53,10 +57,69 @@ def test_element_not_in_group(groups):
     g = groups["c2"]
     with pytest.raises(ElementNotInGroup):
         circuit_element(parse_circuit("qubits 1\nh 0\n"), g)
-    with pytest.raises(ElementNotInGroup, match="circuit unitary of hx is not an element of the group"):
-        circuit_element(parse_circuit("qubits 1\nh 0\nmeasure 0\n", name="hx"), g)
-    u, x = circuit_element(parse_circuit("qubits 1\nx 0\nmeasure 0\n"), g)
-    assert x == element_of(g, X) and np.array_equal(u, X)
+    with pytest.raises(ElementNotInGroup, match=r"^hx: gate h \[0\] is not in the group$"):
+        circuit_element(parse_circuit("qubits 1\nx 0\nh 0\nmeasure 0\n", name="hx"), g)
+    assert circuit_element(parse_circuit("qubits 1\nx 0\nmeasure 0\n"), g) == element_of(g, X)
+
+
+def test_a_gate_outside_the_group_is_refused_even_when_the_product_is_in_it(groups):
+    # h h is the identity, but h is no element of c2: membership is gate by gate
+    c = parse_circuit("qubits 1\nh 0\nh 0\n", name="hh")
+    assert element_of(groups["c2"], circuit_unitary(c)) == 0
+    with pytest.raises(ElementNotInGroup, match=r"^hh: gate h \[0\] is not in the group$"):
+        circuit_element(c, groups["c2"])
+
+
+@pytest.mark.parametrize("text", ["qubits 2\n", "qubits 2\nx 0\n"], ids=["empty", "x0"])
+def test_a_circuit_of_another_width_is_a_dimension_mismatch(groups, text):
+    with pytest.raises(DimensionMismatch, match="^a 2-qubit circuit in a group of dimension 2$"):
+        circuit_element(parse_circuit(text), groups["c2"])
+
+
+def test_a_hand_built_gate_off_the_register_is_refused(groups):
+    with pytest.raises(QubitOutOfRange):
+        circuit_element(Circuit(1, (gate("x", 0), GateInstance("x", (3,)))), groups["c2"])
+
+
+# -- the walk against the dense lookup -------------------------------------------
+
+_CLIFFORD = ("h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap")
+_CLIFFORD_T = _CLIFFORD + ("t", "tdg")
+_FIXTURE_GROUPS = {name: g for name, g in all_fixture_groups().items() if g.dim & (g.dim - 1) == 0}
+
+
+def _gates(n, kinds):
+    """Every gate of `kinds` on an n-qubit register."""
+    return [gate(kind, *qs) for kind in kinds
+            for qs in np.ndindex(*[n] * GATE_ARITY[kind]) if len(set(qs)) == len(qs)]
+
+
+@st.composite
+def _closed_words(draw):
+    """A random word and its group: a few gates from a Clifford or a
+    Clifford+T pool on 1-3 qubits closed as the CLI closes them, or the gates
+    of a fixture group of qubit dimension, empty for trivial and q8."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        pool = _gates(n, draw(st.sampled_from([_CLIFFORD, _CLIFFORD_T])))
+        gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        word = draw(st.lists(st.sampled_from(gens), max_size=16))
+        try:
+            group, _, compact = cli.circuit_gate_group(Circuit(n, tuple(gens + word)), ClosureConfig(3072))
+        except OrderCapExceeded:
+            assume(False)
+        return group, compact
+    group = _FIXTURE_GROUPS[draw(st.sampled_from(sorted(_FIXTURE_GROUPS)))]
+    n = group.dim.bit_length() - 1
+    pool = [g for g in _gates(n, _CLIFFORD_T) if element_of(group, circuit_unitary(Circuit(n, (g,)))) is not None]
+    return group, Circuit(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=16)) if pool else ()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_closed_words())
+def test_the_walk_finds_the_dense_products_element(case):
+    group, c = case
+    assert circuit_element(c, group) == element_of(group, circuit_unitary(c))
 
 
 def test_closed_form_trivial_group(groups, tables):

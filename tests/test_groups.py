@@ -13,7 +13,7 @@ from charforge.errors import (DimensionMismatch, InvalidSpec, KeyCollision,
                               NotUnitary, OrderCapExceeded)
 from charforge.fixtures import H, I2, S, X, Y, Z, fixture_generators, fixture_group
 from charforge.groups import (TOL, ClosureConfig, ElementLookup, center_and_abelian,
-                              close_group, element_of, group_to_json)
+                              close_group, element_of, group_to_json, walk)
 from charforge.optimize import _Closure, _seed
 
 T = np.diag([1, np.exp(1j * np.pi / 4)])
@@ -454,13 +454,22 @@ def test_find_matches_a_sequential_oracle(dim, clusters, kinds, seed):
             # the error is at position `at`: the batch up to it raises it, the batch before it does not
             with pytest.raises(error):
                 _lookup_of(dim, stored).find(batch[:at + 1], max_order)
-            if at:
-                _lookup_of(dim, stored).find(batch[:at], max_order)
+            _lookup_of(dim, stored).find(batch[:at], max_order)
             continue
         found, new = lookup.find(batch, max_order)
         assert found.tolist() == want[0] and new.tolist() == want[1]
         assert lookup.count == len(stored) + len(want[2])
         assert lookup.mats[:lookup.count].tobytes() == np.array(stored + want[2], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("max_order", [None, 2, 3])
+def test_find_on_an_empty_batch_returns_two_empty_index_arrays(max_order):
+    lookup = _lookup_of(2, [I2, X])
+    keys = lookup._keys.copy()
+    found, new = lookup.find(np.empty((0, 2, 2), dtype=complex), max_order)
+    assert found.dtype == new.dtype == np.int64 and found.shape == new.shape == (0,)
+    assert lookup.count == 2 and np.array_equal(lookup._keys, keys)
+    assert lookup.find(np.stack([X, Z]), max_order=3)[0].tolist() == [1, 2]
 
 
 _POOLS = {
@@ -521,7 +530,10 @@ def test_right_walk_matches_cayley_walk_and_dense_product(case):
         by_right = int(g.right[by_right, j])
         by_cayley = int(g.cayley[by_cayley, g.input_elements[j]])
         dense = dense @ gens[j]
-    assert by_right == by_cayley == element_of(g, dense)
+    # walk takes the last gate first: gates j_1 ... j_m applied are gens[j_m] ... gens[j_1]
+    by_walk = walk(g.right, word[::-1])
+    assert by_walk == walk(g.columns(g.input_elements).T, word[::-1])
+    assert by_right == by_cayley == by_walk == element_of(g, dense)
 
 
 # -- closures seeded with the closure of a generator prefix ---------------------

@@ -16,6 +16,12 @@ sets of the analyze-groups workload in perfbench/workloads.py, each closed by
 `cli.circuit_gate_group` on its qubits as listed, then for every fixture, a
 sha256 is fed the group's `mats` and `right` and its seed-0 character table
 CSV, and its first 16 hex digits are printed.
+
+The line after it digests what `charforge decompose --in` and `charforge
+claims` print, through `cli.main` with the default seed: a sha256 is fed the
+decompose report of one circuit per analyze-groups gate set (its gates once
+each, as listed), then of (cp(2.094395102) 0 1, x 0, x 1) ten times and one
+more cp, then the claims JSON.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import hashlib
 import importlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from charforge import cli
@@ -66,13 +73,17 @@ def rows_digest() -> tuple[str, dict[bool, int]]:
     return h.hexdigest()[:16], calls
 
 
-def closures_digest() -> str:
-    """The digest of the analyze-groups gate sets' and the fixtures' closures."""
+def gate_set_circuits() -> list[Circuit]:
+    """One circuit per analyze-groups gate set, its gates once each, as listed."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    groups = [cli.circuit_gate_group(Circuit(n, tuple(gate(kind, *qs) for kind, *qs in gates)),
-                                     ClosureConfig())[0] for n, gates, _, _ in workloads.GATE_SETS]
+    return [Circuit(n, tuple(gate(kind, *qs) for kind, *qs in gates)) for n, gates, _, _ in workloads.GATE_SETS]
+
+
+def closures_digest() -> str:
+    """The digest of the analyze-groups gate sets' and the fixtures' closures."""
+    groups = [cli.circuit_gate_group(c, ClosureConfig())[0] for c in gate_set_circuits()]
     groups += [fixture_group(name) for name in FIXTURE_NAMES]
     h = hashlib.sha256()
     for group in groups:
@@ -82,9 +93,30 @@ def closures_digest() -> str:
     return h.hexdigest()[:16]
 
 
+def commands_digest() -> str:
+    """The digest of the decompose reports and the claims JSON the CLI writes."""
+    texts = [serialize_circuit(c) for c in gate_set_circuits()]
+    texts.append("qubits 2\n" + "cp(2.094395102) 0 1\nx 0\nx 1\n" * 10 + "cp(2.094395102) 0 1\n")
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        circ, out = Path(tmp) / "in.circ", Path(tmp) / "out"
+
+        def written(*argv: str) -> bytes:
+            if cli.main([*argv, "--out", str(out)]) != 0:
+                raise SystemExit(f"charforge {' '.join(argv)} failed")
+            return out.read_bytes()
+
+        for text in texts:
+            circ.write_text(text)
+            h.update(written("decompose", "--in", str(circ)))
+        h.update(written("claims"))
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     digest, calls = rows_digest()
     print(digest)
     for phase_insensitive, n in calls.items():
         print(f"close_group calls, {'phase-insensitive' if phase_insensitive else 'phase-sensitive'}: {n}")
     print(f"group-command closures: {closures_digest()}")
+    print(f"decompose reports and claims: {commands_digest()}")
