@@ -72,6 +72,9 @@ class Circuit:
     gates: tuple[GateInstance, ...]
     name: str = ""
 
+    def __post_init__(self) -> None:
+        check_gates(self)
+
     def body_and_suffix(self) -> tuple[tuple[GateInstance, ...], tuple[GateInstance, ...]]:
         split = len(self.gates)
         while split > 0 and self.gates[split - 1].kind == "measure":
@@ -87,8 +90,9 @@ class Circuit:
 
 
 def check_gates(c: Circuit) -> None:
-    """Reject a hand-built gate list that `parse_circuit` would refuse: a width
-    or qubit that is not an integer (a bool is not), fewer than one qubit, an
+    """Refuse what `parse_circuit` would refuse; every `Circuit` runs it when
+    it is built, so no other function checks a gate list. Raises for a width or
+    qubit that is not an integer (a bool is not), fewer than one qubit, an
     unknown gate, a wrong qubit count, a repeated qubit in a gate, an angle on a
     gate but cp or a cp angle that is not a finite real, a measure before a gate
     or measured twice (InvalidSpec), a cp without an angle (AngleMissing), or a
@@ -538,20 +542,12 @@ def build_vqe(n: int, layers: int, seed: int) -> Circuit:
 
 def build_benchmark(spec: BenchmarkSpec) -> Circuit:
     if spec.kind == "bv":
-        if spec.secret is None:
-            raise InvalidSpec("bv needs a secret bit string")
         return build_bv(spec.secret)
     if spec.kind == "qft":
-        if spec.width is None:
-            raise InvalidSpec("qft needs a width")
         return build_qft(spec.width)
     if spec.kind == "grover":
-        if spec.width is None or spec.marked is None:
-            raise InvalidSpec("grover needs width and marked item")
         return build_grover(spec.width, spec.marked, spec.iterations)
     if spec.kind == "vqe":
-        if spec.width is None or spec.layers is None or spec.seed is None:
-            raise InvalidSpec("vqe needs width, layers, and a seed")
         return build_vqe(spec.width, spec.layers, spec.seed)
     raise InvalidSpec(f"unknown benchmark kind {spec.kind!r}")
 

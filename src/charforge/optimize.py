@@ -35,8 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import (Circuit, GateInstance, check_gates, circuit_depth, embed_gate, gate_generators,
-                       gate_matrix)
+from .circuits import Circuit, GateInstance, circuit_depth, embed_gate, gate_generators, gate_matrix
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .fixtures import X, Z
 from .groups import TOL, ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group, walk
@@ -388,7 +387,6 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
     result is idempotent by construction. Segment records in the report
     describe the first sweep (the analysis of the input circuit).
     """
-    check_gates(c)
     cfg = cfg or OptimizeConfig()
     body, suffix = c.body_and_suffix()
     report = OptimizationReport(
@@ -466,8 +464,6 @@ def equivalence_check(
     for name, tol in (("tv_tol", tv_tol), ("obs_tol", obs_tol)):
         if not _is_real(tol) or tol < 0:
             raise InvalidSpec(f"{name} must be finite and >= 0, got {tol!r}")
-    check_gates(a)
-    check_gates(b)
     n = max(a.n_qubits, b.n_qubits)
     if n > SV_MAX_QUBITS:
         raise TooWide(f"{n} qubits exceed the state-vector limit")

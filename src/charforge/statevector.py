@@ -16,9 +16,9 @@ import time
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, apply_gates, check_gates
+from .circuits import Circuit, GateInstance, apply_gates
 from .errors import DimensionMismatch, InvalidSpec, TooWide
-from .histogram import MeasurementHistogram, check_seed, check_shots
+from .histogram import MeasurementHistogram, _is_int, check_seed, check_shots
 from .observables import Observable
 
 SV_MAX_QUBITS = 22
@@ -33,9 +33,7 @@ def zero_state(n: int) -> np.ndarray:
 def run_gates(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Evolve the measure-free body from |0...0> or a copy of `initial`, one state
     or a (2^n, B) block of column states; the trailing measure suffix is ignored.
-    A non-numeric, ragged or non-finite `initial` raises InvalidSpec, and so does
-    a malformed gate list."""
-    check_gates(c)
+    A non-numeric, ragged or non-finite `initial` raises InvalidSpec."""
     if c.n_qubits > SV_MAX_QUBITS:
         raise TooWide(f"{c.n_qubits} qubits exceed the state-vector limit {SV_MAX_QUBITS}")
     body, _ = c.body_and_suffix()
@@ -116,7 +114,10 @@ def sv_expectation(c: Circuit, obs: Observable,
 
 def time_gate_loop(c: Circuit, repeats: int) -> list[float]:
     """Wall-clock seconds around the gate-application loop only, one entry
-    per repeat. Parsing, setup, and sampling are excluded."""
+    per repeat. Parsing, setup, and sampling are excluded. Raises InvalidSpec
+    unless `repeats` is an integer of at least 1."""
+    if not _is_int(repeats) or repeats < 1:
+        raise InvalidSpec(f"repeats must be an integer >= 1, got {repeats!r}")
     out = []
     for _ in range(repeats):
         t0 = time.perf_counter()

@@ -3,9 +3,10 @@
 perfbench traces the (module, function) pairs of spantrace.TRACED and builds
 its group workloads through cli.circuit_gate_group. A function that moves or
 is renamed would drop out of its traces silently, so the names are checked
-here, as is every name that perfbench/workloads.py imports from the package,
-so that removing one fails here rather than in a benchmark run. TRACED and the
-imports are read from the source text, without importing perfbench.
+here, as is every name that perfbench/workloads.py imports from the package
+and every keyword argument it passes to one, so that removing or renaming one
+fails here rather than in a benchmark run. TRACED, the imports and the calls
+are read from the source text, without importing perfbench.
 """
 
 import ast
@@ -32,6 +33,16 @@ def _workload_imports() -> list[tuple[str, str]]:
             and (n.module or "").split(".")[0] == "charforge" for a in n.names]
 
 
+def _workload_keywords() -> list[tuple[str, str, str]]:
+    """(module, name, keyword) of each keyword argument in a call of a name
+    that perfbench/workloads.py imports from the package, once each."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    imported = {a.asname or a.name: (n.module, a.name) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                and (n.module or "").split(".")[0] == "charforge" for a in n.names}
+    return sorted({(*imported[n.func.id], k.arg) for n in ast.walk(tree) if isinstance(n, ast.Call)
+                   and isinstance(n.func, ast.Name) and n.func.id in imported for k in n.keywords if k.arg})
+
+
 @pytest.mark.parametrize("module, function", _traced())
 def test_traced_function_exists(module, function):
     assert callable(getattr(importlib.import_module(f"charforge.{module}"), function, None))
@@ -42,6 +53,11 @@ def test_workload_import_exists(module, name):
     package = importlib.import_module(module)
     if not hasattr(package, name):  # a submodule, as in `from charforge import cli`
         importlib.import_module(f"{module}.{name}")
+
+
+@pytest.mark.parametrize("module, name, keyword", _workload_keywords())
+def test_workload_keyword_names_a_parameter(module, name, keyword):
+    assert keyword in inspect.signature(getattr(importlib.import_module(module), name)).parameters
 
 
 def test_circuit_gate_group_keeps_its_signature():

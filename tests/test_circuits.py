@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charforge.circuits import (GATE_ARITY, BenchmarkSpec, Circuit, build_benchmark,
+from charforge.circuits import (GATE_ARITY, BenchmarkSpec, Circuit, GateInstance, build_benchmark,
                                 build_bv, build_grover, build_qft, build_vqe,
                                 circuit_depth, circuit_unitary, embed_gate,
                                 gate, gate_generators, gate_matrix, parse_circuit,
@@ -138,6 +139,12 @@ def test_unitary_rejects_measures_and_width():
         circuit_unitary(Circuit(13, ()))
 
 
+def test_a_gate_off_the_register_is_refused_when_the_circuit_is_built():
+    # unchecked, the x 3 falls off circuit_unitary's one-qubit matrix and it returns X
+    with pytest.raises(QubitOutOfRange, match=re.escape("gate x [3] at position 1: qubit outside [0, 1)")):
+        Circuit(1, (gate("x", 0), GateInstance("x", (3,))))
+
+
 def test_unitary_of_measure_free_circuits_is_unitary():
     for seed in range(3):
         c = random_clifford_circuit(4, 30, seed=seed, measured=False)
@@ -211,11 +218,16 @@ def test_vqe_deterministic_per_seed():
 
 def test_build_benchmark_dispatch_and_validation():
     assert build_benchmark(BenchmarkSpec(kind="qft", width=2)).name == "qft-2"
-    with pytest.raises(InvalidSpec):
-        build_benchmark(BenchmarkSpec(kind="bv"))
+    # a missing field is refused by the kind's own builder
+    for spec, match in [(BenchmarkSpec(kind="bv"), "secret must be"),
+                        (BenchmarkSpec(kind="qft"), "qft width must be"),
+                        (BenchmarkSpec(kind="grover", width=2), "grover needs integer"),
+                        (BenchmarkSpec(kind="vqe", width=2, layers=1), "seed must be")]:
+        with pytest.raises(InvalidSpec, match=match):
+            build_benchmark(spec)
     with pytest.raises(InvalidSpec):
         build_benchmark(BenchmarkSpec(kind="grover", width=2, marked=9))
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="unknown benchmark kind 'nope'"):
         build_benchmark(BenchmarkSpec(kind="nope"))
     with pytest.raises(InvalidSpec):
         build_bv("10a")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from charforge import characters, cli, groups as groups_module, optimize as optimize_module, statevector
 from charforge.bench import _spec_for
 from charforge.circuits import (GATE_ARITY, Circuit, GateInstance, build_benchmark, build_bv, build_grover,
-                                build_qft, check_gates, circuit_unitary, gate, gate_generators, parse_circuit,
+                                build_qft, circuit_unitary, gate, gate_generators, parse_circuit,
                                 random_clifford_circuit, serialize_circuit)
 from charforge.complexity import CostParams
 from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
@@ -707,7 +707,7 @@ BELL = parse_circuit("qubits 2\nh 0\ncx 0 1\n")
     (lambda: equivalence_check(BELL, BELL, tv_tol=True), "tv_tol must be finite"),
     (lambda: equivalence_check(BELL, BELL, obs_tol=False), "obs_tol must be finite"),
     (lambda: gate("cp", 0, 1, angle=True), "angle must be finite and real"),
-    (lambda: check_gates(Circuit(2, (GateInstance("cp", (0, 1), True),))), "has angle True"),
+    (lambda: Circuit(2, (GateInstance("cp", (0, 1), True),)), "has angle True"),
     (lambda: CostParams("general", k=1, m=1, n=1, order=2, dmax=1, g_cost=True), "g_cost must be finite"),
     (lambda: Observable.from_pauli("Z", coeff=True), "pauli coefficient must be a finite real"),
 ], ids=["tableau-shots", "tableau-seed", "sv-shots", "sv-seed", "max_order", "cost-k", "chartab-seed",
@@ -719,7 +719,7 @@ def test_a_bool_is_not_a_count_a_seed_or_a_tolerance(call, match):
 
 @pytest.mark.parametrize("call, match", [
     (lambda: gate("cp", 0, 1, angle=10 ** 400), "angle must be finite and real"),
-    (lambda: check_gates(Circuit(2, (GateInstance("cp", (0, 1), -10 ** 400),))), "only cp takes one, finite"),
+    (lambda: Circuit(2, (GateInstance("cp", (0, 1), -10 ** 400),)), "only cp takes one, finite"),
     (lambda: Observable.from_pauli("Z", coeff=10 ** 400), "pauli coefficient must be a finite real"),
     (lambda: CostParams("general", k=1, m=1, n=1, order=2, dmax=1, g_cost=10 ** 400), "g_cost must be finite"),
     (lambda: equivalence_check(BELL, BELL, tv_tol=10 ** 400), "tv_tol must be finite"),
@@ -731,6 +731,6 @@ def test_an_int_past_the_float_range_is_not_a_real(call, match):
 
 
 def test_equivalence_rejects_a_repeated_measure():
-    a = Circuit(2, (gate("h", 0), gate("measure", 1), gate("measure", 1)))
     with pytest.raises(InvalidSpec, match="measure"):
-        equivalence_check(a, build_qft(2), shots=100)
+        equivalence_check(Circuit(2, (gate("h", 0), gate("measure", 1), gate("measure", 1))), build_qft(2),
+                          shots=100)

@@ -282,6 +282,13 @@ def test_timing_excludes_sampling():
     assert all(s >= 0.0 for s in samples)
 
 
+@pytest.mark.parametrize("repeats", [1.5, "3", True, 0, -2])
+def test_time_gate_loop_takes_an_integer_count_of_at_least_one(repeats):
+    # unchecked, a float or str ends in a raw TypeError, True runs once, and 0 or -2 time nothing
+    with pytest.raises(InvalidSpec, match=f"repeats must be an integer >= 1, got {repeats!r}"):
+        time_gate_loop(build_bv("101"), repeats)
+
+
 NAMED_MONOMIALS = ("x", "y", "z", "s", "sdg", "cx", "cz", "swap")
 
 

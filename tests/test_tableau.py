@@ -1,6 +1,5 @@
 import hashlib
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from charforge.circuits import (GATE_ARITY, Circuit, GateInstance, gate,
                                 parse_circuit, random_clifford_circuit)
 from charforge.errors import AngleMissing, InvalidSpec, NonCliffordGate, QubitOutOfRange
 from charforge.histogram import tv_distance
-from charforge.optimize import OptimizeConfig, equivalence_check, optimize
+from charforge.optimize import equivalence_check
 from charforge.statevector import marginal_probabilities, run_gates, sv_run
 from charforge import tableau
 from charforge.tableau import (PackedTableau, apply_gate, measure_layer, measure_symbolic,
@@ -352,46 +351,40 @@ def _hand_built(n: int, *gates: tuple) -> Circuit:
     return Circuit(n, tuple(GateInstance(kind, tuple(qubits)) for kind, *qubits in gates))
 
 
-# each list is what a text circuit would be refused for; hand-built, it used to
-# run on the wrong qubit, give a wrong histogram or raise a raw Python error
+# each list is what a text circuit would be refused for; unchecked, it would run
+# on the wrong qubit, give a wrong histogram or raise a raw Python error
 MALFORMED = [
-    (QubitOutOfRange, _hand_built(2, ("h", -1))),
-    (QubitOutOfRange, _hand_built(2, ("h", 2))),
-    (QubitOutOfRange, _hand_built(2, ("h", 0), ("measure", 5))),
-    (InvalidSpec, _hand_built(2, ("h", 1), ("cx", 1, 1))),
-    (InvalidSpec, _hand_built(2, ("cx", 1))),
-    (InvalidSpec, _hand_built(2, ("h", 0, 1))),
-    (InvalidSpec, Circuit(0, ())),
-    (InvalidSpec, _hand_built(2, ("h", 0), ("measure", 0), ("measure", 0))),
-    (InvalidSpec, _hand_built(2, ("measure", 0), ("h", 0))),
-    (InvalidSpec, _hand_built(2, ("frobnicate", 0))),
-    (InvalidSpec, _hand_built(2, ("h", 0.5))),
-    (InvalidSpec, _hand_built(2, ("cx", 0, True))),
-    (InvalidSpec, _hand_built(2, ("h", 0), ("measure", 1.0))),
-    (InvalidSpec, Circuit("2", ())),
-    (InvalidSpec, Circuit(2.0, ())),
-    (InvalidSpec, Circuit(True, ())),
+    (QubitOutOfRange, "gate h [-1] at position 0: qubit outside [0, 2)", 2, [("h", -1)]),
+    (QubitOutOfRange, "gate h [2] at position 0: qubit outside [0, 2)", 2, [("h", 2)]),
+    (QubitOutOfRange, "gate measure [5] at position 1: qubit outside [0, 2)", 2, [("h", 0), ("measure", 5)]),
+    (InvalidSpec, "gate cx [1, 1] at position 1 needs 2 distinct qubit(s)", 2, [("h", 1), ("cx", 1, 1)]),
+    (InvalidSpec, "gate cx [1] at position 0 needs 2 distinct qubit(s)", 2, [("cx", 1)]),
+    (InvalidSpec, "gate h [0, 1] at position 0 needs 1 distinct qubit(s)", 2, [("h", 0, 1)]),
+    (InvalidSpec, "a circuit needs an integer count of at least one qubit, got 0", 0, []),
+    (InvalidSpec, "measure lines [0, 0] must each name one qubit, none twice, and take no angle", 2,
+     [("h", 0), ("measure", 0), ("measure", 0)]),
+    (InvalidSpec, "measure at position 0 precedes a gate; measures must be a trailing suffix", 2,
+     [("measure", 0), ("h", 0)]),
+    (InvalidSpec, "unknown gate 'frobnicate' at position 0", 2, [("frobnicate", 0)]),
+    (InvalidSpec, "qubit indices must be integers, got 0.5", 2, [("h", 0.5)]),
+    (InvalidSpec, "qubit indices must be integers, got True", 2, [("cx", 0, True)]),
+    (InvalidSpec, "qubit indices must be integers, got 1.0", 2, [("h", 0), ("measure", 1.0)]),
+    (InvalidSpec, "a circuit needs an integer count of at least one qubit, got '2'", "2", []),
+    (InvalidSpec, "a circuit needs an integer count of at least one qubit, got 2.0", 2.0, []),
+    (InvalidSpec, "a circuit needs an integer count of at least one qubit, got True", True, []),
 ]
-NON_INTEGER = MALFORMED[-6:]
 
 
-@pytest.mark.parametrize("run", [tableau_run, sv_run], ids=["tableau", "sv"])
-@pytest.mark.parametrize("error, c", MALFORMED)
-def test_malformed_gate_lists_are_rejected(run, error, c):
-    with pytest.raises(error):
-        run(c, 100, 0)
-
-
-@pytest.mark.parametrize("error, c", NON_INTEGER)
-def test_equivalence_check_rejects_non_integer_widths_and_qubits(error, c):
-    with pytest.raises(error):
-        equivalence_check(c, c, shots=100, seed=0)
+@pytest.mark.parametrize("error, message, n, gates", MALFORMED)
+def test_a_malformed_gate_list_is_refused_when_the_circuit_is_built(error, message, n, gates):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _hand_built(n, *gates)
 
 
 @pytest.mark.parametrize("qubit", [0.5, True, np.float64(1.0)])
 def test_a_non_integer_qubit_is_named(qubit):
     with pytest.raises(InvalidSpec, match=re.escape(f"qubit indices must be integers, got {qubit!r}")):
-        tableau_run(_hand_built(2, ("h", 0), ("cx", 0, qubit)), 100, 0)
+        _hand_built(2, ("h", 0), ("cx", 0, qubit))
 
 
 @pytest.mark.parametrize("n", [3, 70])
@@ -431,22 +424,11 @@ BAD_ANGLES = [
     (AngleMissing, "position 1", (GateInstance("x", (0,)), GateInstance("cp", (0, 1)))),
 ]
 
-RUNNERS = {
-    "sv": lambda c: sv_run(c, 100, 0),
-    "tableau": lambda c: tableau_run(c, 100, 0),
-    "equivalence": lambda c: equivalence_check(c, Circuit(2, ()), shots=100, seed=0),
-    "equivalence_b": lambda c: equivalence_check(Circuit(2, ()), c, shots=100, seed=0),
-    "optimize": lambda c: optimize(c, OptimizeConfig(run_equivalence=False)),
-}
 
-
-@pytest.mark.parametrize("run", RUNNERS.values(), ids=RUNNERS.keys())
 @pytest.mark.parametrize("error, where, gates", BAD_ANGLES)
-def test_hand_built_angles_are_checked_before_any_work(run, error, where, gates):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(error, match=where):
-            run(Circuit(2, gates))
+def test_hand_built_angles_are_refused_when_the_circuit_is_built(error, where, gates):
+    with pytest.raises(error, match=where):
+        Circuit(2, gates)
 
 
 @pytest.mark.parametrize("angle", [np.float32(0.5), np.float64(0.5), 1, np.int64(-2)])
