@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -15,9 +17,13 @@ from charforge.circuits import (GATE_ARITY, BenchmarkSpec, Circuit, GateInstance
                                 random_clifford_circuit, serialize_circuit)
 from charforge.errors import (AngleMissing, CircuitSyntaxError, InvalidSpec, KeyCollision,
                               MeasurementInUnitary, QubitOutOfRange, TooWide)
-from charforge import circuits
-from charforge.groups import TOL
-from charforge.statevector import SV_MAX_QUBITS, run_gates, zero_state
+from charforge import circuits, cli
+from charforge.expectation import circuit_element
+from charforge.groups import TOL, ClosureConfig
+from charforge.observables import Observable
+from charforge.optimize import OptimizeConfig, equivalence_check, optimize
+from charforge.statevector import SV_MAX_QUBITS, run_gates, sv_expectation, sv_run, time_gate_loop, zero_state
+from charforge.tableau import tableau_run
 from kernel_oracle import apply_frame_per_qubit, signed_zero_block
 
 
@@ -143,6 +149,43 @@ def test_a_gate_off_the_register_is_refused_when_the_circuit_is_built():
     # unchecked, the x 3 falls off circuit_unitary's one-qubit matrix and it returns X
     with pytest.raises(QubitOutOfRange, match=re.escape("gate x [3] at position 1: qubit outside [0, 1)")):
         Circuit(1, (gate("x", 0), GateInstance("x", (3,))))
+
+
+BELL_MEASURED = parse_circuit("qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n")
+BELL_BODY = Circuit(2, BELL_MEASURED.body_and_suffix()[0])
+BELL_GROUP = cli.circuit_gate_group(BELL_MEASURED, ClosureConfig())[0]
+
+# a function trusts the Circuit it is given: it checks only the Circuits it builds
+# itself (optimize its output, equivalence_check its two padded copies)
+CHECKS_PER_CALL = {
+    "parse_circuit": (lambda: parse_circuit("qubits 1\nh 0\n"), 1),
+    "sv_run": (lambda: sv_run(BELL_MEASURED, 100, 0), 0),
+    "tableau_run": (lambda: tableau_run(BELL_MEASURED, 100, 0), 0),
+    "run_gates": (lambda: run_gates(BELL_MEASURED), 0),
+    "sv_expectation": (lambda: sv_expectation(BELL_MEASURED, Observable.from_pauli("ZZ")), 0),
+    "time_gate_loop": (lambda: time_gate_loop(BELL_MEASURED, 3), 0),
+    "circuit_unitary": (lambda: circuit_unitary(BELL_BODY), 0),
+    "circuit_depth": (lambda: circuit_depth(BELL_MEASURED), 0),
+    "serialize_circuit": (lambda: serialize_circuit(BELL_MEASURED), 0),
+    "circuit_element": (lambda: circuit_element(BELL_BODY, BELL_GROUP), 0),
+    "circuit_gate_group": (lambda: cli.circuit_gate_group(BELL_MEASURED, ClosureConfig()), 1),
+    "equivalence_check": (lambda: equivalence_check(BELL_MEASURED, BELL_MEASURED, shots=100, seed=0), 2),
+    "optimize": (lambda: optimize(BELL_MEASURED, OptimizeConfig(run_equivalence=False)), 1),
+    "optimize_with_equivalence": (lambda: optimize(BELL_MEASURED), 3),
+}
+
+
+@pytest.mark.parametrize("call, checks", CHECKS_PER_CALL.values(), ids=CHECKS_PER_CALL.keys())
+def test_a_gate_list_is_checked_only_where_a_circuit_is_built(call, checks):
+    # counted in every charforge module that binds check_gates, so an import of it counts too
+    original = circuits.check_gates
+    check = mock.Mock(wraps=original)
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "charforge" and vars(module).get("check_gates") is original:
+                stack.enter_context(mock.patch.object(module, "check_gates", check))
+        call()
+    assert check.call_count == checks
 
 
 def test_unitary_of_measure_free_circuits_is_unitary():

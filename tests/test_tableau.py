@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -347,8 +348,12 @@ def test_rejects_shots_below_one(shots):
         tableau_run(parse_circuit("qubits 1\nh 0\n"), shots=shots, seed=0)
 
 
+def _gate_list(*gates: tuple) -> tuple[GateInstance, ...]:
+    return tuple(GateInstance(kind, tuple(qubits)) for kind, *qubits in gates)
+
+
 def _hand_built(n: int, *gates: tuple) -> Circuit:
-    return Circuit(n, tuple(GateInstance(kind, tuple(qubits)) for kind, *qubits in gates))
+    return Circuit(n, _gate_list(*gates))
 
 
 # each list is what a text circuit would be refused for; unchecked, it would run
@@ -379,6 +384,21 @@ MALFORMED = [
 def test_a_malformed_gate_list_is_refused_when_the_circuit_is_built(error, message, n, gates):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         _hand_built(n, *gates)
+
+
+@pytest.mark.parametrize("error, message, n, gates", MALFORMED)
+def test_replace_checks_the_new_gate_list(error, message, n, gates):
+    # replace goes through the constructor, so it cannot make a Circuit the constructor refuses
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(_hand_built(2, ("h", 0)), n_qubits=n, gates=_gate_list(*gates))
+
+
+def test_a_built_circuit_cannot_be_changed():
+    c = _hand_built(2, ("h", 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.n_qubits = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.gates[0].qubits = (5,)
 
 
 @pytest.mark.parametrize("qubit", [0.5, True, np.float64(1.0)])
@@ -429,6 +449,12 @@ BAD_ANGLES = [
 def test_hand_built_angles_are_refused_when_the_circuit_is_built(error, where, gates):
     with pytest.raises(error, match=where):
         Circuit(2, gates)
+
+
+@pytest.mark.parametrize("error, where, gates", BAD_ANGLES)
+def test_replace_checks_the_new_angles(error, where, gates):
+    with pytest.raises(error, match=where):
+        dataclasses.replace(Circuit(2, ()), gates=gates)
 
 
 @pytest.mark.parametrize("angle", [np.float32(0.5), np.float64(0.5), 1, np.int64(-2)])
