@@ -6,7 +6,8 @@ Conventions, fixed globally:
     (cz, swap) keep the written order;
   * gates apply left to right, so the circuit unitary is U = U_m ... U_1
     acting on column state vectors;
-  * measure lines form a trailing suffix.
+  * measure lines form a trailing suffix;
+  * `check_gates` is the one check of a gate list; `parse_circuit` only reads tokens.
 
 `apply_gates` is the one gate loop, carrying x, y and z as a Pauli frame, and
 `apply_matrix` the one gate kernel, in place in a (2^n, B) block: B = 1 or 8 in
@@ -39,7 +40,7 @@ GATE_ARITY = {
     "measure": 1,
 }
 
-_BODY_ARITY = {kind: arity for kind, arity in GATE_ARITY.items() if kind != "measure"}
+_PLAIN_ARITY = {kind: arity for kind, arity in GATE_ARITY.items() if kind not in ("cp", "measure")}
 
 CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cx", "cz"})
 
@@ -90,42 +91,48 @@ class Circuit:
 
 
 def check_gates(c: Circuit) -> None:
-    """Refuse what `parse_circuit` would refuse; every `Circuit` runs it when
-    it is built, so no other function checks a gate list. Raises for a width or
-    qubit that is not an integer (a bool is not), fewer than one qubit, an
-    unknown gate, a wrong qubit count, a repeated qubit in a gate, an angle on a
-    gate but cp or a cp angle that is not a finite real, a measure before a gate
-    or measured twice (InvalidSpec), a cp without an angle (AngleMissing), or a
-    qubit outside [0, n) (QubitOutOfRange). A few passes over the gates."""
-    if not _is_int(c.n_qubits) or c.n_qubits < 1:
-        raise InvalidSpec(f"a circuit needs an integer count of at least one qubit, got {c.n_qubits!r}")
-    body, suffix = c.body_and_suffix()
-    for g in body:
-        arity, q = _BODY_ARITY.get(g.kind), g.qubits
-        if len(q) != arity or (arity == 2 and q[0] == q[1]):
-            pos = body.index(g)
-            if g.kind == "measure":
-                raise InvalidSpec(f"measure at position {pos} precedes a gate; "
-                                  "measures must be a trailing suffix")
-            if arity is None:
-                raise InvalidSpec(f"unknown gate {g.kind!r} at position {pos}")
-            raise InvalidSpec(f"gate {g.kind} {list(q)} at position {pos} needs {arity} distinct qubit(s)")
-        if (g.angle is not None or g.kind == "cp") and not (g.kind == "cp" and _is_real(g.angle)):
-            raise (AngleMissing if g.angle is None else InvalidSpec)(
-                f"gate {g.kind} at position {body.index(g)} has angle {g.angle!r}; only cp takes one, finite")
-    measured = [q for g in suffix for q in g.qubits]
-    if len(measured) != len(suffix) or len(set(measured)) != len(measured) \
-            or any(g.angle is not None for g in suffix):
+    """Run by every `Circuit` when it is built. Raises InvalidSpec, in this order, for a width that
+    is not an integer >= 1 (a bool is not), gates that are not a tuple of GateInstance with a str
+    kind and a tuple of qubits, per gate an unknown kind, a wrong or repeated qubit count or an angle
+    but a cp's finite one (AngleMissing for none), a measure not on one qubit, twice or with an angle,
+    a qubit that is not an integer, one outside [0, n) (QubitOutOfRange), and a measure before a
+    gate. A refused list stays refused whatever is appended, as `parse_circuit` relies on."""
+    n, gates = c.n_qubits, c.gates
+    if not _is_int(n) or n < 1:
+        raise InvalidSpec(f"a circuit needs an integer count of at least one qubit, got {n!r}")
+    if type(gates) is not tuple:
+        raise InvalidSpec(f"gates must be a tuple of GateInstance, got a {type(gates).__name__}")
+    measures = []
+    for g in gates:
+        if type(g) is not GateInstance or type(g.kind) is not str or type(g.qubits) is not tuple:
+            raise InvalidSpec(f"gate {g!r} is not a GateInstance with a str kind and a tuple of qubits")
+        q, arity = g.qubits, _PLAIN_ARITY.get(g.kind)  # None for cp, measure and unknown kinds
+        if len(q) != arity or g.angle is not None or (arity == 2 and q[0] == q[1]):
+            kind, arity = g.kind, GATE_ARITY.get(g.kind)
+            if kind == "measure":
+                measures.append(g)
+            elif arity is None:
+                raise InvalidSpec(f"unknown gate {kind!r} at position {gates.index(g)}")
+            elif len(q) != arity or (arity == 2 and q[0] == q[1]):
+                raise InvalidSpec(f"gate {kind} {list(q)} at position {gates.index(g)} "
+                                  f"needs {arity} distinct qubit(s)")
+            elif kind != "cp" or not _is_real(g.angle):
+                raise (AngleMissing if g.angle is None else InvalidSpec)(
+                    f"gate {kind} at position {gates.index(g)} has angle {g.angle!r}; only cp takes one, finite")
+    measured = [q for g in measures for q in g.qubits]
+    if len(set(measured)) != len(measured) or any(len(g.qubits) != 1 or g.angle is not None for g in measures):
         raise InvalidSpec(f"measure lines {measured} must each name one qubit, none twice, and take no angle")
-    qubits = [q for g in body for q in g.qubits] + measured
+    qubits = [q for g in gates for q in g.qubits]
     # _is_int inlined: a call per qubit doubles the cost of this pass
     bad = [q for q in qubits if type(q) is not int and not isinstance(q, np.integer)]
     if bad:
         raise InvalidSpec(f"qubit indices must be integers, got {bad[0]!r}")
-    if qubits and (min(qubits) < 0 or max(qubits) >= c.n_qubits):
-        pos = next(i for i, g in enumerate(c.gates) if not all(0 <= q < c.n_qubits for q in g.qubits))
-        raise QubitOutOfRange(f"gate {c.gates[pos].kind} {list(c.gates[pos].qubits)} at position "
-                              f"{pos}: qubit outside [0, {c.n_qubits})")
+    if qubits and (min(qubits) < 0 or max(qubits) >= n):
+        g = next(g for g in gates if not all(0 <= q < n for q in g.qubits))
+        raise QubitOutOfRange(f"gate {g.kind} {list(g.qubits)} at position {gates.index(g)}: qubit outside [0, {n})")
+    if gates[len(gates) - len(measures):] != tuple(measures):
+        raise InvalidSpec(f"measure at position {gates.index(measures[0])} precedes a gate; "
+                          "measures must be a trailing suffix")
 
 
 def gate(kind: str, *qubits: int, angle: float | None = None) -> GateInstance:
@@ -135,68 +142,55 @@ def gate(kind: str, *qubits: int, angle: float | None = None) -> GateInstance:
 # -- text format -------------------------------------------------------------
 
 def parse_circuit(text: str, name: str = "") -> Circuit:
-    n_qubits = None
-    gates: list[GateInstance] = []
-    seen_measure = False
-    measured: set[int] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if n_qubits is None:
-            if tokens[0] != "qubits" or len(tokens) != 2:
-                raise CircuitSyntaxError(line_no, f"expected 'qubits <n>', got {line!r}")
-            try:
-                n_qubits = int(tokens[1])
-            except ValueError:
-                raise CircuitSyntaxError(line_no, f"bad qubit count {tokens[1]!r}") from None
-            if n_qubits < 1:
-                raise CircuitSyntaxError(line_no, "qubit count must be positive")
-            continue
-        head = tokens[0]
-        angle = None
-        if "(" in head:
-            kind, _, rest = head.partition("(")
-            if not rest.endswith(")"):
-                raise CircuitSyntaxError(line_no, f"unterminated angle in {head!r}")
-            if kind != "cp":
-                raise CircuitSyntaxError(line_no, f"gate {kind!r} takes no angle")
-            try:
-                angle = canonical_angle(float(rest[:-1]))
-            except (ValueError, InvalidSpec):
-                raise CircuitSyntaxError(line_no, f"bad angle {rest[:-1]!r}") from None
-        else:
-            kind = head
-        if kind not in GATE_ARITY:
-            raise CircuitSyntaxError(line_no, f"unknown gate {kind!r}")
-        if kind == "cp" and angle is None:
-            raise AngleMissing(f"line {line_no}: cp requires an angle")
-        arity = GATE_ARITY[kind]
-        args = tokens[1:]
-        if len(args) != arity:
-            raise CircuitSyntaxError(
-                line_no, f"{kind} takes {arity} qubit(s), got {len(args)}")
+    """Read the text format, checking only what needs the text: the `qubits <n>` header, a
+    `kind(angle)` head's finite float and integer qubit tokens. The Circuit checks the gates; the
+    error of a refused list is put on the line that ends its shortest refused prefix."""
+    n_qubits, gates, lines = None, [], []  # lines[k]: the line that ends the first k gates
+    def read(convert, token, what: str):  # a token convert refuses is an error on its line
         try:
-            qubits = tuple(int(a) for a in args)
-        except ValueError:
-            raise CircuitSyntaxError(line_no, f"bad qubit index in {args}") from None
-        for q in qubits:
-            if not 0 <= q < n_qubits:
-                raise QubitOutOfRange(f"line {line_no}: qubit {q} outside [0, {n_qubits})")
-        if len(set(qubits)) != len(qubits):
-            raise CircuitSyntaxError(line_no, f"repeated qubit in {kind} {args}")
-        if kind == "measure":
-            if qubits[0] in measured:
-                raise CircuitSyntaxError(line_no, f"qubit {qubits[0]} measured twice")
-            measured.add(qubits[0])
-            seen_measure = True
-        elif seen_measure:
-            raise CircuitSyntaxError(line_no, "gate after measure; measures must be a trailing suffix")
-        gates.append(GateInstance(kind, qubits, angle))
+            return convert(token)
+        except (ValueError, InvalidSpec):
+            raise CircuitSyntaxError(line_no, f"bad {what} {token!r}") from None
+
+    def circuit() -> Circuit:  # a refused list stays refused whatever is appended: bisect for its prefix
+        try:
+            return Circuit(n_qubits, tuple(gates), name)
+        except (InvalidSpec, QubitOutOfRange, AngleMissing) as exc:
+            lo, hi, error = -1, len(gates), exc  # prefix hi is refused, prefix lo accepted (-1: none known)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                Circuit(n_qubits, tuple(gates[:mid]))
+                lo = mid
+            except (InvalidSpec, QubitOutOfRange, AngleMissing) as exc:
+                hi, error = mid, exc
+        raise (CircuitSyntaxError(lines[hi], str(error)) if isinstance(error, InvalidSpec)
+               else type(error)(f"line {lines[hi]}: {error}")) from None
+
+    try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            if n_qubits is None:
+                if tokens[0] != "qubits" or len(tokens) != 2:
+                    raise CircuitSyntaxError(line_no, f"expected 'qubits <n>', got {' '.join(tokens)!r}")
+                n_qubits = read(int, tokens[1], "qubit count")
+            else:
+                kind, paren, angle = tokens[0].partition("(")
+                if paren and not angle.endswith(")"):
+                    raise CircuitSyntaxError(line_no, f"unterminated angle in {tokens[0]!r}")
+                angle = read(lambda a: canonical_angle(float(a)), angle[:-1], "angle") if paren else None
+                qubits = read(lambda t: tuple(map(int, t)), tokens[1:], "qubit index in")
+                gates.append(GateInstance(kind, qubits, angle))
+            lines.append(line_no)
+    except CircuitSyntaxError:
+        if n_qubits is not None:  # a list refused on an earlier line is reported there
+            circuit()
+        raise
     if n_qubits is None:
         raise CircuitSyntaxError(0, "empty circuit text; expected 'qubits <n>'")
-    return Circuit(n_qubits=n_qubits, gates=tuple(gates), name=name)
+    return circuit()
 
 
 def serialize_circuit(c: Circuit) -> str:

@@ -64,8 +64,13 @@ def estimate_cost(p: CostParams) -> CostEstimate:
         if p.g_cost is None:
             raise MissingGCost("general case requires g_cost")
         g = float(p.g_cost)
-        value = k * (m * g + order * (g + k ** 2 * g + k ** 3)) + tail
+        try:
+            value = k * (m * g + order * (g + k ** 2 * g + k ** 3)) + tail
+        except OverflowError:  # an int past the float range times g
+            value = float("inf")
         text = (f"{k}*({m}*{g:g} + {order}*({g:g} + {k}^2*{g:g} + {k}^3)) + {tail_text}")
+    if not _is_real(value):
+        raise InvalidSpec(f"the {p.case} cost is past the float range for these inputs")
     return CostEstimate(value=float(value), formula_text=f"{text} = {float(value):g}")
 
 

@@ -96,6 +96,69 @@ def test_parse_errors():
         parse_circuit("qubits 0\n")
 
 
+def test_a_list_refused_before_a_bad_token_is_reported_on_its_own_line():
+    # the lexer's error on line 3 comes after the list was refused on line 2
+    with pytest.raises(QubitOutOfRange, match=r"^line 2: gate h \[9\] at position 0"):
+        parse_circuit("qubits 2\nh 9\nh x\n")
+    with pytest.raises(CircuitSyntaxError, match=r"^line 3: bad qubit index in \['x'\]$"):
+        parse_circuit("qubits 2\nh 1\nh x\n")
+
+
+GATE_LIST_ERRORS = (InvalidSpec, QubitOutOfRange, AngleMissing)
+
+
+@st.composite
+def _gate_texts(draw):
+    """(width, gates, the line of each prefix's last gate, text): gates and a
+    trailing run of measures, each with a fault one time in four (any qubits, a
+    qubit off the register, the angle flipped, or an unknown kind or a measure
+    in its place), between comments and blank lines."""
+    n = draw(st.sampled_from([2, 3, 1, 2, 3, 0]))
+    kinds = draw(st.lists(st.sampled_from(sorted(k for k, a in GATE_ARITY.items() if k != "measure" and a <= max(n, 1))),
+                          max_size=8))
+    measured = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    lines, gates, ends = ["# header next", f"qubits {n}"], [], [2]
+    for i, kind in enumerate(kinds + ["measure"] * len(measured)):
+        qubits = draw(st.permutations(range(n)))[:GATE_ARITY[kind]] if i < len(kinds) else [measured[i - len(kinds)]]
+        angle = 0.5 if kind == "cp" else None
+        fault = draw(st.integers(0, 15))
+        if fault == 0:
+            qubits = draw(st.lists(st.integers(-1, n), max_size=3))
+        elif fault == 1:
+            qubits = [draw(st.sampled_from([-1, n])), *qubits[1:]]
+        elif fault == 2:
+            angle = None if angle is not None else 0.5
+        elif fault == 3:
+            kind = draw(st.sampled_from(["frob", "measure"]))
+        gates.append(GateInstance(kind, tuple(qubits), angle))
+        lines += [""] * draw(st.integers(0, 1))
+        lines.append(" ".join([kind if angle is None else f"{kind}({angle})", *map(str, qubits)]))
+        ends.append(len(lines))
+    return n, gates, ends, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gate_texts())
+def test_a_refused_prefix_stays_refused_and_parse_names_its_line(case):
+    n, gates, ends, text = case
+    refusals = []
+    for k in range(len(gates) + 1):
+        try:
+            Circuit(n, tuple(gates[:k]))
+            refusals.append(None)
+        except GATE_LIST_ERRORS as exc:
+            refusals.append(exc)
+    first = next((k for k, exc in enumerate(refusals) if exc is not None), None)
+    if first is None:
+        assert parse_circuit(text) == Circuit(n, tuple(gates))
+        return
+    assert None not in refusals[first:]  # appending gates never makes a refused list valid
+    error = refusals[first]
+    with pytest.raises(CircuitSyntaxError if isinstance(error, InvalidSpec) else type(error),
+                       match=f"^{re.escape(f'line {ends[first]}: {error}')}$"):
+        parse_circuit(text)
+
+
 def test_serialize_round_trip_byte_identical():
     text = "qubits 3\nh 0\ncp(0.7853981634) 1 2\ncx 0 2\nmeasure 0\nmeasure 2\n"
     c = parse_circuit(text)
@@ -159,6 +222,11 @@ BELL_GROUP = cli.circuit_gate_group(BELL_MEASURED, ClosureConfig())[0]
 # itself (optimize its output, equivalence_check its two padded copies)
 CHECKS_PER_CALL = {
     "parse_circuit": (lambda: parse_circuit("qubits 1\nh 0\n"), 1),
+    # refused text: the whole list, then a bisection for its first refused prefix (8 gates, the fifth bad)
+    "parse_circuit_refused": (lambda: pytest.raises(QubitOutOfRange, parse_circuit,
+                                                    "qubits 2\n" + "h 0\n" * 4 + "h 5\n" + "h 1\n" * 3), 4),
+    # a bad token: the gates before it, which pass, then the token's error
+    "parse_circuit_bad_token": (lambda: pytest.raises(CircuitSyntaxError, parse_circuit, "qubits 2\nh 0\nh x\n"), 1),
     "sv_run": (lambda: sv_run(BELL_MEASURED, 100, 0), 0),
     "tableau_run": (lambda: tableau_run(BELL_MEASURED, 100, 0), 0),
     "run_gates": (lambda: run_gates(BELL_MEASURED), 0),

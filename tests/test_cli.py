@@ -271,6 +271,15 @@ def test_invalid_bench_and_cost_arguments_exit_two(tmp_path):
                      "--order", "1", "--dmax", "1").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [["--case", "abelian", "--k", "1" + "0" * 400],
+                                  ["--case", "general", "--k", "1", "--g-cost", "1e308"]])
+def test_a_cost_past_the_float_range_exits_two(argv):
+    r = charforge("cost", *argv, "--m", "1", "--order", "1", "--dmax", "1")
+    assert r.returncode == 2
+    assert "cost is past the float range for these inputs" in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
+
+
 def test_group_cap_exceeded_is_data_error(tmp_path):
     p = tmp_path / "ht.circ"
     p.write_text("qubits 1\nh 0\nt 0\n")

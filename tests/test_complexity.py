@@ -72,3 +72,19 @@ def test_invalid_params():
 def test_non_integer_or_non_positive_params_are_invalid(bad):
     with pytest.raises(InvalidSpec):
         CostParams(**{**dict(case="general", k=1, m=1, n=1, order=1, dmax=1), **bad})
+
+
+# (case, params) whose cost is past the float range: an int past it, and a float product that overflows
+PAST_FLOAT_RANGE = [
+    ("abelian", dict(k=10 ** 400)),
+    ("symmetric", dict(k=10 ** 200, n=2)),
+    ("general", dict(k=10 ** 400, g_cost=1.0)),
+    ("general", dict(g_cost=1e308)),
+]
+
+
+@pytest.mark.parametrize("case, params", PAST_FLOAT_RANGE)
+def test_a_cost_past_the_float_range_is_invalid(case, params):
+    p = CostParams(**{**dict(case=case, k=1, m=1, n=1, order=1, dmax=1), **params})
+    with pytest.raises(InvalidSpec, match=f"^the {case} cost is past the float range for these inputs$"):
+        estimate_cost(p)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from charforge.circuits import (GATE_ARITY, Circuit, GateInstance, gate,
                                 parse_circuit, random_clifford_circuit)
-from charforge.errors import AngleMissing, InvalidSpec, NonCliffordGate, QubitOutOfRange
+from charforge.errors import (AngleMissing, CircuitSyntaxError, InvalidSpec, NonCliffordGate,
+                              QubitOutOfRange)
 from charforge.histogram import tv_distance
 from charforge.optimize import equivalence_check
 from charforge.statevector import marginal_probabilities, run_gates, sv_run
@@ -348,12 +349,16 @@ def test_rejects_shots_below_one(shots):
         tableau_run(parse_circuit("qubits 1\nh 0\n"), shots=shots, seed=0)
 
 
-def _gate_list(*gates: tuple) -> tuple[GateInstance, ...]:
-    return tuple(GateInstance(kind, tuple(qubits)) for kind, *qubits in gates)
+def _gate_list(gates):
+    """A list of (kind, *qubits) tuples as a tuple of GateInstance; any other
+    value, such as a list of GateInstance, as it is."""
+    if type(gates) is list and all(type(g) is tuple for g in gates):
+        return tuple(GateInstance(kind, tuple(qubits)) for kind, *qubits in gates)
+    return gates
 
 
 def _hand_built(n: int, *gates: tuple) -> Circuit:
-    return Circuit(n, _gate_list(*gates))
+    return Circuit(n, _gate_list(list(gates)))
 
 
 # each list is what a text circuit would be refused for; unchecked, it would run
@@ -377,20 +382,68 @@ MALFORMED = [
     (InvalidSpec, "a circuit needs an integer count of at least one qubit, got '2'", "2", []),
     (InvalidSpec, "a circuit needs an integer count of at least one qubit, got 2.0", 2.0, []),
     (InvalidSpec, "a circuit needs an integer count of at least one qubit, got True", True, []),
+    # containers that raised a raw TypeError or AttributeError, here or later in optimize
+    (InvalidSpec, "gates must be a tuple of GateInstance, got a list", 2,
+     [gate("h", 0), gate("measure", 0)]),
+    (InvalidSpec, "gate ('h', 0) is not a GateInstance with a str kind and a tuple of qubits", 2, (("h", 0),)),
+    (InvalidSpec, "gate array([1, 2]) is not a GateInstance with a str kind and a tuple of qubits", 2,
+     (gate("h", 0), np.array([1, 2]))),
+    (InvalidSpec, "gate GateInstance(kind=['h'], qubits=(0,), angle=None) is not a GateInstance "
+     "with a str kind and a tuple of qubits", 2, (GateInstance(["h"], (0,)),)),
+    (InvalidSpec, "gate GateInstance(kind='h', qubits=0, angle=None) is not a GateInstance "
+     "with a str kind and a tuple of qubits", 2, (gate("x", 1), GateInstance("h", 0))),
+    (InvalidSpec, "gate GateInstance(kind='cx', qubits=[0, 1], angle=None) is not a GateInstance "
+     "with a str kind and a tuple of qubits", 2, (GateInstance("cx", [0, 1]),)),
 ]
 
 
 @pytest.mark.parametrize("error, message, n, gates", MALFORMED)
 def test_a_malformed_gate_list_is_refused_when_the_circuit_is_built(error, message, n, gates):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        _hand_built(n, *gates)
+        Circuit(n, _gate_list(gates))
 
 
 @pytest.mark.parametrize("error, message, n, gates", MALFORMED)
 def test_replace_checks_the_new_gate_list(error, message, n, gates):
     # replace goes through the constructor, so it cannot make a Circuit the constructor refuses
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        dataclasses.replace(_hand_built(2, ("h", 0)), n_qubits=n, gates=_gate_list(*gates))
+        dataclasses.replace(_hand_built(2, ("h", 0)), n_qubits=n, gates=_gate_list(gates))
+
+
+def test_a_measure_on_no_qubit_does_not_make_up_for_one_on_two():
+    # two measure lines and two qubits, but neither line names one qubit
+    with pytest.raises(InvalidSpec, match=re.escape("measure lines [1, 0] must each name one qubit")):
+        Circuit(3, (GateInstance("measure", ()), GateInstance("measure", (1, 0))))
+
+
+def _text_twin(n, gates) -> str | None:
+    """A MALFORMED case as text, one gate a line after the header, or None
+    when text cannot express it (a width or qubit that is not an integer)."""
+    if type(n) is not int or type(gates) is not list \
+            or not all(type(g) is tuple and all(type(q) is int for q in g[1:]) for g in gates):
+        return None
+    return f"qubits {n}\n" + "".join(" ".join(map(str, g)) + "\n" for g in gates)
+
+
+TEXT_TWINS = [case for case in MALFORMED if _text_twin(*case[2:])]
+
+
+@pytest.mark.parametrize("error, message, n, gates", TEXT_TWINS)
+def test_the_text_twin_of_a_malformed_list_fails_on_its_last_line(error, message, n, gates):
+    # each list is refused at its last gate (at its width when it has none), so
+    # its text fails on its last line with the same message; an InvalidSpec
+    # is read as a CircuitSyntaxError
+    if gates:
+        Circuit(n, _gate_list(gates[:-1]))
+    line = 1 + len(gates)
+    with pytest.raises(CircuitSyntaxError if error is InvalidSpec else error,
+                       match=f"^{re.escape(f'line {line}: {message}')}$") as err:
+        parse_circuit(_text_twin(n, gates))
+    assert getattr(err.value, "line_no", line) == line
+
+
+def test_every_malformed_list_that_text_can_express_has_a_twin():
+    assert len(TEXT_TWINS) == 10
 
 
 def test_a_built_circuit_cannot_be_changed():

@@ -5,9 +5,10 @@
 Under a `sys.settrace` line tracer (stdlib only), it runs every `charforge`
 subcommand in process on small inputs (`group`, `chartab` and `decompose`
 from a fixture and from a circuit file, `optimize`, `equiv`, `simulate` on
-both engines, `claims`, `cost` in all three cases and a one-row `bench`), then
-one cycle of each perfbench workload, as `perfbench/workloads.py` builds it at
-`--seed`, with each operation's output check. The tracer starts before
+both engines, `claims`, `cost` in all three cases and a one-row `bench`), and
+`simulate` on a refused circuit file, which must exit 2; then one cycle of
+each perfbench workload, as `perfbench/workloads.py` builds it at `--seed`,
+with each operation's output check. The tracer starts before
 charforge is imported, so import-time lines count as run.
 
 For each module it then prints the statements that never ran: raise
@@ -78,9 +79,10 @@ class LineTracer:
 def run_commands(tmp: Path) -> None:
     from charforge.cli import main
 
-    bell, hh = tmp / "bell.circ", tmp / "hh.circ"
+    bell, hh, refused = tmp / "bell.circ", tmp / "hh.circ", tmp / "refused.circ"
     bell.write_text("qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n")
     hh.write_text("qubits 1\nh 0\nx 0\nh 0\nmeasure 0\n")
+    refused.write_text("qubits 2\nh 0\ncx 1 1\nmeasure 0\n")  # a data error: exit 2
     out = str(tmp / "out")
     cost = ["--k", "4", "--m", "10", "--order", "8", "--dmax", "2"]
     commands = [
@@ -96,12 +98,13 @@ def run_commands(tmp: Path) -> None:
         ["cost", "--case", "general", "--g-cost", "3", *cost],
         ["bench", "--suites", "bv", "--n-min", "2", "--n-max", "2", "--repeats", "1",
          "--shots", "1000", "--out-dir", str(tmp / "bench")],
+        ["simulate", "--in", str(refused)],
     ]
     for argv in commands:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
-        if code != 0:
+        if code != (2 if str(refused) in argv else 0):
             print(f"charforge {' '.join(argv)} exited {code}: {err.getvalue().strip()}", file=sys.stderr)
 
 
