@@ -42,7 +42,7 @@ GATE_ARITY = {
 
 _PLAIN_ARITY = {kind: arity for kind, arity in GATE_ARITY.items() if kind not in ("cp", "measure")}
 
-CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cx", "cz"})
+CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap"})
 
 MAX_DENSE_QUBITS = 12
 
@@ -93,19 +93,27 @@ class Circuit:
 def check_gates(c: Circuit) -> None:
     """Run by every `Circuit` when it is built. Raises InvalidSpec, in this order, for a width that
     is not an integer >= 1 (a bool is not), gates that are not a tuple of GateInstance with a str
-    kind and a tuple of qubits, per gate an unknown kind, a wrong or repeated qubit count or an angle
-    but a cp's finite one (AngleMissing for none), a measure not on one qubit, twice or with an angle,
-    a qubit that is not an integer, one outside [0, n) (QubitOutOfRange), and a measure before a
-    gate. A refused list stays refused whatever is appended, as `parse_circuit` relies on."""
+    kind and a tuple of qubits, a qubit that is not an integer (a numpy integer is, a bool is not),
+    per gate an unknown kind, a wrong or repeated qubit count or an angle but a cp's finite one
+    (AngleMissing for none), a measure not on one qubit, twice or with an angle, a qubit outside
+    [0, n) (QubitOutOfRange), and a measure before a gate. A refused list stays refused whatever
+    is appended, as `parse_circuit` relies on."""
     n, gates = c.n_qubits, c.gates
     if not _is_int(n) or n < 1:
         raise InvalidSpec(f"a circuit needs an integer count of at least one qubit, got {n!r}")
     if type(gates) is not tuple:
         raise InvalidSpec(f"gates must be a tuple of GateInstance, got a {type(gates).__name__}")
-    measures = []
+    qubits = []
     for g in gates:
         if type(g) is not GateInstance or type(g.kind) is not str or type(g.qubits) is not tuple:
             raise InvalidSpec(f"gate {g!r} is not a GateInstance with a str kind and a tuple of qubits")
+        qubits += g.qubits
+    # _is_int inlined: a call per qubit doubles the cost of this pass
+    bad = [q for q in qubits if type(q) is not int and not isinstance(q, np.integer)]
+    if bad:
+        raise InvalidSpec(f"qubit indices must be integers, got {bad[0]!r}")
+    measures = []
+    for g in gates:
         q, arity = g.qubits, _PLAIN_ARITY.get(g.kind)  # None for cp, measure and unknown kinds
         if len(q) != arity or g.angle is not None or (arity == 2 and q[0] == q[1]):
             kind, arity = g.kind, GATE_ARITY.get(g.kind)
@@ -122,11 +130,6 @@ def check_gates(c: Circuit) -> None:
     measured = [q for g in measures for q in g.qubits]
     if len(set(measured)) != len(measured) or any(len(g.qubits) != 1 or g.angle is not None for g in measures):
         raise InvalidSpec(f"measure lines {measured} must each name one qubit, none twice, and take no angle")
-    qubits = [q for g in gates for q in g.qubits]
-    # _is_int inlined: a call per qubit doubles the cost of this pass
-    bad = [q for q in qubits if type(q) is not int and not isinstance(q, np.integer)]
-    if bad:
-        raise InvalidSpec(f"qubit indices must be integers, got {bad[0]!r}")
     if qubits and (min(qubits) < 0 or max(qubits) >= n):
         g = next(g for g in gates if not all(0 <= q < n for q in g.qubits))
         raise QubitOutOfRange(f"gate {g.kind} {list(g.qubits)} at position {gates.index(g)}: qubit outside [0, {n})")

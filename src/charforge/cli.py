@@ -73,8 +73,9 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _add_group_source(p: _Parser) -> None:
-    p.add_argument("--in", dest="infile", help="circuit file in the text format")
-    p.add_argument("--fixture", choices=FIXTURE_NAMES, help="named fixture group")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="circuit file in the text format")
+    source.add_argument("--fixture", choices=FIXTURE_NAMES, help="named fixture group")
     p.add_argument("--max-order", type=int, default=20000)
 
 
@@ -241,9 +242,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "infile", None) is None and getattr(args, "fixture", None) is None \
-            and args.command in ("group", "chartab", "decompose"):
-        parser.error(f"{args.command} needs --in or --fixture")
     try:
         code = _COMMANDS[args.command](args)
     except (CharforgeError, OSError, ValueError) as exc:

@@ -17,16 +17,23 @@ from .histogram import _is_real
 
 @dataclass(frozen=True)
 class Observable:
+    """Checked when it is built: the letters are upper case I/X/Y/Z, at least
+    one, and the weight is a finite real."""
+
     pauli: str
     coeff: float = 1.0
 
+    def __post_init__(self):
+        if not isinstance(self.pauli, str) or not self.pauli or not set(self.pauli) <= set("IXYZ"):
+            raise InvalidSpec(f"pauli string must use I/X/Y/Z, got {self.pauli!r}")
+        if not _is_real(self.coeff):
+            raise InvalidSpec(f"pauli coefficient must be a finite real, got {self.coeff!r}")
+
     @staticmethod
     def from_pauli(letters: str, coeff: float = 1.0) -> "Observable":
-        if not isinstance(letters, str) or not letters or any(ch not in "IXYZ" for ch in letters.upper()):
-            raise InvalidSpec(f"pauli string must use I/X/Y/Z, got {letters!r}")
-        if not _is_real(coeff):
-            raise InvalidSpec(f"pauli coefficient must be a finite real, got {coeff!r}")
-        return Observable(pauli=letters.upper(), coeff=float(coeff))
+        """The observable of `letters` in either case, its weight as a float."""
+        return Observable(letters.upper() if isinstance(letters, str) else letters,
+                          float(coeff) if _is_real(coeff) else coeff)
 
     def letter_for(self, qubit: int) -> str:
         return self.pauli[len(self.pauli) - 1 - qubit]

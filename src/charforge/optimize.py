@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
@@ -45,10 +44,14 @@ from .statevector import SV_MAX_QUBITS, expectation_of_state, marginal_probabili
 
 
 # deterministic per-attempt bounds: flop proxy for the closure matmuls
-# and byte proxies for element storage and the quadratic cayley table (which
-# the optimizer does not build; that cap only keeps its segments fixed)
+# and byte proxy for element storage
 CLOSURE_BUDGET_FLOPS = 2e10
 CLOSURE_BUDGET_BYTES = float(2 ** 24)
+# the order whose int16 Cayley table fills CLOSURE_BUDGET_BYTES, 2,896. The
+# optimizer builds no Cayley table, but the cap stays: without it the three
+# segments of bench row bv-2 close as one of order 4,608, which changes its
+# rewrite, and the 20 bench rows take twice the time
+CAYLEY_ORDER_CAP = math.sqrt(CLOSURE_BUDGET_BYTES / 2.0)
 
 
 @dataclass(frozen=True)
@@ -135,11 +138,12 @@ class _Closure:
         dists = np.max(np.abs(mats[cand] - mats[cand, :1, :1] * np.eye(mats.shape[1])), axis=(1, 2))
         return cand[dists <= TOL]
 
-    def phase_equal(self, product: int) -> np.ndarray:
-        """The elements c*mats[product] for the scalars c*I, found by lookup."""
-        mats = self.group.mats
-        found = self.group._lookup.find(mats[self.scalars, :1, :1] * mats[product])[0]
-        return found[found >= 0]
+    @cached_property
+    def phase_equal(self) -> np.ndarray:
+        """Row i, column p: the index of mats[p] times the i-th scalar, which
+        is the scalar times mats[p], a scalar being central; column p holds the
+        elements equal to p up to a global phase."""
+        return self.group.columns(self.scalars)
 
 
 _Part = tuple[list[GateInstance], _Closure, frozenset[int]]  # gates, their closure, their qubits
@@ -214,7 +218,7 @@ def _effective_cap(dim: int, n_gens: int, cfg: OptimizeConfig) -> int:
         float(cfg.max_order),
         CLOSURE_BUDGET_FLOPS / flops_per_element,
         CLOSURE_BUDGET_BYTES / bytes_per_element,
-        math.sqrt(CLOSURE_BUDGET_BYTES / 2.0),  # an order^2 int16 cayley, not built
+        CAYLEY_ORDER_CAP,
     )
     return int(cap)
 
@@ -309,30 +313,29 @@ def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig, cache: d
     """Greedy maximal runs: extend while the distinct gate set still closes
     under the caps, carrying the segment's parts from gate to gate. Yields
     (start, end, gates, _grow's result)."""
-    out, start, current, closed = [], 0, [], None
+    start, current, closed = 0, [], None
     for i, g in enumerate(body):
         grown = _grow(current + [g], closed[1] if current else [], cfg, cache)
         if grown is None and current:  # end the segment and start the next at g
-            out.append((start, i, current, closed))
+            yield start, i, current, closed
             start, current = i, []
             grown = _grow([g], [], cfg, cache)
         if grown is None:  # g alone is past the caps
-            out.append((i, i + 1, [g], None))
+            yield i, i + 1, [g], None
             start = i + 1
         else:
             current, closed = current + [g], grown
     if current:
-        out.append((start, len(body), current, closed))
-    return out
+        yield start, len(body), current, closed
 
 
-def _rewrite_segment(gates: list[GateInstance], closed: _Segment, cfg: OptimizeConfig,
-                     record: SegmentRecord) -> list[GateInstance]:
-    """Each part's shortest word for its product, or in phase-insensitive mode
-    for any element equal to it up to a global phase, merged. Among words of one
-    length the smallest wins, each slot ranked by the position of its first
-    gate in `gates`, whatever gate list the closures were cached from."""
-    record.group_order, words = closed[0], []
+def _rewrite_segment(gates: list[GateInstance], closed: _Segment, cfg: OptimizeConfig) -> list[GateInstance]:
+    """`gates` as each part's shortest word for its product, or in
+    phase-insensitive mode for any element equal to it up to a global phase,
+    merged; `gates` itself unless that is shorter. Among words of one length
+    the smallest wins, each slot ranked by the position of its first gate in
+    `gates`, whatever gate list the closures were cached from."""
+    words = []
     for part, c, _ in closed[1]:
         first: dict[int, int] = {}  # c's slots -> the position of their first gate, in that order
         for i, g in enumerate(gates):
@@ -341,41 +344,28 @@ def _rewrite_segment(gates: list[GateInstance], closed: _Segment, cfg: OptimizeC
         ranked, at = list(first), list(first.values())
         wt = c.words if ranked == sorted(ranked) else build_word_table(c.group, ranked)
         product = walk(c.group.right, [c.template_of_key[g.key()] for g in part])
-        candidates = c.phase_equal(product).tolist() if cfg.phase_insensitive else [product]
+        candidates = c.phase_equal[:, product].tolist() if cfg.phase_insensitive else [product]
         best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
         words.append([at[s] for s in wt.word(best)])
     # the parts' positions are disjoint, so the smallest interleaving takes the smaller head
     word = list(heapq.merge(*words))
-
-    if len(word) < len(gates):
-        record.status = "rewritten"
-        # circuit gates compose right to left, so emit the word reversed
-        return [gates[i] for i in reversed(word)]
-    record.status = "kept"
-    return list(gates)
+    # circuit gates compose right to left, so emit the word reversed
+    return [gates[i] for i in reversed(word)] if len(word) < len(gates) else list(gates)
 
 
 def _run_passes(body: tuple[GateInstance, ...], cfg: OptimizeConfig,
-                cache: dict) -> tuple[list[GateInstance], list[SegmentRecord], dict]:
+                cache: dict) -> tuple[list[GateInstance], list[SegmentRecord]]:
     new_body: list[GateInstance] = []
     records: list[SegmentRecord] = []
-    stats = {"rewritten": 0, "dropped": 0}
     for start, end, gates, closed in _scan_segments(body, cfg, cache):
-        record = SegmentRecord(start=start, end=end, support=_support(gates), status="skipped-cap",
-                               gates_before=len(gates), gates_after=len(gates))
-        if closed is None:
-            record.detail = "closure exceeded the order/work caps"
-            new_gates = list(gates)
-        else:
-            new_gates = _rewrite_segment(gates, closed, cfg, record)
-            if record.status == "rewritten":
-                stats["rewritten"] += 1
-                if not new_gates:
-                    stats["dropped"] += 1
-        record.gates_after = len(new_gates)
-        records.append(record)
+        new_gates = list(gates) if closed is None else _rewrite_segment(gates, closed, cfg)
+        status = "skipped-cap" if closed is None else "rewritten" if len(new_gates) < len(gates) else "kept"
+        records.append(SegmentRecord(
+            start=start, end=end, support=_support(gates), status=status, gates_before=len(gates),
+            gates_after=len(new_gates), group_order=None if closed is None else closed[0],
+            detail="closure exceeded the order/work caps" if closed is None else ""))
         new_body.extend(new_gates)
-    return new_body, records, stats
+    return new_body, records
 
 
 def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, OptimizationReport]:
@@ -394,14 +384,15 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
 
     cache: dict = {}
     current = body
-    totals: Counter = Counter()
-    iterations = 0
+    shortened = elided = iterations = 0
     while True:
         iterations += 1
-        new_body, records, stats = _run_passes(current, cfg, cache)
+        new_body, records = _run_passes(current, cfg, cache)
         if iterations == 1:
             report.segments = records
-        totals.update(stats)
+        rewritten = [r for r in records if r.status == "rewritten"]
+        shortened += len(rewritten)
+        elided += sum(1 for r in rewritten if r.gates_after == 0)
         if len(new_body) == len(current):
             break
         current = tuple(new_body)
@@ -414,8 +405,8 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
         ("segment-translation",
          f"{report.segments_found} segment(s), {report.segments_skipped} past "
          f"the caps, {iterations} sweep(s) to fixed point"),
-        ("shortest-word-rewrite", f"{totals['rewritten']} segment(s) shortened"),
-        ("identity-elision", f"{totals['dropped']} segment(s) elided"),
+        ("shortest-word-rewrite", f"{shortened} segment(s) shortened"),
+        ("identity-elision", f"{elided} segment(s) elided"),
     ]
 
     if cfg.run_equivalence:

@@ -100,6 +100,8 @@ def apply_gate(tab: PackedTableau, kind: str, qubits: tuple[int, ...]) -> None:
         tab.signs ^= xs[q] & xs[t] & (zs[q] ^ zs[t])
         zs[q] ^= xs[t]
         zs[t] ^= xs[q]
+    elif kind == "swap":  # X and Z move between the qubits and keep their signs
+        xs[q], xs[t], zs[q], zs[t] = xs[t], xs[q], zs[t], zs[q]
     else:
         raise NonCliffordGate(f"gate {kind!r} is not in the Clifford subset")
 

@@ -238,6 +238,19 @@ def test_usage_error_exits_one():
     assert charforge("group").returncode == 1
 
 
+@pytest.mark.parametrize("command", ["group", "chartab", "decompose"])
+@pytest.mark.parametrize("sources, message", [
+    ((), "one of the arguments --in --fixture is required"),
+    (("--fixture", "c2", "--in", "x.circ"), "argument --in: not allowed with argument --fixture"),
+], ids=["neither", "both"])
+def test_a_group_command_takes_exactly_one_source(command, sources, message, capsys):
+    # both used to read the fixture and ignore --in
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *sources])
+    assert exit_.value.code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_bench_rejects_out_as_a_usage_error(tmp_path):
     # bench writes only under --out-dir; --out is not one of its options
     r = charforge("bench", "--suites", "qft", "--n-min", "2", "--n-max", "2",
@@ -303,6 +316,13 @@ def test_tableau_samples_past_64_random_outcomes(tmp_path, n):
         ones += int(cnt) * (np.frombuffer(k.encode(), dtype=np.uint8) == ord("1"))
     assert sum(int(cnt) for _, cnt in rows) == shots
     assert np.all(np.abs(ones - shots / 2) <= 6 * np.sqrt(shots / 4))
+
+
+def test_the_tableau_engine_takes_swap(tmp_path, capsys):
+    p = tmp_path / "swap.circ"
+    p.write_text("qubits 2\nx 0\nswap 0 1\n")
+    assert main(["simulate", "--in", str(p), "--engine", "tableau", "--shots", "100"]) == 0
+    assert capsys.readouterr().out == "outcome,count\n10,100\n"
 
 
 @pytest.mark.parametrize("engine", ["sv", "tableau"])

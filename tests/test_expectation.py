@@ -164,7 +164,7 @@ def test_character_multiplicativity_both_directions(groups, tables):
     assert max(violations) > 0.1
 
 
-@pytest.mark.parametrize("letters, coeff, match", [
+BAD_OBSERVABLES = [
     (5, 1.0, "pauli string must use I/X/Y/Z, got 5"),
     ("XQ", 1.0, "pauli string must use I/X/Y/Z, got 'XQ'"),
     ("", 1.0, "pauli string must use I/X/Y/Z, got ''"),
@@ -172,10 +172,24 @@ def test_character_multiplicativity_both_directions(groups, tables):
     ("XZ", np.nan, "pauli coefficient must be a finite real, got nan"),
     ("XZ", -np.inf, "pauli coefficient must be a finite real, got -inf"),
     ("XZ", 1j, "pauli coefficient must be a finite real, got 1j"),
-])
+]
+
+
+@pytest.mark.parametrize("letters, coeff, match", BAD_OBSERVABLES)
 def test_from_pauli_rejects_bad_letters_and_coefficients(letters, coeff, match):
     with pytest.raises(InvalidSpec, match=f"^{re.escape(match)}$"):
         Observable.from_pauli(letters, coeff=coeff)
+
+
+@pytest.mark.parametrize("letters, coeff, match", BAD_OBSERVABLES + [
+    ("Q", 1.0, "pauli string must use I/X/Y/Z, got 'Q'"),
+    ("xz", 1.0, "pauli string must use I/X/Y/Z, got 'xz'"),  # only from_pauli upper-cases
+    ("Z", True, "pauli coefficient must be a finite real, got True"),
+])
+def test_an_observable_is_checked_when_it_is_built(letters, coeff, match):
+    # Observable("Q") reached the gate loop and raised a raw ValueError there
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(match)}$"):
+        Observable(letters, coeff)
 
 
 def test_from_pauli_takes_either_case_and_a_numpy_real():

@@ -20,7 +20,7 @@ from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.observables import Observable
 from charforge.groups import TOL, ClosureConfig, ElementLookup, close_group, element_of
-from charforge.optimize import (OptimizeConfig, SegmentRecord, _close, _Closure, _effective_cap, _key,
+from charforge.optimize import (OptimizeConfig, _close, _Closure, _effective_cap, _key,
                                 _rewrite_segment, build_word_table, equivalence_check, optimize)
 from charforge.tableau import tableau_run
 from phase_oracle import equal_up_to_phase, phase_canonical
@@ -167,11 +167,18 @@ def test_scalar_translates_are_the_phase_equal_elements(make, groups):
     assert 0 in scalars.tolist()
     for p, expected in enumerate(brute_force_phase_classes(group)):
         assert set(group.cayley[p, scalars].tolist()) == expected
-        # the optimizer's lookup of c * mats[p] over the scalars c * I
-        assert set(closure.phase_equal(p).tolist()) == expected
+        # the optimizer's column p of the scalars' columns
+        assert set(closure.phase_equal[:, p].tolist()) == expected
 
 
 # -- pipeline ------------------------------------------------------------------
+
+def test_the_cayley_order_cap_binds_small_segments():
+    # one qubit, one generator: the flop and byte caps are far larger, so the
+    # cap sized for an int16 Cayley table of 2^24 bytes binds
+    assert int(optimize_module.CAYLEY_ORDER_CAP) == 2896
+    assert _effective_cap(2, 1, FAST) == 2896
+
 
 def test_double_h_elided():
     out, rep = optimize(parse_circuit("qubits 1\nh 0\nh 0\n"), FAST)
@@ -461,33 +468,29 @@ def _grown(gates, cache):
 
 
 def _rewritten_by_both(gates, closed):
-    """The rewrite of `gates` by _grow's result `closed` and by their whole
-    closure from a fresh cache, and the two records."""
+    """The rewrite of `gates` and the group order by _grow's result `closed`
+    and by their whole closure from a fresh cache."""
     whole = _close(list(gates), FAST, {})
-    out = []
-    for segment in (closed, (whole.group.order, [(list(gates), whole, _qubits(gates))])):
-        record = SegmentRecord(0, len(gates), (), "skipped-cap", len(gates), len(gates))
-        out.append((_rewrite_segment(list(gates), segment, FAST, record), record))
-    return out
+    return [(_rewrite_segment(list(gates), segment, FAST), segment[0])
+            for segment in (closed, (whole.group.order, [(list(gates), whole, _qubits(gates))]))]
 
 
 def test_split_bench_segments_match_their_whole_closures(monkeypatch):
     seen = {}
     rewrite = optimize_module._rewrite_segment
 
-    def recording(gates, closed, cfg, record):
+    def recording(gates, closed, cfg):
         if len(closed[1]) > 1:
             seen.setdefault(tuple(gates), closed)
-        return rewrite(gates, closed, cfg, record)
+        return rewrite(gates, closed, cfg)
 
     monkeypatch.setattr(optimize_module, "_rewrite_segment", recording)
     for suite, n in itertools.product(("bv", "qft", "grover", "vqe"), range(2, 7)):
         optimize(build_benchmark(_spec_for(suite, n, 0)), FAST)
     assert len(seen) > 20
     for gates, closed in seen.items():
-        (split, split_rec), (whole, whole_rec) = _rewritten_by_both(gates, closed)
+        split, whole = _rewritten_by_both(gates, closed)
         assert split == whole
-        assert (split_rec.status, split_rec.group_order) == (whole_rec.status, whole_rec.group_order)
 
 
 @st.composite
@@ -519,8 +522,8 @@ def test_split_closures_match_whole_closures(gates, one_part, parts_cached_rever
         # the scan carries the oracle's parts, part for part and in gate order
         assert [(p, qs) for p, _, qs in closed[1]] == [(p, _qubits(p)) for p in _parts(gates)]
         assert closed[0] == whole.group.order
-        (split, split_rec), (whole_gates, whole_rec) = _rewritten_by_both(gates, closed)
-        assert split == whole_gates and split_rec.status == whole_rec.status
+        split, whole_rewrite = _rewritten_by_both(gates, closed)
+        assert split == whole_rewrite
 
 
 def test_a_part_cached_with_its_slots_reversed_keeps_the_ties_of_the_segment():
@@ -532,6 +535,16 @@ def test_a_part_cached_with_its_slots_reversed_keeps_the_ties_of_the_segment():
     assert _close([z0, x0], FAST, cache).templates == [z0, x0]
     (split, _), (whole, _) = _rewritten_by_both(gates, _grown(gates, cache))
     assert split == whole == [h1, z0, x0]
+
+
+def test_the_phase_insensitive_rewrite_makes_no_element_lookup(monkeypatch):
+    # (x z)^3 = -x z: the rewrite reads the phase-equal elements from the scalars' columns
+    gates = [gate("x", 0), gate("z", 0)] * 3
+    closed = _grown(gates, {})
+    calls, find = [], ElementLookup.find
+    monkeypatch.setattr(ElementLookup, "find", lambda self, *a, **kw: calls.append(a) or find(self, *a, **kw))
+    assert _rewrite_segment(gates, closed, FAST) == [gate("z", 0), gate("x", 0)]
+    assert calls == []
 
 
 def test_a_segment_rewrite_depends_on_its_own_gates_only():

@@ -127,6 +127,38 @@ def test_cz_equals_h_cx_h():
             assert a == b
 
 
+def test_swap_equals_three_cx():
+    rng = np.random.default_rng(23)
+    for seed in range(60):
+        n = 2 + seed % 7
+        direct = PackedTableau.zeros(n)
+        for g in random_clifford_circuit(n, 30, seed=seed, measured=False).gates:
+            apply_gate(direct, g.kind, g.qubits)
+        direct.signs = int(rng.integers(0, 1 << (2 * n)))
+        composed = PackedTableau(n, list(direct.xs), list(direct.zs), direct.signs)
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        apply_gate(direct, "swap", (a, b))
+        for qubits in ((a, b), (b, a), (a, b)):
+            apply_gate(composed, "cx", qubits)
+        assert (direct.xs, direct.zs, direct.signs) == (composed.xs, composed.zs, composed.signs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_circuits_with_swaps_reach_the_statevector_support(seed):
+    # a Clifford state's outcomes are uniform over its support, which 20000 shots cover at n <= 6
+    n, rng = 2 + seed % 5, np.random.default_rng(seed)
+    gates = []
+    for g in random_clifford_circuit(n, 8 * n, seed=700 + seed, measured=False).gates:
+        gates.append(g)
+        if rng.random() < 0.3:
+            gates.append(gate("swap", *(int(q) for q in rng.choice(n, size=2, replace=False))))
+    body = Circuit(n, tuple(gates))
+    assert any(g.kind == "swap" for g in body.gates)
+    probs = marginal_probabilities(run_gates(body), list(range(n)), n)
+    h = tableau_run(_measured_circuit(body, range(n)), 20000, seed=seed)
+    assert {int(k, 2) for k in h.counts} == set(np.flatnonzero(probs > 2.0 ** -(n + 1)).tolist())
+
+
 def _reference_apply(x, z, r, kind, qubits):
     """The row-major uint8 update rules with r mod 4: the oracle for the packed form."""
     if kind == "h":
@@ -158,9 +190,12 @@ def _reference_apply(x, z, r, kind, qubits):
         r[:] = (r + 2 * (x[:, c] & x[:, t] & (z[:, c] ^ z[:, t]))) % 4
         z[:, c] ^= x[:, t]
         z[:, t] ^= x[:, c]
+    elif kind == "swap":
+        a, b = qubits
+        x[:, [a, b]], z[:, [a, b]] = x[:, [b, a]], z[:, [b, a]]
 
 
-_KINDS = ("h", "s", "sdg", "x", "y", "z", "cx", "cz")
+_KINDS = ("h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap")
 
 
 @settings(max_examples=100, deadline=None)
@@ -379,6 +414,10 @@ MALFORMED = [
     (InvalidSpec, "qubit indices must be integers, got 0.5", 2, [("h", 0.5)]),
     (InvalidSpec, "qubit indices must be integers, got True", 2, [("cx", 0, True)]),
     (InvalidSpec, "qubit indices must be integers, got 1.0", 2, [("h", 0), ("measure", 1.0)]),
+    # checked before the qubits are compared: an array made that comparison raise a raw
+    # ValueError, and True == 1 read as a repeated qubit
+    (InvalidSpec, "qubit indices must be integers, got array([0, 1])", 2, [("cx", np.array([0, 1]), 1)]),
+    (InvalidSpec, "qubit indices must be integers, got True", 2, [("cx", 1, True)]),
     (InvalidSpec, "a circuit needs an integer count of at least one qubit, got '2'", "2", []),
     (InvalidSpec, "a circuit needs an integer count of at least one qubit, got 2.0", 2.0, []),
     (InvalidSpec, "a circuit needs an integer count of at least one qubit, got True", True, []),
@@ -458,6 +497,12 @@ def test_a_built_circuit_cannot_be_changed():
 def test_a_non_integer_qubit_is_named(qubit):
     with pytest.raises(InvalidSpec, match=re.escape(f"qubit indices must be integers, got {qubit!r}")):
         _hand_built(2, ("h", 0), ("cx", 0, qubit))
+
+
+def test_numpy_integer_qubits_are_compared_as_integers():
+    assert Circuit(2, (GateInstance("cx", (np.int64(0), np.uint8(1))),)).gates[0].qubits == (0, 1)
+    with pytest.raises(InvalidSpec, match=re.escape("at position 0 needs 2 distinct qubit(s)")):
+        Circuit(2, (GateInstance("cx", (np.int64(1), 1)),))
 
 
 @pytest.mark.parametrize("n", [3, 70])
