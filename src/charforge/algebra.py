@@ -15,7 +15,7 @@ import numpy as np
 
 from .characters import CharacterTable
 from .errors import GroupMismatch, InvalidSpec
-from .groups import FiniteMatrixGroup
+from .groups import COLUMN_CHUNK, FiniteMatrixGroup
 from .histogram import _is_int
 from .linalg import max_abs
 
@@ -52,42 +52,30 @@ def random_element(group: FiniteMatrixGroup, rng: np.random.Generator) -> Algebr
     return AlgebraElement(group, c)
 
 
-def _same_group(a: AlgebraElement, b: AlgebraElement) -> None:
-    if a.group is not b.group:
-        raise GroupMismatch("algebra elements live over different groups")
-
-
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """(a * b)[h] = sum over g1 g2 = h of a[g1] b[g2], exact via the group
-    tables (up to float accumulation).
-
-    A single-support operand takes one column of the group, walked along
-    `right`, with x^-1 h = (h^-1 x)^-1; the dense case reads the Cayley table.
-    """
-    _same_group(a, b)
-    g = a.group
-    nz_a = np.flatnonzero(a.coeffs)
-    if nz_a.size == 1:  # (delta_x * b)[h] = b[x^-1 h]
-        x = int(nz_a[0])
-        return AlgebraElement(g, a.coeffs[x] * b.coeffs[g.inverses[g.columns([x])[0, g.inverses]]])
-    return AlgebraElement(g, _convolve_rows(a.coeffs[None], b)[0])
+    tables (up to float accumulation)."""
+    if a.group is not b.group:
+        raise GroupMismatch("algebra elements live over different groups")
+    return AlgebraElement(a.group, _convolve_rows(a.coeffs[None], b)[0])
 
 
 def _convolve_rows(rows: np.ndarray, b: AlgebraElement) -> np.ndarray:
     """Each row of coefficients a convolved with b. A single-support b = c delta_x
-    takes one column: (a * b)[h] = c a[h x^-1]. A dense b gathers Cayley rows
-    in bounded chunks, so memory stays O(|G|) per step beside the table."""
+    takes one column: (a * b)[h] = c a[h x^-1]. Otherwise the sum runs over the
+    g at which some row is nonzero, reading b[g^-1 h] = b[(h^-1 g)^-1] from the
+    Cayley columns of a bounded chunk of g at a time, so memory stays O(|G|)
+    per step and no Cayley table is built."""
     g = b.group
     nz_b = np.flatnonzero(b.coeffs)
     if nz_b.size == 1:
         return b.coeffs[nz_b[0]] * rows[:, g.columns([g.inverses[nz_b[0]]])[0]]
-    out = np.zeros(rows.shape, dtype=complex)
-    chunk = max(1, (1 << 22) // g.order)
-    for start in range(0, g.order, chunk):
-        stop = min(start + chunk, g.order)
-        b_idx = b.coeffs[g.cayley[g.inverses[start:stop], :]]  # [g1, h] = b[g1^-1 h]
+    out, xs = np.zeros(rows.shape, dtype=complex), np.flatnonzero(rows.any(0))
+    chunk = max(1, COLUMN_CHUNK // g.order)
+    for x in np.split(xs, np.arange(chunk, len(xs), chunk)):
+        b_idx = b.coeffs[g.inverses[g.columns(x)[:, g.inverses]]]  # [i, h] = b[x_i^-1 h]
         for a, row in zip(rows, out):
-            row += np.einsum("g,gh->h", a[start:stop], b_idx)
+            row += np.einsum("g,gh->h", a[x], b_idx)
     return out
 
 
@@ -157,7 +145,11 @@ def statement_formula_residual(
 
     Never asserted to vanish: the right-hand side is central, so the
     residual is zero only in degenerate situations (e.g. the trivial group).
+    Raises GroupMismatch unless the idempotents are (table.k, |G|).
     """
+    if np.shape(idempotents) != (table.k, u.group.order):
+        raise GroupMismatch(f"idempotents of shape {np.shape(idempotents)} are not (k, |G|) = "
+                            f"{(table.k, u.group.order)}")
     chars = characters_of(u, table)
     rhs = np.zeros(u.group.order, dtype=complex)
     for i, e in enumerate(idempotents):

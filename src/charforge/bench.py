@@ -99,7 +99,7 @@ def _cost_for(report, circuit: Circuit, opt_cfg: OptimizeConfig) -> float | None
     closed = [s for s in report.segments if s.group_order is not None]
     for seg in sorted(closed, key=lambda s: -s.group_order):
         whole = _close(list(body[seg.start:seg.end]), opt_cfg, cache)
-        if whole is not None and (k := len(whole.group.classes)) <= COST_MAX_CLASSES:
+        if not isinstance(whole, str) and (k := len(whole.group.classes)) <= COST_MAX_CLASSES:
             group = whole.group
             break
     else:
@@ -168,14 +168,15 @@ def results_csv(r: BenchResults) -> str:
 
 # -- SVG emitter --------------------------------------------------------------
 
+SVG_WIDTH, SVG_HEIGHT = 720, 420
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
             "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def results_svg(r: BenchResults, width: int = 720, height: int = 420) -> str:
+def results_svg(r: BenchResults) -> str:
     """Line chart: n_qubits on x, mean_ms on y, one polyline per
-    (suite, variant) with a plain text legend."""
-    margin = 60
+    (suite, variant) with a plain text legend, SVG_WIDTH by SVG_HEIGHT."""
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, 60
     series: dict[tuple[str, str], list[tuple[int, float]]] = {}
     for row in r.rows:
         series.setdefault((row.suite, row.variant), []).append((row.n_qubits, row.mean_ms))

@@ -36,6 +36,8 @@ from .linalg import check_unitary
 # elements g != h with g h^-1 of order m are at least 2 sin(pi/m)/d apart in
 # max-abs, over 3e-7 > 8*TOL for m <= 20000 and d <= 1024
 TOL = 1e-8
+# entries of the Cayley columns that convolve and the claims' C3 check read at once
+COLUMN_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,9 @@ class FiniteMatrixGroup:
     inverses; classes, the conjugacy classes as sorted index tuples ordered by
     the smallest member, so the identity class comes first; class_of maps
     element -> class index. Only cayley[a, b] = index of mats[a] @ mats[b] is
-    O(|G|²): n² × 2 bytes below 2¹⁵ elements (170 MB at order 9216). Dense
-    `convolve` and the claims' exhaustive C3 check read it; columns() walks
-    single columns without it.
+    O(|G|²): n² × 2 bytes below 2¹⁵ elements (170 MB at order 9216). No
+    command or library path builds it, only tests and tracing tools;
+    `convolve` and the claims' C3 check read bounded chunks of columns().
     """
 
     dim: int
@@ -240,12 +242,12 @@ class FiniteMatrixGroup:
         """(len(zs), order) array; [i, y] = index of mats[y] @ mats[zs[i]], the
         Cayley column of zs[i]: a walk of `right` along the BFS word of zs[i].
         The words are walked in sorted order, so a shared prefix is walked once."""
-        steps, words = self.right.T.copy(), []
-        for z in zs:
+        steps, slot, parent, words = self.right.T.copy(), self.slot.tolist(), self.parent.tolist(), []
+        for z in map(int, zs):  # Python ints: a numpy scalar costs more per step than the lists
             words.append([])
             while z > 0:
-                words[-1].insert(0, int(self.slot[z]))
-                z = self.parent[z]
+                words[-1].insert(0, slot[z])
+                z = parent[z]
         out, path, prev = np.empty((len(zs), self.order), dtype=np.int64), [np.arange(self.order)], []
         for i in sorted(range(len(zs)), key=words.__getitem__):  # path[t]: column of prev[:t]
             t = 0

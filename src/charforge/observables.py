@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
-from .histogram import _is_real
+from .errors import InvalidSpec, QubitOutOfRange
+from .histogram import _is_int, _is_real
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,12 @@ class Observable:
 
 
 def z_on_qubit(qubit: int, n: int) -> Observable:
+    """Z on `qubit` of an n-qubit register: InvalidSpec unless n is an integer
+    >= 1 and qubit an integer, QubitOutOfRange unless 0 <= qubit < n."""
+    if not _is_int(n) or n < 1 or not _is_int(qubit):
+        raise InvalidSpec(f"qubit must be an integer and n an integer >= 1, got qubit={qubit!r}, n={n!r}")
+    if not 0 <= qubit < n:
+        raise QubitOutOfRange(f"qubit {qubit} outside [0, {n})")
     letters = ["I"] * n
     letters[n - 1 - qubit] = "Z"
     return Observable.from_pauli("".join(letters))

@@ -38,7 +38,7 @@ from .circuits import Circuit, GateInstance, circuit_depth, embed_gate, gate_gen
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .fixtures import X, Z
 from .groups import TOL, ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group, walk
-from .histogram import _is_real, check_seed, check_shots
+from .histogram import _is_int, _is_real, check_seed, check_shots
 from .observables import Observable, random_pauli
 from .statevector import SV_MAX_QUBITS, expectation_of_state, marginal_probabilities, run_gates
 
@@ -52,6 +52,10 @@ CLOSURE_BUDGET_BYTES = float(2 ** 24)
 # segments of bench row bv-2 close as one of order 4,608, which changes its
 # rewrite, and the 20 bench rows take twice the time
 CAYLEY_ORDER_CAP = math.sqrt(CLOSURE_BUDGET_BYTES / 2.0)
+# the status of a segment kept verbatim because it has no closure, with its record's detail
+SKIPPED = {"skipped-cap": "closure exceeded the order/work caps",
+           "skipped-collision": "key collision: gate unitaries or their products lie between TOL "
+                                "and 8*TOL apart, so the set is not tolerance-separated"}
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,14 @@ class WordTable:
 
 
 def build_word_table(group: FiniteMatrixGroup, order: list[int] | None = None) -> WordTable:
+    """The BFS over the input slots in `order`, a list or tuple that permutes
+    them (all, in index order, by default); InvalidSpec for any other `order`."""
     # close_group found every element along `right` (in any `order`), so the BFS reaches them all
+    n, k = group.right.shape
+    if order is not None and not (isinstance(order, (list, tuple)) and all(map(_is_int, order))
+                                  and sorted(order) == list(range(k))):
+        raise InvalidSpec(f"order must be a permutation of the {k} input slots, got {order!r}")
     right = group.right if order is None else group.right[:, order]
-    n, k = right.shape
     parent, parent_slot, dist = (np.full(n, -1, dtype=np.int64) for _ in range(3))
     dist[0] = 0
     # BFS by levels; a level's queue order is the (element, slot) order of first meeting
@@ -155,7 +164,7 @@ class SegmentRecord:
     start: int
     end: int
     support: tuple[int, ...]
-    status: str                     # rewritten | kept | skipped-cap
+    status: str                     # rewritten | kept | skipped-cap | skipped-collision
     gates_before: int
     gates_after: int
     group_order: int | None = None
@@ -194,7 +203,7 @@ class OptimizationReport:
 
     @property
     def segments_skipped(self) -> int:
-        return sum(1 for s in self.segments if s.status == "skipped-cap")
+        return sum(1 for s in self.segments if s.status in SKIPPED)
 
     def to_json(self) -> dict:
         return {
@@ -252,10 +261,10 @@ def _key(gates: list[GateInstance]) -> tuple:
 
 
 def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
-           base: _Closure | None = None) -> _Closure | None:
-    """The closure of `gates`, cached by support and key set, or None past the
-    caps or at a key collision; the generators come from gate_generators.
-    When the templates of `base`, the closure H of gates[:-1], lead those of
+           base: _Closure | None = None) -> _Closure | str:
+    """The closure of `gates`, cached by support and key set, or its SKIPPED
+    status past the caps or at a key collision; the generators come from
+    gate_generators. When the templates of `base`, the closure H of gates[:-1], lead those of
     `gates`, close_group extends H, counting its cosets first, which
     renumbers the elements only; otherwise the closure starts fresh. A gate
     on new qubits outside H gives 2|H| or more elements (Lagrange): past the
@@ -263,7 +272,7 @@ def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
     key = _key(gates)
     if key in cache:
         return cache[key]
-    support, result = key[0], None
+    support, result = key[0], "skipped-cap"
     try:
         mats, slots = gate_generators(gates, support)
         templates = [gates[slots.index(s)] for s in range(len(mats))]
@@ -273,19 +282,21 @@ def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
             seed = _seed(base, gates, support) if leads else None
             group = close_group(mats, ClosureConfig(max_order=cap), seed)
             result = _Closure(group, templates, {g.key(): s for g, s in zip(gates, slots)})
-    except (OrderCapExceeded, KeyCollision):
-        # a key collision means the generators or their products are not
-        # tolerance-separated, which only happens for dense (non-finite) sets
-        result = None
+    except OrderCapExceeded:
+        pass
+    except KeyCollision:
+        # the generators or their products are not tolerance-separated, which
+        # only happens for dense (non-finite) sets
+        result = "skipped-collision"
     cache[key] = result
     return result
 
 
-def _grow(gates: list[GateInstance], parts: list[_Part], cfg: OptimizeConfig, cache: dict) -> _Segment | None:
+def _grow(gates: list[GateInstance], parts: list[_Part], cfg: OptimizeConfig, cache: dict) -> _Segment | str:
     """The order and parts of the segment `gates`, whose `parts` (each in gate
-    order, with its closure and qubits) cover gates[:-1], or None past the caps
-    or at a key collision. The last gate joins the parts it shares a qubit with,
-    phase sensitive every part, since a part would need a word for each scalar
+    order, with its closure and qubits) cover gates[:-1], or its SKIPPED status
+    past the caps or at a key collision. The last gate joins the parts it shares
+    a qubit with, phase sensitive every part, since a part would need a word for each scalar
     multiple; only that joined part is closed, from the carried closure when it
     joins one part and from its closure without the gate when it joins several.
     Up to scalars the product is direct, and its scalars, cyclic like the
@@ -296,9 +307,9 @@ def _grow(gates: list[GateInstance], parts: list[_Part], cfg: OptimizeConfig, ca
     qubits = frozenset(g.qubits).union(*(parts[i][2] for i in hit))
     joined = parts[hit[0]][0] + [g] if len(hit) == 1 else [x for x in gates if x.qubits[0] in qubits]
     base = parts[hit[0]][1] if len(hit) == 1 else _close(joined[:-1], cfg, cache) if hit else None
-    closure = _close(joined, cfg, cache, base)
-    if closure is None:
-        return None
+    closure = _close(joined, cfg, cache, base if isinstance(base, _Closure) else None)
+    if isinstance(closure, str):
+        return closure
     parts = [p for i, p in enumerate(parts) if i not in hit]
     parts.insert(hit[0] if hit else len(parts), (joined, closure, qubits))
     if len(parts) == 1:
@@ -306,7 +317,7 @@ def _grow(gates: list[GateInstance], parts: list[_Part], cfg: OptimizeConfig, ca
     cap = _effective_cap(1 << sum(len(qs) for _, _, qs in parts), sum(len(c.templates) for _, c, _ in parts), cfg)
     scalars = [len(c.scalars) for _, c, _ in parts]
     order = math.lcm(*scalars) * math.prod(c.group.order // s for (_, c, _), s in zip(parts, scalars))
-    return (order, parts) if 2 <= cap and order <= cap else None
+    return (order, parts) if 2 <= cap and order <= cap else "skipped-cap"
 
 
 def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig, cache: dict):
@@ -316,12 +327,12 @@ def _scan_segments(body: tuple[GateInstance, ...], cfg: OptimizeConfig, cache: d
     start, current, closed = 0, [], None
     for i, g in enumerate(body):
         grown = _grow(current + [g], closed[1] if current else [], cfg, cache)
-        if grown is None and current:  # end the segment and start the next at g
+        if isinstance(grown, str) and current:  # end the segment and start the next at g
             yield start, i, current, closed
             start, current = i, []
             grown = _grow([g], [], cfg, cache)
-        if grown is None:  # g alone is past the caps
-            yield i, i + 1, [g], None
+        if isinstance(grown, str):  # g alone is past the caps or collides
+            yield i, i + 1, [g], grown
             start = i + 1
         else:
             current, closed = current + [g], grown
@@ -358,12 +369,13 @@ def _run_passes(body: tuple[GateInstance, ...], cfg: OptimizeConfig,
     new_body: list[GateInstance] = []
     records: list[SegmentRecord] = []
     for start, end, gates, closed in _scan_segments(body, cfg, cache):
-        new_gates = list(gates) if closed is None else _rewrite_segment(gates, closed, cfg)
-        status = "skipped-cap" if closed is None else "rewritten" if len(new_gates) < len(gates) else "kept"
+        skipped = isinstance(closed, str)
+        new_gates = list(gates) if skipped else _rewrite_segment(gates, closed, cfg)
+        status = closed if skipped else "rewritten" if len(new_gates) < len(gates) else "kept"
         records.append(SegmentRecord(
             start=start, end=end, support=_support(gates), status=status, gates_before=len(gates),
-            gates_after=len(new_gates), group_order=None if closed is None else closed[0],
-            detail="closure exceeded the order/work caps" if closed is None else ""))
+            gates_after=len(new_gates), group_order=None if skipped else closed[0],
+            detail=SKIPPED.get(status, "")))
         new_body.extend(new_gates)
     return new_body, records
 
@@ -401,10 +413,11 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
     report.gates_after = len(out.gates)
     report.depth_after = circuit_depth(out)
     report.iterations = iterations
+    collided = sum(1 for s in report.segments if s.status == "skipped-collision")
     report.passes = [
         ("segment-translation",
-         f"{report.segments_found} segment(s), {report.segments_skipped} past "
-         f"the caps, {iterations} sweep(s) to fixed point"),
+         f"{report.segments_found} segment(s), {report.segments_skipped - collided} past "
+         f"the caps, {collided} at a key collision, {iterations} sweep(s) to fixed point"),
         ("shortest-word-rewrite", f"{shortened} segment(s) shortened"),
         ("identity-elision", f"{elided} segment(s) elided"),
     ]

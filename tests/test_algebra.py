@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from charforge import algebra, claims
 from charforge.algebra import (AlgebraElement, characters_of, convolve,
                                decompose_element, delta, random_element,
                                statement_formula_residual, to_matrix)
-from charforge.characters import central_idempotents, isotypic_projectors
+from charforge.characters import central_idempotents, character_table, isotypic_projectors
+from charforge.claims import run_claims
 from charforge.errors import GroupMismatch, InvalidSpec
-from charforge.fixtures import X, Z
-from charforge.groups import element_of
+from charforge.fixtures import X, Z, fixture_group
+from charforge.groups import FiniteMatrixGroup, element_of
 
 
 def brute_force_convolution(g, a, b):
@@ -187,3 +189,83 @@ def test_statement_residual_hand_values(groups, tables):
     x = element_of(g4, X)
     assert statement_formula_residual(delta(g4, x), t4, es4) > 0.1
 
+
+
+def test_statement_residual_refuses_idempotents_of_another_shape(groups, tables):
+    g, t = groups["d4"], tables["d4"]
+    es = central_idempotents(g, t)
+    for bad in (es[:2], es[:, :4], central_idempotents(groups["c2xc2"], tables["c2xc2"])[:, :4]):
+        with pytest.raises(GroupMismatch, match=r"are not \(k, \|G\|\) = \(5, 8\)"):
+            statement_formula_residual(delta(g, 0), t, bad)
+
+
+def _forbid_the_cayley_table(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("the Cayley table was read")
+
+    # a property is a data descriptor, so it wins over a table already cached on a group
+    monkeypatch.setattr(FiniteMatrixGroup, "cayley", property(forbidden))
+
+
+def test_convolution_and_the_claims_read_no_cayley_table(monkeypatch, groups, tables):
+    g = groups["clifford1"]
+    es = central_idempotents(g, tables["clifford1"])
+    rng = np.random.default_rng(5)
+    a, b = random_element(g, rng), random_element(g, rng)
+    single = AlgebraElement(g, (2.5 - 1j) * delta(g, 61).coeffs)
+    sparse = AlgebraElement(g, np.where(np.isin(np.arange(g.order), [3, 77, 150]), a.coeffs, 0))
+    pairs = [(a, b), (single, b), (a, single), (sparse, b)]
+    expected = [brute_force_convolution(g, x.coeffs, y.coeffs) for x, y in pairs]
+    report = run_claims().to_json_text()
+    _forbid_the_cayley_table(monkeypatch)
+    for (x, y), want in zip(pairs, expected):
+        assert np.max(np.abs(convolve(x, y).coeffs - want)) <= 1e-12
+    dec = decompose_element(a, es)
+    assert dec.reconstruction_residual <= 1e-12
+    for e, c in zip(es, dec.components):
+        assert np.max(np.abs(c.coeffs - convolve(AlgebraElement(g, e), a).coeffs)) == 0.0
+    assert run_claims().to_json_text() == report
+
+
+def test_dense_convolution_reads_bounded_chunks_of_columns(monkeypatch):
+    g = fixture_group("clifford1")
+    rng = np.random.default_rng(9)
+    a, b = random_element(g, rng), random_element(g, rng)
+    whole = convolve(a, b).coeffs
+    sizes, columns = [], FiniteMatrixGroup.columns
+
+    def recording(self, zs):
+        sizes.append(len(zs))
+        return columns(self, zs)
+
+    monkeypatch.setattr(FiniteMatrixGroup, "columns", recording)
+    monkeypatch.setattr(algebra, "COLUMN_CHUNK", 7 * g.order)
+    assert np.max(np.abs(convolve(a, b).coeffs - whole)) <= 1e-12
+    assert sizes == [7] * (g.order // 7) + [g.order % 7]
+
+
+def test_the_multiplicativity_check_reads_bounded_chunks_of_columns(monkeypatch):
+    for name in ("d4", "q8", "clifford1"):
+        g = fixture_group(name)
+        table = character_table(g, seed=0)
+        whole = claims._multiplicativity_residuals(g, table)
+        sizes, columns = [], FiniteMatrixGroup.columns
+
+        def recording(self, zs):
+            sizes.append(len(zs))
+            return columns(self, zs)
+
+        with monkeypatch.context() as m:
+            m.setattr(FiniteMatrixGroup, "columns", recording)
+            m.setattr(claims, "COLUMN_CHUNK", 3 * g.order)
+            _forbid_the_cayley_table(m)
+            chunked = claims._multiplicativity_residuals(g, table)
+        # an exhaustive max over the same products, in any chunks
+        assert np.array_equal(chunked, whole)
+        assert max(sizes) == 3 and sum(sizes) == g.order
+        # the oracle: every pair from the dense products
+        chi = table.values[:, g.class_of]
+        prods = np.einsum("gab,hbc->ghac", g.mats, g.mats).reshape(-1, g.dim, g.dim)
+        idx = np.array([element_of(g, m) for m in prods]).reshape(g.order, g.order)
+        oracle = np.abs(chi[:, idx] - chi[:, :, None] * chi[:, None, :]).max(axis=(1, 2))
+        assert np.max(np.abs(oracle - whole)) <= 1e-12

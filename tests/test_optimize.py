@@ -19,7 +19,7 @@ from charforge.complexity import CostParams
 from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.observables import Observable
-from charforge.groups import TOL, ClosureConfig, ElementLookup, close_group, element_of
+from charforge.groups import TOL, ClosureConfig, ElementLookup, close_group, element_of, walk
 from charforge.optimize import (OptimizeConfig, _close, _Closure, _effective_cap, _key,
                                 _rewrite_segment, build_word_table, equivalence_check, optimize)
 from charforge.tableau import tableau_run
@@ -57,6 +57,20 @@ def test_word_table_c2(groups):
     wt = build_word_table(groups["c2"])
     assert wt.word(0) == ()
     assert wt.word(1) == (0,)
+
+
+@pytest.mark.parametrize("order", [[0], [5], [1, 1], [0, 1, 2], [1.0, 0], [True, 0], ["0", "1"], "01", 1, {0, 1}])
+def test_a_word_table_order_must_permute_the_input_slots(groups, order):
+    with pytest.raises(InvalidSpec, match="order must be a permutation of the 2 input slots"):
+        build_word_table(groups["d4"], order)
+
+
+def test_a_permuted_word_table_spells_every_element(groups):
+    g = groups["d4"]
+    wt, swapped = build_word_table(g), build_word_table(g, [1, 0])
+    assert np.array_equal(wt.word_length, swapped.word_length)
+    for e in range(g.order):  # a word multiplies left to right; a walk takes a circuit's gate order
+        assert walk(g.right, wt.word(e)[::-1]) == walk(g.right[:, [1, 0]], swapped.word(e)[::-1]) == e
 
 
 _A, _B = (np.diag([1, 1, 1, np.exp(1j * t)]) for t in (1.570796327, 1.570796326))
@@ -374,7 +388,7 @@ def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
 
     def recording_grow(gates, parts, cfg, cache):
         result = grow(gates, parts, cfg, cache)
-        if result is None and len(_parts(gates)) > 1:
+        if isinstance(result, str) and len(_parts(gates)) > 1:
             refused.setdefault(frozenset(g.key() for g in gates), list(gates))  # once per optimize call
         return result
 
@@ -458,12 +472,12 @@ def _qubits(gates):
 
 def _grown(gates, cache):
     """_grow run over `gates` one gate at a time, as the scan runs it: the
-    segment's order and parts, or None once a step is refused."""
+    segment's order and parts, or the skip status of the first refused step."""
     closed = (None, [])
     for i in range(len(gates)):
         closed = optimize_module._grow(list(gates[:i + 1]), closed[1], FAST, cache)
-        if closed is None:
-            return None
+        if isinstance(closed, str):
+            return closed
     return closed
 
 
@@ -517,8 +531,8 @@ def test_split_closures_match_whole_closures(gates, one_part, parts_cached_rever
             _close(part[::-1], FAST, cache)
     closed = _grown(gates, cache)
     whole = _close(gates, FAST, {})
-    assert (closed is None) == (whole is None)
-    if closed is not None:
+    assert isinstance(closed, str) == isinstance(whole, str)
+    if not isinstance(closed, str):
         # the scan carries the oracle's parts, part for part and in gate order
         assert [(p, qs) for p, _, qs in closed[1]] == [(p, _qubits(p)) for p in _parts(gates)]
         assert closed[0] == whole.group.order
@@ -559,7 +573,7 @@ def test_a_segment_rewrite_depends_on_its_own_gates_only():
     # both cp(0) are the identity: one generator over the whole support, two in the parts
     ("qubits 4\ncp(0) 0 1\ncp(0) 2 3\n", [("rewritten", 1)], [1], ""),
     # cp(4e-8) is 4e-8 from the identity, between TOL and 8 * TOL: its powers collide
-    ("qubits 4\ncp(4e-8) 0 1\ncp(0) 2 3\n", [("skipped-cap", None), ("rewritten", 1)], [None, 1],
+    ("qubits 4\ncp(4e-8) 0 1\ncp(0) 2 3\n", [("skipped-collision", None), ("rewritten", 1)], [None, 1],
      "cp(4e-08) 0 1\n"),
     # each cp is the identity within TOL, but they lie 1.8e-8 apart: they collide in the whole
     # closure, while the parts never compare them
@@ -571,12 +585,28 @@ def test_split_edge_cases_match_the_whole_path(text, segments, whole_orders, out
     assert serialize_circuit(optimized) == "qubits 4\n" + out
     assert [(s.status, s.group_order) for s in report.segments] == segments
     wholes = [_close(list(c.gates[s.start:s.end]), FAST, {}) for s in report.segments]
-    assert [w and w.group.order for w in wholes] == whole_orders
+    assert [None if isinstance(w, str) else w.group.order for w in wholes] == whole_orders
     for s, w in zip(report.segments, wholes):
-        if w is not None:  # where the whole closure closes, the parts give its rewrite
+        if not isinstance(w, str):  # where the whole closure closes, the parts give its rewrite
             gates = c.gates[s.start:s.end]
             (split, _), (whole, _) = _rewritten_by_both(gates, _grown(gates, {}))
             assert split == whole
+
+
+def test_a_key_collision_is_reported_as_one():
+    # cp(4e-8) lies between TOL and 8 * TOL from the identity: its closure collides, not past a cap
+    _, report = optimize(parse_circuit("qubits 4\ncp(4e-8) 0 1\ncp(0) 2 3\n"), FAST)
+    first = report.segments[0]
+    assert (first.status, first.group_order) == ("skipped-collision", None)
+    assert first.detail.startswith("key collision: ")
+    assert report.segments_skipped == 1
+    assert report.passes[0][1] == "2 segment(s), 0 past the caps, 1 at a key collision, 2 sweep(s) to fixed point"
+    assert report.to_json()["segments_skipped"] == 1
+    # a closure past its cap keeps its status and detail: this cp's powers alone pass the cap
+    _, report = optimize(parse_circuit("qubits 2\ncp(1.570796327) 0 1\ncp(1.57079636) 0 1\nh 0\n"), FAST)
+    assert [(s.status, s.detail) for s in report.segments] == [
+        ("kept", ""), ("skipped-cap", "closure exceeded the order/work caps"), ("kept", "")]
+    assert report.passes[0][1].startswith("3 segment(s), 1 past the caps, 0 at a key collision, ")
 
 
 def test_report_json_shape():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from charforge.circuits import (GATE_ARITY, Circuit, apply_matrix, build_bv, build_qft,
                                 build_vqe, circuit_unitary, gate, gate_matrix,
                                 parse_circuit, random_clifford_circuit)
-from charforge.errors import DimensionMismatch, InvalidSpec, TooWide
+from charforge.errors import DimensionMismatch, InvalidSpec, QubitOutOfRange, TooWide
 from charforge.histogram import MeasurementHistogram
 from charforge.observables import Observable, random_pauli, z_on_qubit
 from charforge.statevector import (expectation_of_state, marginal_probabilities,
@@ -49,6 +49,23 @@ def test_histograms_are_seed_deterministic():
     c = random_clifford_circuit(4, 30, seed=3)
     assert sv_run(c, 5000, seed=9).counts == sv_run(c, 5000, seed=9).counts
     assert sv_run(c, 5000, seed=9).counts != sv_run(c, 5000, seed=10).counts
+
+
+@pytest.mark.parametrize("qubit, n", [(3, 2), (2, 2), (-1, 2), (1, 1)])
+def test_z_on_qubit_refuses_a_qubit_outside_the_register(qubit, n):
+    with pytest.raises(QubitOutOfRange, match=f"qubit {qubit} outside \\[0, {n}\\)"):
+        z_on_qubit(qubit, n)
+
+
+@pytest.mark.parametrize("qubit, n", [(0, 0), (0, -1), (0, 1.0), (0, True), (0, "2"), (True, 2), (1.0, 2), (None, 2)])
+def test_z_on_qubit_refuses_a_width_or_qubit_that_is_not_an_integer(qubit, n):
+    with pytest.raises(InvalidSpec, match="qubit must be an integer and n an integer >= 1"):
+        z_on_qubit(qubit, n)
+
+
+@pytest.mark.parametrize("qubit, n, pauli", [(0, 1, "Z"), (0, 2, "IZ"), (1, 2, "ZI"), (np.int64(2), np.int64(3), "ZII")])
+def test_z_on_qubit_puts_z_on_its_qubit(qubit, n, pauli):
+    assert z_on_qubit(qubit, n) == Observable(pauli)
 
 
 def test_expectation_basics():

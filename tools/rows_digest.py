@@ -22,6 +22,10 @@ claims` print, through `cli.main` with the default seed: a sha256 is fed the
 decompose report of one circuit per analyze-groups gate set (its gates once
 each, as listed), then of (cp(2.094395102) 0 1, x 0, x 1) ten times and one
 more cp, then the claims JSON.
+
+The last line digests dense convolution: on clifford1 and on the order-512
+closure of {h 0, cx 0 1, cx 1 2}, a sha256 is fed the coefficients of
+convolve(a, b) for two random_element draws a, b from the seed-0 generator.
 """
 
 from __future__ import annotations
@@ -33,7 +37,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from charforge import cli
+from charforge.algebra import convolve, random_element
 from charforge.bench import SUITES, _cost_for, _spec_for
 from charforge.characters import character_table, character_table_csv
 from charforge.circuits import Circuit, build_benchmark, gate, serialize_circuit
@@ -113,6 +120,18 @@ def commands_digest() -> str:
     return h.hexdigest()[:16]
 
 
+def convolve_digest() -> str:
+    """The digest of dense-by-dense convolutions on clifford1 and on the
+    order-512 closure of {h 0, cx 0 1, cx 1 2}."""
+    h3 = Circuit(3, (gate("h", 0), gate("cx", 0, 1), gate("cx", 1, 2)))
+    h = hashlib.sha256()
+    for group in (fixture_group("clifford1"), cli.circuit_gate_group(h3, ClosureConfig())[0]):
+        rng = np.random.default_rng(0)
+        a, b = random_element(group, rng), random_element(group, rng)
+        h.update(convolve(a, b).coeffs.tobytes())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     digest, calls = rows_digest()
     print(digest)
@@ -120,3 +139,4 @@ if __name__ == "__main__":
         print(f"close_group calls, {'phase-insensitive' if phase_insensitive else 'phase-sensitive'}: {n}")
     print(f"group-command closures: {closures_digest()}")
     print(f"decompose reports and claims: {commands_digest()}")
+    print(f"dense convolutions: {convolve_digest()}")
