@@ -42,8 +42,6 @@ GATE_ARITY = {
 
 _PLAIN_ARITY = {kind: arity for kind, arity in GATE_ARITY.items() if kind not in ("cp", "measure")}
 
-CLIFFORD_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap"})
-
 MAX_DENSE_QUBITS = 12
 
 
@@ -136,6 +134,12 @@ def check_gates(c: Circuit) -> None:
     if gates[len(gates) - len(measures):] != tuple(measures):
         raise InvalidSpec(f"measure at position {gates.index(measures[0])} precedes a gate; "
                           "measures must be a trailing suffix")
+
+
+def check_circuit(c) -> None:
+    """Raises InvalidSpec naming the type of a `c` that is not a Circuit."""
+    if not isinstance(c, Circuit):
+        raise InvalidSpec(f"expected a Circuit, got {type(c).__name__}")
 
 
 def gate(kind: str, *qubits: int, angle: float | None = None) -> GateInstance:

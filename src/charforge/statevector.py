@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, apply_gates
+from .circuits import Circuit, GateInstance, apply_gates, check_circuit
 from .errors import DimensionMismatch, InvalidSpec, TooWide
 from .histogram import MeasurementHistogram, _is_int, check_seed, check_shots
 from .observables import Observable
@@ -81,6 +81,7 @@ def sv_run(
 ) -> MeasurementHistogram:
     """Evolve one state, then sample the measured qubits (all qubits when the
     circuit has no measure suffix)."""
+    check_circuit(c)
     check_shots(shots)
     check_seed(seed)
     psi = run_gates(c, initial)

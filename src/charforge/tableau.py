@@ -4,7 +4,8 @@ The tableau keeps 2n generators (n destabilizers, then n stabilizers) as
 X/Z bits plus a phase exponent r in {0,1,2,3} (power of i). Gates act on
 `PackedTableau`, qubit-major Python-int bitsets of the rows with X and with Z
 on each qubit and of the rows with r = 2 (before measurement r is 0 or 2), as
-in Stim (Gidney, arXiv:2103.02202): each update is a few int operations.
+in Stim (Gidney, arXiv:2103.02202): each update is a few int operations, in one
+loop over the body (`apply_gates`; `apply_gate` is its one-gate form).
 
 Measure gates form a trailing suffix, which `measure_layer` resolves in one
 GF(2) elimination of the stabilizer rows (Aaronson-Gottesman, quant-ph/0406196;
@@ -14,8 +15,8 @@ position j is +/-Z_{q_j} times Z on earlier measured qubits, which fixes that
 outcome; every other measured position spends a fresh fair coin. Each outcome
 is thus an affine function over GF(2) of at most n coins, fixed by the state
 and the measurement order alone, and sampling is a bit-matrix product over the
-distinct coin draws. `measure_symbolic`, the per-qubit update on unpacked
-uint8 rows, is kept as the oracle.
+distinct coin draws, each keyed by a float32 product. `measure_symbolic`, the
+per-qubit update on unpacked uint8 rows, is kept as the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CLIFFORD_KINDS, Circuit
+from .circuits import Circuit, GateInstance, check_circuit
 from .errors import NonCliffordGate
 from .histogram import MeasurementHistogram, check_seed, check_shots
 
@@ -74,36 +75,50 @@ def _g_exponents(x1, z1, x2, z2):
             + (1 - x1) * z1 * x2 * (1 - 2 * z2))
 
 
+def apply_gates(tab: PackedTableau, gates: tuple[GateInstance, ...]) -> None:
+    """Each gate's Aaronson-Gottesman update, in one loop over the bitsets in local
+    names, the commonest kinds first; `signs ^= rows` adds 2 to their r. Raises
+    NonCliffordGate naming the first other gate and its position."""
+    xs, zs, signs = tab.xs, tab.zs, tab.signs
+    for g in gates:
+        kind, q = g.kind, g.qubits[0]
+        if kind == "cz":  # the h(t) cx(q, t) h(t) update, in one step
+            t = g.qubits[1]
+            signs ^= xs[q] & xs[t] & (zs[q] ^ zs[t])
+            zs[q] ^= xs[t]
+            zs[t] ^= xs[q]
+        elif kind == "cx":
+            t = g.qubits[1]
+            signs ^= xs[q] & zs[t] & ~(xs[t] ^ zs[q])
+            xs[t] ^= xs[q]
+            zs[q] ^= zs[t]
+        elif kind == "h":
+            signs ^= xs[q] & zs[q]
+            xs[q], zs[q] = zs[q], xs[q]
+        elif kind == "x":
+            signs ^= zs[q]
+        elif kind == "s":
+            signs ^= xs[q] & zs[q]
+            zs[q] ^= xs[q]
+        elif kind == "sdg":
+            signs ^= xs[q] & ~zs[q]
+            zs[q] ^= xs[q]
+        elif kind == "y":
+            signs ^= xs[q] ^ zs[q]
+        elif kind == "z":
+            signs ^= xs[q]
+        elif kind == "swap":  # X and Z move between the qubits and keep their signs
+            t = g.qubits[1]
+            xs[q], xs[t], zs[q], zs[t] = xs[t], xs[q], zs[t], zs[q]
+        else:  # an equal gate earlier would have raised, so index finds this one
+            tab.signs = signs
+            raise NonCliffordGate(f"gate {kind!r} at position {gates.index(g)} is not Clifford")
+    tab.signs = signs
+
+
 def apply_gate(tab: PackedTableau, kind: str, qubits: tuple[int, ...]) -> None:
-    """One gate's Aaronson-Gottesman update; `signs ^= rows` adds 2 to their r."""
-    xs, zs, q, t = tab.xs, tab.zs, qubits[0], qubits[-1]
-    if kind == "h":
-        tab.signs ^= xs[q] & zs[q]
-        xs[q], zs[q] = zs[q], xs[q]
-    elif kind == "s":
-        tab.signs ^= xs[q] & zs[q]
-        zs[q] ^= xs[q]
-    elif kind == "sdg":
-        tab.signs ^= xs[q] & ~zs[q]
-        zs[q] ^= xs[q]
-    elif kind == "x":
-        tab.signs ^= zs[q]
-    elif kind == "z":
-        tab.signs ^= xs[q]
-    elif kind == "y":
-        tab.signs ^= xs[q] ^ zs[q]
-    elif kind == "cx":
-        tab.signs ^= xs[q] & zs[t] & ~(xs[t] ^ zs[q])
-        xs[t] ^= xs[q]
-        zs[q] ^= zs[t]
-    elif kind == "cz":  # the h(t) cx(q, t) h(t) update, in one step
-        tab.signs ^= xs[q] & xs[t] & (zs[q] ^ zs[t])
-        zs[q] ^= xs[t]
-        zs[t] ^= xs[q]
-    elif kind == "swap":  # X and Z move between the qubits and keep their signs
-        xs[q], xs[t], zs[q], zs[t] = xs[t], xs[q], zs[t], zs[q]
-    else:
-        raise NonCliffordGate(f"gate {kind!r} is not in the Clifford subset")
+    """The one-gate form of `apply_gates`."""
+    apply_gates(tab, (GateInstance(kind, tuple(qubits)),))
 
 
 def measure_symbolic(tab: StabilizerTableau, q: int, next_coin: int) -> tuple[int, np.ndarray, int]:
@@ -188,14 +203,12 @@ def measure_layer(tab: PackedTableau, measured: list[int]) -> tuple[list[tuple[i
 def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     """Run a Clifford circuit and sample its measured qubits. Raises NonCliffordGate
     naming the offending gate and its position."""
+    check_circuit(c)
     check_shots(shots)
     check_seed(seed)
     body, suffix = c.body_and_suffix()
     packed = PackedTableau.zeros(int(c.n_qubits))
-    for pos, g in enumerate(body):
-        if g.kind not in CLIFFORD_KINDS:
-            raise NonCliffordGate(f"gate {g.kind!r} at position {pos} is not Clifford")
-        apply_gate(packed, g.kind, g.qubits)
+    apply_gates(packed, body)
     measured = [g.qubits[0] for g in suffix] if suffix else list(range(packed.n))
     exprs, coins = measure_layer(packed, measured)
     exprs = [exprs[i] for i in np.argsort(measured)]  # histogram bit j = j-th smallest measured qubit
@@ -203,11 +216,13 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
 
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 2, size=(shots, coins), dtype=np.uint8)
-    # key each draw by one uint16 word per 16 coins, which lexsort sorts by
-    # radix; each random outcome is its own coin, so distinct draws give
-    # distinct outcomes
-    words = np.zeros((shots, (coins + 15) // 16 or 1), dtype="<u2")
-    words.view(np.uint8)[:, :(coins + 7) // 8] = np.packbits(draws, axis=1, bitorder="little")
+    # key each draw by one uint16 word per 16 coins, which lexsort sorts by radix; as
+    # each random outcome is its own coin, distinct draws give distinct outcomes. A word
+    # sums distinct powers up to 2^15, exact in float32, so the words are BLAS products,
+    # of 8192 draws at a time to bound the float32 copy of the draws that each one makes
+    weights = np.zeros((coins, (coins + 15) // 16 or 1), dtype=np.float32)
+    weights[np.arange(coins), np.arange(coins) // 16] = 2.0 ** (np.arange(coins) % 16)
+    words = np.concatenate([(d @ weights).astype(np.uint16) for d in np.split(draws, range(8192, shots, 8192))])
     by_key = np.lexsort(words.T)
     words = words[by_key]
     starts = np.flatnonzero(np.concatenate([[True], np.any(words[1:] != words[:-1], axis=1)]))

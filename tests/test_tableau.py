@@ -15,8 +15,8 @@ from charforge.histogram import tv_distance
 from charforge.optimize import equivalence_check
 from charforge.statevector import marginal_probabilities, run_gates, sv_run
 from charforge import tableau
-from charforge.tableau import (PackedTableau, apply_gate, measure_layer, measure_symbolic,
-                               tableau_run, validate_tableau)
+from charforge.tableau import (PackedTableau, apply_gate, apply_gates, measure_layer,
+                               measure_symbolic, tableau_run, validate_tableau)
 
 
 def test_bell_pair_outcomes():
@@ -37,6 +37,25 @@ def test_non_clifford_gate_named_with_position():
     with pytest.raises(NonCliffordGate) as err:
         tableau_run(parse_circuit("qubits 1\nh 0\nt 0\nmeasure 0\n"), 1, 0)
     assert "'t'" in str(err.value) and "position 1" in str(err.value)
+
+
+def test_a_t_in_the_middle_of_a_list_is_named_with_its_position():
+    # the gates before it are applied, their signs included, and none after it
+    gates = (gate("h", 0), gate("cx", 0, 1), gate("x", 1), gate("t", 1), gate("h", 1), gate("t", 0))
+    tab, want = PackedTableau.zeros(2), PackedTableau.zeros(2)
+    with pytest.raises(NonCliffordGate, match=re.escape("gate 't' at position 3 is not Clifford")):
+        apply_gates(tab, gates)
+    apply_gates(want, gates[:3])
+    assert want.signs and (tab.xs, tab.zs, tab.signs) == (want.xs, want.zs, want.signs)
+    with pytest.raises(NonCliffordGate, match=re.escape("gate 'cp' at position 0 is not Clifford")):
+        apply_gate(tab, "cp", (0, 1))
+
+
+@pytest.mark.parametrize("run", [tableau_run, sv_run], ids=["tableau", "sv"])
+@pytest.mark.parametrize("c", [None, "qubits 1\nh 0\n"], ids=["none", "text"])
+def test_a_run_refuses_what_is_not_a_circuit(run, c):
+    with pytest.raises(InvalidSpec, match=f"^expected a Circuit, got {type(c).__name__}$"):
+        run(c, 10, 0)
 
 
 def test_ghz_parity_structure():
@@ -210,11 +229,12 @@ def test_packed_gates_match_row_major_reference(case):
     x = np.eye(2 * n, n, dtype=np.uint8)
     z = np.eye(2 * n, n, k=-n, dtype=np.uint8)
     r = np.zeros(2 * n, dtype=np.uint8)
-    packed = PackedTableau.zeros(n)
+    packed, body = PackedTableau.zeros(n), []
     for kind, perm in gates:
         qubits = tuple((start + j) % n for j in perm[:GATE_ARITY[kind]])
         _reference_apply(x, z, r, kind, qubits)
-        apply_gate(packed, kind, qubits)
+        body.append(GateInstance(kind, qubits))
+    apply_gates(packed, tuple(body))
     tab = packed.unpack()
     assert tab.x.dtype == tab.z.dtype == tab.r.dtype == tab.lin.dtype == np.uint8
     assert tab.x.flags.c_contiguous and tab.z.flags.c_contiguous
@@ -361,14 +381,73 @@ def test_measure_layer_matches_per_qubit_oracle_past_64_qubits(n, depth, seed):
 
 
 def test_run_path_uses_neither_the_oracle_nor_unpack(monkeypatch):
+    # nor the one-gate form: the body goes through the one loop in one call
     c = random_clifford_circuit(70, 700, seed=4)
     want = tableau_run(c, 300, seed=1).counts
 
     def refuse(*args, **kwargs):
         raise AssertionError("called on the run path")
+    loops = []
+
+    def counted(tab, gates):
+        loops.append(len(gates))
+        return apply_gates(tab, gates)
     monkeypatch.setattr(tableau, "measure_symbolic", refuse)
     monkeypatch.setattr(PackedTableau, "unpack", refuse)
+    monkeypatch.setattr(tableau, "apply_gate", refuse)
+    monkeypatch.setattr(tableau, "apply_gates", counted)
     assert tableau_run(c, 300, seed=1).counts == want
+    assert loops == [len(c.body_and_suffix()[0])]
+
+
+def _packbits_run(c: Circuit, shots: int, seed: int) -> tuple[dict, int]:
+    """tableau_run with each draw keyed by np.packbits into uint16 words, as the
+    sampler keyed them before the keys were one float32 product, and the coin count."""
+    body, suffix = c.body_and_suffix()
+    packed = PackedTableau.zeros(c.n_qubits)
+    apply_gates(packed, body)
+    measured = [g.qubits[0] for g in suffix] if suffix else list(range(packed.n))
+    exprs, coins = measure_layer(packed, measured)
+    exprs = [exprs[i] for i in np.argsort(measured)]
+    k = len(exprs)
+    draws = np.random.default_rng(seed).integers(0, 2, size=(shots, coins), dtype=np.uint8)
+    words = np.zeros((shots, (coins + 15) // 16 or 1), dtype="<u2")
+    words.view(np.uint8)[:, :(coins + 7) // 8] = np.packbits(draws, axis=1, bitorder="little")
+    by_key = np.lexsort(words.T)
+    words = words[by_key]
+    starts = np.flatnonzero(np.concatenate([[True], np.any(words[1:] != words[:-1], axis=1)]))
+    counts = np.diff(np.append(starts, shots))
+    distinct = draws[by_key[starts]]
+    bits = np.tile(np.array([const for const, _ in exprs], dtype=np.uint8), (starts.size, 1))
+    one = [j for j, (const, mask) in enumerate(exprs) if not const and mask and not mask & mask - 1]
+    bits[:, one] = np.take(distinct, [exprs[j][1].bit_length() - 1 for j in one], axis=1)
+    rest = [j for j, (_, mask) in enumerate(exprs) if mask and j not in one]
+    a = tableau._to_bits([exprs[j][1] for j in rest], coins).astype(np.float32)
+    bits[:, rest] = (distinct @ a.T).astype(np.int64) + bits[:, rest] & 1
+    strings = (bits[:, ::-1] + ord("0")).astype(np.uint8).view(f"S{k}").ravel()
+    idx = np.argsort(strings)
+    return dict(zip(strings[idx].astype(f"U{k}").tolist(), counts[idx].tolist())), coins
+
+
+def _coin_circuit(k: int) -> Circuit:
+    """k coins: h on qubits 0..k-1, qubit k a copy of qubit 0 and qubit k+1 a
+    deterministic 1, measured in reverse order."""
+    gates = [gate("h", q) for q in range(k)] + ([gate("cx", 0, k)] if k else []) + [gate("x", k + 1)]
+    return _measured_circuit(Circuit(k + 2, tuple(gates)), range(k + 1, -1, -1))
+
+
+SAMPLER_CASES = [(f"coins-{k}", lambda k=k: _coin_circuit(k), 3000, k) for k in (0, 1, 15, 16, 17, 32, 33, 64, 70)]
+SAMPLER_CASES.append(("n12-100k", lambda: random_clifford_circuit(12, 120, seed=12), 100_000, None))
+
+
+@pytest.mark.parametrize("build, shots, coins", [case[1:] for case in SAMPLER_CASES],
+                         ids=[case[0] for case in SAMPLER_CASES])
+def test_product_keys_sample_as_the_packbits_keys_did(build, shots, coins):
+    c = build()
+    want, got_coins = _packbits_run(c, shots, seed=coins or 7)
+    assert coins is None or got_coins == coins
+    got = tableau_run(c, shots, seed=coins or 7).counts
+    assert list(got.items()) == list(want.items())
 
 
 def test_256_qubit_clifford_circuit_runs():

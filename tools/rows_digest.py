@@ -23,9 +23,14 @@ decompose report of one circuit per analyze-groups gate set (its gates once
 each, as listed), then of (cp(2.094395102) 0 1, x 0, x 1) ten times and one
 more cp, then the claims JSON.
 
-The last line digests dense convolution: on clifford1 and on the order-512
-closure of {h 0, cx 0 1, cx 1 2}, a sha256 is fed the coefficients of
-convolve(a, b) for two random_element draws a, b from the seed-0 generator.
+The line after it digests dense convolution: on clifford1 and on the
+order-512 closure of {h 0, cx 0 1, cx 1 2}, a sha256 is fed the coefficients
+of convolve(a, b) for two random_element draws a, b from the seed-0 generator.
+
+The last line digests the stabilizer sampler: a sha256 is fed the
+(outcome, count) sequence, key order included, of `tableau_run` on seeded
+`random_clifford_circuit`s at n = 12 (100,000 shots), 40 and 100, then on
+all-h circuits at 16 and 70 qubits (2,000 shots each), run i with seed i.
 """
 
 from __future__ import annotations
@@ -43,10 +48,11 @@ from charforge import cli
 from charforge.algebra import convolve, random_element
 from charforge.bench import SUITES, _cost_for, _spec_for
 from charforge.characters import character_table, character_table_csv
-from charforge.circuits import Circuit, build_benchmark, gate, serialize_circuit
+from charforge.circuits import Circuit, build_benchmark, gate, random_clifford_circuit, serialize_circuit
 from charforge.fixtures import FIXTURE_NAMES, fixture_group
 from charforge.groups import ClosureConfig
 from charforge.optimize import OptimizeConfig, optimize
+from charforge.tableau import tableau_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -132,6 +138,17 @@ def convolve_digest() -> str:
     return h.hexdigest()[:16]
 
 
+
+def tableau_digest() -> str:
+    """The digest of tableau_run histograms on fixed Clifford and all-h circuits."""
+    runs = [(random_clifford_circuit(n, 10 * n, seed=n), 100_000 if n == 12 else 2000) for n in (12, 40, 100)]
+    runs += [(Circuit(n, tuple(gate("h", q) for q in range(n))), 2000) for n in (16, 70)]
+    h = hashlib.sha256()
+    for seed, (c, shots) in enumerate(runs):
+        h.update("".join(f"{k}:{v};" for k, v in tableau_run(c, shots, seed).counts.items()).encode())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     digest, calls = rows_digest()
     print(digest)
@@ -140,3 +157,4 @@ if __name__ == "__main__":
     print(f"group-command closures: {closures_digest()}")
     print(f"decompose reports and claims: {commands_digest()}")
     print(f"dense convolutions: {convolve_digest()}")
+    print(f"tableau histograms: {tableau_digest()}")
