@@ -57,26 +57,29 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     tables (up to float accumulation)."""
     if a.group is not b.group:
         raise GroupMismatch("algebra elements live over different groups")
-    return AlgebraElement(a.group, _convolve_rows(a.coeffs[None], b)[0])
+    return AlgebraElement(a.group, _convolve_rows(a.coeffs[None], [b])[0][0])
 
 
-def _convolve_rows(rows: np.ndarray, b: AlgebraElement) -> np.ndarray:
-    """Each row of coefficients a convolved with b. A single-support b = c delta_x
-    takes one column: (a * b)[h] = c a[h x^-1]. Otherwise the sum runs over the
-    g at which some row is nonzero, reading b[g^-1 h] = b[(h^-1 g)^-1] from the
-    Cayley columns of a bounded chunk of g at a time, so memory stays O(|G|)
+def _convolve_rows(rows: np.ndarray, bs: list[AlgebraElement]) -> list[np.ndarray]:
+    """Each row of coefficients a convolved with each b of `bs`, elements of one group.
+    A lone single-support b = c delta_x takes one column: (a * b)[h] = c a[h x^-1].
+    Otherwise the sum runs over the g at which some row is nonzero, reading
+    b[g^-1 h] = b[(h^-1 g)^-1] through an index table of the Cayley columns of a
+    bounded chunk of g at a time, built once for every b, so memory stays O(|G|)
     per step and no Cayley table is built."""
-    g = b.group
-    nz_b = np.flatnonzero(b.coeffs)
-    if nz_b.size == 1:
-        return b.coeffs[nz_b[0]] * rows[:, g.columns([g.inverses[nz_b[0]]])[0]]
-    out, xs = np.zeros(rows.shape, dtype=complex), np.flatnonzero(rows.any(0))
+    g = bs[0].group
+    nz_b = np.flatnonzero(bs[0].coeffs)
+    if len(bs) == 1 and nz_b.size == 1:
+        return [bs[0].coeffs[nz_b[0]] * rows[:, g.columns([g.inverses[nz_b[0]]])[0]]]
+    outs, xs = [np.zeros(rows.shape, dtype=complex) for _ in bs], np.flatnonzero(rows.any(0))
     chunk = max(1, COLUMN_CHUNK // g.order)
     for x in np.split(xs, np.arange(chunk, len(xs), chunk)):
-        b_idx = b.coeffs[g.inverses[g.columns(x)[:, g.inverses]]]  # [i, h] = b[x_i^-1 h]
-        for a, row in zip(rows, out):
-            row += np.einsum("g,gh->h", a[x], b_idx)
-    return out
+        idx = g.inverses[g.columns(x)[:, g.inverses]]  # [i, h] = index of x_i^-1 h
+        for b, out in zip(bs, outs):
+            b_idx = b.coeffs[idx]
+            for a, row in zip(rows, out):
+                row += np.einsum("g,gh->h", a[x], b_idx)
+    return outs
 
 
 def to_matrix(u: AlgebraElement) -> np.ndarray:
@@ -120,19 +123,32 @@ def decompose_element(
     are supplied the matrix-side split P_i M(u) with sum_i P_i M(u) = M(u) is
     returned too. Raises GroupMismatch if either array is another group's.
     """
-    g = u.group
+    return _decompose_elements([u], idempotents, projectors)[0]
+
+
+def _decompose_elements(
+    us: list[AlgebraElement],
+    idempotents: np.ndarray,
+    projectors: np.ndarray | None = None,
+) -> list[DecompositionResult]:
+    """`decompose_element` of each of `us`, a non-empty list of elements of one group,
+    walking the group's Cayley columns once for all of them."""
+    g = us[0].group
     if idempotents.shape[1:] != (g.order,):
         raise GroupMismatch("idempotents belong to a different group")
     if projectors is not None and projectors.shape[1:] != (g.dim, g.dim):
         raise GroupMismatch("projectors belong to a different group")
-    components = [AlgebraElement(g, c) for c in _convolve_rows(idempotents, u)]
-    recon = max_abs(np.sum([c.coeffs for c in components], axis=0) - u.coeffs)
-    matrix_components = matrix_residual = None
-    if projectors is not None:
-        m = to_matrix(u)
-        matrix_components = [p @ m for p in projectors]
-        matrix_residual = max_abs(np.sum(matrix_components, axis=0) - m)
-    return DecompositionResult(components, float(recon), matrix_components, matrix_residual)
+    results = []
+    for u, rows in zip(us, _convolve_rows(idempotents, us)):
+        components = [AlgebraElement(g, c) for c in rows]
+        recon = max_abs(np.sum([c.coeffs for c in components], axis=0) - u.coeffs)
+        matrix_components = matrix_residual = None
+        if projectors is not None:
+            m = to_matrix(u)
+            matrix_components = [p @ m for p in projectors]
+            matrix_residual = max_abs(np.sum(matrix_components, axis=0) - m)
+        results.append(DecompositionResult(components, float(recon), matrix_components, matrix_residual))
+    return results
 
 
 def statement_formula_residual(

@@ -201,6 +201,7 @@ def parse_circuit(text: str, name: str = "") -> Circuit:
 
 
 def serialize_circuit(c: Circuit) -> str:
+    check_circuit(c)
     lines = [f"qubits {c.n_qubits}"]
     for g in c.gates:
         args = " ".join(str(q) for q in g.qubits)
@@ -410,6 +411,7 @@ def _apply_frame(psi: np.ndarray, on: int, x: int, z: int, k: int, n: int) -> np
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of a measure-free circuit; gates applied left to right."""
+    check_circuit(c)
     if c.n_qubits > MAX_DENSE_QUBITS:
         raise TooWide(f"{c.n_qubits} qubits exceed the dense limit {MAX_DENSE_QUBITS}")
     body, suffix = c.body_and_suffix()
@@ -420,6 +422,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
 
 def circuit_depth(c: Circuit) -> int:
     """Longest path over shared qubits, measures included."""
+    check_circuit(c)
     level = [0] * c.n_qubits
     for g in c.gates:
         d = 1 + max(level[q] for q in g.qubits)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .characters import CharacterTable
-from .circuits import Circuit, gate_generators
+from .circuits import Circuit, check_circuit, gate_generators
 from .errors import DimensionMismatch, ElementNotInGroup
 from .groups import FiniteMatrixGroup, element_of, walk
 from .observables import Observable
@@ -22,6 +22,7 @@ from .statevector import expectation_of_state, sv_expectation, zero_state
 def circuit_element(c: Circuit, group: FiniteMatrixGroup) -> int:
     """Element index in `group` of the circuit's measure-free body. Raises DimensionMismatch
     unless group.dim is 2**n, and ElementNotInGroup when a gate is not an element."""
+    check_circuit(c)
     if group.dim != 1 << c.n_qubits:
         raise DimensionMismatch(f"a {c.n_qubits}-qubit circuit in a group of dimension {group.dim}")
     body = c.body_and_suffix()[0]

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, circuit_depth, embed_gate, gate_generators, gate_matrix
+from .circuits import Circuit, GateInstance, check_circuit, circuit_depth, embed_gate, gate_generators, gate_matrix
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .fixtures import X, Z
 from .groups import TOL, ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group, walk
@@ -389,6 +389,7 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
     result is idempotent by construction. Segment records in the report
     describe the first sweep (the analysis of the input circuit).
     """
+    check_circuit(c)
     cfg = cfg or OptimizeConfig()
     body, suffix = c.body_and_suffix()
     report = OptimizationReport(
@@ -463,6 +464,8 @@ def equivalence_check(
     When widths differ the narrower circuit is padded with |0> ancillas and
     all comparisons run on the narrow register.
     """
+    check_circuit(a)
+    check_circuit(b)
     check_shots(shots)
     check_seed(seed)
     for name, tol in (("tv_tol", tv_tol), ("obs_tol", obs_tol)):

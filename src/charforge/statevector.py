@@ -34,6 +34,7 @@ def run_gates(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Evolve the measure-free body from |0...0> or a copy of `initial`, one state
     or a (2^n, B) block of column states; the trailing measure suffix is ignored.
     A non-numeric, ragged or non-finite `initial` raises InvalidSpec."""
+    check_circuit(c)
     if c.n_qubits > SV_MAX_QUBITS:
         raise TooWide(f"{c.n_qubits} qubits exceed the state-vector limit {SV_MAX_QUBITS}")
     body, _ = c.body_and_suffix()

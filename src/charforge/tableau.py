@@ -5,7 +5,9 @@ X/Z bits plus a phase exponent r in {0,1,2,3} (power of i). Gates act on
 `PackedTableau`, qubit-major Python-int bitsets of the rows with X and with Z
 on each qubit and of the rows with r = 2 (before measurement r is 0 or 2), as
 in Stim (Gidney, arXiv:2103.02202): each update is a few int operations, in one
-loop over the body (`apply_gates`; `apply_gate` is its one-gate form).
+loop over the body. `tableau_run` runs that loop on a Circuit's body, which the
+Circuit has checked; `apply_gates` checks its gates first, and `apply_gate` is
+its one-gate form.
 
 Measure gates form a trailing suffix, which `measure_layer` resolves in one
 GF(2) elimination of the stabilizer rows (Aaronson-Gottesman, quant-ph/0406196;
@@ -14,9 +16,9 @@ lowest bits, in measurement order, a basis row whose top bit is measured
 position j is +/-Z_{q_j} times Z on earlier measured qubits, which fixes that
 outcome; every other measured position spends a fresh fair coin. Each outcome
 is thus an affine function over GF(2) of at most n coins, fixed by the state
-and the measurement order alone, and sampling is a bit-matrix product over the
-distinct coin draws, each keyed by a float32 product. `measure_symbolic`, the
-per-qubit update on unpacked uint8 rows, is kept as the oracle.
+and the measurement order alone. Sampling takes its coins from raw bits, keys the distinct
+draws by a float32 product and writes each outcome bit, the parity of one more, into the
+outcome strings. `measure_symbolic`, the per-qubit update on unpacked uint8 rows, is the oracle.
 """
 
 from __future__ import annotations
@@ -76,9 +78,17 @@ def _g_exponents(x1, z1, x2, z2):
 
 
 def apply_gates(tab: PackedTableau, gates: tuple[GateInstance, ...]) -> None:
-    """Each gate's Aaronson-Gottesman update, in one loop over the bitsets in local
-    names, the commonest kinds first; `signs ^= rows` adds 2 to their r. Raises
-    NonCliffordGate naming the first other gate and its position."""
+    """Apply the gates in order. Before any of them, raises what a Circuit of the gates
+    on tab.n qubits raises (InvalidSpec, QubitOutOfRange or AngleMissing); then
+    NonCliffordGate naming the first gate outside the Clifford subset and its position."""
+    Circuit(tab.n, gates)  # checks the gates once, so the loop checks none
+    _apply_gates(tab, gates)
+
+
+def _apply_gates(tab: PackedTableau, gates: tuple[GateInstance, ...]) -> None:
+    """Each gate's Aaronson-Gottesman update on a checked Circuit's gates, in one loop over the
+    bitsets in local names, the commonest kinds first; `signs ^= rows` adds 2 to their r.
+    Raises NonCliffordGate naming the first other gate and its position."""
     xs, zs, signs = tab.xs, tab.zs, tab.signs
     for g in gates:
         kind, q = g.kind, g.qubits[0]
@@ -200,6 +210,14 @@ def measure_layer(tab: PackedTableau, measured: list[int]) -> tuple[list[tuple[i
     return exprs, coins
 
 
+def _coins(seed: int, shots: int, coins: int) -> np.ndarray:
+    """integers(0, 2, (shots, coins), dtype=np.uint8) of default_rng(seed) from raw bits: coin i is bit 7
+    of byte i of the uint32 stream (Lemire, range 2), which PCG64 yields as each uint64's low, then high half."""
+    draws = np.random.default_rng(seed).bit_generator.random_raw((shots * coins + 7) // 8)
+    draws = draws.astype("<u8", copy=False).view(np.uint8)[:shots * coins].reshape(shots, coins)
+    return np.right_shift(draws, 7, out=draws)
+
+
 def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     """Run a Clifford circuit and sample its measured qubits. Raises NonCliffordGate
     naming the offending gate and its position."""
@@ -208,14 +226,13 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     check_seed(seed)
     body, suffix = c.body_and_suffix()
     packed = PackedTableau.zeros(int(c.n_qubits))
-    apply_gates(packed, body)
+    _apply_gates(packed, body)
     measured = [g.qubits[0] for g in suffix] if suffix else list(range(packed.n))
     exprs, coins = measure_layer(packed, measured)
-    exprs = [exprs[i] for i in np.argsort(measured)]  # histogram bit j = j-th smallest measured qubit
-    k = len(exprs)
+    # character i of an outcome is the (k-1-i)-th smallest of k measured qubits: strings sort by value
+    exprs = [exprs[i] for i in np.argsort(measured)[::-1]]
 
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, 2, size=(shots, coins), dtype=np.uint8)
+    draws = _coins(seed, shots, coins)
     # key each draw by one uint16 word per 16 coins, which lexsort sorts by radix; as
     # each random outcome is its own coin, distinct draws give distinct outcomes. A word
     # sums distinct powers up to 2^15, exact in float32, so the words are BLAS products,
@@ -227,20 +244,15 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     words = words[by_key]
     starts = np.flatnonzero(np.concatenate([[True], np.any(words[1:] != words[:-1], axis=1)]))
     counts = np.diff(np.append(starts, shots))
-    distinct = draws[by_key[starts]]
-    bits = np.tile(np.array([const for const, _ in exprs], dtype=np.uint8), (starts.size, 1))
-    # an outcome that is one coin copies its column; the rest take a float32
-    # product in BLAS, whose sums count at most n coins, so exact
-    one = [j for j, (const, mask) in enumerate(exprs) if not const and mask and not mask & mask - 1]
-    bits[:, one] = np.take(distinct, [exprs[j][1].bit_length() - 1 for j in one], axis=1)
-    rest = [j for j, (_, mask) in enumerate(exprs) if mask and j not in one]
-    a = _to_bits([exprs[j][1] for j in rest], coins).astype(np.float32)
-    bits[:, rest] = (distinct @ a.T).astype(np.int64) + bits[:, rest] & 1
-    # outcome strings put bit k-1 first; they sort in the order of their values
-    strings = (bits[:, ::-1] + ord("0")).astype(np.uint8).view(f"S{k}").ravel()
+    # every outcome bit is one float32 product over the coins, whose sums count at most
+    # n coins, so exact; a wrapping cast to uint8 keeps their parity
+    masks = _to_bits([mask for _, mask in exprs], coins).astype(np.float32)
+    consts = np.array([const for const, _ in exprs], dtype=np.uint8)
+    sums = (draws[by_key[starts]] @ masks.T).astype(np.int32).astype(np.uint8)
+    strings = ((sums ^ consts) & 1 | ord("0")).view(f"S{len(exprs)}").ravel()
     idx = np.argsort(strings)
     return MeasurementHistogram(
-        shots=shots, counts=dict(zip(strings[idx].astype(f"U{k}").tolist(), counts[idx].tolist())))
+        shots=shots, counts=dict(zip(map(bytes.decode, strings[idx].tolist()), counts[idx].tolist())))
 
 
 def validate_tableau(tab: StabilizerTableau) -> None:

@@ -244,6 +244,28 @@ def test_dense_convolution_reads_bounded_chunks_of_columns(monkeypatch):
     assert sizes == [7] * (g.order // 7) + [g.order % 7]
 
 
+def test_decompositions_of_several_elements_walk_the_columns_once(monkeypatch):
+    # claim C1's samples of a fixture share each chunk's index table, with the same sums
+    g = fixture_group("clifford1")
+    es = central_idempotents(g, character_table(g, seed=0))
+    rng = np.random.default_rng(4)
+    us = [random_element(g, rng) for _ in range(3)]
+    monkeypatch.setattr(algebra, "COLUMN_CHUNK", 7 * g.order)
+    want = [decompose_element(u, es) for u in us]
+    sizes, columns = [], FiniteMatrixGroup.columns
+
+    def recording(self, zs):
+        sizes.append(len(zs))
+        return columns(self, zs)
+
+    monkeypatch.setattr(FiniteMatrixGroup, "columns", recording)
+    got = algebra._decompose_elements(us, es)
+    assert sizes == [7] * (g.order // 7) + [g.order % 7]
+    for w, d in zip(want, got):
+        assert d.reconstruction_residual == w.reconstruction_residual
+        assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(w.components, d.components))
+
+
 def test_the_multiplicativity_check_reads_bounded_chunks_of_columns(monkeypatch):
     for name in ("d4", "q8", "clifford1"):
         g = fixture_group(name)

@@ -19,6 +19,7 @@ from charforge.errors import (AngleMissing, CircuitSyntaxError, InvalidSpec, Key
                               MeasurementInUnitary, QubitOutOfRange, TooWide)
 from charforge import circuits, cli
 from charforge.expectation import circuit_element
+from charforge.fixtures import fixture_group
 from charforge.groups import TOL, ClosureConfig
 from charforge.observables import Observable
 from charforge.optimize import OptimizeConfig, equivalence_check, optimize
@@ -704,3 +705,26 @@ def test_the_frame_pass_matches_the_per_qubit_loop(case):
     written = got.view(float)
     assert not np.signbit(written[written == 0]).any()
     assert got.flags.c_contiguous and got.shape == ((1 << n,) if psi is None else psi.shape)
+
+
+_BELL = Circuit(2, (gate("h", 0), gate("cx", 0, 1)))
+NOT_A_CIRCUIT_CALLS = {
+    "tableau": lambda c: tableau_run(c, 10, 0),
+    "sv": lambda c: sv_run(c, 10, 0),
+    "optimize": optimize,
+    "equivalence_check-a": lambda c: equivalence_check(c, _BELL),
+    "equivalence_check-b": lambda c: equivalence_check(_BELL, c),
+    "circuit_depth": circuit_depth,
+    "serialize_circuit": serialize_circuit,
+    "circuit_unitary": circuit_unitary,
+    "run_gates": run_gates,
+    "sv_expectation": lambda c: sv_expectation(c, Observable.from_pauli("Z")),
+    "circuit_element": lambda c: circuit_element(c, fixture_group("c2")),
+}
+
+
+@pytest.mark.parametrize("call", NOT_A_CIRCUIT_CALLS.values(), ids=NOT_A_CIRCUIT_CALLS.keys())
+@pytest.mark.parametrize("c", [None, "qubits 1\nh 0\n"], ids=["none", "text"])
+def test_an_entry_point_refuses_what_is_not_a_circuit(call, c):
+    with pytest.raises(InvalidSpec, match=f"^expected a Circuit, got {type(c).__name__}$"):
+        call(c)

@@ -48,14 +48,25 @@ def test_a_t_in_the_middle_of_a_list_is_named_with_its_position():
     apply_gates(want, gates[:3])
     assert want.signs and (tab.xs, tab.zs, tab.signs) == (want.xs, want.zs, want.signs)
     with pytest.raises(NonCliffordGate, match=re.escape("gate 'cp' at position 0 is not Clifford")):
-        apply_gate(tab, "cp", (0, 1))
+        apply_gates(tab, (gate("cp", 0, 1, angle=0.5),))
 
 
-@pytest.mark.parametrize("run", [tableau_run, sv_run], ids=["tableau", "sv"])
-@pytest.mark.parametrize("c", [None, "qubits 1\nh 0\n"], ids=["none", "text"])
-def test_a_run_refuses_what_is_not_a_circuit(run, c):
-    with pytest.raises(InvalidSpec, match=f"^expected a Circuit, got {type(c).__name__}$"):
-        run(c, 10, 0)
+@pytest.mark.parametrize("kind, qubits, error, message", [
+    ("x", (-1,), QubitOutOfRange, "gate x [-1] at position 0: qubit outside [0, 2)"),
+    ("x", (5,), QubitOutOfRange, "gate x [5] at position 0: qubit outside [0, 2)"),
+    ("x", (), InvalidSpec, "gate x [] at position 0 needs 1 distinct qubit(s)"),
+    ("cx", (0, 0), InvalidSpec, "gate cx [0, 0] at position 0 needs 2 distinct qubit(s)"),
+    ("cx", (0, True), InvalidSpec, "qubit indices must be integers, got True"),
+    ("cp", (0, 1), AngleMissing, "gate cp at position 0 has angle None"),
+])
+def test_the_public_gate_forms_check_their_gates_before_applying_any(kind, qubits, error, message):
+    # x on qubit -1 would flip the sign of Z_1; the gate before it is not applied either
+    tab, fresh = PackedTableau.zeros(2), PackedTableau.zeros(2)
+    with pytest.raises(error, match=re.escape(message)):
+        apply_gate(tab, kind, qubits)
+    with pytest.raises(error, match=re.escape(message.replace("position 0", "position 1"))):
+        apply_gates(tab, (gate("x", 0), GateInstance(kind, qubits)))
+    assert (tab.xs, tab.zs, tab.signs) == (fresh.xs, fresh.zs, fresh.signs)
 
 
 def test_ghz_parity_structure():
@@ -381,21 +392,22 @@ def test_measure_layer_matches_per_qubit_oracle_past_64_qubits(n, depth, seed):
 
 
 def test_run_path_uses_neither_the_oracle_nor_unpack(monkeypatch):
-    # nor the one-gate form: the body goes through the one loop in one call
+    # nor the checked public forms: the Circuit's body goes through the one loop in one call
     c = random_clifford_circuit(70, 700, seed=4)
     want = tableau_run(c, 300, seed=1).counts
 
     def refuse(*args, **kwargs):
         raise AssertionError("called on the run path")
-    loops = []
+    loops, loop = [], tableau._apply_gates
 
     def counted(tab, gates):
         loops.append(len(gates))
-        return apply_gates(tab, gates)
+        return loop(tab, gates)
     monkeypatch.setattr(tableau, "measure_symbolic", refuse)
     monkeypatch.setattr(PackedTableau, "unpack", refuse)
     monkeypatch.setattr(tableau, "apply_gate", refuse)
-    monkeypatch.setattr(tableau, "apply_gates", counted)
+    monkeypatch.setattr(tableau, "apply_gates", refuse)
+    monkeypatch.setattr(tableau, "_apply_gates", counted)
     assert tableau_run(c, 300, seed=1).counts == want
     assert loops == [len(c.body_and_suffix()[0])]
 
@@ -448,6 +460,17 @@ def test_product_keys_sample_as_the_packbits_keys_did(build, shots, coins):
     assert coins is None or got_coins == coins
     got = tableau_run(c, shots, seed=coins or 7).counts
     assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("shots, coins", [(1000, 33), (100_000, 7), (1000, 128), (7, 5), (3, 3),
+                                          (1, 70), (1, 6), (1, 1), (9, 0), (1, 0)])
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+def test_the_raw_bit_coins_are_the_bounded_draws_coins(seed, shots, coins):
+    # the sampler reads numpy's bounded uint8 coins off the raw PCG64 stream; if numpy
+    # changes either, this fails rather than every seeded histogram changing silently
+    want = np.random.default_rng(seed).integers(0, 2, size=(shots, coins), dtype=np.uint8)
+    got = tableau._coins(seed, shots, coins)
+    assert got.dtype == np.uint8 and got.shape == (shots, coins) and np.array_equal(got, want)
 
 
 def test_256_qubit_clifford_circuit_runs():
