@@ -151,7 +151,10 @@ def gate(kind: str, *qubits: int, angle: float | None = None) -> GateInstance:
 def parse_circuit(text: str, name: str = "") -> Circuit:
     """Read the text format, checking only what needs the text: the `qubits <n>` header, a
     `kind(angle)` head's finite float and integer qubit tokens. The Circuit checks the gates; the
-    error of a refused list is put on the line that ends its shortest refused prefix."""
+    error of a refused list is put on the line that ends its shortest refused prefix. A `text` that
+    is not a str raises InvalidSpec."""
+    if not isinstance(text, str):
+        raise InvalidSpec(f"circuit text must be a str, got {type(text).__name__}")
     n_qubits, gates, lines = None, [], []  # lines[k]: the line that ends the first k gates
     def read(convert, token, what: str):  # a token convert refuses is an error on its line
         try:
@@ -439,7 +442,6 @@ class BenchmarkSpec:
     secret: str | None = None
     width: int | None = None
     marked: int | None = None
-    iterations: int | None = None
     layers: int | None = None
     seed: int | None = None
 
@@ -499,18 +501,13 @@ def _mcz(qubits: list[int]) -> list[GateInstance]:
     return _mcp(math.pi, qubits[:-1], qubits[-1])
 
 
-def default_grover_iterations(n: int) -> int:
-    return max(1, round(math.pi / 4 * math.sqrt(2 ** n)))
-
-
-def build_grover(n: int, marked: int, iterations: int | None = None) -> Circuit:
-    if not (_is_int(n) and _is_int(marked) and (iterations is None or _is_int(iterations))):
-        raise InvalidSpec(f"grover needs integer n, marked and iterations, got {n!r}, {marked!r}, {iterations!r}")
+def build_grover(n: int, marked: int) -> Circuit:
+    """Search for `marked` on n qubits in max(1, round(pi/4 sqrt(2^n))) iterations."""
+    if not (_is_int(n) and _is_int(marked)):
+        raise InvalidSpec(f"grover needs integer n and marked, got {n!r} and {marked!r}")
     if n < 1 or not 0 <= marked < 2 ** n:
         raise InvalidSpec(f"marked item {marked} outside [0, 2^{n})")
-    iters = default_grover_iterations(n) if iterations is None else iterations
-    if iters < 1:
-        raise InvalidSpec("iterations must be >= 1")
+    iters = max(1, round(math.pi / 4 * math.sqrt(2 ** n)))
     allq = list(range(n))
     gates = [gate("h", q) for q in allq]
     zeros = [q for q in allq if not (marked >> q) & 1]
@@ -550,7 +547,7 @@ def build_benchmark(spec: BenchmarkSpec) -> Circuit:
     if spec.kind == "qft":
         return build_qft(spec.width)
     if spec.kind == "grover":
-        return build_grover(spec.width, spec.marked, spec.iterations)
+        return build_grover(spec.width, spec.marked)
     if spec.kind == "vqe":
         return build_vqe(spec.width, spec.layers, spec.seed)
     raise InvalidSpec(f"unknown benchmark kind {spec.kind!r}")

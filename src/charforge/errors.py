@@ -81,7 +81,3 @@ class ElementNotInGroup(CharforgeError):
 
 class MissingGCost(CharforgeError):
     pass
-
-
-class InsufficientFixtures(CharforgeError):
-    pass

@@ -50,5 +50,5 @@ def fixture_group(name: str, cfg: ClosureConfig | None = None) -> FiniteMatrixGr
     return close_group(gens[name], cfg)
 
 
-def all_fixture_groups(cfg: ClosureConfig | None = None) -> dict[str, FiniteMatrixGroup]:
-    return {name: fixture_group(name, cfg) for name in FIXTURE_NAMES}
+def all_fixture_groups() -> dict[str, FiniteMatrixGroup]:
+    return {name: fixture_group(name) for name in FIXTURE_NAMES}

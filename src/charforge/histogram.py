@@ -35,13 +35,19 @@ def _is_real(v) -> bool:  # a Python or numpy integer or float, finite as a floa
     return isinstance(v, (float, np.floating)) and math.isfinite(v)
 
 
+# the most shots a histogram takes: numpy's multinomial counts them in int64
+SHOTS_MAX = 2 ** 63 - 1
+
+
 def check_shots(shots: int) -> None:
-    """Reject a shot count that is not an integer or is below one: a histogram
-    of no samples is no evidence."""
+    """Reject a shot count that is not an integer, is below one (a histogram
+    of no samples is no evidence) or is past SHOTS_MAX."""
     if not _is_int(shots):
         raise InvalidSpec(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise InvalidSpec(f"shots must be at least 1, got {shots}")
+    if shots > SHOTS_MAX:
+        raise InvalidSpec(f"shots must be at most 2^63 - 1, got {shots}")
 
 
 def check_seed(seed: int) -> None:

@@ -20,13 +20,15 @@ def unitarity_defect(m: np.ndarray) -> float:
     return max_abs(m @ m.conj().T - np.eye(d))
 
 
-def check_unitary(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Validate and return a square complex matrix that is unitary within tol,
-    the max-abs entry of U U^dag - I. The default is ten times below
-    groups.TOL because the two bound different things: TOL is how far apart
-    two matrices may be and still be one element, while a defect d lets a
-    product of m generators drift by about m d from unitary, so 1e-9 keeps
-    words of up to 10 generators within TOL."""
+# check_unitary's bound on the unitarity defect, ten times below groups.TOL: TOL is how far
+# apart two matrices may be and still be one element, while a defect d lets a product of m
+# generators drift by about m d from unitary, so 1e-9 keeps words of up to 10 generators within TOL
+UNITARY_TOL = 1e-9
+
+
+def check_unitary(m: np.ndarray) -> np.ndarray:
+    """Validate and return a square complex matrix that is unitary within
+    UNITARY_TOL, the max-abs entry of U U^dag - I."""
     try:
         m = np.asarray(m, dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -34,6 +36,6 @@ def check_unitary(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise NotUnitary(f"expected a square matrix, got shape {m.shape}")
     defect = unitarity_defect(m)
-    if not defect <= tol:  # also rejects NaN entries
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds tol {tol:.3e}")
+    if not defect <= UNITARY_TOL:  # also rejects NaN entries
+        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds tol {UNITARY_TOL:.3e}")
     return m

@@ -1,5 +1,5 @@
-"""Observables: Pauli strings with a real weight, the one form every command,
-claim and workload builds.
+"""Observables: Pauli strings, the one form every command, claim and workload
+builds; an observable is its letters.
 
 Pauli strings follow the bitstring convention: the rightmost letter acts on
 qubit 0.
@@ -12,28 +12,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, QubitOutOfRange
-from .histogram import _is_int, _is_real
+from .histogram import _is_int
 
 
 @dataclass(frozen=True)
 class Observable:
-    """Checked when it is built: the letters are upper case I/X/Y/Z, at least
-    one, and the weight is a finite real."""
+    """Checked when it is built: the letters are upper case I/X/Y/Z, at least one."""
 
     pauli: str
-    coeff: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.pauli, str) or not self.pauli or not set(self.pauli) <= set("IXYZ"):
             raise InvalidSpec(f"pauli string must use I/X/Y/Z, got {self.pauli!r}")
-        if not _is_real(self.coeff):
-            raise InvalidSpec(f"pauli coefficient must be a finite real, got {self.coeff!r}")
 
     @staticmethod
-    def from_pauli(letters: str, coeff: float = 1.0) -> "Observable":
-        """The observable of `letters` in either case, its weight as a float."""
-        return Observable(letters.upper() if isinstance(letters, str) else letters,
-                          float(coeff) if _is_real(coeff) else coeff)
+    def from_pauli(letters: str) -> "Observable":
+        """The observable of `letters` in either case."""
+        return Observable(letters.upper() if isinstance(letters, str) else letters)
 
     def letter_for(self, qubit: int) -> str:
         return self.pauli[len(self.pauli) - 1 - qubit]

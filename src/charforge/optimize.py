@@ -12,8 +12,9 @@ Passes, in order:
 
 The caps bound each closure's work and memory as well as its order; a segment
 past them, or whose gate unitaries collide within groups.TOL, is
-kept verbatim and logged. Only the generator tables (FiniteMatrixGroup.right)
-are read. `_close` closes a gate list once per support and key set in an
+kept verbatim and logged. The rewrite reads only the generator tables
+(FiniteMatrixGroup.right); the scalars of a closure and the embedding of a
+seed read its matrices (`mats`). `_close` closes a gate list once per support and key set in an
 `optimize` call, extending the closure H of the list without its last gate
 when H's templates lead; a count of H's cosets, or Lagrange when the gate
 adds qubits, refutes most over-cap groups before any BFS. The scan carries a

@@ -1,12 +1,13 @@
 """Dense state-vector engine: the reference simulator and oracle.
 
 Every gate, and every Pauli letter of an observable, goes through the gate loop
-`circuits.apply_gates`: on a (2^n, B) block, B = 8 for `equivalence_check`, or
-from |0...0> (`sv_run`) on a register of only the qubits a gate has taken out
-of |0>. x, y and z only move its Pauli frame, applied in one pass at the end;
-the kernel `apply_matrix` applies h as a butterfly and moves or scales only the
-slices any other gate changes (a t, tdg or cp: one half or one quarter of the
-amplitudes, by its phase). A histogram is one multinomial draw over the exact
+`circuits.apply_gates`: on a (2^n, B) block that `run_gates` is given, B = 8 for
+`equivalence_check`, or from |0...0>, where `sv_run` and `sv_expectation` always
+start, on a register of only the qubits a gate has taken out of |0>. x, y and z
+only move its Pauli frame, applied in one pass at the end; the kernel
+`apply_matrix` applies h as a butterfly and moves or scales only the slices any
+other gate changes (a t, tdg or cp: one half or one quarter of the amplitudes,
+by its phase). A histogram is one multinomial draw over the exact
 marginal, its index broadcast on the (2,)*n grid. Qubit q is bit q of an index.
 """
 
@@ -77,17 +78,13 @@ def sample_histogram(
     )
 
 
-def sv_run(
-    c: Circuit, shots: int, seed: int, initial: np.ndarray | None = None
-) -> MeasurementHistogram:
-    """Evolve one state, then sample the measured qubits (all qubits when the
+def sv_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
+    """Evolve |0...0>, then sample the measured qubits (all qubits when the
     circuit has no measure suffix)."""
     check_circuit(c)
     check_shots(shots)
     check_seed(seed)
-    psi = run_gates(c, initial)
-    if psi.ndim != 1:
-        raise DimensionMismatch(f"sv_run needs one (2^{c.n_qubits},) state, got {psi.shape}")
+    psi = run_gates(c)
     measured = c.measured_qubits()
     probs = marginal_probabilities(psi, measured, c.n_qubits)
     return sample_histogram(probs, len(measured), shots, np.random.default_rng(seed))
@@ -101,17 +98,15 @@ def expectation_of_state(psi: np.ndarray, obs: Observable, n: int) -> float | np
     phi = apply_gates(np.ascontiguousarray(psi, dtype=complex), [  # x, y and z write only the frame
         GateInstance(obs.letter_for(q).lower(), (q,)) for q in range(n) if obs.letter_for(q) != "I"], n)
     a, b = psi.reshape(psi.shape[0], -1), phi.reshape(phi.shape[0], -1)
-    vals = obs.coeff * np.array([np.vdot(a[:, j], b[:, j]) for j in range(a.shape[1])])
+    vals = np.array([np.vdot(a[:, j], b[:, j]) for j in range(a.shape[1])])
     if np.max(np.abs(vals.imag)) > 1e-9:
         raise AssertionError(f"expectation has imaginary part {np.max(np.abs(vals.imag)):.3e}")
     return float(vals[0].real) if psi.ndim == 1 else vals.real
 
 
-def sv_expectation(c: Circuit, obs: Observable,
-                   initial: np.ndarray | None = None) -> float | np.ndarray:
-    """<psi0| U^dag O U |psi0> from |0...0>, a supplied state, or each column of a block."""
-    psi = run_gates(c, initial)
-    return expectation_of_state(psi, obs, c.n_qubits)
+def sv_expectation(c: Circuit, obs: Observable) -> float:
+    """<0...0| U^dag O U |0...0>."""
+    return expectation_of_state(run_gates(c), obs, c.n_qubits)
 
 
 def time_gate_loop(c: Circuit, repeats: int) -> list[float]:

@@ -6,8 +6,7 @@ X/Z bits plus a phase exponent r in {0,1,2,3} (power of i). Gates act on
 on each qubit and of the rows with r = 2 (before measurement r is 0 or 2), as
 in Stim (Gidney, arXiv:2103.02202): each update is a few int operations, in one
 loop over the body. `tableau_run` runs that loop on a Circuit's body, which the
-Circuit has checked; `apply_gates` checks its gates first, and `apply_gate` is
-its one-gate form.
+Circuit has checked; `apply_gate` checks its one gate as a one-gate Circuit first.
 
 Measure gates form a trailing suffix, which `measure_layer` resolves in one
 GF(2) elimination of the stabilizer rows (Aaronson-Gottesman, quant-ph/0406196;
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, GateInstance, check_circuit
-from .errors import NonCliffordGate
+from .errors import InvalidSpec, NonCliffordGate
 from .histogram import MeasurementHistogram, check_seed, check_shots
 
 
@@ -77,14 +76,6 @@ def _g_exponents(x1, z1, x2, z2):
             + (1 - x1) * z1 * x2 * (1 - 2 * z2))
 
 
-def apply_gates(tab: PackedTableau, gates: tuple[GateInstance, ...]) -> None:
-    """Apply the gates in order. Before any of them, raises what a Circuit of the gates
-    on tab.n qubits raises (InvalidSpec, QubitOutOfRange or AngleMissing); then
-    NonCliffordGate naming the first gate outside the Clifford subset and its position."""
-    Circuit(tab.n, gates)  # checks the gates once, so the loop checks none
-    _apply_gates(tab, gates)
-
-
 def _apply_gates(tab: PackedTableau, gates: tuple[GateInstance, ...]) -> None:
     """Each gate's Aaronson-Gottesman update on a checked Circuit's gates, in one loop over the
     bitsets in local names, the commonest kinds first; `signs ^= rows` adds 2 to their r.
@@ -127,8 +118,9 @@ def _apply_gates(tab: PackedTableau, gates: tuple[GateInstance, ...]) -> None:
 
 
 def apply_gate(tab: PackedTableau, kind: str, qubits: tuple[int, ...]) -> None:
-    """The one-gate form of `apply_gates`."""
-    apply_gates(tab, (GateInstance(kind, tuple(qubits)),))
+    """Apply one gate, checked first as a one-gate Circuit on tab.n qubits (InvalidSpec,
+    QubitOutOfRange or AngleMissing); NonCliffordGate for a gate outside the Clifford subset."""
+    _apply_gates(tab, Circuit(tab.n, (GateInstance(kind, tuple(qubits)),)).gates)
 
 
 def measure_symbolic(tab: StabilizerTableau, q: int, next_coin: int) -> tuple[int, np.ndarray, int]:
@@ -210,6 +202,17 @@ def measure_layer(tab: PackedTableau, measured: list[int]) -> tuple[list[tuple[i
     return exprs, coins
 
 
+# the most bytes the sample arrays of one tableau_run may take: 1 GiB, against
+# 2.4 MB for 100,000 shots of 12 coins on 12 measured qubits
+SAMPLE_BYTES = 2 ** 30
+
+
+def _sample_bytes(shots: int, coins: int, k: int) -> int:
+    """Bytes of the coins (one per coin), the int64 sort index and the uint16 keys of
+    `shots` draws, and of the float32 outcome bits of their at most 2^coins distinct draws."""
+    return shots * (coins + 8 + 2 * ((coins + 15) // 16 or 1)) + 4 * k * min(shots, 1 << coins)
+
+
 def _coins(seed: int, shots: int, coins: int) -> np.ndarray:
     """integers(0, 2, (shots, coins), dtype=np.uint8) of default_rng(seed) from raw bits: coin i is bit 7
     of byte i of the uint32 stream (Lemire, range 2), which PCG64 yields as each uint64's low, then high half."""
@@ -220,7 +223,8 @@ def _coins(seed: int, shots: int, coins: int) -> np.ndarray:
 
 def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     """Run a Clifford circuit and sample its measured qubits. Raises NonCliffordGate
-    naming the offending gate and its position."""
+    naming the offending gate and its position, and InvalidSpec, before sampling,
+    when the sample arrays would take more than SAMPLE_BYTES."""
     check_circuit(c)
     check_shots(shots)
     check_seed(seed)
@@ -229,6 +233,9 @@ def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     _apply_gates(packed, body)
     measured = [g.qubits[0] for g in suffix] if suffix else list(range(packed.n))
     exprs, coins = measure_layer(packed, measured)
+    if (size := _sample_bytes(shots, coins, len(measured))) > SAMPLE_BYTES:
+        raise InvalidSpec(f"{shots} shots of {coins} coins need {size} bytes of samples, "
+                          f"past the {SAMPLE_BYTES}-byte budget")
     # character i of an outcome is the (k-1-i)-th smallest of k measured qubits: strings sort by value
     exprs = [exprs[i] for i in np.argsort(measured)[::-1]]
 

@@ -75,9 +75,9 @@ def marginal_by_bits(psi: np.ndarray, measured: list[int]) -> np.ndarray:
 
 
 def pauli_dense(obs) -> np.ndarray:
-    """The 2^n x 2^n matrix of a weighted Pauli string, leftmost letter first
-    in the Kronecker product, so the rightmost acts on qubit 0."""
-    m = np.array([[obs.coeff]], dtype=complex)
+    """The 2^n x 2^n matrix of a Pauli string, leftmost letter first in the
+    Kronecker product, so the rightmost acts on qubit 0."""
+    m = np.ones((1, 1), dtype=complex)
     for ch in obs.pauli:
         m = np.kron(m, np.eye(2) if ch == "I" else _BASE_1Q[ch.lower()])
     return m

@@ -298,10 +298,14 @@ def test_qft_matches_dft_matrix(n):
     assert np.max(np.abs(circuit_unitary(build_qft(n)) - dft_matrix(n))) <= 1e-8
 
 
-def test_grover_two_qubits_exact():
-    c = build_grover(2, marked=3, iterations=1)
-    amps = circuit_unitary(c)[:, 0]
-    assert abs(abs(amps[3]) ** 2 - 1.0) <= 1e-9
+@pytest.mark.parametrize("n", range(1, 7))
+def test_grover_runs_the_iteration_count_its_closed_form_predicts(n):
+    # k iterations turn |s> by (2k + 1) asin(2^(-n/2)) towards the marked item
+    marked = 2 ** n // 3
+    k = max(1, round(math.pi / 4 * math.sqrt(2 ** n)))
+    amps = circuit_unitary(build_grover(n, marked=marked))[:, 0]
+    expected = math.sin((2 * k + 1) * math.asin(2 ** (-n / 2))) ** 2
+    assert abs(abs(amps[marked]) ** 2 - expected) <= 1e-9
 
 
 def test_grover_marked_state_amplified():
@@ -350,7 +354,7 @@ def test_build_benchmark_dispatch_and_validation():
     (lambda: build_vqe(2.5, 2, 1), "vqe"), (lambda: build_vqe(3, "2", 1), "vqe"),
     (lambda: build_qft(2.5), "qft"), (lambda: build_qft("3"), "qft"),
     (lambda: build_grover(2.0, 1), "grover"), (lambda: build_grover(2, 1.0), "grover"),
-    (lambda: build_grover(2, 1, 1.5), "grover"), (lambda: build_bv(101), "secret"),
+    (lambda: build_bv(101), "secret"),
     (lambda: build_bv(None), "secret"), (lambda: gate("cp", 0, 1, angle="x"), "angle"),
     (lambda: gate("cp", 0, 1, angle=[1.0]), "angle"),
 ])
@@ -728,3 +732,10 @@ NOT_A_CIRCUIT_CALLS = {
 def test_an_entry_point_refuses_what_is_not_a_circuit(call, c):
     with pytest.raises(InvalidSpec, match=f"^expected a Circuit, got {type(c).__name__}$"):
         call(c)
+
+
+@pytest.mark.parametrize("text", [None, 3, b"qubits 1\n"], ids=["none", "int", "bytes"])
+def test_parse_circuit_refuses_a_text_that_is_not_a_str(text):
+    # None and 3 raised a raw AttributeError, the bytes a raw TypeError
+    with pytest.raises(InvalidSpec, match=f"^circuit text must be a str, got {type(text).__name__}$"):
+        parse_circuit(text)

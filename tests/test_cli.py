@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +335,21 @@ def test_simulate_negative_seed_is_a_data_error(bell_path, engine):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("engine, shots, message", [
+    ("sv", 2 ** 63, "shots must be at most 2^63 - 1, got 9223372036854775808"),
+    ("tableau", 2 ** 63, "shots must be at most 2^63 - 1, got 9223372036854775808"),
+    # Bell: 1 coin on 2 measured qubits, 11 bytes a shot and 16 for the outcome bits
+    ("tableau", (2 ** 30 - 16) // 11 + 1, "97612892 shots of 1 coins need 1073741828 bytes of samples"),
+])
+def test_simulate_shots_past_a_limit_are_a_data_error(bell_path, engine, shots, message):
+    # past 2^63 - 1 the sv engine raised a raw OverflowError and exited 1; the tableau engine allocated
+    # its samples whatever their size, and raised numpy's _ArrayMemoryError for 9.09 TiB at 10^13 shots
+    r = charforge("simulate", "--in", str(bell_path), "--engine", engine, "--shots", str(shots))
+    assert r.returncode == 2
+    assert f"charforge simulate: {message}" in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
+
+
 def test_equiv_zero_shots_is_a_data_error(bell_path):
     r = charforge("equiv", "--a", str(bell_path), "--b", str(bell_path), "--shots", "0")
     assert r.returncode == 2
@@ -384,3 +401,12 @@ def test_chartab_with_a_failing_self_check_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("charforge chartab: multiplicities of order-2 roots of unity are 0.000109 off")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_every_option_of_the_package_is_set_by_a_command_a_workload_or_a_tool(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "unset_options", Path(__file__).resolve().parents[1] / "tools" / "unset_options.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main([]) == 0
+    assert capsys.readouterr().out == ""

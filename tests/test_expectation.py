@@ -165,34 +165,27 @@ def test_character_multiplicativity_both_directions(groups, tables):
 
 
 BAD_OBSERVABLES = [
-    (5, 1.0, "pauli string must use I/X/Y/Z, got 5"),
-    ("XQ", 1.0, "pauli string must use I/X/Y/Z, got 'XQ'"),
-    ("", 1.0, "pauli string must use I/X/Y/Z, got ''"),
-    ("XZ", "a", "pauli coefficient must be a finite real, got 'a'"),
-    ("XZ", np.nan, "pauli coefficient must be a finite real, got nan"),
-    ("XZ", -np.inf, "pauli coefficient must be a finite real, got -inf"),
-    ("XZ", 1j, "pauli coefficient must be a finite real, got 1j"),
+    (5, "pauli string must use I/X/Y/Z, got 5"),
+    ("XQ", "pauli string must use I/X/Y/Z, got 'XQ'"),
+    ("", "pauli string must use I/X/Y/Z, got ''"),
 ]
 
 
-@pytest.mark.parametrize("letters, coeff, match", BAD_OBSERVABLES)
-def test_from_pauli_rejects_bad_letters_and_coefficients(letters, coeff, match):
+@pytest.mark.parametrize("letters, match", BAD_OBSERVABLES)
+def test_from_pauli_rejects_bad_letters(letters, match):
     with pytest.raises(InvalidSpec, match=f"^{re.escape(match)}$"):
-        Observable.from_pauli(letters, coeff=coeff)
+        Observable.from_pauli(letters)
 
 
-@pytest.mark.parametrize("letters, coeff, match", BAD_OBSERVABLES + [
-    ("Q", 1.0, "pauli string must use I/X/Y/Z, got 'Q'"),
-    ("xz", 1.0, "pauli string must use I/X/Y/Z, got 'xz'"),  # only from_pauli upper-cases
-    ("Z", True, "pauli coefficient must be a finite real, got True"),
+@pytest.mark.parametrize("letters, match", BAD_OBSERVABLES + [
+    ("Q", "pauli string must use I/X/Y/Z, got 'Q'"),
+    ("xz", "pauli string must use I/X/Y/Z, got 'xz'"),  # only from_pauli upper-cases
 ])
-def test_an_observable_is_checked_when_it_is_built(letters, coeff, match):
+def test_an_observable_is_checked_when_it_is_built(letters, match):
     # Observable("Q") reached the gate loop and raised a raw ValueError there
     with pytest.raises(InvalidSpec, match=f"^{re.escape(match)}$"):
-        Observable(letters, coeff)
+        Observable(letters)
 
 
-def test_from_pauli_takes_either_case_and_a_numpy_real():
-    obs = Observable.from_pauli("xZi", coeff=np.float32(0.5))
-    assert (obs.pauli, obs.coeff, type(obs.coeff)) == ("XZI", 0.5, float)
-    assert Observable.from_pauli("Y", coeff=np.int64(-2)).coeff == -2.0
+def test_from_pauli_takes_either_case():
+    assert Observable.from_pauli("xZi").pauli == "XZI"

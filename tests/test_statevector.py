@@ -109,36 +109,27 @@ def test_initial_state_of_wrong_shape_rejected(initial):
     c = Circuit(2, (gate("h", 0),))
     with pytest.raises(DimensionMismatch):
         run_gates(c, initial)
-    with pytest.raises(DimensionMismatch):
-        sv_run(c, shots=10, seed=0, initial=initial)
-
-
-def test_sv_run_rejects_a_block_initial():
-    c = Circuit(2, (gate("h", 0),))
     assert run_gates(c, np.ones((4, 2)) / 2).shape == (4, 2)
-    with pytest.raises(DimensionMismatch):
-        sv_run(c, shots=10, seed=0, initial=np.ones((4, 2)) / 2)
 
 
-def test_sv_run_rejects_a_zero_state_without_a_warning():
+def test_marginal_probabilities_rejects_a_zero_state_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidSpec, match="total probability"):
-            sv_run(Circuit(2, (gate("x", 1),)), shots=10, seed=0, initial=np.zeros(4))
+            marginal_probabilities(run_gates(Circuit(2, (gate("x", 1),)), np.zeros(4)), [0, 1], 2)
 
 
 @pytest.mark.parametrize("initial", [np.full(4, np.nan), np.array([np.inf, 0, 0, 0])])
-def test_sv_run_rejects_a_non_finite_state(initial):
+def test_run_gates_rejects_a_non_finite_state(initial):
     with pytest.raises(InvalidSpec, match="total probability"):
-        sv_run(Circuit(2, (gate("x", 1),)), shots=10, seed=0, initial=initial)
+        run_gates(Circuit(2, (gate("x", 1),)), initial)
 
 
-def test_sv_expectation_rejects_a_non_finite_state_without_a_warning():
+def test_run_gates_rejects_a_non_finite_state_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidSpec, match="total probability"):
-            sv_expectation(parse_circuit("qubits 1\nh 0\n"), z_on_qubit(0, 1),
-                           initial=np.array([np.nan, 0]))
+            run_gates(parse_circuit("qubits 1\nh 0\n"), np.array([np.nan, 0]))
 
 
 @pytest.mark.parametrize("letters", ["X", "XZY"], ids=["pauli", "pauli-too-long"])
@@ -155,18 +146,6 @@ NOT_NUMBERS_IDS = ["non-numeric", "ragged", "dict"]
 def test_run_gates_rejects_an_initial_that_is_not_numbers(initial):
     with pytest.raises(InvalidSpec, match="initial state must be an array of numbers"):
         run_gates(parse_circuit("qubits 1\nh 0\n"), initial)
-
-
-@pytest.mark.parametrize("initial", NOT_NUMBERS, ids=NOT_NUMBERS_IDS)
-def test_sv_run_rejects_an_initial_that_is_not_numbers(initial):
-    with pytest.raises(InvalidSpec, match="initial state must be an array of numbers"):
-        sv_run(parse_circuit("qubits 1\nh 0\n"), shots=10, seed=0, initial=initial)
-
-
-@pytest.mark.parametrize("initial", NOT_NUMBERS, ids=NOT_NUMBERS_IDS)
-def test_sv_expectation_rejects_an_initial_that_is_not_numbers(initial):
-    with pytest.raises(InvalidSpec, match="initial state must be an array of numbers"):
-        sv_expectation(parse_circuit("qubits 1\nh 0\n"), z_on_qubit(0, 1), initial=initial)
 
 
 def test_histogram_counts_must_sum_to_shots():
@@ -203,8 +182,9 @@ def test_golden_states():
         "clifford10": _digest(run_gates(random_clifford_circuit(10, 200, seed=11, measured=False))),
         "block8": _digest(run_gates(vqe, _block(7, 8, 5))),
         "unitary_qft5": _digest(circuit_unitary(build_qft(5))),
-        "expectation": _digest(np.array([sv_expectation(vqe, Observable.from_pauli(p), _block(7, 8, 5))
-                                         for p in ("XYZIZYX", "ZZIIXXY", "IIIYIII")])),
+        "expectation": _digest(np.array([
+            expectation_of_state(run_gates(vqe, _block(7, 8, 5)), Observable.from_pauli(p), 7)
+            for p in ("XYZIZYX", "ZZIIXXY", "IIIYIII")])),
     }
     assert got == GOLDEN_STATES
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from charforge.circuits import (GATE_ARITY, Circuit, GateInstance, gate,
                                 parse_circuit, random_clifford_circuit)
 from charforge.errors import (AngleMissing, CircuitSyntaxError, InvalidSpec, NonCliffordGate,
                               QubitOutOfRange)
-from charforge.histogram import tv_distance
+from charforge.histogram import SHOTS_MAX, check_shots, tv_distance
 from charforge.optimize import equivalence_check
 from charforge.statevector import marginal_probabilities, run_gates, sv_run
 from charforge import tableau
-from charforge.tableau import (PackedTableau, apply_gate, apply_gates, measure_layer,
+from charforge.tableau import (PackedTableau, _apply_gates, apply_gate, measure_layer,
                                measure_symbolic, tableau_run, validate_tableau)
 
 
@@ -44,11 +45,11 @@ def test_a_t_in_the_middle_of_a_list_is_named_with_its_position():
     gates = (gate("h", 0), gate("cx", 0, 1), gate("x", 1), gate("t", 1), gate("h", 1), gate("t", 0))
     tab, want = PackedTableau.zeros(2), PackedTableau.zeros(2)
     with pytest.raises(NonCliffordGate, match=re.escape("gate 't' at position 3 is not Clifford")):
-        apply_gates(tab, gates)
-    apply_gates(want, gates[:3])
+        _apply_gates(tab, gates)
+    _apply_gates(want, gates[:3])
     assert want.signs and (tab.xs, tab.zs, tab.signs) == (want.xs, want.zs, want.signs)
     with pytest.raises(NonCliffordGate, match=re.escape("gate 'cp' at position 0 is not Clifford")):
-        apply_gates(tab, (gate("cp", 0, 1, angle=0.5),))
+        _apply_gates(tab, (gate("cp", 0, 1, angle=0.5),))
 
 
 @pytest.mark.parametrize("kind, qubits, error, message", [
@@ -59,13 +60,11 @@ def test_a_t_in_the_middle_of_a_list_is_named_with_its_position():
     ("cx", (0, True), InvalidSpec, "qubit indices must be integers, got True"),
     ("cp", (0, 1), AngleMissing, "gate cp at position 0 has angle None"),
 ])
-def test_the_public_gate_forms_check_their_gates_before_applying_any(kind, qubits, error, message):
-    # x on qubit -1 would flip the sign of Z_1; the gate before it is not applied either
+def test_the_public_gate_form_checks_its_gate_before_applying_it(kind, qubits, error, message):
+    # x on qubit -1 would flip the sign of Z_1
     tab, fresh = PackedTableau.zeros(2), PackedTableau.zeros(2)
     with pytest.raises(error, match=re.escape(message)):
         apply_gate(tab, kind, qubits)
-    with pytest.raises(error, match=re.escape(message.replace("position 0", "position 1"))):
-        apply_gates(tab, (gate("x", 0), GateInstance(kind, qubits)))
     assert (tab.xs, tab.zs, tab.signs) == (fresh.xs, fresh.zs, fresh.signs)
 
 
@@ -245,7 +244,7 @@ def test_packed_gates_match_row_major_reference(case):
         qubits = tuple((start + j) % n for j in perm[:GATE_ARITY[kind]])
         _reference_apply(x, z, r, kind, qubits)
         body.append(GateInstance(kind, qubits))
-    apply_gates(packed, tuple(body))
+    _apply_gates(packed, tuple(body))
     tab = packed.unpack()
     assert tab.x.dtype == tab.z.dtype == tab.r.dtype == tab.lin.dtype == np.uint8
     assert tab.x.flags.c_contiguous and tab.z.flags.c_contiguous
@@ -392,7 +391,7 @@ def test_measure_layer_matches_per_qubit_oracle_past_64_qubits(n, depth, seed):
 
 
 def test_run_path_uses_neither_the_oracle_nor_unpack(monkeypatch):
-    # nor the checked public forms: the Circuit's body goes through the one loop in one call
+    # nor the checked public form: the Circuit's body goes through the one loop in one call
     c = random_clifford_circuit(70, 700, seed=4)
     want = tableau_run(c, 300, seed=1).counts
 
@@ -406,7 +405,6 @@ def test_run_path_uses_neither_the_oracle_nor_unpack(monkeypatch):
     monkeypatch.setattr(tableau, "measure_symbolic", refuse)
     monkeypatch.setattr(PackedTableau, "unpack", refuse)
     monkeypatch.setattr(tableau, "apply_gate", refuse)
-    monkeypatch.setattr(tableau, "apply_gates", refuse)
     monkeypatch.setattr(tableau, "_apply_gates", counted)
     assert tableau_run(c, 300, seed=1).counts == want
     assert loops == [len(c.body_and_suffix()[0])]
@@ -417,7 +415,7 @@ def _packbits_run(c: Circuit, shots: int, seed: int) -> tuple[dict, int]:
     sampler keyed them before the keys were one float32 product, and the coin count."""
     body, suffix = c.body_and_suffix()
     packed = PackedTableau.zeros(c.n_qubits)
-    apply_gates(packed, body)
+    _apply_gates(packed, body)
     measured = [g.qubits[0] for g in suffix] if suffix else list(range(packed.n))
     exprs, coins = measure_layer(packed, measured)
     exprs = [exprs[i] for i in np.argsort(measured)]
@@ -663,3 +661,60 @@ def test_a_finite_cp_angle_of_any_real_type_is_accepted(angle):
              GateInstance("h", (0,)))
     want = Circuit(2, gates[:2] + (gate("cp", 0, 1, angle=float(angle)),) + gates[3:])
     assert sv_run(Circuit(2, gates), 1000, 0).counts == sv_run(want, 1000, 0).counts
+
+
+def just_past_the_sample_budget(coins: int, k: int) -> int:
+    """The fewest shots of `coins` coins on k measured qubits whose samples pass SAMPLE_BYTES."""
+    lo, hi = 0, tableau.SAMPLE_BYTES  # lo shots pass no budget, hi shots of at least 10 bytes each do
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if tableau._sample_bytes(mid, coins, k) <= tableau.SAMPLE_BYTES else (lo, mid)
+    return hi
+
+
+def test_the_largest_int64_shot_count_passes_the_shot_check():
+    assert SHOTS_MAX == np.iinfo(np.int64).max
+    check_shots(SHOTS_MAX)
+
+
+@pytest.mark.parametrize("run", [sv_run, tableau_run], ids=["sv", "tableau"])
+def test_shots_past_the_int64_range_are_refused_before_any_work(run):
+    # sv_run raised a raw OverflowError from rng.multinomial
+    c = parse_circuit("qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSpec, match=re.escape(f"shots must be at most 2^63 - 1, got {SHOTS_MAX + 1}")):
+            run(c, SHOTS_MAX + 1, 0)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert sum(run(c, 1000, 0).counts.values()) == 1000
+
+
+@pytest.mark.parametrize("text, coins", [
+    ("qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n", 1),
+    ("qubits 3\nx 1\nmeasure 2\nmeasure 1\n", 0),  # no coins: one key word per shot
+    ("qubits 20\n" + "".join(f"h {q}\n" for q in range(20)), 20),
+], ids=["bell", "no-coins", "h20"])
+def test_tableau_run_refuses_samples_past_the_byte_budget_before_drawing(monkeypatch, text, coins):
+    c = parse_circuit(text)
+    k = len(c.measured_qubits())
+    shots = just_past_the_sample_budget(coins, k)
+
+    def refuse(*args):
+        raise AssertionError("drew coins")
+    monkeypatch.setattr(tableau, "_coins", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSpec, match=f"^{shots} shots of {coins} coins need "
+                                              f"{tableau._sample_bytes(shots, coins, k)} bytes of samples"):
+            tableau_run(c, shots, 0)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_largest_stabilizer_workload_samples_are_far_inside_the_budget():
+    # 100,000 shots on at most 12 qubits and 1,000 shots of 256 coins on 256 qubits
+    assert tableau._sample_bytes(100_000, 12, 12) < tableau.SAMPLE_BYTES // 400
+    assert tableau._sample_bytes(1000, 256, 256) < tableau.SAMPLE_BYTES // 800
