@@ -38,7 +38,7 @@ import numpy as np
 from .circuits import Circuit, GateInstance, check_circuit, circuit_depth, embed_gate, gate_generators, gate_matrix
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
 from .fixtures import X, Z
-from .groups import TOL, ClosureConfig, ElementLookup, FiniteMatrixGroup, close_group, walk
+from .groups import TOL, ClosureConfig, FiniteMatrixGroup, close_group, walk
 from .histogram import _is_int, _is_real, check_seed, check_shots
 from .observables import Observable, random_pauli
 from .statevector import SV_MAX_QUBITS, expectation_of_state, marginal_probabilities, run_gates
@@ -244,13 +244,13 @@ def _outside(gates: list[GateInstance]) -> bool:
 
 
 def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -> FiniteMatrixGroup:
-    """base.group, the closure of gates[:-1], embedded over `support` with one find."""
+    """base.group, the closure of gates[:-1], embedded over `support`; its
+    lookup is made on first use."""
     h, old = base.group, _support(gates[:-1])
     if len(old) == len(support):
         return h
-    lookup = ElementLookup(1 << len(support))
-    lookup.find(embed_gate(h.mats, tuple(map(support.index, old)), len(support)), h.order)
-    return replace(h, dim=1 << len(support), mats=lookup.mats[:h.order], _lookup=lookup)
+    mats = embed_gate(h.mats, tuple(map(support.index, old)), len(support))
+    return replace(h, dim=1 << len(support), mats=mats, _lookup=None)
 
 
 def _support(gates: list[GateInstance]) -> tuple[int, ...]:

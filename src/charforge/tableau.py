@@ -202,15 +202,25 @@ def measure_layer(tab: PackedTableau, measured: list[int]) -> tuple[list[tuple[i
     return exprs, coins
 
 
-# the most bytes the sample arrays of one tableau_run may take: 1 GiB, against
-# 2.4 MB for 100,000 shots of 12 coins on 12 measured qubits
+# the most bytes the sampling of one tableau_run may hold at once: 1 GiB, against
+# 3.4 MB for 100,000 shots of 12 coins on 12 measured qubits
 SAMPLE_BYTES = 2 ** 30
 
 
 def _sample_bytes(shots: int, coins: int, k: int) -> int:
-    """Bytes of the coins (one per coin), the int64 sort index and the uint16 keys of
-    `shots` draws, and of the float32 outcome bits of their at most 2^coins distinct draws."""
-    return shots * (coins + 8 + 2 * ((coins + 15) // 16 or 1)) + 4 * k * min(shots, 1 << coins)
+    """A bound on the bytes tableau_run's sampling holds at once, as tracemalloc counts
+    them: the coins (one byte each), the int64 sort index and the uint16 keys of `shots`
+    draws and the first index and count of their at most 2^coins distinct draws, kept
+    throughout; then the most of three steps: keying (the keys' chunks, the float32 draws
+    and products of one chunk, the compare of sorted keys), the outcome bits (the distinct
+    draws, their float32 copy, the float32 products and their int32 copy, the masks) and
+    the histogram (each outcome's bytes and str, its count and dict entry)."""
+    w, m, chunk = (coins + 15) // 16 or 1, min(shots, 1 << coins), min(shots, 8192)
+    kept = shots * (coins + 8 + 2 * w) + 16 * m
+    keying = 2 * shots * w + 4 * chunk * (coins + w) + shots * (w + 2)
+    outcomes = m * (5 * coins + 8 * k) + 4 * k * coins
+    histogram = m * (2 * k + 250)
+    return kept + max(keying, outcomes, histogram)
 
 
 def _coins(seed: int, shots: int, coins: int) -> np.ndarray:
@@ -224,7 +234,7 @@ def _coins(seed: int, shots: int, coins: int) -> np.ndarray:
 def tableau_run(c: Circuit, shots: int, seed: int) -> MeasurementHistogram:
     """Run a Clifford circuit and sample its measured qubits. Raises NonCliffordGate
     naming the offending gate and its position, and InvalidSpec, before sampling,
-    when the sample arrays would take more than SAMPLE_BYTES."""
+    when the sampling would hold more than SAMPLE_BYTES."""
     check_circuit(c)
     check_shots(shots)
     check_seed(seed)

@@ -338,8 +338,8 @@ def test_simulate_negative_seed_is_a_data_error(bell_path, engine):
 @pytest.mark.parametrize("engine, shots, message", [
     ("sv", 2 ** 63, "shots must be at most 2^63 - 1, got 9223372036854775808"),
     ("tableau", 2 ** 63, "shots must be at most 2^63 - 1, got 9223372036854775808"),
-    # Bell: 1 coin on 2 measured qubits, 11 bytes a shot and 16 for the outcome bits
-    ("tableau", (2 ** 30 - 16) // 11 + 1, "97612892 shots of 1 coins need 1073741828 bytes of samples"),
+    # Bell: 1 coin on 2 measured qubits, 16 bytes a shot, 65,536 for a chunk of keys and 32 for the outcomes
+    ("tableau", (2 ** 30 - 65568) // 16 + 1, "67104767 shots of 1 coins need 1073741840 bytes of samples"),
 ])
 def test_simulate_shots_past_a_limit_are_a_data_error(bell_path, engine, shots, message):
     # past 2^63 - 1 the sv engine raised a raw OverflowError and exited 1; the tableau engine allocated

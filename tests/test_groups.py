@@ -12,7 +12,7 @@ from charforge.circuits import GATE_ARITY, embed_gate, gate, gate_generators, ga
 from charforge.errors import (DimensionMismatch, InvalidSpec, KeyCollision,
                               NotUnitary, OrderCapExceeded)
 from charforge.fixtures import H, I2, S, X, Y, Z, fixture_generators, fixture_group
-from charforge.groups import (TOL, ClosureConfig, ElementLookup, center_and_abelian,
+from charforge.groups import (TOL, ClosureConfig, ElementLookup, _rows_of, center_and_abelian,
                               close_group, element_of, group_to_json, walk)
 from charforge.optimize import _Closure, _seed
 
@@ -95,6 +95,34 @@ def test_element_of_not_found_and_dim_mismatch():
         element_of(g, np.eye(4))
     with pytest.raises(InvalidSpec):
         element_of(g, "abc")
+
+
+@pytest.mark.parametrize("group", [None, "abc", np.eye(2)])
+def test_element_of_a_group_that_is_not_a_finite_matrix_group_is_invalid(group):
+    with pytest.raises(InvalidSpec, match="group must be a FiniteMatrixGroup"):
+        element_of(group, X)
+
+
+@pytest.mark.parametrize("base", ["abc", 5, np.eye(2)[None]])
+def test_a_base_that_is_not_a_finite_matrix_group_is_invalid(base):
+    with pytest.raises(InvalidSpec, match="base must be a FiniteMatrixGroup"):
+        close_group([X, Z], base=base)
+
+
+@pytest.mark.parametrize("zs", [[99], [8], [-1], [1.0], [True], ["1"], [[1]], [0, 99]])
+def test_columns_of_an_index_outside_the_group_are_invalid(zs):
+    g = close_group([X, Z])
+    assert g.order == 8
+    with pytest.raises(InvalidSpec, match=r"element indices in \[0, 8\)"):
+        g.columns(zs)
+
+
+def test_columns_take_integer_indices_of_any_kind():
+    g = close_group([X, Z])
+    want = g.cayley[:, [7, 0, 3]].T
+    for zs in ([7, 0, 3], np.array([7, 0, 3]), np.array([7, 0, 3], dtype=np.int32), (7, 0, 3)):
+        assert np.array_equal(g.columns(zs), want)
+    assert g.columns([]).shape == (0, 8)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -256,24 +284,26 @@ CLOSURE_INPUTS["h0-cx01-cx12"] = _gate_set(3, [("h", 0), ("cx", 0, 1), ("cx", 1,
 CLOSURE_INPUTS["h0-h1-s1-swap"] = _gate_set(2, [("h", 0), ("h", 1), ("s", 1), ("swap", 0, 1)])
 
 # sha256 prefixes of (mats, cayley, inverses, classes, generators), recorded
-# from the one-product-at-a-time closure the batched engine replaced
+# from the one-product-at-a-time closure the batched engine replaced; d4, q8
+# and pauli1 re-pinned when monomial closures were first kept as rows, which
+# write every zero as +0.0 (DENSE_PINS holds their earlier pins)
 GOLDEN_CLOSURES = {
     "trivial": (1, "7114828fb3e59a9f"),
     "c2": (2, "92f7363c4723851a"),
     "c2xc2": (4, "ac00b5832ef1e8cb"),
     "s3": (6, "f22d6c313623f027"),
-    "d4": (8, "4bd09c3448bb8e1d"),
-    "q8": (8, "967f8431e9c51759"),
-    "pauli1": (16, "bc407c176346161c"),
+    "d4": (8, "16b9125c6889ed1d"),
+    "q8": (8, "b2f00b98928f0ca2"),
+    "pauli1": (16, "20c593006b08fbea"),
     "clifford1": (192, "368e3fd7c0556c06"),
     "h0-cx01-cx12": (512, "68a4c9eb81979727"),
     "h0-h1-s1-swap": (9216, "480226484976e9e0"),
 }
 
 
-def closure_digest(g):
+def closure_digest(g, mats=None):
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(g.mats).tobytes())
+    h.update(np.ascontiguousarray(g.mats if mats is None else mats).tobytes())
     h.update(np.ascontiguousarray(g.cayley, dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(g.inverses, dtype=np.int64).tobytes())
     h.update(repr([list(map(int, c)) for c in g.classes]).encode())
@@ -285,6 +315,34 @@ def closure_digest(g):
 def test_closure_is_byte_identical_to_golden(name):
     g = close_group(CLOSURE_INPUTS[name])
     assert (g.order, closure_digest(g)) == GOLDEN_CLOSURES[name]
+
+
+# the pins of the dense closures of d4, q8 and pauli1, whose products wrote
+# some zeros as -0.0
+DENSE_PINS = {"d4": "4bd09c3448bb8e1d", "q8": "967f8431e9c51759", "pauli1": "bc407c176346161c"}
+
+
+def dense_products(g, gens):
+    """g's elements as the dense closure wrote them: the identity and the
+    generators as given, then each element its parent's matrix times its
+    generator, one numpy product at a time."""
+    mats = np.empty_like(g.mats)
+    mats[0] = np.eye(g.dim)
+    for b in range(1, g.order):
+        mats[b] = gens[g.slot[b]] if b < g.bounds[1] else mats[g.parent[b]] @ gens[g.slot[b]]
+    return mats
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_PINS))
+def test_a_repinned_closure_differs_from_its_dense_pin_only_in_the_sign_of_zero(name):
+    gens = CLOSURE_INPUTS[name]
+    g = close_group(gens)
+    dense = dense_products(g, gens)
+    # the dense products and g's tables give the old pin, and its matrices equal g's under ==
+    assert closure_digest(g, dense) == DENSE_PINS[name]
+    assert np.array_equal(g.mats, dense)
+    assert np.signbit(dense.view(np.float64)[dense.view(np.float64) == 0]).any()
+    assert not np.signbit(g.mats.view(np.float64)[g.mats.view(np.float64) == 0]).any()
 
 
 def test_a_ten_digit_cp_angle_closes():
@@ -726,11 +784,94 @@ def test_closure_costs_tool_prints_a_line_per_closure(capsys):
     assert tool.main(["--repeats", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "close_group ms, median of 1"
-    row = re.compile(r"(.+?) +d=(\d+) +([\d.]+) ms  finds +(\d+)  elements (\d+)( \(passed the cap\))?")
+    row = re.compile(r"(.+?) +d=(\d+) +(rows|dense) +([\d.]+) ms  finds +(\d+)  elements (\d+)( \(passed the cap\))?")
     rows = [row.fullmatch(line).groups() for line in lines[1:]]
     assert [r[0] for r in rows] == [name for name, *_ in tool.CLOSURES]
-    assert all(float(r[2]) >= 0 for r in rows)
-    # the dimension, the find calls, the elements and the cap of each closure are deterministic
-    assert [(int(d), int(finds), int(n), bool(cap)) for _, d, _, finds, n, cap in rows] == [
-        (4, 61, 2304, False), (8, 55, 512, False), (4, 27, 2354, True), (2, 31, 2530, True),
-        (32, 49, 1024, False), (4, 46, 3072, False)]
+    assert all(float(r[3]) >= 0 for r in rows)
+    # the dimension, the form, the find calls, the elements and the cap of each closure are deterministic
+    assert [(int(d), form, int(finds), int(n), bool(cap)) for _, d, form, _, finds, n, cap in rows] == [
+        (4, "dense", 61, 2304, False), (8, "dense", 55, 512, False), (4, "dense", 27, 2354, True),
+        (2, "dense", 31, 2530, True), (32, "rows", 49, 1024, False), (32, "rows", 136, 8192, False),
+        (4, "dense", 46, 3072, False)]
+
+
+# -- monomial closures kept as rows ----------------------------------------------
+
+# the monomial gate kinds, with cp at angles 2*pi/m, whose closures are finite
+_MONOMIAL_KINDS = ("x", "y", "z", "s", "sdg", "t", "tdg", "cx", "cz", "cp", "swap")
+_CP_ANGLES = (np.pi, np.pi / 2, np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 5)
+# a fixed dense unitary: conjugating monomial generators by it makes them dense
+_V = np.linalg.qr(np.random.default_rng(41).standard_normal((16, 16))
+                  + 1j * np.random.default_rng(42).standard_normal((16, 16)))[0]
+
+
+@st.composite
+def _monomial_gate_sets(draw):
+    """(n, generators) for 1 to 4 distinct monomial gates on n = 1..4 qubits."""
+    n = draw(st.integers(1, 4))
+    kinds = [k for k in _MONOMIAL_KINDS if GATE_ARITY[k] <= n]
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = tuple(draw(st.permutations(range(n)))[:GATE_ARITY[kind]])
+        angle = draw(st.sampled_from(_CP_ANGLES)) if kind == "cp" else None
+        mats.append(embed_gate(gate_matrix(kind, angle), qubits, n))
+    distinct = [m for i, m in enumerate(mats) if all(np.max(np.abs(m - p)) > 8 * TOL for p in mats[:i])]
+    return n, distinct
+
+
+def _closed(gens, cap, base=None):
+    try:
+        return close_group(gens, ClosureConfig(max_order=cap), base)
+    except (OrderCapExceeded, KeyCollision) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monomial_gate_sets(), st.integers(0, 3), st.sampled_from([64, 512]))
+def test_rows_closure_matches_the_dense_closure_of_its_conjugates(case, k, cap):
+    # the conjugates V g V† are dense, so their closure keeps matrices; its
+    # elements are V M V† for the rows closure's elements M, in the same order
+    n, gens = case
+    v = _V[:1 << n, :1 << n]
+    v = np.linalg.qr(v)[0]
+    conj = [v @ g @ v.conj().T for g in gens]
+    assert _rows_of(np.stack(gens)) is not None and _rows_of(np.stack(conj)) is None
+    k = min(k, len(gens))
+    bases = (None, None) if not k else (_closed(gens[:k], cap), _closed(conj[:k], cap))
+    if isinstance(bases[0], type):
+        assert bases[1] is bases[0]
+        return
+    rows, dense = _closed(gens, cap, bases[0]), _closed(conj, cap, bases[1])
+    if isinstance(rows, type):
+        assert dense is rows
+        return
+    assert rows.order == dense.order
+    for field in ("right", "parent", "slot"):
+        assert np.array_equal(getattr(rows, field), getattr(dense, field))
+    assert rows.bounds == dense.bounds
+    assert np.max(np.abs(v @ rows.mats @ v.conj().T - dense.mats)) <= TOL
+    assert not np.signbit(rows.mats.view(np.float64)[rows.mats.view(np.float64) == 0]).any()
+    # the lookup made from the rows closure's matrices finds each of them
+    assert element_of(rows, rows.mats[-1]) == rows.order - 1
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_rows_and_matrices_raise_the_key_collision_alike(conjugated):
+    v = np.linalg.qr(_V[:2, :2])[0] if conjugated else np.eye(2)
+    gens = [v @ g @ v.conj().T for g in (X, Z, np.exp(3j * TOL) * (X @ Z))]
+    assert (_rows_of(np.stack(gens)) is None) == conjugated
+    with pytest.raises(KeyCollision):
+        close_group(gens)
+
+
+@pytest.mark.parametrize("name", ["c2xc2", "s3", "d4", "q8", "pauli1"])
+def test_rows_and_matrices_pass_the_cap_at_the_same_order(name):
+    gens = CLOSURE_INPUTS[name]
+    v = np.linalg.qr(_V[:len(gens[0]), :len(gens[0])])[0]
+    conj = [v @ g @ v.conj().T for g in gens]
+    order = GOLDEN_CLOSURES[name][0]
+    for form in (gens, conj):
+        assert close_group(form, ClosureConfig(max_order=order)).order == order
+        with pytest.raises(OrderCapExceeded):
+            close_group(form, ClosureConfig(max_order=order - 1))

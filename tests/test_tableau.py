@@ -716,5 +716,29 @@ def test_tableau_run_refuses_samples_past_the_byte_budget_before_drawing(monkeyp
 
 def test_the_largest_stabilizer_workload_samples_are_far_inside_the_budget():
     # 100,000 shots on at most 12 qubits and 1,000 shots of 256 coins on 256 qubits
-    assert tableau._sample_bytes(100_000, 12, 12) < tableau.SAMPLE_BYTES // 400
-    assert tableau._sample_bytes(1000, 256, 256) < tableau.SAMPLE_BYTES // 800
+    assert tableau._sample_bytes(100_000, 12, 12) < tableau.SAMPLE_BYTES // 300
+    assert tableau._sample_bytes(1000, 256, 256) < tableau.SAMPLE_BYTES // 250
+
+
+def _copied_coins_circuit(k: int, coins: int) -> Circuit:
+    """k measured qubits whose outcomes spend `coins` coins: h on the first
+    `coins` qubits, the rest copies of the last of them."""
+    return Circuit(k, tuple([gate("h", q) for q in range(coins)]
+                            + [gate("cx", coins - 1, q) for q in range(coins, k)]))
+
+
+@pytest.mark.parametrize("shots, coins, k", [
+    (100_000, 12, 12), (1000, 256, 256), (20_000, 20, 20), (50_000, 1, 16), (3000, 64, 64),
+    (200_000, 3, 40), (10_000, 40, 200)])
+def test_the_sampling_peak_is_within_the_bytes_it_is_charged(shots, coins, k):
+    c = _copied_coins_circuit(k, coins)
+    tableau_run(c, 10, 0)  # the gate tables and caches of a first run are not sampling
+    tracemalloc.start()
+    try:
+        h = tableau_run(c, shots, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(next(iter(h.counts))) == k
+    size = tableau._sample_bytes(shots, coins, k)
+    assert size / 2 <= peak <= size
