@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSpectrum, GroupMismatch, NonIntegralDegree,
+from .errors import (DegenerateSpectrum, GroupMismatch, InvalidSpec, NonIntegralDegree,
                      NonIntegralMultiplicity, OrthogonalityViolation)
 from .groups import FiniteMatrixGroup
 from .histogram import check_seed
@@ -93,7 +93,10 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
     collisions, NonIntegralDegree (NonIntegralMultiplicity) when a degree (an
     m_t) is off a positive (non-negative) integer by more than 1e-4 or the m_t
     do not sum to d_i, and, as a backstop, OrthogonalityViolation when the
-    orthogonality residual exceeds ORTH_RESIDUAL_MAX."""
+    orthogonality residual exceeds ORTH_RESIDUAL_MAX; InvalidSpec for a group
+    that is not a FiniteMatrixGroup."""
+    if not isinstance(group, FiniteMatrixGroup):
+        raise InvalidSpec(f"group must be a FiniteMatrixGroup, got {type(group).__name__}")
     check_seed(seed)
     k, order = len(group.classes), group.order
     sizes = np.array([len(c) for c in group.classes], dtype=np.float64)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, KeyCollision, OrderCapExceeded
 from .histogram import _is_int
-from .linalg import check_unitary
+from .linalg import check_unitaries
 
 # builder cp angles are quantized to 10 significant digits for the text
 # format, which drifts products by a few 1e-10 per multiplication; a 1e-8
@@ -389,7 +389,7 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
         raise InvalidSpec(f"base must be a FiniteMatrixGroup, got {type(base).__name__}")
     if not isinstance(generators, (list, tuple)) and np.ndim(generators) != 3:
         raise InvalidSpec(f"generators must be a list, tuple or (k, d, d) array, got {type(generators).__name__}")
-    gens = [check_unitary(g) for g in generators]
+    gens = check_unitaries(generators)
     if not gens:
         raise DimensionMismatch("need at least one generator to fix the dimension")
     dim = gens[0].shape[0]

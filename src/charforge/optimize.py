@@ -14,14 +14,19 @@ The caps bound each closure's work and memory as well as its order; a segment
 past them, or whose gate unitaries collide within groups.TOL, is
 kept verbatim and logged. The rewrite reads only the generator tables
 (FiniteMatrixGroup.right); the scalars of a closure and the embedding of a
-seed read its matrices (`mats`). `_close` closes a gate list once per support and key set in an
-`optimize` call, extending the closure H of the list without its last gate
-when H's templates lead; a count of H's cosets, or Lagrange when the gate
-adds qubits, refutes most over-cap groups before any BFS. The scan carries a
-segment as its parts, each with its closure, and `_grow` closes only the part
-a new gate joins: in phase-insensitive mode the parts share no qubit and the
-segment's order is their product's, held to the whole segment's cap, with no
-order cached; phase-sensitive mode keeps one part, the segment. A segment's
+seed read its matrices (`mats`). `_close` closes a gate list once per local
+key in an `optimize` call: the support's size and the gates with their qubits
+as positions in the sorted support. A gate set on other qubits shares that
+closure's group, word table, scalars and phase columns, seen through
+templates on its own qubits. A closure extends the closure H of the list
+without its last gate when H's templates lead; a count of H's cosets, or
+Lagrange when the gate adds qubits, refutes most over-cap groups before any
+BFS. The scan carries a segment as its parts, each with its closure, and
+`_grow` closes only the part a new gate joins: in phase-insensitive mode the
+parts share no qubit and the segment's order is their product's, held to the
+whole segment's cap W, with no order cached, and the joined part stops at the
+bound W leaves it over the other parts' order up to scalars; phase-sensitive
+mode keeps one part, the segment. A segment's
 word depends on its own gates only: ties break by the first position of each
 generator in the segment, whose gates are emitted.
 """
@@ -99,7 +104,10 @@ class WordTable:
 
 def build_word_table(group: FiniteMatrixGroup, order: list[int] | None = None) -> WordTable:
     """The BFS over the input slots in `order`, a list or tuple that permutes
-    them (all, in index order, by default); InvalidSpec for any other `order`."""
+    them (all, in index order, by default); InvalidSpec for any other `order`
+    or for a group that is not a FiniteMatrixGroup."""
+    if not isinstance(group, FiniteMatrixGroup):
+        raise InvalidSpec(f"group must be a FiniteMatrixGroup, got {type(group).__name__}")
     # close_group found every element along `right` (in any `order`), so the BFS reaches them all
     n, k = group.right.shape
     if order is not None and not (isinstance(order, (list, tuple)) and all(map(_is_int, order))
@@ -123,13 +131,14 @@ def build_word_table(group: FiniteMatrixGroup, order: list[int] | None = None) -
 
 # -- segment scan ------------------------------------------------------------
 
-@dataclass
-class _Closure:
-    """A closed segment group, shared with its tables by segments of one gate set."""
+@dataclass(eq=False)
+class _Local:
+    """A closed gate set on the positions 0..k-1 of its sorted support, with
+    the tables read from it, shared by every support it is closed on."""
 
     group: FiniteMatrixGroup
-    templates: list[GateInstance]   # one per input generator of the group
-    template_of_key: dict[tuple, int]
+    templates: list[tuple]      # the local key of one gate per input generator
+    slot_of: dict[tuple, int]   # local gate key -> its input generator
 
     @cached_property
     def words(self) -> WordTable:
@@ -140,11 +149,11 @@ class _Closure:
         """Indices of the scalar elements c*I: an element equals p up to a
         global phase iff it is p*s for one of them."""
         mats = self.group.mats
-        # a scalar's first row and column are zero off the diagonal, real and
-        # imaginary parts alike: only the few elements that pass that take the
-        # full distance
-        edge = np.concatenate([mats[:, 0, 1:], mats[:, 1:, 0]], axis=1).view(np.float64)
-        cand = np.flatnonzero(np.all(np.abs(edge) <= TOL, axis=1))
+        # a unitary within TOL of c*I has |m00| within TOL of 1 and its last
+        # diagonal entry within TOL of m00: only the elements that pass both
+        # take the full distance
+        m00 = mats[:, 0, 0]
+        cand = np.flatnonzero((np.abs(np.abs(m00) - 1) <= TOL) & (np.abs(mats[:, -1, -1] - m00) <= TOL))
         dists = np.max(np.abs(mats[cand] - mats[cand, :1, :1] * np.eye(mats.shape[1])), axis=(1, 2))
         return cand[dists <= TOL]
 
@@ -154,6 +163,20 @@ class _Closure:
         is the scalar times mats[p], a scalar being central; column p holds the
         elements equal to p up to a global phase."""
         return self.group.columns(self.scalars)
+
+
+@dataclass
+class _Closure:
+    """A closed segment group seen on one support: `local` with its templates
+    and gate keys on the support's qubits."""
+
+    local: _Local
+    templates: list[GateInstance]   # one per input generator of the group
+    template_of_key: dict[tuple, int]
+
+    @property
+    def group(self) -> FiniteMatrixGroup:
+        return self.local.group
 
 
 _Part = tuple[list[GateInstance], _Closure, frozenset[int]]  # gates, their closure, their qubits
@@ -257,40 +280,55 @@ def _support(gates: list[GateInstance]) -> tuple[int, ...]:
     return tuple(sorted({q for g in gates for q in g.qubits}))
 
 
-def _key(gates: list[GateInstance]) -> tuple:
-    return _support(gates), frozenset(g.key() for g in gates)
+def _key(gates: list[GateInstance]) -> tuple[tuple, tuple[int, ...], dict[tuple, tuple]]:
+    """The local key of `gates` (their support's size and local gate keys: the qubits
+    as positions in the sorted support), their support, and each gate's local key."""
+    support = _support(gates)
+    at = {q: i for i, q in enumerate(support)}
+    local = {g.key(): (g.kind, tuple(at[q] for q in g.qubits), g.angle) for g in gates}
+    return (len(support), frozenset(local.values())), support, local
 
 
 def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
-           base: _Closure | None = None) -> _Closure | str:
-    """The closure of `gates`, cached by support and key set, or its SKIPPED
-    status past the caps or at a key collision; the generators come from
-    gate_generators. When the templates of `base`, the closure H of gates[:-1], lead those of
+           base: _Closure | None = None, bound: int | None = None) -> _Closure | str:
+    """The closure of `gates`, or its SKIPPED status past the caps or at a key
+    collision; the generators come from gate_generators. One closure or
+    status is cached per local key, so a gate set on other qubits shares its
+    group, words, scalars and phase_equal, seen through templates on its own
+    qubits. When the templates of `base`, the closure H of gates[:-1], lead those of
     `gates`, close_group extends H, counting its cosets first, which
     renumbers the elements only; otherwise the closure starts fresh. A gate
     on new qubits outside H gives 2|H| or more elements (Lagrange): past the
-    cap if 2|H| is, so H is not embedded."""
-    key = _key(gates)
-    if key in cache:
-        return cache[key]
-    support, result = key[0], "skipped-cap"
-    try:
-        mats, slots = gate_generators(gates, support)
-        templates = [gates[slots.index(s)] for s in range(len(mats))]
-        cap = _effective_cap(1 << len(support), len(mats), cfg)
-        if cap >= 2 and not (base is not None and 2 * base.group.order > cap and _outside(gates)):
-            leads = base is not None and templates[:len(base.templates)] == base.templates
-            seed = _seed(base, gates, support) if leads else None
-            group = close_group(mats, ClosureConfig(max_order=cap), seed)
-            result = _Closure(group, templates, {g.key(): s for g, s in zip(gates, slots)})
-    except OrderCapExceeded:
-        pass
-    except KeyCollision:
-        # the generators or their products are not tolerance-separated, which
-        # only happens for dense (non-finite) sets
-        result = "skipped-collision"
-    cache[key] = result
-    return result
+    cap if 2|H| is, so H is not embedded. `bound`, below the cap, takes its
+    place in both tests; a refusal under it is cached as that bound, which
+    refuses every bound up to it, and a closure or collision as the set's own."""
+    key, support, local = _key(gates)
+    result = cache.get(key)
+    if result is None or isinstance(result, int) and (bound is None or bound > result):
+        result = "skipped-cap"
+        try:
+            mats, slots = gate_generators(gates, support)
+            templates = [gates[slots.index(s)] for s in range(len(mats))]
+            cap = _effective_cap(1 << len(support), len(mats), cfg)
+            limit = cap if bound is None else min(cap, bound)
+            if cap >= 2 and limit >= 1 and not (base is not None and 2 * base.group.order > limit
+                                               and _outside(gates)):
+                leads = base is not None and templates[:len(base.templates)] == base.templates
+                seed = _seed(base, gates, support) if leads else None
+                group = close_group(mats, ClosureConfig(max_order=limit), seed)
+                result = _Local(group, [local[g.key()] for g in templates],
+                                {local[g.key()]: s for g, s in zip(gates, slots)})
+        except OrderCapExceeded:
+            pass
+        except KeyCollision:
+            # the generators or their products are not tolerance-separated, which
+            # only happens for dense (non-finite) sets, whatever the cap
+            result = "skipped-collision"
+        cache[key] = limit if result == "skipped-cap" and limit < cap else result
+    if not isinstance(result, _Local):
+        return "skipped-cap" if isinstance(result, int) else result
+    templates = [GateInstance(kind, tuple(support[i] for i in qs), angle) for kind, qs, angle in result.templates]
+    return _Closure(result, templates, {k: result.slot_of[lk] for k, lk in local.items()})
 
 
 def _grow(gates: list[GateInstance], parts: list[_Part], cfg: OptimizeConfig, cache: dict) -> _Segment | str:
@@ -301,22 +339,27 @@ def _grow(gates: list[GateInstance], parts: list[_Part], cfg: OptimizeConfig, ca
     multiple; only that joined part is closed, from the carried closure when it
     joins one part and from its closure without the gate when it joins several.
     Up to scalars the product is direct, and its scalars, cyclic like the
-    parts', number lcm(s_i); it is held to the whole segment's cap, with the
-    parts' templates as its generators."""
+    parts', number lcm(s_i); it is held to the whole segment's cap W, with the
+    parts' templates as its generators. Its order, lcm(s_i) * prod |G_i| / s_i,
+    is at least |G_new| * P for P the others' prod |G_i| / s_i, so the joined
+    part is closed under the bound W // P, W taken with one generator for it."""
     g = gates[-1]
     hit = [i for i, (_, _, qs) in enumerate(parts) if not cfg.phase_insensitive or not qs.isdisjoint(g.qubits)]
     qubits = frozenset(g.qubits).union(*(parts[i][2] for i in hit))
     joined = parts[hit[0]][0] + [g] if len(hit) == 1 else [x for x in gates if x.qubits[0] in qubits]
     base = parts[hit[0]][1] if len(hit) == 1 else _close(joined[:-1], cfg, cache) if hit else None
-    closure = _close(joined, cfg, cache, base if isinstance(base, _Closure) else None)
+    parts = [p for i, p in enumerate(parts) if i not in hit]
+    dim = 1 << (len(qubits) + sum(len(qs) for _, _, qs in parts))
+    bound = (_effective_cap(dim, 1 + sum(len(c.templates) for _, c, _ in parts), cfg)
+             // math.prod(c.group.order // len(c.local.scalars) for _, c, _ in parts))
+    closure = _close(joined, cfg, cache, base if isinstance(base, _Closure) else None, bound)
     if isinstance(closure, str):
         return closure
-    parts = [p for i, p in enumerate(parts) if i not in hit]
     parts.insert(hit[0] if hit else len(parts), (joined, closure, qubits))
     if len(parts) == 1:
         return closure.group.order, parts
-    cap = _effective_cap(1 << sum(len(qs) for _, _, qs in parts), sum(len(c.templates) for _, c, _ in parts), cfg)
-    scalars = [len(c.scalars) for _, c, _ in parts]
+    cap = _effective_cap(dim, sum(len(c.templates) for _, c, _ in parts), cfg)
+    scalars = [len(c.local.scalars) for _, c, _ in parts]
     order = math.lcm(*scalars) * math.prod(c.group.order // s for (_, c, _), s in zip(parts, scalars))
     return (order, parts) if 2 <= cap and order <= cap else "skipped-cap"
 
@@ -354,9 +397,9 @@ def _rewrite_segment(gates: list[GateInstance], closed: _Segment, cfg: OptimizeC
             if g.key() in c.template_of_key:
                 first.setdefault(c.template_of_key[g.key()], i)
         ranked, at = list(first), list(first.values())
-        wt = c.words if ranked == sorted(ranked) else build_word_table(c.group, ranked)
+        wt = c.local.words if ranked == sorted(ranked) else build_word_table(c.group, ranked)
         product = walk(c.group.right, [c.template_of_key[g.key()] for g in part])
-        candidates = c.phase_equal[:, product].tolist() if cfg.phase_insensitive else [product]
+        candidates = c.local.phase_equal[:, product].tolist() if cfg.phase_insensitive else [product]
         best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
         words.append([at[s] for s in wt.word(best)])
     # the parts' positions are disjoint, so the smallest interleaving takes the smaller head
@@ -391,7 +434,10 @@ def optimize(c: Circuit, cfg: OptimizeConfig | None = None) -> tuple[Circuit, Op
     describe the first sweep (the analysis of the input circuit).
     """
     check_circuit(c)
-    cfg = cfg or OptimizeConfig()
+    if cfg is None:
+        cfg = OptimizeConfig()
+    elif not isinstance(cfg, OptimizeConfig):
+        raise InvalidSpec(f"cfg must be an OptimizeConfig or None, got {cfg!r}")
     body, suffix = c.body_and_suffix()
     report = OptimizationReport(
         gates_before=len(c.gates), depth_before=circuit_depth(c))

@@ -261,6 +261,12 @@ def test_character_table_rejects_a_bad_seed(groups, seed):
         character_table(groups["c2"], seed=seed)
 
 
+@pytest.mark.parametrize("group", ["x", None, 3])
+def test_character_table_rejects_what_is_not_a_group(group):
+    with pytest.raises(InvalidSpec, match="group must be a FiniteMatrixGroup"):
+        character_table(group)
+
+
 # -- class matrices against the per-element definition ------------------------
 
 def _class_matrices_by_element(g):

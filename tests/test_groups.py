@@ -14,7 +14,7 @@ from charforge.errors import (DimensionMismatch, InvalidSpec, KeyCollision,
 from charforge.fixtures import H, I2, S, X, Y, Z, fixture_generators, fixture_group
 from charforge.groups import (TOL, ClosureConfig, ElementLookup, _rows_of, center_and_abelian,
                               close_group, element_of, group_to_json, walk)
-from charforge.optimize import _Closure, _seed
+from charforge.optimize import _Closure, _Local, _seed
 
 T = np.diag([1, np.exp(1j * np.pi / 4)])
 
@@ -658,7 +658,7 @@ def test_seeded_closure_on_a_grown_support_matches_fresh(case):
     support = tuple(sorted({q for g in old + [last] for q in g.qubits}))
     grown, grown_slots = gate_generators(old + [last], support)
     templates = [(old + [last])[grown_slots.index(s)] for s in range(len(grown))]
-    seed = _seed(_Closure(h, templates[:len(mats)], {}), old + [last], support)
+    seed = _seed(_Closure(_Local(h, [], {}), templates[:len(mats)], {}), old + [last], support)
     assert seed.dim == 1 << len(support) > h.dim
     try:
         fresh = close_group(grown, cfg)

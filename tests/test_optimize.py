@@ -19,7 +19,7 @@ from charforge.complexity import CostParams
 from charforge.errors import InvalidSpec, KeyCollision, OrderCapExceeded
 from charforge.fixtures import X, Z
 from charforge.groups import TOL, ClosureConfig, ElementLookup, close_group, element_of, walk
-from charforge.optimize import (OptimizeConfig, _close, _Closure, _effective_cap, _key,
+from charforge.optimize import (OptimizeConfig, _close, _effective_cap, _key, _Local,
                                 _rewrite_segment, build_word_table, equivalence_check, optimize)
 from charforge.tableau import tableau_run
 from phase_oracle import equal_up_to_phase, phase_canonical
@@ -56,6 +56,12 @@ def test_word_table_c2(groups):
     wt = build_word_table(groups["c2"])
     assert wt.word(0) == ()
     assert wt.word(1) == (0,)
+
+
+@pytest.mark.parametrize("group", ["x", None, np.eye(2)])
+def test_a_word_table_needs_a_group(group):
+    with pytest.raises(InvalidSpec, match="group must be a FiniteMatrixGroup"):
+        build_word_table(group)
 
 
 @pytest.mark.parametrize("order", [[0], [5], [1, 1], [0, 1, 2], [1.0, 0], [True, 0], ["0", "1"], "01", 1, {0, 1}])
@@ -175,7 +181,7 @@ def _h0_cx01_s1_group():
                          ids=["clifford1", "h0_cx01_s1"])
 def test_scalar_translates_are_the_phase_equal_elements(make, groups):
     group = make(groups)
-    closure = _Closure(group, [], {})
+    closure = _Local(group, [], {})
     scalars = closure.scalars
     assert 0 in scalars.tolist()
     for p, expected in enumerate(brute_force_phase_classes(group)):
@@ -349,71 +355,177 @@ def test_optimize_computes_no_character_table(monkeypatch, n, marked):
         assert not {"left", "cayley", "inverses", "classes", "class_of"} & set(g.__dict__)
 
 
+def _recording_local_keys(monkeypatch):
+    """Patch the optimizer's _close and close_group to log, for every
+    close_group call, the local key it closes, its max_order and whether
+    _close cached a refusal under a bound for it (an int), in "closed"; and in
+    "refusals" the number of refusals under a bound, with or without a call."""
+    log, close, counted, current = {"closed": [], "refusals": 0}, optimize_module._close, \
+        optimize_module.close_group, [None]
+
+    def recording_close(gates, cfg, cache, base=None, bound=None):
+        current[0] = key = _key(gates)[0]
+        calls, before = len(log["closed"]), cache.get(key)
+        result = close(gates, cfg, cache, base, bound)
+        bounded = isinstance(cache[key], int) and cache[key] is not before
+        log["refusals"] += bounded
+        if len(log["closed"]) > calls:
+            log["closed"][-1][2] = bounded
+        return result
+
+    def recording_close_group(gens, cfg, base=None):
+        log["closed"].append([current[0], cfg.max_order, False])
+        return counted(gens, cfg, base)
+
+    monkeypatch.setattr(optimize_module, "_close", recording_close)
+    monkeypatch.setattr(optimize_module, "close_group", recording_close_group)
+    return log
+
+
+def _closed_once(log) -> bool:
+    """No local key reaches close_group twice, but a part that was refused
+    under a smaller bound than the second call's."""
+    refused_under = {}
+    for key, max_order, bounded in log:
+        if key in refused_under and not (refused_under[key] is not None and refused_under[key] < max_order):
+            return False
+        refused_under[key] = max_order if bounded else None
+    return True
+
+
+def _product_order(gates, cap):
+    """Oracle: the order of the direct product up to scalars of the fresh
+    closures of `gates`' qubit-disjoint parts, lcm(s_i) prod |G_i| / s_i, or
+    None when a part alone passes `cap` or collides."""
+    closures = []
+    for part in _parts(gates):
+        try:
+            closures.append(_Local(close_group(gate_generators(part, _support(part))[0],
+                                               ClosureConfig(max_order=cap)), [], {}))
+        except (OrderCapExceeded, KeyCollision):
+            return None
+    scalars = [len(c.scalars) for c in closures]
+    return math.lcm(*scalars) * math.prod(c.group.order // s for c, s in zip(closures, scalars))
+
+
 # (rows, close_group calls, closures that reach the BFS and fail, refutations
 # before any BFS: (by the coset count, by Lagrange on new qubits, split
-# segments that _grow refuses by their parts or their product order)) on the bench rows at
-# seed 0. With a second cache entry for a gate set closed as a part and as a
-# segment, the calls were 15, 20 and 186 and the n2-4 coset refutations 25.
-# Before segments were closed part by part the three were (16, 0, (0, 2)),
-# (25, 0, (3, 1)) and (190, 3, (33, 0)); before the coset count the bv-5 and
-# vqe-6 triples (calls, failures, Lagrange refutations) were (16, 0, 2) and
-# (23, 1, 3), and without any refutation the calls were 18 and 26 and the
-# failures 2 and 4
+# segments that _grow refuses by their parts or their product order, steps whose
+# joined part is refused under W // P)) on the bench rows at seed 0. The coset count
+# and the BFS also stop parts under W // P. Before one closure per local key and that
+# bound, they were (13, 0, (0, 0, 2)), (19, 0, (0, 1, 3)) and (181, 4, (24, 0, 15)). With a second cache
+# entry for a gate set closed as a part and as a segment, the calls were 15, 20 and 186
+# and the n2-4 coset refutations 25. Before segments were closed part by part the three
+# were (16, 0, (0, 2)), (25, 0, (3, 1)) and (190, 3, (33, 0)); before the coset count the
+# bv-5 and vqe-6 triples (calls, failures, Lagrange refutations) were (16, 0, 2) and
+# (23, 1, 3), and without any refutation the calls were 18 and 26 and the failures 2 and 4
 @pytest.mark.parametrize("rows, calls, failures, refuted", [
-    pytest.param([("bv", 5)], 13, 0, (0, 0, 2), id="bv-5"),
-    pytest.param([("vqe", 6)], 19, 0, (0, 1, 3), id="vqe-6"),
+    pytest.param([("bv", 5)], 8, 0, (0, 0, 2, 0), id="bv-5"),
+    pytest.param([("vqe", 6)], 10, 0, (2, 1, 3, 2), id="vqe-6"),
     pytest.param(list(itertools.product(("bv", "qft", "grover", "vqe"), range(2, 5))),
-                 181, 4, (24, 0, 15), id="n2-4"),
+                 142, 6, (27, 0, 15, 12), id="n2-4"),
 ])
 def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
     log = _recording_close_group(monkeypatch)
-    outside_refuted, split_refused, refused, closing, closed_keys = [], [], {}, [None], []
-    outside, close, grow = optimize_module._outside, optimize_module._close, optimize_module._grow
-    counted = optimize_module.close_group
+    keys = _recording_local_keys(monkeypatch)
+    outside_refuted, split_refused, refused, bound_refused = [], [], {}, []
+    outside, grow = optimize_module._outside, optimize_module._grow
 
     def recording_outside(gates):
         result = outside(gates)
-        if result:  # only asked when 2|H| exceeds the cap: a refutation
+        if result:  # only asked when 2|H| exceeds the cap or the bound: a refutation
             outside_refuted.append(list(gates))
         return result
 
-    def recording_close(gates, cfg, cache, base=None):
-        closing[0] = _key(gates)
-        return close(gates, cfg, cache, base)
-
-    def recording_close_group(*args, **kwargs):
-        closed_keys.append(closing[0])
-        return counted(*args, **kwargs)
-
     def recording_grow(gates, parts, cfg, cache):
+        refusals = keys["refusals"]
         result = grow(gates, parts, cfg, cache)
         if isinstance(result, str) and len(_parts(gates)) > 1:
             refused.setdefault(frozenset(g.key() for g in gates), list(gates))  # once per optimize call
+        if keys["refusals"] > refusals:
+            bound_refused.append(list(gates))
         return result
 
     monkeypatch.setattr(optimize_module, "_outside", recording_outside)
-    monkeypatch.setattr(optimize_module, "_close", recording_close)
-    monkeypatch.setattr(optimize_module, "close_group", recording_close_group)
     monkeypatch.setattr(optimize_module, "_grow", recording_grow)
     for suite, n in rows:
-        closed_keys.clear()
+        keys["closed"].clear()
         refused.clear()
         optimize(build_benchmark(_spec_for(suite, n, 0)), FAST)
-        # no (support, key set) reaches close_group twice in one optimize call
-        assert len(closed_keys) == len(set(closed_keys))
+        assert _closed_once(keys["closed"])
         split_refused += refused.values()
-    assert (log["calls"], log["failures"],
-            (len(log["refuted"]), len(outside_refuted), len(split_refused))) == (calls, failures, refuted)
+    assert (log["calls"], log["failures"], (len(log["refuted"]), len(outside_refuted), len(split_refused),
+                                            len(bound_refused))) == (calls, failures, refuted)
     # oracle: closing each refuted candidate from the identity at its cap fails
     cases = [args[:2] for args in log["refuted"]]
     for gates in outside_refuted + split_refused:
-        support = tuple(sorted({q for g in gates for q in g.qubits}))
+        support = _support(gates)
         mats, _ = gate_generators(gates, support)
         cap = _effective_cap(1 << len(support), len(mats), FAST)
         cases.append((mats, ClosureConfig(max_order=cap)))
     for mats, cfg in cases:
         with pytest.raises((OrderCapExceeded, KeyCollision)):
             close_group(mats, cfg)
+    # and for each part refused under W // P, the whole segment's product order passes W
+    for gates in bound_refused:
+        n_gens = sum(len(gate_generators(part, _support(part))[0]) for part in _parts(gates))
+        cap = _effective_cap(1 << len(_support(gates)), n_gens, FAST)
+        order = _product_order(gates, cap)
+        assert order is None or order > cap
+
+
+@pytest.mark.parametrize("text, bounds, segments", [
+    # {h 0, s 0} has order 192 and 8 scalars, so P = 24 and W // P = 2896 // 24 = 120: the
+    # order-192 part {h 1, sdg 1} stops at 120, where its own cap is 2896
+    ("qubits 2\nh 0\ns 0\nh 1\nsdg 1\n", [2896, 2896, 120, 2896],
+     [(0, 3, "kept", 3, 3, 384), (3, 4, "kept", 1, 1, 4)]),
+    # the permutation groups S4 on qubits 0, 1 and S3 on 2, 3 have one scalar each, so
+    # P = 144 and W // P = 256 // 144 = 1 over six qubits: the order-1 cp(0) part closes under
+    # max_order 1, where a cap of 1 would have refused it
+    ("qubits 6\nx 0\ncx 0 1\ncx 1 0\ncx 2 3\ncx 3 2\ncp(0) 4 5\n", [2896, 2896, 2896, 120, 120, 1],
+     [(0, 6, "rewritten", 6, 5, 144)]),
+], ids=["clifford-parts", "order-one-part"])
+def test_a_joined_part_is_closed_under_the_bound_the_other_parts_leave(monkeypatch, text, bounds, segments):
+    keys = _recording_local_keys(monkeypatch)
+    _, report = optimize(parse_circuit(text), FAST)
+    assert [max_order for _, max_order, _ in keys["closed"]] == bounds
+    # the records the optimizer wrote when every part closed to its own cap
+    assert [(s.start, s.end, s.status, s.gates_before, s.gates_after, s.group_order)
+            for s in report.segments] == segments
+
+
+_KEY_KINDS = ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "cx", "cz", "cp", "swap")
+# 4e-8 from the identity, between TOL and 8 TOL: it collides at once, so it ends a segment and stands alone
+_SEAL = gate("cp", 0, 1, angle=4e-8)
+
+
+@st.composite
+def _relabelled_gate_lists(draw):
+    """1-5 gates on the qubits 0..k-1, k = 1..3, with cp at 2 pi / m, and an
+    injective relabelling of those qubits into 0..5."""
+    k = draw(st.integers(1, 3))
+    gates = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from([kind for kind in _KEY_KINDS if GATE_ARITY[kind] <= k]))
+        angle = 2 * math.pi / draw(st.integers(1, 8)) if kind == "cp" else None
+        gates.append(gate(kind, *draw(st.permutations(range(k)))[:GATE_ARITY[kind]], angle=angle))
+    return gates, draw(st.permutations(range(6)))[:k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_relabelled_gate_lists(), st.booleans())
+def test_a_relabelled_gate_list_is_rewritten_as_the_first_through_the_local_key(case, phase_insensitive):
+    gates, relabel = case
+    moved = [GateInstance(g.kind, tuple(relabel[q] for q in g.qubits), g.angle) for g in gates]
+    c = Circuit(6, (*gates, _SEAL, *moved))
+    with pytest.MonkeyPatch.context() as patch:
+        keys = _recording_local_keys(patch)
+        out, _ = optimize(c, OptimizeConfig(phase_insensitive=phase_insensitive, run_equivalence=False))
+    assert equal_up_to_phase(body_unitary(out), body_unitary(c))
+    at = out.gates.index(_SEAL)
+    assert out.gates[at + 1:] == tuple(GateInstance(g.kind, tuple(relabel[q] for q in g.qubits), g.angle)
+                                       for g in out.gates[:at])
+    assert _closed_once(keys["closed"])
 
 
 def test_generators_that_collide_are_refused():
@@ -467,6 +579,10 @@ def _parts(gates):
 
 def _qubits(gates):
     return frozenset(q for g in gates for q in g.qubits)
+
+
+def _support(gates):
+    return tuple(sorted(_qubits(gates)))
 
 
 def _grown(gates, cache):
@@ -700,6 +816,14 @@ def test_equivalence_rejects_bad_seed_and_non_integer_shots(shots, seed):
     c = build_qft(2)
     with pytest.raises(InvalidSpec, match="seed" if shots == 100 else "shots"):
         equivalence_check(c, c, shots=shots, seed=seed)
+
+
+@pytest.mark.parametrize("cfg", ["x", 0, {"max_order": 10}, OptimizeConfig])
+def test_optimize_takes_an_optimize_config_or_none(cfg):
+    c = parse_circuit("qubits 1\nh 0\nh 0\n")
+    with pytest.raises(InvalidSpec, match="cfg must be an OptimizeConfig or None"):
+        optimize(c, cfg)
+    assert optimize(c, None)[0].gates == ()
 
 
 @pytest.mark.parametrize("max_order", [0, -3, 1.5])

@@ -9,7 +9,10 @@ as `run_bench` optimizes it. A sha256 is fed the optimized circuit text, the
 JSON of the report's segments and the repr of the `cost_model` value. The
 first 16 hex digits are printed; a refactor that keeps them keeps every
 rewrite, segment record and cost of the 20 rows in both modes. The next two
-lines count the closures the optimizer and `cost_model` build in each mode.
+lines count the closures the optimizer and `cost_model` build in each mode:
+the close_group calls, one per local key (a gate set on other qubits of the
+same pattern is a cache hit) in each `optimize` and `cost_model` call, and
+again for a part first refused under the bound the other parts leave.
 
 The last line digests the closures the group commands build: for the gate
 sets of the analyze-groups workload in perfbench/workloads.py, each closed by
