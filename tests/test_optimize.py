@@ -556,6 +556,19 @@ def test_a_base_that_does_not_lead_closes_fresh():
     assert grown.templates == fresh.templates
 
 
+def test_a_gate_set_on_other_qubits_shares_the_closure_seen_on_its_own_qubits(monkeypatch):
+    cache = {}
+    first = _close([gate("h", 0), gate("cx", 0, 1)], FAST, cache)
+    log = _recording_close_group(monkeypatch)
+    moved = _close([gate("cx", 3, 5), gate("h", 3)], FAST, cache)
+    assert log["calls"] == 0 and moved.local is first.local
+    assert moved.templates == [gate("h", 3), gate("cx", 3, 5)]
+    assert moved.template_of_key == {gate("h", 3).key(): 0, gate("cx", 3, 5).key(): 1}
+    # the control above the target is another local gate set
+    assert _close([gate("h", 5), gate("cx", 5, 3)], FAST, cache).group.order == first.group.order
+    assert log["calls"] == 1
+
+
 def test_a_base_that_leads_keeps_the_fresh_templates():
     h0, s0, x0 = gate("h", 0), gate("s", 0), gate("x", 0)
     base = _close([h0, s0], FAST, {})
