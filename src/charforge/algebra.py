@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CharacterTable
+from .characters import CharacterTable, check_table
 from .errors import GroupMismatch, InvalidSpec
-from .groups import COLUMN_CHUNK, FiniteMatrixGroup
+from .groups import COLUMN_CHUNK, FiniteMatrixGroup, check_group
 from .histogram import _is_int
 from .linalg import max_abs
 
@@ -26,6 +26,7 @@ class AlgebraElement:
     coeffs: np.ndarray  # (|G|,) complex
 
     def __post_init__(self):
+        check_group(self.group)
         try:
             self.coeffs = np.asarray(self.coeffs, dtype=complex)
         except (TypeError, ValueError) as e:
@@ -37,8 +38,16 @@ class AlgebraElement:
             raise InvalidSpec("coefficients must be finite")
 
 
+def _check_elements(*us) -> None:
+    """Raises InvalidSpec naming the type of any of `us` that is not an AlgebraElement."""
+    for u in us:
+        if not isinstance(u, AlgebraElement):
+            raise InvalidSpec(f"expected an AlgebraElement, got {type(u).__name__}")
+
+
 def delta(group: FiniteMatrixGroup, g: int) -> AlgebraElement:
     """The basis element supported on group element g, an integer in 0..|G|-1."""
+    check_group(group)
     if not _is_int(g) or not 0 <= g < group.order:
         raise InvalidSpec(f"element index must be an integer in 0..{group.order - 1}, got {g!r}")
     c = np.zeros(group.order, dtype=complex)
@@ -48,6 +57,7 @@ def delta(group: FiniteMatrixGroup, g: int) -> AlgebraElement:
 
 def random_element(group: FiniteMatrixGroup, rng: np.random.Generator) -> AlgebraElement:
     """Coefficients uniform in the complex unit square."""
+    check_group(group)
     c = rng.random(group.order) + 1j * rng.random(group.order)
     return AlgebraElement(group, c)
 
@@ -55,6 +65,7 @@ def random_element(group: FiniteMatrixGroup, rng: np.random.Generator) -> Algebr
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """(a * b)[h] = sum over g1 g2 = h of a[g1] b[g2], exact via the group
     tables (up to float accumulation)."""
+    _check_elements(a, b)
     if a.group is not b.group:
         raise GroupMismatch("algebra elements live over different groups")
     return AlgebraElement(a.group, _convolve_rows(a.coeffs[None], [b])[0][0])
@@ -84,11 +95,14 @@ def _convolve_rows(rows: np.ndarray, bs: list[AlgebraElement]) -> list[np.ndarra
 
 def to_matrix(u: AlgebraElement) -> np.ndarray:
     """Image of u in the defining representation: sum_g u[g] U(g)."""
+    _check_elements(u)
     return np.einsum("g,gab->ab", u.coeffs, u.group.mats)
 
 
 def characters_of(u: AlgebraElement, table: CharacterTable) -> np.ndarray:
     """chi_i(u) = sum_g u[g] chi_i(class of g), for every irrep i."""
+    _check_elements(u)
+    check_table(table)
     if table.group_order != u.group.order:
         raise GroupMismatch("table order does not match the element's group")
     per_element = table.values[:, u.group.class_of]  # (k, |G|)
@@ -121,8 +135,12 @@ def decompose_element(
     The reconstruction residual max|sum_i u_i - u| is an identity of the
     calculus and lands at float precision. When the (k, dim, dim) projectors
     are supplied the matrix-side split P_i M(u) with sum_i P_i M(u) = M(u) is
-    returned too. Raises GroupMismatch if either array is another group's.
+    returned too. Raises GroupMismatch if either array is another group's,
+    and InvalidSpec unless u is an AlgebraElement and the arrays numpy arrays.
     """
+    _check_elements(u)
+    if not isinstance(idempotents, np.ndarray) or not isinstance(projectors, (np.ndarray, type(None))):
+        raise InvalidSpec("idempotents and projectors must be numpy arrays")
     return _decompose_elements([u], idempotents, projectors)[0]
 
 
@@ -163,6 +181,8 @@ def statement_formula_residual(
     residual is zero only in degenerate situations (e.g. the trivial group).
     Raises GroupMismatch unless the idempotents are (table.k, |G|).
     """
+    _check_elements(u)
+    check_table(table)
     if np.shape(idempotents) != (table.k, u.group.order):
         raise GroupMismatch(f"idempotents of shape {np.shape(idempotents)} are not (k, |G|) = "
                             f"{(table.k, u.group.order)}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DegenerateSpectrum, GroupMismatch, InvalidSpec, NonIntegralDegree,
                      NonIntegralMultiplicity, OrthogonalityViolation)
-from .groups import FiniteMatrixGroup
+from .groups import FiniteMatrixGroup, check_group
 from .histogram import check_seed
 
 # bound on verify_orthogonality's max residual for a table character_table
@@ -43,6 +43,12 @@ class CharacterTable:
         return f"CharacterTable(k={self.k}, degrees={self.degrees.tolist()}, |G|={self.group_order})"
 
 
+def check_table(table) -> None:
+    """Raises InvalidSpec naming the type of a `table` that is not a CharacterTable."""
+    if not isinstance(table, CharacterTable):
+        raise InvalidSpec(f"table must be a CharacterTable, got {type(table).__name__}")
+
+
 @dataclass
 class OrthogonalityReport:
     row_residual: float
@@ -59,6 +65,7 @@ def class_matrices(group: FiniteMatrixGroup) -> np.ndarray:
     z_m y^-1 in C_j}, one bincount over the columns y -> y z_m^-1 walked along `right`,
     z_m^-1 the first member of its class. It raises AssertionError, as the generator tables
     are then corrupt, if a recount at the last member differs or a power walk misses 1."""
+    check_group(group)
     return _class_structure(group)[0]
 
 
@@ -95,8 +102,7 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
     do not sum to d_i, and, as a backstop, OrthogonalityViolation when the
     orthogonality residual exceeds ORTH_RESIDUAL_MAX; InvalidSpec for a group
     that is not a FiniteMatrixGroup."""
-    if not isinstance(group, FiniteMatrixGroup):
-        raise InvalidSpec(f"group must be a FiniteMatrixGroup, got {type(group).__name__}")
+    check_group(group)
     check_seed(seed)
     k, order = len(group.classes), group.order
     sizes = np.array([len(c) for c in group.classes], dtype=np.float64)
@@ -145,6 +151,7 @@ def character_table(group: FiniteMatrixGroup, seed: int = 0) -> CharacterTable:
 def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
     """Max residuals of the two character orthogonality relations plus
     |sum d_i^2 - |G||, all non-negative."""
+    check_table(table)
     chi = table.values
     sizes = table.class_sizes.astype(np.float64)
     n = float(table.group_order)
@@ -159,6 +166,8 @@ def central_idempotents(group: FiniteMatrixGroup, table: CharacterTable) -> np.n
     """(k, |G|) array, of table.values' dtype, whose row i is e_i, with
     coefficient (d_i/|G|) chi_i(g^-1) on each element g. Raises GroupMismatch
     if the table's order, k or class sizes are not the group's."""
+    check_group(group)
+    check_table(table)
     sizes = [len(c) for c in group.classes]
     if (table.group_order, table.k, table.class_sizes.tolist()) != (group.order, len(sizes), sizes):
         raise GroupMismatch(f"{table!r} is not the table of this group of order {group.order}")
@@ -178,6 +187,7 @@ def isotypic_projectors(group: FiniteMatrixGroup, table: CharacterTable) -> np.n
 def character_table_csv(table: CharacterTable) -> str:
     """CSV form: header `class_size,<size_1>,...,<size_k>`, then one row per
     irrep: the degree followed by the values as a+/-bi with 9 decimals."""
+    check_table(table)
     lines = ["class_size," + ",".join(str(int(s)) for s in table.class_sizes)]
     for d, row in zip(table.degrees, table.values):
         lines.append(",".join([str(int(d))] + [

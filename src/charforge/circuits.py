@@ -327,18 +327,12 @@ def gate_generators(gates, support: tuple[int, ...]) -> tuple[list[np.ndarray], 
     """Distinct unitaries of `gates` embedded over `support` (local qubit i
     is support[i]), merged within TOL as close_group merges elements, in
     first-seen order, and the position in that list of each gate's unitary.
-    The gates on one qubit tuple are embedded as one stack. Raises
-    KeyCollision for two unitaries between TOL and 8*TOL apart."""
+    Raises KeyCollision for two unitaries between TOL and 8*TOL apart."""
     distinct = list({g.key(): g for g in gates}.values())
     if not distinct:
         return [], []
-    by_qubits: dict[tuple[int, ...], list[int]] = {}
-    for i, g in enumerate(distinct):
-        by_qubits.setdefault(g.qubits, []).append(i)
-    mats = np.empty((len(distinct), 1 << len(support), 1 << len(support)), dtype=complex)
-    for qubits, idx in by_qubits.items():
-        local = np.stack([gate_matrix(distinct[i].kind, distinct[i].angle) for i in idx])
-        mats[idx] = embed_gate(local, tuple(map(support.index, qubits)), len(support))
+    mats = np.array([embed_gate(gate_matrix(g.kind, g.angle), tuple(map(support.index, g.qubits)), len(support))
+                     for g in distinct])
     slots, new = ElementLookup(len(mats[0])).find(mats, len(mats))
     slot_of_gate = {g.key(): slot for g, slot in zip(distinct, slots.tolist())}
     return list(mats[new]), [slot_of_gate[g.key()] for g in gates]

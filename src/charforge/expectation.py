@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .characters import CharacterTable
+from .characters import CharacterTable, check_table
 from .circuits import Circuit, check_circuit, gate_generators
 from .errors import DimensionMismatch, ElementNotInGroup
-from .groups import FiniteMatrixGroup, element_of, walk
+from .groups import FiniteMatrixGroup, check_group, element_of, walk
 from .observables import Observable
 from .statevector import expectation_of_state, sv_expectation, zero_state
 
@@ -23,6 +23,7 @@ def circuit_element(c: Circuit, group: FiniteMatrixGroup) -> int:
     """Element index in `group` of the circuit's measure-free body. Raises DimensionMismatch
     unless group.dim is 2**n, and ElementNotInGroup when a gate is not an element."""
     check_circuit(c)
+    check_group(group)
     if group.dim != 1 << c.n_qubits:
         raise DimensionMismatch(f"a {c.n_qubits}-qubit circuit in a group of dimension {group.dim}")
     body = c.body_and_suffix()[0]
@@ -41,6 +42,7 @@ def paper_expectation_formula(
 ) -> tuple[float, float]:
     """Closed-form value |G|^2 <psi0|O|psi0> sum_i |chi_i(U)|^2 / d_i^2 and
     its absolute deviation from the state-vector oracle."""
+    check_table(table)
     g = circuit_element(c, group)
     chars = table.values[:, group.class_of[g]]
     degrees = table.degrees.astype(np.float64)
@@ -53,4 +55,5 @@ def paper_expectation_formula(
 
 def degree_square_sum(table: CharacterTable) -> float:
     """sum_i d_i^2 / |G|; exactly 1 after integer rounding of degrees."""
+    check_table(table)
     return float(np.sum(table.degrees.astype(np.int64) ** 2)) / table.group_order

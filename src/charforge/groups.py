@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, KeyCollision, OrderCapExceeded
 from .histogram import _is_int
-from .linalg import check_unitaries
+from .linalg import check_unitary
 
 # builder cp angles are quantized to 10 significant digits for the text
 # format, which drifts products by a few 1e-10 per multiplication; a 1e-8
@@ -313,6 +313,12 @@ class FiniteMatrixGroup:
         return out
 
 
+def check_group(group) -> None:
+    """Raises InvalidSpec naming the type of a `group` that is not a FiniteMatrixGroup."""
+    if not isinstance(group, FiniteMatrixGroup):
+        raise InvalidSpec(f"group must be a FiniteMatrixGroup, got {type(group).__name__}")
+
+
 def _rows_of(mats: np.ndarray) -> np.ndarray | None:
     """The rows [phi | sigma] of a stack of unitaries, M e_i = phi_i e_sigma(i)
     with sigma as complex numbers; None unless each column has one nonzero
@@ -389,7 +395,7 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
         raise InvalidSpec(f"base must be a FiniteMatrixGroup, got {type(base).__name__}")
     if not isinstance(generators, (list, tuple)) and np.ndim(generators) != 3:
         raise InvalidSpec(f"generators must be a list, tuple or (k, d, d) array, got {type(generators).__name__}")
-    gens = check_unitaries(generators)
+    gens = [check_unitary(g) for g in generators]
     if not gens:
         raise DimensionMismatch("need at least one generator to fix the dimension")
     dim = gens[0].shape[0]
@@ -465,8 +471,7 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
 def element_of(group: FiniteMatrixGroup, m: np.ndarray) -> int | None:
     """Index of the unique element matching m within TOL,
     or None when absent."""
-    if not isinstance(group, FiniteMatrixGroup):
-        raise InvalidSpec(f"group must be a FiniteMatrixGroup, got {type(group).__name__}")
+    check_group(group)
     try:
         m = np.asarray(m, dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -491,6 +496,7 @@ def walk(steps: np.ndarray, slots) -> int:
 def center_and_abelian(group: FiniteMatrixGroup) -> tuple[list[int], bool]:
     """Center as element indices plus an is-abelian flag: z is central iff
     its conjugacy class is {z}."""
+    check_group(group)
     center = [c[0] for c in group.classes if len(c) == 1]
     return center, len(center) == group.order
 
@@ -498,6 +504,7 @@ def center_and_abelian(group: FiniteMatrixGroup) -> tuple[list[int], bool]:
 def group_to_json(group: FiniteMatrixGroup) -> dict:
     """Dump format used by the CLI: dim, order, elements as row-major
     [re, im] pair arrays, generator indices, classes."""
+    check_group(group)
     return {
         "dim": group.dim,
         "order": group.order,

@@ -17,6 +17,11 @@ class MeasurementHistogram:
     counts: dict[str, int]
 
     def __post_init__(self):
+        check_shots(self.shots)
+        if not isinstance(self.counts, dict):
+            raise InvalidSpec(f"counts must be a dict, got {type(self.counts).__name__}")
+        if not all(_is_int(v) and v >= 0 for v in self.counts.values()):
+            raise InvalidSpec("counts must be non-negative integers")
         total = sum(self.counts.values())
         if total != self.shots:
             raise InvalidSpec(f"counts sum {total} != shots {self.shots}")

@@ -34,22 +34,6 @@ def check_unitary(m: np.ndarray) -> np.ndarray:
         raise NotUnitary(f"expected a square complex matrix: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise NotUnitary(f"expected a square matrix, got shape {m.shape}")
-    return _within_tol(m)
-
-
-def check_unitaries(ms) -> list[np.ndarray]:
-    """check_unitary of each matrix of a sequence; a uniform (k, d, d) stack
-    of square matrices is checked at once, by one stacked product."""
-    try:
-        stack = np.asarray(ms, dtype=complex)
-    except (TypeError, ValueError):  # ragged or not numbers: each matrix raises its own error
-        stack = None
-    if stack is None or stack.ndim != 3 or not stack.size or stack.shape[1] != stack.shape[2]:
-        return [check_unitary(m) for m in ms]
-    return list(_within_tol(stack))
-
-
-def _within_tol(m: np.ndarray) -> np.ndarray:
     defect = unitarity_defect(m)
     if not defect <= UNITARY_TOL:  # also rejects NaN entries
         raise NotUnitary(f"unitarity defect {defect:.3e} exceeds tol {UNITARY_TOL:.3e}")

@@ -18,17 +18,16 @@ seed read its matrices (`mats`). `_close` closes a gate list once per local
 key in an `optimize` call: the support's size and the gates with their qubits
 as positions in the sorted support. A gate set on other qubits shares that
 closure's group, word table, scalars and phase columns, seen through
-templates on its own qubits. A closure extends the closure H of the list
-without its last gate when H's templates lead; a count of H's cosets, or
-Lagrange when the gate adds qubits, refutes most over-cap groups before any
-BFS. The scan carries a segment as its parts, each with its closure, and
-`_grow` closes only the part a new gate joins: in phase-insensitive mode the
-parts share no qubit and the segment's order is their product's, held to the
-whole segment's cap W, with no order cached, and the joined part stops at the
-bound W leaves it over the other parts' order up to scalars; phase-sensitive
-mode keeps one part, the segment. A segment's
-word depends on its own gates only: ties break by the first position of each
-generator in the segment, whose gates are emitted.
+templates on its own qubits. A closure extends H, the closure of the list
+without its last gate, whose templates lead its generators; a count of H's
+cosets refutes most over-cap groups before any BFS. The scan carries a
+segment as its parts, each with its closure, and `_grow` closes only the
+part a new gate joins: in phase-insensitive mode the parts share no qubit and
+the segment's order is their product's, held to the whole segment's cap W,
+with no order cached, and the joined part stops at the bound W leaves it over
+the other parts' order up to scalars; phase-sensitive mode keeps one part,
+the segment. A segment's word depends on its own gates only: ties break by
+the first position of each generator in the segment, whose gates are emitted.
 """
 
 from __future__ import annotations
@@ -40,10 +39,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import Circuit, GateInstance, check_circuit, circuit_depth, embed_gate, gate_generators, gate_matrix
+from .circuits import Circuit, GateInstance, check_circuit, circuit_depth, embed_gate, gate_generators
 from .errors import InvalidSpec, KeyCollision, OrderCapExceeded, TooWide
-from .fixtures import X, Z
-from .groups import TOL, ClosureConfig, FiniteMatrixGroup, close_group, walk
+from .groups import TOL, ClosureConfig, FiniteMatrixGroup, check_group, close_group, walk
 from .histogram import _is_int, _is_real, check_seed, check_shots
 from .observables import Observable, random_pauli
 from .statevector import SV_MAX_QUBITS, expectation_of_state, marginal_probabilities, run_gates
@@ -106,8 +104,7 @@ def build_word_table(group: FiniteMatrixGroup, order: list[int] | None = None) -
     """The BFS over the input slots in `order`, a list or tuple that permutes
     them (all, in index order, by default); InvalidSpec for any other `order`
     or for a group that is not a FiniteMatrixGroup."""
-    if not isinstance(group, FiniteMatrixGroup):
-        raise InvalidSpec(f"group must be a FiniteMatrixGroup, got {type(group).__name__}")
+    check_group(group)
     # close_group found every element along `right` (in any `order`), so the BFS reaches them all
     n, k = group.right.shape
     if order is not None and not (isinstance(order, (list, tuple)) and all(map(_is_int, order))
@@ -256,16 +253,6 @@ def _effective_cap(dim: int, n_gens: int, cfg: OptimizeConfig) -> int:
     return int(cap)
 
 
-def _outside(gates: list[GateInstance]) -> bool:
-    """True when gates[-1] fails to commute with X or Z on a qubit that gates[:-1]
-    do not touch, so that it is not in their closure embedded over the new support."""
-    g, old = gates[-1], {q for x in gates[:-1] for q in x.qubits}
-    new = [i for i, q in enumerate(g.qubits) if q not in old]
-    local = gate_matrix(g.kind, g.angle)
-    paulis = [embed_gate(p, (i,), len(g.qubits)) for i in new for p in (X, Z)]
-    return any(np.max(np.abs(local @ p - p @ local)) > 2 * TOL for p in paulis)
-
-
 def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -> FiniteMatrixGroup:
     """base.group, the closure of gates[:-1], embedded over `support`; its
     lookup is made on first use."""
@@ -295,29 +282,27 @@ def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
     collision; the generators come from gate_generators. One closure or
     status is cached per local key, so a gate set on other qubits shares its
     group, words, scalars and phase_equal, seen through templates on its own
-    qubits. When the templates of `base`, the closure H of gates[:-1], lead those of
-    `gates`, close_group extends H, counting its cosets first, which
-    renumbers the elements only; otherwise the closure starts fresh. A gate
-    on new qubits outside H gives 2|H| or more elements (Lagrange): past the
-    cap if 2|H| is, so H is not embedded. `bound`, below the cap, takes its
-    place in both tests; a refusal under it is cached as that bound, which
+    qubits. With `base`, the closure H of gates[:-1], the generators list H's
+    templates first, so close_group extends H, counting its cosets first,
+    which renumbers the elements only: a gate outside H with 2|H| past the
+    cap opens a second coset, refused before any BFS. `bound`, below the
+    cap, takes its place; a refusal under it is cached as that bound, which
     refuses every bound up to it, and a closure or collision as the set's own."""
     key, support, local = _key(gates)
     result = cache.get(key)
     if result is None or isinstance(result, int) and (bound is None or bound > result):
         result = "skipped-cap"
         try:
-            mats, slots = gate_generators(gates, support)
-            templates = [gates[slots.index(s)] for s in range(len(mats))]
+            listed = gates if base is None else base.templates + gates
+            mats, slots = gate_generators(listed, support)
+            templates = [listed[slots.index(s)] for s in range(len(mats))]
             cap = _effective_cap(1 << len(support), len(mats), cfg)
             limit = cap if bound is None else min(cap, bound)
-            if cap >= 2 and limit >= 1 and not (base is not None and 2 * base.group.order > limit
-                                               and _outside(gates)):
-                leads = base is not None and templates[:len(base.templates)] == base.templates
-                seed = _seed(base, gates, support) if leads else None
+            if cap >= 2 and limit >= 1:
+                seed = None if base is None else _seed(base, gates, support)
                 group = close_group(mats, ClosureConfig(max_order=limit), seed)
                 result = _Local(group, [local[g.key()] for g in templates],
-                                {local[g.key()]: s for g, s in zip(gates, slots)})
+                                {local[g.key()]: s for g, s in zip(listed, slots)})
         except OrderCapExceeded:
             pass
         except KeyCollision:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import charforge as cf
 from charforge import characters
 from charforge.characters import (CharacterTable, central_idempotents,
                                   character_table, character_table_csv,
@@ -261,10 +262,63 @@ def test_character_table_rejects_a_bad_seed(groups, seed):
         character_table(groups["c2"], seed=seed)
 
 
-@pytest.mark.parametrize("group", ["x", None, 3])
-def test_character_table_rejects_what_is_not_a_group(group):
-    with pytest.raises(InvalidSpec, match="group must be a FiniteMatrixGroup"):
-        character_table(group)
+def _d4_args():
+    g = fixture_group("d4")
+    t = character_table(g)
+    return g, t, cf.delta(g, 1), central_idempotents(g, t)
+
+
+_CIRCUIT = cf.parse_circuit("qubits 1\nx 0\n")
+# every public function that takes a group, a character table, an algebra element or the
+# idempotent and projector arrays, with `bad` in one of those places; a wrong type raised
+# a raw AttributeError in all but the first three
+_WRONG_TYPE_CALLS = {
+    "build_word_table": ("group", lambda g, t, u, e, bad: cf.build_word_table(bad)),
+    "character_table": ("group", lambda g, t, u, e, bad: character_table(bad)),
+    "element_of": ("group", lambda g, t, u, e, bad: cf.element_of(bad, np.eye(2))),
+    "class_matrices": ("group", lambda g, t, u, e, bad: class_matrices(bad)),
+    "central_idempotents-group": ("group", lambda g, t, u, e, bad: central_idempotents(bad, t)),
+    "isotypic_projectors-group": ("group", lambda g, t, u, e, bad: isotypic_projectors(bad, t)),
+    "center_and_abelian": ("group", lambda g, t, u, e, bad: cf.center_and_abelian(bad)),
+    "group_to_json": ("group", lambda g, t, u, e, bad: cf.group_to_json(bad)),
+    "delta": ("group", lambda g, t, u, e, bad: delta(bad, 0)),
+    "random_element": ("group", lambda g, t, u, e, bad: cf.random_element(bad, np.random.default_rng(0))),
+    "AlgebraElement": ("group", lambda g, t, u, e, bad: cf.AlgebraElement(bad, u.coeffs)),
+    "classify_group": ("group", lambda g, t, u, e, bad: cf.classify_group(bad)),
+    "circuit_element": ("group", lambda g, t, u, e, bad: cf.circuit_element(_CIRCUIT, bad)),
+    "central_idempotents-table": ("table", lambda g, t, u, e, bad: central_idempotents(g, bad)),
+    "isotypic_projectors-table": ("table", lambda g, t, u, e, bad: isotypic_projectors(g, bad)),
+    "verify_orthogonality": ("table", lambda g, t, u, e, bad: verify_orthogonality(bad)),
+    "character_table_csv": ("table", lambda g, t, u, e, bad: character_table_csv(bad)),
+    "degree_square_sum": ("table", lambda g, t, u, e, bad: cf.degree_square_sum(bad)),
+    "characters_of-table": ("table", lambda g, t, u, e, bad: cf.characters_of(u, bad)),
+    "statement_formula_residual-table": ("table", lambda g, t, u, e, bad: cf.statement_formula_residual(u, bad, e)),
+    "paper_expectation_formula": ("table", lambda g, t, u, e, bad: cf.paper_expectation_formula(
+        _CIRCUIT, cf.Observable.from_pauli("Z"), bad, fixture_group("c2"))),
+    "convolve-left": ("element", lambda g, t, u, e, bad: cf.convolve(bad, u)),
+    "convolve-right": ("element", lambda g, t, u, e, bad: cf.convolve(u, bad)),
+    "to_matrix": ("element", lambda g, t, u, e, bad: cf.to_matrix(bad)),
+    "characters_of-element": ("element", lambda g, t, u, e, bad: cf.characters_of(bad, t)),
+    "statement_formula_residual-element": ("element", lambda g, t, u, e, bad: cf.statement_formula_residual(
+        bad, t, e)),
+    "decompose_element-element": ("element", lambda g, t, u, e, bad: cf.decompose_element(bad, e)),
+    "decompose_element-idempotents": ("arrays", lambda g, t, u, e, bad: cf.decompose_element(u, bad)),
+    "decompose_element-projectors": ("arrays", lambda g, t, u, e, bad: cf.decompose_element(u, e, bad)),
+}
+
+
+@pytest.mark.parametrize("role, call", _WRONG_TYPE_CALLS.values(), ids=_WRONG_TYPE_CALLS.keys())
+def test_an_entry_point_refuses_a_wrong_argument_type(role, call):
+    g, t, u, e = _d4_args()
+    wrong = {"group": ["x", None, 3, np.eye(2), t], "table": ["x", None, g], "element": ["x", g],
+             "arrays": ["x", e.tolist()]}
+    expected = {"group": "group must be a FiniteMatrixGroup, got {}",
+                "table": "table must be a CharacterTable, got {}",
+                "element": "expected an AlgebraElement, got {}",
+                "arrays": "idempotents and projectors must be numpy arrays"}
+    for bad in wrong[role]:
+        with pytest.raises(InvalidSpec, match=f"^{expected[role].format(type(bad).__name__)}$"):
+            call(g, t, u, e, bad)
 
 
 # -- class matrices against the per-element definition ------------------------

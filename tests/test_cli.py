@@ -410,3 +410,17 @@ def test_every_option_of_the_package_is_set_by_a_command_a_workload_or_a_tool(ca
     spec.loader.exec_module(tool)
     assert tool.main([]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_every_function_of_the_package_is_called_or_allowed():
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    spec = importlib.util.spec_from_file_location("user_paths", tools / "user_paths.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # in a new process, so that the tracer starts before charforge is imported
+    run = subprocess.run([sys.executable, str(tools / "user_paths.py")], capture_output=True, text=True,
+                         check=True, timeout=300)
+    assert run.stderr.startswith("traced in") and run.stderr.count("\n") == 1  # every command and check passed
+    never_called = [line.split()[1].rstrip(":") for line in run.stdout.splitlines()
+                    if line.endswith(": never called")]
+    assert sorted(never_called) == sorted(tool.NEVER_CALLED)

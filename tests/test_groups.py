@@ -97,12 +97,6 @@ def test_element_of_not_found_and_dim_mismatch():
         element_of(g, "abc")
 
 
-@pytest.mark.parametrize("group", [None, "abc", np.eye(2)])
-def test_element_of_a_group_that_is_not_a_finite_matrix_group_is_invalid(group):
-    with pytest.raises(InvalidSpec, match="group must be a FiniteMatrixGroup"):
-        element_of(group, X)
-
-
 @pytest.mark.parametrize("base", ["abc", 5, np.eye(2)[None]])
 def test_a_base_that_is_not_a_finite_matrix_group_is_invalid(base):
     with pytest.raises(InvalidSpec, match="base must be a FiniteMatrixGroup"):
@@ -239,6 +233,18 @@ def test_generator_validation():
         close_group([])
     with pytest.raises(NotUnitary):
         close_group([np.diag([1, np.nan]).astype(complex)])
+
+
+@pytest.mark.parametrize("generators, match", [
+    ([np.eye(2), np.ones((2, 2))], "unitarity defect"),
+    ([np.eye(2), np.diag([1, np.nan])], "unitarity defect"),     # NaN entries
+    ([np.ones((2, 3))], "expected a square matrix"),
+    ([np.eye(2), [["a", "b"], ["c", "d"]]], "expected a square complex matrix"),  # not numbers
+    ([np.eye(2), np.ones((3, 3))], "unitarity defect"),          # checked before the dims are compared
+])
+def test_each_generator_raises_what_check_unitary_raises(generators, match):
+    with pytest.raises(NotUnitary, match=match):
+        close_group(generators)
 
 
 def test_a_stack_of_generators_closes_as_their_list():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from charforge.errors import NotUnitary
-from charforge import linalg
-from charforge.linalg import UNITARY_TOL, check_unitaries, check_unitary
+from charforge.linalg import UNITARY_TOL, check_unitary
 from phase_oracle import phase_canonical
 
 
@@ -42,26 +41,3 @@ def test_check_unitary_bounds_the_defect_by_its_constant(scale):
     else:
         with pytest.raises(NotUnitary, match=re.escape("unitarity defect 2.000e-09 exceeds tol 1.000e-09")):
             check_unitary(m)
-
-
-@pytest.mark.parametrize("ms, match", [
-    ([np.eye(2), np.ones((2, 2))], "unitarity defect"),          # a uniform stack with one bad matrix
-    ([np.eye(2), np.diag([1, np.nan])], "unitarity defect"),     # NaN entries
-    ([np.ones((2, 3))], "expected a square matrix"),             # uniform but not square
-    ([np.eye(2), [["a", "b"], ["c", "d"]]], "expected a square complex matrix"),  # not numbers
-    ([np.eye(2), np.ones((3, 3))], "unitarity defect"),          # ragged: each checked on its own
-])
-def test_check_unitaries_raises_what_check_unitary_raises(ms, match):
-    with pytest.raises(NotUnitary, match=match):
-        check_unitaries(ms)
-
-
-def test_check_unitaries_checks_a_uniform_stack_with_one_product(monkeypatch):
-    defects, defect = [], linalg.unitarity_defect
-    monkeypatch.setattr(linalg, "unitarity_defect", lambda m: defects.append(m.shape) or defect(m))
-    stack = [np.eye(4)[[1, 0, 3, 2]], np.diag([1, 1j, -1, -1j]), np.eye(4)]
-    assert np.array_equal(np.stack(check_unitaries(stack)), np.stack(stack))
-    assert defects == [(3, 4, 4)]
-    # a ragged list is checked matrix by matrix
-    assert [m.shape for m in check_unitaries([np.eye(2), np.eye(3)])] == [(2, 2), (3, 3)]
-    assert defects[1:] == [(2, 2), (3, 3)]

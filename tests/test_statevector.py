@@ -153,6 +153,20 @@ def test_histogram_counts_must_sum_to_shots():
         MeasurementHistogram(shots=3, counts={"0": 2})
 
 
+@pytest.mark.parametrize("shots, counts, match", [
+    (0, {"0": 1, "1": -1}, "shots must be at least 1, got 0"),  # was accepted: the counts sum to 0
+    (2, {"0": 3, "1": -1}, "counts must be non-negative integers"),
+    (2, {"0": 1.0, "1": 1}, "counts must be non-negative integers"),
+    (1, {"0": True}, "counts must be non-negative integers"),
+    (2.0, {"0": 2}, "shots must be an integer"),
+    (2, [("0", 2)], "counts must be a dict, got list"),  # raised a raw AttributeError
+    (2, None, "counts must be a dict, got NoneType"),
+])
+def test_a_histogram_takes_a_shot_count_and_non_negative_integer_counts(shots, counts, match):
+    with pytest.raises(InvalidSpec, match=match):
+        MeasurementHistogram(shots=shots, counts=counts)
+
+
 def _block(n, b, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(1 << n, b)) + 1j * rng.normal(size=(1 << n, b))

@@ -12,7 +12,9 @@ rewrite, segment record and cost of the 20 rows in both modes. The next two
 lines count the closures the optimizer and `cost_model` build in each mode:
 the close_group calls, one per local key (a gate set on other qubits of the
 same pattern is a cache hit) in each `optimize` and `cost_model` call, and
-again for a part first refused under the bound the other parts leave.
+again for a part first refused under the bound the other parts leave. A
+gate set that the coset count of its base refutes before any BFS counts as a
+call.
 
 The last line digests the closures the group commands build: for the gate
 sets of the analyze-groups workload in perfbench/workloads.py, each closed by
