@@ -16,7 +16,7 @@ import numpy as np
 from .characters import CharacterTable, check_table
 from .errors import GroupMismatch, InvalidSpec
 from .groups import COLUMN_CHUNK, FiniteMatrixGroup, check_group
-from .histogram import _is_int
+from .histogram import _is_int, check_type
 from .linalg import max_abs
 
 
@@ -58,6 +58,7 @@ def delta(group: FiniteMatrixGroup, g: int) -> AlgebraElement:
 def random_element(group: FiniteMatrixGroup, rng: np.random.Generator) -> AlgebraElement:
     """Coefficients uniform in the complex unit square."""
     check_group(group)
+    check_type("rng", rng, np.random.Generator)
     c = rng.random(group.order) + 1j * rng.random(group.order)
     return AlgebraElement(group, c)
 
@@ -73,7 +74,8 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def _convolve_rows(rows: np.ndarray, bs: list[AlgebraElement]) -> list[np.ndarray]:
     """Each row of coefficients a convolved with each b of `bs`, elements of one group.
-    A lone single-support b = c delta_x takes one column: (a * b)[h] = c a[h x^-1].
+    A lone single-support b = c delta_x takes one column: (a * b)[h] = c a[h x^-1],
+    gathered once and scaled in place.
     Otherwise the sum runs over the g at which some row is nonzero, reading
     b[g^-1 h] = b[(h^-1 g)^-1] through an index table of the Cayley columns of a
     bounded chunk of g at a time, built once for every b, so memory stays O(|G|)
@@ -81,7 +83,9 @@ def _convolve_rows(rows: np.ndarray, bs: list[AlgebraElement]) -> list[np.ndarra
     g = bs[0].group
     nz_b = np.flatnonzero(bs[0].coeffs)
     if len(bs) == 1 and nz_b.size == 1:
-        return [bs[0].coeffs[nz_b[0]] * rows[:, g.columns([g.inverses[nz_b[0]]])[0]]]
+        out = rows[:, g.columns([g.inverses[nz_b[0]]])[0]].astype(complex, copy=False)
+        out *= bs[0].coeffs[nz_b[0]]  # the gather is a new array: scale it in place
+        return [out]
     outs, xs = [np.zeros(rows.shape, dtype=complex) for _ in bs], np.flatnonzero(rows.any(0))
     chunk = max(1, COLUMN_CHUNK // g.order)
     for x in np.split(xs, np.arange(chunk, len(xs), chunk)):
@@ -139,9 +143,14 @@ def decompose_element(
     and InvalidSpec unless u is an AlgebraElement and the arrays numpy arrays.
     """
     _check_elements(u)
+    _check_arrays(idempotents, projectors)
+    return _decompose_elements([u], idempotents, projectors)[0]
+
+
+def _check_arrays(idempotents, projectors) -> None:
+    """Raises InvalidSpec unless the idempotents, and the projectors if given, are numpy arrays."""
     if not isinstance(idempotents, np.ndarray) or not isinstance(projectors, (np.ndarray, type(None))):
         raise InvalidSpec("idempotents and projectors must be numpy arrays")
-    return _decompose_elements([u], idempotents, projectors)[0]
 
 
 def _decompose_elements(
@@ -159,7 +168,8 @@ def _decompose_elements(
     results = []
     for u, rows in zip(us, _convolve_rows(idempotents, us)):
         components = [AlgebraElement(g, c) for c in rows]
-        recon = max_abs(np.sum([c.coeffs for c in components], axis=0) - u.coeffs)
+        # row by row, as np.sum over the stacked rows adds them; no stacked copy
+        recon = max_abs(sum(rows) - u.coeffs)
         matrix_components = matrix_residual = None
         if projectors is not None:
             m = to_matrix(u)
@@ -200,12 +210,16 @@ def decomposition_report_json(
     idempotents: np.ndarray,
     projectors: np.ndarray,
 ) -> dict:
-    """Report shape used by the CLI decompose subcommand."""
+    """Report shape used by the CLI decompose subcommand. The closed-form residual is
+    taken before the (k, |G|) components exist, so its own (k, |G|) gather never
+    coexists with them."""
+    _check_arrays(idempotents, projectors)
+    formula = statement_formula_residual(u, table, idempotents)
     dec = decompose_element(u, idempotents, projectors)
     return {
         "k": dec.k,
         "reconstruction_residual": dec.reconstruction_residual,
         "matrix_residual": dec.matrix_residual,
         "component_norms": dec.component_norms(),
-        "statement_formula_residual": statement_formula_residual(u, table, idempotents),
+        "statement_formula_residual": formula,
     }

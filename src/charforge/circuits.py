@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (AngleMissing, CircuitSyntaxError, InvalidSpec,
                      MeasurementInUnitary, QubitOutOfRange, TooWide)
 from .groups import ElementLookup
-from .histogram import _is_int, _is_real, check_seed
+from .histogram import _is_int, _is_real, check_seed, check_type
 
 GATE_ARITY = {
     "h": 1, "x": 1, "y": 1, "z": 1, "s": 1, "sdg": 1, "t": 1, "tdg": 1,
@@ -536,6 +536,7 @@ def build_vqe(n: int, layers: int, seed: int) -> Circuit:
 
 
 def build_benchmark(spec: BenchmarkSpec) -> Circuit:
+    check_type("spec", spec, BenchmarkSpec)
     if spec.kind == "bv":
         return build_bv(spec.secret)
     if spec.kind == "qft":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidSpec, MissingGCost
 from .groups import FiniteMatrixGroup, center_and_abelian
-from .histogram import _is_int, _is_real
+from .histogram import _is_int, _is_real, check_type
 
 CASES = ("abelian", "symmetric", "general")
 
@@ -51,6 +51,7 @@ def estimate_cost(p: CostParams) -> CostEstimate:
     symmetric: k(mn^2 + |G|(n^2 + k^2 n^2 + k^3)) + kD^2
     general:   k(mg + |G|(g + k^2 g + k^3)) + kD^2, g supplied by the caller
     """
+    check_type("params", p, CostParams)
     k, m, n, order, d = p.k, p.m, p.n, p.order, p.dmax
     tail = k * d * d
     tail_text = f"{k}*{d}^2 (additive kD^2 term kept outside the k-factor)"

@@ -15,6 +15,7 @@ from .characters import CharacterTable, check_table
 from .circuits import Circuit, check_circuit, gate_generators
 from .errors import DimensionMismatch, ElementNotInGroup
 from .groups import FiniteMatrixGroup, check_group, element_of, walk
+from .histogram import check_type
 from .observables import Observable
 from .statevector import expectation_of_state, sv_expectation, zero_state
 
@@ -42,6 +43,7 @@ def paper_expectation_formula(
 ) -> tuple[float, float]:
     """Closed-form value |G|^2 <psi0|O|psi0> sum_i |chi_i(U)|^2 / d_i^2 and
     its absolute deviation from the state-vector oracle."""
+    check_type("obs", obs, Observable)
     check_table(table)
     g = circuit_element(c, group)
     chars = table.values[:, group.class_of[g]]

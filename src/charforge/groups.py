@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, KeyCollision, OrderCapExceeded
-from .histogram import _is_int
+from .histogram import _is_int, check_type
 from .linalg import check_unitary
 
 # builder cp angles are quantized to 10 significant digits for the text
@@ -315,8 +315,7 @@ class FiniteMatrixGroup:
 
 def check_group(group) -> None:
     """Raises InvalidSpec naming the type of a `group` that is not a FiniteMatrixGroup."""
-    if not isinstance(group, FiniteMatrixGroup):
-        raise InvalidSpec(f"group must be a FiniteMatrixGroup, got {type(group).__name__}")
+    check_type("group", group, FiniteMatrixGroup)
 
 
 def _rows_of(mats: np.ndarray) -> np.ndarray | None:

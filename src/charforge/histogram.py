@@ -55,6 +55,13 @@ def check_shots(shots: int) -> None:
         raise InvalidSpec(f"shots must be at most 2^63 - 1, got {shots}")
 
 
+def check_type(name: str, value, cls: type) -> None:
+    """Raises InvalidSpec naming the type of a `value`, the argument `name`, that is not a `cls`."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise InvalidSpec(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+
+
 def check_seed(seed: int) -> None:
     """Reject a seed that is not a non-negative Python or numpy integer (a bool is
     not), which numpy's generators refuse with a raw error or take for another."""
@@ -65,6 +72,8 @@ def check_seed(seed: int) -> None:
 def tv_distance(a: MeasurementHistogram, b: MeasurementHistogram) -> float:
     """Total variation distance: half the L1 gap between outcome frequencies,
     summed by fsum, so the result does not depend on the order of the set."""
+    check_type("histogram", a, MeasurementHistogram)
+    check_type("histogram", b, MeasurementHistogram)
     pa, pb = a.probabilities(), b.probabilities()
     keys = set(pa) | set(pb)
     return 0.5 * math.fsum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in keys)
@@ -73,6 +82,7 @@ def tv_distance(a: MeasurementHistogram, b: MeasurementHistogram) -> float:
 def histogram_csv(h: MeasurementHistogram) -> str:
     """outcome,count rows; outcomes are bitstrings with qubit 0 rightmost,
     sorted lexicographically."""
+    check_type("histogram", h, MeasurementHistogram)
     lines = ["outcome,count"]
     for key in sorted(h.counts):
         lines.append(f"{key},{h.counts[key]}")

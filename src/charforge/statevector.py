@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuits import Circuit, GateInstance, apply_gates, check_circuit
 from .errors import DimensionMismatch, InvalidSpec, TooWide
-from .histogram import MeasurementHistogram, _is_int, check_seed, check_shots
+from .histogram import MeasurementHistogram, _is_int, check_seed, check_shots, check_type
 from .observables import Observable
 
 SV_MAX_QUBITS = 22
@@ -106,6 +106,7 @@ def expectation_of_state(psi: np.ndarray, obs: Observable, n: int) -> float | np
 
 def sv_expectation(c: Circuit, obs: Observable) -> float:
     """<0...0| U^dag O U |0...0>."""
+    check_type("obs", obs, Observable)
     return expectation_of_state(run_gates(c), obs, c.n_qubits)
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayley_oracle import conjugacy_classes_from_cayley, inverses_from_cayley
+from conftest import traced_peak
 from charforge.algebra import decomposition_report_json, delta
 from charforge.circuits import GATE_ARITY, embed_gate, gate_matrix
 from charforge.errors import (GroupMismatch, InvalidSpec, NonIntegralDegree, NonIntegralMultiplicity,
@@ -65,14 +66,14 @@ def test_corrupted_table_detected(tables):
 
 def perturbed_class_matrices(monkeypatch, eps, j=2):
     """Make character_table read structure constants plus eps times a seeded
-    dense matrix on M_j, which moves the eigenvectors and so every value."""
+    dense matrix N on M_j, which moves the eigenvectors and so every value:
+    its draw sum_j r_j M_j gains r_j eps N."""
     exact = characters._class_structure
 
     def perturbed(group):
-        a, powers = exact(group)
-        a = a.astype(np.float64)
-        a[j] += eps * np.random.default_rng(0).standard_normal(a[j].shape)
-        return a, powers
+        draw, powers = exact(group)
+        noise = eps * np.random.default_rng(0).standard_normal((len(group.classes),) * 2)
+        return (lambda r: draw(r) + r[j] * noise), powers
 
     monkeypatch.setattr(characters, "_class_structure", perturbed)
 
@@ -101,9 +102,9 @@ def corrupted_powers(monkeypatch, corrupt):
     exact = characters._class_structure
 
     def corrupted(group):
-        a, powers = exact(group)
+        draw, powers = exact(group)
         corrupt(group, powers)
-        return a, powers
+        return draw, powers
 
     monkeypatch.setattr(characters, "_class_structure", corrupted)
 
@@ -269,8 +270,10 @@ def _d4_args():
 
 
 _CIRCUIT = cf.parse_circuit("qubits 1\nx 0\n")
-# every public function that takes a group, a character table, an algebra element or the
-# idempotent and projector arrays, with `bad` in one of those places; a wrong type raised
+_HISTOGRAM = cf.MeasurementHistogram(1, {"0": 1})
+# every public function that takes a group, a character table, an algebra element, the
+# idempotent and projector arrays, a histogram, cost parameters, a numpy Generator, an
+# observable or a benchmark spec, with `bad` in one of those places; a wrong type raised
 # a raw AttributeError in all but the first three
 _WRONG_TYPE_CALLS = {
     "build_word_table": ("group", lambda g, t, u, e, bad: cf.build_word_table(bad)),
@@ -304,6 +307,15 @@ _WRONG_TYPE_CALLS = {
     "decompose_element-element": ("element", lambda g, t, u, e, bad: cf.decompose_element(bad, e)),
     "decompose_element-idempotents": ("arrays", lambda g, t, u, e, bad: cf.decompose_element(u, bad)),
     "decompose_element-projectors": ("arrays", lambda g, t, u, e, bad: cf.decompose_element(u, e, bad)),
+    "tv_distance-left": ("histogram", lambda g, t, u, e, bad: cf.tv_distance(bad, _HISTOGRAM)),
+    "tv_distance-right": ("histogram", lambda g, t, u, e, bad: cf.tv_distance(_HISTOGRAM, bad)),
+    "histogram_csv": ("histogram", lambda g, t, u, e, bad: cf.histogram_csv(bad)),
+    "estimate_cost": ("params", lambda g, t, u, e, bad: cf.estimate_cost(bad)),
+    "random_element-rng": ("rng", lambda g, t, u, e, bad: cf.random_element(g, bad)),
+    "sv_expectation": ("obs", lambda g, t, u, e, bad: cf.sv_expectation(_CIRCUIT, bad)),
+    "paper_expectation_formula-obs": ("obs", lambda g, t, u, e, bad: cf.paper_expectation_formula(
+        _CIRCUIT, bad, t, g)),
+    "build_benchmark": ("spec", lambda g, t, u, e, bad: cf.build_benchmark(bad)),
 }
 
 
@@ -311,11 +323,17 @@ _WRONG_TYPE_CALLS = {
 def test_an_entry_point_refuses_a_wrong_argument_type(role, call):
     g, t, u, e = _d4_args()
     wrong = {"group": ["x", None, 3, np.eye(2), t], "table": ["x", None, g], "element": ["x", g],
-             "arrays": ["x", e.tolist()]}
+             "arrays": ["x", e.tolist()], "histogram": ["x", None, {"0": 1}], "params": ["x", None],
+             "rng": ["x", None, 0], "obs": ["x", None], "spec": ["x", None]}
     expected = {"group": "group must be a FiniteMatrixGroup, got {}",
                 "table": "table must be a CharacterTable, got {}",
                 "element": "expected an AlgebraElement, got {}",
-                "arrays": "idempotents and projectors must be numpy arrays"}
+                "arrays": "idempotents and projectors must be numpy arrays",
+                "histogram": "histogram must be a MeasurementHistogram, got {}",
+                "params": "params must be a CostParams, got {}",
+                "rng": "rng must be a Generator, got {}",
+                "obs": "obs must be an Observable, got {}",
+                "spec": "spec must be a BenchmarkSpec, got {}"}
     for bad in wrong[role]:
         with pytest.raises(InvalidSpec, match=f"^{expected[role].format(type(bad).__name__)}$"):
             call(g, t, u, e, bad)
@@ -555,6 +573,32 @@ def test_chartab_csv_is_pinned(groups, gate_set_groups, name, seed):
     g = groups[name] if name in groups else gate_set_groups[name]
     csv = character_table_csv(character_table(g, seed=seed))
     assert hashlib.sha256(csv.encode()).hexdigest() == CSV_PINS[name]
+
+
+def test_a_table_of_512_classes_is_drawn_without_the_class_tensor():
+    """<t0, t1, t2> is abelian of order 512, so its (k, k, k) int64 class tensor
+    alone would take 1 GiB; the draw is counted from the k class columns instead."""
+    g = _gate_set_group(3, [("t", 0), ("t", 1), ("t", 2)])
+    with traced_peak() as traced:
+        t = character_table(g)
+    assert (g.order, t.k) == (512, 512)
+    assert traced.peak < 64 << 20, traced.peak
+    assert hashlib.sha256(character_table_csv(t).encode()).hexdigest() == \
+        "ce38577fd9f9e2d12f3a7a8ad4ae49da57255a3b6973818e65a5f0cabae7aff6"
+
+
+def test_the_decompose_sequence_peaks_below_two_and_a_half_idempotent_arrays():
+    """The CLI's decompose calls on an order-3072 group of 184 classes hold the
+    complex (k, |G|) idempotents, one more (k, |G|) array at a time and
+    O(|G|) beside them."""
+    g = _gate_set_group(2, [("h", 0), ("s", 0), ("cx", 0, 1)])
+    with traced_peak() as traced:
+        t = character_table(g, seed=0)
+        idem = central_idempotents(g, t)
+        projs = isotypic_projectors(g, t)
+        decomposition_report_json(delta(g, 77), t, idem, projs)
+    assert (g.order, t.k, idem.dtype) == (3072, 184, complex)
+    assert traced.peak < 2.5 * idem.nbytes, traced.peak / idem.nbytes
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -390,11 +390,10 @@ def test_optimize_report_does_not_depend_on_hash_seed(tmp_path):
 def test_chartab_with_a_failing_self_check_exits_2(monkeypatch, capsys):
     exact = characters._class_structure
 
-    def perturbed(group):  # a seeded dense 3e-5 on M_2: values off by about 1e-4
-        a, powers = exact(group)
-        a = a.astype(np.float64)
-        a[2] += 3e-5 * np.random.default_rng(0).standard_normal(a[2].shape)
-        return a, powers
+    def perturbed(group):  # a seeded dense 3e-5 on M_2, r_2 3e-5 N on the draw: values off by about 1e-4
+        draw, powers = exact(group)
+        noise = 3e-5 * np.random.default_rng(0).standard_normal((len(group.classes),) * 2)
+        return (lambda r: draw(r) + r[2] * noise), powers
 
     monkeypatch.setattr(characters, "_class_structure", perturbed)
     assert main(["chartab", "--fixture", "d4", "--seed", "0"]) == 2

@@ -1,6 +1,5 @@
 import hashlib
 import importlib.util
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from charforge.observables import Observable, random_pauli, z_on_qubit
 from charforge.statevector import (expectation_of_state, marginal_probabilities,
                                    run_gates, sample_histogram, sv_expectation,
                                    sv_run, time_gate_loop)
+from conftest import traced_peak
 from kernel_oracle import apply_dense, marginal_by_bits, pauli_dense, signed_zero_block
 
 
@@ -265,25 +265,17 @@ def test_the_frame_pass_keeps_the_peak_near_two_states(columns):
     n = 16
     initial = None if columns is None else _block(n, columns, 1).reshape(-1 if columns == 1 else (1 << n, 2))
     c = _frame_circuit(n)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         psi = run_gates(c, initial)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert psi.nbytes == (1 << n) * 16 * (columns or 1)
-    assert peak <= 2.5 * psi.nbytes, peak / psi.nbytes
+    assert traced.peak <= 2.5 * psi.nbytes, traced.peak / psi.nbytes
 
 
 def test_sample_histogram_memory_does_not_grow_with_shots():
     probs = np.full(16, 1 / 16)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         sample_histogram(probs, 4, 10 ** 8, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+    assert traced.peak < 100_000
 
 
 def test_timing_excludes_sampling():

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,8 @@ from charforge.statevector import marginal_probabilities, run_gates, sv_run
 from charforge import tableau
 from charforge.tableau import (PackedTableau, _apply_gates, apply_gate, measure_layer,
                                measure_symbolic, tableau_run, validate_tableau)
+
+from conftest import traced_peak
 
 
 def test_bell_pair_outcomes():
@@ -681,13 +682,10 @@ def test_the_largest_int64_shot_count_passes_the_shot_check():
 def test_shots_past_the_int64_range_are_refused_before_any_work(run):
     # sv_run raised a raw OverflowError from rng.multinomial
     c = parse_circuit("qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n")
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         with pytest.raises(InvalidSpec, match=re.escape(f"shots must be at most 2^63 - 1, got {SHOTS_MAX + 1}")):
             run(c, SHOTS_MAX + 1, 0)
-        assert tracemalloc.get_traced_memory()[1] < 1 << 20
-    finally:
-        tracemalloc.stop()
+    assert traced.peak < 1 << 20
     assert sum(run(c, 1000, 0).counts.values()) == 1000
 
 
@@ -704,14 +702,11 @@ def test_tableau_run_refuses_samples_past_the_byte_budget_before_drawing(monkeyp
     def refuse(*args):
         raise AssertionError("drew coins")
     monkeypatch.setattr(tableau, "_coins", refuse)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         with pytest.raises(InvalidSpec, match=f"^{shots} shots of {coins} coins need "
                                               f"{tableau._sample_bytes(shots, coins, k)} bytes of samples"):
             tableau_run(c, shots, 0)
-        assert tracemalloc.get_traced_memory()[1] < 1 << 20
-    finally:
-        tracemalloc.stop()
+    assert traced.peak < 1 << 20
 
 
 def test_the_largest_stabilizer_workload_samples_are_far_inside_the_budget():
@@ -733,12 +728,8 @@ def _copied_coins_circuit(k: int, coins: int) -> Circuit:
 def test_the_sampling_peak_is_within_the_bytes_it_is_charged(shots, coins, k):
     c = _copied_coins_circuit(k, coins)
     tableau_run(c, 10, 0)  # the gate tables and caches of a first run are not sampling
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         h = tableau_run(c, shots, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert len(next(iter(h.counts))) == k
     size = tableau._sample_bytes(shots, coins, k)
-    assert size / 2 <= peak <= size
+    assert size / 2 <= traced.peak <= size
