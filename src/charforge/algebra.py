@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CharacterTable, check_table
+from .characters import CharacterTable, _check_table_of, check_table
 from .errors import GroupMismatch, InvalidSpec
 from .groups import COLUMN_CHUNK, FiniteMatrixGroup, check_group
 from .histogram import _is_int, check_type
@@ -104,11 +104,10 @@ def to_matrix(u: AlgebraElement) -> np.ndarray:
 
 
 def characters_of(u: AlgebraElement, table: CharacterTable) -> np.ndarray:
-    """chi_i(u) = sum_g u[g] chi_i(class of g), for every irrep i."""
+    """chi_i(u) = sum_g u[g] chi_i(class of g), for every irrep i. Raises
+    GroupMismatch if the table's order, k or class sizes are not u's group's."""
     _check_elements(u)
-    check_table(table)
-    if table.group_order != u.group.order:
-        raise GroupMismatch("table order does not match the element's group")
+    _check_table_of(u.group, table)
     per_element = table.values[:, u.group.class_of]  # (k, |G|)
     return per_element @ u.coeffs
 
@@ -189,7 +188,8 @@ def statement_formula_residual(
 
     Never asserted to vanish: the right-hand side is central, so the
     residual is zero only in degenerate situations (e.g. the trivial group).
-    Raises GroupMismatch unless the idempotents are (table.k, |G|).
+    Raises GroupMismatch unless the idempotents are (table.k, |G|) and the
+    table is that of u's group.
     """
     _check_elements(u)
     check_table(table)

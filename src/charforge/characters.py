@@ -195,16 +195,22 @@ def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
     return OrthogonalityReport(row_res, col_res, deg_res)
 
 
-def central_idempotents(group: FiniteMatrixGroup, table: CharacterTable) -> np.ndarray:
-    """(k, |G|) array, of table.values' dtype, whose row i is e_i, with
-    coefficient (d_i/|G|) chi_i(g^-1) on each element g: one gather of the
-    values, scaled in place, so no second (k, |G|) array is made. Raises
-    GroupMismatch if the table's order, k or class sizes are not the group's."""
+def _check_table_of(group: FiniteMatrixGroup, table: CharacterTable) -> None:
+    """check_group and check_table, then GroupMismatch if the table's order,
+    k or class sizes are not the group's."""
     check_group(group)
     check_table(table)
     sizes = [len(c) for c in group.classes]
     if (table.group_order, table.k, table.class_sizes.tolist()) != (group.order, len(sizes), sizes):
         raise GroupMismatch(f"{table!r} is not the table of this group of order {group.order}")
+
+
+def central_idempotents(group: FiniteMatrixGroup, table: CharacterTable) -> np.ndarray:
+    """(k, |G|) array, of table.values' dtype, whose row i is e_i, with
+    coefficient (d_i/|G|) chi_i(g^-1) on each element g: one gather of the
+    values, scaled in place, so no second (k, |G|) array is made. Raises
+    GroupMismatch if the table's order, k or class sizes are not the group's."""
+    _check_table_of(group, table)
     e = table.values[:, group.class_of[group.inverses]]
     e *= (table.degrees / table.group_order)[:, None]
     return e

@@ -333,7 +333,7 @@ def gate_generators(gates, support: tuple[int, ...]) -> tuple[list[np.ndarray], 
         return [], []
     mats = np.array([embed_gate(gate_matrix(g.kind, g.angle), tuple(map(support.index, g.qubits)), len(support))
                      for g in distinct])
-    slots, new = ElementLookup(len(mats[0])).find(mats, len(mats))
+    slots, new = ElementLookup(mats[:0]).find(mats, len(mats))
     slot_of_gate = {g.key(): slot for g, slot in zip(distinct, slots.tolist())}
     return list(mats[new]), [slot_of_gate[g.key()] for g in gates]
 

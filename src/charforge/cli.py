@@ -102,7 +102,7 @@ def build_parser() -> _Parser:
 
     p = add("optimize", "run the three-pass optimization pipeline")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--max-order", type=int, default=20000)
+    p.add_argument("--max-order", type=int, default=OptimizeConfig.max_order)
     p.add_argument("--report", help="write the pass report JSON here")
     p.add_argument("--phase-sensitive", action="store_true",
                    help="disable global-phase-insensitive matching")

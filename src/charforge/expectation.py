@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .characters import CharacterTable, check_table
+from .characters import CharacterTable, _check_table_of, check_table
 from .circuits import Circuit, check_circuit, gate_generators
 from .errors import DimensionMismatch, ElementNotInGroup
 from .groups import FiniteMatrixGroup, check_group, element_of, walk
@@ -42,9 +42,10 @@ def paper_expectation_formula(
     group: FiniteMatrixGroup,
 ) -> tuple[float, float]:
     """Closed-form value |G|^2 <psi0|O|psi0> sum_i |chi_i(U)|^2 / d_i^2 and
-    its absolute deviation from the state-vector oracle."""
+    its absolute deviation from the state-vector oracle. Raises GroupMismatch
+    if the table's order, k or class sizes are not the group's."""
     check_type("obs", obs, Observable)
-    check_table(table)
+    _check_table_of(group, table)
     g = circuit_element(c, group)
     chars = table.values[:, group.class_of[g]]
     degrees = table.degrees.astype(np.float64)

@@ -5,7 +5,7 @@ max-abs, the package's only test of matrix equality. One index finds them,
 ElementLookup: the elements' random projections in a sorted array, so the
 elements within 8*TOL of a product lie in a window of that array, found with
 searchsorted. Each candidate is then checked by max-abs distance. close_group
-builds the lookup and the group keeps it for element_of.
+finds through one, and a group makes one over its matrices on first read.
 
 The BFS keeps its elements in one of two forms, chosen once from the
 generators. Every gate kind but h is monomial, one nonzero entry per column,
@@ -19,8 +19,7 @@ not, so both forms merge, collide and number alike. Otherwise the elements are
 (d, d) matrices and each batch of products, a stack of matrices times one, is
 one 2-D product. A closure kept as rows writes its matrices once at the end,
 with every zero +0.0 (a BLAS product may write some as -0.0) and phases from
-numpy's complex products (a BLAS product may differ in the last bit), and its
-lookup over them is made on first use.
+numpy's complex products (a BLAS product may differ in the last bit).
 
 Element indices are assigned in breadth-first discovery order starting from
 {identity} + generators, multiplying on the right by generators, so closing
@@ -34,8 +33,7 @@ Before that BFS, counting base's right cosets can show the group is past the cap
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -78,9 +76,11 @@ def _projection(dim: int, rows: bool) -> tuple[np.ndarray, float]:
 
 class ElementLookup:
     """Growing element store, mats[:count] in index order, indexed by the
-    projections <P, m> for a fixed random P, kept sorted. The elements are
-    (d, d) matrices, or in a lookup `of` rows the rows [phi | sigma] the
-    module docstring describes, each element's floats read against P. With
+    projections <P, m> for a fixed random P, kept sorted. ElementLookup(stack)
+    starts on a stack of distinct elements, numbered in order (stack[:0] for an
+    empty store), and never writes into it: the stack is full, so the first add
+    copies it. The elements are (d, d) matrices, or for a 2-D stack the rows
+    [phi | sigma] the module docstring describes, read as floats against P. With
     w = |P|_1 * 8 * TOL, every element within 8*TOL of a matrix has its
     projection within w of the matrix's. At most one element is within TOL
     of any matrix, because stored elements are more than 8*TOL apart, so the
@@ -88,27 +88,14 @@ class ElementLookup:
     more than one key, as in over 90% of the optimizer's lookups, each
     projection's one candidate is read without expanding the windows."""
 
-    def __init__(self, dim: int):
-        self._proj, self._w = _projection(dim, False)
-        self._axes = (1, 2)                          # max-abs over a matrix, (1,) over a row
-        self.mats = np.empty((16, dim, dim), dtype=complex)
-        self.count = 0
-        self._keys = np.empty(0)                     # sorted projections
-        self._ids = np.empty(0, dtype=np.int64)      # element of each key
-
-    @classmethod
-    def of(cls, elems: np.ndarray) -> ElementLookup:
-        """The lookup of a stack of distinct matrices, or rows, numbered in
-        order, made without a find."""
-        rows = elems.ndim == 2
-        lookup = cls(elems.shape[1] // 2 if rows else elems.shape[1])
-        if rows:
-            lookup._proj, lookup._w = _projection(elems.shape[1] // 2, True)
-            lookup._axes = (1,)
-        keys = lookup._project(elems)
-        lookup._ids = keys.argsort(kind="stable")
-        lookup._keys, lookup.mats, lookup.count = keys.take(lookup._ids), elems, len(elems)
-        return lookup
+    def __init__(self, stack: np.ndarray):
+        rows = stack.ndim == 2
+        self._proj, self._w = _projection(stack.shape[1] // 2 if rows else stack.shape[1], rows)
+        self._axes = (1,) if rows else (1, 2)        # max-abs over a row, or over a matrix
+        keys = self._project(stack)
+        self._ids = keys.argsort(kind="stable")      # element of each key
+        self._keys = keys.take(self._ids)            # sorted projections
+        self.mats, self.count = stack, len(stack)
 
     def _project(self, batch: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(batch).reshape(len(batch), len(self._proj) // 2).view(np.float64) @ self._proj
@@ -193,11 +180,10 @@ class FiniteMatrixGroup:
             mats[a] @ (input generator j).
         parent, slot, bounds: element b = mats[parent[b]] @ (input generator
             slot[b]), -1 for the identity; BFS level i is bounds[i]:bounds[i+1].
-        lookup: the ElementLookup of mats, the BFS's own for a closure kept
-            as matrices and made on first use for one kept as rows.
 
-    Lazy (functools.cached_property), each O(|G| m) for m inputs from `right`
-    and the BFS tree: left[j, b] = index of (input generator j) @ mats[b];
+    Lazy (functools.cached_property): lookup, the ElementLookup over mats
+    that element_of reads; and, each O(|G| m) for m inputs from `right` and
+    the BFS tree: left[j, b] = index of (input generator j) @ mats[b];
     inverses; classes, the conjugacy classes as sorted index tuples ordered by
     the smallest member, so the identity class comes first; class_of maps
     element -> class index. Only cayley[a, b] = index of mats[a] @ mats[b] is
@@ -214,13 +200,10 @@ class FiniteMatrixGroup:
     parent: np.ndarray
     slot: np.ndarray
     bounds: list[int]
-    _lookup: ElementLookup | None = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def lookup(self) -> ElementLookup:
-        if self._lookup is None:
-            self._lookup = ElementLookup.of(self.mats)
-        return self._lookup
+        return ElementLookup(self.mats)
 
     @property
     def order(self) -> int:
@@ -372,7 +355,7 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
 
     The BFS keeps its elements as rows when every generator and every
     element of `base` is monomial, and as matrices otherwise; either way
-    the group's mats are matrices and its lookup is over them.
+    the group's mats are matrices, which its lookup reads on first use.
 
     With `base`, H = the closure of generators[:k], it counts
     H's right cosets first, where (max_order // |H|)² <= max_order; the BFS
@@ -416,15 +399,14 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
         start, gens = rows, list(zip(*_factor(rows[1:])))
 
     if base is None:
-        lookup = ElementLookup.of(start[:0]) if start.ndim == 2 else ElementLookup(dim)
+        lookup = ElementLookup(start[:0])
         found, new = lookup.find(start, cfg.max_order)
         gen_found = found[1:]
         # element b = mats[parent[b]] @ gens[slot[b]]; the identity, first in the
         # batch above, has neither
         parent, slot, bounds, right = [np.where(new > 0, 0, -1)], [new - 1], [0], []
     else:
-        # find replaces a copy's key arrays but writes into its mats, copied below
-        lookup = ElementLookup.of(base_rows) if start.ndim == 2 else copy.copy(base.lookup)
+        lookup = ElementLookup(base_rows if start.ndim == 2 else base.mats)
         # Dimino's coset step, by levels of products r·g: x is in H·r iff x·r† is in H.
         # It takes about (max_order // |H|)² finds, so it runs where that is within the cap
         index_cap, reps, lo = cfg.max_order // n, start[:1], 0
@@ -437,8 +419,6 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
                 x = _times(frontier, g)  # in distinct cosets, as H·r -> H·r·g is one-to-one
                 found = lookup.find(_times_inverses(x, reps))[0]
                 reps = np.concatenate([reps, x[(found.reshape(len(x), -1) < 0).all(1)]])
-        if start.ndim == 3:
-            lookup.mats = lookup.mats[:n].copy()
         parent, slot, bounds = [base.parent], [base.slot], list(base.bounds)
         table = np.hstack([base.right, np.empty((n, len(gens) - k), dtype=np.int64)])
         for j in range(k, len(gens)):  # base's elements times each new generator
@@ -457,14 +437,11 @@ def close_group(generators: list[np.ndarray], cfg: ClosureConfig | None = None,
             slot.append(np.full(len(new), j))
         right.append(table)
         bounds.append(hi)
-    if start.ndim == 2:  # the group's lookup, over its matrices, is made on first use
-        mats, lookup = _dense_of(lookup.mats[:lookup.count]), None
-    else:
-        mats = lookup.mats = lookup.mats[:lookup.count].copy()
+    mats = _dense_of(lookup.mats[:lookup.count]) if start.ndim == 2 else lookup.mats[:lookup.count].copy()
     return FiniteMatrixGroup(
         dim=dim, mats=mats, generators=list(dict.fromkeys(gen_found.tolist())),
         input_elements=gen_found.tolist(), right=np.concatenate(right),
-        parent=np.concatenate(parent), slot=np.concatenate(slot), bounds=bounds, _lookup=lookup)
+        parent=np.concatenate(parent), slot=np.concatenate(slot), bounds=bounds)
 
 
 def element_of(group: FiniteMatrixGroup, m: np.ndarray) -> int | None:

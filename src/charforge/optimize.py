@@ -51,11 +51,6 @@ from .statevector import SV_MAX_QUBITS, expectation_of_state, marginal_probabili
 # and byte proxy for element storage
 CLOSURE_BUDGET_FLOPS = 2e10
 CLOSURE_BUDGET_BYTES = float(2 ** 24)
-# the order whose int16 Cayley table fills CLOSURE_BUDGET_BYTES, 2,896. The
-# optimizer builds no Cayley table, but the cap stays: without it the three
-# segments of bench row bv-2 close as one of order 4,608, which changes its
-# rewrite, and the 20 bench rows take twice the time
-CAYLEY_ORDER_CAP = math.sqrt(CLOSURE_BUDGET_BYTES / 2.0)
 # the status of a segment kept verbatim because it has no closure, with its record's detail
 SKIPPED = {"skipped-cap": "closure exceeded the order/work caps",
            "skipped-collision": "key collision: gate unitaries or their products lie between TOL "
@@ -64,7 +59,11 @@ SKIPPED = {"skipped-cap": "closure exceeded the order/work caps",
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    max_order: int = 20000
+    # 2,896, the order whose int16 Cayley table fills CLOSURE_BUDGET_BYTES. The
+    # optimizer builds no Cayley table, but the default stays: above it the three
+    # segments of bench row bv-2 close as one of order 4,608, which changes its
+    # rewrite, and the 20 bench rows take twice the time
+    max_order: int = 2896
     phase_insensitive: bool = True
     equiv_seed: int = 97
     run_equivalence: bool = True
@@ -248,19 +247,17 @@ def _effective_cap(dim: int, n_gens: int, cfg: OptimizeConfig) -> int:
         float(cfg.max_order),
         CLOSURE_BUDGET_FLOPS / flops_per_element,
         CLOSURE_BUDGET_BYTES / bytes_per_element,
-        CAYLEY_ORDER_CAP,
     )
     return int(cap)
 
 
 def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -> FiniteMatrixGroup:
-    """base.group, the closure of gates[:-1], embedded over `support`; its
-    lookup is made on first use."""
+    """base.group, the closure of gates[:-1], embedded over `support`."""
     h, old = base.group, _support(gates[:-1])
     if len(old) == len(support):
         return h
     mats = embed_gate(h.mats, tuple(map(support.index, old)), len(support))
-    return replace(h, dim=1 << len(support), mats=mats, _lookup=None)
+    return replace(h, dim=1 << len(support), mats=mats)
 
 
 def _support(gates: list[GateInstance]) -> tuple[int, ...]:

@@ -617,9 +617,18 @@ def test_central_characters_satisfy_the_class_algebra(name, groups, tables):
 @pytest.mark.parametrize("group_name, table_name", [
     ("s3", "c2"), ("c2", "s3"),
     ("d4", "q8"),  # same order and k, class sizes in another order
+    ("x0-x1-x2", "d4"),  # same order, k = 8 against d4's 5
 ])
 def test_a_table_of_another_group_is_rejected(groups, tables, group_name, table_name):
-    with pytest.raises(GroupMismatch):
-        central_idempotents(groups[group_name], tables[table_name])
-    with pytest.raises(GroupMismatch):
-        isotypic_projectors(groups[group_name], tables[table_name])
+    if group_name == "x0-x1-x2":
+        g = close_group([embed_gate(gate_matrix("x"), (q,), 3) for q in range(3)])
+    else:
+        g = groups[group_name]
+    t, u, n = tables[table_name], delta(g, 0), g.dim.bit_length() - 1  # s3's dim 3 reads as 1 qubit
+    calls = [lambda: central_idempotents(g, t), lambda: isotypic_projectors(g, t),
+             lambda: cf.characters_of(u, t),
+             lambda: cf.statement_formula_residual(u, t, np.zeros((t.k, g.order))),
+             lambda: cf.paper_expectation_formula(cf.parse_circuit(f"qubits {n}\nx 0\n"), cf.z_on_qubit(0, n), t, g)]
+    for call in calls:
+        with pytest.raises(GroupMismatch, match="is not the table of this group"):
+            call()

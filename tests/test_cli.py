@@ -11,7 +11,8 @@ import pytest
 
 from charforge import characters
 from charforge.circuits import build_qft, circuit_unitary, parse_circuit, serialize_circuit
-from charforge.cli import main
+from charforge.cli import build_parser, main
+from charforge.optimize import OptimizeConfig
 
 BELL = "qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n"
 # cp(2pi/3) to the format's 10 digits: its products drift past 1e-9
@@ -362,6 +363,10 @@ def test_optimize_bad_max_order_is_a_data_error(bell_path, max_order):
     r = charforge("optimize", "--in", str(bell_path), "--max-order", max_order)
     assert r.returncode == 2
     assert "max_order must be an integer >= 1" in r.stderr
+
+
+def test_optimize_max_order_defaults_to_the_config_default():
+    assert build_parser().parse_args(["optimize", "--in", "c.txt"]).max_order == OptimizeConfig.max_order == 2896
 
 
 @pytest.mark.parametrize("flag, value", [("--obs-tol", "nan"), ("--tv-tol", "-0.5"),

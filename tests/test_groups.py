@@ -388,6 +388,14 @@ def test_center_matches_commuting_cayley_rows(name):
     assert abelian == (len(expected) == g.order)
 
 
+@pytest.mark.parametrize("name, rows", [("clifford1", False), ("pauli1", True)])
+def test_element_of_finds_every_element_at_its_own_index(name, rows):
+    gens = CLOSURE_INPUTS[name]
+    assert (_rows_of(np.array(gens)) is not None) == rows  # one dense closure, one kept as rows
+    g = close_group(gens)
+    assert [element_of(g, m) for m in g.mats] == list(range(g.order))
+
+
 def test_element_of_across_a_rounding_boundary(groups):
     g = groups["clifford1"]
     h = element_of(g, H)
@@ -401,7 +409,7 @@ def test_element_of_across_a_rounding_boundary(groups):
 
 @pytest.mark.parametrize("first", ["exact", "nudged"])
 def test_one_batch_merges_copies_within_tol_into_its_first(first):
-    lookup = ElementLookup(2)
+    lookup = ElementLookup(np.empty((0, 2, 2), dtype=complex))
     lookup.find(I2[None], max_order=10)
     copies = {"exact": X.astype(complex), "nudged": X + TOL / 2}
     batch = np.stack([copies[first], X, X, X + TOL / 2, Z])
@@ -414,7 +422,7 @@ def test_one_batch_merges_copies_within_tol_into_its_first(first):
 
 
 def test_one_batch_rejects_a_pair_between_tol_and_8_tol():
-    lookup = ElementLookup(2)
+    lookup = ElementLookup(np.empty((0, 2, 2), dtype=complex))
     with pytest.raises(KeyCollision):
         lookup.find(np.stack([Z, X, X + 3 * TOL]), max_order=10)
 
@@ -491,7 +499,7 @@ def _planted_case(dim, clusters, kinds, seed):
 
 
 def _lookup_of(dim, stored):
-    lookup = ElementLookup(dim)
+    lookup = ElementLookup(np.empty((0, dim, dim), dtype=complex))
     if stored:
         lookup.find(np.stack(stored), max_order=len(stored))
     assert lookup.count == len(stored)
@@ -628,7 +636,14 @@ _SEED_POOLS = {name: gens for name, gens in CLOSURE_INPUTS.items() if name != "h
         lambda gens: st.tuples(st.just(gens), st.integers(1, len(gens))))))
 def test_seeded_closure_matches_fresh(case):
     gens, k = case
-    assert_seeded_matches_fresh(close_group(gens, base=close_group(gens[:k])), close_group(gens))
+    base = close_group(gens[:k])
+    own = list(range(base.order))
+    assert [element_of(base, m) for m in base.mats] == own  # base's lookup, made before the extension
+    before = base.mats.tobytes()
+    assert_seeded_matches_fresh(close_group(gens, base=base), close_group(gens))
+    # the extension's lookup starts on base.mats and never writes into it
+    assert base.mats.tobytes() == before
+    assert [element_of(base, m) for m in base.mats] == own
 
 
 _CLIFFORD_KINDS = ("h", "s", "x", "z", "cx", "cz", "swap")

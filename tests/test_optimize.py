@@ -186,11 +186,18 @@ def test_scalar_translates_are_the_phase_equal_elements(make, groups):
 
 # -- pipeline ------------------------------------------------------------------
 
-def test_the_cayley_order_cap_binds_small_segments():
+def test_the_default_max_order_binds_small_segments():
     # one qubit, one generator: the flop and byte caps are far larger, so the
-    # cap sized for an int16 Cayley table of 2^24 bytes binds
-    assert int(optimize_module.CAYLEY_ORDER_CAP) == 2896
+    # default max_order, sized for an int16 Cayley table of 2^24 bytes, binds
+    assert OptimizeConfig().max_order == 2896
     assert _effective_cap(2, 1, FAST) == 2896
+
+
+def test_a_max_order_above_the_default_closes_a_larger_segment():
+    c = parse_circuit("qubits 2\nh 0\ns 0\ncx 0 1\nh 0\ns 0\ncx 0 1\nh 0\n")
+    orders = [[s.group_order for s in optimize(c, cfg)[1].segments]
+              for cfg in (FAST, OptimizeConfig(max_order=5000, run_equivalence=False))]
+    assert orders == [[192, 16, 8, 2], [3072]]
 
 
 def test_double_h_elided():
