@@ -231,6 +231,7 @@ def character_table_csv(table: CharacterTable) -> str:
     check_table(table)
     lines = ["class_size," + ",".join(str(int(s)) for s in table.class_sizes)]
     for d, row in zip(table.degrees, table.values):
-        lines.append(",".join([str(int(d))] + [
-            f"{round(float(v.real), 9) + 0.0:.9f}{round(float(v.imag), 9) + 0.0:+.9f}i" for v in row]))
+        line = ",".join([str(int(d))] + [f"{re:.9f}{im:+.9f}i" for re, im in zip(row.real.tolist(), row.imag.tolist())])
+        # a part that rounds to -0 prints as 0, the real part after its comma
+        lines.append(line.replace(",-0.000000000", ",0.000000000").replace("-0.000000000i", "+0.000000000i"))
     return "\n".join(lines) + "\n"

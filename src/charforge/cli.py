@@ -76,7 +76,7 @@ def _add_group_source(p: _Parser) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="infile", help="circuit file in the text format")
     source.add_argument("--fixture", choices=FIXTURE_NAMES, help="named fixture group")
-    p.add_argument("--max-order", type=int, default=20000)
+    p.add_argument("--max-order", type=int, default=ClosureConfig.max_order)
 
 
 def build_parser() -> _Parser:
@@ -132,11 +132,11 @@ def build_parser() -> _Parser:
     p.add_argument("--g-cost", type=float)
 
     p = add("bench", "benchmark original vs optimized circuits", out=False)
-    p.add_argument("--suites", default="bv,qft,grover,vqe")
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--repeats", type=int, default=100)
-    p.add_argument("--shots", type=int, default=100_000)
+    p.add_argument("--suites", default=",".join(BenchConfig.suites))
+    p.add_argument("--n-min", type=int, default=BenchConfig.n_min)
+    p.add_argument("--n-max", type=int, default=BenchConfig.n_max)
+    p.add_argument("--repeats", type=int, default=BenchConfig.repeats)
+    p.add_argument("--shots", type=int, default=BenchConfig.shots)
     p.add_argument("--out-dir", default="bench_out")
 
     return parser

@@ -45,7 +45,7 @@ FIXTURE_NAMES = tuple(fixture_generators().keys())
 
 def fixture_group(name: str, cfg: ClosureConfig | None = None) -> FiniteMatrixGroup:
     gens = fixture_generators()
-    if name not in gens:
+    if not isinstance(name, str) or name not in gens:
         raise InvalidSpec(f"unknown fixture {name!r}; choose from {sorted(gens)}")
     return close_group(gens[name], cfg)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, QubitOutOfRange
-from .histogram import _is_int
+from .histogram import _is_int, check_type
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,12 @@ class Observable:
         return Observable(letters.upper() if isinstance(letters, str) else letters)
 
     def letter_for(self, qubit: int) -> str:
+        """The letter on `qubit`: InvalidSpec unless it is an integer,
+        QubitOutOfRange outside [0, len(pauli))."""
+        if not _is_int(qubit):
+            raise InvalidSpec(f"qubit must be an integer, got {qubit!r}")
+        if not 0 <= qubit < len(self.pauli):
+            raise QubitOutOfRange(f"qubit {qubit} outside [0, {len(self.pauli)})")
         return self.pauli[len(self.pauli) - 1 - qubit]
 
 
@@ -47,5 +53,9 @@ def z_on_qubit(qubit: int, n: int) -> Observable:
 
 
 def random_pauli(n: int, rng: np.random.Generator) -> Observable:
+    """n letters drawn by `rng`: InvalidSpec unless n is an integer >= 1 and rng a numpy Generator."""
+    if not _is_int(n) or n < 1:
+        raise InvalidSpec(f"n must be an integer >= 1, got {n!r}")
+    check_type("rng", rng, np.random.Generator)
     letters = "".join("IXYZ"[i] for i in rng.integers(4, size=n))  # the draws of n rng.choice calls
     return Observable.from_pauli(letters)

@@ -11,23 +11,22 @@ Passes, in order:
      identity are dropped.
 
 The caps bound each closure's work and memory as well as its order; a segment
-past them, or whose gate unitaries collide within groups.TOL, is
-kept verbatim and logged. The rewrite reads only the generator tables
-(FiniteMatrixGroup.right); the scalars of a closure and the embedding of a
-seed read its matrices (`mats`). `_close` closes a gate list once per local
-key in an `optimize` call: the support's size and the gates with their qubits
-as positions in the sorted support. A gate set on other qubits shares that
-closure's group, word table, scalars and phase columns, seen through
-templates on its own qubits. A closure extends H, the closure of the list
-without its last gate, whose templates lead its generators; a count of H's
-cosets refutes most over-cap groups before any BFS. The scan carries a
-segment as its parts, each with its closure, and `_grow` closes only the
-part a new gate joins: in phase-insensitive mode the parts share no qubit and
-the segment's order is their product's, held to the whole segment's cap W,
+past them, or whose gate unitaries collide within groups.TOL, is kept verbatim
+and logged. The rewrite reads only the generator tables
+(FiniteMatrixGroup.right); the scalars of a closure and the embedding of a seed
+read its matrices (`mats`). `_close` closes a gate list once per local key in
+an `optimize` call: the support's size and the gates with their qubits as
+positions in the sorted support. A gate set on other qubits shares that
+closure, whose templates and slots are local keys. A closure extends H, the
+closure of the list without its last gate, whose templates lead its generators;
+a count of H's cosets refutes most over-cap groups before any BFS. The scan
+carries a segment as its parts, each with its closure, and `_grow` closes only
+the part a new gate joins: in phase-insensitive mode the parts share no qubit
+and the segment's order is their product's, held to the whole segment's cap W,
 with no order cached, and the joined part stops at the bound W leaves it over
-the other parts' order up to scalars; phase-sensitive mode keeps one part,
-the segment. A segment's word depends on its own gates only: ties break by
-the first position of each generator in the segment, whose gates are emitted.
+the other parts' order up to scalars; phase-sensitive mode keeps one part, the
+segment. A segment's word depends on its own gates only: ties break by the
+first position of each generator in the segment, whose gates are emitted.
 """
 
 from __future__ import annotations
@@ -161,21 +160,7 @@ class _Local:
         return self.group.columns(self.scalars)
 
 
-@dataclass
-class _Closure:
-    """A closed segment group seen on one support: `local` with its templates
-    and gate keys on the support's qubits."""
-
-    local: _Local
-    templates: list[GateInstance]   # one per input generator of the group
-    template_of_key: dict[tuple, int]
-
-    @property
-    def group(self) -> FiniteMatrixGroup:
-        return self.local.group
-
-
-_Part = tuple[list[GateInstance], _Closure, frozenset[int]]  # gates, their closure, their qubits
+_Part = tuple[list[GateInstance], _Local, frozenset[int]]  # gates, their cached closure, their qubits
 _Segment = tuple[int, list[_Part]]  # group order, parts
 
 
@@ -251,9 +236,8 @@ def _effective_cap(dim: int, n_gens: int, cfg: OptimizeConfig) -> int:
     return int(cap)
 
 
-def _seed(base: _Closure, gates: list[GateInstance], support: tuple[int, ...]) -> FiniteMatrixGroup:
-    """base.group, the closure of gates[:-1], embedded over `support`."""
-    h, old = base.group, _support(gates[:-1])
+def _seed(h: FiniteMatrixGroup, old: tuple[int, ...], support: tuple[int, ...]) -> FiniteMatrixGroup:
+    """h, closed on the sorted qubits `old`, embedded over `support`, which holds them."""
     if len(old) == len(support):
         return h
     mats = embed_gate(h.mats, tuple(map(support.index, old)), len(support))
@@ -274,13 +258,13 @@ def _key(gates: list[GateInstance]) -> tuple[tuple, tuple[int, ...], dict[tuple,
 
 
 def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
-           base: _Closure | None = None, bound: int | None = None) -> _Closure | str:
-    """The closure of `gates`, or its SKIPPED status past the caps or at a key
-    collision; the generators come from gate_generators. One closure or
-    status is cached per local key, so a gate set on other qubits shares its
-    group, words, scalars and phase_equal, seen through templates on its own
-    qubits. With `base`, the closure H of gates[:-1], the generators list H's
-    templates first, so close_group extends H, counting its cosets first,
+           base: _Local | None = None, bound: int | None = None) -> _Local | str:
+    """The cached closure of the local key of `gates`, or its SKIPPED status
+    past the caps or at a key collision; the generators come from
+    gate_generators. One closure or status is cached per local key, so a gate
+    set on other qubits shares the record itself. With `base`, the closure H
+    of gates[:-1], the generators list H's templates first, moved onto the
+    qubits of gates[:-1], so close_group extends H, counting its cosets first,
     which renumbers the elements only: a gate outside H with 2|H| past the
     cap opens a second coset, refused before any BFS. `bound`, below the
     cap, takes its place; a refusal under it is cached as that bound, which
@@ -290,13 +274,16 @@ def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
     if result is None or isinstance(result, int) and (bound is None or bound > result):
         result = "skipped-cap"
         try:
-            listed = gates if base is None else base.templates + gates
+            listed = gates
+            if base is not None:  # H's templates, moved onto the qubits of gates[:-1], lead
+                old = _support(gates[:-1])
+                listed = [GateInstance(k, tuple(old[i] for i in qs), a) for k, qs, a in base.templates] + gates
             mats, slots = gate_generators(listed, support)
             templates = [listed[slots.index(s)] for s in range(len(mats))]
             cap = _effective_cap(1 << len(support), len(mats), cfg)
             limit = cap if bound is None else min(cap, bound)
             if cap >= 2 and limit >= 1:
-                seed = None if base is None else _seed(base, gates, support)
+                seed = None if base is None else _seed(base.group, old, support)
                 group = close_group(mats, ClosureConfig(max_order=limit), seed)
                 result = _Local(group, [local[g.key()] for g in templates],
                                 {local[g.key()]: s for g, s in zip(listed, slots)})
@@ -307,10 +294,7 @@ def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
             # only happens for dense (non-finite) sets, whatever the cap
             result = "skipped-collision"
         cache[key] = limit if result == "skipped-cap" and limit < cap else result
-    if not isinstance(result, _Local):
-        return "skipped-cap" if isinstance(result, int) else result
-    templates = [GateInstance(kind, tuple(support[i] for i in qs), angle) for kind, qs, angle in result.templates]
-    return _Closure(result, templates, {k: result.slot_of[lk] for k, lk in local.items()})
+    return "skipped-cap" if isinstance(result, int) else result
 
 
 def _grow(gates: list[GateInstance], parts: list[_Part], cfg: OptimizeConfig, cache: dict) -> _Segment | str:
@@ -333,15 +317,15 @@ def _grow(gates: list[GateInstance], parts: list[_Part], cfg: OptimizeConfig, ca
     parts = [p for i, p in enumerate(parts) if i not in hit]
     dim = 1 << (len(qubits) + sum(len(qs) for _, _, qs in parts))
     bound = (_effective_cap(dim, 1 + sum(len(c.templates) for _, c, _ in parts), cfg)
-             // math.prod(c.group.order // len(c.local.scalars) for _, c, _ in parts))
-    closure = _close(joined, cfg, cache, base if isinstance(base, _Closure) else None, bound)
+             // math.prod(c.group.order // len(c.scalars) for _, c, _ in parts))
+    closure = _close(joined, cfg, cache, base if isinstance(base, _Local) else None, bound)
     if isinstance(closure, str):
         return closure
     parts.insert(hit[0] if hit else len(parts), (joined, closure, qubits))
     if len(parts) == 1:
         return closure.group.order, parts
     cap = _effective_cap(dim, sum(len(c.templates) for _, c, _ in parts), cfg)
-    scalars = [len(c.local.scalars) for _, c, _ in parts]
+    scalars = [len(c.scalars) for _, c, _ in parts]
     order = math.lcm(*scalars) * math.prod(c.group.order // s for (_, c, _), s in zip(parts, scalars))
     return (order, parts) if 2 <= cap and order <= cap else "skipped-cap"
 
@@ -374,14 +358,15 @@ def _rewrite_segment(gates: list[GateInstance], closed: _Segment, cfg: OptimizeC
     `gates`, whatever gate list the closures were cached from."""
     words = []
     for part, c, _ in closed[1]:
+        slot_of = {k: c.slot_of[lk] for k, lk in _key(part)[2].items()}  # gate key -> c's slot
         first: dict[int, int] = {}  # c's slots -> the position of their first gate, in that order
         for i, g in enumerate(gates):
-            if g.key() in c.template_of_key:
-                first.setdefault(c.template_of_key[g.key()], i)
+            if g.key() in slot_of:
+                first.setdefault(slot_of[g.key()], i)
         ranked, at = list(first), list(first.values())
-        wt = c.local.words if ranked == sorted(ranked) else build_word_table(c.group, ranked)
-        product = walk(c.group.right, [c.template_of_key[g.key()] for g in part])
-        candidates = c.local.phase_equal[:, product].tolist() if cfg.phase_insensitive else [product]
+        wt = c.words if ranked == sorted(ranked) else build_word_table(c.group, ranked)
+        product = walk(c.group.right, [slot_of[g.key()] for g in part])
+        candidates = c.phase_equal[:, product].tolist() if cfg.phase_insensitive else [product]
         best = min(candidates, key=lambda e: (int(wt.word_length[e]), wt.word(e)))
         words.append([at[s] for s in wt.word(best)])
     # the parts' positions are disjoint, so the smallest interleaving takes the smaller head

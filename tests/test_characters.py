@@ -251,6 +251,30 @@ def test_csv_format(tables):
     assert lines[2] == "1,1.000000000+0.000000000i,-1.000000000+0.000000000i"
 
 
+def _csv_by_round(table):
+    """Oracle: the formatter that rounded each part with round(x, 9) + 0.0."""
+    lines = ["class_size," + ",".join(str(int(s)) for s in table.class_sizes)]
+    for d, row in zip(table.degrees, table.values):
+        lines.append(",".join([str(int(d))] + [
+            f"{round(float(v.real), 9) + 0.0:.9f}{round(float(v.imag), 9) + 0.0:+.9f}i" for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_formats_each_value_as_the_rounding_formatter_did():
+    # each part is from (-5e-10, 0], which rounds to -0, or a multiple of 1/1024, whose odd
+    # multiples tie at the ninth decimal, or a normal draw
+    rng, k = np.random.default_rng(0), 48
+    n = 2 * k * k
+    pools = np.stack([-5e-10 * rng.random(n), rng.integers(-4096, 4096, n) / 1024, rng.standard_normal(n)])
+    parts = pools[rng.integers(3, size=n), np.arange(n)].reshape(2, k, k)
+    values = np.empty((k, k), dtype=complex)
+    values.real, values.imag = parts
+    table = CharacterTable(k, np.ones(k, dtype=np.int64), values, np.ones(k, dtype=np.int64), k)
+    csv = character_table_csv(table)
+    assert csv == _csv_by_round(table)
+    assert "-0.000000000" not in csv and ",0.000000000+0.000000000i" in csv
+
+
 def test_trivial_group_table():
     t = character_table(fixture_group("trivial"), seed=0)
     assert t.k == 1 and t.degrees.tolist() == [1]
@@ -312,6 +336,7 @@ _WRONG_TYPE_CALLS = {
     "histogram_csv": ("histogram", lambda g, t, u, e, bad: cf.histogram_csv(bad)),
     "estimate_cost": ("params", lambda g, t, u, e, bad: cf.estimate_cost(bad)),
     "random_element-rng": ("rng", lambda g, t, u, e, bad: cf.random_element(g, bad)),
+    "random_pauli-rng": ("rng", lambda g, t, u, e, bad: cf.random_pauli(2, bad)),
     "sv_expectation": ("obs", lambda g, t, u, e, bad: cf.sv_expectation(_CIRCUIT, bad)),
     "paper_expectation_formula-obs": ("obs", lambda g, t, u, e, bad: cf.paper_expectation_formula(
         _CIRCUIT, bad, t, g)),

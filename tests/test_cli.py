@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from charforge import characters
+from charforge.bench import BenchConfig
 from charforge.circuits import build_qft, circuit_unitary, parse_circuit, serialize_circuit
 from charforge.cli import build_parser, main
+from charforge.groups import ClosureConfig
 from charforge.optimize import OptimizeConfig
 
 BELL = "qubits 2\nh 0\ncx 0 1\nmeasure 0\nmeasure 1\n"
@@ -366,7 +368,14 @@ def test_optimize_bad_max_order_is_a_data_error(bell_path, max_order):
 
 
 def test_optimize_max_order_defaults_to_the_config_default():
-    assert build_parser().parse_args(["optimize", "--in", "c.txt"]).max_order == OptimizeConfig.max_order == 2896
+    parse = build_parser().parse_args
+    assert parse(["optimize", "--in", "c.txt"]).max_order == OptimizeConfig.max_order == 2896
+    # the group commands' and bench's defaults are their configs' too
+    for command in ("group", "chartab", "decompose"):
+        assert parse([command, "--fixture", "d4"]).max_order == ClosureConfig.max_order == 20000
+    bench = parse(["bench"])
+    assert (bench.suites, bench.n_min, bench.n_max, bench.repeats, bench.shots) == (
+        ",".join(BenchConfig.suites), BenchConfig.n_min, BenchConfig.n_max, BenchConfig.repeats, BenchConfig.shots)
 
 
 @pytest.mark.parametrize("flag, value", [("--obs-tol", "nan"), ("--tv-tol", "-0.5"),

@@ -14,7 +14,7 @@ from charforge.errors import (DimensionMismatch, InvalidSpec, KeyCollision,
 from charforge.fixtures import H, I2, S, X, Y, Z, fixture_generators, fixture_group
 from charforge.groups import (TOL, ClosureConfig, ElementLookup, _rows_of, center_and_abelian,
                               close_group, element_of, group_to_json, walk)
-from charforge.optimize import _Closure, _Local, _seed
+from charforge.optimize import _seed
 
 T = np.diag([1, np.exp(1j * np.pi / 4)])
 
@@ -51,8 +51,10 @@ def test_generators_within_tol_share_one_input_element():
 
 
 def test_an_unknown_fixture_is_invalid():
-    with pytest.raises(InvalidSpec, match="unknown fixture 'nope'; choose from "):
-        fixture_group("nope")
+    # a name that is not a str, hashable or not, is unknown too
+    for name in ("nope", ["d4"], None, 3):
+        with pytest.raises(InvalidSpec, match=f"^unknown fixture {re.escape(repr(name))}; choose from "):
+            fixture_group(name)
 
 
 def test_x_closure_is_order_two():
@@ -671,15 +673,14 @@ def _grown_gate_lists(draw):
 def test_seeded_closure_on_a_grown_support_matches_fresh(case):
     old, last = case
     cfg = ClosureConfig(max_order=1200)
-    mats, slots = gate_generators(old, tuple(sorted({q for g in old for q in g.qubits})))
+    old_support = tuple(sorted({q for g in old for q in g.qubits}))
     try:
-        h = close_group(mats, cfg)
+        h = close_group(gate_generators(old, old_support)[0], cfg)
     except OrderCapExceeded:
         return
     support = tuple(sorted({q for g in old + [last] for q in g.qubits}))
-    grown, grown_slots = gate_generators(old + [last], support)
-    templates = [(old + [last])[grown_slots.index(s)] for s in range(len(grown))]
-    seed = _seed(_Closure(_Local(h, [], {}), templates[:len(mats)], {}), old + [last], support)
+    grown, _ = gate_generators(old + [last], support)
+    seed = _seed(h, old_support, support)
     assert seed.dim == 1 << len(support) > h.dim
     try:
         fresh = close_group(grown, cfg)

@@ -541,6 +541,11 @@ def test_the_cli_closes_a_ten_digit_cp_angle_as_the_optimizer_does():
     assert group.order == _close(list(c.gates), FAST, {}).group.order == 324
 
 
+def _local(*gates):
+    """The local keys of one-qubit gates on qubit 0."""
+    return [(g.kind, (0,), g.angle) for g in gates]
+
+
 def test_a_base_that_does_not_lead_is_extended():
     # the local key of {s 0, h 0} was cached from [s 0, h 0], so its templates list s first
     h0, s0, x0 = gate("h", 0), gate("s", 0), gate("x", 0)
@@ -548,9 +553,9 @@ def test_a_base_that_does_not_lead_is_extended():
     base = _close([s0, h0], FAST, {})
     fresh = _close(gates, FAST, {})
     grown = _close(gates, FAST, {}, base)
-    assert base.templates == [s0, h0] and fresh.templates == [h0, s0, x0]
+    assert base.templates == _local(s0, h0) and fresh.templates == _local(h0, s0, x0)
     # H's templates lead, so close_group extends H and keeps its elements' indices
-    assert grown.templates == [s0, h0, x0]
+    assert grown.templates == _local(s0, h0, x0)
     assert np.array_equal(grown.group.mats[:base.group.order], base.group.mats)
     assert grown.group.order == fresh.group.order
     assert all(element_of(grown.group, m) is not None for m in fresh.group.mats)  # within TOL
@@ -562,10 +567,13 @@ def test_a_gate_set_on_other_qubits_shares_the_closure_seen_on_its_own_qubits(mo
     cache = {}
     first = _close([gate("h", 0), gate("cx", 0, 1)], FAST, cache)
     log = _recording_close_group(monkeypatch)
-    moved = _close([gate("cx", 3, 5), gate("h", 3)], FAST, cache)
-    assert log["calls"] == 0 and moved.local is first.local
-    assert moved.templates == [gate("h", 3), gate("cx", 3, 5)]
-    assert moved.template_of_key == {gate("h", 3).key(): 0, gate("cx", 3, 5).key(): 1}
+    moved_gates = [gate("cx", 3, 5), gate("h", 3)]
+    moved = _close(moved_gates, FAST, cache)
+    assert log["calls"] == 0 and moved is first
+    assert moved.templates == [("h", (0,), None), ("cx", (0, 1), None)]
+    # the rewrite's map from the moved gates to the shared slots
+    assert {k: moved.slot_of[lk] for k, lk in _key(moved_gates)[2].items()} == {
+        gate("h", 3).key(): 0, gate("cx", 3, 5).key(): 1}
     # the control above the target is another local gate set
     assert _close([gate("h", 5), gate("cx", 5, 3)], FAST, cache).group.order == first.group.order
     assert log["calls"] == 1
@@ -576,8 +584,8 @@ def test_a_base_that_leads_keeps_the_fresh_templates():
     base = _close([h0, s0], FAST, {})
     fresh = _close([h0, s0, x0], FAST, {})
     grown = _close([h0, s0, x0], FAST, {}, base)
-    assert grown.templates == fresh.templates == [h0, s0, x0]
-    assert grown.template_of_key == fresh.template_of_key
+    assert grown.templates == fresh.templates == _local(h0, s0, x0)
+    assert grown.slot_of == fresh.slot_of
 
 
 # -- qubit-disjoint parts ------------------------------------------------------
@@ -676,7 +684,7 @@ def test_a_part_cached_with_its_slots_reversed_keeps_the_ties_of_the_segment():
     x0, z0, h1 = gate("x", 0), gate("z", 0), gate("h", 1)
     gates = [x0, z0, x0, z0, x0, z0, h1]
     cache = {}
-    assert _close([z0, x0], FAST, cache).templates == [z0, x0]
+    assert _close([z0, x0], FAST, cache).templates == _local(z0, x0)
     (split, _), (whole, _) = _rewritten_by_both(gates, _grown(gates, cache))
     assert split == whole == [h1, z0, x0]
 

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import re
 import warnings
 from pathlib import Path
 
@@ -55,12 +56,20 @@ def test_histograms_are_seed_deterministic():
 def test_z_on_qubit_refuses_a_qubit_outside_the_register(qubit, n):
     with pytest.raises(QubitOutOfRange, match=f"qubit {qubit} outside \\[0, {n}\\)"):
         z_on_qubit(qubit, n)
+    with pytest.raises(QubitOutOfRange, match=f"qubit {qubit} outside \\[0, {n}\\)"):
+        Observable("XZ"[:n]).letter_for(qubit)
 
 
 @pytest.mark.parametrize("qubit, n", [(0, 0), (0, -1), (0, 1.0), (0, True), (0, "2"), (True, 2), (1.0, 2), (None, 2)])
 def test_z_on_qubit_refuses_a_width_or_qubit_that_is_not_an_integer(qubit, n):
     with pytest.raises(InvalidSpec, match="qubit must be an integer and n an integer >= 1"):
         z_on_qubit(qubit, n)
+    if qubit == 0:  # random_pauli refuses the widths z_on_qubit does
+        with pytest.raises(InvalidSpec, match=f"^n must be an integer >= 1, got {re.escape(repr(n))}$"):
+            random_pauli(n, np.random.default_rng(0))
+    else:  # and letter_for the qubits
+        with pytest.raises(InvalidSpec, match=f"^qubit must be an integer, got {re.escape(repr(qubit))}$"):
+            Observable("XZ").letter_for(qubit)
 
 
 @pytest.mark.parametrize("qubit, n, pauli", [(0, 1, "Z"), (0, 2, "IZ"), (1, 2, "ZI"), (np.int64(2), np.int64(3), "ZII")])
