@@ -139,7 +139,7 @@ def decompose_element(
     calculus and lands at float precision. When the (k, dim, dim) projectors
     are supplied the matrix-side split P_i M(u) with sum_i P_i M(u) = M(u) is
     returned too. Raises GroupMismatch if either array is another group's,
-    and InvalidSpec unless u is an AlgebraElement and the arrays numpy arrays.
+    and InvalidSpec unless u is an AlgebraElement and the arrays numeric numpy arrays.
     """
     _check_elements(u)
     _check_arrays(idempotents, projectors)
@@ -147,9 +147,10 @@ def decompose_element(
 
 
 def _check_arrays(idempotents, projectors) -> None:
-    """Raises InvalidSpec unless the idempotents, and the projectors if given, are numpy arrays."""
-    if not isinstance(idempotents, np.ndarray) or not isinstance(projectors, (np.ndarray, type(None))):
-        raise InvalidSpec("idempotents and projectors must be numpy arrays")
+    """Raises InvalidSpec unless the idempotents, and the projectors if given, are numeric numpy arrays."""
+    arrays = (idempotents,) if projectors is None else (idempotents, projectors)
+    if not all(isinstance(a, np.ndarray) and a.dtype.kind in "biufc" for a in arrays):
+        raise InvalidSpec("idempotents and projectors must be numeric numpy arrays")
 
 
 def _decompose_elements(
@@ -189,10 +190,12 @@ def statement_formula_residual(
     Never asserted to vanish: the right-hand side is central, so the
     residual is zero only in degenerate situations (e.g. the trivial group).
     Raises GroupMismatch unless the idempotents are (table.k, |G|) and the
-    table is that of u's group.
+    table is that of u's group, and InvalidSpec unless they are a numeric
+    numpy array.
     """
     _check_elements(u)
     check_table(table)
+    _check_arrays(idempotents, None)
     if np.shape(idempotents) != (table.k, u.group.order):
         raise GroupMismatch(f"idempotents of shape {np.shape(idempotents)} are not (k, |G|) = "
                             f"{(table.k, u.group.order)}")

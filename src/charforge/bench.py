@@ -18,7 +18,7 @@ from .characters import character_table
 from .circuits import BenchmarkSpec, Circuit, build_benchmark, circuit_depth
 from .complexity import CostParams, classify_group, estimate_cost
 from .errors import CharforgeError, InvalidSpec
-from .histogram import MeasurementHistogram, _is_int, check_seed, check_shots, histogram_csv, tv_distance
+from .histogram import MeasurementHistogram, _is_int, check_seed, check_shots, check_type, histogram_csv, tv_distance
 from .optimize import OptimizeConfig, _close, optimize
 from .statevector import sv_run, time_gate_loop
 
@@ -120,6 +120,7 @@ def _ms_stats(samples_s: list[float]) -> tuple[float, float, float]:
 
 
 def run_bench(cfg: BenchConfig) -> BenchResults:
+    check_type("cfg", cfg, BenchConfig)
     results = BenchResults()
     opt_cfg = OptimizeConfig(run_equivalence=False)
     for suite in cfg.suites:
@@ -156,6 +157,7 @@ def _row_seed(seed: int, suite: str, n: int, variant: int) -> int:
 
 
 def results_csv(r: BenchResults) -> str:
+    check_type("r", r, BenchResults)
     lines = [CSV_HEADER]
     for row in r.rows:
         tv = "" if row.tv_distance is None else f"{row.tv_distance:.6f}"
@@ -176,6 +178,7 @@ _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
 def results_svg(r: BenchResults) -> str:
     """Line chart: n_qubits on x, mean_ms on y, one polyline per
     (suite, variant) with a plain text legend, SVG_WIDTH by SVG_HEIGHT."""
+    check_type("r", r, BenchResults)
     width, height, margin = SVG_WIDTH, SVG_HEIGHT, 60
     series: dict[tuple[str, str], list[tuple[int, float]]] = {}
     for row in r.rows:
@@ -229,6 +232,7 @@ def results_svg(r: BenchResults) -> str:
 
 
 def emit_outputs(r: BenchResults, csv_path: Path, svg_path: Path, hist_dir: Path) -> list[Path]:
+    check_type("r", r, BenchResults)
     if not r.rows:
         raise CharforgeError("no bench rows to emit")
     files = [(Path(csv_path), results_csv(r)), (Path(svg_path), results_svg(r))]

@@ -83,6 +83,8 @@ def histogram_csv(h: MeasurementHistogram) -> str:
     """outcome,count rows; outcomes are bitstrings with qubit 0 rightmost,
     sorted lexicographically."""
     check_type("histogram", h, MeasurementHistogram)
+    for key in h.counts:  # sorted() would raise a raw TypeError
+        check_type("outcome", key, str)
     lines = ["outcome,count"]
     for key in sorted(h.counts):
         lines.append(f"{key},{h.counts[key]}")

@@ -10,8 +10,8 @@ Passes, in order:
   3. identity elision: segments whose product is (a global phase of) the
      identity are dropped.
 
-The caps bound each closure's work and memory as well as its order; a segment
-past them, or whose gate unitaries collide within groups.TOL, is kept verbatim
+The caps bound each closure's memory as well as its order; a segment past
+them, or whose gate unitaries collide within groups.TOL, is kept verbatim
 and logged. The rewrite reads only the generator tables
 (FiniteMatrixGroup.right); the scalars of a closure and the embedding of a seed
 read its matrices (`mats`). `_close` closes a gate list once per local key in
@@ -46,9 +46,7 @@ from .observables import Observable, random_pauli
 from .statevector import SV_MAX_QUBITS, expectation_of_state, marginal_probabilities, run_gates
 
 
-# deterministic per-attempt bounds: flop proxy for the closure matmuls
-# and byte proxy for element storage
-CLOSURE_BUDGET_FLOPS = 2e10
+# the bytes a closure's elements may take, at 16 per complex matrix entry
 CLOSURE_BUDGET_BYTES = float(2 ** 24)
 # the status of a segment kept verbatim because it has no closure, with its record's detail
 SKIPPED = {"skipped-cap": "closure exceeded the order/work caps",
@@ -225,15 +223,8 @@ class OptimizationReport:
         }
 
 
-def _effective_cap(dim: int, n_gens: int, cfg: OptimizeConfig) -> int:
-    flops_per_element = max(1.0, n_gens * 8.0 * dim ** 3)
-    bytes_per_element = 16.0 * dim * dim
-    cap = min(
-        float(cfg.max_order),
-        CLOSURE_BUDGET_FLOPS / flops_per_element,
-        CLOSURE_BUDGET_BYTES / bytes_per_element,
-    )
-    return int(cap)
+def _effective_cap(dim: int, cfg: OptimizeConfig) -> int:
+    return int(min(cfg.max_order, CLOSURE_BUDGET_BYTES / (16 * dim * dim)))
 
 
 def _seed(h: FiniteMatrixGroup, old: tuple[int, ...], support: tuple[int, ...]) -> FiniteMatrixGroup:
@@ -260,19 +251,22 @@ def _key(gates: list[GateInstance]) -> tuple[tuple, tuple[int, ...], dict[tuple,
 def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
            base: _Local | None = None, bound: int | None = None) -> _Local | str:
     """The cached closure of the local key of `gates`, or its SKIPPED status
-    past the caps or at a key collision; the generators come from
-    gate_generators. One closure or status is cached per local key, so a gate
-    set on other qubits shares the record itself. With `base`, the closure H
-    of gates[:-1], the generators list H's templates first, moved onto the
-    qubits of gates[:-1], so close_group extends H, counting its cosets first,
-    which renumbers the elements only: a gate outside H with 2|H| past the
-    cap opens a second coset, refused before any BFS. `bound`, below the
-    cap, takes its place; a refusal under it is cached as that bound, which
-    refuses every bound up to it, and a closure or collision as the set's own."""
+    past the limit, the least of the cap and `bound`, or at a key collision;
+    the generators come from gate_generators. One record is cached per local
+    key, so a gate set on other qubits shares the record itself: the closure,
+    "skipped-collision", or the int limit it was refused under. A key never
+    tried reads as refused under 0, and only a larger limit tries it again.
+    With `base`, the closure H of gates[:-1], the generators list H's
+    templates first, moved onto the qubits of gates[:-1], so close_group
+    extends H, counting its cosets first, which renumbers the elements only:
+    a gate outside H with 2|H| past the limit opens a second coset, refused
+    before any BFS."""
     key, support, local = _key(gates)
-    result = cache.get(key)
-    if result is None or isinstance(result, int) and (bound is None or bound > result):
-        result = "skipped-cap"
+    cap = _effective_cap(1 << len(support), cfg)
+    limit = cap if bound is None else min(cap, bound)
+    result = cache.get(key, 0)
+    if isinstance(result, int) and limit > result:
+        result = limit
         try:
             listed = gates
             if base is not None:  # H's templates, moved onto the qubits of gates[:-1], lead
@@ -280,9 +274,7 @@ def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
                 listed = [GateInstance(k, tuple(old[i] for i in qs), a) for k, qs, a in base.templates] + gates
             mats, slots = gate_generators(listed, support)
             templates = [listed[slots.index(s)] for s in range(len(mats))]
-            cap = _effective_cap(1 << len(support), len(mats), cfg)
-            limit = cap if bound is None else min(cap, bound)
-            if cap >= 2 and limit >= 1:
+            if cap >= 2:
                 seed = None if base is None else _seed(base.group, old, support)
                 group = close_group(mats, ClosureConfig(max_order=limit), seed)
                 result = _Local(group, [local[g.key()] for g in templates],
@@ -293,7 +285,7 @@ def _close(gates: list[GateInstance], cfg: OptimizeConfig, cache: dict,
             # the generators or their products are not tolerance-separated, which
             # only happens for dense (non-finite) sets, whatever the cap
             result = "skipped-collision"
-        cache[key] = limit if result == "skipped-cap" and limit < cap else result
+        cache[key] = result
     return "skipped-cap" if isinstance(result, int) else result
 
 
@@ -305,26 +297,24 @@ def _grow(gates: list[GateInstance], parts: list[_Part], cfg: OptimizeConfig, ca
     multiple; only that joined part is closed, from the carried closure when it
     joins one part and from its closure without the gate when it joins several.
     Up to scalars the product is direct, and its scalars, cyclic like the
-    parts', number lcm(s_i); it is held to the whole segment's cap W, with the
-    parts' templates as its generators. Its order, lcm(s_i) * prod |G_i| / s_i,
-    is at least |G_new| * P for P the others' prod |G_i| / s_i, so the joined
-    part is closed under the bound W // P, W taken with one generator for it."""
+    parts', number lcm(s_i); it is held to W, the cap of the whole segment's
+    support. Its order, lcm(s_i) * prod |G_i| / s_i, is at least |G_new| * P for
+    P the others' prod |G_i| / s_i, so the joined part is closed under the bound
+    W // P."""
     g = gates[-1]
     hit = [i for i, (_, _, qs) in enumerate(parts) if not cfg.phase_insensitive or not qs.isdisjoint(g.qubits)]
     qubits = frozenset(g.qubits).union(*(parts[i][2] for i in hit))
     joined = parts[hit[0]][0] + [g] if len(hit) == 1 else [x for x in gates if x.qubits[0] in qubits]
     base = parts[hit[0]][1] if len(hit) == 1 else _close(joined[:-1], cfg, cache) if hit else None
     parts = [p for i, p in enumerate(parts) if i not in hit]
-    dim = 1 << (len(qubits) + sum(len(qs) for _, _, qs in parts))
-    bound = (_effective_cap(dim, 1 + sum(len(c.templates) for _, c, _ in parts), cfg)
-             // math.prod(c.group.order // len(c.scalars) for _, c, _ in parts))
+    cap = _effective_cap(1 << (len(qubits) + sum(len(qs) for _, _, qs in parts)), cfg)
+    bound = cap // math.prod(c.group.order // len(c.scalars) for _, c, _ in parts)
     closure = _close(joined, cfg, cache, base if isinstance(base, _Local) else None, bound)
     if isinstance(closure, str):
         return closure
     parts.insert(hit[0] if hit else len(parts), (joined, closure, qubits))
     if len(parts) == 1:
         return closure.group.order, parts
-    cap = _effective_cap(dim, sum(len(c.templates) for _, c, _ in parts), cfg)
     scalars = [len(c.scalars) for _, c, _ in parts]
     order = math.lcm(*scalars) * math.prod(c.group.order // s for (_, c, _), s in zip(parts, scalars))
     return (order, parts) if 2 <= cap and order <= cap else "skipped-cap"

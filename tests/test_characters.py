@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cayley_oracle import conjugacy_classes_from_cayley, inverses_from_cayley
 from conftest import traced_peak
 from charforge.algebra import decomposition_report_json, delta
+from charforge.bench import emit_outputs, results_csv, results_svg, run_bench
 from charforge.circuits import GATE_ARITY, embed_gate, gate_matrix
 from charforge.errors import (GroupMismatch, InvalidSpec, NonIntegralDegree, NonIntegralMultiplicity,
                               OrderCapExceeded, OrthogonalityViolation)
@@ -331,6 +332,8 @@ _WRONG_TYPE_CALLS = {
     "decompose_element-element": ("element", lambda g, t, u, e, bad: cf.decompose_element(bad, e)),
     "decompose_element-idempotents": ("arrays", lambda g, t, u, e, bad: cf.decompose_element(u, bad)),
     "decompose_element-projectors": ("arrays", lambda g, t, u, e, bad: cf.decompose_element(u, e, bad)),
+    "statement_formula_residual-idempotents": ("arrays", lambda g, t, u, e, bad: cf.statement_formula_residual(
+        u, t, bad)),
     "tv_distance-left": ("histogram", lambda g, t, u, e, bad: cf.tv_distance(bad, _HISTOGRAM)),
     "tv_distance-right": ("histogram", lambda g, t, u, e, bad: cf.tv_distance(_HISTOGRAM, bad)),
     "histogram_csv": ("histogram", lambda g, t, u, e, bad: cf.histogram_csv(bad)),
@@ -341,6 +344,10 @@ _WRONG_TYPE_CALLS = {
     "paper_expectation_formula-obs": ("obs", lambda g, t, u, e, bad: cf.paper_expectation_formula(
         _CIRCUIT, bad, t, g)),
     "build_benchmark": ("spec", lambda g, t, u, e, bad: cf.build_benchmark(bad)),
+    "run_bench": ("bench config", lambda g, t, u, e, bad: run_bench(bad)),
+    "results_csv": ("results", lambda g, t, u, e, bad: results_csv(bad)),
+    "results_svg": ("results", lambda g, t, u, e, bad: results_svg(bad)),
+    "emit_outputs": ("results", lambda g, t, u, e, bad: emit_outputs(bad, "a.csv", "a.svg", "hist")),
 }
 
 
@@ -348,17 +355,20 @@ _WRONG_TYPE_CALLS = {
 def test_an_entry_point_refuses_a_wrong_argument_type(role, call):
     g, t, u, e = _d4_args()
     wrong = {"group": ["x", None, 3, np.eye(2), t], "table": ["x", None, g], "element": ["x", g],
-             "arrays": ["x", e.tolist()], "histogram": ["x", None, {"0": 1}], "params": ["x", None],
-             "rng": ["x", None, 0], "obs": ["x", None], "spec": ["x", None]}
+             "arrays": ["x", e.tolist(), np.full(e.shape, "a")], "histogram": ["x", None, {"0": 1}],
+             "params": ["x", None], "rng": ["x", None, 0], "obs": ["x", None], "spec": ["x", None],
+             "bench config": ["x", None], "results": ["x", None]}
     expected = {"group": "group must be a FiniteMatrixGroup, got {}",
                 "table": "table must be a CharacterTable, got {}",
                 "element": "expected an AlgebraElement, got {}",
-                "arrays": "idempotents and projectors must be numpy arrays",
+                "arrays": "idempotents and projectors must be numeric numpy arrays",
                 "histogram": "histogram must be a MeasurementHistogram, got {}",
                 "params": "params must be a CostParams, got {}",
                 "rng": "rng must be a Generator, got {}",
                 "obs": "obs must be an Observable, got {}",
-                "spec": "spec must be a BenchmarkSpec, got {}"}
+                "spec": "spec must be a BenchmarkSpec, got {}",
+                "bench config": "cfg must be a BenchConfig, got {}",
+                "results": "r must be a BenchResults, got {}"}
     for bad in wrong[role]:
         with pytest.raises(InvalidSpec, match=f"^{expected[role].format(type(bad).__name__)}$"):
             call(g, t, u, e, bad)

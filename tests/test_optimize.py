@@ -187,10 +187,10 @@ def test_scalar_translates_are_the_phase_equal_elements(make, groups):
 # -- pipeline ------------------------------------------------------------------
 
 def test_the_default_max_order_binds_small_segments():
-    # one qubit, one generator: the flop and byte caps are far larger, so the
-    # default max_order, sized for an int16 Cayley table of 2^24 bytes, binds
+    # one qubit: the byte cap is far larger, so the default max_order,
+    # sized for an int16 Cayley table of 2^24 bytes, binds
     assert OptimizeConfig().max_order == 2896
-    assert _effective_cap(2, 1, FAST) == 2896
+    assert _effective_cap(2, FAST) == 2896
 
 
 def test_a_max_order_above_the_default_closes_a_larger_segment():
@@ -359,8 +359,9 @@ def test_optimize_computes_no_character_table(monkeypatch, n, marked):
 def _recording_local_keys(monkeypatch):
     """Patch the optimizer's _close and close_group to log, for every
     close_group call, the local key it closes, its max_order and whether
-    _close cached a refusal under a bound for it (an int), in "closed"; and in
-    "refusals" the number of refusals under a bound, with or without a call."""
+    _close cached a refusal under a bound for it (an int below the key's own
+    cap), in "closed"; and in "refusals" the number of refusals under a bound,
+    with or without a call."""
     log, close, counted, current = {"closed": [], "refusals": 0}, optimize_module._close, \
         optimize_module.close_group, [None]
 
@@ -368,7 +369,8 @@ def _recording_local_keys(monkeypatch):
         current[0] = key = _key(gates)[0]
         calls, before = len(log["closed"]), cache.get(key)
         result = close(gates, cfg, cache, base, bound)
-        bounded = isinstance(cache[key], int) and cache[key] is not before
+        after = cache.get(key, 0)  # a key never tried reads as refused under 0
+        bounded = isinstance(after, int) and after is not before and after < _effective_cap(1 << key[0], cfg)
         log["refusals"] += bounded
         if len(log["closed"]) > calls:
             log["closed"][-1][2] = bounded
@@ -457,15 +459,14 @@ def test_refutations_are_exact(monkeypatch, rows, calls, failures, refuted):
     for gates in split_refused:
         support = _support(gates)
         mats, _ = gate_generators(gates, support)
-        cap = _effective_cap(1 << len(support), len(mats), FAST)
+        cap = _effective_cap(1 << len(support), FAST)
         cases.append((mats, ClosureConfig(max_order=cap)))
     for mats, cfg in cases:
         with pytest.raises((OrderCapExceeded, KeyCollision)):
             close_group(mats, cfg)
     # and for each part refused under W // P, the whole segment's product order passes W
     for gates in bound_refused:
-        n_gens = sum(len(gate_generators(part, _support(part))[0]) for part in _parts(gates))
-        cap = _effective_cap(1 << len(_support(gates)), n_gens, FAST)
+        cap = _effective_cap(1 << len(_support(gates)), FAST)
         order = _product_order(gates, cap)
         assert order is None or order > cap
 
@@ -488,6 +489,22 @@ def test_a_joined_part_is_closed_under_the_bound_the_other_parts_leave(monkeypat
     # the records the optimizer wrote when every part closed to its own cap
     assert [(s.start, s.end, s.status, s.gates_before, s.gates_after, s.group_order)
             for s in report.segments] == segments
+
+
+def test_a_refusal_is_cached_as_the_limit_it_was_refused_under(monkeypatch):
+    log = _recording_close_group(monkeypatch)
+    cache, hs, ht = {}, [gate("h", 0), gate("s", 0)], [gate("h", 0), gate("t", 0)]
+    # {h 0, s 0} has order 192: refused under 100, it is refused under 50 with no call,
+    # and closed under its cap, whose record every bound then reads
+    assert _close(hs, FAST, cache, bound=100) == "skipped-cap" and log["calls"] == 1
+    assert _close(hs, FAST, cache, bound=50) == "skipped-cap" and log["calls"] == 1
+    closed = _close(hs, FAST, cache)
+    assert closed.group.order == 192 and log["calls"] == 2
+    assert _close(hs, FAST, cache, bound=10) is closed and log["calls"] == 2
+    # {h 0, t 0} is infinite: refused at its own cap, it is never tried again
+    assert _close(ht, FAST, cache) == "skipped-cap" and log["calls"] == 3
+    assert _close(ht, FAST, cache) == _close(ht, FAST, cache, bound=10) == "skipped-cap"
+    assert log["calls"] == 3
 
 
 _KEY_KINDS = ("x", "y", "z", "h", "s", "sdg", "t", "tdg", "cx", "cz", "cp", "swap")

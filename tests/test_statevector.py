@@ -13,7 +13,7 @@ from charforge.circuits import (GATE_ARITY, Circuit, apply_matrix, build_bv, bui
                                 build_vqe, circuit_unitary, gate, gate_matrix,
                                 parse_circuit, random_clifford_circuit)
 from charforge.errors import DimensionMismatch, InvalidSpec, QubitOutOfRange, TooWide
-from charforge.histogram import MeasurementHistogram
+from charforge.histogram import MeasurementHistogram, histogram_csv
 from charforge.observables import Observable, random_pauli, z_on_qubit
 from charforge.statevector import (expectation_of_state, marginal_probabilities,
                                    run_gates, sample_histogram, sv_expectation,
@@ -170,10 +170,11 @@ def test_histogram_counts_must_sum_to_shots():
     (2.0, {"0": 2}, "shots must be an integer"),
     (2, [("0", 2)], "counts must be a dict, got list"),  # raised a raw AttributeError
     (2, None, "counts must be a dict, got NoneType"),
+    (2, {"0": 1, 1: 1}, "outcome must be a str, got int"),  # histogram_csv raised a raw TypeError
 ])
 def test_a_histogram_takes_a_shot_count_and_non_negative_integer_counts(shots, counts, match):
     with pytest.raises(InvalidSpec, match=match):
-        MeasurementHistogram(shots=shots, counts=counts)
+        histogram_csv(MeasurementHistogram(shots=shots, counts=counts))
 
 
 def _block(n, b, seed):
